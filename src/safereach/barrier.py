@@ -23,12 +23,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import InclusionSpec, inclusion_extreme_points, negate
+from .dynamics import (InclusionSpec, inclusion_extreme_points, negate, select,
+                       selector_table)
 from .expr import compile_expression, compile_scalar_expression
-from .geometry import (GeometryError, SetSpec, SubgradientCandidate,
-                       clarke_gradient_sample, distance_to_set,
+from .geometry import (GeometryError, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
-from .solver import IntegratorConfig, Trajectory, bundle_selectors
+from .solver import IntegratorConfig, Trajectory, bundle_selectors, rk4_sweep
 
 DEFAULT_POS_TOL = 1e-9
 
@@ -84,11 +84,6 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
                      params={"expression": expression})
 
 
-def from_callable(fn: Callable, dim: int, provenance: str = "user",
-                  band_width: float = 0.1, batch_fn=None) -> BarrierFn:
-    return BarrierFn(fn, provenance, dim, band_width, batch_fn=batch_fn)
-
-
 # ---------------------------------------------------------------------------
 # marginal barrier
 # ---------------------------------------------------------------------------
@@ -116,18 +111,13 @@ class MarginalBarrier:
     def values(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        out = np.empty(len(ts))
-        misses = [i for i in range(len(ts))
-                  if self._key(ts[i], Xs[i]) not in self._cache]
+        keys = [self._key(t, x) for t, x in zip(ts, Xs)]
+        misses = [i for i, key in enumerate(keys) if key not in self._cache]
         if misses:
             vals, trunc = self._compute(ts[misses], Xs[misses])
-            for j, i in enumerate(misses):
-                self._cache[self._key(ts[i], Xs[i])] = float(vals[j])
-            if trunc.any():
-                self.truncated_seen = True
-        for i in range(len(ts)):
-            out[i] = self._cache[self._key(ts[i], Xs[i])]
-        return out
+            self._cache.update(zip([keys[i] for i in misses], vals.tolist()))
+            self.truncated_seen |= bool(trunc.any())
+        return np.array([self._cache[key] for key in keys])
 
     def _compute(self, ts: np.ndarray, Xs: np.ndarray):
         h = self.cfg.step
@@ -139,56 +129,35 @@ class MarginalBarrier:
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         max_k = int(k_hi.max(initial=0))
         horizon = max_k * h if max_k > 0 else h
-        selectors = bundle_selectors(self.F, m=self.directions,
-                                     switches=self.switches, T=horizon,
-                                     seed=self.seed)
+        selectors = bundle_selectors(self.F, m=self.directions, switches=self.switches,
+                                     T=horizon, seed=self.seed)
+        # one sweep over selectors x points: row j * m + i runs selector j from Xs[i]
+        S = len(selectors)
+        switch_times, D = selector_table(self.F, selectors)
+        D = None if D is None else np.repeat(D, m, axis=1)
+        # step k uses the direction of the segment holding its midpoint
+        seg = np.searchsorted(switch_times, (np.arange(1, max_k + 1) - 0.5) * h, side="right")
         Fb = negate(self.F)
-        best_lo = np.full(m, np.inf)
-        best_hi = np.full(m, np.inf)
-        truncated = np.zeros(m, dtype=bool)
-        for sel in selectors:
-            lo, hi, trunc = self._cummin_run(Fb, sel, Xs, h, max_k, k_lo, k_hi)
-            best_lo = np.minimum(best_lo, lo)
-            best_hi = np.minimum(best_hi, hi)
-            truncated |= trunc
-        vals = best_lo * (1.0 - frac) + best_hi * frac
-        return vals, truncated
+        lo, hi = np.tile(k_lo, S), np.tile(k_hi, S)
+        dmin = np.tile(distance_to_set_many(Xs, self.X_o), S)
+        out_lo = np.where(lo == 0, dmin, np.inf)
+        out_hi = np.where(hi == 0, dmin, np.inf)
 
-    def _cummin_run(self, Fb, sel, Xs, h, max_k, k_lo, k_hi):
-        m = len(Xs)
-        X = np.array(Xs, dtype=float)
-        dmin = distance_to_set_many(X, self.X_o)
-        out_lo = np.where(k_lo == 0, dmin, np.inf)
-        out_hi = np.where(k_hi == 0, dmin, np.inf)
-        alive = np.ones(m, dtype=bool)
-        truncated = np.zeros(m, dtype=bool)
-        from .solver import _batched_select
+        def rhs(k, rows, X):
+            return select(Fb, X, None if D is None else D[seg[k - 1]][rows])
 
-        for k in range(1, max_k + 1):
-            t_node = (k - 0.5) * h
-            fn = lambda A: _batched_select(Fb, A, sel, t_node)
-            k1 = fn(X)
-            k2 = fn(X + 0.5 * h * k1)
-            k3 = fn(X + 0.5 * h * k2)
-            k4 = fn(X + h * k3)
-            Xn = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            esc = alive & (np.linalg.norm(Xn, axis=1) > self.cfg.escape_radius)
-            if esc.any():
-                truncated |= esc & (k_hi >= k)
-                alive &= ~esc
-            X = np.where(alive[:, None], Xn, X)
-            live = alive
-            if live.any():
-                d = distance_to_set_many(X[live], self.X_o)
-                dm = dmin[live]
-                dmin[live] = np.minimum(dm, d)
-            hit_lo = k_lo == k
-            if hit_lo.any():
-                out_lo[hit_lo] = dmin[hit_lo]
-            hit_hi = k_hi == k
-            if hit_hi.any():
-                out_hi[hit_hi] = dmin[hit_hi]
-        return out_lo, out_hi, truncated
+        def observe(k, rows, X):
+            dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
+            for out, ks in ((out_lo, lo), (out_hi, hi)):
+                at = ks == k
+                out[at] = dmin[at]
+
+        _, steps, escaped = rk4_sweep(rhs, np.tile(Xs, (S, 1)), h, max_k, observe,
+                                      self.cfg.escape_radius)
+        truncated = (escaped & (steps <= hi)).reshape(S, m).any(axis=0)
+        best_lo = out_lo.reshape(S, m).min(axis=0)
+        best_hi = out_hi.reshape(S, m).min(axis=0)
+        return best_lo * (1.0 - frac) + best_hi * frac, truncated
 
 
 def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
@@ -300,18 +269,18 @@ class CheckReport:
             "check": self.check,
             "samples": self.samples,
             "worst_margin": self.worst_margin,
-            "witness": _jsonable(self.witness),
+            "witness": jsonable(self.witness),
             "verdict": self.verdict,
-            "details": _jsonable(self.details),
+            "details": jsonable(self.details),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _jsonable(obj):
+def jsonable(obj):
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -495,20 +464,15 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
             zt, zx = zeta[0], zeta[1:]
             if F.kind == "ball":
                 f0 = F.fields[0](x)
-                margin = zt + float(zx @ f0) + F.epsilon * float(np.linalg.norm(zx)) - gb
+                cands = [(f0, zt + float(zx @ f0) + F.epsilon * float(np.linalg.norm(zx)) - gb)]
+            else:
+                cands = [(eta, zt + float(zx @ eta) - gb)
+                         for eta in inclusion_extreme_points(F, x, ball_directions, seed)]
+            for eta, margin in cands:
                 checked += 1
                 if margin > worst:
-                    worst, witness = margin, {"t": t, "x": x.tolist(),
-                                              "eta": f0.tolist(),
+                    worst, witness = margin, {"t": t, "x": x.tolist(), "eta": eta.tolist(),
                                               "zeta": zeta.tolist()}
-            else:
-                for eta in inclusion_extreme_points(F, x, ball_directions, seed):
-                    margin = zt + float(zx @ eta) - gb
-                    checked += 1
-                    if margin > worst:
-                        worst, witness = margin, {"t": t, "x": x.tolist(),
-                                                  "eta": eta.tolist(),
-                                                  "zeta": zeta.tolist()}
     if checked == 0:
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "no subgradient candidates"})

@@ -25,7 +25,9 @@ from .config import ConfigError, RawConfig, Scenario, build_scenario, load_confi
 from .dynamics import lipschitz_estimate
 from .expr import compile_expression
 from .geometry import SetSpec
-from .reachability import cloud_to_csv, filippov_check, reach, save_cloud
+from .reachability import (BoxExitError, BundlePlan, cloud_to_csv, filippov_check, reach,
+                           save_cloud)
+from .sampling import grid_points
 from .smoothing import (ConverseResolution, build_time_partition,
                         converse_smooth_barrier, smooth_on_compact)
 from .solver import solution_bundle
@@ -73,7 +75,7 @@ def _get_set(scn: Scenario, name: str) -> SetSpec:
     return scn.sets[name]
 
 
-def _build_barrier(scn: Scenario, jobs: int = 1) -> BarrierFn:
+def _build_barrier(scn: Scenario) -> BarrierFn:
     cfg = scn.raw
     kind = _require(cfg.get("barrier", "kind"), "config needs a [barrier] section with kind")
     band = cfg.get("barrier", "band", 0.1)
@@ -133,13 +135,12 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
         starts.append(X_o.sample_boundary(scn.sampling_boundary, seed=scn.seed + 1,
                                           window=scn.sampling_window))
     starts = np.vstack(starts)
-    for i, x0 in enumerate(starts):
-        trajs = solution_bundle(scn.system, x0, T, cfg=scn.solver,
-                                m=scn.bundle_directions, switches=scn.bundle_switches,
-                                seed=scn.seed, jobs=args.jobs)
+    bundles = solution_bundle(scn.system, starts, T, cfg=scn.solver,
+                              m=scn.bundle_directions, switches=scn.bundle_switches,
+                              seed=scn.seed)
+    for i, trajs in enumerate(bundles):
         for tr in trajs:
-            path = manifest.add(manifest.out / f"traj_{i:03d}_{tr.selector_index:02d}.csv")
-            tr.to_csv(path)
+            tr.to_csv(manifest.add(manifest.out / f"traj_{i:03d}_{tr.selector_index:02d}.csv"))
     return 0
 
 
@@ -148,8 +149,6 @@ def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
     _require(scn.system, "reach needs a [system]")
     x0 = np.asarray(_require(cfg.get("reach", "x0"), "[reach] needs x0"), dtype=float)
     t = _require(cfg.get("reach", "t"), "[reach] needs t")
-    from .reachability import BundlePlan
-
     cloud = reach(scn.system, x0, t, scn.solver,
                   BundlePlan(scn.bundle_directions, scn.bundle_switches, scn.seed),
                   stride=cfg.get("reach", "stride", 1))
@@ -160,16 +159,14 @@ def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
 
 def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     cfg = scn.raw
-    B = _build_barrier(scn, args.jobs)
+    B = _build_barrier(scn)
     window = cfg.get("barrier-eval", "window")
     _require(window, "[barrier-eval] needs window")
     dim = len(window) // 2
     nx = cfg.get("barrier-eval", "nx", 21)
     tg = cfg.get("barrier-eval", "tgrid", [0.0, 1.0, 5])
     ts = np.linspace(tg[0], tg[1], int(tg[2]))
-    axes = [np.linspace(window[i], window[dim + i], nx) for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = grid_points(window[:dim], window[dim:], nx)
     rows = []
     for t in ts:
         vals = B.evaluate_many(np.full(len(pts), t), pts)
@@ -193,10 +190,7 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     box = region.bounding_box()
     if box is None:
         raise CliError("[smooth] region must be bounded")
-    n = cfg.get("smooth", "grid_n", 41)
-    axes = [np.linspace(box[0][i], box[1][i], n) for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = grid_points(box[0], box[1], cfg.get("smooth", "grid_n", 41))
     keep = np.array([region.contains(p) for p in pts])
     grid = pts[keep]
     if len(grid) == 0:
@@ -238,7 +232,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
-        B = _build_barrier(scn, args.jobs)
+        B = _build_barrier(scn)
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
         rep = candidate_sign_check(B, X_o, X_u, scn.t_grid,
@@ -247,24 +241,23 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
                                    window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "monotonicity":
-        B = _build_barrier(scn, args.jobs)
+        B = _build_barrier(scn)
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         starts = X_o.sample_boundary(cfg.get(section, "n_samples", 8), seed=seed,
                                      window=window)
+        bundles = solution_bundle(scn.system, starts, cfg.get(section, "T", 1.0),
+                                  cfg=scn.solver, m=scn.bundle_directions,
+                                  switches=scn.bundle_switches, seed=seed)
         worst = None
-        for x0 in starts:
-            trajs = solution_bundle(scn.system, x0, cfg.get(section, "T", 1.0),
-                                    cfg=scn.solver, m=scn.bundle_directions,
-                                    switches=scn.bundle_switches, seed=seed)
-            for tr in trajs:
-                rep = monotonicity_check(B, tr, tol=cfg.get(section, "tol",
-                                                            10 * scn.solver.accuracy),
-                                         stride=cfg.get(section, "stride", 16))
-                if worst is None or rep.worst_margin > worst.worst_margin:
-                    worst = rep
+        for tr in (tr for trajs in bundles for tr in trajs):
+            rep = monotonicity_check(B, tr, tol=cfg.get(section, "tol",
+                                                        10 * scn.solver.accuracy),
+                                     stride=cfg.get(section, "stride", 16))
+            if worst is None or rep.worst_margin > worst.worst_margin:
+                worst = rep
         return worst.to_json(), worst.verdict
     if kind == "infinitesimal":
-        B = _build_barrier(scn, args.jobs)
+        B = _build_barrier(scn)
         region = cfg.get(section, "region", "everywhere")
         if region == "margin_band":
             region = ("margin_band", cfg.get(section, "width"))
@@ -284,7 +277,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
                            window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":
-        B = _build_barrier(scn, args.jobs)
+        B = _build_barrier(scn)
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_s = _get_set(scn, _require(cfg.get(section, "X_s"), f"[{section}] needs X_s"))
         rep = prop1_check(scn.system, X_o, X_s, B, _parse_relax(cfg.get(section, "g")),
@@ -299,17 +292,24 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
         rng = np.random.default_rng(seed)
         pairs = cfg.get(section, "pairs", 10)
         max_sep = cfg.get(section, "max_sep", 0.5)
-        worst = {"max_violation": -np.inf, "holds": True}
+        worst, not_applicable = {"max_violation": None, "holds": True}, 0
         for _ in range(pairs):
             x = rng.uniform(-1.0, 1.0, size=scn.system.dim)
             y = x + rng.uniform(-1.0, 1.0, size=scn.system.dim) * max_sep / np.sqrt(scn.system.dim)
-            res = filippov_check(scn.system, x, y, cfg.get(section, "T", 1.0), lam,
-                                 scn.solver, tol=cfg.get(section, "tol", 1e-6))
-            if res["max_violation"] > worst["max_violation"]:
+            try:
+                res = filippov_check(scn.system, x, y, cfg.get(section, "T", 1.0), lam,
+                                     scn.solver, box=box, tol=cfg.get(section, "tol", 1e-6))
+            except BoxExitError:
+                not_applicable += 1
+                continue
+            if worst["max_violation"] is None or res["max_violation"] > worst["max_violation"]:
                 worst = res
-        payload = json.dumps({"check": "filippov", "lambda": lam, **worst},
+        verdict = ("inconclusive" if not_applicable == pairs
+                   else "pass" if worst["holds"] else "fail")
+        payload = json.dumps({"check": "filippov", "lambda": lam, **worst, "pairs": pairs,
+                              "not_applicable": not_applicable, "verdict": verdict},
                              indent=2, sort_keys=True)
-        return payload, ("pass" if worst["holds"] else "fail")
+        return payload, verdict
     raise CliError(f"unknown check kind '{kind}'")
 
 
@@ -387,7 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="override a config entry")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--results", help="results directory for the report command")
     return p
 

@@ -89,8 +89,14 @@ def _counterexample_radial(x):
 
 
 def _linear_safe(x):
+    # column by column, not a BLAS product: BLAS rounds a single row unlike
+    # the same row in a batch, and a value must not depend on its batch
     x = np.asarray(x, dtype=float)
-    return x @ LINEAR_SAFE_A.T
+    (a, b), (c, d) = LINEAR_SAFE_A.tolist()
+    out = np.empty(x.shape)
+    out[..., 0] = a * x[..., 0] + b * x[..., 1]
+    out[..., 1] = c * x[..., 0] + d * x[..., 1]
+    return out
 
 
 def _counterexample_step_ceiling(x):
@@ -238,17 +244,46 @@ def _validate_direction(F: InclusionSpec, d: Optional[np.ndarray]) -> None:
             raise DynamicsError("hull selector weights must be nonnegative and sum to 1")
 
 
-def select(F: InclusionSpec, x, s: Selector, t: float = 0.0) -> np.ndarray:
-    """Evaluate the selected velocity; always an element of F(x)."""
-    d = s.direction_at(t)
-    _validate_direction(F, d)
-    x = np.asarray(x, dtype=float)
+def select(F: InclusionSpec, x, s, t: float = 0.0) -> np.ndarray:
+    """Evaluate the selected velocity; always an element of F(x).
+
+    s is a Selector, whose direction at time t is validated here, or
+    directions validated by :func:`selector_table`: one for all rows of x or
+    an (m, p) array with one per row."""
+    if isinstance(s, Selector):
+        s = s.direction_at(t)
+        _validate_direction(F, s)
     if F.kind == "singleton":
         return F.fields[0](x)
     if F.kind == "ball":
-        return F.fields[0](x) + F.epsilon * d
-    vals = np.stack([f(x) for f in F.fields], axis=-1)
-    return vals @ d
+        return F.fields[0](x) + F.epsilon * s
+    # weight by weight, not a BLAS product, which rounds rows by batch size
+    out = F.fields[0](x) * s[..., 0, None]
+    for i, f in enumerate(F.fields[1:], start=1):
+        out = out + f(x) * s[..., i, None]
+    return out
+
+
+def selector_table(F: InclusionSpec, sels: Sequence[Selector]):
+    """Validated directions of sels on their shared switch grid.
+
+    Returns (switch_times, D) with D[q, j] the direction selector j uses on
+    segment q of the grid; constant selectors repeat theirs on every
+    segment.  D is None for a singleton inclusion, which ignores selectors.
+    """
+    grids = {tuple(s.switch_times) for s in sels if s.kind == "piecewise"}
+    if len(grids) > 1:
+        raise DynamicsError("piecewise selectors of one table must share their switch times")
+    switch_times = np.array(grids.pop() if grids else (), dtype=float)
+    if F.kind == "singleton":
+        return switch_times, None
+    for s in sels:
+        for d in ([s.direction] if s.kind == "constant" else s.directions):
+            _validate_direction(F, d)
+    segs = len(switch_times) + 1
+    D = np.stack([np.tile(s.direction, (segs, 1)) if s.kind == "constant"
+                  else s.directions for s in sels], axis=1)
+    return switch_times, D
 
 
 def negate(F: InclusionSpec) -> InclusionSpec:
@@ -280,9 +315,7 @@ def lipschitz_estimate(F: InclusionSpec, box: SetSpec, grid: int = 9) -> float:
         raise DynamicsError("lipschitz_estimate expects a box set")
     if grid < 2:
         raise DynamicsError("need at least 2 grid points per axis")
-    axes = [np.linspace(box.lo[i], box.hi[i], grid) for i in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = sampling.grid_points(box.lo, box.hi, grid)
     if F.kind == "hull" and len(F.fields) > 1:
         values = [np.stack([f(p) for f in F.fields]) for p in pts]
         best = 0.0

@@ -292,7 +292,7 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
         return np.linalg.norm(X - proj, axis=1)
     if S.kind == "halfspace":
         nn = np.linalg.norm(S.normal)
-        return np.maximum(S.offset - X @ S.normal, 0.0) / nn
+        return np.maximum(S.offset - _row_dot(X, S.normal), 0.0) / nn
     if S.kind == "points":
         d2 = ((X[:, None, :] - S.pts[None, :, :]) ** 2).sum(axis=2)
         return np.sqrt(d2.min(axis=1))
@@ -307,6 +307,15 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
     raise GeometryError(f"unknown set kind {S.kind}")
 
 
+def _row_dot(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # column by column, not a BLAS product: BLAS rounds a single row unlike
+    # the same row in a batch, and a distance must not depend on its batch
+    out = X[:, 0] * v[0]
+    for j in range(1, len(v)):
+        out = out + X[:, j] * v[j]
+    return out
+
+
 def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
     """Distance to cl(R^n \\ inner): interior depth of inner, 0 outside."""
     if inner.kind == "ball":
@@ -317,7 +326,7 @@ def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
         return np.maximum(depth, 0.0)
     if inner.kind == "halfspace":
         nn = np.linalg.norm(inner.normal)
-        return np.maximum(X @ inner.normal - inner.offset, 0.0) / nn
+        return np.maximum(_row_dot(X, inner.normal) - inner.offset, 0.0) / nn
     if inner.kind == "points":
         # complement of a finite set is dense: its closure is the whole space
         return np.zeros(len(X))
@@ -348,7 +357,7 @@ def _sublevel_distance(x: np.ndarray, S: SetSpec) -> float:
     if S.contains(x):
         return 0.0
     lo, hi = S.window
-    grid = _grid_points(lo, hi, S.grid)
+    grid = sampling.grid_points(lo, hi, S.grid)
     vals = np.asarray(S.fn(grid))
     members = grid[vals <= S.level]
     if len(members) == 0:
@@ -398,8 +407,7 @@ def _intersection_distance(x: np.ndarray, S: SetSpec) -> float:
     if box is None:
         raise GeometryError("intersection distance needs a bounded member or window")
     lo, hi = box
-    pad = 0.25 * (np.asarray(hi) - np.asarray(lo) + 1.0)
-    grid = _grid_points(np.asarray(lo) - 0.0 * pad, np.asarray(hi) + 0.0 * pad, S.grid)
+    grid = sampling.grid_points(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), S.grid)
     keep = np.array([S.contains(g) for g in grid])
     members = grid[keep]
     if len(members) == 0:
@@ -408,12 +416,6 @@ def _intersection_distance(x: np.ndarray, S: SetSpec) -> float:
     best = members[int(np.argmin(d2))]
     y = _bisect_boundary(S, best, x)
     return float(np.linalg.norm(x - y))
-
-
-def _grid_points(lo, hi, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _bisect_boundary(S: SetSpec, inside: np.ndarray, outside: np.ndarray,

@@ -18,11 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import InclusionSpec
-from .geometry import SetSpec, distance_to_set, distance_to_set_many, hausdorff_distance
+from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
 from .solver import IntegratorConfig, Trajectory, solution_bundle
 
 _MAGIC = b"RCH1"
 _QUANTUM = 1e-9
+
+
+class BoxExitError(ValueError):
+    """The tubes of a Filippov check leave the box its Lipschitz bound holds on."""
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,6 @@ class ReachCloud:
         if len(self.points) == 0:
             raise ValueError("reach cloud must be nonempty")
 
-    def min_distance_to(self, S: SetSpec) -> float:
-        return float(distance_to_set_many(self.points, S).min())
-
 
 def _run_bundle(F: InclusionSpec, x, t: float, cfg: IntegratorConfig,
                 plan: BundlePlan) -> list[Trajectory]:
@@ -69,25 +70,7 @@ def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfi
           plan: BundlePlan = BundlePlan(), stride: int = 1,
           cache: Optional["ReachCache"] = None) -> ReachCloud:
     """Full-tube cloud: union of stored nodes of the solution bundle."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(t):
-        raise ValueError("horizon must be finite")
-    if cache is not None:
-        hit = cache.get(F.name, x, t, plan, stride, "full_tube")
-        if hit is not None:
-            return hit
-    if t == 0.0:
-        cloud = ReachCloud(x, 0.0, x[None, :], "full_tube",
-                           plan.directions, stride)
-    else:
-        trajs = _run_bundle(F, x, t, cfg, plan)
-        pts = np.vstack([tr.states[::stride] for tr in trajs] +
-                        [tr.states[-1][None, :] for tr in trajs])
-        cloud = ReachCloud(x, t, pts, "full_tube", len(trajs), stride,
-                           truncated=any(tr.termination == "escape" for tr in trajs))
-    if cache is not None:
-        cache.put(F.name, x, t, plan, stride, cloud)
-    return cloud
+    return _cloud(F, x, t, cfg, plan, stride, "full_tube", cache)
 
 
 def reach_endpoint(F: InclusionSpec, x, t: float,
@@ -95,20 +78,28 @@ def reach_endpoint(F: InclusionSpec, x, t: float,
                    plan: BundlePlan = BundlePlan(),
                    cache: Optional["ReachCache"] = None) -> ReachCloud:
     """Keep only each trajectory's final node (the map R^b)."""
+    return _cloud(F, x, t, cfg, plan, 1, "endpoints_only", cache)
+
+
+def _cloud(F: InclusionSpec, x, t: float, cfg: IntegratorConfig, plan: BundlePlan,
+           stride: int, mode: str, cache: Optional["ReachCache"]) -> ReachCloud:
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(t):
+        raise ValueError("horizon must be finite")
     if cache is not None:
-        hit = cache.get(F.name, x, t, plan, 1, "endpoints_only")
+        hit = cache.get(F.name, x, t, plan, stride, mode)
         if hit is not None:
             return hit
     if t == 0.0:
-        cloud = ReachCloud(x, 0.0, x[None, :], "endpoints_only", plan.directions, 1)
+        cloud = ReachCloud(x, 0.0, x[None, :], mode, plan.directions, stride)
     else:
         trajs = _run_bundle(F, x, t, cfg, plan)
-        pts = np.vstack([tr.endpoint[None, :] for tr in trajs])
-        cloud = ReachCloud(x, t, pts, "endpoints_only", len(trajs), 1,
+        ends = [tr.states[-1][None, :] for tr in trajs]
+        tube = [tr.states[::stride] for tr in trajs] if mode == "full_tube" else []
+        cloud = ReachCloud(x, t, np.vstack(tube + ends), mode, len(trajs), stride,
                            truncated=any(tr.termination == "escape" for tr in trajs))
     if cache is not None:
-        cache.put(F.name, x, t, plan, 1, cloud)
+        cache.put(F.name, x, t, plan, stride, cloud)
     return cloud
 
 
@@ -123,17 +114,16 @@ def filippov_check(F: InclusionSpec, x, y, T: float, lam: float,
     """Check |phi(s, x)|_{R^b(s, y)} <= exp(lam*s) |x - y| at every stored node.
 
     lam should come from a Lipschitz estimate on a box containing both tubes;
-    if the tubes exit that box the bound is not applicable and an error is
-    raised.
+    if the tubes exit that box the bound is not applicable and BoxExitError
+    is raised.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    trajs_x = _run_bundle(F, x, T, cfg, plan)
-    trajs_y = _run_bundle(F, y, T, cfg, plan)
+    trajs_x, trajs_y = _run_bundle(F, np.stack([x, y]), T, cfg, plan)
     if box is not None:
         for tr in trajs_x + trajs_y:
             if np.any(distance_to_set_many(tr.states, box) > 0.0):
-                raise ValueError("enlarge box: reach tubes leave the Lipschitz box")
+                raise BoxExitError("enlarge box: reach tubes leave the Lipschitz box")
     base = float(np.linalg.norm(x - y))
     times = trajs_x[0].times
     worst = -np.inf
@@ -189,9 +179,8 @@ def _quantize(v) -> tuple:
 class ReachCache:
     """Keyed cloud store; hits are bit-identical to recomputation."""
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self):
         self._store: dict = {}
-        self.path = Path(path) if path else None
 
     @staticmethod
     def _key(system: str, x, t: float, plan: BundlePlan, stride: int, mode: str):

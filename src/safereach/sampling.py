@@ -43,6 +43,12 @@ def halton(count: int, dim: int, seed: int = 0, skip: int = 20) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def grid_points(lo, hi, per_axis: int) -> np.ndarray:
+    """Regular grid of per_axis points per axis over the box [lo, hi]."""
+    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(len(lo))]
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
 def box_points(lo, hi, count: int, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points filling the box [lo, hi]."""
     lo = np.asarray(lo, dtype=float)

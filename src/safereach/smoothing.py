@@ -26,7 +26,7 @@ from . import sampling
 from .barrier import BarrierFn
 from .dynamics import FieldHandle, rescale_field
 from .geometry import SetSpec, distance_to_set_many
-from .solver import IntegratorConfig
+from .solver import IntegratorConfig, SolverError, rk4_sweep
 
 
 class SmoothingError(RuntimeError):
@@ -489,6 +489,13 @@ class ConverseResolution:
     rescaled_step: float = 1.0 / 64.0
 
 
+def _sweep(fn, X, h, n_steps, observe, diverged: str):
+    try:
+        return rk4_sweep(fn, X, h, n_steps, observe)
+    except SolverError as exc:
+        raise SmoothingError(f"{diverged}: {exc}") from exc
+
+
 class _RescaledTubeMin:
     """h(tau, x0): min distance to X_o over the forward tube of the rescaled
     field, evaluated by batched integration with a running minimum."""
@@ -511,21 +518,16 @@ class _RescaledTubeMin:
         idx = np.round(times / h).astype(int)
         if np.any(np.abs(times - idx * h) > 1e-9):
             raise SmoothingError("tube-min bulk evaluation expects step-aligned times")
-        state = X.copy()
-        dmin = distance_to_set_many(state, self.X_o)
+        dmin = distance_to_set_many(X, self.X_o)
         out = np.empty((len(times), len(X)))
-        hit = idx == 0
-        out[hit] = dmin
-        for k in range(1, n_steps + 1):
-            k1 = self.field(state)
-            k2 = self.field(state + 0.5 * h * k1)
-            k3 = self.field(state + 0.5 * h * k2)
-            k4 = self.field(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            dmin = np.minimum(dmin, distance_to_set_many(state, self.X_o))
-            hit = idx == k
-            if hit.any():
-                out[hit] = dmin
+        out[idx == 0] = dmin
+
+        def observe(k, rows, Y):
+            dmin[:] = np.minimum(dmin, distance_to_set_many(Y, self.X_o))
+            out[idx == k] = dmin
+
+        _sweep(lambda k, rows, Y: self.field(Y), X, h, n_steps, observe,
+               "rescaled flow diverged during tube evaluation")
         return out
 
     def __call__(self, t: float, X) -> np.ndarray:
@@ -565,28 +567,24 @@ class ConverseBarrier:
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         m = len(ts)
         n_steps = max(1, int(np.ceil(ts.max(initial=0.0) / self.cfg.step)))
-        h_rows = (ts / n_steps)[:, None]
-        state = Xs.copy()
-        d_here = distance_to_set_many(state, self.X_o)
+        h_rows = ts / n_steps
+        d_here = distance_to_set_many(Xs, self.X_o)
         dmin = d_here.copy()
-        vsafe = np.maximum(d_here ** 2, self.res.touch_tol ** 2)
         tau_int = np.zeros(m)
-        inv_prev = 1.0 / vsafe
-        for _ in range(n_steps):
-            k1 = -self.f(state)
-            k2 = -self.f(state + 0.5 * h_rows * k1)
-            k3 = -self.f(state + 0.5 * h_rows * k2)
-            k4 = -self.f(state + h_rows * k3)
-            state = state + (h_rows / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.any(~np.isfinite(state)):
-                raise SmoothingError("backward flow diverged during barrier evaluation")
-            d_here = distance_to_set_many(state, self.X_o)
-            dmin = np.minimum(dmin, d_here)
+        inv_prev = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
+
+        def observe(k, rows, X):
+            nonlocal inv_prev
+            d_here = distance_to_set_many(X, self.X_o)
+            dmin[:] = np.minimum(dmin, d_here)
             inv_here = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
-            tau_int += 0.5 * (inv_prev + inv_here) * h_rows[:, 0]
+            tau_int[:] += 0.5 * (inv_prev + inv_here) * h_rows
             inv_prev = inv_here
-        if np.any(np.linalg.norm(state, axis=1) > self.cfg.escape_radius):
-            self.escape_seen = True
+
+        # rows are not frozen on escape; an escape only flags the values
+        state = _sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_steps, observe,
+                       "backward flow diverged during barrier evaluation")[0]
+        self.escape_seen |= bool(np.any(np.linalg.norm(state, axis=1) > self.cfg.escape_radius))
         touched = dmin <= self.res.touch_tol
         out = np.zeros(m)
         free = ~touched

@@ -1,24 +1,31 @@
 """Trajectory generation for selected fields, forward and backward.
 
-The workhorse is a fixed-step RK4 that integrates whole batches of initial
-conditions at once (states shaped (m, n)); batching is what keeps the
-reachability and barrier sweeps fast.  An adaptive RKF45 is available for
-stiff spots such as the fast angular oscillation of the built-in
-counterexample near the origin.
+Every fixed-step integration runs through one kernel, :func:`rk4_sweep`:
+RK4 on a flat batch of rows, one row per (selector, start) pair, so a step
+costs the same few numpy calls whatever the number of rows.  Selector data
+travel with the rows as per-row tables of eps*d rows (ball) or weight rows
+(hull), see :func:`dynamics.selector_table`; the piecewise selectors of one
+bundle share a switch grid and step as one batch, segment by segment.  The
+kernel records nothing: an observer sees the rows that stepped, enough for a
+running minimum or a first hit, and (n_steps + 1, m, n) paths are kept only
+for callers asking for trajectories.
 
-Escape through the configured radius is reported as a termination reason,
-never silently truncated: finite-escape behavior is part of the "pre"
-invariance semantics.
+Escape through the configured radius freezes the row and is reported as a
+termination reason, never silently truncated: finite-escape behavior is part
+of the "pre" invariance semantics.  A non-finite state aborts the sweep.  An
+adaptive RKF45 serves stiff spots such as the fast angular oscillation of
+the built-in counterexample near the origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import InclusionSpec, Selector, negate, select
+from . import sampling
+from .dynamics import InclusionSpec, Selector, negate, select, selector_table
 from .geometry import SetSpec, distance_to_set_many
 
 
@@ -81,53 +88,52 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _rk4_batch(fn: Callable, X0: np.ndarray, h: float, n_steps: int,
-               escape_radius: float, record: bool = True):
-    """Fixed-step RK4 on a batch (m, n); rows run independently.
+def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps: int,
+              observe: Optional[Callable] = None, escape_radius: float = np.inf,
+              live: Optional[np.ndarray] = None):
+    """Fixed-step RK4 on the rows of X0 (m, n); rows run independently.
 
-    Returns (states, alive_steps) where states has shape (n_steps+1, m, n) if
-    record else only the final slice, and alive_steps[i] is the number of
-    steps row i completed before escaping (== n_steps when it never escaped).
-    Escaped rows are frozen at their last finite state.
+    h is one step for every row or an (m,) array of per-row steps.  Only
+    live rows step: fn(k, rows, X) is the right-hand side of step k (from 1)
+    at the states X of ``rows``, a slice or an index array into X0.  A row
+    whose new state leaves escape_radius is frozen there; ``live`` marks rows
+    frozen from the start.  After step k, observe(k, rows, X) sees the rows
+    that stepped and the whole state array.  Returns the final states, the
+    steps each row took (its escape step, else n_steps) and the escaped rows.
     """
     X = np.array(X0, dtype=float)
-    m = X.shape[0]
-    alive_steps = np.full(m, n_steps, dtype=int)
-    alive = np.ones(m, dtype=bool)
-    out = np.empty((n_steps + 1,) + X.shape) if record else None
-    if record:
-        out[0] = X
-    for k in range(n_steps):
-        if not alive.any():
-            if record:
-                out[k + 1:] = X
+    m, n = X.shape
+    live = np.ones(m, dtype=bool) if live is None else np.asarray(live, dtype=bool)
+    alive = live.copy()
+    n_live = int(np.count_nonzero(alive))
+    steps = np.where(alive, n_steps, 0)
+    h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
+    # no row norm exceeds the radius while every coordinate stays below this
+    coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
+    for k in range(1, n_steps + 1):
+        if n_live == 0:
             break
-        # step only live rows: frozen (escaped) states may sit where the
-        # field overflows, and they must not abort the batch
-        idx = np.nonzero(alive)[0] if not alive.all() else slice(None)
-        Xs = X[idx]
-        k1 = fn(Xs)
-        k2 = fn(Xs + 0.5 * h * k1)
-        k3 = fn(Xs + 0.5 * h * k2)
-        k4 = fn(Xs + h * k3)
-        Xn_sub = Xs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = ~np.all(np.isfinite(Xn_sub), axis=1)
-        if bad.any():
-            raise SolverError(
-                f"non-finite state at step {k + 1}; last valid state "
-                f"{Xs[bad][0].tolist()}")
-        Xn = X.copy()
-        Xn[idx] = Xn_sub
-        escaped = alive & (np.linalg.norm(Xn, axis=1) > escape_radius)
-        if escaped.any():
-            alive_steps[escaped] = k + 1
-            alive = alive & ~escaped
-        X = Xn
-        if record:
-            out[k + 1] = X
-    if record:
-        return out, alive_steps
-    return X, alive_steps
+        # frozen states may sit where the field overflows: step live rows only
+        rows = slice(None) if n_live == m else np.flatnonzero(alive)
+        Xs = X[rows]
+        hs = h if h_rows is None else h_rows[rows]
+        k1 = fn(k, rows, Xs)
+        k2 = fn(k, rows, Xs + 0.5 * hs * k1)
+        k3 = fn(k, rows, Xs + 0.5 * hs * k2)
+        k4 = fn(k, rows, Xs + hs * k3)
+        Xn = Xs + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(Xn).all():
+            bad = Xs[~np.isfinite(Xn).all(axis=1)][0]
+            raise SolverError(f"non-finite state at step {k}; last valid state {bad.tolist()}")
+        X[rows] = Xn
+        if max(Xn.max(), -Xn.min()) > coord_bound:
+            idx = np.arange(m)[rows][np.linalg.norm(Xn, axis=1) > escape_radius]
+            steps[idx] = k
+            alive[idx] = False
+            n_live -= len(idx)
+        if observe is not None:
+            observe(k, rows, X)
+    return X, steps, live & ~alive
 
 
 def _rkf45_path(fn: Callable, x0: np.ndarray, T: float, cfg: IntegratorConfig,
@@ -178,58 +184,90 @@ def _rkf45_path(fn: Callable, x0: np.ndarray, T: float, cfg: IntegratorConfig,
     return np.asarray(times), np.asarray(states), termination
 
 
-def _selector_segments(s: Selector, T: float):
-    if s.kind == "constant":
-        return [(0.0, T)]
-    cuts = [0.0] + [float(c) for c in s.switch_times if 0.0 < c < T] + [T]
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+def _check_start(X0, T: float) -> np.ndarray:
+    X0 = np.asarray(X0, dtype=float)
+    if T <= 0 or not np.all(np.isfinite(X0)):
+        raise SolverError("horizon must be positive" if T <= 0 else "non-finite initial state")
+    return X0
+
+
+def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
+                 cfg: IntegratorConfig = IntegratorConfig(), direction: str = "forward",
+                 observe: Optional[Callable] = None, record: bool = False):
+    """Fixed-step RK4 of every selector in sels from every start in X0 (m, n).
+
+    Row j * m + i runs sels[j] from X0[i].  Selectors sharing a switch grid
+    (the constants; the piecewise selectors of one bundle) run as one batch,
+    segment by segment, each segment with h = length / ceil(length / step).
+    After every step, observe(t, rows, X) sees the node time, the indices of
+    the rows that stepped and their new states.  Returns the termination of
+    every row (horizon | escape | step_limit) and, if record, its Trajectory.
+    """
+    X0 = np.atleast_2d(_check_start(X0, T))
+    Feff = negate(F) if direction == "backward" else F
+    m = len(X0)
+    termination = np.full(len(sels) * m, "horizon", dtype=object)
+    trajs = [None] * len(termination) if record else None
+    groups: dict = {}
+    for j, s in enumerate(sels):
+        groups.setdefault(() if s.kind == "constant" else tuple(s.switch_times), []).append(j)
+    for J in groups.values():
+        rows = (np.asarray(J)[:, None] * m + np.arange(m)).ravel()
+        switch_times, D = selector_table(F, [sels[j] for j in J])
+        X = np.tile(X0, (len(J), 1))
+        live = np.ones(len(rows), dtype=bool)
+        steps = np.zeros(len(rows), dtype=int)
+        times, path = [0.0], [X]
+        cuts = [0.0] + [float(c) for c in switch_times if 0.0 < c < T] + [T]
+        total = 0
+        for t_a, t_b in zip(cuts[:-1], cuts[1:]):
+            n = max(1, int(np.ceil((t_b - t_a) / cfg.step - 1e-9)))
+            h = (t_b - t_a) / n
+            total += n
+            if total > cfg.max_steps:
+                termination[rows[live]] = "step_limit"
+                break
+            q = int(np.searchsorted(switch_times, 0.5 * (t_a + t_b), side="right"))
+            d = None if D is None else np.repeat(D[q], m, axis=0)
+
+            def obs(k, r, Y):
+                if record:
+                    times.append(t_a + h * k)
+                    path.append(Y.copy())
+                if observe is not None:
+                    observe(t_a + h * k, rows[r], Y[r])
+
+            X, seg_steps, escaped = rk4_sweep(
+                lambda k, r, Y: select(Feff, Y, None if d is None else d[r]),
+                X, h, n, obs, cfg.escape_radius, live)
+            steps += seg_steps
+            termination[rows[escaped]] = "escape"
+            live &= ~escaped
+        if record:
+            times, path = np.array(times), np.array(path)
+            for r, (row, k) in enumerate(zip(rows, steps)):
+                trajs[row] = Trajectory(times[:k + 1], path[:k + 1, r], termination[row],
+                                        direction, sels[row // m].index)
+    return termination, trajs
 
 
 def integrate(F: InclusionSpec, s: Selector, x0, T: float,
               direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig(),
               stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
     """Integrate dx/dt = select(F, x, s, t) (negated for backward) over [0, T]."""
-    if T <= 0:
-        raise SolverError("horizon must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise SolverError("non-finite initial state")
-    Feff = negate(F) if direction == "backward" else F
-    if cfg.method == "rk45":
-        if s.kind != "constant":
-            raise SolverError("rk45 supports constant selectors only")
-        fn = lambda X: _batched_select(Feff, X, s, 0.0)
-        times, states, term = _rkf45_path(fn, x0, T, cfg,
-                                          step_ceiling=Feff.base_field.step_ceiling)
-        traj = Trajectory(times, states, term, direction, s.index)
+    x0 = _check_start(x0, T)
+    if cfg.method == "rk4":
+        traj = bundle_sweep(F, [s], x0[None, :], T, cfg, direction, record=True)[1][0]
         return _truncate_at_set(traj, stop_set, stop_tol)
-    times_all = [np.array([0.0])]
-    states_all = None
-    x = x0[None, :]
-    termination = "horizon"
-    total_steps = 0
-    for (t_a, t_b) in _selector_segments(s, T):
-        seg = t_b - t_a
-        n_steps = max(1, int(np.ceil(seg / cfg.step - 1e-9)))
-        h = seg / n_steps
-        total_steps += n_steps
-        if total_steps > cfg.max_steps:
-            termination = "step_limit"
-            break
-        fn = lambda X: _batched_select(Feff, X, s, 0.5 * (t_a + t_b))
-        path, alive = _rk4_batch(fn, x, h, n_steps, cfg.escape_radius)
-        n_ok = int(alive[0])
-        seg_states = path[1:n_ok + 1, 0, :]
-        times_all.append(t_a + h * np.arange(1, n_ok + 1))
-        states_all = seg_states if states_all is None else np.vstack([states_all, seg_states])
-        x = path[n_ok, :, :]
-        if n_ok < n_steps:
-            termination = "escape"
-            break
-    times = np.concatenate(times_all)
-    states = np.vstack([x0[None, :]] + ([states_all] if states_all is not None else []))
-    traj = Trajectory(times[:len(states)], states, termination, direction, s.index)
-    return _truncate_at_set(traj, stop_set, stop_tol)
+    if s.kind != "constant":
+        raise SolverError("rk45 supports constant selectors only")
+    Feff = negate(F) if direction == "backward" else F
+    _, D = selector_table(F, [s])
+    d = None if D is None else D[0, 0]
+    times, states, term = _rkf45_path(lambda X: select(Feff, X, d), x0, T, cfg,
+                                      step_ceiling=Feff.base_field.step_ceiling)
+    return _truncate_at_set(Trajectory(times, states, term, direction, s.index),
+                            stop_set, stop_tol)
 
 
 def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) -> Trajectory:
@@ -245,22 +283,10 @@ def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) 
                       traj.direction, traj.selector_index)
 
 
-def _batched_select(F: InclusionSpec, X: np.ndarray, s: Selector, t: float) -> np.ndarray:
-    d = s.direction_at(t)
-    if F.kind == "singleton":
-        return F.fields[0](X)
-    if F.kind == "ball":
-        return F.fields[0](X) + F.epsilon * d
-    vals = np.stack([f(X) for f in F.fields], axis=-1)
-    return vals @ d
-
-
 def bundle_selectors(F: InclusionSpec, m: int = 8, switches: int = 0,
                      T: float = 1.0, seed: int = 0) -> list[Selector]:
     """Deterministic selector family: m constant selections plus optional
     piecewise-constant ones on a uniform switch grid."""
-    from . import sampling
-
     if m < 1:
         raise SolverError("need at least one selector")
     if F.kind == "singleton":
@@ -281,18 +307,21 @@ def bundle_selectors(F: InclusionSpec, m: int = 8, switches: int = 0,
 def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
                     cfg: IntegratorConfig = IntegratorConfig(),
                     m: int = 8, switches: int = 0, seed: int = 0,
-                    stop_set: Optional[SetSpec] = None,
-                    jobs: int = 1) -> list[Trajectory]:
-    """One trajectory per selector; a singleton F yields exactly one."""
+                    stop_set: Optional[SetSpec] = None) -> list:
+    """One trajectory per selector from x0 (n,); a singleton F yields exactly
+    one.  For a batch of starts (k, n), one such list per start, all
+    integrated in one sweep."""
+    X0 = np.asarray(x0, dtype=float)
+    starts = np.atleast_2d(X0)
     sels = bundle_selectors(F, m=m, switches=switches, T=T, seed=seed)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(integrate, F, s, x0, T, direction, cfg, stop_set)
-                    for s in sels]
-            return [f.result() for f in futs]
-    return [integrate(F, s, x0, T, direction, cfg, stop_set) for s in sels]
+    if cfg.method == "rk4":
+        flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
+        out = [[_truncate_at_set(flat[j * len(starts) + i], stop_set, 1e-9)
+                for j in range(len(sels))] for i in range(len(starts))]
+    else:
+        out = [[integrate(F, s, x, T, direction, cfg, stop_set) for s in sels]
+               for x in starts]
+    return out[0] if X0.ndim == 1 else out
 
 
 def time_rescale_tau(traj: Trajectory, V: Callable) -> np.ndarray:

@@ -14,12 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barrier import BarrierFn, CheckReport, RelaxFn, _jsonable
+from . import sampling
+from .barrier import BarrierFn, CheckReport, RelaxFn, jsonable
 from .dynamics import InclusionSpec, inclusion_extreme_points
 from .geometry import (ConeProbe, GeometryError, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
-from .solver import IntegratorConfig, Trajectory, bundle_selectors, integrate
+from .solver import IntegratorConfig, bundle_selectors, bundle_sweep, integrate
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -55,19 +56,21 @@ class SafetyProblem:
     hit_tol: float = 1e-9
 
     def unsafe_hits(self, states: np.ndarray) -> np.ndarray:
-        """Boolean mask of states counted as entering X_u.
-
-        For a complement-variant X_u (the invariance modes) a hit means
-        actually leaving the complemented set: boundary contact alone is not
-        an excursion."""
-        if self.X_u.kind == "complement":
-            return distance_to_set_many(states, self.X_u.members[0]) > self.hit_tol
-        return distance_to_set_many(states, self.X_u) <= self.hit_tol
+        """Boolean mask of states counted as entering X_u."""
+        return self.margin_hits(self.unsafe_margins(states))
 
     def unsafe_margins(self, states: np.ndarray) -> np.ndarray:
         if self.X_u.kind == "complement":
             return -distance_to_set_many(states, self.X_u.members[0])
         return distance_to_set_many(states, self.X_u)
+
+    def margin_hits(self, margins: np.ndarray) -> np.ndarray:
+        """Hits from unsafe_margins.  For a complement-variant X_u (the
+        invariance modes) a hit means actually leaving the complemented set:
+        boundary contact alone is not an excursion."""
+        if self.X_u.kind == "complement":
+            return -margins > self.hit_tol
+        return margins <= self.hit_tol
 
     def initial_samples(self) -> np.ndarray:
         pts = []
@@ -104,8 +107,8 @@ class SafetyReport:
     def to_json(self) -> str:
         return json.dumps({
             "verdict": self.verdict,
-            "witness": _jsonable(self.witness),
-            "coverage": _jsonable(self.coverage),
+            "witness": jsonable(self.witness),
+            "coverage": jsonable(self.coverage),
             "disclaimers": self.disclaimers,
             "escapes": self.escapes,
             "margin": self.margin if np.isfinite(self.margin) else None,
@@ -117,58 +120,40 @@ class SafetyReport:
 
 
 def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
-    """Run bundles from every initial sample; violation iff a stored node
-    enters X_u.  Escapes are reported, not counted as violations."""
+    """Run bundles from every initial sample; violation iff a node enters
+    X_u.  Escapes are reported, not counted as violations.
+
+    All selectors x starts run as one sweep, and no path is kept: an
+    observer tracks the smallest margin and each row's first hit.  The
+    witness is the earliest hit, ties going to the earlier selector, then
+    the earlier start."""
     starts = p.initial_samples()
     sels = bundle_selectors(p.F, m=p.bundle.directions, switches=p.bundle.switches,
                             T=p.horizon, seed=p.samples.seed)
-    escapes = 0
-    margin = np.inf
+    m = len(starts)
+    margin = float(p.unsafe_margins(starts).min())
+    hit_time = np.full(len(sels) * m, np.inf)
+    hit_state = np.empty((len(sels) * m, starts.shape[1]))
+
+    def observe(t, rows, X):
+        nonlocal margin
+        margins = p.unsafe_margins(X)
+        margin = min(margin, float(margins.min()))
+        first = p.margin_hits(margins) & (hit_time[rows] == np.inf)
+        if first.any():
+            hit_time[rows[first]] = t
+            hit_state[rows[first]] = X[first]
+
+    termination, _ = bundle_sweep(p.F, sels, starts, p.horizon, p.cfg, observe=observe)
     witness = {}
-    total = 0
-    for sel in sels:
-        trajs = _integrate_batch(p, starts, sel)
-        for i, tr in enumerate(trajs):
-            total += 1
-            if tr.termination == "escape":
-                escapes += 1
-            margin = min(margin, float(p.unsafe_margins(tr.states).min()))
-            hits = np.nonzero(p.unsafe_hits(tr.states))[0]
-            if len(hits) > 0:
-                k = int(hits[0])
-                # keep the earliest hit over the whole bundle (deterministic)
-                if not witness or tr.times[k] < witness["hit_time"]:
-                    witness = {"x0": starts[i].tolist(), "selector": sel.index,
-                               "hit_time": float(tr.times[k]),
-                               "hit_state": tr.states[k].tolist()}
-    verdict = "violation" if witness else "no_violation_found"
-    report = SafetyReport(verdict, witness,
-                          coverage={"initial_samples": len(starts),
-                                    "selectors": len(sels),
-                                    "trajectories": total,
-                                    "horizon": p.horizon},
-                          escapes=escapes, margin=float(margin))
-    return report
-
-
-def _integrate_batch(p: SafetyProblem, starts: np.ndarray, sel) -> list[Trajectory]:
-    """Batch all initial points through one selector with shared node grid."""
-    from .solver import _batched_select, _rk4_batch
-
-    n_steps = max(1, int(np.ceil(p.horizon / p.cfg.step - 1e-9)))
-    h = p.horizon / n_steps
-    if sel.kind != "constant":
-        return [integrate(p.F, sel, x0, p.horizon, "forward", p.cfg) for x0 in starts]
-    fn = lambda X: _batched_select(p.F, X, sel, 0.0)
-    path, alive = _rk4_batch(fn, starts, h, n_steps, p.cfg.escape_radius)
-    times = h * np.arange(n_steps + 1)
-    out = []
-    for i in range(len(starts)):
-        k = int(alive[i])
-        term = "horizon" if k == n_steps else "escape"
-        out.append(Trajectory(times[:k + 1], path[:k + 1, i, :], term,
-                              "forward", sel.index))
-    return out
+    r = int(np.argmin(hit_time))
+    if np.isfinite(hit_time[r]):
+        witness = {"x0": starts[r % m].tolist(), "selector": sels[r // m].index,
+                   "hit_time": float(hit_time[r]), "hit_state": hit_state[r].tolist()}
+    return SafetyReport("violation" if witness else "no_violation_found", witness,
+                        coverage={"initial_samples": m, "selectors": len(sels),
+                                  "trajectories": len(sels) * m, "horizon": p.horizon},
+                        escapes=int(np.sum(termination == "escape")), margin=margin)
 
 
 def resimulate_witness(p: SafetyProblem, report: SafetyReport) -> bool:
@@ -198,9 +183,7 @@ def forward_pre_invariance_check(F: InclusionSpec, X_s: SetSpec, horizon: float,
                                  samples: SamplePlan = SamplePlan(),
                                  bundle: BundlePlanV = BundlePlanV()) -> SafetyReport:
     """Solutions from X_s must stay in X_s for as long as they exist."""
-    return simulate_safety_check(SafetyProblem(
-        F, X_s, SetSpec.complement(X_s, name=f"not_{X_s.name or X_s.kind}"),
-        horizon, cfg, samples, bundle))
+    return conditional_invariance_check(F, X_s, X_s, horizon, cfg, samples, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +247,6 @@ def _exterior_shell(K: SetSpec, count: int, width: float, seed: int, window):
     else:
         lo, hi = box
         lo, hi = lo - 2 * width - 0.1 * (hi - lo) - 1e-6, hi + 2 * width + 0.1 * (hi - lo) + 1e-6
-    from . import sampling
-
     cand = sampling.box_points(lo, hi, count * 32, seed=seed)
     d = distance_to_set_many(cand, K)
     keep = (d > 0.0) & (d <= width)
@@ -343,8 +324,6 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
 
 def _between_region(X_o: SetSpec, X_s: SetSpec, mode: str, count: int,
                     width: float, seed: int, window):
-    from . import sampling
-
     if window is not None:
         lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
     else:

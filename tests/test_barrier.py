@@ -8,8 +8,8 @@ from safereach.barrier import (RelaxFn, candidate_sign_check,
                                user_barrier)
 from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
-from safereach.geometry import SetSpec
-from safereach.solver import IntegratorConfig, integrate
+from safereach.geometry import SetSpec, distance_to_set_many
+from safereach.solver import IntegratorConfig, bundle_selectors, integrate
 
 ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
 COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
@@ -119,6 +119,31 @@ class TestMarginalBarrier:
         batch = B.evaluate_many(ts, xs)
         singles = [B.evaluate(t, x) for t, x in zip(ts, xs)]
         assert np.allclose(batch, singles, atol=1e-12)
+
+
+    def test_ball_bundle_matches_per_selector_loop(self):
+        # one sweep over selectors x points against a running minimum along
+        # each selector's own backward integration, point by point
+        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
+        X_o = SetSpec.ball([0, 0], 0.5, name="core")
+        cfg = IntegratorConfig(step=1.0 / 64.0)
+        ts = np.array([0.0, 0.3, 0.5, 7.5 / 64.0, 1.0])
+        xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4], [0.3, -1.4], [2.0, 1.0]])
+        B = marginal_barrier(F, X_o, cfg, directions=4)
+        h = cfg.step
+        k_lo = np.floor(ts / h + 1e-12).astype(int)
+        frac = np.clip(ts / h - k_lo, 0.0, 1.0)
+        k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
+        T = int(k_hi.max()) * h
+        best_lo, best_hi = np.full(len(ts), np.inf), np.full(len(ts), np.inf)
+        for sel in bundle_selectors(F, m=4, T=T):
+            for i, x in enumerate(xs):
+                tr = integrate(F, sel, x, T, "backward", cfg)
+                run = np.minimum.accumulate(distance_to_set_many(tr.states, X_o))
+                best_lo[i] = min(best_lo[i], run[k_lo[i]])
+                best_hi[i] = min(best_hi[i], run[k_hi[i]])
+        expected = best_lo * (1.0 - frac) + best_hi * frac
+        assert np.array_equal(B.evaluate_many(ts, xs), expected)
 
 
 class TestSignCheck:

@@ -194,6 +194,33 @@ class TestCommands:
         assert data[in_disk, 3].max() <= 1e-12
         assert data[~in_disk, 3].max() > 0.0
 
+    def test_jobs_flag_removed(self, tmp_path):
+        p = self._write(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["simulate", "--config", str(p), "--jobs", "2"])
+
+    def test_filippov_counts_pairs_leaving_the_box(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["check", "--config", str(SCENARIOS / "linear.scenario"), "--out", str(out)])
+        rep = json.loads((out / "filippov.check.json").read_text())
+        assert (rep["pairs"], rep["not_applicable"]) == (10, 1)
+        assert rep["holds"] and rep["verdict"] == "pass"
+        assert "check filippov: pass" in capsys.readouterr().out
+        main(["report", "--results", str(out), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert "filippov" in [e["check"] for e in summary["checks"]]
+
+    def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):
+        text = MINIMAL + ("\n[set TINY]\nkind = box\nlo = -0.01 -0.01\nhi = 0.01 0.01\n"
+                          "[check filippov]\nkind = filippov\nlam_box = TINY\npairs = 3\n")
+        p = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+        rep = json.loads((out / "filippov.check.json").read_text())
+        assert (rep["pairs"], rep["not_applicable"]) == (3, 3)
+        assert rep["max_violation"] is None and rep["verdict"] == "inconclusive"
+        assert "check filippov: inconclusive" in capsys.readouterr().out
+
     def test_shipped_scenarios_parse(self):
         for name in ("linear.scenario", "counterexample.scenario",
                      "perturbed.scenario", "smooth.scenario"):

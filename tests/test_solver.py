@@ -8,7 +8,8 @@ from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, Selector,
                                 lipschitz_estimate)
 from safereach.geometry import SetSpec
 from safereach.solver import (IntegratorConfig, SolverError, Trajectory,
-                              integrate, solution_bundle, time_rescale_tau)
+                              bundle_selectors, integrate, rk4_sweep,
+                              solution_bundle, time_rescale_tau)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
@@ -181,13 +182,84 @@ class TestTrajectory:
         assert np.array_equal(data[:, 1:], tr.states)
 
 
-class TestParallelBundles:
-    def test_threaded_bundle_matches_serial(self):
+class TestBatchedBundles:
+    def test_batched_bundle_matches_per_selector_integrate(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        serial = solution_bundle(F, np.array([1.0, 0.0]), 0.5, cfg=CFG, m=6)
-        threaded = solution_bundle(F, np.array([1.0, 0.0]), 0.5, cfg=CFG, m=6,
-                                   jobs=3)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert a.selector_index == b.selector_index
-            assert np.array_equal(a.states, b.states)
+        x0 = np.array([1.0, 0.0])
+        batched = solution_bundle(F, x0, 0.5, cfg=CFG, m=6)
+        sels = bundle_selectors(F, m=6, T=0.5)
+        assert len(batched) == len(sels) == 6
+        for tr, sel in zip(batched, sels):
+            ref = integrate(F, sel, x0, 0.5, cfg=CFG)
+            assert tr.selector_index == sel.index
+            assert np.array_equal(tr.times, ref.times)
+            assert np.array_equal(tr.states, ref.states)
+
+    def test_batch_of_starts_matches_one_start_at_a_time(self):
+        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
+        starts = np.array([[1.0, 0.0], [0.2, -0.4], [-0.5, 0.5]])
+        batched = solution_bundle(F, starts, 0.5, cfg=CFG, m=3, switches=2)
+        assert len(batched) == len(starts)
+        for x0, trajs in zip(starts, batched):
+            single = solution_bundle(F, x0, 0.5, cfg=CFG, m=3, switches=2)
+            assert [t.selector_index for t in trajs] == [t.selector_index for t in single]
+            for a, b in zip(trajs, single):
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.states, b.states)
+
+
+class _CountingField:
+    """Linear right-hand side x -> A x that records the rows of every call."""
+
+    def __init__(self, A=LINEAR_SAFE_A):
+        self.A = np.asarray(A, dtype=float)
+        self.rows = []
+
+    def __call__(self, k, rows, X):
+        self.rows.append(len(X))
+        return X @ self.A.T
+
+
+class TestSweepKernel:
+    def test_four_rhs_calls_per_step_each_of_all_rows(self):
+        fn = _CountingField()
+        m, n = 7, 13
+        X0 = np.random.default_rng(0).normal(size=(m, 2))
+        _, steps, escaped = rk4_sweep(fn, X0, 1 / 64, n)
+        assert fn.rows == [m] * (4 * n)
+        assert np.array_equal(steps, np.full(m, n))
+        assert not escaped.any()
+
+    def test_observer_sees_the_rows_that_stepped(self):
+        X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
+        seen = []
+        X, steps, _ = rk4_sweep(_CountingField(np.eye(2)), X0, 0.25, 20, escape_radius=10.0,
+                                observe=lambda k, rows, X: seen.append(
+                                    (k, np.arange(2)[rows].tolist(), X.copy())))
+        e = int(steps[0])
+        assert [k for k, _, _ in seen] == list(range(1, 21))
+        assert [rows for _, rows, _ in seen] == [[0, 1]] * e + [[1]] * (20 - e)
+        assert np.array_equal(seen[e - 1][2][0], X[0])   # frozen at the escape node
+        assert np.array_equal(seen[-1][2], X)
+
+    def test_escaped_rows_freeze_and_stop_stepping(self):
+        fn = _CountingField(np.eye(2))
+        X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
+        X, steps, escaped = rk4_sweep(fn, X0, 0.25, 20, escape_radius=10.0)
+        assert escaped.tolist() == [True, False]
+        assert steps[0] < 20 and steps[1] == 20
+        assert 10.0 < np.linalg.norm(X[0]) < 20.0
+        assert fn.rows == [2] * (4 * steps[0]) + [1] * (4 * (20 - steps[0]))
+
+    def test_non_finite_state_raises(self):
+        blow = lambda k, rows, X: np.where(k > 2, np.inf, 1.0) * X
+        with pytest.raises(SolverError, match="non-finite state at step 3"):
+            rk4_sweep(blow, np.ones((3, 2)), 0.1, 5)
+
+    def test_per_row_steps(self):
+        f = builtin_field("linear_safe")
+        X0 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        X, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0, np.array([1 / 64, 1 / 128]), 64)
+        one, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0[:1], 1 / 128, 64)
+        assert np.array_equal(X[1], one[0])
+        assert np.linalg.norm(X[0] - expm(LINEAR_SAFE_A) @ X0[0]) < 1e-7

@@ -4,7 +4,7 @@ import pytest
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
 from safereach.dynamics import InclusionSpec, builtin_field, field_from_expressions
 from safereach.geometry import SetSpec
-from safereach.solver import IntegratorConfig
+from safereach.solver import IntegratorConfig, bundle_selectors, integrate
 from safereach.verify import (BundlePlanV, SafetyProblem, SamplePlan,
                               UNDER_APPROX_DISCLAIMER,
                               conditional_invariance_check,
@@ -251,3 +251,74 @@ class TestReportSerialization:
 
         data = json.loads(rep.to_json())
         assert set(data) >= {"check", "samples", "worst_margin", "witness", "verdict"}
+
+
+def _per_selector_reference(p):
+    """simulate_safety_check as a loop: every selector from every start by its
+    own integration, keeping the earliest hit in selector, then start order."""
+    starts = p.initial_samples()
+    sels = bundle_selectors(p.F, m=p.bundle.directions, switches=p.bundle.switches,
+                            T=p.horizon, seed=p.samples.seed)
+    escapes, margin, witness, first_hits = 0, np.inf, {}, []
+    for sel in sels:
+        for i, x0 in enumerate(starts):
+            tr = integrate(p.F, sel, x0, p.horizon, "forward", p.cfg)
+            escapes += tr.termination == "escape"
+            margin = min(margin, float(p.unsafe_margins(tr.states).min()))
+            hits = np.nonzero(p.unsafe_hits(tr.states))[0]
+            if len(hits) > 0:
+                k = int(hits[0])
+                first_hits.append((float(tr.times[k]), sel.index, i))
+                if not witness or tr.times[k] < witness["hit_time"]:
+                    witness = {"x0": x0.tolist(), "selector": sel.index,
+                               "hit_time": float(tr.times[k]),
+                               "hit_state": tr.states[k].tolist()}
+    verdict = "violation" if witness else "no_violation_found"
+    coverage = {"initial_samples": len(starts), "selectors": len(sels),
+                "trajectories": len(starts) * len(sels), "horizon": p.horizon}
+    return verdict, margin, escapes, coverage, witness, first_hits
+
+
+class TestBatchedSweepMatchesReference:
+    def _check(self, p):
+        rep = simulate_safety_check(p)
+        verdict, margin, escapes, coverage, witness, first_hits = _per_selector_reference(p)
+        assert rep.verdict == verdict
+        assert rep.margin == margin
+        assert rep.escapes == escapes
+        assert rep.coverage == coverage
+        assert rep.witness == witness
+        return rep, first_hits
+
+    def test_violation_keeps_earliest_hit_with_tie_break(self):
+        # a coarse step puts first hits of several selectors and starts on
+        # the earliest node time
+        F = InclusionSpec.ball_perturbed(field_from_expressions(["0", "1"], "up"), 0.3)
+        slab = SetSpec.box([-1.0, 0.5], [1.0, 1.0], name="slab")
+        p = SafetyProblem(F, slab, WALL, 3.0, IntegratorConfig(step=1 / 8),
+                          SamplePlan(0, 16), BundlePlanV(directions=8), hit_tol=1e-6)
+        rep, first_hits = self._check(p)
+        assert rep.verdict == "violation"
+        tied = sorted((sel, i) for t, sel, i in first_hits if t == rep.witness["hit_time"])
+        assert len({sel for sel, _ in tied}) > 1 and len({i for _, i in tied}) > 1
+        sel, i = tied[0]
+        assert (sel, i) != (0, 0)
+        assert rep.witness["selector"] == sel
+        assert rep.witness["x0"] == p.initial_samples()[i].tolist()
+
+    def test_escapes(self):
+        F = InclusionSpec.ball_perturbed(field_from_expressions(["x1", "x2"], "e"), 0.5)
+        cfg = IntegratorConfig(step=1 / 64, escape_radius=8.0)
+        p = SafetyProblem(F, SetSpec.ball([1, 0], 0.9, name="start"),
+                          SetSpec.halfspace([0, 1], 100.0, name="far"), 2.0, cfg,
+                          SamplePlan(4, 4), BundlePlanV(directions=4))
+        rep, _ = self._check(p)
+        assert 0 < rep.escapes < rep.coverage["trajectories"]
+
+    def test_switching_selectors(self):
+        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
+        p = SafetyProblem(F, DISK, SetSpec.halfspace([0, 1], 1.2, name="low_wall"), 3.0,
+                          IntegratorConfig(step=1 / 64), SamplePlan(6, 6),
+                          BundlePlanV(directions=4, switches=2), hit_tol=1e-6)
+        rep, _ = self._check(p)
+        assert rep.coverage["selectors"] == 8
