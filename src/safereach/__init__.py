@@ -9,10 +9,11 @@ from .dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
 from .geometry import (ConeProbe, SetSpec, SubgradientCandidate,
                        clarke_gradient_sample, cone_residual, distance_to_set,
                        hausdorff_distance, proximal_subgradient_test)
-from .solver import IntegratorConfig, Trajectory, integrate, solution_bundle, time_rescale_tau
-from .reachability import (BundlePlan, ReachCache, ReachCloud, filippov_check,
-                           load_cloud, reach, reach_endpoint,
-                           reach_regularity_probe, save_cloud)
+from .solver import (BundlePlan, IntegratorConfig, Trajectory, integrate,
+                     solution_bundle, time_rescale_tau)
+from .reachability import (ReachCache, ReachCloud, filippov_check, load_cloud,
+                           reach, reach_endpoint, reach_regularity_probe,
+                           save_cloud)
 from .barrier import (BarrierFn, CheckReport, RelaxFn, candidate_sign_check,
                       counterexample_barrier, infinitesimal_check,
                       marginal_barrier, monotonicity_check, sublevel_membership,

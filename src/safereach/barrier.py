@@ -28,7 +28,7 @@ from .dynamics import (InclusionSpec, inclusion_extreme_points, negate, select,
 from .expr import compile_expression, compile_scalar_expression
 from .geometry import (GeometryError, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
-from .solver import IntegratorConfig, Trajectory, bundle_selectors, rk4_sweep
+from .solver import BundlePlan, IntegratorConfig, Trajectory, rk4_sweep
 
 DEFAULT_POS_TOL = 1e-9
 
@@ -92,15 +92,13 @@ class MarginalBarrier:
     """Backward-tube distance minimum, evaluated by batched integration."""
 
     def __init__(self, F: InclusionSpec, X_o: SetSpec, cfg: IntegratorConfig,
-                 directions: int = 8, switches: int = 0, seed: int = 0):
+                 plan: BundlePlan = BundlePlan()):
         if X_o.kind == "complement":
             raise ValueError("X_o must be a closed set variant, not an open complement")
         self.F = F
         self.X_o = X_o
         self.cfg = cfg
-        self.directions = directions
-        self.switches = switches
-        self.seed = seed
+        self.plan = plan
         self._cache: dict = {}
         self.truncated_seen = False
 
@@ -129,8 +127,7 @@ class MarginalBarrier:
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         max_k = int(k_hi.max(initial=0))
         horizon = max_k * h if max_k > 0 else h
-        selectors = bundle_selectors(self.F, m=self.directions, switches=self.switches,
-                                     T=horizon, seed=self.seed)
+        selectors = self.plan.selectors(self.F, horizon)
         # one sweep over selectors x points: row j * m + i runs selector j from Xs[i]
         S = len(selectors)
         switch_times, D = selector_table(self.F, selectors)
@@ -165,7 +162,7 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
                      directions: int = 8, switches: int = 0, seed: int = 0,
                      band_width: float = 0.1) -> BarrierFn:
     """The converse construction: B(t,x) = min over R(-t,x) of |y|_{X_o}."""
-    core = MarginalBarrier(F, X_o, cfg, directions, switches, seed)
+    core = MarginalBarrier(F, X_o, cfg, BundlePlan(directions, switches, seed))
     fn = lambda t, x: float(core.values(np.array([t]), x[None, :])[0])
     b = BarrierFn(fn, "marginal", F.dim, band_width,
                   batch_fn=lambda ts, Xs: core.values(ts, Xs),

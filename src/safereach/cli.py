@@ -25,14 +25,12 @@ from .config import ConfigError, RawConfig, Scenario, build_scenario, load_confi
 from .dynamics import lipschitz_estimate
 from .expr import compile_expression
 from .geometry import SetSpec
-from .reachability import (BoxExitError, BundlePlan, cloud_to_csv, filippov_check, reach,
-                           save_cloud)
+from .reachability import BoxExitError, cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
 from .smoothing import (ConverseResolution, build_time_partition,
                         converse_smooth_barrier, smooth_on_compact)
 from .solver import solution_bundle
-from .verify import (SafetyProblem, SamplePlan, BundlePlanV, nagumo_check,
-                     prop1_check, simulate_safety_check)
+from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
 
 
 class CliError(Exception):
@@ -88,11 +86,8 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
     if kind == "marginal":
         X_o = _get_set(scn, _require(cfg.get("barrier", "X_o"), "[barrier] marginal needs X_o"))
         _require(scn.system, "[barrier] marginal needs a [system]")
-        return marginal_barrier(scn.system, X_o, scn.solver,
-                                directions=cfg.get("barrier", "directions",
-                                                   scn.bundle_directions),
-                                switches=scn.bundle_switches,
-                                seed=scn.seed, band_width=band)
+        return marginal_barrier(scn.system, X_o, scn.solver, scn.bundle.directions,
+                                scn.bundle.switches, scn.bundle.seed, band)
     if kind == "converse":
         X_o = _get_set(scn, _require(cfg.get("barrier", "X_o"), "[barrier] converse needs X_o"))
         _require(scn.system, "[barrier] converse needs a [system]")
@@ -127,17 +122,11 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
     _require(scn.system, "simulate needs a [system]")
     X_o = _get_set(scn, _require(cfg.get("simulate", "X_o"), "[simulate] needs X_o"))
     T = cfg.get("simulate", "T", 1.0)
-    starts = []
-    if scn.sampling_interior:
-        starts.append(X_o.sample_interior(scn.sampling_interior, seed=scn.seed,
-                                          window=scn.sampling_window))
-    if scn.sampling_boundary:
-        starts.append(X_o.sample_boundary(scn.sampling_boundary, seed=scn.seed + 1,
-                                          window=scn.sampling_window))
-    starts = np.vstack(starts)
-    bundles = solution_bundle(scn.system, starts, T, cfg=scn.solver,
-                              m=scn.bundle_directions, switches=scn.bundle_switches,
-                              seed=scn.seed)
+    try:
+        starts = scn.samples.draw(X_o)
+    except ValueError as exc:
+        raise CliError(f"[simulate] {exc}") from None
+    bundles = solution_bundle(scn.system, starts, T, cfg=scn.solver, plan=scn.bundle)
     for i, trajs in enumerate(bundles):
         for tr in trajs:
             tr.to_csv(manifest.add(manifest.out / f"traj_{i:03d}_{tr.selector_index:02d}.csv"))
@@ -149,8 +138,7 @@ def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
     _require(scn.system, "reach needs a [system]")
     x0 = np.asarray(_require(cfg.get("reach", "x0"), "[reach] needs x0"), dtype=float)
     t = _require(cfg.get("reach", "t"), "[reach] needs t")
-    cloud = reach(scn.system, x0, t, scn.solver,
-                  BundlePlan(scn.bundle_directions, scn.bundle_switches, scn.seed),
+    cloud = reach(scn.system, x0, t, scn.solver, scn.bundle,
                   stride=cfg.get("reach", "stride", 1))
     cloud_to_csv(cloud, manifest.add(manifest.out / "reach.csv"))
     save_cloud(cloud, manifest.add(manifest.out / "reach.rch"))
@@ -219,16 +207,13 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
     cfg = scn.raw
     section = f"check {name}"
     kind = _require(cfg.get(section, "kind"), f"[{section}] needs kind")
-    window = scn.sampling_window
+    window = scn.samples.window
     seed = scn.seed
     if kind == "simulate":
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
         p = SafetyProblem(scn.system, X_o, X_u, cfg.get(section, "T", 1.0), scn.solver,
-                          SamplePlan(scn.sampling_boundary, scn.sampling_interior,
-                                     seed, window),
-                          BundlePlanV(scn.bundle_directions, scn.bundle_switches),
-                          hit_tol=cfg.get(section, "tol", 1e-9))
+                          scn.samples, scn.bundle, hit_tol=cfg.get(section, "tol", 1e-9))
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
@@ -236,7 +221,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
         rep = candidate_sign_check(B, X_o, X_u, scn.t_grid,
-                                   n_init=scn.sampling_interior + scn.sampling_boundary,
+                                   n_init=scn.samples.interior + scn.samples.boundary,
                                    n_unsafe=cfg.get(section, "n_samples", 64),
                                    window=window, seed=seed)
         return rep.to_json(), rep.verdict
@@ -246,8 +231,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
         starts = X_o.sample_boundary(cfg.get(section, "n_samples", 8), seed=seed,
                                      window=window)
         bundles = solution_bundle(scn.system, starts, cfg.get(section, "T", 1.0),
-                                  cfg=scn.solver, m=scn.bundle_directions,
-                                  switches=scn.bundle_switches, seed=seed)
+                                  cfg=scn.solver, plan=scn.bundle)
         worst = None
         for tr in (tr for trajs in bundles for tr in trajs):
             rep = monotonicity_check(B, tr, tol=cfg.get(section, "tol",
@@ -298,7 +282,8 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
             y = x + rng.uniform(-1.0, 1.0, size=scn.system.dim) * max_sep / np.sqrt(scn.system.dim)
             try:
                 res = filippov_check(scn.system, x, y, cfg.get(section, "T", 1.0), lam,
-                                     scn.solver, box=box, tol=cfg.get(section, "tol", 1e-6))
+                                     scn.solver, scn.bundle, box=box,
+                                     tol=cfg.get(section, "tol", 1e-6))
             except BoxExitError:
                 not_applicable += 1
                 continue

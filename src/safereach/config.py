@@ -11,7 +11,7 @@ main reproducibility killer.  Sections:
     [set NAME]      kind = ball|box|halfspace|sublevel|points|complement|
                     union|intersection plus per-kind fields
     [barrier]       kind = marginal|counterexample|user|converse, ...
-    [simulate]      X_o, X_u, T, hit_tol
+    [simulate]      X_o, T
     [reach]         x0, t, stride
     [barrier-eval]  window, nx, tgrid
     [smooth]        h, region, k_max, table_res, grid_n
@@ -30,7 +30,8 @@ import numpy as np
 from .dynamics import InclusionSpec, builtin_field, field_from_expressions
 from .expr import compile_expression
 from .geometry import SetSpec
-from .solver import IntegratorConfig
+from .solver import BundlePlan, IntegratorConfig
+from .verify import SamplePlan
 
 
 class ConfigError(ValueError):
@@ -51,9 +52,9 @@ _SCHEMAS = {
             "level": "float", "window": "vec", "grid": "int", "point": "vec+",
             "of": "str"},
     "barrier": {"kind": "str", "X_o": "str", "expression": "str",
-                "band": "float", "directions": "int", "k_max": "int",
+                "band": "float", "k_max": "int",
                 "s_lo": "int", "s_hi": "int"},
-    "simulate": {"X_o": "str", "X_u": "str", "T": "float", "hit_tol": "float"},
+    "simulate": {"X_o": "str", "T": "float"},
     "reach": {"x0": "vec", "t": "float", "stride": "int"},
     "barrier-eval": {"window": "vec", "nx": "int", "tgrid": "vec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "int",
@@ -61,7 +62,7 @@ _SCHEMAS = {
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
               "K": "str", "T": "float", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "int",
-              "tgrid": "vec", "n_samples": "int", "lam_box": "str",
+              "n_samples": "int", "lam_box": "str",
               "pairs": "int", "max_sep": "float", "stride": "int"},
 }
 
@@ -208,12 +209,9 @@ class Scenario:
     out_dir: Optional[str]
     system: Optional[InclusionSpec]
     solver: IntegratorConfig
-    bundle_directions: int
-    bundle_switches: int
+    bundle: BundlePlan
+    samples: SamplePlan
     sets: dict
-    sampling_window: Optional[tuple]
-    sampling_boundary: int
-    sampling_interior: int
     t_grid: np.ndarray
 
 
@@ -366,10 +364,9 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=_build_system(cfg),
         solver=solver,
-        bundle_directions=cfg.get("bundle", "directions", 8),
-        bundle_switches=cfg.get("bundle", "switches", 0),
-        sets=cache, sampling_window=window,
-        sampling_boundary=cfg.get("sampling", "boundary", 32),
-        sampling_interior=cfg.get("sampling", "interior", 32),
-        t_grid=t_grid,
+        bundle=BundlePlan(cfg.get("bundle", "directions", 8),
+                          cfg.get("bundle", "switches", 0), seed),
+        samples=SamplePlan(cfg.get("sampling", "boundary", 32),
+                           cfg.get("sampling", "interior", 32), seed, window),
+        sets=cache, t_grid=t_grid,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
-from .solver import IntegratorConfig, Trajectory, solution_bundle
+from .solver import BundlePlan, IntegratorConfig, Trajectory, solution_bundle
 
 _MAGIC = b"RCH1"
 _QUANTUM = 1e-9
@@ -27,16 +27,6 @@ _QUANTUM = 1e-9
 
 class BoxExitError(ValueError):
     """The tubes of a Filippov check leave the box its Lipschitz bound holds on."""
-
-
-@dataclass(frozen=True)
-class BundlePlan:
-    directions: int = 8
-    switches: int = 0
-    seed: int = 0
-
-    def key(self) -> tuple:
-        return (self.directions, self.switches, self.seed)
 
 
 @dataclass
@@ -61,9 +51,7 @@ class ReachCloud:
 def _run_bundle(F: InclusionSpec, x, t: float, cfg: IntegratorConfig,
                 plan: BundlePlan) -> list[Trajectory]:
     direction = "backward" if t < 0 else "forward"
-    return solution_bundle(F, x, abs(t), direction=direction, cfg=cfg,
-                           m=plan.directions, switches=plan.switches,
-                           seed=plan.seed)
+    return solution_bundle(F, x, abs(t), direction, cfg, plan)
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
@@ -184,7 +172,7 @@ class ReachCache:
 
     @staticmethod
     def _key(system: str, x, t: float, plan: BundlePlan, stride: int, mode: str):
-        return (system, _quantize(x), _quantize(t), plan.key(), stride, mode)
+        return (system, _quantize(x), _quantize(t), plan, stride, mode)
 
     def get(self, system, x, t, plan, stride, mode) -> Optional[ReachCloud]:
         return self._store.get(self._key(system, x, t, plan, stride, mode))

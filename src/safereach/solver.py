@@ -88,6 +88,38 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+@dataclass(frozen=True)
+class BundlePlan:
+    """The finite selector family that under-approximates the solution set:
+    ``directions`` constant selections, drawn at ``seed``, plus as many
+    piecewise-constant ones with ``switches`` switches when that is positive.
+    Frozen, so a plan is itself a cache key."""
+
+    directions: int = 8
+    switches: int = 0
+    seed: int = 0
+
+    def selectors(self, F: InclusionSpec, T: float = 1.0) -> list[Selector]:
+        """Deterministic selectors over [0, T]; piecewise ones switch on a
+        uniform grid."""
+        m = self.directions
+        if m < 1:
+            raise SolverError("need at least one selector")
+        if F.kind == "singleton":
+            return [Selector.constant(index=0)]
+        if F.kind == "ball":
+            dirs = sampling.sphere_directions(F.dim, m, seed=self.seed)
+        else:
+            dirs = sampling.simplex_weights(len(F.fields), m, seed=self.seed)
+        sels = [Selector.constant(dirs[i], index=i) for i in range(m)]
+        if self.switches > 0:
+            st = np.linspace(0.0, T, self.switches + 2)[1:-1]
+            for j in range(m):
+                picks = [(j + 2 * k + 1) % m for k in range(self.switches + 1)]
+                sels.append(Selector.piecewise(st, dirs[picks], index=m + j))
+        return sels
+
+
 def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps: int,
               observe: Optional[Callable] = None, escape_radius: float = np.inf,
               live: Optional[np.ndarray] = None):
@@ -283,37 +315,16 @@ def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) 
                       traj.direction, traj.selector_index)
 
 
-def bundle_selectors(F: InclusionSpec, m: int = 8, switches: int = 0,
-                     T: float = 1.0, seed: int = 0) -> list[Selector]:
-    """Deterministic selector family: m constant selections plus optional
-    piecewise-constant ones on a uniform switch grid."""
-    if m < 1:
-        raise SolverError("need at least one selector")
-    if F.kind == "singleton":
-        return [Selector.constant(index=0)]
-    if F.kind == "ball":
-        dirs = sampling.sphere_directions(F.dim, m, seed=seed)
-    else:
-        dirs = sampling.simplex_weights(len(F.fields), m, seed=seed)
-    sels = [Selector.constant(dirs[i], index=i) for i in range(m)]
-    if switches > 0:
-        st = np.linspace(0.0, T, switches + 2)[1:-1]
-        for j in range(m):
-            picks = [(j + 2 * k + 1) % m for k in range(switches + 1)]
-            sels.append(Selector.piecewise(st, dirs[picks], index=m + j))
-    return sels
-
-
 def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
                     cfg: IntegratorConfig = IntegratorConfig(),
-                    m: int = 8, switches: int = 0, seed: int = 0,
+                    plan: BundlePlan = BundlePlan(),
                     stop_set: Optional[SetSpec] = None) -> list:
-    """One trajectory per selector from x0 (n,); a singleton F yields exactly
-    one.  For a batch of starts (k, n), one such list per start, all
+    """One trajectory per selector of plan from x0 (n,); a singleton F yields
+    exactly one.  For a batch of starts (k, n), one such list per start, all
     integrated in one sweep."""
     X0 = np.asarray(x0, dtype=float)
     starts = np.atleast_2d(X0)
-    sels = bundle_selectors(F, m=m, switches=switches, T=T, seed=seed)
+    sels = plan.selectors(F, T)
     if cfg.method == "rk4":
         flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
         out = [[_truncate_at_set(flat[j * len(starts) + i], stop_set, 1e-9)

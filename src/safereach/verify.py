@@ -20,7 +20,7 @@ from .dynamics import InclusionSpec, inclusion_extreme_points
 from .geometry import (ConeProbe, GeometryError, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
-from .solver import IntegratorConfig, bundle_selectors, bundle_sweep, integrate
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, integrate
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -37,11 +37,24 @@ class SamplePlan:
     seed: int = 0
     window: Optional[tuple] = None
 
+    def draw(self, X: SetSpec) -> np.ndarray:
+        """Interior samples of X drawn at seed, then boundary samples at
+        seed + 1; sets without a boundary sampler fall back to interior."""
+        pts = []
+        if self.interior > 0:
+            pts.append(X.sample_interior(self.interior, seed=self.seed, window=self.window))
+        if self.boundary > 0:
+            try:
+                pts.append(X.sample_boundary(self.boundary, seed=self.seed + 1,
+                                             window=self.window))
+            except GeometryError:
+                pass
+        if not pts:
+            raise ValueError("sample plan produced no initial points")
+        return np.vstack(pts)
 
-@dataclass(frozen=True)
-class BundlePlanV:
-    directions: int = 8
-    switches: int = 0
+
+BundlePlanV = BundlePlan     # former name, still imported by bench/test_bench.py
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,7 @@ class SafetyProblem:
     horizon: float
     cfg: IntegratorConfig = IntegratorConfig()
     samples: SamplePlan = SamplePlan()
-    bundle: BundlePlanV = BundlePlanV()
+    bundle: BundlePlan = BundlePlan()
     hit_tol: float = 1e-9
 
     def unsafe_hits(self, states: np.ndarray) -> np.ndarray:
@@ -73,21 +86,7 @@ class SafetyProblem:
         return margins <= self.hit_tol
 
     def initial_samples(self) -> np.ndarray:
-        pts = []
-        if self.samples.interior > 0:
-            pts.append(self.X_o.sample_interior(self.samples.interior,
-                                                seed=self.samples.seed,
-                                                window=self.samples.window))
-        if self.samples.boundary > 0:
-            try:
-                pts.append(self.X_o.sample_boundary(self.samples.boundary,
-                                                    seed=self.samples.seed + 1,
-                                                    window=self.samples.window))
-            except GeometryError:
-                pass    # sets without a boundary sampler fall back to interior
-        if not pts:
-            raise ValueError("sample plan produced no initial points")
-        out = np.vstack(pts)
+        out = self.samples.draw(self.X_o)
         bad = self.unsafe_hits(out)
         if bad.any():
             raise ValueError("X_o and X_u are not sample-disjoint: "
@@ -106,6 +105,7 @@ class SafetyReport:
 
     def to_json(self) -> str:
         return json.dumps({
+            "check": "simulate_safety",
             "verdict": self.verdict,
             "witness": jsonable(self.witness),
             "coverage": jsonable(self.coverage),
@@ -128,8 +128,7 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     witness is the earliest hit, ties going to the earlier selector, then
     the earlier start."""
     starts = p.initial_samples()
-    sels = bundle_selectors(p.F, m=p.bundle.directions, switches=p.bundle.switches,
-                            T=p.horizon, seed=p.samples.seed)
+    sels = p.bundle.selectors(p.F, p.horizon)
     m = len(starts)
     margin = float(p.unsafe_margins(starts).min())
     hit_time = np.full(len(sels) * m, np.inf)
@@ -160,8 +159,7 @@ def resimulate_witness(p: SafetyProblem, report: SafetyReport) -> bool:
     """Fresh run of the violation witness; True iff it reproduces the hit."""
     if not report.witness:
         return False
-    sels = bundle_selectors(p.F, m=p.bundle.directions, switches=p.bundle.switches,
-                            T=p.horizon, seed=p.samples.seed)
+    sels = p.bundle.selectors(p.F, p.horizon)
     sel = next(s for s in sels if s.index == report.witness["selector"])
     tr = integrate(p.F, sel, np.asarray(report.witness["x0"]), p.horizon,
                    "forward", p.cfg)
@@ -171,7 +169,7 @@ def resimulate_witness(p: SafetyProblem, report: SafetyReport) -> bool:
 def conditional_invariance_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec,
                                  horizon: float, cfg: IntegratorConfig = IntegratorConfig(),
                                  samples: SamplePlan = SamplePlan(),
-                                 bundle: BundlePlanV = BundlePlanV()) -> SafetyReport:
+                                 bundle: BundlePlan = BundlePlan()) -> SafetyReport:
     """Solutions from X_o must stay in X_s: safety with X_u = complement(X_s)."""
     return simulate_safety_check(SafetyProblem(
         F, X_o, SetSpec.complement(X_s, name=f"not_{X_s.name or X_s.kind}"),
@@ -181,7 +179,7 @@ def conditional_invariance_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec,
 def forward_pre_invariance_check(F: InclusionSpec, X_s: SetSpec, horizon: float,
                                  cfg: IntegratorConfig = IntegratorConfig(),
                                  samples: SamplePlan = SamplePlan(),
-                                 bundle: BundlePlanV = BundlePlanV()) -> SafetyReport:
+                                 bundle: BundlePlan = BundlePlan()) -> SafetyReport:
     """Solutions from X_s must stay in X_s for as long as they exist."""
     return conditional_invariance_check(F, X_s, X_s, horizon, cfg, samples, bundle)
 

@@ -11,13 +11,13 @@ from safereach.barrier import (RelaxFn, counterexample_barrier,
 from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
                                 lipschitz_estimate)
 from safereach.geometry import SetSpec
-from safereach.reachability import BundlePlan, filippov_check
+from safereach.reachability import filippov_check
 from safereach.sampling import halton
 from safereach.smoothing import (ConverseResolution, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_on_compact)
-from safereach.solver import IntegratorConfig, integrate
-from safereach.verify import (BundlePlanV, SafetyProblem, SamplePlan,
+from safereach.solver import BundlePlan, IntegratorConfig, integrate
+from safereach.verify import (SafetyProblem, SamplePlan,
                               UNDER_APPROX_DISCLAIMER, nagumo_check,
                               simulate_safety_check)
 
@@ -284,7 +284,7 @@ def test_perturbed_safety():
     F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
     cfg = IntegratorConfig(step=1.0 / 256.0)
     p = SafetyProblem(F, DISK, WALL, 50.0, cfg, SamplePlan(64, 32),
-                      BundlePlanV(directions=16))
+                      BundlePlan(directions=16))
     rep = simulate_safety_check(p)
     elapsed = time.time() - t0
     ok = (rep.verdict == "no_violation_found"

@@ -9,7 +9,7 @@ from safereach.barrier import (RelaxFn, candidate_sign_check,
 from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec, distance_to_set_many
-from safereach.solver import IntegratorConfig, bundle_selectors, integrate
+from safereach.solver import BundlePlan, IntegratorConfig, integrate
 
 ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
 COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
@@ -136,7 +136,7 @@ class TestMarginalBarrier:
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         T = int(k_hi.max()) * h
         best_lo, best_hi = np.full(len(ts), np.inf), np.full(len(ts), np.inf)
-        for sel in bundle_selectors(F, m=4, T=T):
+        for sel in BundlePlan(4).selectors(F, T):
             for i, x in enumerate(xs):
                 tr = integrate(F, sel, x, T, "backward", cfg)
                 run = np.minimum.accumulate(distance_to_set_many(tr.states, X_o))

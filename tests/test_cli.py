@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safereach import cli
 from safereach.cli import main
 from safereach.config import (ConfigError, build_scenario, parse_config,
                               set_to_config)
 from safereach.geometry import SetSpec, distance_to_set
+from safereach.solver import BundlePlan
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -52,9 +54,15 @@ class TestConfigParsing:
         assert "X_o" in scn.sets and scn.sets["X_o"].kind == "ball"
 
     def test_unknown_key_rejected(self):
-        bad = MINIMAL.replace("step = 0.015625", "step = 0.015625\nstepp = 2")
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(bad)
+        # also keys no command reads, and one that shadowed [bundle] directions
+        for anchor, line in (("step = 0.015625", "stepp = 2"),
+                             ("[simulate]", "X_u = X_u"),
+                             ("[simulate]", "hit_tol = 1e-6"),
+                             ("[check quick]", "tgrid = 0 1 3"),
+                             ("T = 2", "[barrier]\ndirections = 4")):
+            bad = MINIMAL.replace(anchor, f"{anchor}\n{line}")
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(bad)
 
     def test_duplicate_section_rejected(self):
         with pytest.raises(ConfigError, match="duplicate section"):
@@ -208,7 +216,32 @@ class TestCommands:
         assert "check filippov: pass" in capsys.readouterr().out
         main(["report", "--results", str(out), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert "filippov" in [e["check"] for e in summary["checks"]]
+        assert {"filippov", "simulate_safety"} <= {e["check"] for e in summary["checks"]}
+
+    def test_filippov_uses_the_bundle_plan(self, tmp_path, monkeypatch):
+        text = MINIMAL.replace("inclusion = singleton", "inclusion = ball\nepsilon = 0.1") + (
+            "\n[bundle]\ndirections = 2\n[set BOX]\nkind = box\nlo = -3 -3\nhi = 3 3\n"
+            "[check filippov]\nkind = filippov\nlam_box = BOX\npairs = 2\n")
+        plans = []
+
+        def record(F, x, y, T, lam, cfg, plan, **kw):
+            plans.append(plan)
+            return {"max_violation": 0.0, "holds": True}
+
+        monkeypatch.setattr(cli, "filippov_check", record)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        assert plans == [BundlePlan(directions=2, switches=0, seed=5)] * 2
+
+    def test_simulate_falls_back_to_interior_samples(self, tmp_path):
+        # the complement of a point has no boundary sampler
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(SCENARIOS / "counterexample.scenario"),
+                     "--set", "simulate.X_o=X_u", "--set", "simulate.T=0.01",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["artifacts"]) == 24
 
     def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):
         text = MINIMAL + ("\n[set TINY]\nkind = box\nlo = -0.01 -0.01\nhi = 0.01 0.01\n"

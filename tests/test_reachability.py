@@ -5,11 +5,11 @@ from scipy.linalg import expm
 from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec
-from safereach.reachability import (BundlePlan, ReachCache, ReachCloud,
-                                    cloud_to_csv, filippov_check, load_cloud,
-                                    reach, reach_endpoint,
-                                    reach_regularity_probe, save_cloud)
-from safereach.solver import IntegratorConfig
+from safereach.reachability import (ReachCache, ReachCloud, cloud_to_csv,
+                                    filippov_check, load_cloud, reach,
+                                    reach_endpoint, reach_regularity_probe,
+                                    save_cloud)
+from safereach.solver import BundlePlan, IntegratorConfig
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 256.0)

@@ -7,8 +7,10 @@ from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, Selector,
                                 builtin_field, field_from_expressions,
                                 lipschitz_estimate)
 from safereach.geometry import SetSpec
-from safereach.solver import (IntegratorConfig, SolverError, Trajectory,
-                              bundle_selectors, integrate, rk4_sweep,
+import safereach
+from safereach import reachability, verify
+from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
+                              Trajectory, integrate, rk4_sweep,
                               solution_bundle, time_rescale_tau)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
@@ -96,12 +98,12 @@ class TestIntegrate:
 
 class TestBundle:
     def test_singleton_bundle_size_one(self):
-        trs = solution_bundle(LINEAR, np.array([1.0, 0.0]), 0.5, cfg=CFG, m=8)
+        trs = solution_bundle(LINEAR, np.array([1.0, 0.0]), 0.5, cfg=CFG, plan=BundlePlan(8))
         assert len(trs) == 1
 
     def test_degenerate_ball_identical(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.0)
-        trs = solution_bundle(F, np.array([1.0, 0.0]), 0.5, cfg=CFG, m=8)
+        trs = solution_bundle(F, np.array([1.0, 0.0]), 0.5, cfg=CFG, plan=BundlePlan(8))
         assert len(trs) == 8
         ends = np.array([tr.endpoint for tr in trs])
         assert np.allclose(ends, ends[0])
@@ -111,7 +113,7 @@ class TestBundle:
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), eps)
         lam = lipschitz_estimate(InclusionSpec.singleton(builtin_field("linear_safe")),
                                  SetSpec.box([-3, -3], [3, 3]), grid=7)
-        trs = solution_bundle(F, np.array([1.0, 0.0]), T, cfg=CFG, m=8)
+        trs = solution_bundle(F, np.array([1.0, 0.0]), T, cfg=CFG, plan=BundlePlan(8))
         ends = np.array([tr.endpoint for tr in trs])
         spread = max(np.linalg.norm(a - b) for a in ends for b in ends)
         bound = 2 * eps * (np.exp(lam * T) - 1.0) / lam
@@ -119,7 +121,8 @@ class TestBundle:
 
     def test_every_trajectory_satisfies_inclusion(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.05)
-        trs = solution_bundle(F, np.array([0.5, 0.5]), 0.5, cfg=CFG, m=4, switches=1)
+        trs = solution_bundle(F, np.array([0.5, 0.5]), 0.5, cfg=CFG,
+                              plan=BundlePlan(4, switches=1))
         for tr in trs:
             mid = tr.states[:-1]
             fd = np.diff(tr.states, axis=0) / np.diff(tr.times)[:, None]
@@ -132,11 +135,16 @@ class TestBundle:
 
     def test_deterministic_selector_order(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        a = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, m=4)
-        b = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, m=4)
+        a = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, plan=BundlePlan(4))
+        b = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, plan=BundlePlan(4))
         for ta, tb in zip(a, b):
             assert ta.selector_index == tb.selector_index
             assert np.array_equal(ta.states, tb.states)
+
+    def test_one_plan_type(self):
+        assert reachability.BundlePlan is BundlePlan
+        assert verify.BundlePlanV is BundlePlan
+        assert safereach.BundlePlan is BundlePlan
 
 
 class TestTimeRescale:
@@ -186,8 +194,8 @@ class TestBatchedBundles:
     def test_batched_bundle_matches_per_selector_integrate(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
         x0 = np.array([1.0, 0.0])
-        batched = solution_bundle(F, x0, 0.5, cfg=CFG, m=6)
-        sels = bundle_selectors(F, m=6, T=0.5)
+        batched = solution_bundle(F, x0, 0.5, cfg=CFG, plan=BundlePlan(6))
+        sels = BundlePlan(6).selectors(F, 0.5)
         assert len(batched) == len(sels) == 6
         for tr, sel in zip(batched, sels):
             ref = integrate(F, sel, x0, 0.5, cfg=CFG)
@@ -198,10 +206,10 @@ class TestBatchedBundles:
     def test_batch_of_starts_matches_one_start_at_a_time(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
         starts = np.array([[1.0, 0.0], [0.2, -0.4], [-0.5, 0.5]])
-        batched = solution_bundle(F, starts, 0.5, cfg=CFG, m=3, switches=2)
+        batched = solution_bundle(F, starts, 0.5, cfg=CFG, plan=BundlePlan(3, switches=2))
         assert len(batched) == len(starts)
         for x0, trajs in zip(starts, batched):
-            single = solution_bundle(F, x0, 0.5, cfg=CFG, m=3, switches=2)
+            single = solution_bundle(F, x0, 0.5, cfg=CFG, plan=BundlePlan(3, switches=2))
             assert [t.selector_index for t in trajs] == [t.selector_index for t in single]
             for a, b in zip(trajs, single):
                 assert np.array_equal(a.times, b.times)

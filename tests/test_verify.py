@@ -4,8 +4,8 @@ import pytest
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
 from safereach.dynamics import InclusionSpec, builtin_field, field_from_expressions
 from safereach.geometry import SetSpec
-from safereach.solver import IntegratorConfig, bundle_selectors, integrate
-from safereach.verify import (BundlePlanV, SafetyProblem, SamplePlan,
+from safereach.solver import BundlePlan, IntegratorConfig, integrate
+from safereach.verify import (SafetyProblem, SamplePlan,
                               UNDER_APPROX_DISCLAIMER,
                               conditional_invariance_check,
                               forward_pre_invariance_check, nagumo_check,
@@ -66,7 +66,7 @@ class TestSimulate:
     def test_perturbed_bundle_stays_safe(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
         p = SafetyProblem(F, DISK, WALL, 10.0, CFG, SamplePlan(8, 4),
-                          BundlePlanV(directions=8))
+                          BundlePlan(directions=8))
         rep = simulate_safety_check(p)
         assert rep.passed
         assert rep.coverage["trajectories"] == 12 * 8
@@ -257,8 +257,7 @@ def _per_selector_reference(p):
     """simulate_safety_check as a loop: every selector from every start by its
     own integration, keeping the earliest hit in selector, then start order."""
     starts = p.initial_samples()
-    sels = bundle_selectors(p.F, m=p.bundle.directions, switches=p.bundle.switches,
-                            T=p.horizon, seed=p.samples.seed)
+    sels = p.bundle.selectors(p.F, p.horizon)
     escapes, margin, witness, first_hits = 0, np.inf, {}, []
     for sel in sels:
         for i, x0 in enumerate(starts):
@@ -296,7 +295,7 @@ class TestBatchedSweepMatchesReference:
         F = InclusionSpec.ball_perturbed(field_from_expressions(["0", "1"], "up"), 0.3)
         slab = SetSpec.box([-1.0, 0.5], [1.0, 1.0], name="slab")
         p = SafetyProblem(F, slab, WALL, 3.0, IntegratorConfig(step=1 / 8),
-                          SamplePlan(0, 16), BundlePlanV(directions=8), hit_tol=1e-6)
+                          SamplePlan(0, 16), BundlePlan(directions=8), hit_tol=1e-6)
         rep, first_hits = self._check(p)
         assert rep.verdict == "violation"
         tied = sorted((sel, i) for t, sel, i in first_hits if t == rep.witness["hit_time"])
@@ -311,7 +310,7 @@ class TestBatchedSweepMatchesReference:
         cfg = IntegratorConfig(step=1 / 64, escape_radius=8.0)
         p = SafetyProblem(F, SetSpec.ball([1, 0], 0.9, name="start"),
                           SetSpec.halfspace([0, 1], 100.0, name="far"), 2.0, cfg,
-                          SamplePlan(4, 4), BundlePlanV(directions=4))
+                          SamplePlan(4, 4), BundlePlan(directions=4))
         rep, _ = self._check(p)
         assert 0 < rep.escapes < rep.coverage["trajectories"]
 
@@ -319,6 +318,6 @@ class TestBatchedSweepMatchesReference:
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
         p = SafetyProblem(F, DISK, SetSpec.halfspace([0, 1], 1.2, name="low_wall"), 3.0,
                           IntegratorConfig(step=1 / 64), SamplePlan(6, 6),
-                          BundlePlanV(directions=4, switches=2), hit_tol=1e-6)
+                          BundlePlan(directions=4, switches=2), hit_tol=1e-6)
         rep, _ = self._check(p)
         assert rep.coverage["selectors"] == 8
