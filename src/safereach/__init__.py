@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
                        eval_inclusion, field_from_expressions,
                        lipschitz_estimate, negate, rescale_field, select)
-from .geometry import (ConeProbe, SetSpec, SubgradientCandidate,
+from .geometry import (ConeProbe, SamplePlan, SetSpec, SubgradientCandidate,
                        clarke_gradient_sample, cone_residual, distance_to_set,
                        hausdorff_distance, proximal_subgradient_test)
 from .solver import (BundlePlan, IntegratorConfig, Trajectory, integrate,
@@ -21,6 +21,6 @@ from .barrier import (BarrierFn, CheckReport, RelaxFn, candidate_sign_check,
 from .smoothing import (ConverseResolution, SmoothedFn, build_time_partition,
                         converse_smooth_barrier, hermite_segment,
                         smooth_global, smooth_on_compact)
-from .verify import (SafetyProblem, SafetyReport, SamplePlan,
-                     conditional_invariance_check, forward_pre_invariance_check,
-                     nagumo_check, prop1_check, simulate_safety_check)
+from .verify import (SafetyProblem, SafetyReport, conditional_invariance_check,
+                     forward_pre_invariance_check, nagumo_check, prop1_check,
+                     simulate_safety_check)

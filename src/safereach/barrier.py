@@ -26,7 +26,7 @@ from . import sampling
 from .dynamics import (InclusionSpec, inclusion_extreme_points, negate, select,
                        selector_table)
 from .expr import compile_expression, compile_scalar_expression
-from .geometry import (GeometryError, SetSpec, SubgradientCandidate, clarke_gradient_sample,
+from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
 from .solver import BundlePlan, IntegratorConfig, Trajectory, rk4_sweep
 
@@ -37,35 +37,42 @@ DEFAULT_POS_TOL = 1e-9
 # barrier functions
 # ---------------------------------------------------------------------------
 
+class BarrierError(ValueError):
+    pass
+
+
 @dataclass
 class BarrierFn:
-    """Evaluable scalar B(t, x) with provenance metadata.
+    """Scalar B(t, x), evaluated in batches, with provenance metadata.
 
-    provenance is one of marginal | closedform_counterexample | smoothed |
-    user.  band_width is the default width of the margin band realizing
-    "a neighborhood of the zero-sublevel set minus the set itself" in the
-    infinitesimal checks.
+    batch_fn maps times ts (m,) and states Xs (m, n) to the m values; each
+    value depends on its own (t, x) row only.  provenance is one of
+    marginal | closedform_counterexample | smoothed | user.  band_width is the
+    default width of the margin band realizing "a neighborhood of the
+    zero-sublevel set minus the set itself" in the infinitesimal checks.
+    core is the marginal construction behind batch_fn, if any.
     """
 
-    fn: Callable                    # (t: float, x: (n,)) -> float
+    batch_fn: Callable
     provenance: str
     dim: int
     band_width: float = 0.1
-    batch_fn: Optional[Callable] = None   # (ts (m,), Xs (m,n)) -> (m,)
     params: dict = field(default_factory=dict)
+    core: Optional[MarginalBarrier] = None
 
     def evaluate(self, t: float, x) -> float:
-        v = float(self.fn(float(t), np.asarray(x, dtype=float)))
-        if not np.isfinite(v):
-            raise ValueError(f"barrier returned non-finite value at t={t}, x={x}")
-        return v
+        return float(self.evaluate_many([t], np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_many(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(ts, Xs), dtype=float)
-        return np.array([self.evaluate(t, x) for t, x in zip(ts, Xs)])
+        vals = np.asarray(self.batch_fn(ts, Xs), dtype=float)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise BarrierError(f"barrier returned non-finite value at t={float(ts[i])!r}, "
+                               f"x={Xs[i].tolist()}")
+        return vals
 
 
 def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierFn:
@@ -79,9 +86,7 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
         variables = tuple(f"x{i + 1}" for i in range(dim))
         g = compile_expression(expression, variables)
         batch = lambda ts, Xs: g(Xs)
-    return BarrierFn(lambda t, x: float(batch(np.array([t]), x[None, :])[0]),
-                     "user", dim, band_width, batch_fn=batch,
-                     params={"expression": expression})
+    return BarrierFn(batch, "user", dim, band_width, params={"expression": expression})
 
 
 # ---------------------------------------------------------------------------
@@ -99,25 +104,11 @@ class MarginalBarrier:
         self.X_o = X_o
         self.cfg = cfg
         self.plan = plan
-        self._cache: dict = {}
-        self.truncated_seen = False
-
-    def _key(self, t: float, x: np.ndarray) -> tuple:
-        q = 1e-9
-        return (int(round(t / q)),) + tuple(int(round(c / q)) for c in x)
+        self.truncated = False      # the last batch had a tube cut short by escape
 
     def values(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        keys = [self._key(t, x) for t, x in zip(ts, Xs)]
-        misses = [i for i, key in enumerate(keys) if key not in self._cache]
-        if misses:
-            vals, trunc = self._compute(ts[misses], Xs[misses])
-            self._cache.update(zip([keys[i] for i in misses], vals.tolist()))
-            self.truncated_seen |= bool(trunc.any())
-        return np.array([self._cache[key] for key in keys])
-
-    def _compute(self, ts: np.ndarray, Xs: np.ndarray):
         h = self.cfg.step
         m = len(ts)
         if np.any(ts < 0):
@@ -139,11 +130,15 @@ class MarginalBarrier:
         dmin = np.tile(distance_to_set_many(Xs, self.X_o), S)
         out_lo = np.where(lo == 0, dmin, np.inf)
         out_hi = np.where(hi == 0, dmin, np.inf)
+        hi_min = int(hi.min(initial=0))
 
         def rhs(k, rows, X):
             return select(Fb, X, None if D is None else D[seg[k - 1]][rows])
 
         def observe(k, rows, X):
+            if k > hi_min:      # rows past their own horizon take no more distance queries
+                rows = np.arange(len(dmin))[rows]
+                rows = rows[hi[rows] >= k]
             dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
             for out, ks in ((out_lo, lo), (out_hi, hi)):
                 at = ks == k
@@ -151,10 +146,10 @@ class MarginalBarrier:
 
         _, steps, escaped = rk4_sweep(rhs, np.tile(Xs, (S, 1)), h, max_k, observe,
                                       self.cfg.escape_radius)
-        truncated = (escaped & (steps <= hi)).reshape(S, m).any(axis=0)
+        self.truncated = bool((escaped & (steps <= hi)).any())
         best_lo = out_lo.reshape(S, m).min(axis=0)
         best_hi = out_hi.reshape(S, m).min(axis=0)
-        return best_lo * (1.0 - frac) + best_hi * frac, truncated
+        return best_lo * (1.0 - frac) + best_hi * frac
 
 
 def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
@@ -163,13 +158,10 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
                      band_width: float = 0.1) -> BarrierFn:
     """The converse construction: B(t,x) = min over R(-t,x) of |y|_{X_o}."""
     core = MarginalBarrier(F, X_o, cfg, BundlePlan(directions, switches, seed))
-    fn = lambda t, x: float(core.values(np.array([t]), x[None, :])[0])
-    b = BarrierFn(fn, "marginal", F.dim, band_width,
-                  batch_fn=lambda ts, Xs: core.values(ts, Xs),
-                  params={"system": F.name, "X_o": X_o.name or X_o.kind,
-                          "directions": directions, "switches": switches})
-    b.core = core
-    return b
+    return BarrierFn(core.values, "marginal", F.dim, band_width,
+                     params={"system": F.name, "X_o": X_o.name or X_o.kind,
+                             "directions": directions, "switches": switches},
+                     core=core)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +193,7 @@ def counterexample_barrier(t: float, x) -> float:
 def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
     batch = lambda ts, Xs: np.array(
         [counterexample_barrier(t, x) for t, x in zip(ts, Xs)])
-    return BarrierFn(lambda t, x: counterexample_barrier(t, x),
-                     "closedform_counterexample", 2, band_width, batch_fn=batch)
+    return BarrierFn(batch, "closedform_counterexample", 2, band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -301,54 +292,56 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
     nonpositive side uses the same tolerance.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) == 0:
+        return CheckReport("candidate_sign", 0, 0.0, {}, "inconclusive",
+                           details={"reason": "empty t-grid"})
     n_b = max(1, n_init // 2)
-    pts_o = [X_o.sample_interior(n_init - n_b, seed=seed, window=window)]
-    try:
-        pts_o.append(X_o.sample_boundary(n_b, seed=seed + 1, window=window))
-    except GeometryError:
-        pass    # sets without a boundary sampler fall back to interior
-    pts_o = np.vstack(pts_o)
+    pts_o = SamplePlan(n_b, n_init - n_b, seed, window).draw(X_o)
     pts_u = X_u.sample_interior(n_unsafe, seed=seed + 2, window=window)
-    worst_o, wo = -np.inf, None
-    worst_u, wu = np.inf, None
-    for t in t_grid:
-        vo = B.evaluate_many(np.full(len(pts_o), t), pts_o)
-        vu = B.evaluate_many(np.full(len(pts_u), t), pts_u)
-        i = int(np.argmax(vo))
-        if vo[i] > worst_o:
-            worst_o, wo = float(vo[i]), {"t": float(t), "x": pts_o[i].tolist()}
-        j = int(np.argmin(vu))
-        if vu[j] < worst_u:
-            worst_u, wu = float(vu[j]), {"t": float(t), "x": pts_u[j].tolist()}
+    # one batch over t-grid x samples, t-major; argmax/argmin pick the first
+    # extreme in that order
+    pts = np.vstack([pts_o, pts_u])
+    vals = B.evaluate_many(np.repeat(t_grid, len(pts)), np.tile(pts, (len(t_grid), 1)))
+    vals = vals.reshape(len(t_grid), len(pts))
+    vo, vu = vals[:, :len(pts_o)], vals[:, len(pts_o):]
+    i, a = np.unravel_index(np.argmax(vo), vo.shape)
+    j, b = np.unravel_index(np.argmin(vu), vu.shape)
+    worst_o, wo = float(vo[i, a]), {"t": float(t_grid[i]), "x": pts_o[a].tolist()}
+    worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
     viol = max(worst_o - zero_tol, pos_tol - worst_u)
     witness = wo if worst_o - zero_tol >= pos_tol - worst_u else wu
     details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u}
-    core = getattr(B, "core", None)
-    if core is not None and getattr(core, "truncated_seen", False):
+    if B.core is not None and B.core.truncated:
         details["lower_bound_only"] = "backward tube truncated by escape"
     return CheckReport(
-        "candidate_sign", (len(pts_o) + len(pts_u)) * len(t_grid),
-        viol, witness, "pass" if viol <= 0.0 else "fail",
-        details=details)
+        "candidate_sign", vals.size, viol, witness,
+        "pass" if viol <= 0.0 else "fail", details=details)
 
 
-def monotonicity_check(B: BarrierFn, traj: Trajectory, tol: float = 1e-8,
+def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
                        stride: int = 1) -> CheckReport:
-    """Worst positive increment of t -> B(t, phi(t)) across stored nodes."""
-    if traj.direction != "forward":
-        raise ValueError("monotonicity check expects a forward trajectory")
-    idx = np.arange(0, len(traj.times), stride)
-    if idx[-1] != len(traj.times) - 1:
-        idx = np.append(idx, len(traj.times) - 1)
-    ts = traj.times[idx]
-    vals = B.evaluate_many(ts, traj.states[idx])
-    incs = np.diff(vals)
-    if len(incs) == 0:
+    """Worst positive increment of t -> B(t, phi(t)) across the stored nodes
+    of forward trajectories, every stride-th node and the last, all in one
+    batch.  Returns the report of the first trajectory with the largest
+    increment; a trajectory of one node is inconclusive."""
+    if not trajs:
+        raise ValueError("monotonicity check needs at least one trajectory")
+    if any(tr.direction != "forward" for tr in trajs):
+        raise ValueError("monotonicity check expects forward trajectories")
+    idxs = [np.unique(np.append(np.arange(0, len(tr.times), stride), len(tr.times) - 1))
+            for tr in trajs]
+    vals = B.evaluate_many(np.concatenate([tr.times[idx] for tr, idx in zip(trajs, idxs)]),
+                           np.vstack([tr.states[idx] for tr, idx in zip(trajs, idxs)]))
+    vals = np.split(vals, np.cumsum([len(idx) for idx in idxs])[:-1])
+    incs = [np.diff(v) for v in vals]
+    w = int(np.argmax([inc.max() if len(inc) else 0.0 for inc in incs]))
+    tr, idx, v, inc = trajs[w], idxs[w], vals[w], incs[w]
+    if len(inc) == 0:
         return CheckReport("monotonicity", 1, 0.0, {}, "inconclusive")
-    k = int(np.argmax(incs))
-    worst = float(incs[k])
-    witness = {"t": float(ts[k + 1]), "x": traj.states[idx[k + 1]].tolist(),
-               "previous_value": float(vals[k]), "value": float(vals[k + 1])}
+    k = int(np.argmax(inc))
+    worst = float(inc[k])
+    witness = {"t": float(tr.times[idx[k + 1]]), "x": tr.states[idx[k + 1]].tolist(),
+               "previous_value": float(v[k]), "value": float(v[k + 1])}
     return CheckReport("monotonicity", len(idx), worst, witness,
                        "pass" if worst <= tol else "fail")
 

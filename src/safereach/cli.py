@@ -9,6 +9,7 @@ emitted artifacts together with the config hash, so reruns are auditable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .barrier import (BarrierFn, RelaxFn, candidate_sign_check,
+from .barrier import (BarrierError, BarrierFn, RelaxFn, candidate_sign_check,
                       counterexample_barrier_fn, infinitesimal_check,
                       marginal_barrier, monotonicity_check, user_barrier)
 from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
 from .dynamics import lipschitz_estimate
 from .expr import compile_expression
-from .geometry import SetSpec
+from .geometry import GeometryError, SetSpec
 from .reachability import BoxExitError, cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
 from .smoothing import (ConverseResolution, build_time_partition,
@@ -203,7 +204,8 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     return 0
 
 
-def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
+def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
+    """Run one [check NAME] section; barrier() returns the run's barrier."""
     cfg = scn.raw
     section = f"check {name}"
     kind = _require(cfg.get(section, "kind"), f"[{section}] needs kind")
@@ -217,7 +219,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
-        B = _build_barrier(scn)
+        B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
         rep = candidate_sign_check(B, X_o, X_u, scn.t_grid,
@@ -226,22 +228,21 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
                                    window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "monotonicity":
-        B = _build_barrier(scn)
+        B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
-        starts = X_o.sample_boundary(cfg.get(section, "n_samples", 8), seed=seed,
-                                     window=window)
+        n = cfg.get(section, "n_samples", 8)
+        try:
+            starts = X_o.sample_boundary(n, seed=seed, window=window)
+        except GeometryError:   # sets without a boundary sampler fall back to interior
+            starts = X_o.sample_interior(n, seed=seed, window=window)
         bundles = solution_bundle(scn.system, starts, cfg.get(section, "T", 1.0),
                                   cfg=scn.solver, plan=scn.bundle)
-        worst = None
-        for tr in (tr for trajs in bundles for tr in trajs):
-            rep = monotonicity_check(B, tr, tol=cfg.get(section, "tol",
-                                                        10 * scn.solver.accuracy),
-                                     stride=cfg.get(section, "stride", 16))
-            if worst is None or rep.worst_margin > worst.worst_margin:
-                worst = rep
-        return worst.to_json(), worst.verdict
+        rep = monotonicity_check(B, [tr for trajs in bundles for tr in trajs],
+                                 tol=cfg.get(section, "tol", 10 * scn.solver.accuracy),
+                                 stride=cfg.get(section, "stride", 16))
+        return rep.to_json(), rep.verdict
     if kind == "infinitesimal":
-        B = _build_barrier(scn)
+        B = barrier()
         region = cfg.get(section, "region", "everywhere")
         if region == "margin_band":
             region = ("margin_band", cfg.get(section, "width"))
@@ -261,7 +262,7 @@ def _run_one_check(name: str, scn: Scenario, args) -> tuple[str, str]:
                            window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":
-        B = _build_barrier(scn)
+        B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_s = _get_set(scn, _require(cfg.get(section, "X_s"), f"[{section}] needs X_s"))
         rep = prop1_check(scn.system, X_o, X_s, B, _parse_relax(cfg.get(section, "g")),
@@ -302,9 +303,10 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
     names = [s.split(" ", 1)[1] for s in scn.raw.section_names("check")]
     if not names:
         raise CliError("no [check NAME] sections in config")
+    barrier = functools.cache(lambda: _build_barrier(scn))
     verdicts = []
     for name in names:
-        payload, verdict = _run_one_check(name, scn, args)
+        payload, verdict = _run_one_check(name, scn, barrier)
         manifest.add(manifest.out / f"{name}.check.json").write_text(payload)
         verdicts.append(verdict)
         print(f"check {name}: {verdict}")
@@ -403,7 +405,7 @@ def main(argv=None) -> int:
         status = handler(scn, args, manifest)
         manifest.write()
         return status
-    except (ConfigError, CliError) as exc:
+    except (ConfigError, CliError, BarrierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from .dynamics import InclusionSpec, builtin_field, field_from_expressions
 from .expr import compile_expression
-from .geometry import SetSpec
+from .geometry import SamplePlan, SetSpec
 from .solver import BundlePlan, IntegratorConfig
-from .verify import SamplePlan
 
 
 class ConfigError(ValueError):
@@ -360,6 +359,8 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     tg = cfg.get("sampling", "tgrid", [0.0, 1.0, 11])
     if len(tg) != 3:
         raise ConfigError("[sampling] tgrid must be 'min max count'")
+    if int(tg[2]) < 1:
+        raise ConfigError("[sampling] tgrid count must be at least 1")
     t_grid = np.linspace(tg[0], tg[1], int(tg[2]))
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=_build_system(cfg),

@@ -240,6 +240,33 @@ class SetSpec:
         return box
 
 
+@dataclass(frozen=True)
+class SamplePlan:
+    """How many start points to draw from a set, at which seed and in which
+    window (needed for unbounded sets)."""
+
+    boundary: int = 32
+    interior: int = 32
+    seed: int = 0
+    window: Optional[tuple] = None
+
+    def draw(self, X: SetSpec) -> np.ndarray:
+        """Interior samples of X drawn at seed, then boundary samples at
+        seed + 1; sets without a boundary sampler fall back to interior."""
+        pts = []
+        if self.interior > 0:
+            pts.append(X.sample_interior(self.interior, seed=self.seed, window=self.window))
+        if self.boundary > 0:
+            try:
+                pts.append(X.sample_boundary(self.boundary, seed=self.seed + 1,
+                                             window=self.window))
+            except GeometryError:
+                pass
+        if not pts:
+            raise ValueError("sample plan produced no initial points")
+        return np.vstack(pts)
+
+
 def _as_window(window, dim):
     if isinstance(window, tuple) and len(window) == 2 and hasattr(window[0], "__len__"):
         return (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))

@@ -560,7 +560,6 @@ class ConverseBarrier:
         self.g = smooth_global(tube, X_o, res.s_range, k_max=res.k_max,
                                table_res=res.table_res,
                                annulus_count=res.annulus_count)
-        self.escape_seen = False
 
     def values(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -581,10 +580,10 @@ class ConverseBarrier:
             tau_int[:] += 0.5 * (inv_prev + inv_here) * h_rows
             inv_prev = inv_here
 
-        # rows are not frozen on escape; an escape only flags the values
+        # rows are not frozen on escape: an escaped row that never touched X_o
+        # lies outside the annulus coverage, where self.g raises SmoothingError
         state = _sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_steps, observe,
                        "backward flow diverged during barrier evaluation")[0]
-        self.escape_seen |= bool(np.any(np.linalg.norm(state, axis=1) > self.cfg.escape_radius))
         touched = dmin <= self.res.touch_tol
         out = np.zeros(m)
         free = ~touched
@@ -606,11 +605,6 @@ def converse_smooth_barrier(f: FieldHandle, X_o: SetSpec,
     tau(t) = t + integral ds / V.  Points whose backward path touches X_o get
     the value 0 by the second branch of the construction.
     """
-    core = ConverseBarrier(f, X_o, cfg, res)
-    b = BarrierFn(lambda t, x: float(core.values(np.array([t]), x[None, :])[0]),
-                  "smoothed", f.dim,
-                  batch_fn=lambda ts, Xs: core.values(ts, Xs),
-                  params={"system": f.name, "X_o": X_o.name or X_o.kind,
-                          "k_max": res.k_max, "s_range": list(res.s_range)})
-    b.core = core
-    return b
+    return BarrierFn(ConverseBarrier(f, X_o, cfg, res).values, "smoothed", f.dim,
+                     params={"system": f.name, "X_o": X_o.name or X_o.kind,
+                             "k_max": res.k_max, "s_range": list(res.s_range)})

@@ -17,7 +17,7 @@ import numpy as np
 from . import sampling
 from .barrier import BarrierFn, CheckReport, RelaxFn, jsonable
 from .dynamics import InclusionSpec, inclusion_extreme_points
-from .geometry import (ConeProbe, GeometryError, SetSpec,
+from .geometry import (ConeProbe, SamplePlan, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, integrate
@@ -28,30 +28,6 @@ UNDER_APPROX_DISCLAIMER = (
     "of F are assumed, not verified")
 
 NAGUMO_DEFAULT_TOL = 1e-5   # absorbs curvature x min-step plus distance noise
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    boundary: int = 32
-    interior: int = 32
-    seed: int = 0
-    window: Optional[tuple] = None
-
-    def draw(self, X: SetSpec) -> np.ndarray:
-        """Interior samples of X drawn at seed, then boundary samples at
-        seed + 1; sets without a boundary sampler fall back to interior."""
-        pts = []
-        if self.interior > 0:
-            pts.append(X.sample_interior(self.interior, seed=self.seed, window=self.window))
-        if self.boundary > 0:
-            try:
-                pts.append(X.sample_boundary(self.boundary, seed=self.seed + 1,
-                                             window=self.window))
-            except GeometryError:
-                pass
-        if not pts:
-            raise ValueError("sample plan produced no initial points")
-        return np.vstack(pts)
 
 
 BundlePlanV = BundlePlan     # former name, still imported by bench/test_bench.py

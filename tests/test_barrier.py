@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safereach.barrier import (RelaxFn, candidate_sign_check,
+import safereach.barrier as barrier
+from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
                                counterexample_barrier, counterexample_barrier_fn,
                                infinitesimal_check, lsc_probe, marginal_barrier,
                                monotonicity_check, sublevel_membership,
@@ -16,6 +18,9 @@ COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
 WINDOW = ([-2.0, -2.0], [2.0, 2.0])
+PERTURBED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
+                               SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
+                               directions=4)
 
 
 class TestClosedFormBarrier:
@@ -118,7 +123,41 @@ class TestMarginalBarrier:
         xs = np.array([[0.3, 0.0], [0.4, 0.2], [0.6, -0.1]])
         batch = B.evaluate_many(ts, xs)
         singles = [B.evaluate(t, x) for t, x in zip(ts, xs)]
-        assert np.allclose(batch, singles, atol=1e-12)
+        assert np.array_equal(batch, singles)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_values_independent_of_batch_composition(self, data):
+        # switches = 0: a value depends on its own (t, x) only, so permuted
+        # and partitioned batches reproduce per-point evaluation bitwise
+        n = data.draw(st.integers(1, 6))
+        ts = np.array(data.draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+        xs = np.array(data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                                         min_size=n, max_size=n)))
+        order = np.array(data.draw(st.permutations(range(n))))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
+        singles = np.array([PERTURBED_B.evaluate(t, x) for t, x in zip(ts, xs)])
+        permuted = PERTURBED_B.evaluate_many(ts[order], xs[order])
+        assert np.array_equal(permuted, singles[order])
+        parts = [PERTURBED_B.evaluate_many(ts[p], xs[p])
+                 for p in np.split(order, [c for c in cuts if c < n])]
+        assert np.array_equal(np.concatenate(parts), singles[order])
+
+    def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
+        counted = []
+        real = barrier.distance_to_set_many
+        monkeypatch.setattr(barrier, "distance_to_set_many",
+                            lambda X, S: counted.append(len(X)) or real(X, S))
+        B = marginal_barrier(LINEAR, SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1 / 64),
+                             directions=1)
+        ts = np.array([0.0, 0.25, 1.0, 0.5 + 1 / 128])
+        xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
+        mixed = B.evaluate_many(np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1)))
+        n_mixed = sum(counted)
+        counted.clear()
+        per_t = np.concatenate([B.evaluate_many(np.full(len(xs), t), xs) for t in ts])
+        assert np.array_equal(mixed, per_t)
+        assert n_mixed <= sum(counted)
 
 
     def test_ball_bundle_matches_per_selector_loop(self):
@@ -181,24 +220,50 @@ class TestSignCheck:
         assert rep.details["max_on_X_o"] <= 1e-9
         assert rep.details["min_on_X_u"] >= 3.0
 
+    def test_non_finite_barrier_raises(self):
+        # NaN on the left half-plane; B is about -9 on X_u, so no pass either way
+        B = user_barrier("sqrt(x1) - 10", 2)
+        with pytest.raises(BarrierError, match=r"non-finite value at t=0\.0, x=\[-1\.0, 0\.0\]"):
+            B.evaluate_many([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(BarrierError, match="non-finite"):
+            candidate_sign_check(B, SetSpec.ball([0, 0], 1.0), SetSpec.halfspace([0, 1], 2.0),
+                                 [0.0], n_init=8, n_unsafe=8, window=([-4, -4], [4, 4]))
+
+    def test_empty_t_grid_inconclusive(self):
+        B = user_barrier("x1^2/10 + x2^2 - 1", 2)
+        rep = candidate_sign_check(B, SetSpec.ball([0, 0], 1.0), SetSpec.halfspace([0, 1], 2.0),
+                                   [], window=([-4, -4], [4, 4]))
+        assert (rep.verdict, rep.samples) == ("inconclusive", 0)
+
+    def test_witness_is_first_maximum_in_t_major_order(self):
+        # B = 1 - t: the maximum on X_o is 1 at t = 0, reached at the second
+        # and third grid times on every sample; the witness is the first of them
+        B = user_barrier("1 - t + 0 * x1", 2)
+        disk = SetSpec.ball([0, 0], 1.0)
+        rep = candidate_sign_check(B, disk, SetSpec.halfspace([0, 1], 2.0), [0.5, 0.0, 0.0],
+                                   n_init=8, n_unsafe=8, window=([-4, -4], [4, 4]), seed=3)
+        first = disk.sample_interior(4, seed=3)[0]
+        assert rep.witness == {"t": 0.0, "x": first.tolist()}
+        assert rep.details["max_on_X_o"] == 1.0
+
 
 class TestMonotonicity:
     def test_constant_barrier(self):
         B = user_barrier("1", 2)
         tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 1.0, cfg=CFG)
-        rep = monotonicity_check(B, tr, tol=1e-12)
+        rep = monotonicity_check(B, [tr], tol=1e-12)
         assert rep.verdict == "pass" and rep.worst_margin == 0.0
 
     def test_marginal_along_forward_spiral(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         tr = integrate(COUNTER, Selector.constant(), np.array([0.5, 0.0]), 2.0, cfg=CFG)
-        rep = monotonicity_check(B, tr, tol=10 * CFG.accuracy, stride=64)
+        rep = monotonicity_check(B, [tr], tol=10 * CFG.accuracy, stride=64)
         assert rep.verdict == "pass"
 
     def test_closed_form_along_forward_spiral(self):
         B = counterexample_barrier_fn()
         tr = integrate(COUNTER, Selector.constant(), np.array([0.5, 0.0]), 3.0, cfg=CFG)
-        rep = monotonicity_check(B, tr, tol=1e-9, stride=16)
+        rep = monotonicity_check(B, [tr], tol=1e-9, stride=16)
         assert rep.verdict == "pass"
 
     def test_increasing_barrier_fails(self):
@@ -207,15 +272,26 @@ class TestMonotonicity:
         tr = integrate(F, Selector.constant(), np.array([0.1, 0.0]), 0.5, cfg=CFG)
         # B decreases along expansion; flip to make it increase
         B2 = user_barrier("x1^2 + x2^2", 2)
-        rep = monotonicity_check(B2, tr, tol=1e-9)
+        rep = monotonicity_check(B2, [tr], tol=1e-9)
         assert rep.verdict == "fail"
         assert rep.witness["value"] > rep.witness["previous_value"]
+
+    def test_reports_the_worst_trajectory(self):
+        # one batch over several trajectories reports the one with the
+        # largest increment, as a loop over them picks it
+        B = user_barrier("x1^2 + x2^2", 2)
+        F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
+        trajs = [integrate(F, Selector.constant(), np.array([r, 0.0]), 0.25, cfg=CFG)
+                 for r in (0.1, 0.4, 0.2)]
+        reps = [monotonicity_check(B, [tr], tol=1e-9, stride=8) for tr in trajs]
+        rep = monotonicity_check(B, trajs, tol=1e-9, stride=8)
+        assert rep.to_json() == reps[1].to_json()
 
     def test_requires_forward_trajectory(self):
         tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.5,
                        direction="backward", cfg=CFG)
         with pytest.raises(ValueError):
-            monotonicity_check(user_barrier("1", 2), tr)
+            monotonicity_check(user_barrier("1", 2), [tr])
 
 
 class TestInfinitesimal:

@@ -90,6 +90,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cycle"):
             build_scenario(parse_config(text))
 
+    def test_empty_t_grid_rejected(self):
+        with pytest.raises(ConfigError, match="tgrid count"):
+            build_scenario(parse_config(MINIMAL, overrides={"sampling.tgrid": "0 1 0"}))
+
     def test_overrides_rewrite_values(self):
         cfg = parse_config(MINIMAL, overrides={"solver.step": "0.5", "seed": "9"})
         assert cfg.get("", "seed") == 9
@@ -242,6 +246,45 @@ class TestCommands:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["artifacts"]) == 24
+
+    def test_monotonicity_falls_back_to_interior_samples(self, tmp_path):
+        # the complement of a point has no boundary sampler
+        out = tmp_path / "out"
+        status = main(["check", "--config", str(SCENARIOS / "counterexample.scenario"),
+                       "--set", "sampling.tgrid=0 0 1", "--set", "check monotone.X_o=X_u",
+                       "--set", "check monotone.T=0.05", "--out", str(out)])
+        rep = json.loads((out / "monotone.check.json").read_text())
+        assert status in (0, 2) and rep["samples"] == 2
+
+    def test_non_finite_barrier_is_an_error(self, tmp_path, capsys):
+        # NaN on the left half of X_o; B is about -9 on X_u, so this must not pass
+        text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
+            "\n[barrier]\nkind = user\nexpression = sqrt(x1) - 10\n"
+            "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: barrier returned non-finite value at t=" in captured.err
+        assert "check sign" not in captured.out
+
+    def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
+        text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
+            "\n[barrier]\nkind = user\nexpression = x1^2/10 + x2^2 - 1\n"
+            "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"
+            "[check again]\nkind = sign\nX_o = X_o\nX_u = X_u\n")
+        built = []
+        real = cli._build_barrier
+        monkeypatch.setattr(cli, "_build_barrier", lambda scn: built.append(1) or real(scn))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        assert len(built) == 1
+
+    def test_empty_t_grid_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["check", "--config", str(self._write(tmp_path)),
+                     "--set", "sampling.tgrid=0 1 0", "--out", str(tmp_path / "out")]) == 1
+        assert "tgrid count" in capsys.readouterr().err
 
     def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):
         text = MINIMAL + ("\n[set TINY]\nkind = box\nlo = -0.01 -0.01\nhi = 0.01 0.01\n"

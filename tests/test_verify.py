@@ -209,7 +209,7 @@ class TestSufficiencyChain:
         sign = candidate_sign_check(B, origin, X_u, [0.0, 1.0], n_init=4,
                                     n_unsafe=24, window=([-1, -1], [1, 1]))
         tr = integrate(F, Selector.constant(), np.array([0.5, 0.0]), 2.0, cfg=CFG)
-        mono = monotonicity_check(B, tr, tol=10 * CFG.accuracy, stride=64)
+        mono = monotonicity_check(B, [tr], tol=10 * CFG.accuracy, stride=64)
         assert sign.verdict == "pass" and mono.verdict == "pass"
         rep = simulate_safety_check(SafetyProblem(F, origin, X_u, 5.0, CFG,
                                                   SamplePlan(0, 4)))
@@ -226,7 +226,7 @@ class TestSufficiencyChain:
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             x0 = np.array([np.cos(ang), np.sin(ang)])
             tr = integrate(LINEAR, Selector.constant(), x0, 5.0, cfg=CFG)
-            rep = monotonicity_check(B, tr, tol=1e-9, stride=32)
+            rep = monotonicity_check(B, [tr], tol=1e-9, stride=32)
             ok_mono = ok_mono and rep.verdict == "pass"
         assert sign.verdict == "pass" and ok_mono
         rep = simulate_safety_check(SafetyProblem(LINEAR, DISK, WALL, 50.0, CFG,
