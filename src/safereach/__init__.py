@@ -11,9 +11,8 @@ from .geometry import (ConeProbe, SamplePlan, SetSpec, SubgradientCandidate,
                        hausdorff_distance, proximal_subgradient_test)
 from .solver import (BundlePlan, IntegratorConfig, Trajectory, integrate,
                      solution_bundle, time_rescale_tau)
-from .reachability import (ReachCache, ReachCloud, filippov_check, load_cloud,
-                           reach, reach_endpoint, reach_regularity_probe,
-                           save_cloud)
+from .reachability import (ReachCloud, filippov_check, load_cloud, reach,
+                           reach_endpoint, reach_regularity_probe, save_cloud)
 from .barrier import (BarrierFn, CheckReport, RelaxFn, candidate_sign_check,
                       counterexample_barrier, infinitesimal_check,
                       marginal_barrier, monotonicity_check, sublevel_membership,

@@ -128,27 +128,24 @@ class MarginalBarrier:
         Fb = negate(self.F)
         lo, hi = np.tile(k_lo, S), np.tile(k_hi, S)
         dmin = np.tile(distance_to_set_many(Xs, self.X_o), S)
-        out_lo = np.where(lo == 0, dmin, np.inf)
-        out_hi = np.where(hi == 0, dmin, np.inf)
-        hi_min = int(hi.min(initial=0))
+        out_lo = dmin.copy()
 
         def rhs(k, rows, X):
             return select(Fb, X, None if D is None else D[seg[k - 1]][rows])
 
         def observe(k, rows, X):
-            if k > hi_min:      # rows past their own horizon take no more distance queries
-                rows = np.arange(len(dmin))[rows]
-                rows = rows[hi[rows] >= k]
             dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
-            for out, ks in ((out_lo, lo), (out_hi, hi)):
-                at = ks == k
-                out[at] = dmin[at]
+            at = lo == k
+            out_lo[at] = dmin[at]
 
-        _, steps, escaped = rk4_sweep(rhs, np.tile(Xs, (S, 1)), h, max_k, observe,
+        # each row stops at its own hi; the running minimum then is the hi value
+        _, steps, escaped = rk4_sweep(rhs, np.tile(Xs, (S, 1)), h, hi, observe,
                                       self.cfg.escape_radius)
-        self.truncated = bool((escaped & (steps <= hi)).any())
+        self.truncated = bool(escaped.any())
+        # a row that escaped before its lo stays frozen: its minimum is final
+        out_lo = np.where(lo < steps, out_lo, dmin)
         best_lo = out_lo.reshape(S, m).min(axis=0)
-        best_hi = out_hi.reshape(S, m).min(axis=0)
+        best_hi = dmin.reshape(S, m).min(axis=0)
         return best_lo * (1.0 - frac) + best_hi * frac
 
 

@@ -23,14 +23,14 @@ from .barrier import (BarrierError, BarrierFn, RelaxFn, candidate_sign_check,
                       counterexample_barrier_fn, infinitesimal_check,
                       marginal_barrier, monotonicity_check, user_barrier)
 from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
-from .dynamics import lipschitz_estimate
+from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import compile_expression
 from .geometry import GeometryError, SetSpec
 from .reachability import BoxExitError, cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
-from .smoothing import (ConverseResolution, build_time_partition,
+from .smoothing import (ConverseResolution, SmoothingError, build_time_partition,
                         converse_smooth_barrier, smooth_on_compact)
-from .solver import solution_bundle
+from .solver import SolverError, solution_bundle
 from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
 
 
@@ -405,7 +405,8 @@ def main(argv=None) -> int:
         status = handler(scn, args, manifest)
         manifest.write()
         return status
-    except (ConfigError, CliError, BarrierError) as exc:
+    except (ConfigError, CliError, BarrierError, GeometryError, DynamicsError,
+            SolverError, SmoothingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

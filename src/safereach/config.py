@@ -5,7 +5,7 @@ main reproducibility killer.  Sections:
 
     top level       seed (required), out (optional)
     [system]        kind, name | dim+rhs / member lines, inclusion, epsilon
-    [solver]        method, step, rel, abs, escape, max_steps
+    [solver]        method (rk4, the only integrator), step, escape, max_steps
     [bundle]        directions, switches
     [sampling]      window, boundary, interior, tgrid
     [set NAME]      kind = ball|box|halfspace|sublevel|points|complement|
@@ -41,8 +41,7 @@ _SCHEMAS = {
     "": {"seed": "int", "out": "str"},
     "system": {"kind": "str", "name": "str", "dim": "int", "rhs": "str",
                "member": "str+", "inclusion": "str", "epsilon": "float"},
-    "solver": {"method": "str", "step": "float", "rel": "float", "abs": "float",
-               "escape": "float", "max_steps": "int"},
+    "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
     "bundle": {"directions": "int", "switches": "int"},
     "sampling": {"window": "vec", "boundary": "int", "interior": "int",
                  "tgrid": "vec"},
@@ -340,11 +339,11 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
 def build_scenario(cfg: RawConfig) -> Scenario:
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
+    method = cfg.get("solver", "method", "rk4")
+    if method != "rk4":
+        raise ConfigError(f"[solver] method must be rk4, got '{method}'")
     solver = IntegratorConfig(
-        method=cfg.get("solver", "method", "rk4"),
         step=cfg.get("solver", "step", 1.0 / 512.0),
-        rel_tol=cfg.get("solver", "rel", 1e-8),
-        abs_tol=cfg.get("solver", "abs", 1e-10),
         escape_radius=cfg.get("solver", "escape", 1e6),
         max_steps=cfg.get("solver", "max_steps", 5_000_000),
     )

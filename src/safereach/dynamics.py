@@ -29,7 +29,6 @@ class FieldHandle:
     fn: Callable
     dim: int
     name: str = "field"
-    step_ceiling: Optional[Callable] = None  # adaptive-step cap near stiff regions
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -99,17 +98,8 @@ def _linear_safe(x):
     return out
 
 
-def _counterexample_step_ceiling(x):
-    # clamp adaptive steps where sin^2(1/r) oscillates fast
-    r = float(np.linalg.norm(x))
-    if r < 0.1:
-        return max(r * r / 10.0, 1e-8)
-    return np.inf
-
-
 _BUILTINS = {
-    "counterexample2d": lambda: FieldHandle(_counterexample2d, 2, "counterexample2d",
-                                            step_ceiling=_counterexample_step_ceiling),
+    "counterexample2d": lambda: FieldHandle(_counterexample2d, 2, "counterexample2d"),
     "counterexample_radial": lambda: FieldHandle(_counterexample_radial, 1,
                                                  "counterexample_radial"),
     "linear_safe": lambda: FieldHandle(_linear_safe, 2, "linear_safe"),

@@ -4,8 +4,8 @@
 states visited by the selected solutions over [0, t], t < 0 does the same for
 backward solutions over [t, 0].  Clouds are raw trajectory nodes, never
 convexified, and they under-approximate the true reach set: the selector
-family is finite.  Every cloud records its resolution so cached results are
-reproducible bit-for-bit.
+family is finite.  Every cloud records its resolution, so a saved cloud can
+be reproduced bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
 from .solver import BundlePlan, IntegratorConfig, Trajectory, solution_bundle
 
 _MAGIC = b"RCH1"
-_QUANTUM = 1e-9
 
 
 class BoxExitError(ValueError):
@@ -55,40 +54,30 @@ def _run_bundle(F: InclusionSpec, x, t: float, cfg: IntegratorConfig,
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
-          plan: BundlePlan = BundlePlan(), stride: int = 1,
-          cache: Optional["ReachCache"] = None) -> ReachCloud:
+          plan: BundlePlan = BundlePlan(), stride: int = 1) -> ReachCloud:
     """Full-tube cloud: union of stored nodes of the solution bundle."""
-    return _cloud(F, x, t, cfg, plan, stride, "full_tube", cache)
+    return _cloud(F, x, t, cfg, plan, stride, "full_tube")
 
 
 def reach_endpoint(F: InclusionSpec, x, t: float,
                    cfg: IntegratorConfig = IntegratorConfig(),
-                   plan: BundlePlan = BundlePlan(),
-                   cache: Optional["ReachCache"] = None) -> ReachCloud:
+                   plan: BundlePlan = BundlePlan()) -> ReachCloud:
     """Keep only each trajectory's final node (the map R^b)."""
-    return _cloud(F, x, t, cfg, plan, 1, "endpoints_only", cache)
+    return _cloud(F, x, t, cfg, plan, 1, "endpoints_only")
 
 
 def _cloud(F: InclusionSpec, x, t: float, cfg: IntegratorConfig, plan: BundlePlan,
-           stride: int, mode: str, cache: Optional["ReachCache"]) -> ReachCloud:
+           stride: int, mode: str) -> ReachCloud:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(t):
         raise ValueError("horizon must be finite")
-    if cache is not None:
-        hit = cache.get(F.name, x, t, plan, stride, mode)
-        if hit is not None:
-            return hit
     if t == 0.0:
-        cloud = ReachCloud(x, 0.0, x[None, :], mode, plan.directions, stride)
-    else:
-        trajs = _run_bundle(F, x, t, cfg, plan)
-        ends = [tr.states[-1][None, :] for tr in trajs]
-        tube = [tr.states[::stride] for tr in trajs] if mode == "full_tube" else []
-        cloud = ReachCloud(x, t, np.vstack(tube + ends), mode, len(trajs), stride,
-                           truncated=any(tr.termination == "escape" for tr in trajs))
-    if cache is not None:
-        cache.put(F.name, x, t, plan, stride, cloud)
-    return cloud
+        return ReachCloud(x, 0.0, x[None, :], mode, plan.directions, stride)
+    trajs = _run_bundle(F, x, t, cfg, plan)
+    ends = [tr.states[-1][None, :] for tr in trajs]
+    tube = [tr.states[::stride] for tr in trajs] if mode == "full_tube" else []
+    return ReachCloud(x, t, np.vstack(tube + ends), mode, len(trajs), stride,
+                      truncated=any(tr.termination == "escape" for tr in trajs))
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +146,8 @@ def reach_regularity_probe(F: InclusionSpec, x, t_grid, perturbations,
 
 
 # ---------------------------------------------------------------------------
-# cache with binary persistence
+# binary persistence
 # ---------------------------------------------------------------------------
-
-def _quantize(v) -> tuple:
-    return tuple(int(round(float(c) / _QUANTUM)) for c in np.atleast_1d(v))
-
-
-class ReachCache:
-    """Keyed cloud store; hits are bit-identical to recomputation."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    @staticmethod
-    def _key(system: str, x, t: float, plan: BundlePlan, stride: int, mode: str):
-        return (system, _quantize(x), _quantize(t), plan, stride, mode)
-
-    def get(self, system, x, t, plan, stride, mode) -> Optional[ReachCloud]:
-        return self._store.get(self._key(system, x, t, plan, stride, mode))
-
-    def put(self, system, x, t, plan, stride, cloud: ReachCloud) -> None:
-        self._store[self._key(system, x, t, plan, stride, cloud.mode)] = cloud
-
-    def __len__(self):
-        return len(self._store)
-
 
 def save_cloud(cloud: ReachCloud, path) -> None:
     """Binary layout: magic 'RCH1', then little-endian u32 n, u32 n_points,

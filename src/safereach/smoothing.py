@@ -221,14 +221,13 @@ class SmoothedFn:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.t_max)
         W = self._weights(Q)
-        mollified = self.snapshots @ W.T
         seg = np.clip(np.searchsorted(self.nodes, ts, side="right") - 1,
                       0, len(self.nodes) - 2)
         s = (ts - self.nodes[seg]) / (self.nodes[seg + 1] - self.nodes[seg])
         blend = s * s * (3.0 - 2.0 * s)
-        cols = np.arange(len(Q))
-        lo = mollified[seg, cols]
-        hi = mollified[seg + 1, cols]
+        # row by row, not a BLAS product, which rounds a row by its batch
+        lo = (self.snapshots[seg] * W).sum(axis=1)
+        hi = (self.snapshots[seg + 1] * W).sum(axis=1)
         return lo + (hi - lo) * blend
 
     def evaluate(self, t: float, x) -> float:
@@ -296,14 +295,8 @@ def _gauss_weights(Q: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _validate_sandwich(fn: SmoothedFn, partition: TimePartition) -> None:
-    W = _gauss_weights(partition.grid, partition.grid, fn.sigma)
-    mollified = fn.snapshots @ W.T                      # (n_nodes, n_grid)
-    nodes = partition.nodes
     times = partition.table_times
-    seg = np.clip(np.searchsorted(nodes, times, side="right") - 1, 0, len(nodes) - 2)
-    s = (times - nodes[seg]) / (nodes[seg + 1] - nodes[seg])
-    blend = (s * s * (3.0 - 2.0 * s))[:, None]
-    G = mollified[seg] + (mollified[seg + 1] - mollified[seg]) * blend
+    G = fn.sample_times(times, partition.grid)
     H = partition.table
     bad_low = G < 0.5 * H - 1e-12
     bad_high = G > 2.0 * H + 1e-12
@@ -565,24 +558,24 @@ class ConverseBarrier:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         m = len(ts)
-        n_steps = max(1, int(np.ceil(ts.max(initial=0.0) / self.cfg.step)))
-        h_rows = ts / n_steps
+        # each row steps to its own t with the largest step up to cfg.step
+        n_rows = np.ceil(ts / self.cfg.step).astype(int)
+        h_rows = ts / np.maximum(n_rows, 1)
         d_here = distance_to_set_many(Xs, self.X_o)
         dmin = d_here.copy()
         tau_int = np.zeros(m)
         inv_prev = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
 
         def observe(k, rows, X):
-            nonlocal inv_prev
-            d_here = distance_to_set_many(X, self.X_o)
-            dmin[:] = np.minimum(dmin, d_here)
+            d_here = distance_to_set_many(X[rows], self.X_o)
+            dmin[rows] = np.minimum(dmin[rows], d_here)
             inv_here = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
-            tau_int[:] += 0.5 * (inv_prev + inv_here) * h_rows
-            inv_prev = inv_here
+            tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
+            inv_prev[rows] = inv_here
 
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError
-        state = _sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_steps, observe,
+        state = _sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_rows, observe,
                        "backward flow diverged during barrier evaluation")[0]
         touched = dmin <= self.res.touch_tol
         out = np.zeros(m)

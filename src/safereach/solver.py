@@ -12,9 +12,9 @@ for callers asking for trajectories.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
-of the "pre" invariance semantics.  A non-finite state aborts the sweep.  An
-adaptive RKF45 serves stiff spots such as the fast angular oscillation of
-the built-in counterexample near the origin.
+of the "pre" invariance semantics.  A non-finite state aborts the sweep.
+Each row steps to its own horizon: the step count is one for the batch or
+one per row.
 """
 
 from __future__ import annotations
@@ -35,28 +35,23 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"            # rk4 | rk45
+    """Fixed-step RK4: the step, the escape radius and the step budget."""
+
     step: float = 1.0 / 512.0
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     escape_radius: float = 1e6
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise SolverError("step and tolerances must be positive")
+        if self.step <= 0:
+            raise SolverError("step must be positive")
         if self.escape_radius <= 0:
             raise SolverError("escape radius must be positive")
-        if self.method not in ("rk4", "rk45"):
-            raise SolverError(f"unknown method {self.method}")
 
     @property
     def accuracy(self) -> float:
         """Coarse global-error scale: one order below the local truncation
         order, to absorb growth constants."""
-        if self.method == "rk4":
-            return self.step ** 3
-        return max(self.rel_tol, 10.0 * self.abs_tol)
+        return self.step ** 3
 
 
 @dataclass
@@ -120,32 +115,34 @@ class BundlePlan:
         return sels
 
 
-def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps: int,
-              observe: Optional[Callable] = None, escape_radius: float = np.inf,
-              live: Optional[np.ndarray] = None):
+def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
+              observe: Optional[Callable] = None, escape_radius: float = np.inf):
     """Fixed-step RK4 on the rows of X0 (m, n); rows run independently.
 
-    h is one step for every row or an (m,) array of per-row steps.  Only
-    live rows step: fn(k, rows, X) is the right-hand side of step k (from 1)
-    at the states X of ``rows``, a slice or an index array into X0.  A row
-    whose new state leaves escape_radius is frozen there; ``live`` marks rows
-    frozen from the start.  After step k, observe(k, rows, X) sees the rows
-    that stepped and the whole state array.  Returns the final states, the
-    steps each row took (its escape step, else n_steps) and the escaped rows.
+    h is one step for every row or an (m,) array of per-row steps; n_steps
+    is one step count for every row or an (m,) array of per-row counts.  A
+    row steps until it has taken its count: fn(k, rows, X) is the right-hand
+    side of step k (from 1) at the states X of ``rows``, a slice or an index
+    array into X0.  A row whose new state leaves escape_radius is frozen
+    there.  After step k, observe(k, rows, X) sees the rows that stepped and
+    the whole state array.  Returns the final states, the steps each row
+    took (its escape step, else its count) and the escaped rows.
     """
     X = np.array(X0, dtype=float)
     m, n = X.shape
-    live = np.ones(m, dtype=bool) if live is None else np.asarray(live, dtype=bool)
-    alive = live.copy()
+    steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (m,)).copy()
+    alive = steps > 0
+    escaped = np.zeros(m, dtype=bool)
     n_live = int(np.count_nonzero(alive))
-    steps = np.where(alive, n_steps, 0)
+    # the steps after which some row has taken its count
+    stops = set(steps.tolist())
     h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
     # no row norm exceeds the radius while every coordinate stays below this
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
-    for k in range(1, n_steps + 1):
+    for k in range(1, int(steps.max(initial=0)) + 1):
         if n_live == 0:
             break
-        # frozen states may sit where the field overflows: step live rows only
+        # frozen and finished states may sit where the field overflows: step live rows only
         rows = slice(None) if n_live == m else np.flatnonzero(alive)
         Xs = X[rows]
         hs = h if h_rows is None else h_rows[rows]
@@ -161,59 +158,16 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps: int,
         if max(Xn.max(), -Xn.min()) > coord_bound:
             idx = np.arange(m)[rows][np.linalg.norm(Xn, axis=1) > escape_radius]
             steps[idx] = k
+            escaped[idx] = True
             alive[idx] = False
             n_live -= len(idx)
         if observe is not None:
             observe(k, rows, X)
-    return X, steps, live & ~alive
-
-
-def _rkf45_path(fn: Callable, x0: np.ndarray, T: float, cfg: IntegratorConfig,
-                step_ceiling: Optional[Callable] = None):
-    """Adaptive Runge-Kutta-Fehlberg 4(5), scalar initial condition."""
-    A = [
-        [],
-        [1 / 4],
-        [3 / 32, 9 / 32],
-        [1932 / 2197, -7200 / 2197, 7296 / 2197],
-        [439 / 216, -8, 3680 / 513, -845 / 4104],
-        [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
-    ]
-    B5 = [16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
-    B4 = [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]
-    t, x = 0.0, np.array(x0, dtype=float)
-    times, states = [0.0], [x.copy()]
-    h = min(cfg.step, T)
-    termination = "horizon"
-    for _ in range(cfg.max_steps):
-        if t >= T - 1e-15:
-            break
-        h = min(h, T - t)
-        if step_ceiling is not None:
-            h = min(h, float(step_ceiling(x)))
-        ks = []
-        for stage in range(6):
-            xp = x.copy()
-            for j, a in enumerate(A[stage]):
-                xp = xp + h * a * ks[j]
-            ks.append(fn(xp[None, :])[0])
-        x5 = x + h * sum(b * k for b, k in zip(B5, ks))
-        x4 = x + h * sum(b * k for b, k in zip(B4, ks))
-        err = float(np.linalg.norm(x5 - x4))
-        scale = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(x5))
-        if err <= scale or h <= 1e-13:
-            t += h
-            x = x5
-            times.append(t)
-            states.append(x.copy())
-            if float(np.linalg.norm(x)) > cfg.escape_radius:
-                termination = "escape"
-                break
-        ratio = (scale / err) ** 0.2 if err > 0 else 2.0
-        h = max(min(h * min(max(0.2, 0.9 * ratio), 4.0), T), 1e-13)
-    else:
-        termination = "step_limit"
-    return np.asarray(times), np.asarray(states), termination
+        if k in stops:
+            done = alive & (steps == k)
+            alive &= ~done
+            n_live -= int(np.count_nonzero(done))
+    return X, steps, escaped
 
 
 def _check_start(X0, T: float) -> np.ndarray:
@@ -271,7 +225,7 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
 
             X, seg_steps, escaped = rk4_sweep(
                 lambda k, r, Y: select(Feff, Y, None if d is None else d[r]),
-                X, h, n, obs, cfg.escape_radius, live)
+                X, h, np.where(live, n, 0), obs, cfg.escape_radius)
             steps += seg_steps
             termination[rows[escaped]] = "escape"
             live &= ~escaped
@@ -288,18 +242,8 @@ def integrate(F: InclusionSpec, s: Selector, x0, T: float,
               stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
     """Integrate dx/dt = select(F, x, s, t) (negated for backward) over [0, T]."""
     x0 = _check_start(x0, T)
-    if cfg.method == "rk4":
-        traj = bundle_sweep(F, [s], x0[None, :], T, cfg, direction, record=True)[1][0]
-        return _truncate_at_set(traj, stop_set, stop_tol)
-    if s.kind != "constant":
-        raise SolverError("rk45 supports constant selectors only")
-    Feff = negate(F) if direction == "backward" else F
-    _, D = selector_table(F, [s])
-    d = None if D is None else D[0, 0]
-    times, states, term = _rkf45_path(lambda X: select(Feff, X, d), x0, T, cfg,
-                                      step_ceiling=Feff.base_field.step_ceiling)
-    return _truncate_at_set(Trajectory(times, states, term, direction, s.index),
-                            stop_set, stop_tol)
+    traj = bundle_sweep(F, [s], x0[None, :], T, cfg, direction, record=True)[1][0]
+    return _truncate_at_set(traj, stop_set, stop_tol)
 
 
 def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) -> Trajectory:
@@ -325,13 +269,9 @@ def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
     X0 = np.asarray(x0, dtype=float)
     starts = np.atleast_2d(X0)
     sels = plan.selectors(F, T)
-    if cfg.method == "rk4":
-        flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
-        out = [[_truncate_at_set(flat[j * len(starts) + i], stop_set, 1e-9)
-                for j in range(len(sels))] for i in range(len(starts))]
-    else:
-        out = [[integrate(F, s, x, T, direction, cfg, stop_set) for s in sels]
-               for x in starts]
+    flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
+    out = [[_truncate_at_set(flat[j * len(starts) + i], stop_set, 1e-9)
+            for j in range(len(sels))] for i in range(len(starts))]
     return out[0] if X0.ndim == 1 else out
 
 

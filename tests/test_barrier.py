@@ -8,7 +8,7 @@ from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
                                infinitesimal_check, lsc_probe, marginal_barrier,
                                monotonicity_check, sublevel_membership,
                                user_barrier)
-from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
+from safereach.dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec, distance_to_set_many
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
@@ -144,20 +144,25 @@ class TestMarginalBarrier:
         assert np.array_equal(np.concatenate(parts), singles[order])
 
     def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
-        counted = []
+        # neither distance points nor right-hand-side rows: each row stops at its own t
+        counted, rhs_rows = [], []
         real = barrier.distance_to_set_many
         monkeypatch.setattr(barrier, "distance_to_set_many",
                             lambda X, S: counted.append(len(X)) or real(X, S))
-        B = marginal_barrier(LINEAR, SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1 / 64),
-                             directions=1)
+        f = builtin_field("linear_safe")
+        counting = FieldHandle(lambda X: rhs_rows.append(len(X)) or f(X), 2, "linear_safe")
+        B = marginal_barrier(InclusionSpec.singleton(counting), SetSpec.ball([0, 0], 0.5),
+                             IntegratorConfig(step=1 / 64), directions=1)
         ts = np.array([0.0, 0.25, 1.0, 0.5 + 1 / 128])
         xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
         mixed = B.evaluate_many(np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1)))
-        n_mixed = sum(counted)
+        n_mixed, rows_mixed = sum(counted), sum(rhs_rows)
         counted.clear()
+        rhs_rows.clear()
         per_t = np.concatenate([B.evaluate_many(np.full(len(xs), t), xs) for t in ts])
         assert np.array_equal(mixed, per_t)
         assert n_mixed <= sum(counted)
+        assert rows_mixed <= sum(rhs_rows)
 
 
     def test_ball_bundle_matches_per_selector_loop(self):

@@ -56,6 +56,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         # also keys no command reads, and one that shadowed [bundle] directions
         for anchor, line in (("step = 0.015625", "stepp = 2"),
+                             ("step = 0.015625", "rel = 1e-8"),
+                             ("step = 0.015625", "abs = 1e-10"),
                              ("[simulate]", "X_u = X_u"),
                              ("[simulate]", "hit_tol = 1e-6"),
                              ("[check quick]", "tgrid = 0 1 3"),
@@ -63,6 +65,11 @@ class TestConfigParsing:
             bad = MINIMAL.replace(anchor, f"{anchor}\n{line}")
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(bad)
+
+    def test_rk4_is_the_only_method(self):
+        assert build_scenario(parse_config(MINIMAL, overrides={"solver.method": "rk4"}))
+        with pytest.raises(ConfigError, match="method must be rk4"):
+            build_scenario(parse_config(MINIMAL, overrides={"solver.method": "rk45"}))
 
     def test_duplicate_section_rejected(self):
         with pytest.raises(ConfigError, match="duplicate section"):
@@ -267,6 +274,28 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "error: barrier returned non-finite value at t=" in captured.err
         assert "check sign" not in captured.out
+
+    def test_library_errors_are_reported_without_traceback(self, tmp_path, capsys):
+        counter = str(SCENARIOS / "counterexample.scenario")
+        sign = self._write(tmp_path, MINIMAL + (
+            "\n[barrier]\nkind = user\nexpression = x1^2 + x2^2 - 1\n"
+            "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"))
+        cases = [
+            (["check", "--config", str(sign)], "could not draw"),          # GeometryError
+            (["reach", "--config", counter, "--set", "system.name=nosuch"],
+             "unknown builtin field"),                                       # DynamicsError
+            (["reach", "--config", counter, "--set", "solver.step=0"],
+             "step must be positive"),                                       # SolverError
+            (["reach", "--config", counter, "--set", "set START.radius=-1"],
+             "radius must be nonnegative"),                                  # GeometryError
+            (["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
+              "--set", "smooth.table_res=4"], "subdivisions"),               # SmoothingError
+        ]
+        for argv, message in cases:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert "Traceback" not in err
 
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec
-from safereach.reachability import (ReachCache, ReachCloud, cloud_to_csv,
+from safereach.reachability import (ReachCloud, cloud_to_csv,
                                     filippov_check, load_cloud, reach,
                                     reach_endpoint, reach_regularity_probe,
                                     save_cloud)
@@ -88,19 +88,6 @@ class TestReach:
 
 
 class TestCache:
-    def test_hit_is_identical_object(self):
-        cache = ReachCache()
-        x = np.array([0.6, 0.0])
-        c1 = reach(LINEAR, x, -1.0, CFG, PLAN, cache=cache)
-        c2 = reach(LINEAR, x, -1.0, CFG, PLAN, cache=cache)
-        assert c1 is c2
-
-    def test_quantized_keys_tolerate_tiny_jitter(self):
-        cache = ReachCache()
-        c1 = reach(LINEAR, np.array([0.6, 0.0]), -1.0, CFG, PLAN, cache=cache)
-        c2 = reach(LINEAR, np.array([0.6 + 1e-13, 0.0]), -1.0, CFG, PLAN, cache=cache)
-        assert c1 is c2
-
     def test_binary_roundtrip_bit_identical(self, tmp_path):
         cloud = reach(LINEAR, np.array([1.0, 0.0]), -0.5, CFG,
                       BundlePlan(directions=2), stride=4)

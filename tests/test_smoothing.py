@@ -265,6 +265,9 @@ class TestConversePipeline:
         idx = np.arange(0, len(tr.times), 64)
         vals = B.evaluate_many(tr.times[idx], tr.states[idx])
         assert np.all(np.diff(vals) <= 1e-7)
+        # a value depends on its own (t, x) only, not on the batch's other times
+        single = [B.evaluate(t, x) for t, x in zip(tr.times[idx], tr.states[idx])]
+        assert np.array_equal(vals, single)
 
     def test_backward_touch_gives_zero(self):
         # points inside the ball X_o flow backward through it -> second branch;

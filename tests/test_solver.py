@@ -79,12 +79,12 @@ class TestIntegrate:
         with pytest.raises(SolverError):
             integrate(LINEAR, Selector.constant(), np.zeros(2), 0.0, cfg=CFG)
 
-    def test_rk45_adaptive_counterexample(self):
-        # the step ceiling keeps the adaptive path stable near the origin
+    def test_rk4_holds_counterexample_limit_cycle(self):
+        # the radial rate (r^2/2) sin^2(1/r) has a derivative bounded by r + 1/2,
+        # so fixed-step RK4 needs no step control near the origin
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
         r0 = 1.0 / (2 * np.pi)
-        cfg = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12)
-        tr = integrate(F, Selector.constant(), np.array([r0, 0.0]), 2 * np.pi, cfg=cfg)
+        tr = integrate(F, Selector.constant(), np.array([r0, 0.0]), 2 * np.pi, cfg=CFG)
         assert abs(np.linalg.norm(tr.endpoint) - r0) < 1e-6
 
     def test_backward_stores_nonnegative_times(self):
@@ -263,6 +263,20 @@ class TestSweepKernel:
         blow = lambda k, rows, X: np.where(k > 2, np.inf, 1.0) * X
         with pytest.raises(SolverError, match="non-finite state at step 3"):
             rk4_sweep(blow, np.ones((3, 2)), 0.1, 5)
+
+    def test_per_row_step_counts(self):
+        fn = _CountingField()
+        X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        seen = []
+        X, steps, escaped = rk4_sweep(fn, X0, 1 / 64, np.array([0, 3, 5]),
+                                      observe=lambda k, rows, X: seen.append(
+                                          np.arange(3)[rows].tolist()))
+        assert fn.rows == [2] * 12 + [1] * 8
+        assert seen == [[1, 2]] * 3 + [[2]] * 2
+        assert steps.tolist() == [0, 3, 5] and not escaped.any()
+        assert np.array_equal(X[0], X0[0])
+        three, _, _ = rk4_sweep(_CountingField(), X0[1:2], 1 / 64, 3)
+        assert np.array_equal(X[1], three[0])
 
     def test_per_row_steps(self):
         f = builtin_field("linear_safe")
