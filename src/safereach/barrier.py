@@ -23,12 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import (InclusionSpec, inclusion_extreme_points, negate, select,
-                       selector_table)
+from .dynamics import InclusionSpec, inclusion_extreme_points
 from .expr import compile_expression, compile_scalar_expression
 from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
-from .solver import BundlePlan, IntegratorConfig, Trajectory, rk4_sweep
+from .solver import BundlePlan, IntegratorConfig, Trajectory, bundle_field, rk4_sweep
 
 DEFAULT_POS_TOL = 1e-9
 
@@ -116,22 +115,14 @@ class MarginalBarrier:
         k_lo = np.floor(ts / h + 1e-12).astype(int)
         frac = np.clip(ts / h - k_lo, 0.0, 1.0)
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
+        self.cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
-        horizon = max_k * h if max_k > 0 else h
-        selectors = self.plan.selectors(self.F, horizon)
+        selectors = self.plan.selectors(self.F, max_k * h if max_k > 0 else h)
         # one sweep over selectors x points: row j * m + i runs selector j from Xs[i]
         S = len(selectors)
-        switch_times, D = selector_table(self.F, selectors)
-        D = None if D is None else np.repeat(D, m, axis=1)
-        # step k uses the direction of the segment holding its midpoint
-        seg = np.searchsorted(switch_times, (np.arange(1, max_k + 1) - 0.5) * h, side="right")
-        Fb = negate(self.F)
         lo, hi = np.tile(k_lo, S), np.tile(k_hi, S)
         dmin = np.tile(distance_to_set_many(Xs, self.X_o), S)
         out_lo = dmin.copy()
-
-        def rhs(k, rows, X):
-            return select(Fb, X, None if D is None else D[seg[k - 1]][rows])
 
         def observe(k, rows, X):
             dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
@@ -139,7 +130,8 @@ class MarginalBarrier:
             out_lo[at] = dmin[at]
 
         # each row stops at its own hi; the running minimum then is the hi value
-        _, steps, escaped = rk4_sweep(rhs, np.tile(Xs, (S, 1)), h, hi, observe,
+        _, steps, escaped = rk4_sweep(bundle_field(self.F, selectors, m, h, "backward"),
+                                      np.tile(Xs, (S, 1)), h, hi, observe,
                                       self.cfg.escape_radius)
         self.truncated = bool(escaped.any())
         # a row that escaped before its lo stays frozen: its minimum is final

@@ -156,11 +156,9 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     tg = cfg.get("barrier-eval", "tgrid", [0.0, 1.0, 5])
     ts = np.linspace(tg[0], tg[1], int(tg[2]))
     pts = grid_points(window[:dim], window[dim:], nx)
-    rows = []
-    for t in ts:
-        vals = B.evaluate_many(np.full(len(pts), t), pts)
-        rows.append(np.column_stack([np.full(len(pts), t), pts, vals]))
-    data = np.vstack(rows)
+    # one t-major batch: a value depends on its own (t, x) only
+    t_col, x_rows = np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))
+    data = np.column_stack([t_col, x_rows, B.evaluate_many(t_col, x_rows)])
     header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",B"
     path = manifest.add(manifest.out / "barrier_grid.csv")
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")

@@ -6,7 +6,7 @@ main reproducibility killer.  Sections:
     top level       seed (required), out (optional)
     [system]        kind, name | dim+rhs / member lines, inclusion, epsilon
     [solver]        method (rk4, the only integrator), step, escape, max_steps
-    [bundle]        directions, switches
+    [bundle]        directions, switches (per unit time, on an absolute grid)
     [sampling]      window, boundary, interior, tgrid
     [set NAME]      kind = ball|box|halfspace|sublevel|points|complement|
                     union|intersection plus per-kind fields

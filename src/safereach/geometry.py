@@ -313,16 +313,14 @@ def distance_to_set_many(X, S: SetSpec) -> np.ndarray:
 
 def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
     if S.kind == "ball":
-        return np.maximum(np.linalg.norm(X - S.center, axis=1) - S.radius, 0.0)
+        return np.maximum(np.sqrt(_row_sq(X - S.center)) - S.radius, 0.0)
     if S.kind == "box":
-        proj = np.clip(X, S.lo, S.hi)
-        return np.linalg.norm(X - proj, axis=1)
+        return np.sqrt(_row_sq(X - np.clip(X, S.lo, S.hi)))
     if S.kind == "halfspace":
         nn = np.linalg.norm(S.normal)
         return np.maximum(S.offset - _row_dot(X, S.normal), 0.0) / nn
     if S.kind == "points":
-        d2 = ((X[:, None, :] - S.pts[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(d2.min(axis=1))
+        return np.sqrt(_row_sq(X[:, None, :] - S.pts[None, :, :]).min(axis=1))
     if S.kind == "union":
         return np.min([_distance(X, m) for m in S.members], axis=0)
     if S.kind == "complement":
@@ -343,10 +341,15 @@ def _row_dot(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sq(D: np.ndarray) -> np.ndarray:
+    # squared norms over the last axis, column by column like _row_dot
+    return sum(D[..., j] * D[..., j] for j in range(D.shape[-1]))
+
+
 def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
     """Distance to cl(R^n \\ inner): interior depth of inner, 0 outside."""
     if inner.kind == "ball":
-        return np.maximum(inner.radius - np.linalg.norm(X - inner.center, axis=1), 0.0)
+        return np.maximum(inner.radius - np.sqrt(_row_sq(X - inner.center)), 0.0)
     if inner.kind == "box":
         slack = np.minimum(X - inner.lo, inner.hi - X)
         depth = slack.min(axis=1)

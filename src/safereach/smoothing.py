@@ -561,6 +561,7 @@ class ConverseBarrier:
         # each row steps to its own t with the largest step up to cfg.step
         n_rows = np.ceil(ts / self.cfg.step).astype(int)
         h_rows = ts / np.maximum(n_rows, 1)
+        self.cfg.check_steps(ts, n_rows)
         d_here = distance_to_set_many(Xs, self.X_o)
         dmin = d_here.copy()
         tau_int = np.zeros(m)

@@ -2,23 +2,25 @@
 
 Every fixed-step integration runs through one kernel, :func:`rk4_sweep`:
 RK4 on a flat batch of rows, one row per (selector, start) pair, so a step
-costs the same few numpy calls whatever the number of rows.  Selector data
-travel with the rows as per-row tables of eps*d rows (ball) or weight rows
-(hull), see :func:`dynamics.selector_table`; the piecewise selectors of one
-bundle share a switch grid and step as one batch, segment by segment.  The
-kernel records nothing: an observer sees the rows that stepped, enough for a
-running minimum or a first hit, and (n_steps + 1, m, n) paths are kept only
-for callers asking for trajectories.
+costs the same few numpy calls whatever the number of rows.  One function,
+:func:`bundle_field`, decides which direction a row uses at a step: the
+segment holding the step's midpoint, on the absolute switch grid of
+:class:`BundlePlan`, so a bundle is one sweep and its family on [0, t] does
+not depend on the horizon.  The kernel records nothing: an observer sees the
+rows that stepped, enough for a running minimum or a first hit, and
+(n_steps + 1, m, n) paths are kept only for callers asking for trajectories.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
-of the "pre" invariance semantics.  A non-finite state aborts the sweep.
+of the "pre" invariance semantics.  A non-finite state aborts the sweep, and
+a horizon needing more steps than the budget is refused before any step.
 Each row steps to its own horizon: the step count is one for the batch or
 one per row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +49,14 @@ class IntegratorConfig:
         if self.escape_radius <= 0:
             raise SolverError("escape radius must be positive")
 
+    def check_steps(self, horizon, n_steps) -> None:
+        """Refuse a horizon (one, or one per row) needing over max_steps steps."""
+        n = np.atleast_1d(n_steps)
+        if n.max(initial=0) > self.max_steps:
+            i = int(np.argmax(n))
+            raise SolverError(f"horizon {float(np.broadcast_to(horizon, n.shape)[i]):g} needs "
+                              f"{int(n[i])} steps, more than max_steps = {self.max_steps}")
+
     @property
     def accuracy(self) -> float:
         """Coarse global-error scale: one order below the local truncation
@@ -60,7 +70,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    termination: str = "horizon"    # horizon | escape | set_hit:<name> | step_limit
+    termination: str = "horizon"    # horizon | escape | set_hit:<name>
     direction: str = "forward"
     selector_index: int = 0
 
@@ -87,16 +97,17 @@ class Trajectory:
 class BundlePlan:
     """The finite selector family that under-approximates the solution set:
     ``directions`` constant selections, drawn at ``seed``, plus as many
-    piecewise-constant ones with ``switches`` switches when that is positive.
-    Frozen, so a plan is itself a cache key."""
+    piecewise-constant ones with ``switches`` switches per unit time when
+    that is positive.  Frozen, so a plan is itself a cache key."""
 
     directions: int = 8
     switches: int = 0
     seed: int = 0
 
     def selectors(self, F: InclusionSpec, T: float = 1.0) -> list[Selector]:
-        """Deterministic selectors over [0, T]; piecewise ones switch on a
-        uniform grid."""
+        """Deterministic selectors over [0, T]; piecewise ones switch at the
+        times k / (switches + 1) below T, so any prefix of their switches
+        and picks is the same whatever T."""
         m = self.directions
         if m < 1:
             raise SolverError("need at least one selector")
@@ -108,9 +119,11 @@ class BundlePlan:
             dirs = sampling.simplex_weights(len(F.fields), m, seed=self.seed)
         sels = [Selector.constant(dirs[i], index=i) for i in range(m)]
         if self.switches > 0:
-            st = np.linspace(0.0, T, self.switches + 2)[1:-1]
+            per = self.switches + 1
+            st = np.arange(1, int(np.ceil(T * per)) + 1) / per
+            st = st[st < T]
             for j in range(m):
-                picks = [(j + 2 * k + 1) % m for k in range(self.switches + 1)]
+                picks = [(j + 2 * q + 1) % m for q in range(len(st) + 1)]
                 sels.append(Selector.piecewise(st, dirs[picks], index=m + j))
         return sels
 
@@ -170,11 +183,22 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     return X, steps, escaped
 
 
-def _check_start(X0, T: float) -> np.ndarray:
-    X0 = np.asarray(X0, dtype=float)
-    if T <= 0 or not np.all(np.isfinite(X0)):
-        raise SolverError("horizon must be positive" if T <= 0 else "non-finite initial state")
-    return X0
+def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Callable:
+    """Right-hand side fn(k, rows, X) of a bundle for :func:`rk4_sweep`.
+
+    Row j * m + i runs sels[j]; step k (from 1) of length h uses the
+    direction of the segment holding its midpoint (k - 1/2) h.  Piecewise
+    selectors share their switch times, as those of one BundlePlan do."""
+    Fd = negate(F) if direction == "backward" else F
+    switch_times, D = selector_table(F, sels)
+    if D is None:
+        return lambda k, rows, X: select(Fd, X, None)
+    row_sel = np.repeat(np.arange(len(sels)), m)
+    if len(switch_times) == 0:
+        d = D[0][row_sel]
+        return lambda k, rows, X: select(Fd, X, d[rows])
+    st = switch_times.tolist()
+    return lambda k, rows, X: select(Fd, X, D[bisect_right(st, (k - 0.5) * h)][row_sel[rows]])
 
 
 def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
@@ -182,67 +206,45 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
                  observe: Optional[Callable] = None, record: bool = False):
     """Fixed-step RK4 of every selector in sels from every start in X0 (m, n).
 
-    Row j * m + i runs sels[j] from X0[i].  Selectors sharing a switch grid
-    (the constants; the piecewise selectors of one bundle) run as one batch,
-    segment by segment, each segment with h = length / ceil(length / step).
-    After every step, observe(t, rows, X) sees the node time, the indices of
-    the rows that stepped and their new states.  Returns the termination of
-    every row (horizon | escape | step_limit) and, if record, its Trajectory.
+    Row j * m + i runs sels[j] from X0[i]; all rows take n = ceil(T / step)
+    steps of h = T / n in one sweep, see :func:`bundle_field`.  After every
+    step, observe(t, rows, X) sees the node time, the indices of the rows
+    that stepped and their new states.  Returns the termination of every row
+    (horizon | escape) and, if record, its Trajectory.
     """
-    X0 = np.atleast_2d(_check_start(X0, T))
-    Feff = negate(F) if direction == "backward" else F
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    if T <= 0 or not np.all(np.isfinite(X0)):
+        raise SolverError("horizon must be positive" if T <= 0 else "non-finite initial state")
     m = len(X0)
-    termination = np.full(len(sels) * m, "horizon", dtype=object)
-    trajs = [None] * len(termination) if record else None
-    groups: dict = {}
-    for j, s in enumerate(sels):
-        groups.setdefault(() if s.kind == "constant" else tuple(s.switch_times), []).append(j)
-    for J in groups.values():
-        rows = (np.asarray(J)[:, None] * m + np.arange(m)).ravel()
-        switch_times, D = selector_table(F, [sels[j] for j in J])
-        X = np.tile(X0, (len(J), 1))
-        live = np.ones(len(rows), dtype=bool)
-        steps = np.zeros(len(rows), dtype=int)
-        times, path = [0.0], [X]
-        cuts = [0.0] + [float(c) for c in switch_times if 0.0 < c < T] + [T]
-        total = 0
-        for t_a, t_b in zip(cuts[:-1], cuts[1:]):
-            n = max(1, int(np.ceil((t_b - t_a) / cfg.step - 1e-9)))
-            h = (t_b - t_a) / n
-            total += n
-            if total > cfg.max_steps:
-                termination[rows[live]] = "step_limit"
-                break
-            q = int(np.searchsorted(switch_times, 0.5 * (t_a + t_b), side="right"))
-            d = None if D is None else np.repeat(D[q], m, axis=0)
+    n = max(1, int(np.ceil(T / cfg.step - 1e-9)))
+    cfg.check_steps(T, n)
+    h = T / n
+    every = np.arange(len(sels) * m)
+    times, path = [0.0], [np.tile(X0, (len(sels), 1))]
 
-            def obs(k, r, Y):
-                if record:
-                    times.append(t_a + h * k)
-                    path.append(Y.copy())
-                if observe is not None:
-                    observe(t_a + h * k, rows[r], Y[r])
-
-            X, seg_steps, escaped = rk4_sweep(
-                lambda k, r, Y: select(Feff, Y, None if d is None else d[r]),
-                X, h, np.where(live, n, 0), obs, cfg.escape_radius)
-            steps += seg_steps
-            termination[rows[escaped]] = "escape"
-            live &= ~escaped
+    def obs(k, rows, X):
         if record:
-            times, path = np.array(times), np.array(path)
-            for r, (row, k) in enumerate(zip(rows, steps)):
-                trajs[row] = Trajectory(times[:k + 1], path[:k + 1, r], termination[row],
-                                        direction, sels[row // m].index)
-    return termination, trajs
+            times.append(h * k)
+            path.append(X.copy())
+        if observe is not None:
+            observe(h * k, every[rows], X[rows])
+
+    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction), path[0], h, n,
+                                  obs, cfg.escape_radius)
+    termination = np.full(len(every), "horizon", dtype=object)
+    termination[escaped] = "escape"
+    if not record:
+        return termination, None
+    times, path = np.array(times), np.array(path)
+    return termination, [Trajectory(times[:k + 1], path[:k + 1, r], termination[r], direction,
+                                    sels[r // m].index) for r, k in enumerate(steps)]
 
 
 def integrate(F: InclusionSpec, s: Selector, x0, T: float,
               direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig(),
               stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
     """Integrate dx/dt = select(F, x, s, t) (negated for backward) over [0, T]."""
-    x0 = _check_start(x0, T)
-    traj = bundle_sweep(F, [s], x0[None, :], T, cfg, direction, record=True)[1][0]
+    traj = bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
     return _truncate_at_set(traj, stop_set, stop_tol)
 
 

@@ -21,6 +21,24 @@ WINDOW = ([-2.0, -2.0], [2.0, 2.0])
 PERTURBED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
                                SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
                                directions=4)
+SWITCHED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
+                              SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
+                              directions=4, switches=2)
+
+
+def _assert_batch_independent(B, data, t_max):
+    # permuted and partitioned batches reproduce per-point evaluation bitwise
+    n = data.draw(st.integers(1, 6))
+    ts = np.array(data.draw(st.lists(st.floats(0.0, t_max), min_size=n, max_size=n)))
+    xs = np.array(data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                                     min_size=n, max_size=n)))
+    order = np.array(data.draw(st.permutations(range(n))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
+    singles = np.array([B.evaluate(t, x) for t, x in zip(ts, xs)])
+    permuted = B.evaluate_many(ts[order], xs[order])
+    assert np.array_equal(permuted, singles[order])
+    parts = [B.evaluate_many(ts[p], xs[p]) for p in np.split(order, [c for c in cuts if c < n])]
+    assert np.array_equal(np.concatenate(parts), singles[order])
 
 
 class TestClosedFormBarrier:
@@ -128,20 +146,22 @@ class TestMarginalBarrier:
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_values_independent_of_batch_composition(self, data):
-        # switches = 0: a value depends on its own (t, x) only, so permuted
-        # and partitioned batches reproduce per-point evaluation bitwise
-        n = data.draw(st.integers(1, 6))
-        ts = np.array(data.draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
-        xs = np.array(data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-                                         min_size=n, max_size=n)))
-        order = np.array(data.draw(st.permutations(range(n))))
-        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
-        singles = np.array([PERTURBED_B.evaluate(t, x) for t, x in zip(ts, xs)])
-        permuted = PERTURBED_B.evaluate_many(ts[order], xs[order])
-        assert np.array_equal(permuted, singles[order])
-        parts = [PERTURBED_B.evaluate_many(ts[p], xs[p])
-                 for p in np.split(order, [c for c in cuts if c < n])]
-        assert np.array_equal(np.concatenate(parts), singles[order])
+        # switches = 0: a value depends on its own (t, x) only
+        _assert_batch_independent(PERTURBED_B, data, 0.5)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_switched_values_independent_of_batch_composition(self, data):
+        # switches = 2: the switch times sit on an absolute grid, so a value
+        # still depends on its own (t, x) only, across several switches
+        _assert_batch_independent(SWITCHED_B, data, 1.5)
+
+    def test_switched_value_alone_equals_value_beside_a_later_time(self):
+        # switch times spread over the batch's largest t gave this point
+        # 0.9196 alone and 0.9745 beside a t = 6 point
+        x = np.array([1.923, 0.742])
+        alone = SWITCHED_B.evaluate(1.081, x)
+        assert SWITCHED_B.evaluate_many([1.081, 6.0], [x, [0.3, -1.4]])[0] == alone
 
     def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
         # neither distance points nor right-hand-side rows: each row stops at its own t

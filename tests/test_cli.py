@@ -290,12 +290,18 @@ class TestCommands:
              "radius must be nonnegative"),                                  # GeometryError
             (["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
               "--set", "smooth.table_res=4"], "subdivisions"),               # SmoothingError
+            (["barrier-eval", "--config", counter, "--set", "solver.max_steps=10"],
+             "horizon 5 needs 2560 steps, more than max_steps = 10"),        # SolverError
+            (["simulate", "--config", counter, "--set", "solver.max_steps=10",
+              "--set", "simulate.T=0.5"],
+             "horizon 0.5 needs 256 steps, more than max_steps = 10"),       # SolverError
         ]
         for argv, message in cases:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
             assert "Traceback" not in err
+        assert not list((tmp_path / "out").rglob("*.csv"))
 
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (

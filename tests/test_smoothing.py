@@ -8,7 +8,7 @@ from safereach.smoothing import (ConverseResolution, SmoothingError,
                                  annulus_points, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_global, smooth_on_compact)
-from safereach.solver import IntegratorConfig
+from safereach.solver import IntegratorConfig, SolverError
 
 
 def exp_decay(t, X):
@@ -280,3 +280,8 @@ class TestConversePipeline:
         assert B.evaluate(2.0, np.array([0.02, 0.0])) == 0.0
         assert B.evaluate(2.0, np.array([0.2, 0.0])) > 0.0
         assert B.evaluate(0.0, np.array([0.8, 0.0])) > 0.0
+        # a horizon over the step budget is refused before any step
+        B.batch_fn.__self__.cfg = IntegratorConfig(step=1 / 256, max_steps=256)
+        assert B.evaluate(1.0, np.array([0.2, 0.0])) > 0.0
+        with pytest.raises(SolverError, match="horizon 2 needs 512 steps"):
+            B.evaluate(2.0, np.array([0.2, 0.0]))

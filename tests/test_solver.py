@@ -190,18 +190,42 @@ class TestTrajectory:
         assert np.array_equal(data[:, 1:], tr.states)
 
 
+def _assert_bundle_matches_integrate(plan, T):
+    # one sweep against one rerun per selector, as resimulate_witness makes
+    F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
+    x0 = np.array([1.0, 0.0])
+    batched = solution_bundle(F, x0, T, cfg=CFG, plan=plan)
+    sels = plan.selectors(F, T)
+    assert len(batched) == len(sels)
+    for tr, sel in zip(batched, sels):
+        ref = integrate(F, sel, x0, T, cfg=CFG)
+        assert tr.selector_index == sel.index
+        assert np.array_equal(tr.times, ref.times)
+        assert np.array_equal(tr.states, ref.states)
+    return sels
+
+
 class TestBatchedBundles:
     def test_batched_bundle_matches_per_selector_integrate(self):
+        assert len(_assert_bundle_matches_integrate(BundlePlan(6), 0.5)) == 6
+
+    def test_switched_bundle_matches_per_selector_integrate(self):
+        sels = _assert_bundle_matches_integrate(BundlePlan(6, switches=2), 1.0)
+        assert len(sels) == 12
+        assert np.array_equal(sels[6].switch_times, [1 / 3, 2 / 3])
+
+    def test_switch_grid_is_absolute(self):
+        # the family restricted to [0, 1] is the same whatever the horizon
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        x0 = np.array([1.0, 0.0])
-        batched = solution_bundle(F, x0, 0.5, cfg=CFG, plan=BundlePlan(6))
-        sels = BundlePlan(6).selectors(F, 0.5)
-        assert len(batched) == len(sels) == 6
-        for tr, sel in zip(batched, sels):
-            ref = integrate(F, sel, x0, 0.5, cfg=CFG)
-            assert tr.selector_index == sel.index
-            assert np.array_equal(tr.times, ref.times)
-            assert np.array_equal(tr.states, ref.states)
+        short, long = BundlePlan(4, 2).selectors(F, 1.0), BundlePlan(4, 2).selectors(F, 3.0)
+        assert [s.index for s in short] == [s.index for s in long] == list(range(8))
+        for a, b in zip(short[:4], long[:4]):
+            assert a.kind == b.kind == "constant" and np.array_equal(a.direction, b.direction)
+        for a, b in zip(short[4:], long[4:]):
+            k = len(a.switch_times)
+            assert np.array_equal(a.switch_times, [1 / 3, 2 / 3])
+            assert np.array_equal(b.switch_times[:k], a.switch_times) and b.switch_times[k] >= 1.0
+            assert np.array_equal(b.directions[:k + 1], a.directions)
 
     def test_batch_of_starts_matches_one_start_at_a_time(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
