@@ -111,7 +111,7 @@ class MarginalBarrier:
         h = self.cfg.step
         m = len(ts)
         if np.any(ts < 0):
-            raise ValueError("marginal barrier defined for t >= 0")
+            raise BarrierError("marginal barrier defined for t >= 0")
         k_lo = np.floor(ts / h + 1e-12).astype(int)
         frac = np.clip(ts / h - k_lo, 0.0, 1.0)
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
@@ -339,31 +339,36 @@ def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
 # infinitesimal decrease checks
 # ---------------------------------------------------------------------------
 
-def _fd_extended_gradient(B: BarrierFn, t: float, x: np.ndarray,
-                          fd: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of B in (t, x)."""
-    n = len(x)
-    g = np.empty(n + 1)
-    tp = max(t, fd)   # keep probes at t >= 0
-    g[0] = (B.evaluate(tp + fd, x) - B.evaluate(tp - fd, x)) / (2 * fd)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = fd
-        g[i + 1] = (B.evaluate(t, x + e) - B.evaluate(t, x - e)) / (2 * fd)
-    return g
+def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray,
+                           fd: float = 1e-6) -> np.ndarray:
+    """Central finite-difference gradients of B in (t, x) at every pair
+    (ts[i], X[i]), from one batch of 2(n+1) probes per pair."""
+    k, n = X.shape
+    tp = np.maximum(ts, fd)   # keep probes at t >= 0
+    step = fd * np.eye(n)
+    # per pair: (tp + fd, x), (tp - fd, x), (t, x + fd e_i) for each i, then (t, x - fd e_i)
+    pt = np.column_stack([tp + fd, tp - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
+    px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + step,
+                         X[:, None] - step], axis=1)
+    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).reshape(k, 2 * n + 2)
+    return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
 
 
 def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
     """Sample (t, x) pairs in the requested region of the (t, x) space."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) == 0:
+        return []
     lo, hi = window
-    per_t = max(count // max(len(t_grid), 1), 8)
+    per_t = max(count // len(t_grid), 8)
     pool_x = sampling.box_points(lo, hi, per_t * 4, seed=seed)
     kind = region if isinstance(region, str) else region[0]
     width = None if isinstance(region, str) else region[1]
+    # one t-major batch over t-grid x pool
+    vals_t = B.evaluate_many(np.repeat(t_grid, len(pool_x)),
+                             np.tile(pool_x, (len(t_grid), 1))).reshape(len(t_grid), -1)
     picked = []
-    for t in t_grid:
-        vals = B.evaluate_many(np.full(len(pool_x), t), pool_x)
+    for t, vals in zip(t_grid, vals_t):
         if kind == "everywhere":
             keep = np.ones(len(pool_x), dtype=bool)
         elif kind == "margin_band":
@@ -372,8 +377,7 @@ def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
         elif kind == "boundary":
             keep = np.abs(vals) <= (width if width is not None else 1e-3)
             if not keep.any():
-                picked.extend(_bisect_zero_level(B, t, pool_x, vals,
-                                                 per_t, width or 1e-9))
+                picked.extend(_bisect_zero_level(B, float(t), pool_x, vals, per_t))
                 continue
         else:
             raise ValueError(f"unknown region '{kind}'")
@@ -388,23 +392,19 @@ def _default_band(vals: np.ndarray, fallback: float) -> float:
 
 
 def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
-                       vals: np.ndarray, count: int, band: float):
+                       vals: np.ndarray, count: int):
+    """Bisect count pool pairs straddling the zero level at t, all together."""
     neg = pool[vals <= 0.0]
     pos = pool[vals > 0.0]
-    out = []
-    for i in range(min(count, len(neg) * len(pos) and count)):
-        if len(neg) == 0 or len(pos) == 0:
-            break
-        a = neg[i % len(neg)].copy()
-        b = pos[(3 * i + 1) % len(pos)].copy()
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if B.evaluate(t, mid) <= 0.0:
-                a = mid
-            else:
-                b = mid
-        out.append((t, b))
-    return out
+    if len(neg) == 0 or len(pos) == 0:
+        return []
+    i = np.arange(count)
+    a, b = neg[i % len(neg)], pos[(3 * i + 1) % len(pos)]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        inside = (B.evaluate_many(np.full(count, t), mid) <= 0.0)[:, None]
+        a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+    return [(t, p) for p in b]
 
 
 def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
@@ -431,15 +431,15 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
     if not pairs:
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "region empty after sampling"})
+    ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
+    zetas = _zeta_candidates(B, mode, ts, X, fd, clarke_radius, seed)
+    gbs = np.asarray(g(B.evaluate_many(ts, X)), dtype=float)
     worst = -np.inf
     witness = {}
     checked = 0
-    for (t, x) in pairs:
-        zetas = _zeta_candidates(B, F, mode, t, x, fd, clarke_radius, seed)
-        if len(zetas) == 0:
-            continue
-        gb = float(np.asarray(g(B.evaluate(t, x))))
-        for zeta in zetas:
+    for t, x, zs, gb in zip(ts, X, zetas, gbs):
+        gb = float(gb)
+        for zeta in zs:
             zt, zx = zeta[0], zeta[1:]
             if F.kind == "ball":
                 f0 = F.fields[0](x)
@@ -460,24 +460,28 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                        details={"relaxation": g.kind, "region": str(region)})
 
 
-def _zeta_candidates(B: BarrierFn, F: InclusionSpec, mode: str, t: float,
-                     x: np.ndarray, fd: float, radius: float, seed: int):
+def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
+                     fd: float, radius: float, seed: int):
+    """Candidate zetas (z, n + 1) for every pair."""
+    prox_radius = 1e-3
     if mode == "smooth":
-        return [_fd_extended_gradient(B, t, x, fd)]
-    tx = np.concatenate([[max(t, radius + fd)], x])
-    handle = lambda u: B.evaluate(u[0], u[1:])
-    grads = clarke_gradient_sample(handle, tx, radius=radius, fd_step=fd, seed=seed)
-    if mode == "clarke":
-        return list(grads)
-    if mode != "proximal":
+        return _fd_extended_gradients(B, ts, X, fd)[:, None, :]
+    if mode not in ("clarke", "proximal"):
         raise ValueError(f"unknown mode '{mode}'")
+    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
+    # base times keep every probe of the Clarke (and proximal) ball at t >= 0
+    floor = (max(radius, prox_radius) if mode == "proximal" else radius) + fd
     out = []
-    for zeta in grads:
-        for eps in (0.0, 1.0, 10.0, 100.0):
-            cand = SubgradientCandidate(tx, zeta, radius=1e-3, eps=eps)
-            if proximal_subgradient_test(cand, handle, m=24, seed=seed)["holds"]:
-                out.append(zeta)
-                break
+    for t, x in zip(ts, X):
+        tx = np.concatenate([[max(t, floor)], x])
+        grads = clarke_gradient_sample(handle, tx, radius=radius, fd_step=fd, seed=seed)
+        if mode == "proximal":
+            # each margin is nondecreasing in eps, so the curvature bound 100
+            # accepts every zeta that a smaller one would
+            grads = grads[[proximal_subgradient_test(
+                SubgradientCandidate(tx, zeta, radius=prox_radius, eps=100.0),
+                handle, m=24, seed=seed)["holds"] for zeta in grads]]
+        out.append(grads)
     return out
 
 
@@ -493,9 +497,8 @@ def lsc_probe(B: BarrierFn, t: float, x, radii=(1e-2, 1e-3, 1e-4),
     rings should not drop below B(t, x).  A diagnostic, not a certificate."""
     x = np.asarray(x, dtype=float)
     v0 = B.evaluate(t, x)
-    drops = []
-    for r in radii:
-        ring = x + r * sampling.sphere_directions(len(x), count, seed=seed)
-        vals = B.evaluate_many(np.full(count, t), ring)
-        drops.append(float(v0 - vals.min()))
+    rings = np.concatenate([x + r * sampling.sphere_directions(len(x), count, seed=seed)
+                            for r in radii])
+    vals = B.evaluate_many(np.full(len(rings), t), rings).reshape(len(radii), count)
+    drops = [float(v0 - v.min()) for v in vals]
     return {"value": v0, "max_drop": max(drops), "drops": drops}

@@ -24,7 +24,7 @@ from .barrier import (BarrierError, BarrierFn, RelaxFn, candidate_sign_check,
                       marginal_barrier, monotonicity_check, user_barrier)
 from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
 from .dynamics import DynamicsError, lipschitz_estimate
-from .expr import compile_expression
+from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError, SetSpec
 from .reachability import BoxExitError, cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
@@ -38,14 +38,9 @@ class CliError(Exception):
     pass
 
 
-def _out_dir(args, scn) -> Path:
-    out = args.out or scn.out_dir or os.environ.get("SAFEREACH_OUT", "safereach-out")
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 class Manifest:
+    """Artifact list of one run; the output directory appears with the first file."""
+
     def __init__(self, command: str, cfg: RawConfig, out: Path):
         self.data = {"tool_version": __version__, "config_hash": cfg.hash(),
                      "command": command, "wall_time_s": None, "artifacts": []}
@@ -53,11 +48,13 @@ class Manifest:
         self.t0 = time.time()
 
     def add(self, path: Path) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         self.data["artifacts"].append(str(path.relative_to(self.out)))
         return path
 
     def write(self) -> None:
         self.data["wall_time_s"] = round(time.time() - self.t0, 3)
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / "manifest.json"
         path.write_text(json.dumps(self.data, indent=2, sort_keys=True))
 
@@ -395,16 +392,16 @@ def main(argv=None) -> int:
             overrides["seed"] = str(args.seed)
         cfg = load_config(args.config, overrides)
         scn = build_scenario(cfg)
-        out = _out_dir(args, scn)
-        manifest = Manifest(args.command, cfg, out)
+        out = args.out or scn.out_dir or os.environ.get("SAFEREACH_OUT", "safereach-out")
+        manifest = Manifest(args.command, cfg, Path(out))
         handler = {"simulate": cmd_simulate, "reach": cmd_reach,
                    "barrier-eval": cmd_barrier_eval, "check": cmd_check,
                    "smooth": cmd_smooth}[args.command]
         status = handler(scn, args, manifest)
         manifest.write()
         return status
-    except (ConfigError, CliError, BarrierError, GeometryError, DynamicsError,
-            SolverError, SmoothingError) as exc:
+    except (ConfigError, CliError, BarrierError, ExpressionError, GeometryError,
+            DynamicsError, SolverError, SmoothingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

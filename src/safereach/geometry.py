@@ -590,8 +590,9 @@ def clarke_gradient_sample(B, x, radius: float, m: int = 0, fd_step: float = 1e-
     """Finite-difference gradient estimates near x, a generator set for the
     Clarke gradient hull.
 
-    B is a scalar handle on R^n taking a single point.  Gradients are taken at
-    m low-discrepancy points in the radius-ball around x; a linear test
+    B is a batch handle on R^n, mapping points P (k, n) to k values; it is
+    called once, on all m * 2n probes.  Gradients are taken at m
+    low-discrepancy points in the radius-ball around x; a linear test
     functional's max over the hull equals its max over these generators.
     """
     x = np.asarray(x, dtype=float)
@@ -603,16 +604,13 @@ def clarke_gradient_sample(B, x, radius: float, m: int = 0, fd_step: float = 1e-
     if radius <= 0 or fd_step <= 0:
         raise GeometryError("radius and fd_step must be positive")
     pts = np.vstack([x, sampling.ball_points(x, radius, m - 1, seed=seed)])
-    grads = np.empty((m, n))
-    for k, p in enumerate(pts):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = fd_step
-            hi, lo = float(B(p + e)), float(B(p - e))
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise GeometryError(f"non-finite value near sample {p}")
-            grads[k, i] = (hi - lo) / (2.0 * fd_step)
-    return grads
+    step = fd_step * np.eye(n)
+    probes = np.stack([pts[:, None, :] + step, pts[:, None, :] - step])
+    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(2, m, n)
+    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=1)
+    if bad.any():
+        raise GeometryError(f"non-finite value near sample {pts[np.argmax(bad)]}")
+    return (hi - lo) / (2.0 * fd_step)
 
 
 @dataclass(frozen=True)
@@ -635,19 +633,19 @@ class SubgradientCandidate:
 
 def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                               tol: float = 1e-9, seed: int = 0) -> dict:
-    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples."""
+    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
+
+    B is a batch handle, called once on x and all of its samples."""
     if m < 10:
         raise GeometryError("need m >= 10 test points")
     x, zeta = cand.x, cand.zeta
-    Bx = float(B(x))
     pts = sampling.ball_points(x, cand.radius, m, seed=seed)
     # include boundary probes along +-coordinate axes, where violations peak
     n = len(x)
     axes = np.vstack([np.eye(n), -np.eye(n)]) * cand.radius + x
     pts = np.vstack([pts, axes])
-    margins = []
-    for y in pts:
-        d = y - x
-        margins.append(float(B(y)) - Bx - float(zeta @ d) + cand.eps * float(d @ d))
-    worst = float(min(margins))
+    vals = np.asarray(B(np.vstack([x, pts])), dtype=float)
+    d = pts - x
+    margins = vals[1:] - vals[0] - d @ zeta + cand.eps * np.einsum("ij,ij->i", d, d)
+    worst = float(margins.min())
     return {"holds": worst >= -tol, "worst_margin": worst}

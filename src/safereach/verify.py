@@ -250,22 +250,23 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
         raise ValueError("prop1_check expects a minimal-type relaxation")
     if mode not in ("conditional", "strict"):
         raise ValueError(f"unknown mode {mode}")
+    handle = lambda P: B.evaluate_many(np.zeros(len(P)), P)
     sign_margins = []
     if mode == "conditional":
         outside = _exterior_shell(X_s, n_samples, shell_width, seed, window)
         if len(outside) == 0:
             return CheckReport("prop1_conditional", 0, 0.0, {}, "inconclusive",
                                details={"reason": "empty shell outside X_s"})
-        pos_vals = B.evaluate_many(np.zeros(len(outside)), outside)
+        pos_vals = handle(outside)
         sign_margins.append(("positivity_outside_X_s", float(-pos_vals.min()),
                              outside[int(np.argmin(pos_vals))]))
     else:
         bd_s = X_s.sample_boundary(n_samples, seed=seed, window=window)
-        pos_vals = B.evaluate_many(np.zeros(len(bd_s)), bd_s)
+        pos_vals = handle(bd_s)
         sign_margins.append(("positivity_on_boundary_X_s", float(-pos_vals.min()),
                              bd_s[int(np.argmin(pos_vals))]))
     bd_o = X_o.sample_boundary(n_samples, seed=seed + 1, window=window)
-    neg_vals = B.evaluate_many(np.zeros(len(bd_o)), bd_o)
+    neg_vals = handle(bd_o)
     sign_margins.append(("nonpositivity_on_boundary_X_o", float(neg_vals.max()),
                          bd_o[int(np.argmax(neg_vals))]))
 
@@ -277,10 +278,12 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
         checked += 1
         if margin > worst:
             worst, witness = margin, {"condition": name, "x": np.asarray(x).tolist()}
-    for x in region:
-        zetas = clarke_gradient_sample(lambda p: B.evaluate(0.0, p), x,
-                                       radius=clarke_radius, fd_step=fd, seed=seed)
-        gb = float(np.asarray(g(B.evaluate(0.0, x))))
+    if len(region) == 0:
+        return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
+                           details={"reason": "empty decrease region"})
+    for x, gb in zip(region, np.asarray(g(handle(region)), dtype=float)):
+        zetas = clarke_gradient_sample(handle, x, radius=clarke_radius, fd_step=fd, seed=seed)
+        gb = float(gb)
         for zeta in zetas:
             for eta in inclusion_extreme_points(F, x, ball_directions, seed):
                 m = float(zeta @ eta) - gb
@@ -288,9 +291,6 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
                 if m > worst:
                     worst, witness = m, {"condition": "decrease", "x": x.tolist(),
                                          "eta": eta.tolist(), "zeta": zeta.tolist()}
-    if len(region) == 0:
-        return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
-                           details={"reason": "empty decrease region"})
     return CheckReport(f"prop1_{mode}", checked, float(worst), witness,
                        "pass" if worst <= tol else "fail",
                        details={"relaxation": g.kind})

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import safereach.barrier as barrier
+from safereach import sampling
 from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
                                counterexample_barrier, counterexample_barrier_fn,
                                infinitesimal_check, lsc_probe, marginal_barrier,
@@ -18,9 +21,9 @@ COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
 WINDOW = ([-2.0, -2.0], [2.0, 2.0])
-PERTURBED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
-                               SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
-                               directions=4)
+PERTURBED = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
+PERTURBED_B = marginal_barrier(PERTURBED, SetSpec.ball([0, 0], 0.5),
+                               IntegratorConfig(step=1.0 / 64.0), directions=4)
 SWITCHED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
                               SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
                               directions=4, switches=2)
@@ -87,6 +90,10 @@ class TestMarginalBarrier:
         for x in ([0.3, 0.4], [0.05, 0.0], [1.0, -1.0]):
             assert B.evaluate(0.0, np.array(x)) == pytest.approx(
                 np.linalg.norm(x), abs=1e-12)
+
+    def test_negative_time_raises_barrier_error(self):
+        with pytest.raises(BarrierError, match="t >= 0"):
+            PERTURBED_B.evaluate_many([0.5, -1e-6], [[1.0, 0.0], [1.0, 0.0]])
 
     def test_zero_on_initial_set(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
@@ -404,6 +411,84 @@ class TestInfinitesimal:
                                   RelaxFn.zero(), t_grid=[0.0], window=WINDOW,
                                   count=40)
         assert rep.verdict == "inconclusive"
+
+
+def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, seed=0):
+    """Per-pair scalar loops of the decrease check with g = 0 on a ball
+    inclusion, region everywhere: one B value per probe, memoized on (t, x)
+    since a value depends on its own row only.  Proximal base times sit at
+    least the proximal radius + fd above 0."""
+    value = functools.cache(lambda t, *x: B.evaluate(t, np.array(x)))
+    H = lambda u: value(*map(float, u))
+    per_t = max(count // len(t_grid), 8)
+    pool = sampling.box_points(np.array(WINDOW[0]), np.array(WINDOW[1]), per_t * 4, seed=seed)
+    pairs = [(t, p) for t in t_grid for p in pool[:per_t]][:count]
+
+    def fd_gradient(u, i):
+        e = np.zeros(len(u))
+        e[i] = fd
+        return (H(u + e) - H(u - e)) / (2 * fd)
+
+    def proximal_holds(tx, zeta, eps, r=1e-3, m=24):
+        n = len(tx)
+        ys = np.vstack([sampling.ball_points(tx, r, m, seed=seed),
+                        np.vstack([np.eye(n), -np.eye(n)]) * r + tx])
+        return min(H(y) - H(tx) - float(zeta @ (y - tx)) + eps * float((y - tx) @ (y - tx))
+                   for y in ys) >= -1e-9
+
+    worst, witness, checked = -np.inf, {}, 0
+    for t, x in pairs:
+        if mode == "smooth":
+            tp = max(t, fd)
+            zetas = [np.array([(H([tp + fd, *x]) - H([tp - fd, *x])) / (2 * fd)]
+                              + [fd_gradient(np.array([t, *x]), i) for i in (1, 2)])]
+        else:
+            tx = np.concatenate([[max(t, (1e-3 if mode == "proximal" else radius) + fd)], x])
+            pts = np.vstack([tx, sampling.ball_points(tx, radius, 6, seed=seed)])
+            zetas = [np.array([fd_gradient(p, i) for i in range(3)]) for p in pts]
+            if mode == "proximal":
+                zetas = [z for z in zetas
+                         if any(proximal_holds(tx, z, eps) for eps in (0.0, 1.0, 10.0, 100.0))]
+        for zeta in zetas:
+            f0 = F.fields[0](x)
+            margin = zeta[0] + float(zeta[1:] @ f0) + F.epsilon * float(np.linalg.norm(zeta[1:]))
+            checked += 1
+            if margin > worst:
+                worst, witness = margin, {"t": t, "x": x.tolist(), "eta": f0.tolist(),
+                                          "zeta": zeta.tolist()}
+    return worst, witness, checked
+
+
+class TestBatchedDecrease:
+    @pytest.mark.parametrize("mode,t_grid,count", [("smooth", (0.0, 0.75, 1.5), 24),
+                                                   ("clarke", (0.0, 1.5), 12),
+                                                   ("proximal", (0.0, 1.5), 12)])
+    def test_batched_equals_scalar(self, mode, t_grid, count):
+        # the t = 0 pairs put the proximal ball next to t = 0, where a marginal
+        # barrier raises for any probe at t < 0
+        rep = infinitesimal_check(PERTURBED_B, PERTURBED, mode, "everywhere", RelaxFn.zero(),
+                                  t_grid=t_grid, window=WINDOW, count=count, tol=np.inf)
+        worst, witness, checked = _scalar_decrease_reference(PERTURBED_B, PERTURBED, mode,
+                                                             t_grid, count)
+        assert checked > 0
+        assert rep.worst_margin == worst
+        assert rep.witness == witness
+        assert rep.samples == checked
+
+    def test_smooth_calls_do_not_grow_with_count(self, monkeypatch):
+        calls = []
+        real = barrier.BarrierFn.evaluate_many
+        monkeypatch.setattr(barrier.BarrierFn, "evaluate_many",
+                            lambda self, ts, Xs: calls.append(len(ts)) or real(self, ts, Xs))
+        made = []
+        for count in (16, 64):
+            calls.clear()
+            rep = infinitesimal_check(PERTURBED_B, PERTURBED, "smooth", "everywhere",
+                                      t_grid=[0.0, 1.5], window=WINDOW, count=count,
+                                      tol=np.inf)
+            assert rep.samples == count
+            made.append(len(calls))
+        assert made[0] == made[1]
 
 
 class TestRelaxFns:

@@ -277,31 +277,43 @@ class TestCommands:
 
     def test_library_errors_are_reported_without_traceback(self, tmp_path, capsys):
         counter = str(SCENARIOS / "counterexample.scenario")
+        linear = str(SCENARIOS / "linear.scenario")
         sign = self._write(tmp_path, MINIMAL + (
             "\n[barrier]\nkind = user\nexpression = x1^2 + x2^2 - 1\n"
             "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"))
+        # (argv, message, artifacts written before the error); a run that
+        # fails before its first artifact leaves no output directory
         cases = [
-            (["check", "--config", str(sign)], "could not draw"),          # GeometryError
+            (["check", "--config", str(sign)], "could not draw",          # GeometryError
+             ["quick.check.json"]),
             (["reach", "--config", counter, "--set", "system.name=nosuch"],
-             "unknown builtin field"),                                       # DynamicsError
+             "unknown builtin field", []),                                   # DynamicsError
             (["reach", "--config", counter, "--set", "solver.step=0"],
-             "step must be positive"),                                       # SolverError
+             "step must be positive", []),                                   # SolverError
             (["reach", "--config", counter, "--set", "set START.radius=-1"],
-             "radius must be nonnegative"),                                  # GeometryError
+             "radius must be nonnegative", []),                              # GeometryError
             (["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
-              "--set", "smooth.table_res=4"], "subdivisions"),               # SmoothingError
+              "--set", "smooth.table_res=4"], "subdivisions", []),           # SmoothingError
             (["barrier-eval", "--config", counter, "--set", "solver.max_steps=10"],
-             "horizon 5 needs 2560 steps, more than max_steps = 10"),        # SolverError
+             "horizon 5 needs 2560 steps, more than max_steps = 10", []),    # SolverError
             (["simulate", "--config", counter, "--set", "solver.max_steps=10",
               "--set", "simulate.T=0.5"],
-             "horizon 0.5 needs 256 steps, more than max_steps = 10"),       # SolverError
+             "horizon 0.5 needs 256 steps, more than max_steps = 10", []),   # SolverError
+            (["check", "--config", linear, "--set", "barrier.expression=x1 +"],
+             "cannot parse 'x1 +'", ["safety.check.json"]),                  # ExpressionError
+            (["check", "--config", linear, "--set", "set ELLIPSE.fn=x1 +"],
+             "cannot parse 'x1 +'", []),                                     # ExpressionError
         ]
-        for argv, message in cases:
-            assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        for i, (argv, message, written) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            assert main(argv + ["--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
             assert "Traceback" not in err
-        assert not list((tmp_path / "out").rglob("*.csv"))
+            if written:
+                assert sorted(p.name for p in out.iterdir()) == written
+            else:
+                assert not out.exists()
 
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (

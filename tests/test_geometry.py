@@ -179,12 +179,12 @@ class TestConeResidual:
 
 class TestClarkeGradient:
     def test_smooth_point_of_norm(self):
-        grads = clarke_gradient_sample(lambda x: np.linalg.norm(x),
+        grads = clarke_gradient_sample(lambda X: np.linalg.norm(X, axis=1),
                                        [1.0, 0.0], radius=1e-3, m=8)
         assert np.allclose(grads, [1.0, 0.0], atol=1e-3)
 
     def test_kink_splits_by_sign(self):
-        grads = clarke_gradient_sample(lambda x: abs(x[0]), [0.0, 0.0],
+        grads = clarke_gradient_sample(lambda X: np.abs(X[:, 0]), [0.0, 0.0],
                                        radius=1e-3, m=16, fd_step=1e-8)
         first = grads[:, 1]
         assert np.allclose(first, 0.0, atol=1e-6)
@@ -194,12 +194,12 @@ class TestClarkeGradient:
         assert (interior > 0).any() and (interior < 0).any()
 
     def test_quadratic_gradient(self):
-        B = lambda x: x[0] ** 2 / 10 + x[1] ** 2 - 1.0
+        B = lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2 - 1.0
         grads = clarke_gradient_sample(B, [1.0, 1.0], radius=1e-5, m=8)
         assert np.allclose(grads, [0.2, 2.0], atol=1e-4)
 
     def test_c2_accuracy_order(self):
-        B = lambda x: np.sin(x[0]) + np.cos(2 * x[1])
+        B = lambda X: np.sin(X[:, 0]) + np.cos(2 * X[:, 1])
         x = np.array([0.4, -0.3])
         exact = np.array([np.cos(0.4), -2 * np.sin(-0.6)])
         grads = clarke_gradient_sample(B, x, radius=1e-4, m=8, fd_step=1e-6)
@@ -207,37 +207,44 @@ class TestClarkeGradient:
 
     def test_sample_count_contract(self):
         with pytest.raises(GeometryError):
-            clarke_gradient_sample(lambda x: x[0], [0.0, 0.0], radius=1e-3, m=3)
+            clarke_gradient_sample(lambda X: X[:, 0], [0.0, 0.0], radius=1e-3, m=3)
 
     def test_non_finite_reported(self):
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(GeometryError, match="non-finite"):
-                clarke_gradient_sample(lambda x: np.log(x[0]), [0.0, 0.0],
+                clarke_gradient_sample(lambda X: np.log(X[:, 0]), [0.0, 0.0],
                                        radius=1e-3, m=8)
+
+    def test_one_call_on_all_probes(self):
+        calls = []
+        B = lambda X: calls.append(X.shape) or X[:, 0] - 2 * X[:, 2]
+        grads = clarke_gradient_sample(B, [0.5, -1.0, 2.0], radius=1e-3, m=9)
+        assert calls == [(9 * 2 * 3, 3)]
+        assert np.allclose(grads, [1.0, 0.0, -2.0], atol=1e-6)
 
 
 class TestProximalSubgradient:
     def test_squared_norm_at_origin(self):
         cand = SubgradientCandidate([0.0, 0.0], [0.0, 0.0], radius=0.1)
-        res = proximal_subgradient_test(cand, lambda x: float(x @ x))
+        res = proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1))
         assert res["holds"] and res["worst_margin"] >= 0.0
 
     def test_concave_kink_has_empty_subdifferential(self):
         # 1-D enumeration: at y = +-r the margin is -r -+ zeta*r + eps r^2 < 0
-        B = lambda x: -abs(x[0])
+        B = lambda X: -np.abs(X[:, 0])
         for zeta in ([0.0], [0.5], [-0.7]):
             cand = SubgradientCandidate([0.0], zeta, radius=1e-3, eps=10.0)
             assert not proximal_subgradient_test(cand, B)["holds"]
 
     def test_norm_kink_accepts_interior_slope(self):
-        B = lambda x: np.linalg.norm(x)
+        B = lambda X: np.linalg.norm(X, axis=1)
         cand = SubgradientCandidate([0.0, 0.0], [0.5, 0.0], radius=0.1)
         assert proximal_subgradient_test(cand, B)["holds"]
 
     def test_minimum_sample_count(self):
         cand = SubgradientCandidate([0.0], [0.0], radius=0.1)
         with pytest.raises(GeometryError):
-            proximal_subgradient_test(cand, lambda x: float(x @ x), m=4)
+            proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1), m=4)
 
 
 class TestSamplers:
