@@ -471,17 +471,16 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
     handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
     floor = (max(radius, prox_radius) if mode == "proximal" else radius) + fd
+    TX = np.column_stack([np.maximum(ts, floor), X])
+    grads = clarke_gradient_sample(handle, TX, radius=radius, fd_step=fd, seed=seed)
+    if mode == "clarke":
+        return grads
+    # each margin is nondecreasing in eps, so the curvature bound 100 accepts
+    # every zeta that a smaller one would; one test per pair, on all its zetas
     out = []
-    for t, x in zip(ts, X):
-        tx = np.concatenate([[max(t, floor)], x])
-        grads = clarke_gradient_sample(handle, tx, radius=radius, fd_step=fd, seed=seed)
-        if mode == "proximal":
-            # each margin is nondecreasing in eps, so the curvature bound 100
-            # accepts every zeta that a smaller one would
-            grads = grads[[proximal_subgradient_test(
-                SubgradientCandidate(tx, zeta, radius=prox_radius, eps=100.0),
-                handle, m=24, seed=seed)["holds"] for zeta in grads]]
-        out.append(grads)
+    for tx, zs in zip(TX, grads):
+        cand = SubgradientCandidate(tx, zs, radius=prox_radius, eps=100.0)
+        out.append(zs[proximal_subgradient_test(cand, handle, m=24, seed=seed)["holds"]])
     return out
 
 

@@ -3,7 +3,8 @@ smooth | report.
 
 Exit status: 0 when every requested check passes, 2 when any check fails,
 1 on usage or configuration errors.  Every run writes a manifest listing the
-emitted artifacts together with the config hash, so reruns are auditable.
+emitted artifacts together with the config hash, so reruns are auditable; a
+run that fails after its first artifact records the error in it.
 """
 
 from __future__ import annotations
@@ -175,8 +176,7 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     if box is None:
         raise CliError("[smooth] region must be bounded")
     pts = grid_points(box[0], box[1], cfg.get("smooth", "grid_n", 41))
-    keep = np.array([region.contains(p) for p in pts])
-    grid = pts[keep]
+    grid = pts[region.contains(pts)]
     if len(grid) == 0:
         raise CliError("[smooth] region grid is empty")
     part = build_time_partition(h, grid, cfg.get("smooth", "k_max", 3),
@@ -375,6 +375,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    manifest = None
     try:
         if args.command == "report":
             out = Path(args.out or args.results or ".")
@@ -403,6 +404,10 @@ def main(argv=None) -> int:
     except (ConfigError, CliError, BarrierError, ExpressionError, GeometryError,
             DynamicsError, SolverError, SmoothingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if manifest is not None and manifest.data["artifacts"]:
+            # a partial run says what it wrote and why it stopped
+            manifest.data["error"] = str(exc)
+            manifest.write()
         return 1
 
 

@@ -1,9 +1,11 @@
 """State-space sets, distances, tangent-cone probes, and nonsmooth differentials.
 
-Sets are symbolic (:class:`SetSpec`) and support distance queries everywhere.
-Ball/box/halfspace/points distances are closed-form; sublevel sets and boolean
-intersections fall back to a projection estimate (grid seeding plus boundary
-bisection and a tangential polish), and such sets report ``exactness() ==
+Sets are symbolic (:class:`SetSpec`) and support membership and distance
+queries everywhere, both on (m, n) batches of rows, one row's result never
+depending on the others.  Ball/box/halfspace/points distances are
+closed-form; sublevel sets and boolean intersections fall back to a
+projection estimate (grid seeding plus boundary bisection and a tangential
+polish, run on all rows at once), and such sets report ``exactness() ==
 "estimated"`` so callers can tell the two apart.
 
 Cone membership is probed with finite difference quotients of the distance
@@ -23,6 +25,7 @@ from . import sampling
 DEFAULT_CONE_TOL = 1e-6
 DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
 _MEMBER_TOL = 1e-12
+_CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
 
 
 class EmptySetError(ValueError):
@@ -126,25 +129,26 @@ class SetSpec:
                     else "estimated")
         return "estimated"
 
-    def contains(self, x, tol: float = _MEMBER_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
+    def contains(self, X, tol: float = _MEMBER_TOL) -> np.ndarray:
+        """Membership of every row of an (m, n) array, within tol."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "ball":
-            return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+            return np.sqrt(_row_sq(X - self.center)) <= self.radius + tol
         if self.kind == "box":
-            return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+            return ((X >= self.lo - tol) & (X <= self.hi + tol)).all(axis=1)
         if self.kind == "halfspace":
-            return float(self.normal @ x) >= self.offset - tol * np.linalg.norm(self.normal)
+            return _row_dot(X, self.normal) >= self.offset - tol * np.linalg.norm(self.normal)
         if self.kind == "points":
-            return float(np.min(np.linalg.norm(self.pts - x, axis=1))) <= tol
+            return np.sqrt(_pair_sq(X, self.pts).min(axis=1)) <= tol
         if self.kind == "sublevel":
-            return float(self.fn(x[None, :])[0]) <= self.level + tol
+            return np.asarray(self.fn(X)) <= self.level + tol
         if self.kind == "complement":
             # closed complement: boundary points belong to both
-            return not self.members[0].contains(x, tol=-tol)
+            return ~self.members[0].contains(X, tol=-tol)
         if self.kind == "union":
-            return any(m.contains(x, tol) for m in self.members)
+            return np.logical_or.reduce([m.contains(X, tol) for m in self.members])
         if self.kind == "intersection":
-            return all(m.contains(x, tol) for m in self.members)
+            return np.logical_and.reduce([m.contains(X, tol) for m in self.members])
         raise GeometryError(f"unknown set kind {self.kind}")
 
     def bounding_box(self) -> Optional[tuple]:
@@ -186,8 +190,7 @@ class SetSpec:
             return np.tile(self.pts, (reps, 1))[:count]
         lo, hi = self._sampling_window(window)
         cand = sampling.box_points(lo, hi, max(count * 8, 256), seed=seed)
-        keep = np.array([self.contains(c) for c in cand])
-        picked = cand[keep][:count]
+        picked = cand[self.contains(cand)][:count]
         if len(picked) < count:
             raise GeometryError(f"could not draw {count} interior samples of '{self.name or self.kind}'")
         return picked
@@ -204,32 +207,23 @@ class SetSpec:
             b = self.offset / np.linalg.norm(self.normal)
             return pts - ((pts @ n) - b)[:, None] * n
         if self.kind == "box":
-            return self._box_boundary(count, seed)
+            # point i sits on the lo or hi face of axis i % dim, alternating per sweep
+            pts, i = sampling.box_points(self.lo, self.hi, count, seed=seed), np.arange(count)
+            axis = i % self.dim
+            pts[i, axis] = np.where((i // self.dim) % 2 == 0, self.lo[axis], self.hi[axis])
+            return pts
         if self.kind == "points":
             return self.sample_interior(count, seed)
         # generic: bisect between interior and exterior seeds
         lo, hi = self._sampling_window(window)
         cand = sampling.box_points(lo, hi, max(count * 16, 512), seed=seed)
-        inside = [c for c in cand if self.contains(c)]
-        outside = [c for c in cand if not self.contains(c)]
-        if not inside or not outside:
+        member = self.contains(cand)
+        inside, outside = cand[member], cand[~member]
+        if not len(inside) or not len(outside):
             raise GeometryError("boundary sampling needs interior and exterior seeds")
-        out = []
-        for i in range(count):
-            a = np.asarray(inside[i % len(inside)])
-            b = np.asarray(outside[(i * 7 + 3) % len(outside)])
-            out.append(_bisect_boundary(self, a, b))
-        return np.asarray(out)
-
-    def _box_boundary(self, count, seed):
-        faces = []
-        u = sampling.box_points(self.lo, self.hi, count, seed=seed)
-        for i in range(count):
-            p = u[i].copy()
-            axis = i % self.dim
-            p[axis] = self.lo[axis] if (i // self.dim) % 2 == 0 else self.hi[axis]
-            faces.append(p)
-        return np.asarray(faces)
+        i = np.arange(count)
+        return _bisect_boundary(self, inside[i % len(inside)],
+                                outside[(i * 7 + 3) % len(outside)])
 
     def _sampling_window(self, window):
         if window is not None:
@@ -298,20 +292,22 @@ def _reject_provably_empty(spec: SetSpec) -> None:
 # ---------------------------------------------------------------------------
 
 def distance_to_set(x, S: SetSpec) -> float:
-    """Euclidean distance from x to S (upper estimate for estimated variants)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise GeometryError("distance query at non-finite point")
-    return float(_distance(x[None, :], S)[0])
+    """Euclidean distance from x to S: distance_to_set_many on one row."""
+    # calls _distance, not distance_to_set_many, so that a wrapper on each
+    # public name (bench/spans.py) sees one query as one call
+    return float(_distance(np.atleast_2d(np.asarray(x, dtype=float)), S)[0])
 
 
 def distance_to_set_many(X, S: SetSpec) -> np.ndarray:
-    """Vectorized distance for an (m, n) array of query points."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _distance(X, S)
+    """Euclidean distance from every row of an (m, n) array to S (upper
+    estimates for estimated variants); a non-finite row raises."""
+    return _distance(np.atleast_2d(np.asarray(X, dtype=float)), S)
 
 
 def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
+    if not np.isfinite(X).all():
+        bad = X[np.argmin(np.isfinite(X).all(axis=1))]
+        raise GeometryError(f"distance query at non-finite point {bad.tolist()}")
     if S.kind == "ball":
         return np.maximum(np.sqrt(_row_sq(X - S.center)) - S.radius, 0.0)
     if S.kind == "box":
@@ -320,30 +316,35 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
         nn = np.linalg.norm(S.normal)
         return np.maximum(S.offset - _row_dot(X, S.normal), 0.0) / nn
     if S.kind == "points":
-        return np.sqrt(_row_sq(X[:, None, :] - S.pts[None, :, :]).min(axis=1))
+        return np.sqrt(_pair_sq(X, S.pts).min(axis=1))
     if S.kind == "union":
         return np.min([_distance(X, m) for m in S.members], axis=0)
-    if S.kind == "complement":
+    if S.kind == "complement" and S.members[0].kind in _CONVEX + ("points", "complement"):
         return _complement_distance(X, S.members[0])
-    if S.kind == "sublevel":
-        return np.array([_sublevel_distance(x, S) for x in X])
-    if S.kind == "intersection":
-        return np.array([_intersection_distance(x, S) for x in X])
-    raise GeometryError(f"unknown set kind {S.kind}")
-
-
-def _row_dot(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # column by column, not a BLAS product: BLAS rounds a single row unlike
-    # the same row in a batch, and a distance must not depend on its batch
-    out = X[:, 0] * v[0]
-    for j in range(1, len(v)):
-        out = out + X[:, j] * v[j]
+    # sublevel, intersection and the complement of either or of a union are
+    # estimated, on the rows outside S only (contains rejects unknown kinds)
+    out, rows = np.zeros(len(X)), ~S.contains(X)
+    if rows.any():
+        out[rows] = {"sublevel": _sublevel_distance, "intersection": _intersection_distance,
+                     "complement": _ring_search_distance}[S.kind](X[rows], S)
     return out
+
+
+def _row_dot(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # dot products over the last axis (V broadcasts), column by column, not a
+    # BLAS product: BLAS rounds a single row unlike the same row in a batch,
+    # and a distance must not depend on its batch
+    return sum(X[..., j] * V[..., j] for j in range(X.shape[-1]))
 
 
 def _row_sq(D: np.ndarray) -> np.ndarray:
     # squared norms over the last axis, column by column like _row_dot
     return sum(D[..., j] * D[..., j] for j in range(D.shape[-1]))
+
+
+def _pair_sq(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    # (m, p) squared distances from every row of X to every row of P
+    return sum((X[:, j, None] - P[None, :, j]) ** 2 for j in range(X.shape[1]))
 
 
 def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
@@ -360,142 +361,131 @@ def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
     if inner.kind == "points":
         # complement of a finite set is dense: its closure is the whole space
         return np.zeros(len(X))
-    if inner.kind == "complement":
-        return _distance(X, inner.members[0])
-    # complement of union/intersection/sublevel: per-point estimate seeded by
-    # an expanding ring search for a member of the complement, refined by
-    # bisecting to the boundary
-    comp = SetSpec("complement", inner.dim, members=(inner,))
-    return np.array([_ring_search_distance(x, comp, inner) for x in X])
+    return _distance(X, inner.members[0])
 
 
-def _ring_search_distance(x: np.ndarray, comp: SetSpec, inner: SetSpec) -> float:
-    if comp.contains(x):
-        return 0.0
-    box = inner.bounding_box()
+def _ring_search_distance(X: np.ndarray, comp: SetSpec) -> np.ndarray:
+    """Expanding ring search around every row for members of comp, each hit
+    bisected back to the boundary; a row keeps its nearest."""
+    out, rows = np.full(len(X), np.inf), np.arange(len(X))
+    box = comp.members[0].bounding_box()
     scale = 1.0 if box is None else float(np.max(box[1] - box[0])) or 1.0
+    dirs = sampling.sphere_directions(X.shape[1], 64, seed=1)
     for radius in scale * 2.0 ** np.arange(-6.0, 6.0):
-        ring = x + radius * sampling.sphere_directions(len(x), 64, seed=1)
-        outside = [p for p in ring if comp.contains(p)]
-        if outside:
-            best = min((np.linalg.norm(x - _bisect_boundary(comp, p, x)) for p in outside))
-            return float(best)
+        ring = X[rows, None, :] + radius * dirs
+        hit = comp.contains(ring.reshape(-1, X.shape[1])).reshape(len(rows), -1)
+        owner, col = np.nonzero(hit)
+        x = X[rows[owner]]
+        y = _bisect_boundary(comp, ring[owner, col], x)
+        np.minimum.at(out, rows[owner], np.sqrt(_row_sq(x - y)))
+        rows = rows[~hit.any(axis=1)]
+        if len(rows) == 0:
+            return out
     raise GeometryError("could not find the complement within the search range")
 
 
-def _sublevel_distance(x: np.ndarray, S: SetSpec) -> float:
-    if S.contains(x):
-        return 0.0
-    lo, hi = S.window
-    grid = sampling.grid_points(lo, hi, S.grid)
-    vals = np.asarray(S.fn(grid))
-    members = grid[vals <= S.level]
-    if len(members) == 0:
-        raise EmptySetError(f"no member of sublevel set found on its {S.grid}^n grid")
-    d2 = ((members - x) ** 2).sum(axis=1)
-    best = members[int(np.argmin(d2))]
-    y = _bisect_boundary(S, best, x)
-    return _polish_to_boundary(S, x, y)
+def _sublevel_distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
+    member = lambda P: np.asarray(S.fn(P)) <= S.level
+    return _polish_to_boundary(S, X, _grid_seeded_boundary(X, S, member))
 
 
-def _project(y: np.ndarray, S: SetSpec) -> Optional[np.ndarray]:
-    """Closed-form Euclidean projection for the convex exact variants."""
-    if S.kind == "ball":
-        d = y - S.center
-        n = np.linalg.norm(d)
-        if n <= S.radius:
-            return y
-        return S.center + d * (S.radius / n)
-    if S.kind == "box":
-        return np.clip(y, S.lo, S.hi)
-    if S.kind == "halfspace":
-        slack = S.normal @ y - S.offset
-        if slack >= 0:
-            return y
-        return y - slack * S.normal / (S.normal @ S.normal)
-    return None
-
-
-def _intersection_distance(x: np.ndarray, S: SetSpec) -> float:
-    if S.contains(x):
-        return 0.0
-    # convex exact members: alternating projections land in the intersection,
-    # giving a certified upper estimate (exact when one member binds)
-    if all(_project(x, m) is not None for m in S.members):
-        y = x.copy()
-        for _ in range(256):
-            moved = 0.0
-            for m in S.members:
-                z = _project(y, m)
-                moved = max(moved, float(np.linalg.norm(z - y)))
-                y = z
-            if moved <= 1e-14:
-                break
-        if S.contains(y, tol=1e-9):
-            return float(np.linalg.norm(x - y))
+def _grid_seeded_boundary(X: np.ndarray, S: SetSpec, member) -> np.ndarray:
+    """Boundary points of S, bisected from every row's nearest member (the
+    first of equals) on S's seeding grid towards the row."""
     box = S.bounding_box()
     if box is None:
-        raise GeometryError("intersection distance needs a bounded member or window")
-    lo, hi = box
-    grid = sampling.grid_points(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), S.grid)
-    keep = np.array([S.contains(g) for g in grid])
-    members = grid[keep]
+        raise GeometryError(f"distance to '{S.name or S.kind}' needs a bounded member or window")
+    grid = sampling.grid_points(*box, S.grid)
+    members = grid[member(grid)]
     if len(members) == 0:
-        raise EmptySetError("no member of intersection found on its grid")
-    d2 = ((members - x) ** 2).sum(axis=1)
-    best = members[int(np.argmin(d2))]
-    y = _bisect_boundary(S, best, x)
-    return float(np.linalg.norm(x - y))
+        raise EmptySetError(f"no member of '{S.name or S.kind}' found on its {S.grid}^n grid")
+    return _bisect_boundary(S, members[np.argmin(_pair_sq(X, members), axis=1)], X)
+
+
+def _project(Y: np.ndarray, S: SetSpec) -> np.ndarray:
+    """Closed-form Euclidean projection of every row onto a convex exact set."""
+    if S.kind == "box":
+        return np.clip(Y, S.lo, S.hi)
+    out = Y.copy()
+    if S.kind == "ball":
+        d = Y - S.center
+        n = np.sqrt(_row_sq(d))
+        far = n > S.radius
+        out[far] = S.center + d[far] * (S.radius / n[far])[:, None]
+    else:
+        slack = _row_dot(Y, S.normal) - S.offset
+        low = slack < 0
+        out[low] = Y[low] - slack[low, None] * S.normal / (S.normal @ S.normal)
+    return out
+
+
+def _intersection_distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
+    y, landed = X.copy(), np.zeros(len(X), dtype=bool)
+    # convex exact members: alternating projections land in the intersection,
+    # giving a certified upper estimate (exact when one member binds); a row
+    # stops after the first sweep that moves it by at most 1e-14
+    if all(m.kind in _CONVEX for m in S.members):
+        live = np.arange(len(X))
+        for _ in range(256):
+            z, moved = y[live], np.zeros(len(live))
+            for m in S.members:
+                p = _project(z, m)
+                moved, z = np.maximum(moved, np.sqrt(_row_sq(p - z))), p
+            y[live] = z
+            live = live[moved > 1e-14]
+            if len(live) == 0:
+                break
+        landed = S.contains(y, tol=1e-9)
+    if not landed.all():
+        y[~landed] = _grid_seeded_boundary(X[~landed], S, S.contains)
+    return np.sqrt(_row_sq(X - y))
 
 
 def _bisect_boundary(S: SetSpec, inside: np.ndarray, outside: np.ndarray,
                      iters: int = 60) -> np.ndarray:
-    a, b = np.asarray(inside, dtype=float), np.asarray(outside, dtype=float)
+    """Bisect every row pair (member, non-member) of S; the member ends."""
+    a, b = inside, outside
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        if S.contains(mid):
-            a = mid
-        else:
-            b = mid
+        member = S.contains(mid)[:, None]
+        a, b = np.where(member, mid, a), np.where(member, b, mid)
     return a
 
 
-def _polish_to_boundary(S: SetSpec, x: np.ndarray, y: np.ndarray,
-                        iters: int = 25) -> float:
-    """Tangential descent of |x - y| along the boundary of a sublevel set."""
-    best = float(np.linalg.norm(x - y))
-    h = max(1e-7, 1e-7 * best)
+def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray,
+                        iters: int = 25) -> np.ndarray:
+    """Tangential descent of |x - y| along the boundary of a sublevel set,
+    for every row pair; a row stops at its first step that does not improve."""
+    best = np.sqrt(_row_sq(X - Y))
+    h = np.maximum(1e-7, 1e-7 * best)
+    Y, n, live = Y.copy(), X.shape[1], np.arange(len(X))
     for _ in range(iters):
-        g = _fd_gradient(lambda p: S.fn(p[None, :])[0], y, h)
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
-            break
-        tangent = (x - y) - ((x - y) @ g) * g / gn**2
-        tn = np.linalg.norm(tangent)
-        if tn < 1e-14:
-            break
-        step = min(0.5 * best, tn)
-        cand = y + tangent / tn * step
+        # central-difference gradient of fn at every live y, one call
+        y, e = Y[live], h[live, None, None] * np.eye(n)
+        f = np.asarray(S.fn(np.stack([y[:, None] + e, y[:, None] - e]).reshape(-1, n)))
+        f = f.reshape(2, -1, n)
+        g = (f[0] - f[1]) / (2.0 * h[live, None])
+        gn = np.sqrt(_row_sq(g))
+        keep = gn >= 1e-14
+        live, y, g, gn = live[keep], y[keep], g[keep], gn[keep]
+        d = X[live] - y
+        tangent = d - _row_dot(d, g)[:, None] * g / (gn ** 2)[:, None]
+        tn = np.sqrt(_row_sq(tangent))
+        keep = tn >= 1e-14
+        live, y, g, gn, tangent, tn = (a[keep] for a in (live, y, g, gn, tangent, tn))
+        step = np.minimum(0.5 * best[live], tn)
+        cand = y + tangent / tn[:, None] * step[:, None]
         # pull the candidate back onto the boundary along the gradient ray
-        inside_pt = cand - g / gn * max(2.0 * step, 1e-6)
-        if not S.contains(inside_pt):
-            inside_pt = y
-        cand = _bisect_boundary(S, inside_pt, cand + g / gn * max(2.0 * step, 1e-6), iters=50)
-        d = float(np.linalg.norm(x - cand))
-        if d < best - 1e-15:
-            best, y = d, cand
-        else:
+        push = g / gn[:, None] * np.maximum(2.0 * step, 1e-6)[:, None]
+        inside_pt = np.where(S.contains(cand - push)[:, None], cand - push, y)
+        cand = _bisect_boundary(S, inside_pt, cand + push, iters=50)
+        dist = np.sqrt(_row_sq(X[live] - cand))
+        better = dist < best[live] - 1e-15
+        live = live[better]
+        best[live], Y[live] = dist[better], cand[better]
+        if len(live) == 0:
             break
     return best
-
-
-def _fd_gradient(fn, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros_like(x, dtype=float)
-    for i in range(len(x)):
-        e = np.zeros_like(x, dtype=float)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +498,7 @@ def hausdorff_distance(A, B) -> float:
     B = _as_cloud(B)
     if len(A) == 0 or len(B) == 0:
         raise GeometryError("empty set")
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    d = np.sqrt(d2)
+    d = np.sqrt(_pair_sq(A, B))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -550,24 +539,22 @@ def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -
     external:   min_h (|x + h v|_S - |x|_S) / h.
     """
     x, v = probe.x, probe.v
-    if probe.mode in ("contingent", "clarke-tangent"):
-        if distance_to_set(x, S) > tol:
-            raise GeometryError("base point not in set")
-        quotients = [distance_to_set(x + h * v, S) / h for h in probe.steps]
-        if probe.mode == "contingent":
-            return float(min(quotients))
-        # clarke-tangent: also probe from perturbed base points (limsup over y -> x)
-        worst = min(quotients)
-        for h in probe.steps[-3:]:
-            for dy in (h * 10.0,):
-                for sgn in (1.0, -1.0):
-                    y = x + sgn * dy * _unit_perp(v)
-                    if distance_to_set(y, S) <= tol + dy:
-                        worst = max(worst, min(
-                            distance_to_set(y + hh * v, S) / hh for hh in probe.steps))
-        return float(worst)
-    base = distance_to_set(x, S)
-    return float(min((distance_to_set(x + h * v, S) - base) / h for h in probe.steps))
+    steps = np.asarray(probe.steps)
+    d = distance_to_set_many(np.vstack([x, x + steps[:, None] * v]), S)
+    if probe.mode == "external":
+        return float(((d[1:] - d[0]) / steps).min())
+    if d[0] > tol:
+        raise GeometryError("base point not in set")
+    quotients = d[1:] / steps
+    if probe.mode == "contingent":
+        return float(quotients.min())
+    # clarke-tangent: also probe from perturbed base points (limsup over y -> x)
+    dy = np.repeat(10.0 * steps[-3:], 2)
+    ys = x + (np.tile([1.0, -1.0], 3) * dy)[:, None] * _unit_perp(v)
+    probes = (ys[:, None, :] + steps[:, None] * v).reshape(-1, len(x))
+    d = distance_to_set_many(np.vstack([ys, probes]), S)
+    near = (d[len(ys):].reshape(len(ys), -1) / steps).min(axis=1)[d[:len(ys)] <= tol + dy]
+    return float(max(quotients.min(), near.max(initial=-np.inf)))
 
 
 def _unit_perp(v: np.ndarray) -> np.ndarray:
@@ -585,37 +572,39 @@ def _unit_perp(v: np.ndarray) -> np.ndarray:
 # Clarke generalized gradient sampling, proximal subgradient test
 # ---------------------------------------------------------------------------
 
-def clarke_gradient_sample(B, x, radius: float, m: int = 0, fd_step: float = 1e-7,
+def clarke_gradient_sample(B, X, radius: float, m: int = 0, fd_step: float = 1e-7,
                            seed: int = 0) -> np.ndarray:
-    """Finite-difference gradient estimates near x, a generator set for the
-    Clarke gradient hull.
+    """Finite-difference gradient estimates near each base point of X, (n,)
+    or (k, n), generator sets for the Clarke gradient hulls: (m, n) or (k, m, n).
 
     B is a batch handle on R^n, mapping points P (k, n) to k values; it is
-    called once, on all m * 2n probes.  Gradients are taken at m
-    low-discrepancy points in the radius-ball around x; a linear test
-    functional's max over the hull equals its max over these generators.
+    called once, on all m * 2n probes of every base.  Gradients are taken at
+    the base and m - 1 low-discrepancy points in the radius-ball around it; a
+    linear test functional's max over the hull equals its max over these.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
     if m <= 0:
         m = 2 * n + 1
     if m < 2 * n + 1:
         raise GeometryError("need m >= 2n+1 gradient samples")
     if radius <= 0 or fd_step <= 0:
         raise GeometryError("radius and fd_step must be positive")
-    pts = np.vstack([x, sampling.ball_points(x, radius, m - 1, seed=seed)])
+    # ball_points(x, ...) is x plus offsets that do not depend on x
+    offsets = sampling.ball_points(np.zeros(n), radius, m - 1, seed=seed)
+    pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
     step = fd_step * np.eye(n)
-    probes = np.stack([pts[:, None, :] + step, pts[:, None, :] - step])
-    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(2, m, n)
-    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=1)
+    probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])
+    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(probes.shape[:-1])
+    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=-1)
     if bad.any():
-        raise GeometryError(f"non-finite value near sample {pts[np.argmax(bad)]}")
+        raise GeometryError(f"non-finite value near sample {pts.reshape(-1, n)[np.argmax(bad)]}")
     return (hi - lo) / (2.0 * fd_step)
 
 
 @dataclass(frozen=True)
 class SubgradientCandidate:
-    """Candidate proximal subgradient zeta of B at x with curvature bound eps."""
+    """Candidate proximal subgradients zeta, (n,) or (z, n), of B at x with curvature bound eps."""
 
     x: np.ndarray
     zeta: np.ndarray
@@ -635,7 +624,8 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                               tol: float = 1e-9, seed: int = 0) -> dict:
     """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
 
-    B is a batch handle, called once on x and all of its samples."""
+    B is a batch handle, called once on x and all of its samples.  For a
+    (z, n) zeta, "holds" and "worst_margin" are (z,) arrays, one per zeta."""
     if m < 10:
         raise GeometryError("need m >= 10 test points")
     x, zeta = cand.x, cand.zeta
@@ -646,6 +636,10 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
     pts = np.vstack([pts, axes])
     vals = np.asarray(B(np.vstack([x, pts])), dtype=float)
     d = pts - x
-    margins = vals[1:] - vals[0] - d @ zeta + cand.eps * np.einsum("ij,ij->i", d, d)
-    worst = float(margins.min())
+    # one column per zeta; a zeta's margins do not depend on the others
+    margins = ((vals[1:] - vals[0])[:, None] - _row_dot(d[:, None, :], np.atleast_2d(zeta))
+               + cand.eps * np.einsum("ij,ij->i", d, d)[:, None])
+    worst = margins.min(axis=0)
+    if zeta.ndim == 1:
+        worst = float(worst[0])
     return {"holds": worst >= -tol, "worst_margin": worst}

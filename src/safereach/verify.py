@@ -281,8 +281,8 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     if len(region) == 0:
         return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
                            details={"reason": "empty decrease region"})
-    for x, gb in zip(region, np.asarray(g(handle(region)), dtype=float)):
-        zetas = clarke_gradient_sample(handle, x, radius=clarke_radius, fd_step=fd, seed=seed)
+    grads = clarke_gradient_sample(handle, region, radius=clarke_radius, fd_step=fd, seed=seed)
+    for x, gb, zetas in zip(region, np.asarray(g(handle(region)), dtype=float), grads):
         gb = float(gb)
         for zeta in zetas:
             for eta in inclusion_extreme_points(F, x, ball_directions, seed):

@@ -282,7 +282,8 @@ class TestCommands:
             "\n[barrier]\nkind = user\nexpression = x1^2 + x2^2 - 1\n"
             "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"))
         # (argv, message, artifacts written before the error); a run that
-        # fails before its first artifact leaves no output directory
+        # fails before its first artifact leaves no output directory, and a
+        # run that fails after it leaves a manifest naming the error
         cases = [
             (["check", "--config", str(sign)], "could not draw",          # GeometryError
              ["quick.check.json"]),
@@ -311,7 +312,11 @@ class TestCommands:
             assert err.startswith("error: ") and message in err
             assert "Traceback" not in err
             if written:
-                assert sorted(p.name for p in out.iterdir()) == written
+                assert sorted(p.name for p in out.iterdir()) == sorted(
+                    written + ["manifest.json"])
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["artifacts"] == written
+                assert message in manifest["error"]
             else:
                 assert not out.exists()
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from safereach.expr import compile_expression
 from safereach.geometry import (ConeProbe, EmptySetError, GeometryError, SetSpec,
                                 SubgradientCandidate, clarke_gradient_sample,
                                 cone_residual, distance_to_set,
@@ -222,6 +224,16 @@ class TestClarkeGradient:
         assert calls == [(9 * 2 * 3, 3)]
         assert np.allclose(grads, [1.0, 0.0, -2.0], atol=1e-6)
 
+    def test_batch_of_bases_in_one_call(self):
+        # every base keeps the offsets a lone call would use
+        calls = []
+        B = lambda X: calls.append(X.shape) or np.sin(X[:, 0]) * X[:, 1] ** 2
+        X = np.array([[0.4, -0.3], [1.0, 2.0], [-0.5, 0.1]])
+        grads = clarke_gradient_sample(B, X, radius=1e-4, m=6, seed=2)
+        assert grads.shape == (3, 6, 2) and calls == [(3 * 6 * 2 * 2, 2)]
+        for x, g in zip(X, grads):
+            assert np.array_equal(clarke_gradient_sample(B, x, radius=1e-4, m=6, seed=2), g)
+
 
 class TestProximalSubgradient:
     def test_squared_norm_at_origin(self):
@@ -240,6 +252,17 @@ class TestProximalSubgradient:
         B = lambda X: np.linalg.norm(X, axis=1)
         cand = SubgradientCandidate([0.0, 0.0], [0.5, 0.0], radius=0.1)
         assert proximal_subgradient_test(cand, B)["holds"]
+
+    def test_all_candidates_in_one_call(self):
+        calls = []
+        B = lambda X: calls.append(len(X)) or np.abs(X[:, 0]) + X[:, 1] ** 2
+        zetas = np.array([[0.0, 0.0], [0.9, 0.0], [1.5, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        res = proximal_subgradient_test(SubgradientCandidate([0.0, 0.0], zetas, radius=0.1), B)
+        assert calls == [1 + 64 + 4]
+        assert res["holds"].tolist() == [True, True, False, True, False]
+        for zeta, holds, worst in zip(zetas, res["holds"], res["worst_margin"]):
+            one = proximal_subgradient_test(SubgradientCandidate([0.0, 0.0], zeta, radius=0.1), B)
+            assert one == {"holds": holds, "worst_margin": worst}
 
     def test_minimum_sample_count(self):
         cand = SubgradientCandidate([0.0], [0.0], radius=0.1)
@@ -278,3 +301,103 @@ class TestSamplers:
         many = distance_to_set_many(pts, S)
         each = [distance_to_set(p, S) for p in pts]
         assert np.allclose(many, each)
+
+
+def _ellipse():
+    # the ELLIPSE of scenarios/linear.scenario
+    fn = compile_expression("x1^2/10 + x2^2 - 1", ("x1", "x2"))
+    return SetSpec.sublevel(fn, 0.0, 2, ([-4.0, -2.0], [4.0, 2.0]), grid=41)
+
+
+def _ellipse_distance(p, axes=(np.sqrt(10.0), 1.0)):
+    """Closed-form distance to {x1^2/a^2 + x2^2/b^2 <= 1}: the nearest point is
+    y_i = p_i a_i^2 / (a_i^2 + s), s the root of the Lagrange condition
+    sum (a_i p_i / (a_i^2 + s))^2 = 1, unique on s > 0 for an outside p."""
+    a, p = np.asarray(axes), np.asarray(p, dtype=float)
+    if ((p / a) ** 2).sum() <= 1.0:
+        return 0.0
+    cond = lambda s: ((a * p / (a * a + s)) ** 2).sum() - 1.0
+    s = brentq(cond, 0.0, a.max() * np.abs(p).sum() + 1.0, xtol=1e-15, rtol=1e-15)
+    return float(np.linalg.norm(p - p * a * a / (a * a + s)))
+
+
+class TestBatchGeometry:
+    """Membership and distances run on all rows at once; a row's result must
+    not depend on the other rows of its batch."""
+
+    ball = SetSpec.ball([0.0, 0.0], 1.0)
+
+    def _sets(self):
+        box = SetSpec.box([-0.5, -0.5], [0.5, 0.5])
+        half = SetSpec.halfspace([1.0, 1.0], 0.5)
+        comp = SetSpec.complement(self.ball)
+        return [self.ball, box, half, SetSpec.points([[0.0, 0.0], [1.0, 0.0]]), _ellipse(),
+                comp, SetSpec.complement(comp), SetSpec.union([comp, box]),
+                SetSpec.intersection([comp, SetSpec.box([-2, -2], [2, 2])]),
+                SetSpec.intersection([self.ball, half]),
+                SetSpec.complement(SetSpec.union([self.ball, SetSpec.ball([1.5, 0.0], 1.0)]))]
+
+    def _rows(self):
+        # interior, exterior and exact boundary points of the unit ball and
+        # of the box, plus the points of the points set
+        ang = 2 * np.pi * np.arange(8) / 8
+        circle = np.column_stack([np.cos(ang), np.sin(ang)])
+        extra = [[0.5, 0.5], [0.5, 0.0], [0.0, 0.0], [1.0, 0.0], [3.5, 0.3]]
+        return np.vstack([circle, 0.5 * circle, 2.0 * circle, extra])
+
+    def test_contains_batch_equals_rows(self):
+        X = self._rows()
+        for S in self._sets():
+            for tol in (1e-12, 1e-9, 0.0):
+                batch = S.contains(X, tol)
+                assert batch.shape == (len(X),) and batch.dtype == bool
+                assert batch.tolist() == [bool(S.contains(X[i:i + 1], tol)[0])
+                                          for i in range(len(X))], S.kind
+
+    def test_closed_complement_inside_union_and_intersection(self):
+        # a boundary point of the ball lies in its closed complement, also
+        # as a member of a union or an intersection; a point just inside
+        # does not
+        comp = SetSpec.complement(self.ball)
+        U = SetSpec.union([comp, SetSpec.ball([5.0, 5.0], 0.1)])
+        I = SetSpec.intersection([comp, SetSpec.box([-2, -2], [2, 2])])
+        X = np.array([[1.0, 0.0], [0.0, -1.0], [1.0 - 1e-6, 0.0]])
+        for S in (comp, U, I):
+            assert S.contains(X).tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("which", ["sublevel", "intersection-projection",
+                                       "intersection-grid", "complement-of-union"])
+    def test_estimated_distances_are_batch_independent(self, which):
+        S = {"sublevel": _ellipse(),
+             "intersection-projection": SetSpec.intersection(
+                 [self.ball, SetSpec.halfspace([1.0, 1.0], 0.5)]),
+             "intersection-grid": SetSpec.intersection(
+                 [SetSpec.ball([0.0, 0.0], 2.0), SetSpec.complement(self.ball)]),
+             "complement-of-union": SetSpec.complement(
+                 SetSpec.union([self.ball, SetSpec.ball([1.5, 0.0], 1.0)]))}[which]
+        X = np.vstack([np.random.default_rng(3).uniform(-3.0, 3.0, size=(24, 2)),
+                       [[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [0.3, 0.6]]])
+        single = np.array([distance_to_set_many(x[None, :], S)[0] for x in X])
+        assert (single > 0).any() and (single == 0).any()
+        perm = np.random.default_rng(4).permutation(len(X))
+        assert np.array_equal(distance_to_set_many(X[perm], S), single[perm])
+        parts = [distance_to_set_many(X[i:i + 5], S) for i in range(0, len(X), 5)]
+        assert np.array_equal(np.concatenate(parts), single)
+        assert np.array_equal(distance_to_set_many(X, S), single)
+
+    def test_non_finite_row_raises_in_a_batch(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GeometryError, match="non-finite"):
+                distance_to_set_many([[0.0, 0.0], [bad, 0.0]], self.ball)
+            with pytest.raises(GeometryError, match="non-finite"):
+                distance_to_set_many([[bad, 0.0]], _ellipse())
+
+    def test_ellipse_estimates_are_upper_estimates(self):
+        # the estimated sublevel distance may exceed the true distance but
+        # must never fall below it (beyond rounding)
+        X = np.random.default_rng(101).uniform([-4.0, -2.0], [4.0, 2.0], size=(200, 2))
+        est = distance_to_set_many(X, _ellipse())
+        exact = np.array([_ellipse_distance(x) for x in X])
+        assert (exact > 0).sum() > 100
+        assert np.all(est >= exact - 1e-9), float((est - exact).min())
+        assert np.all(est[exact == 0.0] == 0.0)
