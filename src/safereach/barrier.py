@@ -93,7 +93,11 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
 # ---------------------------------------------------------------------------
 
 class MarginalBarrier:
-    """Backward-tube distance minimum, evaluated by batched integration."""
+    """Backward-tube distance minimum, evaluated by batched integration.
+
+    The minimum runs along nested backward tubes, so one backward sweep per
+    distinct x, to its largest queried t, yields B(t, x) at every queried t:
+    each query reads the running minimum off the steps around its t."""
 
     def __init__(self, F: InclusionSpec, X_o: SetSpec, cfg: IntegratorConfig,
                  plan: BundlePlan = BundlePlan()):
@@ -118,27 +122,38 @@ class MarginalBarrier:
         self.cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
         selectors = self.plan.selectors(self.F, max_k * h if max_k > 0 else h)
-        # one sweep over selectors x points: row j * m + i runs selector j from Xs[i]
-        S = len(selectors)
-        lo, hi = np.tile(k_lo, S), np.tile(k_hi, S)
-        dmin = np.tile(distance_to_set_many(Xs, self.X_o), S)
-        out_lo = dmin.copy()
+        # one sweep over selectors x distinct points: row j * p + u runs
+        # selector j from U[u] to the largest hi of the queries at U[u]
+        # (rows equal bit for bit, so 0.0 and -0.0 stay apart)
+        _, first, at = np.unique(np.ascontiguousarray(Xs).view(np.uint64), axis=0,
+                                 return_index=True, return_inverse=True)
+        U, at = Xs[first], at.reshape(-1)
+        S, p = len(selectors), len(U)
+        k_end = np.zeros(p, dtype=int)
+        np.maximum.at(k_end, at, k_hi)
+        dmin = np.tile(distance_to_set_many(U, self.X_o), S)
+        D = dmin.reshape(S, p)
+        # slot q < m is query q at its lo, slot m + q the same query at its hi
+        k_slot, u_slot = np.concatenate([k_lo, k_hi]), np.concatenate([at, at])
+        seen = D[:, u_slot]
+        order = np.argsort(k_slot, kind="stable")
+        ks, starts = np.unique(k_slot[order], return_index=True)
+        slots_at = dict(zip(ks.tolist(), np.split(order, starts[1:])))
 
         def observe(k, rows, X):
             dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
-            at = lo == k
-            out_lo[at] = dmin[at]
+            if k in slots_at:
+                q = slots_at[k]
+                seen[:, q] = D[:, u_slot[q]]
 
-        # each row stops at its own hi; the running minimum then is the hi value
-        _, steps, escaped = rk4_sweep(bundle_field(self.F, selectors, m, h, "backward"),
-                                      np.tile(Xs, (S, 1)), h, hi, observe,
+        _, steps, escaped = rk4_sweep(bundle_field(self.F, selectors, p, h, "backward"),
+                                      np.tile(U, (S, 1)), h, np.tile(k_end, S), observe,
                                       self.cfg.escape_radius)
         self.truncated = bool(escaped.any())
-        # a row that escaped before its lo stays frozen: its minimum is final
-        out_lo = np.where(lo < steps, out_lo, dmin)
-        best_lo = out_lo.reshape(S, m).min(axis=0)
-        best_hi = dmin.reshape(S, m).min(axis=0)
-        return best_lo * (1.0 - frac) + best_hi * frac
+        # a row that escaped at or before a slot's step stays frozen: its minimum is final
+        seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
+        best = seen.min(axis=0)
+        return best[:m] * (1.0 - frac) + best[m:] * frac
 
 
 def marginal_barrier(F: InclusionSpec, X_o: SetSpec,

@@ -35,7 +35,7 @@ class FieldHandle:
         out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape:
             raise DynamicsError(f"field '{self.name}' returned shape {out.shape} for input {x.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DynamicsError(f"field '{self.name}' returned non-finite values")
         return out
 
@@ -69,14 +69,20 @@ _ORIGIN_GUARD = 1e-12
 def _counterexample2d(x):
     # planar system with limit cycles at every radius 1/(k*pi); the radial
     # rate is (r^2/2) sin^2(1/r) and the angular rate is 1
+    # column by column; (0.5 r) x1 s rounds like 0.5 * r * x1 * s, a
+    # reordered 0.5 * r * s * x1 would not
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe_r = np.where(r < _ORIGIN_GUARD, 1.0, r)
-    s = np.sin(1.0 / safe_r) ** 2
-    x1 = x[..., 0:1]
-    x2 = x[..., 1:2]
-    out = np.concatenate([-x2 + 0.5 * r * x1 * s, x1 + 0.5 * r * x2 * s], axis=-1)
-    return np.where(r < _ORIGIN_GUARD, 0.0, out)
+    x1, x2 = x[..., 0], x[..., 1]
+    r = np.sqrt(x1 * x1 + x2 * x2)
+    origin = r < _ORIGIN_GUARD
+    s = np.sin(1.0 / np.where(origin, 1.0, r)) ** 2
+    hr = 0.5 * r
+    out = np.empty(x.shape)
+    out[..., 0] = -x2 + hr * x1 * s
+    out[..., 1] = x1 + hr * x2 * s
+    if origin.any():
+        out[origin] = 0.0
+    return out
 
 
 def _counterexample_radial(x):

@@ -63,15 +63,19 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         raise ExpressionError(f"cannot parse '{text}': {exc.msg}") from exc
     _validate(tree, variables)
     code = compile(tree, "<expression>", "eval")
-    names = {**_FUNCS, "pi": np.pi}
+    names = {**_FUNCS, "pi": np.pi, "__builtins__": {}}
 
     def fn(X):
         X = np.asarray(X, dtype=float)
-        local = dict(names)
-        for i, v in enumerate(variables):
-            local[v] = X[..., i]
-        out = eval(code, {"__builtins__": {}}, local)  # noqa: S307 - AST whitelisted
-        return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
+        local = {v: X[..., i] for i, v in enumerate(variables)}
+        out = eval(code, names, local)  # noqa: S307 - AST whitelisted
+        shape = X.shape[:-1]
+        # a fresh result is returned as is; a constant or a bare variable (a
+        # view into X) is copied out at the batch shape
+        if (type(out) is np.ndarray and out.base is None and out.dtype == np.float64
+                and out.shape == shape):
+            return out
+        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
     fn.source = text
     fn.variables = variables

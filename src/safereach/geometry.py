@@ -124,9 +124,17 @@ class SetSpec:
         """'exact' when every distance query is closed-form, else 'estimated'."""
         if self.kind in ("ball", "box", "halfspace", "points"):
             return "exact"
-        if self.kind in ("complement", "union"):
+        if self.kind == "union":
             return ("exact" if all(m.exactness() == "exact" for m in self.members)
                     else "estimated")
+        if self.kind == "complement":
+            # _complement_distance answers these in closed form (the complement
+            # of a complement by the inner member's own distance); the ring
+            # search estimates the rest
+            inner = self.members[0]
+            if inner.kind in _CONVEX + ("points",) or (
+                    inner.kind == "complement" and inner.members[0].exactness() == "exact"):
+                return "exact"
         return "estimated"
 
     def contains(self, X, tol: float = _MEMBER_TOL) -> np.ndarray:

@@ -30,11 +30,14 @@ SWITCHED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear
 
 
 def _assert_batch_independent(B, data, t_max):
-    # permuted and partitioned batches reproduce per-point evaluation bitwise
+    # permuted and partitioned batches reproduce per-point evaluation bitwise;
+    # the points come from a pool, so a batch may ask one x at several t's
     n = data.draw(st.integers(1, 6))
     ts = np.array(data.draw(st.lists(st.floats(0.0, t_max), min_size=n, max_size=n)))
-    xs = np.array(data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-                                     min_size=n, max_size=n)))
+    pool = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                              min_size=1, max_size=n))
+    xs = np.array([pool[i] for i in data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))])
     order = np.array(data.draw(st.permutations(range(n))))
     cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
     singles = np.array([B.evaluate(t, x) for t, x in zip(ts, xs)])
@@ -191,6 +194,57 @@ class TestMarginalBarrier:
         assert n_mixed <= sum(counted)
         assert rows_mixed <= sum(rhs_rows)
 
+
+    @pytest.mark.parametrize("B", [PERTURBED_B, SWITCHED_B], ids=["switches0", "switches2"])
+    def test_repeated_points_read_off_one_sweep(self, B):
+        # every x asked at several t's, some (t, x) twice: the batch, its
+        # permutation and one evaluation per distinct (t, x) agree bitwise
+        ts = np.array([0.0, 0.25, 0.5 + 1 / 128, 1.0, 1.5, 0.25])
+        xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
+        T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
+        singles = {(t, tuple(x)): B.evaluate(t, x) for t, x in zip(T, X)}
+        expected = np.array([singles[t, tuple(x)] for t, x in zip(T, X)])
+        assert np.array_equal(B.evaluate_many(T, X), expected)
+        order = np.random.default_rng(4).permutation(len(T))
+        assert np.array_equal(B.evaluate_many(T[order], X[order]), expected[order])
+
+    @pytest.mark.parametrize("switches", [0, 2])
+    def test_read_off_across_an_escape(self, switches):
+        # backward rows from the first two points leave radius 4 between two
+        # of their queried t's: a later t takes the frozen rows' final
+        # minimum, whether rows from the third point still step (the batch)
+        # or none does (per point)
+        B = marginal_barrier(PERTURBED, SetSpec.ball([0, 0], 0.5),
+                             IntegratorConfig(step=1 / 64, escape_radius=4.0),
+                             directions=4, switches=switches)
+        ts = np.array([0.25, 0.5 + 1 / 128, 1.0 + 1 / 256, 1.5, 3.0])
+        xs = np.array([[2.5, 0.5], [0.9, 0.7], [0.2, 0.1]])
+        B.evaluate(0.5 + 1 / 128, xs[0])
+        assert not B.core.truncated
+        B.evaluate(1.0 + 1 / 256, xs[0])
+        assert B.core.truncated
+        T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
+        singles = np.array([B.evaluate(t, x) for t, x in zip(T, X)])
+        assert np.array_equal(B.evaluate_many(T, X), singles)
+        assert B.core.truncated
+        order = np.random.default_rng(6).permutation(len(T))
+        assert np.array_equal(B.evaluate_many(T[order], X[order]), singles[order])
+
+    def test_one_sweep_per_distinct_point(self):
+        # 7 t's x 3 copies of one x step S rows, not 7 * 3 * S
+        rhs_rows = []
+        f = builtin_field("linear_safe")
+        counting = FieldHandle(lambda X: rhs_rows.append(len(X)) or f(X), 2, "linear_safe")
+        B = marginal_barrier(InclusionSpec.ball_perturbed(counting, 0.3),
+                             SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1 / 64),
+                             directions=4)
+        ts = np.repeat(np.linspace(0.0, 1.5, 7), 3)
+        vals = B.evaluate_many(ts, np.tile([0.9, 0.7], (len(ts), 1)))
+        assert set(rhs_rows) == {4} and len(rhs_rows) == 4 * 96
+        assert np.all(np.diff(vals[::3]) <= 0.0)
+        rhs_rows.clear()
+        B.evaluate_many(np.zeros(5), np.random.default_rng(0).normal(size=(5, 2)))
+        assert rhs_rows == []
 
     def test_ball_bundle_matches_per_selector_loop(self):
         # one sweep over selectors x points against a running minimum along

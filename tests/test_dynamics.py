@@ -43,6 +43,18 @@ class TestBuiltins:
         angular = (X[:, 0] * V[:, 1] - X[:, 1] * V[:, 0]) / r ** 2
         assert np.max(np.abs(angular - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(1, 2), (17, 2), (112, 2), (1536, 2), (2,), (3, 4, 2)])
+    def test_counterexample_bitwise_equals_norm_form(self, shape):
+        # column by column, rounding like the norm-and-concatenate form
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=shape)
+        x.reshape(-1, 2)[0] = 0.0
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        s = np.sin(1.0 / np.where(r < 1e-12, 1.0, r)) ** 2
+        x1, x2 = x[..., 0:1], x[..., 1:2]
+        ref = np.concatenate([-x2 + 0.5 * r * x1 * s, x1 + 0.5 * r * x2 * s], axis=-1)
+        ref = np.where(r < 1e-12, 0.0, ref)
+        assert np.array_equal(builtin_field("counterexample2d")(x), ref)
+
     def test_radial_matches_planar_radial_rate(self):
         f2 = builtin_field("counterexample2d")
         f1 = builtin_field("counterexample_radial")
@@ -233,3 +245,12 @@ class TestExpressionFields:
         from safereach.expr import ExpressionError
         with pytest.raises(ExpressionError):
             field_from_expressions(["y1 + 1"], "bad")
+
+    def test_compiled_expression_never_returns_a_view_of_x(self):
+        from safereach.expr import compile_expression
+        X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        bare = compile_expression("x1", ("x1", "x2"))(X)
+        assert np.array_equal(bare, X[:, 0]) and not np.shares_memory(bare, X)
+        const = compile_expression("2 * pi", ("x1", "x2"))(X)
+        assert const.shape == (3,) and np.all(const == 2 * np.pi)
+        assert compile_expression("x1 * x2", ("x1", "x2"))(X).tolist() == [2.0, 12.0, 30.0]

@@ -294,6 +294,11 @@ class TestSamplers:
                              ).exactness() == "exact"
         est = SetSpec.intersection([SetSpec.ball([0, 0], 1), SetSpec.ball([0.5, 0], 1)])
         assert est.exactness() == "estimated"
+        # the complement of a union is answered by the ring search, an estimate
+        union = SetSpec.union([SetSpec.ball([0, 0], 1), SetSpec.ball([3, 0], 1)])
+        assert SetSpec.complement(union).exactness() == "estimated"
+        assert SetSpec.complement(SetSpec.ball([0, 0], 1)).exactness() == "exact"
+        assert SetSpec.complement(SetSpec.complement(union)).exactness() == "exact"
 
     def test_vectorized_matches_scalar(self):
         S = SetSpec.ball([0.2, -0.1], 0.9)
