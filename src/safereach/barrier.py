@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import InclusionSpec, inclusion_extreme_points
+from .dynamics import InclusionSpec, max_rate
 from .expr import compile_expression, compile_scalar_expression
 from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
@@ -314,7 +314,11 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
     worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
     viol = max(worst_o - zero_tol, pos_tol - worst_u)
     witness = wo if worst_o - zero_tol >= pos_tol - worst_u else wu
-    details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u}
+    # samples counts every evaluated (t, x), repeats too: a one-point X_o is
+    # drawn many times; distinct_samples counts them bit for bit
+    distinct = (len(np.unique(t_grid.view(np.uint64)))
+                * len(np.unique(pts.view(np.uint64), axis=0)))
+    details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u, "distinct_samples": distinct}
     if B.core is not None and B.core.truncated:
         details["lower_bound_only"] = "backward tube truncated by escape"
     return CheckReport(
@@ -426,16 +430,15 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                         region="everywhere", g: RelaxFn = None,
                         t_grid=(0.0,), window=None, count: int = 200,
                         fd: float = 1e-6, clarke_radius: float = 1e-4,
-                        seed: int = 0, tol: float = 1e-7,
-                        ball_directions: int = 16) -> CheckReport:
+                        seed: int = 0, tol: float = 1e-7) -> CheckReport:
     """Decrease condition <zeta, (1, eta)> <= g(B) over sampled region points.
 
     mode smooth: zeta is the finite-difference gradient of B;
     mode clarke: zeta ranges over Clarke gradient samples around (t, x);
     mode proximal: zeta ranges over candidates that pass the proximal
     subgradient inequality (an empty candidate set passes vacuously).
-    eta ranges over the inclusion vertices; for a ball inclusion the exact
-    maximum over the ball is used.
+    Each zeta is tested against its exact maximum over eta in F(x)
+    (:func:`~safereach.dynamics.max_rate`); samples counts the zetas.
     """
     if g is None:
         g = RelaxFn.zero()
@@ -447,40 +450,28 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "region empty after sampling"})
     ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
-    zetas = _zeta_candidates(B, mode, ts, X, fd, clarke_radius, seed)
+    Z, keep = _zeta_candidates(B, mode, ts, X, fd, clarke_radius, seed)
     gbs = np.asarray(g(B.evaluate_many(ts, X)), dtype=float)
-    worst = -np.inf
-    witness = {}
-    checked = 0
-    for t, x, zs, gb in zip(ts, X, zetas, gbs):
-        gb = float(gb)
-        for zeta in zs:
-            zt, zx = zeta[0], zeta[1:]
-            if F.kind == "ball":
-                f0 = F.fields[0](x)
-                cands = [(f0, zt + float(zx @ f0) + F.epsilon * float(np.linalg.norm(zx)) - gb)]
-            else:
-                cands = [(eta, zt + float(zx @ eta) - gb)
-                         for eta in inclusion_extreme_points(F, x, ball_directions, seed)]
-            for eta, margin in cands:
-                checked += 1
-                if margin > worst:
-                    worst, witness = margin, {"t": t, "x": x.tolist(), "eta": eta.tolist(),
-                                              "zeta": zeta.tolist()}
-    if checked == 0:
+    if not keep.any():
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "no subgradient candidates"})
-    return CheckReport(f"infinitesimal_{mode}", checked, float(worst), witness,
+    rates, etas = max_rate(F, X, Z)
+    margins = np.where(keep, rates - gbs[:, None], -np.inf)
+    i, j = np.unravel_index(np.argmax(margins), margins.shape)
+    worst = float(margins[i, j])
+    witness = {"t": float(ts[i]), "x": X[i].tolist(), "eta": etas[i, j].tolist(),
+               "zeta": Z[i, j].tolist()}
+    return CheckReport(f"infinitesimal_{mode}", int(keep.sum()), worst, witness,
                        "pass" if worst <= tol else "fail",
                        details={"relaxation": g.kind, "region": str(region)})
 
 
 def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
                      fd: float, radius: float, seed: int):
-    """Candidate zetas (z, n + 1) for every pair."""
+    """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
     prox_radius = 1e-3
     if mode == "smooth":
-        return _fd_extended_gradients(B, ts, X, fd)[:, None, :]
+        return _fd_extended_gradients(B, ts, X, fd)[:, None, :], np.ones((len(ts), 1), dtype=bool)
     if mode not in ("clarke", "proximal"):
         raise ValueError(f"unknown mode '{mode}'")
     handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
@@ -489,14 +480,13 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
     TX = np.column_stack([np.maximum(ts, floor), X])
     grads = clarke_gradient_sample(handle, TX, radius=radius, fd_step=fd, seed=seed)
     if mode == "clarke":
-        return grads
+        return grads, np.ones(grads.shape[:2], dtype=bool)
     # each margin is nondecreasing in eps, so the curvature bound 100 accepts
     # every zeta that a smaller one would; one test per pair, on all its zetas
-    out = []
-    for tx, zs in zip(TX, grads):
-        cand = SubgradientCandidate(tx, zs, radius=prox_radius, eps=100.0)
-        out.append(zs[proximal_subgradient_test(cand, handle, m=24, seed=seed)["holds"]])
-    return out
+    keep = np.array([proximal_subgradient_test(
+        SubgradientCandidate(tx, zs, radius=prox_radius, eps=100.0), handle,
+        m=24, seed=seed)["holds"] for tx, zs in zip(TX, grads)])
+    return grads, keep
 
 
 def sublevel_membership(B: BarrierFn, t: float, x) -> dict:

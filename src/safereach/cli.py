@@ -181,7 +181,7 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
         raise CliError("[smooth] region grid is empty")
     part = build_time_partition(h, grid, cfg.get("smooth", "k_max", 3),
                                 table_res=cfg.get("smooth", "table_res", 256))
-    g = smooth_on_compact(h, part, w_tol=cfg.get("smooth", "w_tol"))
+    g = smooth_on_compact(part, w_tol=cfg.get("smooth", "w_tol"))
     out_n = cfg.get("smooth", "out_n", 9)
     ts = np.linspace(0.0, part.nodes[-1], out_n)
     vals = g.sample_times(ts, grid)
@@ -253,7 +253,7 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
         K = _get_set(scn, _require(cfg.get(section, "K"), f"[{section}] needs K"))
         rep = nagumo_check(scn.system, K, cfg.get(section, "mode", "boundary"),
                            n_samples=cfg.get(section, "n_samples", 64),
-                           tol=cfg.get(section, "tol", 1e-5), seed=seed,
+                           tol=cfg.get(section, "tol"), seed=seed,
                            window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sampling
 from .expr import compile_expression
-from .geometry import SetSpec, hausdorff_distance
+from .geometry import SetSpec
 
 
 class DynamicsError(ValueError):
@@ -160,35 +160,56 @@ class InclusionSpec:
 
 @dataclass(frozen=True)
 class EvaluatedInclusion:
-    """F(x) as vertices (singleton/hull) or a center plus a ball radius."""
+    """F(x) as vertices (singleton/hull) or a center plus a ball radius;
+    vertices is (p, n) at one point x and (k, p, n) at k points."""
 
     vertices: np.ndarray
     radius: float = 0.0
 
     @property
     def center(self) -> np.ndarray:
-        return self.vertices[0]
+        return self.vertices[..., 0, :]
 
 
 def eval_inclusion(F: InclusionSpec, x) -> EvaluatedInclusion:
+    """F at one point x (n,) or at every row of a batch (k, n), one call per field."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DynamicsError("eval_inclusion at non-finite point")
-    if F.kind == "singleton":
-        return EvaluatedInclusion(F.fields[0](x)[None, :])
-    if F.kind == "ball":
-        return EvaluatedInclusion(F.fields[0](x)[None, :], radius=F.epsilon)
-    return EvaluatedInclusion(np.stack([f(x) for f in F.fields]))
+    return EvaluatedInclusion(np.stack([f(x) for f in F.fields], axis=-2),
+                              radius=F.epsilon if F.kind == "ball" else 0.0)
 
 
 def inclusion_extreme_points(F: InclusionSpec, x, directions: int = 16,
                              seed: int = 0) -> np.ndarray:
-    """Finite vertex cloud approximating F(x) (exact for singleton/hull)."""
+    """Finite vertex cloud approximating F(x), (p, n) or (k, p, n) like
+    :func:`eval_inclusion` (exact for singleton/hull)."""
     ev = eval_inclusion(F, x)
     if F.kind != "ball" or F.epsilon == 0.0:
         return ev.vertices
     dirs = sampling.sphere_directions(F.dim, directions, seed=seed)
-    return ev.center + F.epsilon * dirs
+    return ev.center[..., None, :] + F.epsilon * dirs
+
+
+def max_rate(F: InclusionSpec, X, Z):
+    """Max over eta in F(x) of <zeta, (1, eta)>, and an eta attaining it.
+
+    X is (k, n), Z (k, z, n + 1) with zeta_t first; returns (k, z) maxima and
+    (k, z, n) etas.  A ball adds eps |zeta_x|, attained at f + eps zeta_x /
+    |zeta_x| (at f if zeta_x = 0); a hull takes its first largest vertex.  One
+    call per field; np.vecdot rounds each row like a 1-D `@`, whatever the batch.
+    """
+    Z = np.asarray(Z, dtype=float)
+    zt, zx = Z[..., 0], Z[..., 1:]
+    V = eval_inclusion(F, X).vertices                          # (k, p, n)
+    rates = zt[..., None] + np.vecdot(zx[:, :, None, :], V[:, None, :, :])
+    if F.kind == "ball":
+        norm = np.sqrt(np.vecdot(zx, zx))[..., None]
+        f = V[:, None, 0, :]
+        eta = np.where(norm > 0.0, f + F.epsilon * (zx / np.where(norm > 0.0, norm, 1.0)), f)
+        return rates[..., 0] + F.epsilon * norm[..., 0], eta
+    best = rates.argmax(axis=-1)
+    return rates.max(axis=-1), V[np.arange(len(V))[:, None], best]
 
 
 @dataclass(frozen=True)
@@ -312,20 +333,10 @@ def lipschitz_estimate(F: InclusionSpec, box: SetSpec, grid: int = 9) -> float:
     if grid < 2:
         raise DynamicsError("need at least 2 grid points per axis")
     pts = sampling.grid_points(box.lo, box.hi, grid)
-    if F.kind == "hull" and len(F.fields) > 1:
-        values = [np.stack([f(p) for f in F.fields]) for p in pts]
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                dx = float(np.linalg.norm(pts[i] - pts[j]))
-                if dx < 1e-12:
-                    continue
-                best = max(best, hausdorff_distance(values[i], values[j]) / dx)
-        return best
-    # singleton and ball variants: the ball radius cancels in d_H
-    vals = F.fields[0](pts)
-    diff = vals[:, None, :] - vals[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    # F(x) as its vertex set (P, p, n); the ball radius cancels in d_H
+    V = eval_inclusion(F, pts).vertices
+    d = np.linalg.norm(V[:, None, :, None, :] - V[None, :, None, :, :], axis=-1)
+    d_H = np.maximum(d.min(axis=3).max(axis=2), d.min(axis=2).max(axis=2))
     sep = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     mask = sep > 1e-12
-    return float((dist[mask] / sep[mask]).max(initial=0.0))
+    return float((d_H[mask] / sep[mask]).max(initial=0.0))

@@ -243,10 +243,11 @@ def _grid_spacing(grid: np.ndarray) -> float:
     return float(np.median(np.sqrt(d2.min(axis=1))))
 
 
-def smooth_on_compact(h: Callable, partition: TimePartition,
+def smooth_on_compact(partition: TimePartition,
                       w_tol: Optional[float] = None) -> SmoothedFn:
-    """Mollify h's node snapshots in x, glue them with the monotone cubic,
-    and validate the h/2 <= g <= 2h sandwich plus t-monotonicity on the grid.
+    """Mollify the node snapshots of h (the partition's table) in x, glue them
+    with the monotone cubic, and validate the h/2 <= g <= 2h sandwich plus
+    t-monotonicity on the grid.
 
     Bandwidth shrinks from four grid spacings toward half a spacing until the
     snapshot error meets the slack-sequence tolerance (floored at w_tol or the
@@ -316,15 +317,15 @@ def _continuity_certificate(grid, sigma, partition, snaps) -> dict:
     probe = grid[:: max(1, len(grid) // 5)][:5]
     t_probe = 0.5 * (partition.nodes[0] + partition.nodes[min(1, len(partition.nodes) - 1)])
     fn = SmoothedFn(grid, sigma, partition.nodes, snaps, {})
+    step = 1e-4
     worst = 0.0
     for x in probe:
-        for step in (1e-4,):
-            for i in range(grid.shape[1]):
-                e = np.zeros(grid.shape[1])
-                e[i] = 1.0
-                g1 = (fn.evaluate(t_probe, x + step * e) - fn.evaluate(t_probe, x - step * e)) / (2 * step)
-                g2 = (fn.evaluate(t_probe, x + 0.5 * step * e) - fn.evaluate(t_probe, x - 0.5 * step * e)) / step
-                worst = max(worst, abs(g1 - g2))
+        for i in range(grid.shape[1]):
+            e = np.zeros(grid.shape[1])
+            e[i] = 1.0
+            g1 = (fn.evaluate(t_probe, x + step * e) - fn.evaluate(t_probe, x - step * e)) / (2 * step)
+            g2 = (fn.evaluate(t_probe, x + 0.5 * step * e) - fn.evaluate(t_probe, x - 0.5 * step * e)) / step
+            worst = max(worst, abs(g1 - g2))
     return {"fd_gradient_discrepancy": worst, "sigma": sigma}
 
 
@@ -439,7 +440,7 @@ def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 
     for s in s_range:
         grid = annulus_points(K, s, annulus_count, seed=seed + s - s_range[0])
         partition = build_time_partition(h, grid, k_max, table_res=table_res)
-        parts[s] = smooth_on_compact(h, partition, w_tol=w_tol)
+        parts[s] = smooth_on_compact(partition, w_tol=w_tol)
     fn = GlobalSmoothedFn(K, parts, s_range, float(k_max))
     if validation_points is not None:
         _validate_global(fn, h, np.atleast_2d(validation_points), k_max)

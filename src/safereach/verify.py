@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sampling
 from .barrier import BarrierFn, CheckReport, RelaxFn, jsonable
-from .dynamics import InclusionSpec, inclusion_extreme_points
+from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .geometry import (ConeProbe, SamplePlan, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
@@ -196,8 +196,8 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     witness = {}
     checked = 0
     cone_mode = "contingent" if mode == "boundary" else "external"
-    for x in pts:
-        for eta in inclusion_extreme_points(F, x, ball_directions, seed):
+    for x, etas in zip(pts, inclusion_extreme_points(F, pts, ball_directions, seed)):
+        for eta in etas:
             speed = float(np.linalg.norm(eta))
             checked += 1
             if speed < 1e-15:
@@ -235,14 +235,15 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
                 g: RelaxFn = None, mode: str = "conditional",
                 n_samples: int = 64, shell_width: float = 1e-3, window=None,
                 seed: int = 0, tol: float = 1e-7,
-                clarke_radius: float = 1e-6, fd: float = 1e-7,
-                ball_directions: int = 16) -> CheckReport:
+                clarke_radius: float = 1e-6, fd: float = 1e-7) -> CheckReport:
     """Sign conditions plus the Clarke decrease inequality for conditional
     (or strict conditional) invariance of X_s with respect to X_o.
 
     conditional mode: B > 0 just outside X_s, B <= 0 on the boundary of X_o,
     and <zeta, eta> <= g(B) between the boundary of X_o and the outside shell
     of X_s.  strict mode uses the boundary of X_s and the region X_s \\ X_o.
+    Each Clarke gradient sample zeta is tested against its exact maximum over
+    eta in F(x) (:func:`~safereach.dynamics.max_rate`).
     """
     if g is None:
         g = RelaxFn.zero()
@@ -271,26 +272,21 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
                          bd_o[int(np.argmax(neg_vals))]))
 
     region = _between_region(X_o, X_s, mode, n_samples, shell_width, seed + 2, window)
-    worst = -np.inf
-    witness = {}
-    checked = 0
-    for name, margin, x in sign_margins:
-        checked += 1
-        if margin > worst:
-            worst, witness = margin, {"condition": name, "x": np.asarray(x).tolist()}
+    name, worst, x = max(sign_margins, key=lambda c: c[1])      # the first largest
+    witness, checked = {"condition": name, "x": np.asarray(x).tolist()}, len(sign_margins)
     if len(region) == 0:
         return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
                            details={"reason": "empty decrease region"})
     grads = clarke_gradient_sample(handle, region, radius=clarke_radius, fd_step=fd, seed=seed)
-    for x, gb, zetas in zip(region, np.asarray(g(handle(region)), dtype=float), grads):
-        gb = float(gb)
-        for zeta in zetas:
-            for eta in inclusion_extreme_points(F, x, ball_directions, seed):
-                m = float(zeta @ eta) - gb
-                checked += 1
-                if m > worst:
-                    worst, witness = m, {"condition": "decrease", "x": x.tolist(),
-                                         "eta": eta.tolist(), "zeta": zeta.tolist()}
+    # time-independent B: zeta_t = 0
+    rates, etas = max_rate(F, region, np.concatenate(
+        [np.zeros(grads.shape[:-1] + (1,)), grads], axis=-1))
+    margins = rates - np.asarray(g(handle(region)), dtype=float)[:, None]
+    i, j = np.unravel_index(np.argmax(margins), margins.shape)
+    checked += margins.size
+    if margins[i, j] > worst:
+        worst, witness = margins[i, j], {"condition": "decrease", "x": region[i].tolist(),
+                                         "eta": etas[i, j].tolist(), "zeta": grads[i, j].tolist()}
     return CheckReport(f"prop1_{mode}", checked, float(worst), witness,
                        "pass" if worst <= tol else "fail",
                        details={"relaxation": g.kind})

@@ -174,7 +174,7 @@ def test_smoothing_sandwich_grid():
     r = np.linalg.norm(pts, axis=1)
     grid = pts[(r >= 0.5) & (r <= 1.0)]
     part = build_time_partition(h, grid, k_max=3, table_res=256)
-    g = smooth_on_compact(h, part)
+    g = smooth_on_compact(part)
 
     ax50 = np.linspace(-1.0, 1.0, 50)
     qx, qy = np.meshgrid(ax50, ax50, indexing="ij")

@@ -24,6 +24,10 @@ WINDOW = ([-2.0, -2.0], [2.0, 2.0])
 PERTURBED = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
 PERTURBED_B = marginal_barrier(PERTURBED, SetSpec.ball([0, 0], 0.5),
                                IntegratorConfig(step=1.0 / 64.0), directions=4)
+# a time-dependent barrier and a hull whose larger vertex changes across the window
+HULL = InclusionSpec.hull([builtin_field("linear_safe"),
+                           field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")])
+HULL_B = user_barrier("x1^2/10 + x2^2 - 1 + t*x1*x2/4", 2)
 SWITCHED_B = marginal_barrier(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3),
                               SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1.0 / 64.0),
                               directions=4, switches=2)
@@ -281,6 +285,15 @@ class TestSignCheck:
         assert rep.details["max_on_X_o"] == 0.0
         assert rep.details["min_on_X_u"] > 0.0
 
+    def test_distinct_samples_count_repeated_points_once(self):
+        # the one-point X_o is drawn n_init times; samples counts every copy
+        B = user_barrier("x1^2 + x2^2", 2)
+        X_u = SetSpec.complement(ORIGIN, name="off_origin")
+        rep = candidate_sign_check(B, ORIGIN, X_u, [0.0, 1.0, 1.0, 2.0],
+                                   n_init=8, n_unsafe=40, window=WINDOW)
+        assert rep.samples == 4 * (8 + 40)
+        assert rep.details["distinct_samples"] == 3 * (1 + 40)
+
     def test_closed_form_positive_off_origin(self):
         B = counterexample_barrier_fn()
         X_u = SetSpec.complement(ORIGIN, name="off_origin")
@@ -468,10 +481,11 @@ class TestInfinitesimal:
 
 
 def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, seed=0):
-    """Per-pair scalar loops of the decrease check with g = 0 on a ball
-    inclusion, region everywhere: one B value per probe, memoized on (t, x)
-    since a value depends on its own row only.  Proximal base times sit at
-    least the proximal radius + fd above 0."""
+    """Per-pair scalar loops of the decrease check with g = 0, region
+    everywhere: one B value per probe, memoized on (t, x) since a value
+    depends on its own row only.  Proximal base times sit at least the
+    proximal radius + fd above 0.  A ball inclusion takes the exact ball
+    maximum, any other kind a loop over its vertices; samples count zetas."""
     value = functools.cache(lambda t, *x: B.evaluate(t, np.array(x)))
     H = lambda u: value(*map(float, u))
     per_t = max(count // len(t_grid), 8)
@@ -504,12 +518,19 @@ def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, 
                 zetas = [z for z in zetas
                          if any(proximal_holds(tx, z, eps) for eps in (0.0, 1.0, 10.0, 100.0))]
         for zeta in zetas:
-            f0 = F.fields[0](x)
-            margin = zeta[0] + float(zeta[1:] @ f0) + F.epsilon * float(np.linalg.norm(zeta[1:]))
+            if F.kind == "ball":
+                f0 = F.fields[0](x)
+                norm = float(np.linalg.norm(zeta[1:]))
+                # the maximizer over the ball, f0 + eps zeta_x / |zeta_x|
+                eta = f0 + F.epsilon * (zeta[1:] / norm) if norm > 0.0 else f0
+                cands = [(eta, zeta[0] + float(zeta[1:] @ f0) + F.epsilon * norm)]
+            else:
+                cands = [(v, zeta[0] + float(zeta[1:] @ v)) for v in (f(x) for f in F.fields)]
             checked += 1
-            if margin > worst:
-                worst, witness = margin, {"t": t, "x": x.tolist(), "eta": f0.tolist(),
-                                          "zeta": zeta.tolist()}
+            for eta, margin in cands:
+                if margin > worst:
+                    worst, witness = margin, {"t": t, "x": x.tolist(), "eta": eta.tolist(),
+                                              "zeta": zeta.tolist()}
     return worst, witness, checked
 
 
@@ -528,6 +549,27 @@ class TestBatchedDecrease:
         assert rep.worst_margin == worst
         assert rep.witness == witness
         assert rep.samples == checked
+
+    def test_hull_clarke_equals_vertex_loop(self):
+        rep = infinitesimal_check(HULL_B, HULL, "clarke", "everywhere", RelaxFn.zero(),
+                                  t_grid=(0.0, 1.5), window=WINDOW, count=12, tol=np.inf)
+        worst, witness, checked = _scalar_decrease_reference(HULL_B, HULL, "clarke",
+                                                             (0.0, 1.5), 12)
+        assert rep.worst_margin == worst
+        assert rep.witness == witness
+        assert rep.samples == checked == 12 * 7     # 2(n + 1) + 1 zetas per pair
+
+    @pytest.mark.parametrize("mode", ["smooth", "clarke", "proximal"])
+    def test_one_rhs_call_per_field(self, monkeypatch, mode):
+        calls = []
+        real = FieldHandle.__call__
+        monkeypatch.setattr(FieldHandle, "__call__",
+                            lambda self, x: calls.append(self.name) or real(self, x))
+        for count in (4, 16):
+            calls.clear()
+            infinitesimal_check(HULL_B, HULL, mode, "everywhere", t_grid=[0.5],
+                                window=WINDOW, count=count, tol=np.inf)
+            assert sorted(calls) == ["linear_safe", "quad"]
 
     def test_smooth_calls_do_not_grow_with_count(self, monkeypatch):
         calls = []

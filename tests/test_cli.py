@@ -8,8 +8,10 @@ from safereach import cli
 from safereach.cli import main
 from safereach.config import (ConfigError, build_scenario, parse_config,
                               set_to_config)
+from safereach.dynamics import InclusionSpec, builtin_field
 from safereach.geometry import SetSpec, distance_to_set
 from safereach.solver import BundlePlan
+from safereach.verify import nagumo_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -244,6 +246,19 @@ class TestCommands:
         assert main(["check", "--config", str(self._write(tmp_path, text)),
                      "--out", str(out)]) == 0
         assert plans == [BundlePlan(directions=2, switches=0, seed=5)] * 2
+
+    def test_nagumo_keeps_the_library_tolerance(self, tmp_path):
+        # without a tol key the exterior mode runs at nagumo_check's own default
+        text = MINIMAL + "[check nag]\nkind = nagumo\nK = X_o\nmode = exterior\n"
+        out = tmp_path / "out"
+        main(["check", "--config", str(self._write(tmp_path, text)),
+              "--set", "sampling.window=-1.2 -1.2 1.2 1.2", "--out", str(out)])
+        rep = json.loads((out / "nag.check.json").read_text())
+        lib = nagumo_check(InclusionSpec.singleton(builtin_field("linear_safe")),
+                           SetSpec.ball([0, 0], 1.0), "exterior", seed=5,
+                           window=([-1.2, -1.2], [1.2, 1.2]))
+        assert rep["details"]["tol"] == lib.details["tol"] == 1e-3
+        assert rep["worst_margin"] == lib.worst_margin and rep["verdict"] == lib.verdict
 
     def test_simulate_falls_back_to_interior_samples(self, tmp_path):
         # the complement of a point has no boundary sampler

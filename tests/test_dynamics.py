@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 from safereach.dynamics import (DynamicsError, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
-                                lipschitz_estimate, negate, rescale_field, select)
-from safereach.geometry import SetSpec
+                                lipschitz_estimate, max_rate, negate, rescale_field,
+                                select)
+from safereach.geometry import SetSpec, hausdorff_distance
+from safereach.sampling import grid_points
+
+QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
 
 
 class TestBuiltins:
@@ -115,6 +119,17 @@ class TestInclusion:
         pts = inclusion_extreme_points(F, x, directions=8)
         assert len(pts) == 8
         assert np.allclose(np.linalg.norm(pts - f(x), axis=1), 0.25)
+
+    def test_batched_vertices_equal_per_point(self):
+        f = builtin_field("linear_safe")
+        X = np.random.default_rng(2).normal(size=(5, 2))
+        for F in (InclusionSpec.singleton(f), InclusionSpec.hull([f, QUAD]),
+                  InclusionSpec.ball_perturbed(f, 0.25)):
+            ev = eval_inclusion(F, X)
+            assert ev.vertices.shape == (5, len(F.fields), 2)
+            assert np.array_equal(ev.center, np.stack([eval_inclusion(F, x).center for x in X]))
+            pts = inclusion_extreme_points(F, X, directions=8)
+            assert np.array_equal(pts, np.stack([inclusion_extreme_points(F, x, 8) for x in X]))
 
     @given(st.floats(0, 2 * np.pi), st.floats(0, 1),
            st.lists(st.floats(-3, 3), min_size=2, max_size=2))
@@ -226,6 +241,66 @@ class TestLipschitzEstimate:
         F = InclusionSpec.hull([f, f.negated()])
         est = lipschitz_estimate(F, SetSpec.box([0, 0], [1, 1]), grid=4)
         assert est == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_hull_equals_pairwise_hausdorff(self):
+        # the reference divides by a 1-D norm, which may round the separation
+        # an ulp away from the batched norm: relative tolerance 1e-15 (~4.5 ulp)
+        F = InclusionSpec.hull([QUAD, field_from_expressions(["sin(x1)", "x1*x1 - x2"], "trig"),
+                                field_from_expressions(["x1*x2", "cos(x2) + x1/3"], "mix")])
+        box = SetSpec.box([-0.7, -1.3], [1.9, 0.4])
+        pts = grid_points(box.lo, box.hi, 5)
+        V = [np.stack([f(p) for f in F.fields]) for p in pts]
+        ref = max(hausdorff_distance(V[i], V[j]) / float(np.linalg.norm(pts[i] - pts[j]))
+                  for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        assert lipschitz_estimate(F, box, grid=5) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    def test_ball_radius_cancels(self):
+        f = builtin_field("linear_safe")
+        assert lipschitz_estimate(InclusionSpec.ball_perturbed(f, 0.5), self.box, grid=5) \
+            == lipschitz_estimate(InclusionSpec.singleton(f), self.box, grid=5)
+
+
+class TestMaxRate:
+    def test_rows_round_like_one_dimensional_matmul(self):
+        # max_rate's per-row dot products must equal a 1-D `@` bit for bit
+        rng = np.random.default_rng(11)
+        for n in (2, 3):
+            a, b = rng.normal(size=(2, 1000, n)) * rng.lognormal(size=(2, 1000, 1))
+            assert np.vecdot(a, b).tolist() == [float(u @ v) for u, v in zip(a, b)]
+
+    def test_singleton_and_hull_equal_vertex_loop(self):
+        f = builtin_field("linear_safe")
+        rng = np.random.default_rng(4)
+        X, Z = rng.normal(size=(6, 2)), rng.normal(size=(6, 3, 3))
+        for F in (InclusionSpec.singleton(f), InclusionSpec.hull([f, QUAD, f.negated()])):
+            rates, etas = max_rate(F, X, Z)
+            for x, zs, r, e in zip(X, Z, rates, etas):
+                V = [g(x) for g in F.fields]
+                for z, rz, ez in zip(zs, r, e):
+                    vals = [z[0] + float(z[1:] @ v) for v in V]
+                    k = int(np.argmax(vals))           # first largest vertex
+                    assert rz == vals[k] and np.array_equal(ez, V[k])
+
+    def test_ball_closed_form_and_maximizer(self):
+        f = builtin_field("linear_safe")
+        eps = 0.3
+        F = InclusionSpec.ball_perturbed(f, eps)
+        X = np.array([[1.0, 0.5], [-0.2, 2.0]])
+        Z = np.array([[[0.5, 3.0, 4.0], [1.0, 0.0, 0.0]],
+                      [[0.0, -1.0, 2.0], [-2.0, 0.0, -0.5]]])
+        rates, etas = max_rate(F, X, Z)
+        for x, zs, r, e in zip(X, Z, rates, etas):
+            for z, rz, ez in zip(zs, r, e):
+                norm = float(np.linalg.norm(z[1:]))
+                assert rz == z[0] + float(z[1:] @ f(x)) + eps * norm
+                expected = f(x) + eps * (z[1:] / norm) if norm > 0 else f(x)
+                assert np.array_equal(ez, expected)
+                # the maximizer attains the value
+                assert z[0] + z[1:] @ ez == pytest.approx(rz, abs=1e-12)
+        assert np.array_equal(etas[0, 1], f(X[0]))      # zeta_x = 0: eta at the center
+        assert rates[0, 0] == 0.5 + (3.0 * -6.0 + 4.0 * 1.0) + eps * 5.0 == -12.0
+        assert np.linalg.norm(etas[0, 0] - f(X[0])) == pytest.approx(eps, abs=1e-15)
 
 
 class TestExpressionFields:

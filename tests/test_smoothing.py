@@ -132,7 +132,7 @@ class TestSmoothOnCompact:
     def test_sandwich_and_monotonicity_on_grid(self):
         grid = annulus_grid(41)
         part = build_time_partition(exp_decay, grid, k_max=2, table_res=128)
-        g = smooth_on_compact(exp_decay, part)
+        g = smooth_on_compact(part)
         ts = np.linspace(0.0, 2.0, 21)
         vals = g.sample_times(ts, grid)
         for i, t in enumerate(ts):
@@ -146,14 +146,14 @@ class TestSmoothOnCompact:
         c = 1.7
         h = lambda t, X: c * np.ones(len(np.atleast_2d(X)))
         part = build_time_partition(h, grid, k_max=2, table_res=32)
-        g = smooth_on_compact(h, part)
+        g = smooth_on_compact(part)
         assert np.allclose(g(0.7, grid), c, atol=1e-12)
 
     def test_time_signal_without_state_dependence(self):
         grid = np.array([[0.6, 0.0]])
         h = lambda t, X: np.exp(-t) * np.ones(len(np.atleast_2d(X)))
         part = build_time_partition(h, grid, k_max=2, table_res=64)
-        g = smooth_on_compact(h, part)
+        g = smooth_on_compact(part)
         for t in (0.0, 0.5, 1.7):
             v = g.evaluate(t, np.array([0.6, 0.0]))
             assert 0.5 * np.exp(-t) <= v <= 2.0 * np.exp(-t)
@@ -161,14 +161,14 @@ class TestSmoothOnCompact:
     def test_certificate_present(self):
         grid = annulus_grid(21)
         part = build_time_partition(exp_decay, grid, k_max=1, table_res=64)
-        g = smooth_on_compact(exp_decay, part)
+        g = smooth_on_compact(part)
         assert "fd_gradient_discrepancy" in g.certificate
         assert g.certificate["fd_gradient_discrepancy"] < 1e-2
 
     def test_off_grid_queries_stay_sandwiched(self):
         grid = annulus_grid(41)
         part = build_time_partition(exp_decay, grid, k_max=2, table_res=128)
-        g = smooth_on_compact(exp_decay, part)
+        g = smooth_on_compact(part)
         probe = annulus_grid(29, 0.55, 0.95)      # off-construction points
         for t in (0.0, 0.31, 1.9):
             hv = exp_decay(t, probe)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from safereach import sampling, verify
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
-from safereach.dynamics import InclusionSpec, builtin_field, field_from_expressions
-from safereach.geometry import SetSpec
+from safereach.dynamics import FieldHandle, InclusionSpec, builtin_field, field_from_expressions
+from safereach.geometry import SetSpec, clarke_gradient_sample
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
 from safereach.verify import (SafetyProblem, SamplePlan,
                               UNDER_APPROX_DISCLAIMER,
@@ -18,6 +19,16 @@ UP = InclusionSpec.singleton(field_from_expressions(["0", "1"], "up"))
 DISK = SetSpec.ball([0, 0], 1.0, name="disk")
 WALL = SetSpec.halfspace([0, 1], 2.0, name="wall")
 CFG = IntegratorConfig(step=1.0 / 256.0)
+HULL = InclusionSpec.hull([builtin_field("linear_safe"),
+                           field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")])
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = []
+    real = FieldHandle.__call__
+    monkeypatch.setattr(FieldHandle, "__call__",
+                        lambda self, x: calls.append(self.name) or real(self, x))
+    return calls
 
 
 class TestSimulate:
@@ -125,6 +136,17 @@ class TestNagumo:
                            shell_width=0.05, window=([-4, -2], [4, 2]))
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("F,names", [(HULL, ["linear_safe", "quad"]),
+                                         (InclusionSpec.ball_perturbed(
+                                             builtin_field("linear_safe"), 0.1),
+                                          ["linear_safe"])])
+    def test_one_rhs_call_per_field(self, monkeypatch, F, names):
+        calls = _count_rhs_calls(monkeypatch)
+        for n in (8, 32):
+            calls.clear()
+            rep = nagumo_check(F, DISK, "boundary", n_samples=n)
+            assert rep.samples > 0 and sorted(calls) == names
+
     def test_empty_shell_inconclusive(self):
         rep = nagumo_check(LINEAR, DISK, "exterior", n_samples=8,
                            shell_width=1e-9, window=([5, 5], [6, 6]))
@@ -147,6 +169,62 @@ class TestProp1:
     Xs = SetSpec.halfspace([0, -1], -2.0, name="below")   # {x2 <= 2}
     B = user_barrier("x1^2/10 + x2^2 - 1", 2)
     window = ([-3.5, -3.0], [3.5, 3.0])
+
+    def _decrease_loop(self, candidates, n_samples=48, width=0.05, seed=0):
+        """Per-zeta loops over the decrease region of the conditional check
+        (X_o = DISK, g = 0): candidates(x, zeta) lists (eta, margin) pairs.
+        Returns the first largest margin, its witness and the zeta count."""
+        handle = lambda P: self.B.evaluate_many(np.zeros(len(P)), P)
+        region = verify._between_region(DISK, self.Xs, "conditional", n_samples, width,
+                                        seed + 2, self.window)
+        grads = clarke_gradient_sample(handle, region, radius=1e-6, fd_step=1e-7, seed=seed)
+        worst, witness, zetas = -np.inf, {}, 0
+        for x, zs in zip(region, grads):
+            for zeta in zs:
+                zetas += 1
+                for eta, m in candidates(x, zeta):
+                    if m > worst:
+                        worst, witness = m, {"condition": "decrease", "x": x.tolist(),
+                                             "eta": eta.tolist(), "zeta": zeta.tolist()}
+        return worst, witness, zetas
+
+    def test_hull_equals_vertex_loop(self):
+        rep = prop1_check(HULL, DISK, self.Xs, self.B, RelaxFn.zero(), "conditional",
+                          n_samples=48, shell_width=0.05, window=self.window)
+        worst, witness, zetas = self._decrease_loop(
+            lambda x, z: [(v, float(z @ v)) for v in (f(x) for f in HULL.fields)])
+        assert rep.witness["condition"] == "decrease"
+        assert rep.worst_margin == worst and rep.witness == witness
+        assert rep.samples == 2 + zetas          # two sign conditions, then one per zeta
+
+    def test_ball_uses_the_exact_maximum(self):
+        eps = 0.5
+        f = builtin_field("linear_safe")
+        F = InclusionSpec.ball_perturbed(f, eps)
+        rep = prop1_check(F, DISK, self.Xs, self.B, RelaxFn.zero(), "conditional",
+                          n_samples=48, shell_width=0.05, window=self.window)
+
+        def exact(x, z):
+            norm = float(np.linalg.norm(z))
+            return [(f(x) + eps * (z / norm), float(z @ f(x)) + eps * norm)]
+
+        worst, witness, zetas = self._decrease_loop(exact)
+        assert rep.witness["condition"] == "decrease"
+        assert rep.worst_margin == worst and rep.witness == witness
+        assert rep.samples == 2 + zetas
+        # 16 sampled directions of the ball fall short of the maximum
+        dirs = sampling.sphere_directions(2, 16, seed=0)
+        sampled, _, _ = self._decrease_loop(
+            lambda x, z: [(v, float(z @ v)) for v in f(x) + eps * dirs])
+        assert rep.worst_margin >= sampled
+
+    def test_one_rhs_call_per_field(self, monkeypatch):
+        calls = _count_rhs_calls(monkeypatch)
+        for n in (16, 48):
+            calls.clear()
+            prop1_check(HULL, DISK, self.Xs, self.B, RelaxFn.zero(), "conditional",
+                        n_samples=n, shell_width=0.05, window=self.window)
+            assert sorted(calls) == ["linear_safe", "quad"]
 
     def test_linear_example_passes(self):
         rep = prop1_check(LINEAR, DISK, self.Xs, self.B, RelaxFn.zero(),
