@@ -25,9 +25,10 @@ import numpy as np
 from . import sampling
 from .dynamics import InclusionSpec, max_rate
 from .expr import compile_expression, compile_scalar_expression
+# distance_to_set_many is unused here: bench/test_bench.py reads barrier.distance_to_set_many
 from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, clarke_gradient_sample,
                        distance_to_set_many, proximal_subgradient_test)
-from .solver import BundlePlan, IntegratorConfig, Trajectory, bundle_field, rk4_sweep
+from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
 
 DEFAULT_POS_TOL = 1e-9
 
@@ -113,47 +114,19 @@ class MarginalBarrier:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         h = self.cfg.step
-        m = len(ts)
         if np.any(ts < 0):
             raise BarrierError("marginal barrier defined for t >= 0")
-        k_lo = np.floor(ts / h + 1e-12).astype(int)
+        if not np.all(np.isfinite(ts)):
+            raise BarrierError(f"marginal barrier needs a finite t, got {ts[~np.isfinite(ts)][0]}")
+        k_lo = np.floor(ts / h + 1e-12)
         frac = np.clip(ts / h - k_lo, 0.0, 1.0)
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         self.cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
         selectors = self.plan.selectors(self.F, max_k * h if max_k > 0 else h)
-        # one sweep over selectors x distinct points: row j * p + u runs
-        # selector j from U[u] to the largest hi of the queries at U[u]
-        # (rows equal bit for bit, so 0.0 and -0.0 stay apart)
-        _, first, at = np.unique(np.ascontiguousarray(Xs).view(np.uint64), axis=0,
-                                 return_index=True, return_inverse=True)
-        U, at = Xs[first], at.reshape(-1)
-        S, p = len(selectors), len(U)
-        k_end = np.zeros(p, dtype=int)
-        np.maximum.at(k_end, at, k_hi)
-        dmin = np.tile(distance_to_set_many(U, self.X_o), S)
-        D = dmin.reshape(S, p)
-        # slot q < m is query q at its lo, slot m + q the same query at its hi
-        k_slot, u_slot = np.concatenate([k_lo, k_hi]), np.concatenate([at, at])
-        seen = D[:, u_slot]
-        order = np.argsort(k_slot, kind="stable")
-        ks, starts = np.unique(k_slot[order], return_index=True)
-        slots_at = dict(zip(ks.tolist(), np.split(order, starts[1:])))
-
-        def observe(k, rows, X):
-            dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(X[rows], self.X_o))
-            if k in slots_at:
-                q = slots_at[k]
-                seen[:, q] = D[:, u_slot[q]]
-
-        _, steps, escaped = rk4_sweep(bundle_field(self.F, selectors, p, h, "backward"),
-                                      np.tile(U, (S, 1)), h, np.tile(k_end, S), observe,
-                                      self.cfg.escape_radius)
-        self.truncated = bool(escaped.any())
-        # a row that escaped at or before a slot's step stays frozen: its minimum is final
-        seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
-        best = seen.min(axis=0)
-        return best[:m] * (1.0 - frac) + best[m:] * frac
+        best, self.truncated = tube_minimum(self.F, selectors, Xs, [k_lo, k_hi], h, "backward",
+                                            self.X_o, self.cfg.escape_radius)
+        return best[0] * (1.0 - frac) + best[1] * frac
 
 
 def marginal_barrier(F: InclusionSpec, X_o: SetSpec,

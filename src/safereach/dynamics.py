@@ -241,12 +241,6 @@ class Selector:
             raise DynamicsError("need one direction per segment (switches + 1)")
         return Selector("piecewise", switch_times=st, directions=ds, index=index)
 
-    def direction_at(self, t: float) -> Optional[np.ndarray]:
-        if self.kind == "constant":
-            return self.direction
-        seg = int(np.searchsorted(self.switch_times, t, side="right"))
-        return self.directions[seg]
-
 
 def _validate_direction(F: InclusionSpec, d: Optional[np.ndarray]) -> None:
     if F.kind == "singleton":
@@ -261,15 +255,11 @@ def _validate_direction(F: InclusionSpec, d: Optional[np.ndarray]) -> None:
             raise DynamicsError("hull selector weights must be nonnegative and sum to 1")
 
 
-def select(F: InclusionSpec, x, s, t: float = 0.0) -> np.ndarray:
+def select(F: InclusionSpec, x, s) -> np.ndarray:
     """Evaluate the selected velocity; always an element of F(x).
 
-    s is a Selector, whose direction at time t is validated here, or
-    directions validated by :func:`selector_table`: one for all rows of x or
-    an (m, p) array with one per row."""
-    if isinstance(s, Selector):
-        s = s.direction_at(t)
-        _validate_direction(F, s)
+    s holds directions validated by :func:`selector_table`: one for all rows
+    of x or an (m, p) array with one per row."""
     if F.kind == "singleton":
         return F.fields[0](x)
     if F.kind == "ball":

@@ -23,10 +23,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .barrier import BarrierFn
-from .dynamics import FieldHandle, rescale_field
+from .barrier import BarrierError, BarrierFn
+from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
 from .geometry import SetSpec, distance_to_set_many
-from .solver import IntegratorConfig, SolverError, rk4_sweep
+from .solver import IntegratorConfig, SolverError, rk4_sweep, tube_minimum
 
 
 class SmoothingError(RuntimeError):
@@ -483,22 +483,15 @@ class ConverseResolution:
     rescaled_step: float = 1.0 / 64.0
 
 
-def _sweep(fn, X, h, n_steps, observe, diverged: str):
-    try:
-        return rk4_sweep(fn, X, h, n_steps, observe)
-    except SolverError as exc:
-        raise SmoothingError(f"{diverged}: {exc}") from exc
-
-
 class _RescaledTubeMin:
     """h(tau, x0): min distance to X_o over the forward tube of the rescaled
-    field, evaluated by batched integration with a running minimum."""
+    field, read off one batched sweep as a table."""
 
     def __init__(self, f: FieldHandle, X_o: SetSpec, res: ConverseResolution):
         self.X_o = X_o
         self.res = res
         V = lambda X: distance_to_set_many(np.atleast_2d(X), X_o) ** 2
-        self.field = rescale_field(f, V)
+        self.F = InclusionSpec.singleton(rescale_field(f, V))
         # exact divisor of the table spacing, no coarser than rescaled_step
         spacing = 1.0 / res.table_res
         self.h = spacing / max(1, int(np.ceil(spacing / res.rescaled_step)))
@@ -506,26 +499,15 @@ class _RescaledTubeMin:
     def bulk(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        h = self.h
-        t_end = float(times.max())
-        n_steps = max(1, int(round(t_end / h))) if t_end > 0 else 0
-        idx = np.round(times / h).astype(int)
-        if np.any(np.abs(times - idx * h) > 1e-9):
+        idx = np.round(times / self.h).astype(int)
+        if np.any(np.abs(times - idx * self.h) > 1e-9):
             raise SmoothingError("tube-min bulk evaluation expects step-aligned times")
-        dmin = distance_to_set_many(X, self.X_o)
-        out = np.empty((len(times), len(X)))
-        out[idx == 0] = dmin
-
-        def observe(k, rows, Y):
-            dmin[:] = np.minimum(dmin, distance_to_set_many(Y, self.X_o))
-            out[idx == k] = dmin
-
-        _sweep(lambda k, rows, Y: self.field(Y), X, h, n_steps, observe,
-               "rescaled flow diverged during tube evaluation")
-        return out
-
-    def __call__(self, t: float, X) -> np.ndarray:
-        return self.bulk(np.array([t]), X)[0]
+        K = np.repeat(idx[:, None], len(X), axis=1)
+        try:
+            return tube_minimum(self.F, [Selector.constant()], X, K, self.h, "forward",
+                                self.X_o)[0]
+        except SolverError as exc:
+            raise SmoothingError(f"rescaled flow diverged during tube evaluation: {exc}") from exc
 
 
 def _soft_saturate(tau: np.ndarray, t_max: float) -> np.ndarray:
@@ -559,8 +541,10 @@ class ConverseBarrier:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         m = len(ts)
+        if not np.all(np.isfinite(ts)):
+            raise BarrierError(f"converse barrier needs a finite t, got {ts[~np.isfinite(ts)][0]}")
         # each row steps to its own t with the largest step up to cfg.step
-        n_rows = np.ceil(ts / self.cfg.step).astype(int)
+        n_rows = np.ceil(ts / self.cfg.step)
         h_rows = ts / np.maximum(n_rows, 1)
         self.cfg.check_steps(ts, n_rows)
         d_here = distance_to_set_many(Xs, self.X_o)
@@ -577,8 +561,10 @@ class ConverseBarrier:
 
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError
-        state = _sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_rows, observe,
-                       "backward flow diverged during barrier evaluation")[0]
+        try:
+            state = rk4_sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_rows, observe)[0]
+        except SolverError as exc:
+            raise SmoothingError(f"backward flow diverged during barrier evaluation: {exc}") from exc
         touched = dmin <= self.res.touch_tol
         out = np.zeros(m)
         free = ~touched

@@ -9,11 +9,14 @@ segment holding the step's midpoint, on the absolute switch grid of
 not depend on the horizon.  The kernel records nothing: an observer sees the
 rows that stepped, enough for a running minimum or a first hit, and
 (n_steps + 1, m, n) paths are kept only for callers asking for trajectories.
+The marginal minimum of the distance to a set over a tube of bundle paths,
+read off at several steps per start, is :func:`tube_minimum`.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
 of the "pre" invariance semantics.  A non-finite state aborts the sweep, and
-a horizon needing more steps than the budget is refused before any step.
+a non-finite horizon, or one needing more steps than the budget, is refused
+before any step.
 Each row steps to its own horizon: the step count is one for the batch or
 one per row.
 """
@@ -50,12 +53,13 @@ class IntegratorConfig:
             raise SolverError("escape radius must be positive")
 
     def check_steps(self, horizon, n_steps) -> None:
-        """Refuse a horizon (one, or one per row) needing over max_steps steps."""
-        n = np.atleast_1d(n_steps)
+        """Refuse a horizon (one, or one per row) needing over max_steps steps,
+        counted as floats: a count cast to int first may already have wrapped."""
+        n = np.atleast_1d(np.asarray(n_steps, dtype=float))
         if n.max(initial=0) > self.max_steps:
             i = int(np.argmax(n))
             raise SolverError(f"horizon {float(np.broadcast_to(horizon, n.shape)[i]):g} needs "
-                              f"{int(n[i])} steps, more than max_steps = {self.max_steps}")
+                              f"{n[i]:.0f} steps, more than max_steps = {self.max_steps}")
 
     @property
     def accuracy(self) -> float:
@@ -119,6 +123,8 @@ class BundlePlan:
             dirs = sampling.simplex_weights(len(F.fields), m, seed=self.seed)
         sels = [Selector.constant(dirs[i], index=i) for i in range(m)]
         if self.switches > 0:
+            if not np.isfinite(T):
+                raise SolverError(f"horizon must be finite, got {T:g}")
             per = self.switches + 1
             st = np.arange(1, int(np.ceil(T * per)) + 1) / per
             st = st[st < T]
@@ -201,6 +207,48 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     return lambda k, rows, X: select(Fd, X, D[bisect_right(st, (k - 0.5) * h)][row_sel[rows]])
 
 
+def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,
+                 escape_radius: float = np.inf):
+    """Running minimum of the distance to X_o along bundle paths, read off.
+
+    Entry (i, q) of the (r, m) result is the minimum of d(., X_o) over nodes
+    0..K[i, q] (steps of length h) of the paths of every selector in sels
+    from X[q].  Points equal bit for bit share one row per selector, which
+    steps to the largest K asked at its point, so the result does not depend
+    on the batch.  A row frozen by escape gives its final minimum to every
+    later read.  Returns the minima and whether any path escaped.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    K = np.asarray(K, dtype=int)
+    # row j * p + u runs selector j from U[u]; the uint64 view keeps 0.0 and -0.0 apart
+    _, first, at = np.unique(np.ascontiguousarray(X).view(np.uint64), axis=0,
+                             return_index=True, return_inverse=True)
+    U, at = X[first], at.reshape(-1)
+    S, p = len(sels), len(U)
+    k_end = np.zeros(p, dtype=int)
+    np.maximum.at(k_end, at, K.max(axis=0, initial=0))
+    dmin = np.tile(distance_to_set_many(U, X_o), S)
+    D = dmin.reshape(S, p)
+    # slot i * m + q reads entry (i, q)
+    k_slot, u_slot = K.reshape(-1), np.tile(at, len(K))
+    seen = D[:, u_slot]
+    order = np.argsort(k_slot, kind="stable")
+    ks, starts = np.unique(k_slot[order], return_index=True)
+    slots_at = dict(zip(ks.tolist(), np.split(order, starts[1:])))
+
+    def observe(k, rows, Y):
+        dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(Y[rows], X_o))
+        if k in slots_at:
+            q = slots_at[k]
+            seen[:, q] = D[:, u_slot[q]]
+
+    _, steps, escaped = rk4_sweep(bundle_field(F, sels, p, h, direction), np.tile(U, (S, 1)),
+                                  h, np.tile(k_end, S), observe, escape_radius)
+    # a row that escaped at or before a slot's step stays frozen: its minimum is final
+    seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
+    return seen.min(axis=0).reshape(K.shape), bool(escaped.any())
+
+
 def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
                  cfg: IntegratorConfig = IntegratorConfig(), direction: str = "forward",
                  observe: Optional[Callable] = None, record: bool = False):
@@ -213,10 +261,12 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     (horizon | escape) and, if record, its Trajectory.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    if not np.isfinite(T):
+        raise SolverError(f"horizon must be finite, got {T:g}")
     if T <= 0 or not np.all(np.isfinite(X0)):
         raise SolverError("horizon must be positive" if T <= 0 else "non-finite initial state")
     m = len(X0)
-    n = max(1, int(np.ceil(T / cfg.step - 1e-9)))
+    n = max(1.0, np.ceil(T / cfg.step - 1e-9))
     cfg.check_steps(T, n)
     h = T / n
     every = np.arange(len(sels) * m)
@@ -243,7 +293,7 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
 def integrate(F: InclusionSpec, s: Selector, x0, T: float,
               direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig(),
               stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
-    """Integrate dx/dt = select(F, x, s, t) (negated for backward) over [0, T]."""
+    """Integrate dx/dt = s(t, x) in F(x) (negated for backward) over [0, T]."""
     traj = bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
     return _truncate_at_set(traj, stop_set, stop_tol)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safereach.barrier as barrier
+import safereach.solver as solver
 from safereach import sampling
 from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
                                counterexample_barrier, counterexample_barrier_fn,
@@ -14,7 +15,7 @@ from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
 from safereach.dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec, distance_to_set_many
-from safereach.solver import BundlePlan, IntegratorConfig, integrate
+from safereach.solver import BundlePlan, IntegratorConfig, SolverError, integrate
 
 ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
 COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
@@ -102,6 +103,17 @@ class TestMarginalBarrier:
         with pytest.raises(BarrierError, match="t >= 0"):
             PERTURBED_B.evaluate_many([0.5, -1e-6], [[1.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("t, error, message", [
+        (1e18, SolverError, "horizon 1e[+]18 needs 64000000000000000000 steps"),
+        (1e20, SolverError, "needs 6400000000000000000000 steps, more than max_steps"),
+        (np.inf, BarrierError, "finite t, got inf"),
+        (np.nan, BarrierError, "finite t, got nan")])
+    def test_huge_or_infinite_time_is_refused(self, t, error, message):
+        # a step count cast to int before the budget check wrapped negative,
+        # and B(t, x) came back as d(x, X_o), the largest value B can take
+        with pytest.raises(error, match=message):
+            PERTURBED_B.evaluate_many([1.0, t], [[3.0, 2.0], [3.0, 2.0]])
+
     def test_zero_on_initial_set(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         for t in (0.0, 1.0, 3.0):
@@ -180,8 +192,8 @@ class TestMarginalBarrier:
     def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
         # neither distance points nor right-hand-side rows: each row stops at its own t
         counted, rhs_rows = [], []
-        real = barrier.distance_to_set_many
-        monkeypatch.setattr(barrier, "distance_to_set_many",
+        real = solver.distance_to_set_many
+        monkeypatch.setattr(solver, "distance_to_set_many",
                             lambda X, S: counted.append(len(X)) or real(X, S))
         f = builtin_field("linear_safe")
         counting = FieldHandle(lambda X: rhs_rows.append(len(X)) or f(X), 2, "linear_safe")
@@ -195,7 +207,7 @@ class TestMarginalBarrier:
         rhs_rows.clear()
         per_t = np.concatenate([B.evaluate_many(np.full(len(xs), t), xs) for t in ts])
         assert np.array_equal(mixed, per_t)
-        assert n_mixed <= sum(counted)
+        assert 0 < n_mixed <= sum(counted)
         assert rows_mixed <= sum(rhs_rows)
 
 

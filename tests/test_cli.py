@@ -315,6 +315,13 @@ class TestCommands:
             (["simulate", "--config", counter, "--set", "solver.max_steps=10",
               "--set", "simulate.T=0.5"],
              "horizon 0.5 needs 256 steps, more than max_steps = 10", []),   # SolverError
+            (["check", "--config", str(SCENARIOS / "perturbed.scenario"),
+              "--set", "check perturbed_safety.T=inf"],
+             "horizon must be finite, got inf", []),                         # SolverError
+            (["simulate", "--config", counter, "--set", "simulate.T=nan"],
+             "horizon must be finite, got nan", []),                         # SolverError
+            (["barrier-eval", "--config", counter, "--set", "barrier-eval.tgrid=1e20 1e20 1"],
+             "horizon 1e+20 needs 51200000000000000000000 steps", []),       # SolverError
             (["check", "--config", linear, "--set", "barrier.expression=x1 +"],
              "cannot parse 'x1 +'", ["safety.check.json"]),                  # ExpressionError
             (["check", "--config", linear, "--set", "set ELLIPSE.fn=x1 +"],

@@ -6,7 +6,7 @@ from safereach.dynamics import (DynamicsError, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
                                 lipschitz_estimate, max_rate, negate, rescale_field,
-                                select)
+                                select, selector_table)
 from safereach.geometry import SetSpec, hausdorff_distance
 from safereach.sampling import grid_points
 
@@ -90,27 +90,26 @@ class TestInclusion:
         x = np.array([0.7, -0.2])
         F = InclusionSpec.ball_perturbed(f, 0.1)
         u = np.array([0.6, 0.8])
-        v = select(F, x, Selector.constant(u))
+        v = select(F, x, u)
         assert np.allclose(v, f(x) + 0.1 * u)
         assert np.linalg.norm(v - f(x)) <= 0.1 + 1e-12
         H = InclusionSpec.hull([f, f.negated()])
-        w = select(H, x, Selector.constant([0.5, 0.5]))
+        w = select(H, x, np.array([0.5, 0.5]))
         assert np.allclose(w, 0.0)
 
     def test_singleton_ignores_selector(self):
         F = InclusionSpec.singleton(builtin_field("linear_safe"))
         x = np.array([1.0, 1.0])
-        assert np.allclose(select(F, x, Selector.constant()),
-                           F.fields[0](x))
+        assert np.allclose(select(F, x, None), F.fields[0](x))
 
     def test_selector_validation(self):
         f = builtin_field("linear_safe")
         F = InclusionSpec.ball_perturbed(f, 0.1)
         with pytest.raises(DynamicsError):
-            select(F, np.zeros(2), Selector.constant([1.0, 1.0]))  # not unit
+            selector_table(F, [Selector.constant([1.0, 1.0])])  # not unit
         H = InclusionSpec.hull([f, f.negated()])
         with pytest.raises(DynamicsError):
-            select(H, np.zeros(2), Selector.constant([0.7, 0.7]))  # sum != 1
+            selector_table(H, [Selector.constant([0.7, 0.7])])  # sum != 1
 
     def test_extreme_points_on_ball(self):
         f = builtin_field("linear_safe")
@@ -140,11 +139,11 @@ class TestInclusion:
         x = np.array(xs)
         u = np.array([np.cos(angle), np.sin(angle)])
         ball = InclusionSpec.ball_perturbed(f, 0.3)
-        v = select(ball, x, Selector.constant(u))
+        v = select(ball, x, u)
         assert np.linalg.norm(v - f(x)) <= 0.3 + 1e-12
         hull = InclusionSpec.hull([f, f.negated()])
         w = np.array([w0, 1.0 - w0])
-        v2 = select(hull, x, Selector.constant(w))
+        v2 = select(hull, x, w)
         # distance to the segment [f(x), -f(x)]
         a, b = f(x), -f(x)
         seg = b - a
@@ -153,9 +152,11 @@ class TestInclusion:
 
     def test_piecewise_selector(self):
         s = Selector.piecewise([1.0, 2.0], [[1, 0], [0, 1], [-1, 0]])
-        assert np.allclose(s.direction_at(0.5), [1, 0])
-        assert np.allclose(s.direction_at(1.5), [0, 1])
-        assert np.allclose(s.direction_at(2.5), [-1, 0])
+        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
+        switch_times, D = selector_table(F, [s])
+        assert np.array_equal(switch_times, [1.0, 2.0])
+        for t, d in [(0.5, [1, 0]), (1.5, [0, 1]), (2.5, [-1, 0])]:
+            assert np.array_equal(D[np.searchsorted(switch_times, t, side="right"), 0], d)
         with pytest.raises(DynamicsError):
             Selector.piecewise([2.0, 1.0], [[1, 0]] * 3)
 

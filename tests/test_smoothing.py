@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safereach.dynamics import builtin_field
+from safereach.barrier import BarrierError
+from safereach.dynamics import Selector, builtin_field
 from safereach.geometry import SetSpec, distance_to_set_many
-from safereach.smoothing import (ConverseResolution, SmoothingError,
+from safereach.smoothing import (ConverseResolution, SmoothingError, _RescaledTubeMin,
                                  annulus_points, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_global, smooth_on_compact)
-from safereach.solver import IntegratorConfig, SolverError
+from safereach.solver import IntegratorConfig, SolverError, integrate
 
 
 def exp_decay(t, X):
@@ -285,3 +286,27 @@ class TestConversePipeline:
         assert B.evaluate(1.0, np.array([0.2, 0.0])) > 0.0
         with pytest.raises(SolverError, match="horizon 2 needs 512 steps"):
             B.evaluate(2.0, np.array([0.2, 0.0]))
+        # a count cast to int before the check wrapped negative: no step, and
+        # the value of an unflowed state
+        with pytest.raises(SolverError, match="horizon 1e[+]20 needs 25600000000000000000000 "):
+            B.evaluate(1e20, np.array([0.2, 0.0]))
+        with pytest.raises(BarrierError, match="finite t, got inf"):
+            B.evaluate(np.inf, np.array([0.2, 0.0]))
+
+    def test_tube_table_is_the_running_minimum_along_each_path(self):
+        # every table entry against a running minimum along the recorded
+        # forward path of the rescaled field, one point at a time
+        Xo = SetSpec.points([[0.0, 0.0]], name="origin")
+        res = ConverseResolution(k_max=2, table_res=32, rescaled_step=1 / 64)
+        tube = _RescaledTubeMin(builtin_field("counterexample2d"), Xo, res)
+        assert tube.h == 1 / 64
+        times = np.arange(0, res.k_max * res.table_res + 1) / res.table_res
+        X = np.array([[0.3, 0.0], [0.0, -0.7], [0.3, 0.0], [0.5, 0.5]])
+        table = tube.bulk(times, X)
+        assert table.shape == (len(times), len(X))
+        for q, x in enumerate(X):
+            path = integrate(tube.F, Selector.constant(), x, float(res.k_max),
+                             cfg=IntegratorConfig(step=tube.h))
+            running = np.minimum.accumulate(distance_to_set_many(path.states, Xo))
+            assert np.array_equal(table[:, q], running[::2])
+        assert np.array_equal(table[0], distance_to_set_many(X, Xo))

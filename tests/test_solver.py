@@ -10,7 +10,7 @@ from safereach.geometry import SetSpec
 import safereach
 from safereach import reachability, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
-                              Trajectory, integrate, rk4_sweep,
+                              Trajectory, bundle_sweep, integrate, rk4_sweep,
                               solution_bundle, time_rescale_tau)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
@@ -78,6 +78,15 @@ class TestIntegrate:
     def test_horizon_must_be_positive(self):
         with pytest.raises(SolverError):
             integrate(LINEAR, Selector.constant(), np.zeros(2), 0.0, cfg=CFG)
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_horizon_must_be_finite(self, T):
+        # an infinite horizon overflowed the int step count, a NaN one failed its cast
+        with pytest.raises(SolverError, match=f"horizon must be finite, got {T}"):
+            bundle_sweep(LINEAR, [Selector.constant()], np.ones((2, 2)), T, CFG)
+        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
+        with pytest.raises(SolverError, match=f"horizon must be finite, got {T}"):
+            BundlePlan(directions=2, switches=1).selectors(F, T)
 
     def test_rk4_holds_counterexample_limit_cycle(self):
         # the radial rate (r^2/2) sin^2(1/r) has a derivative bounded by r + 1/2,
