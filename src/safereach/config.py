@@ -336,7 +336,19 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
     raise ConfigError(f"unknown inclusion variant '{inclusion}'")
 
 
+def _require_finite_times(cfg: RawConfig) -> None:
+    """Refuse a non-finite time grid or horizon by its key, before a pipeline
+    turns it into NaN steps."""
+    keys = [("sampling", "tgrid"), ("barrier-eval", "tgrid"), ("simulate", "T"),
+            ("reach", "t")] + [(name, "T") for name in cfg.section_names("check")]
+    for section, key in keys:
+        value = cfg.get(section, key)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+
+
 def build_scenario(cfg: RawConfig) -> Scenario:
+    _require_finite_times(cfg)
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
     method = cfg.get("solver", "method", "rk4")

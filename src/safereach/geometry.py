@@ -26,6 +26,7 @@ DEFAULT_CONE_TOL = 1e-6
 DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
 _MEMBER_TOL = 1e-12
 _CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
+PAIR_BUDGET = 2 ** 18   # elements of one (rows, points) distance matrix
 
 
 class EmptySetError(ValueError):
@@ -147,7 +148,7 @@ class SetSpec:
         if self.kind == "halfspace":
             return _row_dot(X, self.normal) >= self.offset - tol * np.linalg.norm(self.normal)
         if self.kind == "points":
-            return np.sqrt(_pair_sq(X, self.pts).min(axis=1)) <= tol
+            return np.sqrt(_row_sq(X - self.pts[_nearest(X, self.pts)])) <= tol
         if self.kind == "sublevel":
             return np.asarray(self.fn(X)) <= self.level + tol
         if self.kind == "complement":
@@ -324,7 +325,7 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
         nn = np.linalg.norm(S.normal)
         return np.maximum(S.offset - _row_dot(X, S.normal), 0.0) / nn
     if S.kind == "points":
-        return np.sqrt(_pair_sq(X, S.pts).min(axis=1))
+        return np.sqrt(_row_sq(X - S.pts[_nearest(X, S.pts)]))
     if S.kind == "union":
         return np.min([_distance(X, m) for m in S.members], axis=0)
     if S.kind == "complement" and S.members[0].kind in _CONVEX + ("points", "complement"):
@@ -353,6 +354,14 @@ def _row_sq(D: np.ndarray) -> np.ndarray:
 def _pair_sq(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     # (m, p) squared distances from every row of X to every row of P
     return sum((X[:, j, None] - P[None, :, j]) ** 2 for j in range(X.shape[1]))
+
+
+def _nearest(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Index of every row's nearest row of P (the first of equals), from
+    distance matrices of at most PAIR_BUDGET elements, a chunk of rows each."""
+    step = max(1, PAIR_BUDGET // len(P))
+    return np.concatenate([np.argmin(_pair_sq(X[i:i + step], P), axis=1)
+                           for i in range(0, max(len(X), 1), step)])
 
 
 def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
@@ -407,7 +416,7 @@ def _grid_seeded_boundary(X: np.ndarray, S: SetSpec, member) -> np.ndarray:
     members = grid[member(grid)]
     if len(members) == 0:
         raise EmptySetError(f"no member of '{S.name or S.kind}' found on its {S.grid}^n grid")
-    return _bisect_boundary(S, members[np.argmin(_pair_sq(X, members), axis=1)], X)
+    return _bisect_boundary(S, members[_nearest(X, members)], X)
 
 
 def _project(Y: np.ndarray, S: SetSpec) -> np.ndarray:

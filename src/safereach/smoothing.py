@@ -26,7 +26,7 @@ from . import sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
 from .geometry import SetSpec, distance_to_set_many
-from .solver import IntegratorConfig, SolverError, rk4_sweep, tube_minimum
+from .solver import IntegratorConfig, SolverError, on_stepped, rk4_sweep, tube_minimum
 
 
 class SmoothingError(RuntimeError):
@@ -543,6 +543,8 @@ class ConverseBarrier:
         m = len(ts)
         if not np.all(np.isfinite(ts)):
             raise BarrierError(f"converse barrier needs a finite t, got {ts[~np.isfinite(ts)][0]}")
+        if np.any(ts < 0):
+            raise BarrierError("converse barrier defined for t >= 0")
         # each row steps to its own t with the largest step up to cfg.step
         n_rows = np.ceil(ts / self.cfg.step)
         h_rows = ts / np.maximum(n_rows, 1)
@@ -552,12 +554,14 @@ class ConverseBarrier:
         tau_int = np.zeros(m)
         inv_prev = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
 
-        def observe(k, rows, X):
-            d_here = distance_to_set_many(X[rows], self.X_o)
-            dmin[rows] = np.minimum(dmin[rows], d_here)
-            inv_here = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
-            tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
-            inv_prev[rows] = inv_here
+        def observe(k0, stepped, Xb):
+            d_block = on_stepped(lambda X: distance_to_set_many(X, self.X_o), stepped, Xb)
+            np.minimum(dmin, d_block.min(axis=0), out=dmin)
+            # the trapezoid sum for tau, step by step in order
+            for rows, d_here in zip(stepped, d_block):
+                inv_here = 1.0 / np.maximum(d_here[rows] ** 2, self.res.touch_tol ** 2)
+                tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
+                inv_prev[rows] = inv_here
 
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError

@@ -6,11 +6,14 @@ costs the same few numpy calls whatever the number of rows.  One function,
 :func:`bundle_field`, decides which direction a row uses at a step: the
 segment holding the step's midpoint, on the absolute switch grid of
 :class:`BundlePlan`, so a bundle is one sweep and its family on [0, t] does
-not depend on the horizon.  The kernel records nothing: an observer sees the
-rows that stepped, enough for a running minimum or a first hit, and
-(n_steps + 1, m, n) paths are kept only for callers asking for trajectories.
-The marginal minimum of the distance to a set over a tube of bundle paths,
-read off at several steps per start, is :func:`tube_minimum`.
+not depend on the horizon.  The kernel records nothing: it hands its
+observer blocks of steps, the states after each step and which rows
+stepped, so an observer pays one batch per block, not per step (see
+:func:`on_stepped`).  That is enough for a running minimum or a first hit,
+both exact over a block, and (n_steps + 1, m, n) paths are kept only for
+callers asking for trajectories.  The marginal minimum of the distance to
+a set over a tube of bundle paths, read off at several steps per start, is
+:func:`tube_minimum`.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
@@ -32,6 +35,10 @@ import numpy as np
 from . import sampling
 from .dynamics import InclusionSpec, Selector, negate, select, selector_table
 from .geometry import SetSpec, distance_to_set_many
+
+
+# rows x steps per observed block of rk4_sweep: bounds the observer's batch
+BLOCK_ROWS = 8192
 
 
 class SolverError(RuntimeError):
@@ -143,9 +150,13 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     row steps until it has taken its count: fn(k, rows, X) is the right-hand
     side of step k (from 1) at the states X of ``rows``, a slice or an index
     array into X0.  A row whose new state leaves escape_radius is frozen
-    there.  After step k, observe(k, rows, X) sees the rows that stepped and
-    the whole state array.  Returns the final states, the steps each row
-    took (its escape step, else its count) and the escaped rows.
+    there.  The observer sees blocks of j <= K consecutive steps, K =
+    BLOCK_ROWS // m (at least 1): observe(k0, stepped, Xb) gets the first
+    step k0 of the block, the (j, m) mask of the rows that took each step
+    (an escaping row counts at its escape step) and the (j, m, n) whole
+    state arrays after each step, a fresh array the observer may keep.
+    Returns the final states, the steps each row took (its escape step,
+    else its count) and the escaped rows.
     """
     X = np.array(X0, dtype=float)
     m, n = X.shape
@@ -153,16 +164,23 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     alive = steps > 0
     escaped = np.zeros(m, dtype=bool)
     n_live = int(np.count_nonzero(alive))
+    n_max = int(steps.max(initial=0))
     # the steps after which some row has taken its count
     stops = set(steps.tolist())
     h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
     # no row norm exceeds the radius while every coordinate stays below this
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
-    for k in range(1, int(steps.max(initial=0)) + 1):
+    K = max(1, min(BLOCK_ROWS // max(m, 1), n_max))
+    j = 0   # steps buffered for the observer
+    for k in range(1, n_max + 1):
         if n_live == 0:
             break
         # frozen and finished states may sit where the field overflows: step live rows only
         rows = slice(None) if n_live == m else np.flatnonzero(alive)
+        if observe is not None:
+            if j == 0:
+                k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
+            stepped[j] = alive
         Xs = X[rows]
         hs = h if h_rows is None else h_rows[rows]
         k1 = fn(k, rows, Xs)
@@ -181,12 +199,32 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
             alive[idx] = False
             n_live -= len(idx)
         if observe is not None:
-            observe(k, rows, X)
+            Xb[j] = X
+            j += 1
+            if j == K:
+                observe(k0, stepped, Xb)
+                j = 0
         if k in stops:
             done = alive & (steps == k)
             alive &= ~done
             n_live -= int(np.count_nonzero(done))
+    if j:
+        observe(k0, stepped[:j], Xb[:j])
     return X, steps, escaped
+
+
+def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray, fill: float = np.inf):
+    """fn, points (k, n) -> values (k,), on the rows of an observed block
+    that stepped, in one call: a (j, m) array holding fill where a row did
+    not step.  The rows are gathered with np.compress: on a block of
+    5 x 1536 rows a boolean index into the block costs about 8x more."""
+    j, m, n = Xb.shape
+    if stepped.all():
+        return np.asarray(fn(Xb.reshape(-1, n))).reshape(j, m)
+    flat = stepped.ravel()
+    out = np.full(j * m, fill)
+    out[flat] = fn(np.compress(flat, Xb.reshape(-1, n), axis=0))
+    return out.reshape(j, m)
 
 
 def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Callable:
@@ -234,13 +272,17 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     seen = D[:, u_slot]
     order = np.argsort(k_slot, kind="stable")
     ks, starts = np.unique(k_slot[order], return_index=True)
-    slots_at = dict(zip(ks.tolist(), np.split(order, starts[1:])))
+    slots = np.split(order, starts[1:])
 
-    def observe(k, rows, Y):
-        dmin[rows] = np.minimum(dmin[rows], distance_to_set_many(Y[rows], X_o))
-        if k in slots_at:
-            q = slots_at[k]
-            seen[:, q] = D[:, u_slot[q]]
+    def observe(k0, stepped, Yb):
+        # running minimum through the block: row i of acc is dmin after step k0 + i
+        acc = on_stepped(lambda Y: distance_to_set_many(Y, X_o), stepped, Yb)
+        np.minimum(acc[0], dmin, out=acc[0])
+        np.minimum.accumulate(acc, axis=0, out=acc)
+        dmin[:] = acc[-1]
+        for i in range(np.searchsorted(ks, k0), np.searchsorted(ks, k0 + len(acc))):
+            q = slots[i]
+            seen[:, q] = acc[ks[i] - k0].reshape(S, p)[:, u_slot[q]]
 
     _, steps, escaped = rk4_sweep(bundle_field(F, sels, p, h, direction), np.tile(U, (S, 1)),
                                   h, np.tile(k_end, S), observe, escape_radius)
@@ -255,10 +297,11 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     """Fixed-step RK4 of every selector in sels from every start in X0 (m, n).
 
     Row j * m + i runs sels[j] from X0[i]; all rows take n = ceil(T / step)
-    steps of h = T / n in one sweep, see :func:`bundle_field`.  After every
-    step, observe(t, rows, X) sees the node time, the indices of the rows
-    that stepped and their new states.  Returns the termination of every row
-    (horizon | escape) and, if record, its Trajectory.
+    steps of h = T / n in one sweep, see :func:`bundle_field`.  The observer
+    sees the sweep's blocks of steps: observe(times, stepped, Xb) gets the
+    block's node times and the block of :func:`rk4_sweep`.  Returns the
+    termination of every row (horizon | escape) and, if record, its
+    Trajectory.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.isfinite(T):
@@ -269,23 +312,24 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     n = max(1.0, np.ceil(T / cfg.step - 1e-9))
     cfg.check_steps(T, n)
     h = T / n
-    every = np.arange(len(sels) * m)
-    times, path = [0.0], [np.tile(X0, (len(sels), 1))]
+    X = np.tile(X0, (len(sels), 1))
+    times, path = [np.zeros(1)], [X[None]]
 
-    def obs(k, rows, X):
+    def obs(k0, stepped, Xb):
+        t = h * (k0 + np.arange(len(Xb)))
         if record:
-            times.append(h * k)
-            path.append(X.copy())
+            times.append(t)
+            path.append(Xb)
         if observe is not None:
-            observe(h * k, every[rows], X[rows])
+            observe(t, stepped, Xb)
 
-    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction), path[0], h, n,
-                                  obs, cfg.escape_radius)
-    termination = np.full(len(every), "horizon", dtype=object)
+    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction), X, h, n,
+                                  obs if record or observe is not None else None, cfg.escape_radius)
+    termination = np.full(len(escaped), "horizon", dtype=object)
     termination[escaped] = "escape"
     if not record:
         return termination, None
-    times, path = np.array(times), np.array(path)
+    times, path = np.concatenate(times), np.concatenate(path)
     return termination, [Trajectory(times[:k + 1], path[:k + 1, r], termination[r], direction,
                                     sels[r // m].index) for r, k in enumerate(steps)]
 

@@ -20,7 +20,7 @@ from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .geometry import (ConeProbe, SamplePlan, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, integrate
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, integrate, on_stepped
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -100,9 +100,9 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     X_u.  Escapes are reported, not counted as violations.
 
     All selectors x starts run as one sweep, and no path is kept: an
-    observer tracks the smallest margin and each row's first hit.  The
-    witness is the earliest hit, ties going to the earlier selector, then
-    the earlier start."""
+    observer tracks the smallest margin and each row's first hit, one
+    distance batch per block of steps.  The witness is the earliest hit,
+    ties going to the earlier selector, then the earlier start."""
     starts = p.initial_samples()
     sels = p.bundle.selectors(p.F, p.horizon)
     m = len(starts)
@@ -110,14 +110,17 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     hit_time = np.full(len(sels) * m, np.inf)
     hit_state = np.empty((len(sels) * m, starts.shape[1]))
 
-    def observe(t, rows, X):
+    def observe(times, stepped, Xb):
         nonlocal margin
-        margins = p.unsafe_margins(X)
+        # rows that did not step get an infinite margin: no hit, no new minimum
+        margins = on_stepped(p.unsafe_margins, stepped, Xb)
         margin = min(margin, float(margins.min()))
-        first = p.margin_hits(margins) & (hit_time[rows] == np.inf)
-        if first.any():
-            hit_time[rows[first]] = t
-            hit_state[rows[first]] = X[first]
+        hits = p.margin_hits(margins)
+        rows = np.flatnonzero(hits.any(axis=0) & (hit_time == np.inf))
+        if len(rows):
+            first = hits[:, rows].argmax(axis=0)
+            hit_time[rows] = times[first]
+            hit_state[rows] = Xb[first, rows]
 
     termination, _ = bundle_sweep(p.F, sels, starts, p.horizon, p.cfg, observe=observe)
     witness = {}

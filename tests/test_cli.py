@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,22 @@ class TestCommands:
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["check"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("check", "sampling.tgrid", "0 nan 3"),
+        ("barrier-eval", "barrier-eval.tgrid", "inf inf 1"),
+        ("simulate", "simulate.T", "inf"),
+        ("check", "check quick.T", "nan"),
+        ("reach", "reach.t", "-inf"),
+    ])
+    def test_non_finite_time_is_refused_by_its_key(self, tmp_path, capsys, command, key, value):
+        argv = [command, "--config", str(self._write(tmp_path)), "--set", f"{key}={value}",
+                "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        section, name = key.rsplit(".", 1)
+        assert f"error: [{section}] {name} must be finite" in capsys.readouterr().err
 
     def test_unparseable_config_exit_one(self, tmp_path, capsys):
         p = self._write(tmp_path, "nonsense without equals\n")
@@ -317,9 +334,9 @@ class TestCommands:
              "horizon 0.5 needs 256 steps, more than max_steps = 10", []),   # SolverError
             (["check", "--config", str(SCENARIOS / "perturbed.scenario"),
               "--set", "check perturbed_safety.T=inf"],
-             "horizon must be finite, got inf", []),                         # SolverError
+             "[check perturbed_safety] T must be finite, got inf", []),      # ConfigError
             (["simulate", "--config", counter, "--set", "simulate.T=nan"],
-             "horizon must be finite, got nan", []),                         # SolverError
+             "[simulate] T must be finite, got nan", []),                    # ConfigError
             (["barrier-eval", "--config", counter, "--set", "barrier-eval.tgrid=1e20 1e20 1"],
              "horizon 1e+20 needs 51200000000000000000000 steps", []),       # SolverError
             (["check", "--config", linear, "--set", "barrier.expression=x1 +"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,24 @@ class TestBatchGeometry:
         parts = [distance_to_set_many(X[i:i + 5], S) for i in range(0, len(X), 5)]
         assert np.array_equal(np.concatenate(parts), single)
         assert np.array_equal(distance_to_set_many(X, S), single)
+
+    def test_distance_matrices_are_built_in_bounded_chunks(self):
+        # 8192 rows, one observed block of a sweep: the (rows, members)
+        # seeding matrix of the 491-member ELLIPSE grid alone takes 32 MB
+        X = np.random.default_rng(5).uniform([-4.0, -2.0], [4.0, 2.0], size=(8192, 2))
+        P = np.random.default_rng(6).uniform(-4.0, 4.0, size=(600, 2))
+        for S in (_ellipse(), SetSpec.points(P)):
+            tracemalloc.start()
+            try:
+                whole = distance_to_set_many(X, S)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, (S.kind, peak)
+            parts = [distance_to_set_many(X[i:i + 1000], S) for i in range(0, len(X), 1000)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        near = np.sqrt((((X[:500, None, :] - P[None]) ** 2).sum(axis=2)).min(axis=1))
+        assert np.array_equal(whole[:500], near)
 
     def test_non_finite_row_raises_in_a_batch(self):
         for bad in (np.nan, np.inf):

@@ -293,6 +293,17 @@ class TestConversePipeline:
         with pytest.raises(BarrierError, match="finite t, got inf"):
             B.evaluate(np.inf, np.array([0.2, 0.0]))
 
+    def test_negative_time_is_refused(self):
+        f = builtin_field("counterexample2d")
+        res = ConverseResolution(s_range=tuple(range(-10, 1)), k_max=3,
+                                 table_res=32, annulus_count=256)
+        B = converse_smooth_barrier(f, SetSpec.ball([0.0, 0.0], 0.05), IntegratorConfig(step=1 / 256),
+                                    res)
+        assert B.evaluate(0.0, np.array([0.2, 0.0])) > 0.0
+        for t in (-1.0, -5.0):
+            with pytest.raises(BarrierError, match="converse barrier defined for t >= 0"):
+                B.evaluate(t, np.array([0.2, 0.0]))
+
     def test_tube_table_is_the_running_minimum_along_each_path(self):
         # every table entry against a running minimum along the recorded
         # forward path of the rescaled field, one point at a time

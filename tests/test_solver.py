@@ -6,12 +6,12 @@ from scipy.linalg import expm
 from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, Selector,
                                 builtin_field, field_from_expressions,
                                 lipschitz_estimate)
-from safereach.geometry import SetSpec
+from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
-from safereach import reachability, verify
+from safereach import reachability, solver, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
                               Trajectory, bundle_sweep, integrate, rk4_sweep,
-                              solution_bundle, time_rescale_tau)
+                              solution_bundle, time_rescale_tau, tube_minimum)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
@@ -271,17 +271,22 @@ class TestSweepKernel:
         assert np.array_equal(steps, np.full(m, n))
         assert not escaped.any()
 
-    def test_observer_sees_the_rows_that_stepped(self):
+    def test_observer_sees_the_rows_that_stepped(self, monkeypatch):
+        # blocks of 7 steps of 2 rows: 1-7, 8-14 (row 0 escapes inside), 15-20
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 14)
         X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
-        seen = []
+        blocks = []
         X, steps, _ = rk4_sweep(_CountingField(np.eye(2)), X0, 0.25, 20, escape_radius=10.0,
-                                observe=lambda k, rows, X: seen.append(
-                                    (k, np.arange(2)[rows].tolist(), X.copy())))
+                                observe=lambda k0, stepped, Xb: blocks.append(
+                                    (k0, stepped.copy(), Xb.copy())))
         e = int(steps[0])
-        assert [k for k, _, _ in seen] == list(range(1, 21))
-        assert [rows for _, rows, _ in seen] == [[0, 1]] * e + [[1]] * (20 - e)
-        assert np.array_equal(seen[e - 1][2][0], X[0])   # frozen at the escape node
-        assert np.array_equal(seen[-1][2], X)
+        assert [(k0, len(Xb)) for k0, _, Xb in blocks] == [(1, 7), (8, 7), (15, 6)]
+        assert 8 < e < 14
+        stepped = np.concatenate([s for _, s, _ in blocks])
+        states = np.concatenate([Xb for _, _, Xb in blocks])
+        assert [np.flatnonzero(s).tolist() for s in stepped] == [[0, 1]] * e + [[1]] * (20 - e)
+        assert (states[e - 1:, 0] == X[0]).all()   # frozen at the escape node
+        assert np.array_equal(states[-1], X)
 
     def test_escaped_rows_freeze_and_stop_stepping(self):
         fn = _CountingField(np.eye(2))
@@ -297,15 +302,17 @@ class TestSweepKernel:
         with pytest.raises(SolverError, match="non-finite state at step 3"):
             rk4_sweep(blow, np.ones((3, 2)), 0.1, 5)
 
-    def test_per_row_step_counts(self):
+    def test_per_row_step_counts(self, monkeypatch):
+        # blocks of 2 steps of 3 rows: row 1 finishes inside the second block
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 6)
         fn = _CountingField()
         X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         seen = []
         X, steps, escaped = rk4_sweep(fn, X0, 1 / 64, np.array([0, 3, 5]),
-                                      observe=lambda k, rows, X: seen.append(
-                                          np.arange(3)[rows].tolist()))
+                                      observe=lambda k0, stepped, Xb: seen.append(
+                                          (k0, [np.flatnonzero(s).tolist() for s in stepped])))
         assert fn.rows == [2] * 12 + [1] * 8
-        assert seen == [[1, 2]] * 3 + [[2]] * 2
+        assert seen == [(1, [[1, 2]] * 2), (3, [[1, 2], [2]]), (5, [[2]])]
         assert steps.tolist() == [0, 3, 5] and not escaped.any()
         assert np.array_equal(X[0], X0[0])
         three, _, _ = rk4_sweep(_CountingField(), X0[1:2], 1 / 64, 3)
@@ -318,3 +325,52 @@ class TestSweepKernel:
         one, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0[:1], 1 / 128, 64)
         assert np.array_equal(X[1], one[0])
         assert np.linalg.norm(X[0] - expm(LINEAR_SAFE_A) @ X0[0]) < 1e-7
+
+
+class TestObservedBlocks:
+    """Every observer folds blocks of steps; its results must not depend on
+    the block size, down to one step per block."""
+
+    SADDLE = InclusionSpec.ball_perturbed(field_from_expressions(["x1", "0 - x2"]), 0.1)
+
+    def _each_block_size(self, monkeypatch, m, run):
+        out = []
+        for c in (1, 3, 7):
+            monkeypatch.setattr(solver, "BLOCK_ROWS", c * m)
+            out.append(run())
+        return out
+
+    def test_tube_minimum_does_not_depend_on_the_block(self, monkeypatch):
+        # backward, x2 grows: rows escape the radius at different steps, and
+        # points asked to different horizons finish at different steps
+        sels = BundlePlan(3).selectors(self.SADDLE)
+        X = np.array([[0.3, 0.9], [-0.4, 0.2], [0.1, -0.05], [0.5, 1.5], [0.3, 0.9]])
+        K = np.array([[0, 5, 13, 40, 2], [11, 17, 29, 40, 23]])
+        X_o = SetSpec.ball([0.2, 1.2], 0.1)
+        run = lambda: tube_minimum(self.SADDLE, sels, X, K, 1 / 16, "backward", X_o,
+                                   escape_radius=3.0)
+        (one, esc), *rest = self._each_block_size(monkeypatch, len(sels) * 4, run)
+        assert esc and len(np.unique(one)) > 5
+        for other, other_esc in rest:
+            assert np.array_equal(other, one) and other_esc
+        # against the minimum over the first K + 1 nodes of every recorded path
+        paths = solution_bundle(self.SADDLE, X, 40 / 16, "backward",
+                                IntegratorConfig(step=1 / 16, escape_radius=3.0), BundlePlan(3))
+        assert 0 < sum(tr.termination == "escape" for trs in paths for tr in trs) < 15
+        ref = [[min(distance_to_set_many(tr.states[:k + 1], X_o).min() for tr in trs)
+                for k, trs in zip(row, paths)] for row in K]
+        assert np.array_equal(one, ref)
+
+    def test_safety_report_does_not_depend_on_the_block(self, monkeypatch):
+        # forward, x1 grows: rows hit x1 >= 1.5 and later escape the radius,
+        # both at steps that fall inside blocks
+        p = verify.SafetyProblem(self.SADDLE, SetSpec.ball([0.0, 0.0], 0.5),
+                                 SetSpec.halfspace([1.0, 0.0], 1.5), 3.0,
+                                 IntegratorConfig(step=1 / 16, escape_radius=2.5),
+                                 verify.SamplePlan(4, 4, seed=2), BundlePlan(3, switches=2))
+        m = 8 * len(p.bundle.selectors(p.F, p.horizon))
+        reports = self._each_block_size(monkeypatch, m, lambda: verify.simulate_safety_check(p))
+        assert reports[0].verdict == "violation" and reports[0].escapes > 0
+        assert reports[0].witness["hit_time"] not in (0.0, 3.0)
+        for rep in reports[1:]:
+            assert rep.to_json() == reports[0].to_json()
