@@ -44,7 +44,7 @@ _SCHEMAS = {
     "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
     "bundle": {"directions": "int", "switches": "int"},
     "sampling": {"window": "vec", "boundary": "int", "interior": "int",
-                 "tgrid": "vec"},
+                 "tgrid": "tvec"},
     "set": {"kind": "str", "center": "vec", "radius": "float", "lo": "vec",
             "hi": "vec", "normal": "vec", "offset": "float", "fn": "str",
             "level": "float", "window": "vec", "grid": "int", "point": "vec+",
@@ -52,22 +52,30 @@ _SCHEMAS = {
     "barrier": {"kind": "str", "X_o": "str", "expression": "str",
                 "band": "float", "k_max": "int",
                 "s_lo": "int", "s_hi": "int"},
-    "simulate": {"X_o": "str", "T": "float"},
-    "reach": {"x0": "vec", "t": "float", "stride": "int"},
-    "barrier-eval": {"window": "vec", "nx": "int", "tgrid": "vec"},
+    "simulate": {"X_o": "str", "T": "time"},
+    "reach": {"x0": "vec", "t": "time", "stride": "int"},
+    "barrier-eval": {"window": "vec", "nx": "int", "tgrid": "tvec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "int",
                "grid_n": "int", "w_tol": "float", "out_n": "int"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
-              "K": "str", "T": "float", "tol": "float", "mode": "str",
+              "K": "str", "T": "time", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "int",
               "n_samples": "int", "lam_box": "str",
               "pairs": "int", "max_sep": "float", "stride": "int"},
 }
 
 
-def _parse_value(raw: str, typ: str):
+def _parse_value(raw: str, typ: str, where: str):
+    """A value of type typ; "time" and "tvec" are a float and a vec that must
+    be finite, refused by their key where (say "[simulate] T") before a
+    pipeline turns them into NaN steps."""
     raw = raw.strip()
     base = typ.rstrip("+")
+    if base in ("time", "tvec"):
+        value = _parse_value(raw, "float" if base == "time" else "vec", where)
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{where} must be finite, got {value}")
+        return value
     if base == "int":
         try:
             return int(raw)
@@ -143,7 +151,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RawConfig:
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{current or 'top level'}]")
         typ = schema[key]
-        value = _parse_value(raw, typ)
+        value = _parse_value(raw, typ, f"[{current}] {key}")
         bucket = sections[current].setdefault(key, [])
         if bucket and not typ.endswith("+"):
             raise ConfigError(f"line {lineno}: key '{key}' repeated in [{current}]")
@@ -336,19 +344,7 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
     raise ConfigError(f"unknown inclusion variant '{inclusion}'")
 
 
-def _require_finite_times(cfg: RawConfig) -> None:
-    """Refuse a non-finite time grid or horizon by its key, before a pipeline
-    turns it into NaN steps."""
-    keys = [("sampling", "tgrid"), ("barrier-eval", "tgrid"), ("simulate", "T"),
-            ("reach", "t")] + [(name, "T") for name in cfg.section_names("check")]
-    for section, key in keys:
-        value = cfg.get(section, key)
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-
-
 def build_scenario(cfg: RawConfig) -> Scenario:
-    _require_finite_times(cfg)
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
     method = cfg.get("solver", "method", "rk4")

@@ -213,16 +213,17 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     return X, steps, escaped
 
 
-def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray, fill: float = np.inf):
+def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray):
     """fn, points (k, n) -> values (k,), on the rows of an observed block
-    that stepped, in one call: a (j, m) array holding fill where a row did
-    not step.  The rows are gathered with np.compress: on a block of
-    5 x 1536 rows a boolean index into the block costs about 8x more."""
+    that stepped, in one call: a (j, m) array reading +inf where a row did
+    not step, so such a row adds no new minimum and no hit.  The rows are
+    gathered with np.compress: on a block of 5 x 1536 rows a boolean index
+    into the block costs about 8x more."""
     j, m, n = Xb.shape
     if stepped.all():
         return np.asarray(fn(Xb.reshape(-1, n))).reshape(j, m)
     flat = stepped.ravel()
-    out = np.full(j * m, fill)
+    out = np.full(j * m, np.inf)
     out[flat] = fn(np.compress(flat, Xb.reshape(-1, n), axis=0))
     return out.reshape(j, m)
 
