@@ -26,8 +26,9 @@ from . import sampling
 from .dynamics import InclusionSpec, max_rate
 from .expr import compile_expression, compile_scalar_expression
 # distance_to_set_many is unused here: bench/test_bench.py reads barrier.distance_to_set_many
-from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, clarke_gradient_sample,
-                       distance_to_set_many, proximal_subgradient_test)
+from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, bisect_boundary,
+                       clarke_gradient_sample, distance_to_set_many,
+                       proximal_subgradient_test)
 from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
 
 DEFAULT_POS_TOL = 1e-9
@@ -385,18 +386,15 @@ def _default_band(vals: np.ndarray, fallback: float) -> float:
 
 def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
                        vals: np.ndarray, count: int):
-    """Bisect count pool pairs straddling the zero level at t, all together."""
-    neg = pool[vals <= 0.0]
-    pos = pool[vals > 0.0]
+    """Bisect count pool pairs straddling the zero level at t, all together;
+    returns the ends where B > 0."""
+    neg, pos = pool[vals <= 0.0], pool[vals > 0.0]
     if len(neg) == 0 or len(pos) == 0:
         return []
     i = np.arange(count)
-    a, b = neg[i % len(neg)], pos[(3 * i + 1) % len(pos)]
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        inside = (B.evaluate_many(np.full(count, t), mid) <= 0.0)[:, None]
-        a, b = np.where(inside, mid, a), np.where(inside, b, mid)
-    return [(t, p) for p in b]
+    ends = bisect_boundary(lambda P: B.evaluate_many(np.full(count, t), P) > 0.0,
+                           pos[(3 * i + 1) % len(pos)], neg[i % len(neg)])
+    return [(t, p) for p in ends]
 
 
 def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
@@ -455,11 +453,10 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
     if mode == "clarke":
         return grads, np.ones(grads.shape[:2], dtype=bool)
     # each margin is nondecreasing in eps, so the curvature bound 100 accepts
-    # every zeta that a smaller one would; one test per pair, on all its zetas
-    keep = np.array([proximal_subgradient_test(
-        SubgradientCandidate(tx, zs, radius=prox_radius, eps=100.0), handle,
-        m=24, seed=seed)["holds"] for tx, zs in zip(TX, grads)])
-    return grads, keep
+    # every zeta that a smaller one would; one test on every pair and its zetas
+    keep = proximal_subgradient_test(SubgradientCandidate(TX, grads, radius=prox_radius,
+                                                          eps=100.0), handle, m=24, seed=seed)
+    return grads, keep["holds"]
 
 
 def sublevel_membership(B: BarrierFn, t: float, x) -> dict:

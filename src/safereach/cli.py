@@ -27,7 +27,7 @@ from .config import ConfigError, RawConfig, Scenario, build_scenario, load_confi
 from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError, SetSpec
-from .reachability import BoxExitError, cloud_to_csv, filippov_check, reach, save_cloud
+from .reachability import cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
 from .smoothing import (ConverseResolution, SmoothingError, build_time_partition,
                         converse_smooth_barrier, smooth_on_compact)
@@ -170,8 +170,9 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     dim = region.dim
     variables = ("t",) + tuple(f"x{i + 1}" for i in range(dim))
     hx = compile_expression(h_text, variables)
-    h = lambda t, X: hx(np.column_stack([np.full(len(np.atleast_2d(X)), t),
-                                         np.atleast_2d(X)]))
+    # rows (t, x) over times x points, t-major; h's table is one call on them
+    tx = lambda ts, X: np.column_stack([np.repeat(ts, len(X)), np.tile(X, (len(ts), 1))])
+    h = lambda ts, X: hx(tx(ts, X)).reshape(len(ts), len(X))
     box = region.bounding_box()
     if box is None:
         raise CliError("[smooth] region must be bounded")
@@ -184,14 +185,10 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     g = smooth_on_compact(part, w_tol=cfg.get("smooth", "w_tol"))
     out_n = cfg.get("smooth", "out_n", 9)
     ts = np.linspace(0.0, part.nodes[-1], out_n)
-    vals = g.sample_times(ts, grid)
-    rows = []
-    for i, t in enumerate(ts):
-        rows.append(np.column_stack([np.full(len(grid), t), grid, vals[i]]))
+    data = np.column_stack([tx(ts, grid), g.sample_times(ts, grid).ravel()])
     header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",g"
     path = manifest.add(manifest.out / "smoothed_grid.csv")
-    np.savetxt(path, np.vstack(rows), delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
     info = {"u_counts": list(part.u_counts), "eta": part.eta.tolist(),
             "sigma": g.sigma, "certificate": g.certificate}
     manifest.add(manifest.out / "smooth_info.json").write_text(
@@ -269,26 +266,25 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
     if kind == "filippov":
         box = _get_set(scn, _require(cfg.get(section, "lam_box"), f"[{section}] needs lam_box"))
         lam = lipschitz_estimate(scn.system, box, grid=9)
-        rng = np.random.default_rng(seed)
         pairs = cfg.get(section, "pairs", 10)
         max_sep = cfg.get(section, "max_sep", 0.5)
-        worst, not_applicable = {"max_violation": None, "holds": True}, 0
-        for _ in range(pairs):
-            x = rng.uniform(-1.0, 1.0, size=scn.system.dim)
-            y = x + rng.uniform(-1.0, 1.0, size=scn.system.dim) * max_sep / np.sqrt(scn.system.dim)
-            try:
-                res = filippov_check(scn.system, x, y, cfg.get(section, "T", 1.0), lam,
-                                     scn.solver, scn.bundle, box=box,
-                                     tol=cfg.get(section, "tol", 1e-6))
-            except BoxExitError:
-                not_applicable += 1
-                continue
-            if worst["max_violation"] is None or res["max_violation"] > worst["max_violation"]:
-                worst = res
-        verdict = ("inconclusive" if not_applicable == pairs
-                   else "pass" if worst["holds"] else "fail")
+        dim = scn.system.dim
+        # per pair: x, then the offset of y, as successive draws of one stream
+        U = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(pairs, 2, dim))
+        res = filippov_check(scn.system, U[:, 0], U[:, 0] + U[:, 1] * max_sep / np.sqrt(dim),
+                             cfg.get(section, "T", 1.0), lam, scn.solver, scn.bundle, box=box,
+                             tol=cfg.get(section, "tol", 1e-6))
+        ok = res["applicable"]
+        worst = {"max_violation": None, "holds": True}
+        if ok.any():
+            # the first applicable pair with the largest violation
+            i = int(np.argmax(np.where(ok, res["max_violation"], -np.inf)))
+            worst = {"max_violation": float(res["max_violation"][i]),
+                     "holds": bool(res["holds"][i])}
+        verdict = "inconclusive" if not ok.any() else "pass" if worst["holds"] else "fail"
         payload = json.dumps({"check": "filippov", "lambda": lam, **worst, "pairs": pairs,
-                              "not_applicable": not_applicable, "verdict": verdict},
+                              "not_applicable": int(pairs - np.count_nonzero(ok)),
+                              "verdict": verdict},
                              indent=2, sort_keys=True)
         return payload, verdict
     raise CliError(f"unknown check kind '{kind}'")

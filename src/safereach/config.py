@@ -344,17 +344,19 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
     raise ConfigError(f"unknown inclusion variant '{inclusion}'")
 
 
+def _given(cfg: RawConfig, section: str, **fields) -> dict:
+    """The keys (key=field) that section sets; the dataclasses hold the defaults."""
+    return {f: cfg.get(section, k) for k, f in fields.items() if cfg.get(section, k) is not None}
+
+
 def build_scenario(cfg: RawConfig) -> Scenario:
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
     method = cfg.get("solver", "method", "rk4")
     if method != "rk4":
         raise ConfigError(f"[solver] method must be rk4, got '{method}'")
-    solver = IntegratorConfig(
-        step=cfg.get("solver", "step", 1.0 / 512.0),
-        escape_radius=cfg.get("solver", "escape", 1e6),
-        max_steps=cfg.get("solver", "max_steps", 5_000_000),
-    )
+    solver = IntegratorConfig(**_given(cfg, "solver", step="step", escape="escape_radius",
+                                       max_steps="max_steps"))
     cache: dict = {}
     for section in cfg.section_names("set"):
         name = section.split(" ", 1)[1]
@@ -372,9 +374,9 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=_build_system(cfg),
         solver=solver,
-        bundle=BundlePlan(cfg.get("bundle", "directions", 8),
-                          cfg.get("bundle", "switches", 0), seed),
-        samples=SamplePlan(cfg.get("sampling", "boundary", 32),
-                           cfg.get("sampling", "interior", 32), seed, window),
+        bundle=BundlePlan(seed=seed, **_given(cfg, "bundle", directions="directions",
+                                              switches="switches")),
+        samples=SamplePlan(seed=seed, window=window,
+                           **_given(cfg, "sampling", boundary="boundary", interior="interior")),
         sets=cache, t_grid=t_grid,
     )

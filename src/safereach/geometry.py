@@ -231,8 +231,8 @@ class SetSpec:
         if not len(inside) or not len(outside):
             raise GeometryError("boundary sampling needs interior and exterior seeds")
         i = np.arange(count)
-        return _bisect_boundary(self, inside[i % len(inside)],
-                                outside[(i * 7 + 3) % len(outside)])
+        return bisect_boundary(self.contains, inside[i % len(inside)],
+                               outside[(i * 7 + 3) % len(outside)])
 
     def _sampling_window(self, window):
         if window is not None:
@@ -393,7 +393,7 @@ def _ring_search_distance(X: np.ndarray, comp: SetSpec) -> np.ndarray:
         hit = comp.contains(ring.reshape(-1, X.shape[1])).reshape(len(rows), -1)
         owner, col = np.nonzero(hit)
         x = X[rows[owner]]
-        y = _bisect_boundary(comp, ring[owner, col], x)
+        y = bisect_boundary(comp.contains, ring[owner, col], x)
         np.minimum.at(out, rows[owner], np.sqrt(_row_sq(x - y)))
         rows = rows[~hit.any(axis=1)]
         if len(rows) == 0:
@@ -416,7 +416,7 @@ def _grid_seeded_boundary(X: np.ndarray, S: SetSpec, member) -> np.ndarray:
     members = grid[member(grid)]
     if len(members) == 0:
         raise EmptySetError(f"no member of '{S.name or S.kind}' found on its {S.grid}^n grid")
-    return _bisect_boundary(S, members[_nearest(X, members)], X)
+    return bisect_boundary(S.contains, members[_nearest(X, members)], X)
 
 
 def _project(Y: np.ndarray, S: SetSpec) -> np.ndarray:
@@ -458,14 +458,15 @@ def _intersection_distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
     return np.sqrt(_row_sq(X - y))
 
 
-def _bisect_boundary(S: SetSpec, inside: np.ndarray, outside: np.ndarray,
-                     iters: int = 60) -> np.ndarray:
-    """Bisect every row pair (member, non-member) of S; the member ends."""
+def bisect_boundary(member: Callable, inside: np.ndarray, outside: np.ndarray,
+                    iters: int = 60) -> np.ndarray:
+    """Bisect every row pair (inside, outside) of a membership predicate,
+    member(P) -> (k,) bools, one call per step; returns the member ends."""
     a, b = inside, outside
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        member = S.contains(mid)[:, None]
-        a, b = np.where(member, mid, a), np.where(member, b, mid)
+        keep = member(mid)[:, None]
+        a, b = np.where(keep, mid, a), np.where(keep, b, mid)
     return a
 
 
@@ -495,7 +496,7 @@ def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray,
         # pull the candidate back onto the boundary along the gradient ray
         push = g / gn[:, None] * np.maximum(2.0 * step, 1e-6)[:, None]
         inside_pt = np.where(S.contains(cand - push)[:, None], cand - push, y)
-        cand = _bisect_boundary(S, inside_pt, cand + push, iters=50)
+        cand = bisect_boundary(S.contains, inside_pt, cand + push, iters=50)
         dist = np.sqrt(_row_sq(X[live] - cand))
         better = dist < best[live] - 1e-15
         live = live[better]
@@ -621,7 +622,8 @@ def clarke_gradient_sample(B, X, radius: float, m: int = 0, fd_step: float = 1e-
 
 @dataclass(frozen=True)
 class SubgradientCandidate:
-    """Candidate proximal subgradients zeta, (n,) or (z, n), of B at x with curvature bound eps."""
+    """Candidate proximal subgradients of B with curvature bound eps: zeta
+    (n,) or (z, n) at one base x (n,), or zetas (k, z, n) at bases x (k, n)."""
 
     x: np.ndarray
     zeta: np.ndarray
@@ -641,22 +643,26 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                               tol: float = 1e-9, seed: int = 0) -> dict:
     """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
 
-    B is a batch handle, called once on x and all of its samples.  For a
-    (z, n) zeta, "holds" and "worst_margin" are (z,) arrays, one per zeta."""
+    B is a batch handle, called once on every base and all of its samples.
+    "holds" and "worst_margin" are (z,) arrays for one base and (z, n) zetas,
+    (k, z) ones for bases (k, n); a zeta's margins do not depend on the others."""
     if m < 10:
         raise GeometryError("need m >= 10 test points")
-    x, zeta = cand.x, cand.zeta
-    pts = sampling.ball_points(x, cand.radius, m, seed=seed)
-    # include boundary probes along +-coordinate axes, where violations peak
-    n = len(x)
-    axes = np.vstack([np.eye(n), -np.eye(n)]) * cand.radius + x
-    pts = np.vstack([pts, axes])
-    vals = np.asarray(B(np.vstack([x, pts])), dtype=float)
-    d = pts - x
-    # one column per zeta; a zeta's margins do not depend on the others
-    margins = ((vals[1:] - vals[0])[:, None] - _row_dot(d[:, None, :], np.atleast_2d(zeta))
-               + cand.eps * np.einsum("ij,ij->i", d, d)[:, None])
-    worst = margins.min(axis=0)
-    if zeta.ndim == 1:
-        worst = float(worst[0])
+    X = np.atleast_2d(cand.x)
+    k, n = X.shape
+    zeta = cand.zeta.reshape(k, -1, n)
+    # ball_points(x, ...) is x plus offsets that do not depend on x; the
+    # boundary probes along +-coordinate axes are where violations peak
+    offsets = np.vstack([sampling.ball_points(np.zeros(n), cand.radius, m, seed=seed),
+                         np.vstack([np.eye(n), -np.eye(n)]) * cand.radius])
+    pts = X[:, None, :] + offsets
+    vals = np.asarray(B(np.concatenate([X[:, None, :], pts], axis=1).reshape(-1, n)),
+                      dtype=float).reshape(k, -1)
+    d = pts - X[:, None, :]
+    margins = ((vals[:, 1:] - vals[:, :1])[:, :, None]
+               - _row_dot(d[:, :, None, :], zeta[:, None, :, :])
+               + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
+    worst = margins.min(axis=1)
+    if cand.x.ndim == 1:
+        worst = float(worst[0, 0]) if cand.zeta.ndim == 1 else worst[0]
     return {"holds": worst >= -tol, "worst_margin": worst}

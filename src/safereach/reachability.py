@@ -19,13 +19,9 @@ import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
-from .solver import BundlePlan, IntegratorConfig, Trajectory, solution_bundle
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle
 
 _MAGIC = b"RCH1"
-
-
-class BoxExitError(ValueError):
-    """The tubes of a Filippov check leave the box its Lipschitz bound holds on."""
 
 
 @dataclass
@@ -45,12 +41,6 @@ class ReachCloud:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if len(self.points) == 0:
             raise ValueError("reach cloud must be nonempty")
-
-
-def _run_bundle(F: InclusionSpec, x, t: float, cfg: IntegratorConfig,
-                plan: BundlePlan) -> list[Trajectory]:
-    direction = "backward" if t < 0 else "forward"
-    return solution_bundle(F, x, abs(t), direction, cfg, plan)
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
@@ -73,7 +63,7 @@ def _cloud(F: InclusionSpec, x, t: float, cfg: IntegratorConfig, plan: BundlePla
         raise ValueError("horizon must be finite")
     if t == 0.0:
         return ReachCloud(x, 0.0, x[None, :], mode, plan.directions, stride)
-    trajs = _run_bundle(F, x, t, cfg, plan)
+    trajs = solution_bundle(F, x, abs(t), "backward" if t < 0 else "forward", cfg, plan)
     ends = [tr.states[-1][None, :] for tr in trajs]
     tube = [tr.states[::stride] for tr in trajs] if mode == "full_tube" else []
     return ReachCloud(x, t, np.vstack(tube + ends), mode, len(trajs), stride,
@@ -84,34 +74,47 @@ def _cloud(F: InclusionSpec, x, t: float, cfg: IntegratorConfig, plan: BundlePla
 # empirical Filippov bound
 # ---------------------------------------------------------------------------
 
-def filippov_check(F: InclusionSpec, x, y, T: float, lam: float,
+def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    plan: BundlePlan = BundlePlan(),
                    box: Optional[SetSpec] = None, tol: float = 1e-6) -> dict:
-    """Check |phi(s, x)|_{R^b(s, y)} <= exp(lam*s) |x - y| at every stored node.
+    """Check |phi(s, x)|_{R^b(s, y)} <= exp(lam*s) |x - y| at every node
+    (node 0 included) for p pairs (X, Y), (p, n), in one bundle sweep.
 
-    lam should come from a Lipschitz estimate on a box containing both tubes;
-    if the tubes exit that box the bound is not applicable and BoxExitError
-    is raised.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    trajs_x, trajs_y = _run_bundle(F, np.stack([x, y]), T, cfg, plan)
-    if box is not None:
-        for tr in trajs_x + trajs_y:
-            if np.any(distance_to_set_many(tr.states, box) > 0.0):
-                raise BoxExitError("enlarge box: reach tubes leave the Lipschitz box")
-    base = float(np.linalg.norm(x - y))
-    times = trajs_x[0].times
-    worst = -np.inf
-    stack_y = np.stack([tr.states for tr in trajs_y])   # (bundle, nodes, n)
-    for tr in trajs_x:
-        k = min(len(tr.times), stack_y.shape[1])
-        diffs = tr.states[None, :k, :] - stack_y[:, :k, :]
-        dist_to_cloud = np.linalg.norm(diffs, axis=2).min(axis=0)
-        bound = np.exp(lam * tr.times[:k]) * base
-        worst = max(worst, float((dist_to_cloud - bound).max()))
-    return {"max_violation": worst, "holds": worst <= tol}
+    lam should come from a Lipschitz estimate on a box holding both tubes: a
+    pair with a row that leaves box, or escapes, is not applicable.  Returns
+    per-pair arrays max_violation (nan where not applicable), holds and
+    applicable; one pair given as (n,) arrays gives a float and bools."""
+    one = np.ndim(X) == 1
+    X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(Y, dtype=float))
+    p, n = X.shape
+    D = X - Y
+    base = np.sqrt(np.vecdot(D, D))     # rounds like np.linalg.norm of one row
+    sels = plan.selectors(F, T)
+    S = len(sels)
+    worst, inside = np.full(p, -np.inf), np.ones(p, dtype=bool)
+
+    def fold(t, Xb):
+        # row (j * 2 + e) * p + i runs selector j from the pair-i end e (0: x, 1: y)
+        V = Xb.reshape(len(Xb), S, 2, p, n)
+        gap = np.linalg.norm(V[:, :, None, 0] - V[:, None, :, 1], axis=-1).min(axis=2)
+        viol = gap - np.exp(lam * t)[:, None, None] * base
+        np.maximum(worst, viol.max(axis=(0, 1)), out=worst)
+        if box is not None:
+            out = distance_to_set_many(Xb.reshape(-1, n), box) > 0.0
+            inside[out.reshape(len(Xb), S * 2, p).any(axis=(0, 1))] = False
+
+    starts = np.concatenate([X, Y])
+    fold(np.zeros(1), np.tile(starts, (S, 1))[None])
+    termination, _ = bundle_sweep(F, sels, starts, T, cfg,
+                                  observe=lambda t, stepped, Xb: fold(t, Xb))
+    applicable = inside & ~(termination == "escape").reshape(S * 2, p).any(axis=0)
+    worst = np.where(applicable, worst, np.nan)
+    holds = applicable & (worst <= tol)
+    if one:
+        return {"max_violation": float(worst[0]), "holds": bool(holds[0]),
+                "applicable": bool(applicable[0])}
+    return {"max_violation": worst, "holds": holds, "applicable": applicable}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ that is smooth in practice (kernel-mollified snapshots glued by a monotone
 cubic in t), stays inside the sandwich  h/2 <= g <= 2h, and is nonincreasing
 in t.  The sandwich and the monotonicity are validated on the construction
 grid before the smoother is returned; they are hard postconditions, not
-statistics.
+statistics.  h is given as a table function: h(times, X) returns the
+(len(times), len(X)) values in one call, so a handle that reads every time
+off one batch, like the converse barrier's tube table, is called as it is.
 
 The global smoother covers the complement of a closed set K by dyadic annuli
 of the squared distance to K and glues per-annulus smoothers with C^1 bump
@@ -31,22 +33,6 @@ from .solver import IntegratorConfig, SolverError, on_stepped, rk4_sweep, tube_m
 
 class SmoothingError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# time-varying handles
-# ---------------------------------------------------------------------------
-
-def bulk_evaluate(h: Callable, times: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Evaluate h(t, X) over a time grid, shape (len(times), len(X)).
-
-    Handles may expose a ``bulk`` attribute computing the whole table in one
-    pass (used by the reach-tube handle, where a single batched integration
-    serves every time row)."""
-    bulk = getattr(h, "bulk", None)
-    if bulk is not None:
-        return np.asarray(bulk(times, X), dtype=float)
-    return np.stack([np.asarray(h(float(t), X), dtype=float) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +77,31 @@ def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
                          table_res: int = 256, u_cap: int = 2 ** 16) -> TimePartition:
     """Floors eta_k, subdivision counts u_k (doubled until the oscillation of
     h over one subinterval drops below eta_k/4 on the grid), and the geometric
-    slack sequence zeta."""
+    slack sequence zeta.  h is a table function, h(times, X) -> (len(times),
+    len(X)), called once on the table times; its table must be finite,
+    positive and nonincreasing in t."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if len(grid) == 0:
         raise SmoothingError("empty grid for time partition")
     if k_max < 1:
         raise SmoothingError("k_max must be >= 1")
     times = np.arange(0, k_max * table_res + 1) / table_res
-    table = bulk_evaluate(h, times, grid)
+    table = np.asarray(h(times, grid), dtype=float)
+    if table.shape != (len(times), len(grid)):
+        raise SmoothingError(f"h(times, X) must return a ({len(times)}, {len(grid)}) table, "
+                             f"got shape {table.shape}")
+    if not np.isfinite(table).all():
+        i, j = np.argwhere(~np.isfinite(table))[0]
+        raise SmoothingError(f"h is not finite at t={times[i]:.6g}, x={grid[j].tolist()}: "
+                             f"h={table[i, j]}")
     if np.any(table <= 0.0):
         raise SmoothingError("set intersects zero locus: h must be positive on the grid")
     if np.any(np.diff(table, axis=0) > 1e-12):
         raise SmoothingError("h must be nonincreasing in t on the grid")
 
-    eta = np.empty(k_max)
-    running = np.inf
-    for k in range(1, k_max + 1):
-        lo, hi = (k - 1) * table_res, k * table_res
-        running = min(running, float(table[lo:hi + 1].min()))
-        eta[k - 1] = running
+    # floor eta_k: the minimum of h over the grid and [0, k]
+    eta = np.minimum.accumulate([table[(k - 1) * table_res:k * table_res + 1].min()
+                                 for k in range(1, k_max + 1)])
 
     u_counts = []
     for k in range(1, k_max + 1):
@@ -430,7 +422,9 @@ def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 
                   w_tol: Optional[float] = None, seed: int = 0,
                   validation_points: Optional[np.ndarray] = None) -> GlobalSmoothedFn:
     """Smooth h (positive off K, zero on K, nonincreasing in t) on the union
-    of dyadic annuli indexed by s_range; dim <= 2."""
+    of dyadic annuli indexed by s_range; dim <= 2.  h is a table function,
+    h(times, X) -> (len(times), len(X)), called once per annulus and once
+    on the validation points, if any."""
     if K.dim > 2:
         raise SmoothingError("smooth_global supports state dimension <= 2")
     s_range = tuple(int(s) for s in s_range)
@@ -457,10 +451,10 @@ def _validate_global(fn: GlobalSmoothedFn, h: Callable, pts: np.ndarray,
         shells = sorted({int(np.floor(v)) for v in y[uncovered]})
         raise SmoothingError(f"validation grid not covered; missing shells near log2 d^2 in {shells}")
     times = np.linspace(0.0, k_max, 4 * k_max + 1)
+    H = np.asarray(h(times, pts), dtype=float)
     prev = None
-    for t in times:
+    for t, hv in zip(times, H):
         g = fn(float(t), pts)
-        hv = np.asarray(h(float(t), pts), dtype=float)
         if np.any(g[off] < 0.5 * hv[off] - 1e-12) or np.any(g[off] > 2.0 * hv[off] + 1e-12):
             j = int(np.argmax(np.maximum(0.5 * hv - g, g - 2.0 * hv)[off]))
             raise SmoothingError(f"global sandwich violated at t={t}, x={pts[off][j].tolist()}")
@@ -484,8 +478,8 @@ class ConverseResolution:
 
 
 class _RescaledTubeMin:
-    """h(tau, x0): min distance to X_o over the forward tube of the rescaled
-    field, read off one batched sweep as a table."""
+    """The table h(times, X) of h(tau, x0), the min distance to X_o over the
+    forward tube of the rescaled field on [0, tau], read off one sweep."""
 
     def __init__(self, f: FieldHandle, X_o: SetSpec, res: ConverseResolution):
         self.X_o = X_o
@@ -496,12 +490,12 @@ class _RescaledTubeMin:
         spacing = 1.0 / res.table_res
         self.h = spacing / max(1, int(np.ceil(spacing / res.rescaled_step)))
 
-    def bulk(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def __call__(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         idx = np.round(times / self.h).astype(int)
         if np.any(np.abs(times - idx * self.h) > 1e-9):
-            raise SmoothingError("tube-min bulk evaluation expects step-aligned times")
+            raise SmoothingError("tube-min table expects step-aligned times")
         K = np.repeat(idx[:, None], len(X), axis=1)
         try:
             return tube_minimum(self.F, [Selector.constant()], X, K, self.h, "forward",

@@ -166,7 +166,9 @@ def test_smoothing_sandwich_grid():
     t0 = time.time()
 
     def h(t, X):
-        return np.exp(-t) * np.linalg.norm(np.atleast_2d(X), axis=1)
+        # a table, one row per time in t; a scalar t gives the one row
+        r = np.linalg.norm(np.atleast_2d(X), axis=1)
+        return np.exp(-np.asarray(t, dtype=float))[..., None] * r
 
     ax = np.linspace(-1.0, 1.0, 65)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")

@@ -546,6 +546,31 @@ def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, 
     return worst, witness, checked
 
 
+class TestZeroLevelBisection:
+    def test_ends_equal_a_bisection_kept_by_the_nonpositive_side(self):
+        # no pool point lies within 1e-12 of the zero level, so every t bisects
+        t_grid, count, seed = [0.0, 0.5], 16, 3
+        picked = barrier._region_samples(HULL_B, ("boundary", 1e-12), t_grid, WINDOW,
+                                         count, seed)
+        per_t = max(count // len(t_grid), 8)
+        pool = sampling.box_points(*WINDOW, per_t * 4, seed=seed)
+        expect = []
+        for t in t_grid:
+            vals = HULL_B.evaluate_many(np.full(len(pool), t), pool)
+            neg, pos = pool[vals <= 0.0], pool[vals > 0.0]
+            i = np.arange(per_t)
+            a, b = neg[i % len(neg)], pos[(3 * i + 1) % len(pos)]
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                inside = (HULL_B.evaluate_many(np.full(per_t, t), mid) <= 0.0)[:, None]
+                a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+            expect.extend((t, p) for p in b)
+        assert len(picked) == len(expect) == count
+        for (t, p), (te, pe) in zip(picked, expect):
+            assert t == te and np.array_equal(p, pe)
+            assert 0.0 < HULL_B.evaluate(t, p) < 1e-12
+
+
 class TestBatchedDecrease:
     @pytest.mark.parametrize("mode,t_grid,count", [("smooth", (0.0, 0.75, 1.5), 24),
                                                    ("clarke", (0.0, 1.5), 12),

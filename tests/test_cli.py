@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import safereach.barrier as barrier
 from safereach import cli
 from safereach.cli import main
 from safereach.config import (ConfigError, build_scenario, parse_config,
                               set_to_config)
 from safereach.dynamics import InclusionSpec, builtin_field
-from safereach.geometry import SetSpec, distance_to_set
-from safereach.solver import BundlePlan
+from safereach.geometry import SamplePlan, SetSpec, distance_to_set
+from safereach.solver import BundlePlan, IntegratorConfig
 from safereach.verify import nagumo_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,6 +56,12 @@ class TestConfigParsing:
         scn = build_scenario(cfg)
         assert scn.system.dim == 2
         assert "X_o" in scn.sets and scn.sets["X_o"].kind == "ball"
+
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        scn = build_scenario(parse_config("seed = 4\n[solver]\nstep = 0.125\n"))
+        assert scn.solver == IntegratorConfig(step=0.125)
+        assert scn.bundle == BundlePlan(seed=4)
+        assert scn.samples == SamplePlan(seed=4)
 
     def test_unknown_key_rejected(self):
         # also keys no command reads, and one that shadowed [bundle] directions
@@ -254,15 +261,65 @@ class TestCommands:
             "[check filippov]\nkind = filippov\nlam_box = BOX\npairs = 2\n")
         plans = []
 
-        def record(F, x, y, T, lam, cfg, plan, **kw):
+        def record(F, X, Y, T, lam, cfg, plan, **kw):
             plans.append(plan)
-            return {"max_violation": 0.0, "holds": True}
+            return {"max_violation": np.zeros(len(X)), "holds": np.ones(len(X), dtype=bool),
+                    "applicable": np.ones(len(X), dtype=bool)}
 
         monkeypatch.setattr(cli, "filippov_check", record)
         out = tmp_path / "out"
         assert main(["check", "--config", str(self._write(tmp_path, text)),
                      "--out", str(out)]) == 0
-        assert plans == [BundlePlan(directions=2, switches=0, seed=5)] * 2
+        assert plans == [BundlePlan(directions=2, switches=0, seed=5)]
+
+    def test_filippov_pairs_that_escape_are_not_applicable(self, tmp_path, capsys):
+        # escaping rows freeze at different steps, inside the Lipschitz box
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(SCENARIOS / "linear.scenario"),
+                     "--set", "system.inclusion=ball", "--set", "system.epsilon=5",
+                     "--set", "solver.escape=2.5", "--set", "bundle.directions=4",
+                     "--out", str(out)]) == 2
+        rep = json.loads((out / "filippov.check.json").read_text())
+        assert (rep["pairs"], rep["not_applicable"]) == (10, 10)
+        assert rep["max_violation"] is None and rep["verdict"] == "inconclusive"
+        assert "check filippov: inconclusive" in capsys.readouterr().out
+
+    def test_proximal_check_makes_four_barrier_batches(self, tmp_path, monkeypatch):
+        # the sample region, the Clarke gradients, the proximal test of every
+        # pair and the relaxation's B values: one batch each, whatever the count
+        calls, inside = [], []
+        evaluate = barrier.BarrierFn.evaluate_many
+        monkeypatch.setattr(barrier.BarrierFn, "evaluate_many", lambda self, ts, Xs: (
+            calls.append(len(ts)) if inside else None) or evaluate(self, ts, Xs))
+        check = cli.infinitesimal_check
+
+        def counted(*args, **kw):
+            inside.append(True)
+            try:
+                return check(*args, **kw)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(cli, "infinitesimal_check", counted)
+        out = tmp_path / "out"
+        main(["check", "--config", str(SCENARIOS / "counterexample.scenario"),
+              "--set", "check prox.kind=infinitesimal", "--set", "check prox.mode=proximal",
+              "--set", "check prox.count=48", "--set", "sampling.tgrid=0.5 1 2",
+              "--out", str(out)])
+        rep = json.loads((out / "prox.check.json").read_text())
+        assert rep["check"] == "infinitesimal_proximal" and rep["samples"] > 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("h", ["sqrt(x1 - 0.9)", "1/(x1 - x1)"])
+    def test_non_finite_h_is_named(self, tmp_path, capsys, h):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
+                         "--set", f"smooth.h={h}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: h is not finite at t=0, x=[-1.0, 0.0]")
+        assert "Traceback" not in err and not out.exists()
 
     def test_nagumo_keeps_the_library_tolerance(self, tmp_path):
         # without a tol key the exterior mode runs at nagumo_check's own default

@@ -266,6 +266,22 @@ class TestProximalSubgradient:
             one = proximal_subgradient_test(SubgradientCandidate([0.0, 0.0], zeta, radius=0.1), B)
             assert one == {"holds": holds, "worst_margin": worst}
 
+    def test_all_bases_in_one_call(self):
+        calls = []
+        B = lambda X: calls.append(len(X)) or np.abs(X).sum(axis=1) + X[:, 0] ** 2
+        X = np.array([[0.0, 0.0], [0.3, -0.2], [1.0, 0.5]])
+        zetas = np.random.default_rng(1).uniform(-1.5, 1.5, size=(3, 4, 2))
+        res = proximal_subgradient_test(SubgradientCandidate(X, zetas, radius=0.1, eps=2.0),
+                                        B, m=16)
+        assert calls == [3 * (1 + 16 + 4)]
+        assert res["holds"].shape == res["worst_margin"].shape == (3, 4)
+        assert 0 < res["holds"].sum() < 12
+        for x, zs, holds, worst in zip(X, zetas, res["holds"], res["worst_margin"]):
+            one = proximal_subgradient_test(SubgradientCandidate(x, zs, radius=0.1, eps=2.0),
+                                            B, m=16)
+            assert np.array_equal(one["holds"], holds)
+            assert np.array_equal(one["worst_margin"], worst)
+
     def test_minimum_sample_count(self):
         cand = SubgradientCandidate([0.0], [0.0], radius=0.1)
         with pytest.raises(GeometryError):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, builtin_field,
+from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec
 from safereach.reachability import (ReachCloud, cloud_to_csv,
                                     filippov_check, load_cloud, reach,
                                     reach_endpoint, reach_regularity_probe,
                                     save_cloud)
-from safereach.solver import BundlePlan, IntegratorConfig
+from safereach.solver import BundlePlan, IntegratorConfig, solution_bundle
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 256.0)
@@ -141,9 +141,72 @@ class TestFilippov:
     def test_box_exit_reported(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
         box = SetSpec.box([-0.5, -0.5], [0.5, 0.5])
-        with pytest.raises(ValueError, match="enlarge box"):
-            filippov_check(F, np.array([0.4, 0.0]), np.array([0.45, 0.0]),
-                           2.0, 1.0, CFG, PLAN, box=box)
+        res = filippov_check(F, np.array([0.4, 0.0]), np.array([0.45, 0.0]),
+                             2.0, 1.0, CFG, PLAN, box=box)
+        assert res["applicable"] is False
+
+
+class TestFilippovBatch:
+    F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
+    PLAN = BundlePlan(directions=3, switches=1, seed=4)
+
+    @staticmethod
+    def pairs(p, seed=0):
+        U = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(p, 2, 2))
+        return U[:, 0], U[:, 0] + 0.3 * U[:, 1]
+
+    def test_batch_equals_per_pair_calls_and_recorded_paths(self):
+        X, Y = self.pairs(6)
+        lam = 1.5
+        res = filippov_check(self.F, X, Y, 1.0, lam, CFG, self.PLAN)
+        assert res["max_violation"].shape == res["holds"].shape == (6,)
+        for i in range(6):
+            one = filippov_check(self.F, X[i], Y[i], 1.0, lam, CFG, self.PLAN)
+            assert one["max_violation"] == res["max_violation"][i]
+            assert one["holds"] == res["holds"][i] and one["applicable"]
+            # the bound along recorded paths: every x-path against the y-cloud, node by node
+            tx, ty = solution_bundle(self.F, np.stack([X[i], Y[i]]), 1.0, cfg=CFG,
+                                     plan=self.PLAN)
+            cloud = np.stack([tr.states for tr in ty])
+            base = float(np.linalg.norm(X[i] - Y[i]))
+            worst = max(float((np.linalg.norm(tr.states[None] - cloud, axis=2).min(axis=0)
+                               - np.exp(lam * tr.times) * base).max()) for tr in tx)
+            assert one["max_violation"] == worst
+        assert res["applicable"].all()
+        assert res["holds"].tolist() == (res["max_violation"] <= 1e-6).tolist()
+
+    def test_one_sweep_whatever_the_pair_count(self):
+        base = builtin_field("linear_safe")
+        calls = []
+        counted = FieldHandle(lambda x: calls.append(len(x)) or base.fn(x), 2, "counted")
+        F = InclusionSpec.ball_perturbed(counted, 0.3)
+        for p in (1, 5, 12):
+            calls.clear()
+            X, Y = self.pairs(p, seed=p)
+            filippov_check(F, X, Y, 0.5, 1.0, CFG, self.PLAN)
+            assert len(calls) == 4 * int(np.ceil(0.5 / CFG.step))
+            assert set(calls) == {len(self.PLAN.selectors(F, 0.5)) * 2 * p}
+
+    def test_box_exit_and_escape_are_per_pair(self):
+        F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
+        X = np.array([[0.1, 0.0], [0.4, 0.0], [0.0, 0.1], [0.2, 0.2]])
+        Y = X + np.array([[0.02, 0.0], [0.05, 0.0], [0.0, 0.02], [0.03, 0.0]])
+        box = SetSpec.box([-1.0, -1.0], [1.0, 1.0])
+        res = filippov_check(F, X, Y, 1.0, 1.0, CFG, PLAN, box=box)
+        # e^1 * 0.45 leaves the box; e^1 * 0.25 (the 0.2 + 0.03 row) stays inside
+        assert res["applicable"].tolist() == [True, False, True, True]
+        assert np.isnan(res["max_violation"][1]) and not res["holds"][1]
+        for i in (0, 2, 3):
+            one = filippov_check(F, X[i], Y[i], 1.0, 1.0, CFG, PLAN, box=box)
+            assert one["max_violation"] == res["max_violation"][i] and one["holds"]
+        # an escaping row is frozen early; its pair alone is not applicable
+        esc = IntegratorConfig(step=CFG.step, escape_radius=1.0)
+        res = filippov_check(F, X, Y, 1.0, 1.0, esc, PLAN)
+        assert res["applicable"].tolist() == [True, False, True, True]
+        assert res["holds"].tolist() == [True, False, True, True]
+        # no pairs, no verdicts
+        res = filippov_check(F, X[:0], Y[:0], 1.0, 1.0, CFG, PLAN, box=box)
+        assert [res[k].shape for k in ("max_violation", "holds", "applicable")] == [(0,)] * 3
 
 
 class TestRegularityProbe:

@@ -13,7 +13,9 @@ from safereach.solver import IntegratorConfig, SolverError, integrate
 
 
 def exp_decay(t, X):
-    return np.exp(-t) * np.linalg.norm(np.atleast_2d(X), axis=1)
+    # h as a table, one row per time in t; a scalar t gives the one row
+    r = np.linalg.norm(np.atleast_2d(X), axis=1)
+    return np.exp(-np.asarray(t, dtype=float))[..., None] * r
 
 
 def annulus_grid(n=41, lo=0.5, hi=1.0):
@@ -72,7 +74,7 @@ class TestHermiteSegment:
 class TestTimePartition:
     def test_constant_h_trivial_partition(self):
         grid = annulus_grid(21)
-        h = lambda t, X: 2.5 * np.ones(len(np.atleast_2d(X)))
+        h = lambda ts, X: np.full((len(ts), len(X)), 2.5)
         part = build_time_partition(h, grid, k_max=4, table_res=64)
         assert part.u_counts == (1, 1, 1, 1)
         assert np.allclose(part.eta, 2.5)
@@ -118,13 +120,31 @@ class TestTimePartition:
             build_time_partition(exp_decay, grid, k_max=1, table_res=16)
 
     def test_nonmonotone_h_rejected(self):
-        h = lambda t, X: (1.0 + np.sin(t)) * np.ones(len(np.atleast_2d(X)))
+        h = lambda ts, X: (1.0 + np.sin(ts))[:, None] * np.ones(len(X))
         with pytest.raises(SmoothingError, match="nonincreasing"):
             build_time_partition(h, annulus_grid(11), k_max=2, table_res=32)
 
+    def test_table_of_another_shape_rejected(self):
+        grid = annulus_grid(11)
+        for h in (lambda ts, X: np.ones(len(X)),               # one row, not a table
+                  lambda ts, X: np.ones((len(X), len(ts))),    # x-major
+                  lambda ts, X: np.ones((len(ts), len(X), 1))):
+            with pytest.raises(SmoothingError, match=rf"must return a \(17, {len(grid)}\) table"):
+                build_time_partition(h, grid, k_max=1, table_res=16)
+
+    def test_non_finite_table_names_its_first_point(self):
+        # NaN passes both the sign and the monotonicity tests
+        grid = np.array([[0.6, 0.0], [0.8, 0.0], [0.9, 0.0]])
+        h = lambda ts, X: np.where((ts[:, None] >= 0.5) & (X[:, 0] > 0.7), np.nan, 1.0)
+        with pytest.raises(SmoothingError, match=r"not finite at t=0.5, x=\[0.8, 0.0\]"):
+            build_time_partition(h, grid, k_max=1, table_res=16)
+        h = lambda ts, X: np.where(X[:, 0] > 0.85, np.inf, 1.0) * np.ones((len(ts), 1))
+        with pytest.raises(SmoothingError, match=r"not finite at t=0, x=\[0.9, 0.0\]"):
+            build_time_partition(h, grid, k_max=1, table_res=16)
+
     def test_subdivision_cap_is_loud(self):
         # oscillation too fast for the table resolution
-        h = lambda t, X: (2.0 - np.tanh(40 * t)) * np.ones(len(np.atleast_2d(X)))
+        h = lambda ts, X: (2.0 - np.tanh(40 * ts))[:, None] * np.ones(len(X))
         with pytest.raises(SmoothingError, match="subdivisions"):
             build_time_partition(h, annulus_grid(11), k_max=1, table_res=16)
 
@@ -145,14 +165,14 @@ class TestSmoothOnCompact:
     def test_constant_h_reproduced(self):
         grid = annulus_grid(21)
         c = 1.7
-        h = lambda t, X: c * np.ones(len(np.atleast_2d(X)))
+        h = lambda ts, X: np.full((len(ts), len(X)), c)
         part = build_time_partition(h, grid, k_max=2, table_res=32)
         g = smooth_on_compact(part)
         assert np.allclose(g(0.7, grid), c, atol=1e-12)
 
     def test_time_signal_without_state_dependence(self):
         grid = np.array([[0.6, 0.0]])
-        h = lambda t, X: np.exp(-t) * np.ones(len(np.atleast_2d(X)))
+        h = lambda ts, X: np.exp(-ts)[:, None] * np.ones(len(X))
         part = build_time_partition(h, grid, k_max=2, table_res=64)
         g = smooth_on_compact(part)
         for t in (0.0, 0.5, 1.7):
@@ -182,8 +202,9 @@ class TestSmoothGlobal:
 
     @staticmethod
     def h_dist(t, X):
-        # time-constant distance profile: positive off K, zero on K
-        return np.linalg.norm(np.atleast_2d(X), axis=1)
+        # time-constant distance profile: positive off K, zero on K; one row
+        # per time in t, and the one row for a scalar t
+        return np.linalg.norm(np.atleast_2d(X), axis=1) + np.zeros((*np.shape(t), 1))
 
     def test_zero_on_k(self):
         g = smooth_global(self.h_dist, self.K, range(-6, 1), k_max=1,
@@ -224,6 +245,17 @@ class TestSmoothGlobal:
                           table_res=16, annulus_count=128,
                           validation_points=pts)
 
+    def test_h_is_called_once_per_annulus_and_once_to_validate(self):
+        calls = []
+
+        def h(ts, X):
+            calls.append(len(ts))
+            return self.h_dist(ts, X)
+
+        smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
+                      validation_points=np.array([[0.3, 0.0], [0.0, -0.5]]))
+        assert calls == [17] * 4 + [5]
+
     def test_dimension_cap(self):
         K3 = SetSpec.points([[0.0, 0.0, 0.0]])
         with pytest.raises(SmoothingError, match="dimension"):
@@ -231,7 +263,7 @@ class TestSmoothGlobal:
 
     def test_box_k_generic_annuli(self):
         K = SetSpec.box([-0.2, -0.2], [0.2, 0.2], name="core")
-        h = lambda t, X: distance_to_set_many(np.atleast_2d(X), K)
+        h = lambda t, X: distance_to_set_many(np.atleast_2d(X), K) + np.zeros((*np.shape(t), 1))
         g = smooth_global(h, K, range(-5, 1), k_max=1, table_res=16,
                           annulus_count=512, seed=2)
         pts = np.array([[0.5, 0.1], [0.9, -0.6], [-0.4, 0.45]])
@@ -313,7 +345,7 @@ class TestConversePipeline:
         assert tube.h == 1 / 64
         times = np.arange(0, res.k_max * res.table_res + 1) / res.table_res
         X = np.array([[0.3, 0.0], [0.0, -0.7], [0.3, 0.0], [0.5, 0.5]])
-        table = tube.bulk(times, X)
+        table = tube(times, X)
         assert table.shape == (len(times), len(X))
         for q, x in enumerate(X):
             path = integrate(tube.F, Selector.constant(), x, float(res.k_max),
@@ -321,3 +353,13 @@ class TestConversePipeline:
             running = np.minimum.accumulate(distance_to_set_many(path.states, Xo))
             assert np.array_equal(table[:, q], running[::2])
         assert np.array_equal(table[0], distance_to_set_many(X, Xo))
+
+    def test_tube_table_equals_per_time_calls(self):
+        Xo = SetSpec.points([[0.0, 0.0]], name="origin")
+        res = ConverseResolution(k_max=2, table_res=32, rescaled_step=1 / 64)
+        tube = _RescaledTubeMin(builtin_field("counterexample2d"), Xo, res)
+        times = np.arange(0, res.k_max * res.table_res + 1) / res.table_res
+        X = np.array([[0.3, 0.0], [0.0, -0.7], [0.5, 0.5]])
+        table = tube(times, X)
+        for i in range(0, len(times), 4):
+            assert np.array_equal(tube(times[i:i + 1], X)[0], table[i])
