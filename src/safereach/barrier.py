@@ -67,7 +67,9 @@ class BarrierFn:
     def evaluate_many(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        vals = np.asarray(self.batch_fn(ts, Xs), dtype=float)
+        # a non-finite value is rejected below by name, so numpy need not warn
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.asarray(self.batch_fn(ts, Xs), dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = int(np.argmax(bad))
@@ -146,32 +148,29 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
 # closed-form barrier for the built-in counterexample
 # ---------------------------------------------------------------------------
 
-def counterexample_barrier(t: float, x) -> float:
+def counterexample_barrier(t, x):
     """Backward radial flow through the limit-cycle annuli, in closed form.
 
     Zero at the origin; constant 1/(k*pi) on the circles 1/|x| = k*pi; on the
     open annulus 1/|x| in (k*pi, (k+1)*pi) the value is
     1 / (arccot(cot(1/|x|) - t/2) + k*pi) with arccot valued in (0, pi).
+    A float at one (t, x), x of shape (2,); the (m,) values at times t (m,)
+    and states x (m, 2), each row on its own.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return 0.0
-    u = 1.0 / r
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.sqrt(np.vecdot(X, X))
+    u = 1.0 / np.where(r == 0.0, 1.0, r)
     frac = u / np.pi
-    k_round = int(round(frac))
-    if k_round >= 1 and abs(frac - k_round) <= 1e-12:
-        return 1.0 / (k_round * np.pi)
-    k = int(np.floor(frac))
-    c = np.cos(u) / np.sin(u)
-    phase = np.pi / 2.0 - np.arctan(c - 0.5 * float(t))
-    return float(1.0 / (phase + k * np.pi))
+    k = np.rint(frac)
+    circle = (k >= 1) & (np.abs(frac - k) <= 1e-12)
+    phase = np.pi / 2.0 - np.arctan(np.cos(u) / np.sin(u) - 0.5 * np.asarray(t, dtype=float))
+    vals = np.where(r == 0.0, 0.0, np.where(circle, 1.0 / (np.maximum(k, 1.0) * np.pi),
+                                            1.0 / (phase + np.floor(frac) * np.pi)))
+    return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
-    batch = lambda ts, Xs: np.array(
-        [counterexample_barrier(t, x) for t, x in zip(ts, Xs)])
-    return BarrierFn(batch, "closedform_counterexample", 2, band_width)
+    return BarrierFn(counterexample_barrier, "closedform_counterexample", 2, band_width)
 
 
 # ---------------------------------------------------------------------------

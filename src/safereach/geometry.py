@@ -531,7 +531,8 @@ def _as_cloud(A) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeProbe:
-    """Finite surrogate for membership of direction v in a tangent cone at x."""
+    """Finite surrogate for membership of direction v in a tangent cone at x:
+    one probe (x, v of shape (n,)) or k probes ((k, n) each)."""
 
     x: np.ndarray
     v: np.ndarray
@@ -550,29 +551,37 @@ class ConeProbe:
             raise GeometryError(f"unknown cone mode {self.mode}")
 
 
-def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -> float:
+def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL):
     """Admission residual: <= tol means the direction is admitted by the cone.
 
     contingent: min_h |x + h v|_S / h, requiring x in S (within tol);
     external:   min_h (|x + h v|_S - |x|_S) / h.
+    A float for one probe, a (k,) array for k; every base point and step
+    point of the batch goes into one distance call.
     """
-    x, v = probe.x, probe.v
+    X, V = np.atleast_2d(probe.x), np.atleast_2d(probe.v)
+    k, n = X.shape
     steps = np.asarray(probe.steps)
-    d = distance_to_set_many(np.vstack([x, x + steps[:, None] * v]), S)
+    d = distance_to_set_many(np.concatenate(
+        [X, (X[:, None, :] + steps[:, None] * V[:, None, :]).reshape(-1, n)]), S)
+    d0, ds = d[:k], d[k:].reshape(k, len(steps))
     if probe.mode == "external":
-        return float(((d[1:] - d[0]) / steps).min())
-    if d[0] > tol:
-        raise GeometryError("base point not in set")
-    quotients = d[1:] / steps
-    if probe.mode == "contingent":
-        return float(quotients.min())
-    # clarke-tangent: also probe from perturbed base points (limsup over y -> x)
-    dy = np.repeat(10.0 * steps[-3:], 2)
-    ys = x + (np.tile([1.0, -1.0], 3) * dy)[:, None] * _unit_perp(v)
-    probes = (ys[:, None, :] + steps[:, None] * v).reshape(-1, len(x))
-    d = distance_to_set_many(np.vstack([ys, probes]), S)
-    near = (d[len(ys):].reshape(len(ys), -1) / steps).min(axis=1)[d[:len(ys)] <= tol + dy]
-    return float(max(quotients.min(), near.max(initial=-np.inf)))
+        res = ((ds - d0[:, None]) / steps).min(axis=1)
+    elif (d0 > tol).any():
+        raise GeometryError(f"base point {X[np.argmax(d0 > tol)].tolist()} not in set")
+    else:
+        res = (ds / steps).min(axis=1)
+    if probe.mode == "clarke-tangent":
+        # also probe from perturbed base points (limsup over y -> x)
+        dy = np.repeat(10.0 * steps[-3:], 2)
+        perp = np.reshape([_unit_perp(v) for v in V], (k, 1, n))
+        Y = X[:, None, :] + (np.tile([1.0, -1.0], 3) * dy)[:, None] * perp
+        dY = distance_to_set_many(Y.reshape(-1, n), S).reshape(k, len(dy))
+        dQ = distance_to_set_many(
+            (Y[:, :, None, :] + steps[:, None] * V[:, None, None, :]).reshape(-1, n), S)
+        near = (dQ.reshape(k, len(dy), len(steps)) / steps).min(axis=2)
+        res = np.maximum(res, np.where(dY <= tol + dy, near, -np.inf).max(axis=1))
+    return float(res[0]) if probe.x.ndim == 1 else res
 
 
 def _unit_perp(v: np.ndarray) -> np.ndarray:

@@ -86,7 +86,8 @@ def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
     if k_max < 1:
         raise SmoothingError("k_max must be >= 1")
     times = np.arange(0, k_max * table_res + 1) / table_res
-    table = np.asarray(h(times, grid), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        table = np.asarray(h(times, grid), dtype=float)
     if table.shape != (len(times), len(grid)):
         raise SmoothingError(f"h(times, X) must return a ({len(times)}, {len(grid)}) table, "
                              f"got shape {table.shape}")
@@ -451,11 +452,13 @@ def _validate_global(fn: GlobalSmoothedFn, h: Callable, pts: np.ndarray,
         shells = sorted({int(np.floor(v)) for v in y[uncovered]})
         raise SmoothingError(f"validation grid not covered; missing shells near log2 d^2 in {shells}")
     times = np.linspace(0.0, k_max, 4 * k_max + 1)
-    H = np.asarray(h(times, pts), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        H = np.asarray(h(times, pts), dtype=float)
     prev = None
     for t, hv in zip(times, H):
         g = fn(float(t), pts)
-        if np.any(g[off] < 0.5 * hv[off] - 1e-12) or np.any(g[off] > 2.0 * hv[off] + 1e-12):
+        # written so that a non-finite h fails it, at that x
+        if not ((g >= 0.5 * hv - 1e-12) & (g <= 2.0 * hv + 1e-12))[off].all():
             j = int(np.argmax(np.maximum(0.5 * hv - g, g - 2.0 * hv)[off]))
             raise SmoothingError(f"global sandwich violated at t={t}, x={pts[off][j].tolist()}")
         if prev is not None and np.any(g - prev > 1e-12):

@@ -340,14 +340,9 @@ def integrate(F: InclusionSpec, s: Selector, x0, T: float,
               stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
     """Integrate dx/dt = s(t, x) in F(x) (negated for backward) over [0, T]."""
     traj = bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
-    return _truncate_at_set(traj, stop_set, stop_tol)
-
-
-def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) -> Trajectory:
     if stop_set is None:
         return traj
-    d = distance_to_set_many(traj.states, stop_set)
-    hits = np.nonzero(d <= tol)[0]
+    hits = np.nonzero(distance_to_set_many(traj.states, stop_set) <= stop_tol)[0]
     if len(hits) == 0:
         return traj
     k = int(hits[0])
@@ -358,8 +353,7 @@ def _truncate_at_set(traj: Trajectory, stop_set: Optional[SetSpec], tol: float) 
 
 def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
                     cfg: IntegratorConfig = IntegratorConfig(),
-                    plan: BundlePlan = BundlePlan(),
-                    stop_set: Optional[SetSpec] = None) -> list:
+                    plan: BundlePlan = BundlePlan()) -> list:
     """One trajectory per selector of plan from x0 (n,); a singleton F yields
     exactly one.  For a batch of starts (k, n), one such list per start, all
     integrated in one sweep."""
@@ -367,8 +361,7 @@ def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
     starts = np.atleast_2d(X0)
     sels = plan.selectors(F, T)
     flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
-    out = [[_truncate_at_set(flat[j * len(starts) + i], stop_set, 1e-9)
-            for j in range(len(sels))] for i in range(len(starts))]
+    out = [flat[i::len(starts)] for i in range(len(starts))]
     return out[0] if X0.ndim == 1 else out
 
 

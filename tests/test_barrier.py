@@ -91,6 +91,36 @@ class TestClosedFormBarrier:
         x = np.array([0.4, 0.0])          # 1/0.4 = 2.5 in (0, pi), k = 0
         assert counterexample_barrier(1e9, x) == pytest.approx(1.0 / np.pi, rel=1e-6)
 
+    @staticmethod
+    def _scalar_reference(t, x):
+        # the per-point formula with Python branches, as the batch replaced it
+        r = float(np.linalg.norm(x))
+        if r == 0.0:
+            return 0.0
+        u = 1.0 / r
+        frac = u / np.pi
+        k_round = int(round(frac))
+        if k_round >= 1 and abs(frac - k_round) <= 1e-12:
+            return 1.0 / (k_round * np.pi)
+        c = np.cos(u) / np.sin(u)
+        return float(1.0 / (np.pi / 2.0 - np.arctan(c - 0.5 * t) + int(np.floor(frac)) * np.pi))
+
+    def test_batch_equals_one_row_calls(self):
+        rng = np.random.default_rng(3)
+        k = np.arange(1, 12)
+        ang = rng.uniform(0, 2 * np.pi, len(k))
+        X = np.vstack([rng.normal(size=(400, 2)) * rng.choice([1e-3, 0.1, 1.0], (400, 1)),
+                       np.zeros((2, 2)),
+                       np.column_stack([np.cos(ang), np.sin(ang)]) / (k * np.pi)[:, None]])
+        ts = rng.uniform(0.0, 10.0, len(X))
+        with np.errstate(all="raise"):
+            batch = counterexample_barrier(ts, X)
+        singles = np.array([counterexample_barrier(t, x) for t, x in zip(ts, X)])
+        reference = np.array([self._scalar_reference(t, x) for t, x in zip(ts, X)])
+        assert np.array_equal(batch, singles) and np.array_equal(batch, reference)
+        assert np.array_equal(batch[-len(k):], 1.0 / (k * np.pi)) and not batch[400:402].any()
+        assert np.array_equal(counterexample_barrier_fn().evaluate_many(ts, X), batch)
+
 
 class TestMarginalBarrier:
     def test_time_zero_is_distance(self):

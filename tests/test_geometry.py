@@ -172,6 +172,28 @@ class TestConeResidual:
         with pytest.raises(GeometryError):
             ConeProbe([0, 0], [1, 0], steps=(1e-3, 1e-2, 1e-1))  # increasing
 
+    @pytest.mark.parametrize("mode", ["contingent", "external", "clarke-tangent"])
+    @pytest.mark.parametrize("S", [disk, SetSpec.sublevel(
+        lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2, window=([-4, -2], [4, 2]))])
+    def test_batch_equals_one_row_calls(self, mode, S):
+        rng = np.random.default_rng(5)
+        ang = rng.uniform(0, 2 * np.pi, 12)
+        X = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.2, 1.0, (12, 1))
+        if mode == "external":
+            X = X * 2.5
+        X[:4] = S.sample_boundary(4, seed=2)    # bases on the boundary too
+        V = rng.normal(size=(12, 2))
+        V[5, 0] = 0.0                           # an axis-aligned direction
+        batch = cone_residual(ConeProbe(X, V, mode=mode), S)
+        singles = [cone_residual(ConeProbe(x, v, mode=mode), S) for x, v in zip(X, V)]
+        assert batch.shape == (12,) and all(isinstance(r, float) for r in singles)
+        assert np.array_equal(batch, singles)
+
+    def test_batch_names_the_first_base_outside(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 3.0], [2.0, 0.0]])
+        with pytest.raises(GeometryError, match=r"base point \[0\.0, 3\.0\] not in set"):
+            cone_residual(ConeProbe(X, np.ones((4, 2))), self.disk)
+
     def test_clarke_tangent_mode(self):
         # on the smooth disk the Clarke tangent cone matches the contingent
         # cone: inward admitted, outward rejected, also from perturbed bases

@@ -245,6 +245,15 @@ class TestSmoothGlobal:
                           table_res=16, annulus_count=128,
                           validation_points=pts)
 
+    def test_validation_rejects_non_finite_h(self):
+        # finite on every annulus grid, NaN at one validation point only
+        def h(ts, X):
+            return np.where(X[:, 0] == 0.3, np.nan, self.h_dist(ts, X))
+
+        with pytest.raises(SmoothingError, match=r"violated at t=0\.0, x=\[0\.3, 0\.0\]"):
+            smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
+                          validation_points=np.array([[0.0, -0.5], [0.3, 0.0]]))
+
     def test_h_is_called_once_per_annulus_and_once_to_validate(self):
         calls = []
 

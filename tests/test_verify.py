@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safereach import sampling, verify
+from safereach import geometry, sampling, verify
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
 from safereach.dynamics import FieldHandle, InclusionSpec, builtin_field, field_from_expressions
 from safereach.geometry import SetSpec, clarke_gradient_sample
@@ -146,6 +146,21 @@ class TestNagumo:
             calls.clear()
             rep = nagumo_check(F, DISK, "boundary", n_samples=n)
             assert rep.samples > 0 and sorted(calls) == names
+
+    @pytest.mark.parametrize("F", [LINEAR, HULL,
+                                   InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)])
+    @pytest.mark.parametrize("mode, calls", [("boundary", 1), ("exterior", 2)])
+    def test_distance_calls_do_not_grow_with_probes(self, monkeypatch, F, mode, calls):
+        # exterior mode draws its shell with one more call
+        count = []
+        real = geometry.distance_to_set_many
+        counted = lambda X, S: count.append(len(X)) or real(X, S)
+        monkeypatch.setattr(geometry, "distance_to_set_many", counted)
+        monkeypatch.setattr(verify, "distance_to_set_many", counted)
+        for n in (8, 64):
+            count.clear()
+            rep = nagumo_check(F, DISK, mode, n_samples=n, shell_width=0.05)
+            assert rep.samples > 0 and len(count) == calls
 
     def test_empty_shell_inconclusive(self):
         rep = nagumo_check(LINEAR, DISK, "exterior", n_samples=8,
