@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
                        eval_inclusion, field_from_expressions,
-                       lipschitz_estimate, max_rate, negate, rescale_field, select)
+                       lipschitz_estimate, max_rate, rescale_field)
 from .geometry import (ConeProbe, SamplePlan, SetSpec, SubgradientCandidate,
                        clarke_gradient_sample, cone_residual, distance_to_set,
                        hausdorff_distance, proximal_subgradient_test)

@@ -31,7 +31,7 @@ from .reachability import cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
 from .smoothing import (ConverseResolution, SmoothingError, build_time_partition,
                         converse_smooth_barrier, smooth_on_compact)
-from .solver import SolverError, solution_bundle
+from .solver import SolverError, solution_bundle, write_csv
 from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
 
 
@@ -157,9 +157,7 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     # one t-major batch: a value depends on its own (t, x) only
     t_col, x_rows = np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))
     data = np.column_stack([t_col, x_rows, B.evaluate_many(t_col, x_rows)])
-    header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",B"
-    path = manifest.add(manifest.out / "barrier_grid.csv")
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    write_csv(manifest.add(manifest.out / "barrier_grid.csv"), "t", data, "B")
     return 0
 
 
@@ -186,9 +184,7 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     out_n = cfg.get("smooth", "out_n", 9)
     ts = np.linspace(0.0, part.nodes[-1], out_n)
     data = np.column_stack([tx(ts, grid), g.sample_times(ts, grid).ravel()])
-    header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",g"
-    path = manifest.add(manifest.out / "smoothed_grid.csv")
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    write_csv(manifest.add(manifest.out / "smoothed_grid.csv"), "t", data, "g")
     info = {"u_counts": list(part.u_counts), "eta": part.eta.tolist(),
             "sigma": g.sigma, "certificate": g.certificate}
     manifest.add(manifest.out / "smooth_info.json").write_text(

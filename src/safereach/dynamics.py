@@ -3,7 +3,7 @@
 An :class:`InclusionSpec` is a singleton field, a ball-perturbed field
 f(x) + eps*B, or the convex hull of finitely many fields.  Solutions of the
 inclusion are generated through :class:`Selector` objects picking a concrete
-velocity out of F(x) at every time.
+velocity out of F(x) at every time (``solver.bundle_field``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,16 @@ class FieldHandle:
     name: str = "field"
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        out = self.raw(np.asarray(x, dtype=float))
+        if not np.isfinite(out).all():
+            raise DynamicsError(f"field '{self.name}' returned non-finite values")
+        return out
+
+    def raw(self, x: np.ndarray) -> np.ndarray:
+        """fn at float x, shape-checked; the sweep kernel checks finiteness."""
         out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape:
             raise DynamicsError(f"field '{self.name}' returned shape {out.shape} for input {x.shape}")
-        if not np.isfinite(out).all():
-            raise DynamicsError(f"field '{self.name}' returned non-finite values")
         return out
 
     def negated(self) -> "FieldHandle":
@@ -255,22 +259,6 @@ def _validate_direction(F: InclusionSpec, d: Optional[np.ndarray]) -> None:
             raise DynamicsError("hull selector weights must be nonnegative and sum to 1")
 
 
-def select(F: InclusionSpec, x, s) -> np.ndarray:
-    """Evaluate the selected velocity; always an element of F(x).
-
-    s holds directions validated by :func:`selector_table`: one for all rows
-    of x or an (m, p) array with one per row."""
-    if F.kind == "singleton":
-        return F.fields[0](x)
-    if F.kind == "ball":
-        return F.fields[0](x) + F.epsilon * s
-    # weight by weight, not a BLAS product, which rounds rows by batch size
-    out = F.fields[0](x) * s[..., 0, None]
-    for i, f in enumerate(F.fields[1:], start=1):
-        out = out + f(x) * s[..., i, None]
-    return out
-
-
 def selector_table(F: InclusionSpec, sels: Sequence[Selector]):
     """Validated directions of sels on their shared switch grid.
 
@@ -293,12 +281,6 @@ def selector_table(F: InclusionSpec, sels: Sequence[Selector]):
     return switch_times, D
 
 
-def negate(F: InclusionSpec) -> InclusionSpec:
-    """Pointwise negation -F(x); the ball radius is preserved."""
-    return replace(F, fields=tuple(f.negated() for f in F.fields),
-                   name=f"-({F.name})" if F.name else "")
-
-
 def rescale_field(f: FieldHandle, V: Callable) -> FieldHandle:
     """x -> f(x) * V(x)/(1+V(x)); vanishes exactly where V vanishes.
 
@@ -311,7 +293,7 @@ def rescale_field(f: FieldHandle, V: Callable) -> FieldHandle:
         v = np.asarray(V(x), dtype=float).reshape(x.shape[:-1])
         if np.any(v < 0):
             raise DynamicsError("rescale_field requires V >= 0")
-        return f(x) * (v / (1.0 + v))[..., None]
+        return f.raw(x) * (v / (1.0 + v))[..., None]
 
     return FieldHandle(fn, f.dim, name=f"{f.name}*V/(1+V)")
 

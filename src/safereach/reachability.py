@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, write_csv
 
 _MAGIC = b"RCH1"
 
@@ -181,7 +181,4 @@ def load_cloud(path) -> ReachCloud:
 
 
 def cloud_to_csv(cloud: ReachCloud, path) -> None:
-    n = cloud.points.shape[1]
-    header = "index," + ",".join(f"x{i + 1}" for i in range(n))
-    data = np.column_stack([np.arange(len(cloud.points)), cloud.points])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    write_csv(path, "index", np.column_stack([np.arange(len(cloud.points)), cloud.points]))

@@ -28,7 +28,8 @@ from . import sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
 from .geometry import SetSpec, distance_to_set_many
-from .solver import IntegratorConfig, SolverError, on_stepped, rk4_sweep, tube_minimum
+from .solver import (IntegratorConfig, SolverError, bundle_field, on_stepped, rk4_sweep,
+                     tube_minimum)
 
 
 class SmoothingError(RuntimeError):
@@ -525,10 +526,12 @@ class ConverseBarrier:
 
     def __init__(self, f: FieldHandle, X_o: SetSpec, cfg: IntegratorConfig,
                  res: ConverseResolution):
-        self.f = f
         self.X_o = X_o
         self.cfg = cfg
         self.res = res
+        # a singleton stage reads neither k nor rows: one serves every batch
+        self.back = bundle_field(InclusionSpec.singleton(f), [Selector.constant()], 1, 0.0,
+                                 "backward")
         tube = _RescaledTubeMin(f, X_o, res)
         self.g = smooth_global(tube, X_o, res.s_range, k_max=res.k_max,
                                table_res=res.table_res,
@@ -563,7 +566,7 @@ class ConverseBarrier:
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError
         try:
-            state = rk4_sweep(lambda k, rows, X: -self.f(X), Xs, h_rows, n_rows, observe)[0]
+            state = rk4_sweep(self.back, Xs, h_rows, n_rows, observe)[0]
         except SolverError as exc:
             raise SmoothingError(f"backward flow diverged during barrier evaluation: {exc}") from exc
         touched = dmin <= self.res.touch_tol

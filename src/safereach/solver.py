@@ -17,9 +17,10 @@ a set over a tube of bundle paths, read off at several steps per start, is
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
-of the "pre" invariance semantics.  A non-finite state aborts the sweep, and
-a non-finite horizon, or one needing more steps than the budget, is refused
-before any step.
+of the "pre" invariance semantics.  The kernel is the only finiteness guard
+in a sweep: a non-finite stage value makes the state non-finite (h > 0),
+which aborts the sweep.  A non-finite horizon, or one needing more steps
+than the budget, is refused before any step.
 Each row steps to its own horizon: the step count is one for the batch or
 one per row.
 """
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import InclusionSpec, Selector, negate, select, selector_table
+from .dynamics import InclusionSpec, Selector, selector_table
 from .geometry import SetSpec, distance_to_set_many
 
 
@@ -98,10 +99,17 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, path) -> None:
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, "t", np.column_stack([self.times, self.states]))
+
+
+def write_csv(path, first: str, data: np.ndarray, last: str = "") -> None:
+    """data (k, c) as %.17g CSV under the header first,x1,...[,last]: the bytes
+    of np.savetxt(..., delimiter=",", comments="", fmt="%.17g") in one % call."""
+    n = data.shape[1] - 1 - bool(last)
+    header = ",".join([first] + [f"x{i + 1}" for i in range(n)] + ([last] if last else []))
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (row * len(data)) % tuple(data.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,8 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     step k0 of the block, the (j, m) mask of the rows that took each step
     (an escaping row counts at its escape step) and the (j, m, n) whole
     state arrays after each step, a fresh array the observer may keep.
+    A non-finite new state raises :class:`SolverError` naming the step; fn
+    runs with numpy's warnings off, the observer under the caller's.
     Returns the final states, the steps each row took (its escape step,
     else its count) and the escaped rows.
     """
@@ -172,42 +182,47 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
     K = max(1, min(BLOCK_ROWS // max(m, 1), n_max))
     j = 0   # steps buffered for the observer
-    for k in range(1, n_max + 1):
-        if n_live == 0:
-            break
-        # frozen and finished states may sit where the field overflows: step live rows only
-        rows = slice(None) if n_live == m else np.flatnonzero(alive)
-        if observe is not None:
-            if j == 0:
-                k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
-            stepped[j] = alive
-        Xs = X[rows]
-        hs = h if h_rows is None else h_rows[rows]
-        k1 = fn(k, rows, Xs)
-        k2 = fn(k, rows, Xs + 0.5 * hs * k1)
-        k3 = fn(k, rows, Xs + 0.5 * hs * k2)
-        k4 = fn(k, rows, Xs + hs * k3)
-        Xn = Xs + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(Xn).all():
-            bad = Xs[~np.isfinite(Xn).all(axis=1)][0]
-            raise SolverError(f"non-finite state at step {k}; last valid state {bad.tolist()}")
-        X[rows] = Xn
-        if max(Xn.max(), -Xn.min()) > coord_bound:
-            idx = np.arange(m)[rows][np.linalg.norm(Xn, axis=1) > escape_radius]
-            steps[idx] = k
-            escaped[idx] = True
-            alive[idx] = False
-            n_live -= len(idx)
-        if observe is not None:
-            Xb[j] = X
-            j += 1
-            if j == K:
-                observe(k0, stepped, Xb)
-                j = 0
-        if k in stops:
-            done = alive & (steps == k)
-            alive &= ~done
-            n_live -= int(np.count_nonzero(done))
+    caller_err = np.geterr()    # restored around observe; the stages run with warnings off
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n_max + 1):
+            if n_live == 0:
+                break
+            # frozen and finished states may sit where the field overflows: step live rows only
+            rows = slice(None) if n_live == m else np.flatnonzero(alive)
+            if observe is not None:
+                if j == 0:
+                    k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
+                stepped[j] = alive
+            Xs = X[rows]
+            hs = h if h_rows is None else h_rows[rows]
+            k1 = fn(k, rows, Xs)
+            k2 = fn(k, rows, Xs + 0.5 * hs * k1)
+            k3 = fn(k, rows, Xs + 0.5 * hs * k2)
+            k4 = fn(k, rows, Xs + hs * k3)
+            Xn = Xs + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # one pass answers both tests: NaN or inf fails top < inf
+            top = max(Xn.max(), -Xn.min())
+            if not top < np.inf:
+                bad = Xs[~np.isfinite(Xn).all(axis=1)][0]
+                raise SolverError(f"non-finite state at step {k}; last valid state {bad.tolist()}")
+            X[rows] = Xn
+            if top > coord_bound:
+                idx = np.arange(m)[rows][np.linalg.norm(Xn, axis=1) > escape_radius]
+                steps[idx] = k
+                escaped[idx] = True
+                alive[idx] = False
+                n_live -= len(idx)
+            if observe is not None:
+                Xb[j] = X
+                j += 1
+                if j == K:
+                    with np.errstate(**caller_err):
+                        observe(k0, stepped, Xb)
+                    j = 0
+            if k in stops:
+                done = alive & (steps == k)
+                alive &= ~done
+                n_live -= int(np.count_nonzero(done))
     if j:
         observe(k0, stepped[:j], Xb[:j])
     return X, steps, escaped
@@ -233,17 +248,26 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
 
     Row j * m + i runs sels[j]; step k (from 1) of length h uses the
     direction of the segment holding its midpoint (k - 1/2) h.  Piecewise
-    selectors share their switch times, as those of one BundlePlan do."""
-    Fd = negate(F) if direction == "backward" else F
+    selectors share their switch times, as those of one BundlePlan do.
+    Built once per sweep on ``FieldHandle.raw`` (no finiteness test): a ball
+    adds eps * d premultiplied per segment and row; backward negates each f."""
     switch_times, D = selector_table(F, sels)
+    fs = [f.raw for f in F.fields]
+    if direction == "backward":
+        fs = [lambda X, g=g: -g(X) for g in fs]
     if D is None:
-        return lambda k, rows, X: select(Fd, X, None)
-    row_sel = np.repeat(np.arange(len(sels)), m)
-    if len(switch_times) == 0:
-        d = D[0][row_sel]
-        return lambda k, rows, X: select(Fd, X, d[rows])
-    st = switch_times.tolist()
-    return lambda k, rows, X: select(Fd, X, D[bisect_right(st, (k - 0.5) * h)][row_sel[rows]])
+        return lambda k, rows, X: fs[0](X)
+    if F.kind == "ball":
+        D, stage = F.epsilon * D, lambda X, e: fs[0](X) + e
+    else:
+        def stage(X, w):
+            # weight by weight, not a BLAS product, which rounds rows by batch size
+            out = fs[0](X) * w[..., 0, None]
+            for i in range(1, len(fs)):
+                out = out + fs[i](X) * w[..., i, None]
+            return out
+    E, st = D[:, np.repeat(np.arange(len(sels)), m)], switch_times.tolist()   # segment, row
+    return lambda k, rows, X: stage(X, E[bisect_right(st, (k - 0.5) * h)][rows])
 
 
 def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,

@@ -185,13 +185,12 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
         raise ValueError(f"unknown mode {mode}")
     if tol is None:
         tol = NAGUMO_DEFAULT_TOL if mode == "boundary" else 1e-3
-    if mode == "boundary":
-        pts = K.sample_boundary(n_samples, seed=seed, window=window)
-    else:
-        pts = _exterior_shell(K, n_samples, shell_width, seed, window)
-        if len(pts) == 0:
-            return CheckReport(f"nagumo_{mode}", 0, 0.0, {}, "inconclusive",
-                               details={"reason": "empty shell after sampling"})
+    pts = (K.sample_boundary(n_samples, seed=seed, window=window) if mode == "boundary"
+           else _exterior_shell(K, n_samples, shell_width, seed, window))
+    if len(pts) == 0:
+        reason = "no boundary samples" if mode == "boundary" else "empty shell after sampling"
+        return CheckReport(f"nagumo_{mode}", 0, 0.0, {}, "inconclusive",
+                           details={"reason": reason})
     if extra_points is not None:
         pts = np.vstack([pts, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     E = inclusion_extreme_points(F, pts, seed=seed)
@@ -202,12 +201,10 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     res[moving] = cone_residual(ConeProbe(
         X[moving], E[moving] / speed[moving, None],
         mode="contingent" if mode == "boundary" else "external"), K, tol=max(tol, shell_width))
-    worst, witness = -np.inf, {}
-    if len(res):
-        i = int(np.argmax(res))     # the first largest, in (sample, vertex) order
-        worst, witness = float(res[i]), {"x": X[i].tolist(), "eta": E[i].tolist()}
-    return CheckReport(f"nagumo_{mode}", len(res), worst, witness,
-                       "pass" if worst <= tol else "fail",
+    i = int(np.argmax(res))     # the first largest, in (sample, vertex) order
+    return CheckReport(f"nagumo_{mode}", len(res), float(res[i]),
+                       {"x": X[i].tolist(), "eta": E[i].tolist()},
+                       "pass" if res[i] <= tol else "fail",
                        details={"set": K.name or K.kind, "tol": tol})
 
 

@@ -354,6 +354,33 @@ class TestCommands:
         rep = json.loads((out / "monotone.check.json").read_text())
         assert status in (0, 2) and rep["samples"] == 2
 
+    def test_nagumo_without_samples_is_inconclusive(self, tmp_path):
+        text = MINIMAL + "[check nag]\nkind = nagumo\nK = X_o\nn_samples = 0\n"
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rep = json.loads((out / "nag.check.json").read_text(), parse_constant=reject)
+        assert rep["verdict"] == "inconclusive" and rep["samples"] == 0
+        assert rep["details"]["reason"] == "no boundary samples"
+
+    @pytest.mark.parametrize("rhs, status, err", [
+        ("x1*x1*x1*1e10; x2", 0, ""),     # rows escape: the escape norm overflows to inf
+        ("log(x1); x2", 1, "error: non-finite state at step 1; last valid state ["),
+    ])
+    def test_overflowing_field_prints_no_warning(self, tmp_path, capsys, rhs, status, err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(SCENARIOS / "counterexample.scenario"),
+                         "--set", "system.kind=expression", "--set", f"system.rhs={rhs}",
+                         "--set", "simulate.T=2", "--out", str(tmp_path / "out")]) == status
+        captured = capsys.readouterr().err
+        assert caught == [] and len(captured.splitlines()) == (1 if err else 0)
+        assert captured.startswith(err)
+
     def test_non_finite_barrier_is_an_error(self, tmp_path, capsys):
         # NaN on the left half of X_o; B is about -9 on X_u, so this must not pass
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (

@@ -5,12 +5,19 @@ from hypothesis import given, settings, strategies as st
 from safereach.dynamics import (DynamicsError, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
-                                lipschitz_estimate, max_rate, negate, rescale_field,
-                                select, selector_table)
+                                lipschitz_estimate, max_rate, rescale_field,
+                                selector_table)
 from safereach.geometry import SetSpec, hausdorff_distance
 from safereach.sampling import grid_points
+from safereach.solver import bundle_field
 
 QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
+
+
+def stage(F, d=None, direction="forward"):
+    """The sweep's stage function for one constant selector, at one point x."""
+    fn = bundle_field(F, [Selector.constant(d)], 1, 1.0, direction)
+    return lambda x: fn(1, slice(None), np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 class TestBuiltins:
@@ -90,17 +97,17 @@ class TestInclusion:
         x = np.array([0.7, -0.2])
         F = InclusionSpec.ball_perturbed(f, 0.1)
         u = np.array([0.6, 0.8])
-        v = select(F, x, u)
+        v = stage(F, u)(x)
         assert np.allclose(v, f(x) + 0.1 * u)
         assert np.linalg.norm(v - f(x)) <= 0.1 + 1e-12
         H = InclusionSpec.hull([f, f.negated()])
-        w = select(H, x, np.array([0.5, 0.5]))
+        w = stage(H, np.array([0.5, 0.5]))(x)
         assert np.allclose(w, 0.0)
 
     def test_singleton_ignores_selector(self):
         F = InclusionSpec.singleton(builtin_field("linear_safe"))
         x = np.array([1.0, 1.0])
-        assert np.allclose(select(F, x, None), F.fields[0](x))
+        assert np.allclose(stage(F)(x), F.fields[0](x))
 
     def test_selector_validation(self):
         f = builtin_field("linear_safe")
@@ -139,11 +146,11 @@ class TestInclusion:
         x = np.array(xs)
         u = np.array([np.cos(angle), np.sin(angle)])
         ball = InclusionSpec.ball_perturbed(f, 0.3)
-        v = select(ball, x, u)
+        v = stage(ball, u)(x)
         assert np.linalg.norm(v - f(x)) <= 0.3 + 1e-12
         hull = InclusionSpec.hull([f, f.negated()])
         w = np.array([w0, 1.0 - w0])
-        v2 = select(hull, x, w)
+        v2 = stage(hull, w)(x)
         # distance to the segment [f(x), -f(x)]
         a, b = f(x), -f(x)
         seg = b - a
@@ -162,25 +169,25 @@ class TestInclusion:
 
 
 class TestNegate:
+    # the backward stage function selects from -F(x)
     def test_pointwise(self):
         f = builtin_field("linear_safe")
         F = InclusionSpec.singleton(f)
         x = np.array([0.4, 0.9])
-        assert np.allclose(negate(F).fields[0](x), -f(x))
+        assert np.allclose(stage(F, direction="backward")(x), -f(x))
 
     def test_involution(self):
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
-        G = negate(negate(F))
+        back = stage(F, direction="backward")
         pts = np.random.default_rng(5).normal(size=(20, 2))
-        assert np.allclose(G.fields[0](pts), F.fields[0](pts))
+        assert np.allclose([-back(x) for x in pts], F.fields[0](pts))
 
     def test_ball_radius_preserved(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.3)
-        G = negate(F)
-        x = np.array([1.0, 2.0])
-        ev = eval_inclusion(G, x)
-        assert ev.radius == 0.3
-        assert np.allclose(ev.center, -F.fields[0](x))
+        x, u = np.array([1.0, 2.0]), np.array([0.6, 0.8])
+        v = stage(F, u, "backward")(x)
+        assert np.linalg.norm(v + F.fields[0](x)) == pytest.approx(0.3)
+        assert np.allclose(v, -F.fields[0](x) + 0.3 * u)
 
 
 def _sqnorm(X):

@@ -1,17 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from safereach.dynamics import (InclusionSpec, LINEAR_SAFE_A, Selector,
+from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, Selector,
                                 builtin_field, field_from_expressions,
-                                lipschitz_estimate)
+                                lipschitz_estimate, selector_table)
 from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
 from safereach import reachability, solver, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
-                              Trajectory, bundle_sweep, integrate, rk4_sweep,
-                              solution_bundle, time_rescale_tau, tube_minimum)
+                              Trajectory, bundle_field, bundle_sweep, integrate,
+                              rk4_sweep, solution_bundle, time_rescale_tau,
+                              tube_minimum, write_csv)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
@@ -198,6 +201,17 @@ class TestTrajectory:
         assert np.array_equal(data[:, 0], tr.times)
         assert np.array_equal(data[:, 1:], tr.states)
 
+    @pytest.mark.parametrize("rows", [1, 2, 257])
+    @pytest.mark.parametrize("last, header", [("", "t,x1,x2"), ("B", "t,x1,B")])
+    def test_csv_writer_matches_savetxt(self, tmp_path, rows, last, header):
+        data = np.random.default_rng(rows).normal(scale=1e3, size=(rows, 3))
+        specials = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.1, 3.0, -2.5e17, 5e-324]
+        data.ravel()[:len(specials)] = specials[:data.size]
+        write_csv(tmp_path / "ours.csv", "t", data, last)
+        np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header, comments="",
+                   fmt="%.17g")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 def _assert_bundle_matches_integrate(plan, T):
     # one sweep against one rerun per selector, as resimulate_witness makes
@@ -325,6 +339,71 @@ class TestSweepKernel:
         one, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0[:1], 1 / 128, 64)
         assert np.array_equal(X[1], one[0])
         assert np.linalg.norm(X[0] - expm(LINEAR_SAFE_A) @ X0[0]) < 1e-7
+
+
+def _old_stage(F, sels, m, h, direction, k, rows, X):
+    """The velocity of the rows at step k, computed as before the stage
+    builder: the negated inclusion's FieldHandle calls, selected per row."""
+    fields = [f if direction == "forward" else f.negated() for f in F.fields]
+    if F.kind == "singleton":
+        return fields[0](X)
+    switch_times, D = selector_table(F, sels)
+    s = D[np.searchsorted(switch_times, (k - 0.5) * h, side="right")][
+        np.repeat(np.arange(len(sels)), m)[rows]]
+    if F.kind == "ball":
+        return fields[0](X) + F.epsilon * s
+    out = fields[0](X) * s[..., 0, None]
+    for i, f in enumerate(fields[1:], start=1):
+        out = out + f(X) * s[..., i, None]
+    return out
+
+
+class TestStageFunction:
+    f = builtin_field("counterexample2d")
+    QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
+    INCLUSIONS = {"singleton": InclusionSpec.singleton(f),
+                  "ball": InclusionSpec.ball_perturbed(f, 0.3),
+                  "hull": InclusionSpec.hull([f, QUAD, f.negated()])}
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("switches", [0, 2])
+    @pytest.mark.parametrize("rows", [slice(None), np.array([0, 3, 4, 9, 11])])
+    def test_equals_the_selected_velocity_bit_for_bit(self, kind, direction, switches, rows):
+        F, m, h = self.INCLUSIONS[kind], 4, 1 / 64
+        sels = BundlePlan(3, switches=switches).selectors(F, 2.0)
+        fn = bundle_field(F, sels, m, h, direction)
+        if isinstance(rows, np.ndarray):
+            rows = rows[rows < len(sels) * m]   # a singleton has one selector
+        X = np.random.default_rng(3).normal(size=(len(sels) * m, 2))[rows]
+        X[0] = 0.0   # signed zeros: a negated field gives -0.0
+        for k in (1, 21, 22, 64, 100, 128):
+            new, old = fn(k, rows, X), _old_stage(F, sels, m, h, direction, k, rows, X)
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_a_sweep_calls_only_the_raw_field(self, monkeypatch, direction):
+        raw_rows, guarded = [], []
+        g = FieldHandle(lambda X: (raw_rows.append(len(X)), self.f.fn(X))[1], 2, "counted")
+        guard = FieldHandle.__call__
+        monkeypatch.setattr(FieldHandle, "__call__",
+                            lambda fh, x: (guarded.append(len(x)), guard(fh, x))[1])
+        sels = BundlePlan(3).selectors(InclusionSpec.ball_perturbed(g, 0.1))
+        X0 = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 2))
+        bundle_sweep(InclusionSpec.ball_perturbed(g, 0.1), sels, X0, 11 / 512, CFG, direction)
+        assert raw_rows == [15] * (4 * 11) and guarded == []
+
+    def test_a_field_going_nan_in_one_row_ends_the_sweep_quietly(self):
+        # x1 moves at unit speed; log(1.2 - x1) is NaN past 1.2, reached in step 2
+        g = FieldHandle(lambda X: np.stack([1.0 + 0.0 * np.log(1.2 - X[:, 0]),
+                                            0.0 * X[:, 1]], axis=-1), 2, "wall")
+        X0 = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"non-finite state at step 2; last valid "
+                                                  r"state \[1\.1\d*, 0\.0\]"):
+                bundle_sweep(InclusionSpec.singleton(g), [Selector.constant()], X0, 1.0,
+                             IntegratorConfig(step=0.1))
 
 
 class TestObservedBlocks:
