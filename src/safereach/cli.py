@@ -16,23 +16,21 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .barrier import (BarrierError, BarrierFn, RelaxFn, candidate_sign_check,
-                      counterexample_barrier_fn, infinitesimal_check,
-                      marginal_barrier, monotonicity_check, user_barrier)
 from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
 from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError, SetSpec
-from .reachability import cloud_to_csv, filippov_check, reach, save_cloud
 from .sampling import grid_points
-from .smoothing import (ConverseResolution, SmoothingError, build_time_partition,
-                        converse_smooth_barrier, smooth_on_compact)
 from .solver import SolverError, solution_bundle, write_csv
-from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
+
+# each command imports the library modules it runs, so a run loads only its own
+if TYPE_CHECKING:
+    from .barrier import BarrierFn, RelaxFn
 
 
 class CliError(Exception):
@@ -46,7 +44,7 @@ class Manifest:
         self.data = {"tool_version": __version__, "config_hash": cfg.hash(),
                      "command": command, "wall_time_s": None, "artifacts": []}
         self.out = out
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
     def add(self, path: Path) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -54,7 +52,7 @@ class Manifest:
         return path
 
     def write(self) -> None:
-        self.data["wall_time_s"] = round(time.time() - self.t0, 3)
+        self.data["wall_time_s"] = round(time.perf_counter() - self.t0, 3)
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / "manifest.json"
         path.write_text(json.dumps(self.data, indent=2, sort_keys=True))
@@ -73,6 +71,8 @@ def _get_set(scn: Scenario, name: str) -> SetSpec:
 
 
 def _build_barrier(scn: Scenario) -> BarrierFn:
+    from .barrier import counterexample_barrier_fn, marginal_barrier, user_barrier
+
     cfg = scn.raw
     kind = _require(cfg.get("barrier", "kind"), "config needs a [barrier] section with kind")
     band = cfg.get("barrier", "band", 0.1)
@@ -92,6 +92,8 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
         _require(scn.system, "[barrier] converse needs a [system]")
         if scn.system.kind != "singleton":
             raise CliError("[barrier] converse needs a single-valued system")
+        from .smoothing import ConverseResolution, converse_smooth_barrier
+
         res = ConverseResolution(
             s_range=tuple(range(cfg.get("barrier", "s_lo", -8),
                                 cfg.get("barrier", "s_hi", 0) + 1)),
@@ -101,6 +103,8 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
 
 
 def _parse_relax(text: str) -> RelaxFn:
+    from .barrier import RelaxFn
+
     if text in (None, "zero"):
         return RelaxFn.zero()
     if text.startswith("linear:"):
@@ -133,6 +137,8 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
+    from .reachability import cloud_to_csv, reach, save_cloud
+
     cfg = scn.raw
     _require(scn.system, "reach needs a [system]")
     x0 = np.asarray(_require(cfg.get("reach", "x0"), "[reach] needs x0"), dtype=float)
@@ -162,6 +168,8 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
+    from .smoothing import build_time_partition, smooth_on_compact
+
     cfg = scn.raw
     h_text = _require(cfg.get("smooth", "h"), "[smooth] needs h expression over t,x1..xn")
     region = _get_set(scn, _require(cfg.get("smooth", "region"), "[smooth] needs region set"))
@@ -194,6 +202,9 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
 
 def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
     """Run one [check NAME] section; barrier() returns the run's barrier."""
+    from .barrier import candidate_sign_check, infinitesimal_check, monotonicity_check
+    from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
+
     cfg = scn.raw
     section = f"check {name}"
     kind = _require(cfg.get(section, "kind"), f"[{section}] needs kind")
@@ -260,6 +271,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
                           window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "filippov":
+        from .reachability import filippov_check
+
         box = _get_set(scn, _require(cfg.get(section, "lam_box"), f"[{section}] needs lam_box"))
         lam = lipschitz_estimate(scn.system, box, grid=9)
         pairs = cfg.get(section, "pairs", 10)
@@ -365,6 +378,18 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _input_errors() -> tuple:
+    """The error classes the library raises for bad input.  A module that is
+    not loaded raised none, so its class is read from ``sys.modules``."""
+    errors = [ConfigError, CliError, ExpressionError, GeometryError, DynamicsError,
+              SolverError]
+    for module, name in (("barrier", "BarrierError"), ("smoothing", "SmoothingError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     manifest = None
@@ -393,8 +418,7 @@ def main(argv=None) -> int:
         status = handler(scn, args, manifest)
         manifest.write()
         return status
-    except (ConfigError, CliError, BarrierError, ExpressionError, GeometryError,
-            DynamicsError, SolverError, SmoothingError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         if manifest is not None and manifest.data["artifacts"]:
             # a partial run says what it wrote and why it stopped

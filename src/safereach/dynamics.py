@@ -67,6 +67,8 @@ def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHan
 # ---------------------------------------------------------------------------
 
 LINEAR_SAFE_A = np.array([[-1.0, -10.0], [1.0, 0.0]])
+# its entries as Python floats, unpacked once: the field runs on every RK4 stage
+(_LS_A, _LS_B), (_LS_C, _LS_D) = LINEAR_SAFE_A.tolist()
 _ORIGIN_GUARD = 1e-12
 
 
@@ -101,10 +103,9 @@ def _linear_safe(x):
     # column by column, not a BLAS product: BLAS rounds a single row unlike
     # the same row in a batch, and a value must not depend on its batch
     x = np.asarray(x, dtype=float)
-    (a, b), (c, d) = LINEAR_SAFE_A.tolist()
     out = np.empty(x.shape)
-    out[..., 0] = a * x[..., 0] + b * x[..., 1]
-    out[..., 1] = c * x[..., 0] + d * x[..., 1]
+    out[..., 0] = _LS_A * x[..., 0] + _LS_B * x[..., 1]
+    out[..., 1] = _LS_C * x[..., 0] + _LS_D * x[..., 1]
     return out
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 import safereach.barrier as barrier
+import safereach.reachability as reachability
 from safereach import cli
 from safereach.cli import main
 from safereach.config import (ConfigError, build_scenario, parse_config,
@@ -16,6 +20,7 @@ from safereach.solver import BundlePlan, IntegratorConfig
 from safereach.verify import nagumo_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL = """
 seed = 5
@@ -266,7 +271,7 @@ class TestCommands:
             return {"max_violation": np.zeros(len(X)), "holds": np.ones(len(X), dtype=bool),
                     "applicable": np.ones(len(X), dtype=bool)}
 
-        monkeypatch.setattr(cli, "filippov_check", record)
+        monkeypatch.setattr(reachability, "filippov_check", record)
         out = tmp_path / "out"
         assert main(["check", "--config", str(self._write(tmp_path, text)),
                      "--out", str(out)]) == 0
@@ -291,7 +296,7 @@ class TestCommands:
         evaluate = barrier.BarrierFn.evaluate_many
         monkeypatch.setattr(barrier.BarrierFn, "evaluate_many", lambda self, ts, Xs: (
             calls.append(len(ts)) if inside else None) or evaluate(self, ts, Xs))
-        check = cli.infinitesimal_check
+        check = barrier.infinitesimal_check
 
         def counted(*args, **kw):
             inside.append(True)
@@ -300,7 +305,7 @@ class TestCommands:
             finally:
                 inside.clear()
 
-        monkeypatch.setattr(cli, "infinitesimal_check", counted)
+        monkeypatch.setattr(barrier, "infinitesimal_check", counted)
         out = tmp_path / "out"
         main(["check", "--config", str(SCENARIOS / "counterexample.scenario"),
               "--set", "check prox.kind=infinitesimal", "--set", "check prox.mode=proximal",
@@ -518,3 +523,56 @@ class TestReportCommand:
         main(["report", "--results", str(tmp_path)])
         text = (tmp_path / "summary.txt").read_text()
         assert "ROLLUP" in text and "one-sided" in text
+
+
+class TestFreshInterpreter:
+    """Runs in a new interpreter: in-process, pytest has loaded every module."""
+
+    def _run(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=300)
+
+    def test_commands_load_only_their_modules(self, tmp_path):
+        script = f"""
+import importlib, sys
+import safereach.cli as cli
+lazy = {{"safereach." + m for m in ("barrier", "verify", "smoothing", "reachability")}}
+assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
+assert cli.main(["simulate", "--config", {str(SCENARIOS / "counterexample.scenario")!r},
+                 "--set", "simulate.T=0.05", "--out", {str(tmp_path / "out")!r}]) == 0
+assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
+import safereach
+for name in safereach.__all__:
+    value = getattr(safereach, name)
+    assert value is getattr(importlib.import_module(value.__module__), name), name
+    assert name in dir(safereach), name
+try:
+    safereach.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+"""
+        run = self._run("-c", script)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    # each error class below is defined by a module that only its command loads
+    def _assert_one_error_line(self, tmp_path, argv, message):
+        run = self._run("-m", "safereach.cli", *argv, "--out", str(tmp_path / "out"))
+        assert run.returncode == 1
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(message)
+
+    def test_barrier_error_is_caught(self, tmp_path):
+        config = tmp_path / "case.scenario"
+        config.write_text(MINIMAL + "\n[barrier]\nkind = user\nexpression = sqrt(x1) - 10\n"
+                          "[barrier-eval]\nwindow = -1 -1 1 1\nnx = 3\ntgrid = 0 1 2\n")
+        self._assert_one_error_line(tmp_path, ["barrier-eval", "--config", str(config)],
+                                    "error: barrier returned non-finite value")
+
+    def test_smoothing_error_is_caught(self, tmp_path):
+        self._assert_one_error_line(
+            tmp_path, ["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
+                       "--set", "smooth.h=sqrt(x1 - 0.9)"], "error: h is not finite")
