@@ -17,17 +17,15 @@ _EXPORTS = {
                  "clarke_gradient_sample", "cone_residual", "distance_to_set",
                  "hausdorff_distance", "proximal_subgradient_test"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",
-               "solution_bundle", "time_rescale_tau"),
-    "reachability": ("ReachCloud", "filippov_check", "load_cloud", "reach",
-                     "reach_endpoint", "reach_regularity_probe", "save_cloud"),
+               "solution_bundle"),
+    "reachability": ("ReachCloud", "filippov_check", "load_cloud", "reach", "save_cloud"),
     "barrier": ("BarrierFn", "CheckReport", "RelaxFn", "candidate_sign_check",
                 "counterexample_barrier", "infinitesimal_check", "marginal_barrier",
-                "monotonicity_check", "sublevel_membership", "user_barrier"),
+                "monotonicity_check", "user_barrier"),
     "smoothing": ("ConverseResolution", "SmoothedFn", "build_time_partition",
                   "converse_smooth_barrier", "hermite_segment", "smooth_global",
                   "smooth_on_compact"),
-    "verify": ("SafetyProblem", "SafetyReport", "conditional_invariance_check",
-               "forward_pre_invariance_check", "nagumo_check", "prop1_check",
+    "verify": ("SafetyProblem", "SafetyReport", "nagumo_check", "prop1_check",
                "simulate_safety_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -456,22 +456,3 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
     keep = proximal_subgradient_test(SubgradientCandidate(TX, grads, radius=prox_radius,
                                                           eps=100.0), handle, m=24, seed=seed)
     return grads, keep["holds"]
-
-
-def sublevel_membership(B: BarrierFn, t: float, x) -> dict:
-    """Membership of (t, x) in the zero-sublevel set K of B."""
-    v = B.evaluate(t, np.asarray(x, dtype=float))
-    return {"in_K": v <= 0.0, "value": v}
-
-
-def lsc_probe(B: BarrierFn, t: float, x, radii=(1e-2, 1e-3, 1e-4),
-              count: int = 16, seed: int = 0) -> dict:
-    """One-sided lower-semicontinuity diagnostic: min of B over shrinking
-    rings should not drop below B(t, x).  A diagnostic, not a certificate."""
-    x = np.asarray(x, dtype=float)
-    v0 = B.evaluate(t, x)
-    rings = np.concatenate([x + r * sampling.sphere_directions(len(x), count, seed=seed)
-                            for r in radii])
-    vals = B.evaluate_many(np.full(len(rings), t), rings).reshape(len(radii), count)
-    drops = [float(v0 - v.min()) for v in vals]
-    return {"value": v0, "max_drop": max(drops), "drops": drops}

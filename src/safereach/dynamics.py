@@ -8,7 +8,7 @@ velocity out of F(x) at every time (``solver.bundle_field``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,11 +42,6 @@ class FieldHandle:
         if out.shape != x.shape:
             raise DynamicsError(f"field '{self.name}' returned shape {out.shape} for input {x.shape}")
         return out
-
-    def negated(self) -> "FieldHandle":
-        inner = self.fn
-        return replace(self, fn=lambda x: -np.asarray(inner(x), dtype=float),
-                       name=f"-{self.name}")
 
 
 def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHandle:

@@ -1,4 +1,4 @@
-"""Sampled reachable-set maps, the empirical Filippov bound, and regularity probes.
+"""Sampled reachable-set maps and the empirical Filippov bound.
 
 ``reach(F, x, t)`` follows the signed-horizon convention: t >= 0 collects all
 states visited by the selected solutions over [0, t], t < 0 does the same for
@@ -18,10 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import InclusionSpec
-from .geometry import SetSpec, distance_to_set_many, hausdorff_distance
+from .geometry import SetSpec, distance_to_set_many
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, write_csv
 
 _MAGIC = b"RCH1"
+_HEADER = struct.Struct("<IIIIBBxxd")   # after the magic, see save_cloud
 
 
 @dataclass
@@ -45,28 +46,18 @@ class ReachCloud:
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
           plan: BundlePlan = BundlePlan(), stride: int = 1) -> ReachCloud:
-    """Full-tube cloud: union of stored nodes of the solution bundle."""
-    return _cloud(F, x, t, cfg, plan, stride, "full_tube")
-
-
-def reach_endpoint(F: InclusionSpec, x, t: float,
-                   cfg: IntegratorConfig = IntegratorConfig(),
-                   plan: BundlePlan = BundlePlan()) -> ReachCloud:
-    """Keep only each trajectory's final node (the map R^b)."""
-    return _cloud(F, x, t, cfg, plan, 1, "endpoints_only")
-
-
-def _cloud(F: InclusionSpec, x, t: float, cfg: IntegratorConfig, plan: BundlePlan,
-           stride: int, mode: str) -> ReachCloud:
+    """Full-tube cloud: every stride-th node of each path of the solution
+    bundle, then each path's final node.  Its bundle size is the number of
+    selectors plan yields for F, t = 0 included."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(t):
         raise ValueError("horizon must be finite")
     if t == 0.0:
-        return ReachCloud(x, 0.0, x[None, :], mode, plan.directions, stride)
+        return ReachCloud(x, 0.0, x[None, :], "full_tube", len(plan.selectors(F, 0.0)), stride)
     trajs = solution_bundle(F, x, abs(t), "backward" if t < 0 else "forward", cfg, plan)
-    ends = [tr.states[-1][None, :] for tr in trajs]
-    tube = [tr.states[::stride] for tr in trajs] if mode == "full_tube" else []
-    return ReachCloud(x, t, np.vstack(tube + ends), mode, len(trajs), stride,
+    points = np.vstack([tr.states[::stride] for tr in trajs]
+                       + [tr.states[-1][None, :] for tr in trajs])
+    return ReachCloud(x, t, points, "full_tube", len(trajs), stride,
                       truncated=any(tr.termination == "escape" for tr in trajs))
 
 
@@ -118,37 +109,6 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# regularity probes
-# ---------------------------------------------------------------------------
-
-def reach_regularity_probe(F: InclusionSpec, x, t_grid, perturbations,
-                           cfg: IntegratorConfig = IntegratorConfig(),
-                           plan: BundlePlan = BundlePlan()) -> dict:
-    """Empirical continuity/Lipschitz moduli of the reach map (diagnostics,
-    not proofs): Hausdorff increments over time steps and state perturbations."""
-    x = np.asarray(x, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    clouds = [reach(F, x, float(t), cfg, plan) for t in t_grid]
-    temporal = []
-    for i in range(len(t_grid) - 1):
-        dt = float(t_grid[i + 1] - t_grid[i])
-        temporal.append(hausdorff_distance(clouds[i].points, clouds[i + 1].points) / dt)
-    spatial = []
-    t_ref = float(t_grid[-1])
-    ref = clouds[-1]
-    for delta in np.atleast_2d(np.asarray(perturbations, dtype=float)):
-        other = reach(F, x + delta, t_ref, cfg, plan)
-        spatial.append(hausdorff_distance(ref.points, other.points)
-                       / float(np.linalg.norm(delta)))
-    return {
-        "temporal_moduli": temporal,
-        "spatial_moduli": spatial,
-        "max_temporal": max(temporal) if temporal else 0.0,
-        "max_spatial": max(spatial) if spatial else 0.0,
-    }
-
-
-# ---------------------------------------------------------------------------
 # binary persistence
 # ---------------------------------------------------------------------------
 
@@ -158,20 +118,25 @@ def save_cloud(cloud: ReachCloud, path) -> None:
     f64[n] base, f64[n_points * n] points."""
     n = cloud.points.shape[1]
     mode_flag = 0 if cloud.mode == "full_tube" else 1
-    header = _MAGIC + struct.pack(
-        "<IIIIBBxxd", n, len(cloud.points), cloud.bundle_size, cloud.node_stride,
-        mode_flag, 1 if cloud.truncated else 0, cloud.horizon)
+    header = _MAGIC + _HEADER.pack(n, len(cloud.points), cloud.bundle_size, cloud.node_stride,
+                                   mode_flag, 1 if cloud.truncated else 0, cloud.horizon)
     body = cloud.base.astype("<f8").tobytes() + cloud.points.astype("<f8").tobytes()
     Path(path).write_bytes(header + body)
 
 
 def load_cloud(path) -> ReachCloud:
+    """Read a file of save_cloud; its length must be what its header says."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a reach-cloud file")
-    n, npts, bundle, stride, mode_flag, trunc, horizon = struct.unpack(
-        "<IIIIBBxxd", raw[4:4 + struct.calcsize("<IIIIBBxxd")])
-    off = 4 + struct.calcsize("<IIIIBBxxd")
+    off = 4 + _HEADER.size
+    if len(raw) < off:
+        raise ValueError(f"{path}: truncated header: {len(raw)} bytes, a header is {off}")
+    n, npts, bundle, stride, mode_flag, trunc, horizon = _HEADER.unpack_from(raw, 4)
+    size = off + 8 * n * (1 + npts)
+    if len(raw) != size:
+        raise ValueError(f"{path}: {len(raw)} bytes, but a header of {npts} points in "
+                         f"dimension {n} says {size}")
     base = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
     off += 8 * n
     pts = np.frombuffer(raw, dtype="<f8", count=npts * n, offset=off).reshape(npts, n).copy()

@@ -19,7 +19,7 @@ decomposition is a desk-scale realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,13 +65,6 @@ class TimePartition:
     def node_table_indices(self) -> np.ndarray:
         res = round((len(self.table_times) - 1) / self.k_max)
         return np.array([int(round(t * res)) for t in self.nodes])
-
-    def zeta_budget_ok(self) -> bool:
-        for k in range(1, self.k_max + 1):
-            jk = self.block_offsets[k - 1]
-            if self.zeta[jk:].sum() >= self.eta[k - 1] / 8.0:
-                return False
-        return True
 
 
 def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
@@ -152,26 +145,29 @@ def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
 # ---------------------------------------------------------------------------
 
 def hermite_segment(t, t_i, t_ip1, w_i, w_ip1):
-    """Cubic blend w_i + (w_{i+1} - w_i) (3 s^2 - 2 s^3) with flat endpoints.
+    """Cubic blend w_i + (w_{i+1} - w_i) (3 s^2 - 2 s^3) with flat endpoints,
+    elementwise over the broadcast of its arguments.
 
     Exact endpoint values, zero endpoint derivatives, monotone between the
     endpoint values.  t must lie inside [t_i, t_{i+1}] up to a hair of
     overhang (1e-3 of the width), where the cubic extends polynomially so
     derivative probes right at the endpoints stay well defined.
     """
-    if t_ip1 < t_i:
-        raise SmoothingError("segment endpoints out of order")
+    t, t_i, t_ip1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, t_i, t_ip1)))
     width = t_ip1 - t_i
-    slack = 1e-3 * max(width, 1.0)
-    if not (t_i - slack <= t <= t_ip1 + slack):
-        raise SmoothingError(f"t={t} outside segment [{t_i}, {t_ip1}]")
-    if t == t_i or width == 0.0:
-        return w_i
-    if t == t_ip1:
-        return w_ip1
-    s = (t - t_i) / width
+    if np.any(width < 0):
+        raise SmoothingError("segment endpoints out of order")
+    slack = 1e-3 * np.maximum(width, 1.0)
+    outside = ~((t_i - slack <= t) & (t <= t_ip1 + slack))
+    if outside.any():
+        i = np.argmax(outside.ravel())
+        raise SmoothingError(f"t={t.flat[i]} outside segment [{t_i.flat[i]}, {t_ip1.flat[i]}]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (t - t_i) / width
     blend = s * s * (3.0 - 2.0 * s)
-    return w_i + (np.asarray(w_ip1) - np.asarray(w_i)) * blend
+    w_i, w_ip1 = np.asarray(w_i, dtype=float), np.asarray(w_ip1, dtype=float)
+    out = np.where(t == t_ip1, w_ip1, w_i + (w_ip1 - w_i) * blend)
+    return np.where((t == t_i) | (width == 0.0), w_i, out)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,8 @@ def hermite_segment(t, t_i, t_ip1, w_i, w_ip1):
 class SmoothedFn:
     """Evaluator g(t, x) built from mollified snapshots of h at the partition
     nodes, with a finite-difference continuity report as its smoothness
-    certificate."""
+    certificate.  A mollified value is one dot product of a snapshot row
+    and the point's weight row, so a value does not depend on its batch."""
 
     def __init__(self, grid: np.ndarray, sigma: float, nodes: np.ndarray,
                  snapshots: np.ndarray, certificate: dict):
@@ -192,40 +189,29 @@ class SmoothedFn:
         self.certificate = certificate
         self.t_max = float(nodes[-1])
 
-    def _weights(self, Q: np.ndarray) -> np.ndarray:
-        return _gauss_weights(Q, self.grid, self.sigma)
-
-    def __call__(self, t: float, Q) -> np.ndarray:
-        return self.sample_times(np.array([t]), Q)[0]
-
-    def sample_times(self, ts, Q) -> np.ndarray:
-        """g on a whole time grid with one shared weight matrix, (len(ts), len(Q))."""
+    def _locate(self, ts, Q):
+        """Clipped times, their segments and the weight rows of Q."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.t_max)
-        W = self._weights(Q)
-        mollified = self.snapshots @ W.T           # (n_nodes, len(Q))
         seg = np.clip(np.searchsorted(self.nodes, ts, side="right") - 1,
                       0, len(self.nodes) - 2)
-        s = (ts - self.nodes[seg]) / (self.nodes[seg + 1] - self.nodes[seg])
-        blend = (s * s * (3.0 - 2.0 * s))[:, None]
-        return mollified[seg] + (mollified[seg + 1] - mollified[seg]) * blend
+        return ts, seg, _gauss_weights(Q, self.grid, self.sigma)
 
     def sample_pairs(self, ts, Q) -> np.ndarray:
-        """g(ts[i], Q[i]) for per-point times, one shared weight matrix."""
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.t_max)
-        W = self._weights(Q)
-        seg = np.clip(np.searchsorted(self.nodes, ts, side="right") - 1,
-                      0, len(self.nodes) - 2)
-        s = (ts - self.nodes[seg]) / (self.nodes[seg + 1] - self.nodes[seg])
-        blend = s * s * (3.0 - 2.0 * s)
-        # row by row, not a BLAS product, which rounds a row by its batch
-        lo = (self.snapshots[seg] * W).sum(axis=1)
-        hi = (self.snapshots[seg + 1] * W).sum(axis=1)
-        return lo + (hi - lo) * blend
+        """g(ts[i], Q[i]) for per-point times."""
+        ts, seg, W = self._locate(ts, Q)
+        # one dot per value (np.vecdot), not a BLAS product, which rounds a row by its batch
+        lo, hi = np.vecdot(self.snapshots[seg], W), np.vecdot(self.snapshots[seg + 1], W)
+        return hermite_segment(ts, self.nodes[seg], self.nodes[seg + 1], lo, hi)
 
-    def evaluate(self, t: float, x) -> float:
-        return float(self(t, np.asarray(x, dtype=float)[None, :])[0])
+    def sample_times(self, ts, Q) -> np.ndarray:
+        """g on a whole time grid, (len(ts), len(Q)): the values of sample_pairs,
+        with the mollified row of each node a time needs computed once."""
+        ts, seg, W = self._locate(ts, Q)
+        need, at = np.unique(np.concatenate([seg, seg + 1]), return_inverse=True)
+        M = np.vecdot(self.snapshots[need][:, None, :], W)    # (len(need), len(Q))
+        return hermite_segment(ts[:, None], self.nodes[seg, None], self.nodes[seg + 1, None],
+                               M[at[:len(ts)]], M[at[len(ts):]])
 
 
 def _grid_spacing(grid: np.ndarray) -> float:
@@ -276,8 +262,8 @@ def smooth_on_compact(partition: TimePartition,
         # sandwich below remains the binding contract
         sigma = chain[-1]
 
-    cert = _continuity_certificate(grid, sigma, partition, snaps)
-    fn = SmoothedFn(grid, sigma, partition.nodes, snaps, cert)
+    fn = SmoothedFn(grid, sigma, partition.nodes, snaps, {})
+    fn.certificate = _continuity_certificate(fn, partition)
     _validate_sandwich(fn, partition)
     return fn
 
@@ -306,35 +292,33 @@ def _validate_sandwich(fn: SmoothedFn, partition: TimePartition) -> None:
             f"t-monotonicity violated near t={times[i]:.6g}, x={partition.grid[j].tolist()}")
 
 
-def _continuity_certificate(grid, sigma, partition, snaps) -> dict:
-    """Finite-difference continuity report (not a formal C^1 certificate)."""
+def _continuity_certificate(fn: SmoothedFn, partition: TimePartition) -> dict:
+    """Finite-difference continuity report (not a formal C^1 certificate):
+    central differences of steps 1e-4 and 5e-5 along each axis at five grid
+    points, all in one batch."""
+    grid = fn.grid
     probe = grid[:: max(1, len(grid) // 5)][:5]
     t_probe = 0.5 * (partition.nodes[0] + partition.nodes[min(1, len(partition.nodes) - 1)])
-    fn = SmoothedFn(grid, sigma, partition.nodes, snaps, {})
     step = 1e-4
-    worst = 0.0
-    for x in probe:
-        for i in range(grid.shape[1]):
-            e = np.zeros(grid.shape[1])
-            e[i] = 1.0
-            g1 = (fn.evaluate(t_probe, x + step * e) - fn.evaluate(t_probe, x - step * e)) / (2 * step)
-            g2 = (fn.evaluate(t_probe, x + 0.5 * step * e) - fn.evaluate(t_probe, x - 0.5 * step * e)) / step
-            worst = max(worst, abs(g1 - g2))
-    return {"fd_gradient_discrepancy": worst, "sigma": sigma}
+    # rows (probe, axis, offset): x + step e, x - step e, x + step/2 e, x - step/2 e
+    E = np.eye(grid.shape[1])
+    offsets = np.stack([step * E, -step * E, 0.5 * step * E, -0.5 * step * E], axis=1)
+    X = (probe[:, None, None, :] + offsets[None]).reshape(-1, grid.shape[1])
+    v = fn.sample_pairs(np.full(len(X), t_probe), X).reshape(-1, 4)
+    g1 = (v[:, 0] - v[:, 1]) / (2 * step)
+    g2 = (v[:, 2] - v[:, 3]) / step
+    return {"fd_gradient_discrepancy": float(np.max(np.abs(g1 - g2), initial=0.0)),
+            "sigma": fn.sigma}
 
 
 # ---------------------------------------------------------------------------
 # global smoothing over dyadic distance annuli
 # ---------------------------------------------------------------------------
 
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
-
-
 def _bump(y, s):
     """C^1 weight positive exactly on (s - 2.5, s + 3.5) in y = log2 d^2."""
-    return _smoothstep(y - (s - 2.5)) * (1.0 - _smoothstep(y - (s + 2.5)))
+    step = lambda u: hermite_segment(np.clip(u, 0.0, 1.0), 0.0, 1.0, 0.0, 1.0)
+    return step(y - (s - 2.5)) * (1.0 - step(y - (s + 2.5)))
 
 
 def annulus_points(K: SetSpec, s: int, count: int, seed: int = 0) -> np.ndarray:
@@ -382,10 +366,6 @@ class GlobalSmoothedFn:
         self.coverage = (s_range[0] - 1.5, s_range[-1] + 2.5)
         self.certificate = {s: p.certificate for s, p in parts.items()}
 
-    def __call__(self, t: float, Q) -> np.ndarray:
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        return self.sample_pairs(np.full(len(Q), float(t)), Q)
-
     def sample_pairs(self, ts, Q) -> np.ndarray:
         """g(ts[i], Q[i]) for per-point times."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -414,9 +394,6 @@ class GlobalSmoothedFn:
             wsum[sel] += lam[sel]
         out[off] = acc[off] / wsum[off]
         return out
-
-    def evaluate(self, t: float, x) -> float:
-        return float(self(t, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 3,
@@ -455,16 +432,16 @@ def _validate_global(fn: GlobalSmoothedFn, h: Callable, pts: np.ndarray,
     times = np.linspace(0.0, k_max, 4 * k_max + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         H = np.asarray(h(times, pts), dtype=float)
-    prev = None
-    for t, hv in zip(times, H):
-        g = fn(float(t), pts)
+    # times x points, t-major, in one batch
+    G = fn.sample_pairs(np.repeat(times, len(pts)),
+                        np.tile(pts, (len(times), 1))).reshape(len(times), len(pts))
+    for i, (t, g, hv) in enumerate(zip(times, G, H)):
         # written so that a non-finite h fails it, at that x
         if not ((g >= 0.5 * hv - 1e-12) & (g <= 2.0 * hv + 1e-12))[off].all():
             j = int(np.argmax(np.maximum(0.5 * hv - g, g - 2.0 * hv)[off]))
             raise SmoothingError(f"global sandwich violated at t={t}, x={pts[off][j].tolist()}")
-        if prev is not None and np.any(g - prev > 1e-12):
+        if i and np.any(g - G[i - 1] > 1e-12):
             raise SmoothingError(f"global t-monotonicity violated at t={t}")
-        prev = g
 
 
 # ---------------------------------------------------------------------------

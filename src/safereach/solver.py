@@ -82,7 +82,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    termination: str = "horizon"    # horizon | escape | set_hit:<name>
+    termination: str = "horizon"    # horizon | escape
     direction: str = "forward"
     selector_index: int = 0
 
@@ -360,19 +360,9 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
 
 
 def integrate(F: InclusionSpec, s: Selector, x0, T: float,
-              direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig(),
-              stop_set: Optional[SetSpec] = None, stop_tol: float = 1e-9) -> Trajectory:
+              direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate dx/dt = s(t, x) in F(x) (negated for backward) over [0, T]."""
-    traj = bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
-    if stop_set is None:
-        return traj
-    hits = np.nonzero(distance_to_set_many(traj.states, stop_set) <= stop_tol)[0]
-    if len(hits) == 0:
-        return traj
-    k = int(hits[0])
-    return Trajectory(traj.times[:k + 1], traj.states[:k + 1],
-                      f"set_hit:{stop_set.name or stop_set.kind}",
-                      traj.direction, traj.selector_index)
+    return bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
 
 
 def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
@@ -388,16 +378,3 @@ def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
     out = [flat[i::len(starts)] for i in range(len(starts))]
     return out[0] if X0.ndim == 1 else out
 
-
-def time_rescale_tau(traj: Trajectory, V: Callable) -> np.ndarray:
-    """tau(t_i) = t_i + integral_0^{t_i} ds / V(phi(s)) by trapezoid rule.
-
-    Fails if V is nonpositive anywhere along the stored path.
-    """
-    vals = np.asarray(V(traj.states), dtype=float)
-    if np.any(vals <= 0.0):
-        raise SolverError("rescale through zero set")
-    inv = 1.0 / vals
-    dt = np.diff(traj.times)
-    inc = 0.5 * (inv[1:] + inv[:-1]) * dt
-    return traj.times + np.concatenate([[0.0], np.cumsum(inc)])

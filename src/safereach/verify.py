@@ -1,9 +1,9 @@
 """End-to-end safety and invariance verdicts.
 
-Simulation verdicts are one-sided: a violation witness is real (it
-re-simulates), but "no violation found" is never reported as "safe" - the
-bundle covers finitely many selections from finitely many starting points.
-Every report carries that disclaimer.
+Simulation verdicts are one-sided: a violation names its witness (start,
+selector, hit time and state), but "no violation found" is never reported as
+"safe" - the bundle covers finitely many selections from finitely many
+starting points.  Every report carries that disclaimer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .geometry import (ConeProbe, SamplePlan, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, integrate, on_stepped
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -54,8 +54,8 @@ class SafetyProblem:
         return distance_to_set_many(states, self.X_u)
 
     def margin_hits(self, margins: np.ndarray) -> np.ndarray:
-        """Hits from unsafe_margins.  For a complement-variant X_u (the
-        invariance modes) a hit means actually leaving the complemented set:
+        """Hits from unsafe_margins.  For X_u = complement(X_s), which asks
+        whether solutions stay in X_s, a hit means actually leaving X_s:
         boundary contact alone is not an excursion."""
         if self.X_u.kind == "complement":
             return -margins > self.hit_tol
@@ -132,35 +132,6 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
                         coverage={"initial_samples": m, "selectors": len(sels),
                                   "trajectories": len(sels) * m, "horizon": p.horizon},
                         escapes=int(np.sum(termination == "escape")), margin=margin)
-
-
-def resimulate_witness(p: SafetyProblem, report: SafetyReport) -> bool:
-    """Fresh run of the violation witness; True iff it reproduces the hit."""
-    if not report.witness:
-        return False
-    sels = p.bundle.selectors(p.F, p.horizon)
-    sel = next(s for s in sels if s.index == report.witness["selector"])
-    tr = integrate(p.F, sel, np.asarray(report.witness["x0"]), p.horizon,
-                   "forward", p.cfg)
-    return bool(p.unsafe_hits(tr.states).any())
-
-
-def conditional_invariance_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec,
-                                 horizon: float, cfg: IntegratorConfig = IntegratorConfig(),
-                                 samples: SamplePlan = SamplePlan(),
-                                 bundle: BundlePlan = BundlePlan()) -> SafetyReport:
-    """Solutions from X_o must stay in X_s: safety with X_u = complement(X_s)."""
-    return simulate_safety_check(SafetyProblem(
-        F, X_o, SetSpec.complement(X_s, name=f"not_{X_s.name or X_s.kind}"),
-        horizon, cfg, samples, bundle))
-
-
-def forward_pre_invariance_check(F: InclusionSpec, X_s: SetSpec, horizon: float,
-                                 cfg: IntegratorConfig = IntegratorConfig(),
-                                 samples: SamplePlan = SamplePlan(),
-                                 bundle: BundlePlan = BundlePlan()) -> SafetyReport:
-    """Solutions from X_s must stay in X_s for as long as they exist."""
-    return conditional_invariance_check(F, X_s, X_s, horizon, cfg, samples, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -199,29 +199,38 @@ def test_smoothing_sandwich_grid():
 
 
 def test_hermite_contract():
-    """Endpoint/midpoint/derivative contract over 1000 random segments."""
+    """Endpoint/midpoint/derivative contract over 1000 random segments, on
+    the array cubic that glues the smoother's snapshots."""
     rng = np.random.default_rng(33)
-    worst_end, worst_mid, worst_der = 0.0, 0.0, 0.0
-    for _ in range(1000):
-        t0 = rng.uniform(-5.0, 5.0)
-        width = rng.uniform(0.05, 4.0)
-        t1 = t0 + width
-        w0, w1 = rng.uniform(-10.0, 10.0, size=2)
-        worst_end = max(worst_end,
-                        abs(hermite_segment(t0, t0, t1, w0, w1) - w0),
-                        abs(hermite_segment(t1, t0, t1, w0, w1) - w1))
-        mid = hermite_segment(t0 + 0.5 * width, t0, t1, w0, w1)
-        worst_mid = max(worst_mid, abs(mid - 0.5 * (w0 + w1)))
-        h = 1e-6
-        d0 = (hermite_segment(t0 + h, t0, t1, w0, w1)
-              - hermite_segment(t0 - h, t0, t1, w0, w1)) / (2 * h)
-        d1 = (hermite_segment(t1 + h, t0, t1, w0, w1)
-              - hermite_segment(t1 - h, t0, t1, w0, w1)) / (2 * h)
-        worst_der = max(worst_der, abs(d0), abs(d1))
-    ok = worst_end <= 1e-12 and worst_mid <= 1e-12 and worst_der <= 1e-6
+    t0 = rng.uniform(-5.0, 5.0, 1000)
+    width = rng.uniform(0.05, 4.0, 1000)
+    t1 = t0 + width
+    w0, w1 = rng.uniform(-10.0, 10.0, size=(2, 1000))
+    cubic = lambda t: hermite_segment(t, t0, t1, w0, w1)
+    worst_end = max(np.abs(cubic(t0) - w0).max(), np.abs(cubic(t1) - w1).max())
+    worst_mid = np.abs(cubic(t0 + 0.5 * width) - 0.5 * (w0 + w1)).max()
+    h = 1e-6
+    d0 = (cubic(t0 + h) - cubic(t0 - h)) / (2 * h)
+    d1 = (cubic(t1 + h) - cubic(t1 - h)) / (2 * h)
+    worst_der = max(np.abs(d0).max(), np.abs(d1).max())
+
+    # the smoother's values are this cubic between its values at the nodes
+    r = np.linspace(0.5, 1.0, 6)
+    grid = np.column_stack([np.repeat(r, 8), np.tile(np.linspace(-1.0, 1.0, 8), 6)])
+    part = build_time_partition(lambda ts, X: np.exp(-ts)[:, None] * np.linalg.norm(X, axis=1),
+                                grid, k_max=2, table_res=64)
+    g = smooth_on_compact(part)
+    at_nodes = g.sample_times(g.nodes, grid)
+    ts = np.sort(rng.uniform(0.0, g.t_max, 40))
+    seg = np.searchsorted(g.nodes, ts, side="right") - 1
+    glued = hermite_segment(ts[:, None], g.nodes[seg, None], g.nodes[seg + 1, None],
+                            at_nodes[seg], at_nodes[seg + 1])
+    runs_it = np.array_equal(g.sample_times(ts, grid), glued)
+
+    ok = worst_end <= 1e-12 and worst_mid <= 1e-12 and worst_der <= 1e-6 and runs_it
     _verdict("hermite-contract", ok,
              f"endpoints {worst_end:.1e}, midpoint {worst_mid:.1e}, "
-             f"derivative {worst_der:.1e}")
+             f"derivative {worst_der:.1e}, smoother runs it {runs_it}")
 
 
 def test_smooth_converse_pipeline():

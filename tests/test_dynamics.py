@@ -11,6 +11,8 @@ from safereach.geometry import SetSpec, hausdorff_distance
 from safereach.sampling import grid_points
 from safereach.solver import bundle_field
 
+from helpers import negated
+
 QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
 
 
@@ -88,7 +90,7 @@ class TestInclusion:
 
     def test_hull_of_f_and_minus_f(self):
         f = builtin_field("linear_safe")
-        F = InclusionSpec.hull([f, f.negated()])
+        F = InclusionSpec.hull([f, negated(f)])
         ev = eval_inclusion(F, np.array([0.5, 0.5]))
         assert np.allclose(ev.vertices[0], -ev.vertices[1])
 
@@ -100,7 +102,7 @@ class TestInclusion:
         v = stage(F, u)(x)
         assert np.allclose(v, f(x) + 0.1 * u)
         assert np.linalg.norm(v - f(x)) <= 0.1 + 1e-12
-        H = InclusionSpec.hull([f, f.negated()])
+        H = InclusionSpec.hull([f, negated(f)])
         w = stage(H, np.array([0.5, 0.5]))(x)
         assert np.allclose(w, 0.0)
 
@@ -114,7 +116,7 @@ class TestInclusion:
         F = InclusionSpec.ball_perturbed(f, 0.1)
         with pytest.raises(DynamicsError):
             selector_table(F, [Selector.constant([1.0, 1.0])])  # not unit
-        H = InclusionSpec.hull([f, f.negated()])
+        H = InclusionSpec.hull([f, negated(f)])
         with pytest.raises(DynamicsError):
             selector_table(H, [Selector.constant([0.7, 0.7])])  # sum != 1
 
@@ -148,7 +150,7 @@ class TestInclusion:
         ball = InclusionSpec.ball_perturbed(f, 0.3)
         v = stage(ball, u)(x)
         assert np.linalg.norm(v - f(x)) <= 0.3 + 1e-12
-        hull = InclusionSpec.hull([f, f.negated()])
+        hull = InclusionSpec.hull([f, negated(f)])
         w = np.array([w0, 1.0 - w0])
         v2 = stage(hull, w)(x)
         # distance to the segment [f(x), -f(x)]
@@ -246,7 +248,7 @@ class TestLipschitzEstimate:
 
     def test_hull_uses_vertex_hausdorff(self):
         f = field_from_expressions(["x1", "x2"], "id")
-        F = InclusionSpec.hull([f, f.negated()])
+        F = InclusionSpec.hull([f, negated(f)])
         est = lipschitz_estimate(F, SetSpec.box([0, 0], [1, 1]), grid=4)
         assert est == pytest.approx(1.0, abs=1e-9)
 
@@ -281,7 +283,7 @@ class TestMaxRate:
         f = builtin_field("linear_safe")
         rng = np.random.default_rng(4)
         X, Z = rng.normal(size=(6, 2)), rng.normal(size=(6, 3, 3))
-        for F in (InclusionSpec.singleton(f), InclusionSpec.hull([f, QUAD, f.negated()])):
+        for F in (InclusionSpec.singleton(f), InclusionSpec.hull([f, QUAD, negated(f)])):
             rates, etas = max_rate(F, X, Z)
             for x, zs, r, e in zip(X, Z, rates, etas):
                 V = [g(x) for g in F.fields]

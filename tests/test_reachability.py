@@ -1,19 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
-from safereach.geometry import SetSpec
-from safereach.reachability import (ReachCloud, cloud_to_csv,
-                                    filippov_check, load_cloud, reach,
-                                    reach_endpoint, reach_regularity_probe,
-                                    save_cloud)
+from safereach.geometry import SetSpec, hausdorff_distance
+from safereach.reachability import (ReachCloud, cloud_to_csv, filippov_check, load_cloud,
+                                    reach, save_cloud)
 from safereach.solver import BundlePlan, IntegratorConfig, solution_bundle
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 256.0)
 PLAN = BundlePlan(directions=1)
+BALL = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
 
 
 def backward_radial_oracle(r0: float, T: float, steps: int = 20000) -> float:
@@ -59,22 +60,29 @@ class TestReach:
         assert all(tuple(p) in large_set for p in small.points)
 
     def test_endpoint_subset_of_tube(self):
-        tube = reach(LINEAR, np.array([1.0, 0.0]), 1.0, CFG, PLAN)
-        ends = reach_endpoint(LINEAR, np.array([1.0, 0.0]), 1.0, CFG, PLAN)
-        tube_set = {tuple(p) for p in tube.points}
-        assert all(tuple(p) in tube_set for p in ends.points)
+        # a stride that skips the last node still keeps every path's endpoint
+        x = np.array([1.0, 0.0])
+        tube = reach(LINEAR, x, 1.0, CFG, PLAN, stride=7)
+        end = solution_bundle(LINEAR, x, 1.0, cfg=CFG, plan=PLAN)[0].endpoint
+        assert (1.0 / CFG.step) % 7 != 0
+        assert any(np.array_equal(p, end) for p in tube.points)
 
     def test_endpoint_matches_matrix_exponential(self):
         x = np.array([1.0, 0.0])
-        ends = reach_endpoint(LINEAR, x, 1.0, CFG, PLAN)
-        assert np.linalg.norm(ends.points[0] - expm(LINEAR_SAFE_A) @ x) < 1e-8
+        end = reach(LINEAR, x, 1.0, CFG, PLAN).points[-1]
+        assert np.linalg.norm(end - expm(LINEAR_SAFE_A) @ x) < 1e-8
 
     def test_backward_forward_duality(self):
         x = np.array([0.7, 0.1])
-        back = reach_endpoint(LINEAR, x, -0.75, CFG, PLAN)
-        z = back.points[0]
-        fwd = reach_endpoint(LINEAR, z, 0.75, CFG, PLAN)
-        assert np.linalg.norm(fwd.points[0] - x) <= 10 * CFG.accuracy
+        z = reach(LINEAR, x, -0.75, CFG, PLAN).points[-1]
+        fwd = reach(LINEAR, z, 0.75, CFG, PLAN).points[-1]
+        assert np.linalg.norm(fwd - x) <= 10 * CFG.accuracy
+
+    @pytest.mark.parametrize("F, size", [(LINEAR, 1), (BALL, 8)], ids=["singleton", "switched_ball"])
+    def test_bundle_size_is_the_selector_count_at_every_horizon(self, F, size):
+        plan = BundlePlan(4, switches=2)
+        assert [reach(F, np.array([1.0, 0.0]), t, CFG, plan).bundle_size
+                for t in (0.0, 0.5)] == [size, size]
 
     def test_escape_flags_truncated(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
@@ -101,6 +109,15 @@ class TestCache:
         assert back.bundle_size == cloud.bundle_size
         assert back.node_stride == cloud.node_stride
         assert back.truncated == cloud.truncated
+
+    @pytest.mark.parametrize("damage", ["header", "body", "trailing"])
+    def test_a_file_of_the_wrong_length_is_refused_by_name(self, tmp_path, damage):
+        path = tmp_path / "cloud.rch"
+        save_cloud(reach(LINEAR, np.array([1.0, 0.0]), 0.25, CFG, PLAN), path)
+        raw = path.read_bytes()
+        path.write_bytes({"header": raw[:20], "body": raw[:-8], "trailing": raw + b"\0"}[damage])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_cloud(path)
 
     def test_magic_guard(self, tmp_path):
         p = tmp_path / "bad.rch"
@@ -210,26 +227,22 @@ class TestFilippovBatch:
 
 
 class TestRegularityProbe:
+    """Moduli of the reach map from Hausdorff distances between clouds."""
+
     def test_zero_field_trivial_moduli(self):
-        # zero field: the reach map is constant in t and the identity in x,
-        # so the temporal modulus vanishes and the spatial one is exactly 1
+        # the zero field's reach map is constant in t and a translation in x
         F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
-        rep = reach_regularity_probe(F, np.array([1.0, 1.0]), [0.2, 0.4, 0.6],
-                                     [[1e-3, 0.0]], CFG, PLAN)
-        assert rep["max_temporal"] == 0.0
-        assert rep["max_spatial"] == pytest.approx(1.0)
+        x, delta = np.array([1.0, 1.0]), np.array([1e-3, 0.0])
+        clouds = [reach(F, x, t, CFG, PLAN).points for t in (0.2, 0.4, 0.6)]
+        assert hausdorff_distance(clouds[0], clouds[1]) == 0.0
+        assert hausdorff_distance(clouds[1], clouds[2]) == 0.0
+        moved = reach(F, x + delta, 0.6, CFG, PLAN).points
+        assert hausdorff_distance(clouds[2], moved) / np.linalg.norm(delta) == pytest.approx(1.0)
 
     def test_linear_spatial_moduli_within_gronwall(self):
         lam = lipschitz_estimate(LINEAR, SetSpec.box([-2, -2], [2, 2]), grid=7)
-        t_max = 1.0
-        rep = reach_regularity_probe(LINEAR, np.array([1.0, 0.0]),
-                                     [0.25, 0.5, 0.75, 1.0],
-                                     [[1e-3, 0.0], [0.0, 1e-3]], CFG, PLAN)
-        assert rep["max_spatial"] <= np.exp(lam * t_max) + 0.1
-
-    def test_counterexample_moduli_finite(self):
-        F = InclusionSpec.singleton(builtin_field("counterexample2d"))
-        rep = reach_regularity_probe(F, np.array([0.5, 0.0]), [0.5, 1.0],
-                                     [[1e-4, 0.0]], CFG, PLAN)
-        assert np.isfinite(rep["max_temporal"])
-        assert np.isfinite(rep["max_spatial"])
+        x, t = np.array([1.0, 0.0]), 1.0
+        ref = reach(LINEAR, x, t, CFG, PLAN).points
+        for delta in ([1e-3, 0.0], [0.0, 1e-3]):
+            other = reach(LINEAR, x + np.array(delta), t, CFG, PLAN).points
+            assert hausdorff_distance(ref, other) / np.linalg.norm(delta) <= np.exp(lam * t) + 0.1

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from safereach.barrier import BarrierError
 from safereach.dynamics import Selector, builtin_field
 from safereach.geometry import SetSpec, distance_to_set_many
-from safereach.smoothing import (ConverseResolution, SmoothingError, _RescaledTubeMin,
-                                 annulus_points, build_time_partition,
+from safereach.smoothing import (ConverseResolution, GlobalSmoothedFn, SmoothingError,
+                                 _RescaledTubeMin, annulus_points, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_global, smooth_on_compact)
 from safereach.solver import IntegratorConfig, SolverError, integrate
@@ -41,6 +41,19 @@ class TestHermiteSegment:
     def test_outside_segment_rejected(self):
         with pytest.raises(SmoothingError):
             hermite_segment(1.5, 0.0, 1.0, 1.0, 0.0)
+
+    def test_arrays_evaluate_elementwise(self):
+        rng = np.random.default_rng(2)
+        t0 = rng.uniform(-3, 3, 50)
+        t1 = t0 + rng.uniform(0.05, 5.0, 50)
+        w0, w1 = rng.uniform(-10, 10, (2, 50))
+        t = np.concatenate([t0[:10], t1[10:20], t0[20:] + rng.uniform(0, 1, 30) * (t1 - t0)[20:]])
+        got = hermite_segment(t, t0, t1, w0, w1)
+        assert got.shape == (50,)
+        assert np.array_equal(got, [hermite_segment(*a) for a in zip(t, t0, t1, w0, w1)])
+        assert np.array_equal(got[:10], w0[:10]) and np.array_equal(got[10:20], w1[10:20])
+        with pytest.raises(SmoothingError, match=r"t=2\.5 outside segment \[0\.0, 1\.0\]"):
+            hermite_segment(np.array([0.5, 2.5, 3.0]), 0.0, 1.0, 1.0, 0.0)
 
     @given(st.floats(-10, 10), st.floats(-10, 10),
            st.floats(0.05, 5.0), st.floats(-3, 3))
@@ -78,7 +91,8 @@ class TestTimePartition:
         part = build_time_partition(h, grid, k_max=4, table_res=64)
         assert part.u_counts == (1, 1, 1, 1)
         assert np.allclose(part.eta, 2.5)
-        assert part.zeta_budget_ok()
+        assert all(part.zeta[part.block_offsets[k]:].sum() < part.eta[k] / 8.0
+                   for k in range(part.k_max))
 
     def test_exponential_decay_analytic_u(self):
         # oracle: u must satisfy 1 - exp(-1/u) < exp(-1)/8, i.e. u >= 22,
@@ -109,7 +123,6 @@ class TestTimePartition:
                                     table_res=128)
         assert np.all(part.zeta > 0)
         assert np.all(np.diff(part.zeta) <= 0)
-        assert part.zeta_budget_ok()
         for k in range(1, part.k_max + 1):
             jk = part.block_offsets[k - 1]
             assert part.zeta[jk:].sum() < part.eta[k - 1] / 8.0
@@ -168,16 +181,28 @@ class TestSmoothOnCompact:
         h = lambda ts, X: np.full((len(ts), len(X)), c)
         part = build_time_partition(h, grid, k_max=2, table_res=32)
         g = smooth_on_compact(part)
-        assert np.allclose(g(0.7, grid), c, atol=1e-12)
+        assert np.allclose(g.sample_pairs(np.full(len(grid), 0.7), grid), c, atol=1e-12)
 
     def test_time_signal_without_state_dependence(self):
         grid = np.array([[0.6, 0.0]])
         h = lambda ts, X: np.exp(-ts)[:, None] * np.ones(len(X))
         part = build_time_partition(h, grid, k_max=2, table_res=64)
         g = smooth_on_compact(part)
-        for t in (0.0, 0.5, 1.7):
-            v = g.evaluate(t, np.array([0.6, 0.0]))
-            assert 0.5 * np.exp(-t) <= v <= 2.0 * np.exp(-t)
+        ts = np.array([0.0, 0.5, 1.7])
+        v = g.sample_pairs(ts, np.tile([0.6, 0.0], (3, 1)))
+        assert np.all((0.5 * np.exp(-ts) <= v) & (v <= 2.0 * np.exp(-ts)))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # every (t, x) of a time grid x points, alone, against both batch paths
+        grid = annulus_grid(41)
+        g = smooth_on_compact(build_time_partition(exp_decay, grid, k_max=2, table_res=128))
+        ts = np.array([0.0, 0.31, 1.0, 1.47, 2.0])
+        Q = annulus_grid(29, 0.55, 0.95)
+        alone = np.array([[g.sample_pairs([t], x[None])[0] for x in Q] for t in ts])
+        pairs = g.sample_pairs(np.repeat(ts, len(Q)), np.tile(Q, (len(ts), 1)))
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        assert np.array_equal(bits(g.sample_times(ts, Q)), bits(alone))
+        assert np.array_equal(bits(pairs.reshape(alone.shape)), bits(alone))
 
     def test_certificate_present(self):
         grid = annulus_grid(21)
@@ -193,7 +218,7 @@ class TestSmoothOnCompact:
         probe = annulus_grid(29, 0.55, 0.95)      # off-construction points
         for t in (0.0, 0.31, 1.9):
             hv = exp_decay(t, probe)
-            gv = g(t, probe)
+            gv = g.sample_pairs(np.full(len(probe), t), probe)
             assert np.all(gv >= 0.5 * hv) and np.all(gv <= 2.0 * hv)
 
 
@@ -209,7 +234,7 @@ class TestSmoothGlobal:
     def test_zero_on_k(self):
         g = smooth_global(self.h_dist, self.K, range(-6, 1), k_max=1,
                           table_res=16, annulus_count=256)
-        assert g.evaluate(0.5, np.zeros(2)) == 0.0
+        assert g.sample_pairs([0.5], np.zeros((1, 2))).tolist() == [0.0]
 
     def test_sandwich_on_shells(self):
         g = smooth_global(self.h_dist, self.K, range(-6, 1), k_max=1,
@@ -218,7 +243,7 @@ class TestSmoothGlobal:
         pts = rng.uniform(-1, 1, size=(200, 2))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.1]
         hv = self.h_dist(0.0, pts)
-        gv = g(0.3, pts)
+        gv = g.sample_pairs(np.full(len(pts), 0.3), pts)
         assert np.all(gv >= 0.5 * hv) and np.all(gv <= 2.0 * hv)
 
     def test_overlap_is_convex_combination(self):
@@ -228,15 +253,25 @@ class TestSmoothGlobal:
         y = np.log2(np.linalg.norm(x) ** 2)
         covering = [s for s in g.parts if s - 2.5 < y < s + 3.5]
         assert len(covering) >= 2
-        vals = [g.parts[s].evaluate(0.3, x) for s in covering]
-        glued = g.evaluate(0.3, x)
+        vals = [g.parts[s].sample_pairs([0.3], x[None])[0] for s in covering]
+        glued = g.sample_pairs([0.3], x[None])[0]
         assert min(vals) - 1e-12 <= glued <= max(vals) + 1e-12
+
+    def test_values_do_not_depend_on_the_batch(self):
+        g = smooth_global(self.h_dist, self.K, range(-6, 1), k_max=1,
+                          table_res=16, annulus_count=256)
+        pts = np.random.default_rng(1).uniform(-1, 1, size=(60, 2))
+        pts = np.vstack([pts[np.linalg.norm(pts, axis=1) > 0.1], np.zeros((1, 2))])
+        ts = np.random.default_rng(2).uniform(0, 1, len(pts))
+        alone = [g.sample_pairs(ts[i:i + 1], pts[i:i + 1])[0] for i in range(len(pts))]
+        assert np.array_equal(g.sample_pairs(ts, pts).view(np.uint64),
+                              np.array(alone).view(np.uint64))
 
     def test_uncovered_shell_raises(self):
         g = smooth_global(self.h_dist, self.K, range(-4, 0), k_max=1,
                           table_res=16, annulus_count=128)
         with pytest.raises(SmoothingError, match="coverage"):
-            g.evaluate(0.0, np.array([1e-4, 0.0]))
+            g.sample_pairs([0.0], np.array([[1e-4, 0.0]]))
 
     def test_validation_lists_missing_shells(self):
         pts = np.array([[1e-4, 0.0], [0.5, 0.0]])
@@ -254,16 +289,20 @@ class TestSmoothGlobal:
             smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
                           validation_points=np.array([[0.0, -0.5], [0.3, 0.0]]))
 
-    def test_h_is_called_once_per_annulus_and_once_to_validate(self):
-        calls = []
+    def test_h_is_called_once_per_annulus_and_once_to_validate(self, monkeypatch):
+        calls, batches = [], []
 
         def h(ts, X):
             calls.append(len(ts))
             return self.h_dist(ts, X)
 
+        sample_pairs = GlobalSmoothedFn.sample_pairs
+        monkeypatch.setattr(GlobalSmoothedFn, "sample_pairs",
+                            lambda fn, ts, Q: (batches.append(len(Q)), sample_pairs(fn, ts, Q))[1])
         smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
                       validation_points=np.array([[0.3, 0.0], [0.0, -0.5]]))
         assert calls == [17] * 4 + [5]
+        assert batches == [5 * 2]   # the validation: times x points in one batch
 
     def test_dimension_cap(self):
         K3 = SetSpec.points([[0.0, 0.0, 0.0]])
@@ -277,7 +316,7 @@ class TestSmoothGlobal:
                           annulus_count=512, seed=2)
         pts = np.array([[0.5, 0.1], [0.9, -0.6], [-0.4, 0.45]])
         hv = h(0.0, pts)
-        gv = g(0.5, pts)
+        gv = g.sample_pairs(np.full(len(pts), 0.5), pts)
         assert np.all(gv >= 0.5 * hv) and np.all(gv <= 2.0 * hv)
 
     def test_annulus_points_radial_structure(self):

@@ -10,14 +10,16 @@ from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, Selec
                                 lipschitz_estimate, selector_table)
 from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
-from safereach import reachability, solver, verify
+from safereach import reachability, smoothing, solver, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
                               Trajectory, bundle_field, bundle_sweep, integrate,
-                              rk4_sweep, solution_bundle, time_rescale_tau,
-                              tube_minimum, write_csv)
+                              rk4_sweep, solution_bundle, tube_minimum, write_csv)
+
+from helpers import negated
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
+ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
 
 
 class TestIntegrate:
@@ -69,14 +71,6 @@ class TestIntegrate:
         assert tr.termination == "escape"
         assert tr.times[-1] < 10.0
         assert np.linalg.norm(tr.states[-2]) <= 10.0
-
-    def test_set_hit_termination(self):
-        F = InclusionSpec.singleton(field_from_expressions(["0", "1"], "up"))
-        wall = SetSpec.halfspace([0, 1], 2.0, name="wall")
-        tr = integrate(F, Selector.constant(), np.array([0.0, 0.0]), 5.0,
-                       cfg=CFG, stop_set=wall, stop_tol=1e-9)
-        assert tr.termination == "set_hit:wall"
-        assert tr.times[-1] == pytest.approx(2.0, abs=CFG.step)
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(SolverError):
@@ -160,32 +154,49 @@ class TestBundle:
 
 
 class TestTimeRescale:
-    def test_constant_v_doubles_time(self):
-        tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 1.0, cfg=CFG)
-        tau = time_rescale_tau(tr, lambda X: np.ones(len(np.atleast_2d(X))))
-        assert np.allclose(tau, 2.0 * tr.times)
+    """The rescaled clock tau(t) = t + integral_0^t ds / d(y(s), X_o)^2 along
+    the backward path y from x, read off what the converse barrier passes to
+    its smoothed function, below the soft-saturation knee."""
 
-    def test_constant_trajectory_at_unit_radius(self):
-        F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
-        tr = integrate(F, Selector.constant(), np.array([1.0, 0.0]), 1.0, cfg=CFG)
-        tau = time_rescale_tau(tr, lambda X: (np.atleast_2d(X) ** 2).sum(axis=1))
-        assert np.allclose(tau, 2.0 * tr.times)
+    @staticmethod
+    def clock(monkeypatch, f, X_o, ts, X):
+        seen = []
 
-    def test_against_quadrature_oracle(self):
+        class Recorder:
+            def sample_pairs(self, tau, Y):
+                seen.append((np.array(tau), np.array(Y)))
+                return np.zeros(len(Y))
+
+        monkeypatch.setattr(smoothing, "smooth_global", lambda *args, **kw: Recorder())
+        B = smoothing.ConverseBarrier(f, X_o, CFG, smoothing.ConverseResolution())
+        return B.values(np.asarray(ts, dtype=float), np.asarray(X, dtype=float)), seen
+
+    def test_constant_trajectory_at_unit_radius(self, monkeypatch):
+        ts = np.array([0.25, 0.5, 1.0])
+        _, [(tau, Y)] = self.clock(monkeypatch, field_from_expressions(["0", "0"], "zero"),
+                                   ORIGIN, ts, np.tile([1.0, 0.0], (3, 1)))
+        assert np.allclose(tau, 2.0 * ts)
+        assert np.array_equal(Y, np.tile([1.0, 0.0], (3, 1)))
+
+    def test_against_quadrature_oracle(self, monkeypatch):
         x0 = np.array([1.0, 0.0])
-        tr = integrate(LINEAR, Selector.constant(), x0, 1.0, cfg=CFG)
-        tau = time_rescale_tau(tr, lambda X: (np.atleast_2d(X) ** 2).sum(axis=1))
-        oracle_int, _ = quad(
-            lambda s: 1.0 / float(np.sum((expm(LINEAR_SAFE_A * s) @ x0) ** 2)),
-            0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-        assert tau[-1] == pytest.approx(1.0 + oracle_int, abs=1e-4)
-        assert np.all(np.diff(tau) > 0)
+        ts = np.array([0.25, 0.5, 1.0])
+        _, [(tau, Y)] = self.clock(monkeypatch, builtin_field("linear_safe"), ORIGIN, ts,
+                                   np.tile(x0, (3, 1)))
+        oracle = [t + quad(lambda s: 1.0 / float(np.sum((expm(-LINEAR_SAFE_A * s) @ x0) ** 2)),
+                           0.0, t, epsabs=1e-12, epsrel=1e-12)[0] for t in ts]
+        assert tau == pytest.approx(oracle, abs=1e-4)
+        assert np.all(np.diff(tau) > 0) and tau[-1] < smoothing.ConverseResolution().k_max - 1
+        for t, y in zip(ts, Y):
+            assert np.linalg.norm(y - expm(-LINEAR_SAFE_A * t) @ x0) < 1e-8
 
-    def test_zero_set_rejected(self):
-        F = InclusionSpec.singleton(builtin_field("linear_safe"))
-        tr = integrate(F, Selector.constant(), np.array([1.0, 0.0]), 1.0, cfg=CFG)
-        with pytest.raises(SolverError, match="zero set"):
-            time_rescale_tau(tr, lambda X: np.zeros(len(np.atleast_2d(X))))
+    def test_zero_set_rejected(self, monkeypatch):
+        # a backward path that touches X_o is worth 0 and passes no clock on
+        X = np.array([[0.01, 0.0], [1.0, 0.0]])
+        values, [(tau, Y)] = self.clock(monkeypatch, builtin_field("linear_safe"),
+                                        SetSpec.ball([0.0, 0.0], 0.05), [1.0, 1.0], X)
+        assert values.tolist() == [0.0, 0.0]
+        assert len(tau) == 1 and np.linalg.norm(Y[0] - expm(-LINEAR_SAFE_A) @ X[1]) < 1e-8
 
 
 class TestTrajectory:
@@ -214,7 +225,7 @@ class TestTrajectory:
 
 
 def _assert_bundle_matches_integrate(plan, T):
-    # one sweep against one rerun per selector, as resimulate_witness makes
+    # one sweep against one rerun per selector
     F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
     x0 = np.array([1.0, 0.0])
     batched = solution_bundle(F, x0, T, cfg=CFG, plan=plan)
@@ -344,7 +355,7 @@ class TestSweepKernel:
 def _old_stage(F, sels, m, h, direction, k, rows, X):
     """The velocity of the rows at step k, computed as before the stage
     builder: the negated inclusion's FieldHandle calls, selected per row."""
-    fields = [f if direction == "forward" else f.negated() for f in F.fields]
+    fields = [f if direction == "forward" else negated(f) for f in F.fields]
     if F.kind == "singleton":
         return fields[0](X)
     switch_times, D = selector_table(F, sels)
@@ -363,7 +374,7 @@ class TestStageFunction:
     QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
     INCLUSIONS = {"singleton": InclusionSpec.singleton(f),
                   "ball": InclusionSpec.ball_perturbed(f, 0.3),
-                  "hull": InclusionSpec.hull([f, QUAD, f.negated()])}
+                  "hull": InclusionSpec.hull([f, QUAD, negated(f)])}
 
     @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])

@@ -6,12 +6,8 @@ from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
 from safereach.dynamics import FieldHandle, InclusionSpec, builtin_field, field_from_expressions
 from safereach.geometry import SetSpec, clarke_gradient_sample
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
-from safereach.verify import (SafetyProblem, SamplePlan,
-                              UNDER_APPROX_DISCLAIMER,
-                              conditional_invariance_check,
-                              forward_pre_invariance_check, nagumo_check,
-                              prop1_check, resimulate_witness,
-                              simulate_safety_check)
+from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
+                              nagumo_check, prop1_check, simulate_safety_check)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 ZERO = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
@@ -50,7 +46,13 @@ class TestSimulate:
         assert rep.verdict == "violation"
         # earliest hit is from the top of the disk: flight time 1
         assert rep.witness["hit_time"] == pytest.approx(1.0, abs=2 * CFG.step)
-        assert resimulate_witness(p, rep)
+        # a fresh run of the witness selector from its start hits at hit_time
+        sel = next(s for s in p.bundle.selectors(p.F, p.horizon)
+                   if s.index == rep.witness["selector"])
+        tr = integrate(p.F, sel, np.array(rep.witness["x0"]), p.horizon, "forward", p.cfg)
+        hits = p.unsafe_hits(tr.states)
+        assert hits.any() and tr.times[np.argmax(hits)] == rep.witness["hit_time"]
+        assert tr.states[np.argmax(hits)].tolist() == rep.witness["hit_state"]
 
     def test_sample_disjointness_enforced(self):
         overlap = SetSpec.ball([0, 2.5], 1.0, name="bad")
@@ -84,22 +86,24 @@ class TestSimulate:
 
 
 class TestInvarianceWrappers:
+    """Invariance of X_s as safety with X_u = complement(X_s)."""
+
+    @staticmethod
+    def stays_in(X_o, X_s, horizon, samples):
+        X_u = SetSpec.complement(X_s, name=f"not_{X_s.name or X_s.kind}")
+        return simulate_safety_check(SafetyProblem(LINEAR, X_o, X_u, horizon, CFG, samples))
+
     def test_conditional_invariance(self):
         Xs = SetSpec.halfspace([0, -1], -2.0, name="below")  # {x2 <= 2}
-        rep = conditional_invariance_check(LINEAR, DISK, Xs, 20.0, CFG,
-                                           SamplePlan(8, 8))
-        assert rep.passed
+        assert self.stays_in(DISK, Xs, 20.0, SamplePlan(8, 8)).passed
 
     def test_forward_pre_invariance_of_ellipse(self):
         ell = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2,
                                window=([-4, -2], [4, 2]), grid=41, name="ellipse")
-        rep = forward_pre_invariance_check(LINEAR, ell, 10.0, CFG, SamplePlan(0, 16))
-        assert rep.passed
+        assert self.stays_in(ell, ell, 10.0, SamplePlan(0, 16)).passed
 
     def test_disk_is_not_forward_pre_invariant(self):
-        rep = forward_pre_invariance_check(LINEAR, DISK, 5.0, CFG,
-                                           SamplePlan(16, 0))
-        assert rep.verdict == "violation"
+        assert self.stays_in(DISK, DISK, 5.0, SamplePlan(16, 0)).verdict == "violation"
 
 
 class TestNagumo:
