@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
+from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config, time_grid
 from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError, SetSpec
@@ -152,13 +152,14 @@ def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
 
 def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     cfg = scn.raw
-    B = _build_barrier(scn)
     window = cfg.get("barrier-eval", "window")
     _require(window, "[barrier-eval] needs window")
     dim = len(window) // 2
     nx = cfg.get("barrier-eval", "nx", 21)
-    tg = cfg.get("barrier-eval", "tgrid", [0.0, 1.0, 5])
-    ts = np.linspace(tg[0], tg[1], int(tg[2]))
+    if nx < 1:
+        raise ConfigError(f"[barrier-eval] nx must be at least 1, got {nx}")
+    ts = time_grid(cfg, "barrier-eval", [0.0, 1.0, 5])
+    B = _build_barrier(scn)
     pts = grid_points(window[:dim], window[dim:], nx)
     # one t-major batch: a value depends on its own (t, x) only
     t_col, x_rows = np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))

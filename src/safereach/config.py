@@ -349,6 +349,19 @@ def _given(cfg: RawConfig, section: str, **fields) -> dict:
     return {f: cfg.get(section, k) for k, f in fields.items() if cfg.get(section, k) is not None}
 
 
+def time_grid(cfg: RawConfig, section: str, default: list) -> np.ndarray:
+    """The times of [section] tgrid = 'min max count': count evenly spaced
+    times from min to max, count a whole number of at least 1."""
+    tg = cfg.get(section, "tgrid", default)
+    if len(tg) != 3:
+        raise ConfigError(f"[{section}] tgrid must be 'min max count'")
+    if tg[2] < 1:
+        raise ConfigError(f"[{section}] tgrid count must be at least 1, got {tg[2]:g}")
+    if tg[2] != int(tg[2]):
+        raise ConfigError(f"[{section}] tgrid count must be a whole number, got {tg[2]:g}")
+    return np.linspace(tg[0], tg[1], int(tg[2]))
+
+
 def build_scenario(cfg: RawConfig) -> Scenario:
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
@@ -365,12 +378,7 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     if window is not None:
         dim = len(window) // 2
         window = (np.asarray(window[:dim]), np.asarray(window[dim:]))
-    tg = cfg.get("sampling", "tgrid", [0.0, 1.0, 11])
-    if len(tg) != 3:
-        raise ConfigError("[sampling] tgrid must be 'min max count'")
-    if int(tg[2]) < 1:
-        raise ConfigError("[sampling] tgrid count must be at least 1")
-    t_grid = np.linspace(tg[0], tg[1], int(tg[2]))
+    t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=_build_system(cfg),
         solver=solver,

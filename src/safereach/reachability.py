@@ -95,9 +95,7 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
             out = distance_to_set_many(Xb.reshape(-1, n), box) > 0.0
             inside[out.reshape(len(Xb), S * 2, p).any(axis=(0, 1))] = False
 
-    starts = np.concatenate([X, Y])
-    fold(np.zeros(1), np.tile(starts, (S, 1))[None])
-    termination, _ = bundle_sweep(F, sels, starts, T, cfg,
+    termination, _ = bundle_sweep(F, sels, np.concatenate([X, Y]), T, cfg,
                                   observe=lambda t, stepped, Xb: fold(t, Xb))
     applicable = inside & ~(termination == "escape").reshape(S * 2, p).any(axis=0)
     worst = np.where(applicable, worst, np.nan)
@@ -125,7 +123,8 @@ def save_cloud(cloud: ReachCloud, path) -> None:
 
 
 def load_cloud(path) -> ReachCloud:
-    """Read a file of save_cloud; its length must be what its header says."""
+    """Read a file of save_cloud; its length must be what its header says,
+    and each flag byte 0 or 1."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a reach-cloud file")
@@ -133,6 +132,9 @@ def load_cloud(path) -> ReachCloud:
     if len(raw) < off:
         raise ValueError(f"{path}: truncated header: {len(raw)} bytes, a header is {off}")
     n, npts, bundle, stride, mode_flag, trunc, horizon = _HEADER.unpack_from(raw, 4)
+    for name, flag in (("mode", mode_flag), ("truncated", trunc)):
+        if flag not in (0, 1):
+            raise ValueError(f"{path}: {name} flag must be 0 or 1, got {flag}")
     size = off + 8 * n * (1 + npts)
     if len(raw) != size:
         raise ValueError(f"{path}: {len(raw)} bytes, but a header of {npts} points in "

@@ -27,7 +27,7 @@ import numpy as np
 from . import sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
-from .geometry import SetSpec, distance_to_set_many
+from .geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
 from .solver import (IntegratorConfig, SolverError, bundle_field, on_stepped, rk4_sweep,
                      tube_minimum)
 
@@ -198,7 +198,15 @@ class SmoothedFn:
         return ts, seg, _gauss_weights(Q, self.grid, self.sigma)
 
     def sample_pairs(self, ts, Q) -> np.ndarray:
-        """g(ts[i], Q[i]) for per-point times."""
+        """g(ts[i], Q[i]) for per-point times, a chunk of rows at a time: no
+        (rows, n_grid, dim) temporary exceeds PAIR_BUDGET elements."""
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        ts = np.broadcast_to(np.asarray(ts, dtype=float), len(Q))
+        step = max(1, PAIR_BUDGET // (len(self.grid) * Q.shape[1]))
+        return np.concatenate([self._pairs(ts[i:i + step], Q[i:i + step])
+                               for i in range(0, max(len(Q), 1), step)])
+
+    def _pairs(self, ts, Q) -> np.ndarray:
         ts, seg, W = self._locate(ts, Q)
         # one dot per value (np.vecdot), not a BLAS product, which rounds a row by its batch
         lo, hi = np.vecdot(self.snapshots[seg], W), np.vecdot(self.snapshots[seg + 1], W)
@@ -526,18 +534,16 @@ class ConverseBarrier:
         n_rows = np.ceil(ts / self.cfg.step)
         h_rows = ts / np.maximum(n_rows, 1)
         self.cfg.check_steps(ts, n_rows)
-        d_here = distance_to_set_many(Xs, self.X_o)
-        dmin = d_here.copy()
-        tau_int = np.zeros(m)
-        inv_prev = 1.0 / np.maximum(d_here ** 2, self.res.touch_tol ** 2)
+        dmin, tau_int, inv_prev = np.full(m, np.inf), np.zeros(m), np.empty(m)
 
         def observe(k0, stepped, Xb):
             d_block = on_stepped(lambda X: distance_to_set_many(X, self.X_o), stepped, Xb)
             np.minimum(dmin, d_block.min(axis=0), out=dmin)
-            # the trapezoid sum for tau, step by step in order
-            for rows, d_here in zip(stepped, d_block):
+            # the trapezoid sum for tau, node by node in order; node 0 only opens it
+            for k, (rows, d_here) in enumerate(zip(stepped, d_block), k0):
                 inv_here = 1.0 / np.maximum(d_here[rows] ** 2, self.res.touch_tol ** 2)
-                tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
+                if k:
+                    tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
                 inv_prev[rows] = inv_here
 
         # rows are not frozen on escape: an escaped row that never touched X_o

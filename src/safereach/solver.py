@@ -7,12 +7,13 @@ costs the same few numpy calls whatever the number of rows.  One function,
 segment holding the step's midpoint, on the absolute switch grid of
 :class:`BundlePlan`, so a bundle is one sweep and its family on [0, t] does
 not depend on the horizon.  The kernel records nothing: it hands its
-observer blocks of steps, the states after each step and which rows
-stepped, so an observer pays one batch per block, not per step (see
-:func:`on_stepped`).  That is enough for a running minimum or a first hit,
-both exact over a block, and (n_steps + 1, m, n) paths are kept only for
-callers asking for trajectories.  The marginal minimum of the distance to
-a set over a tube of bundle paths, read off at several steps per start, is
+observer blocks of nodes, start included, with the states at each node and
+which rows are there, so an observer pays one batch per block, not per
+step (see :func:`on_stepped`), and no caller handles node 0 apart.  That
+is enough for a running minimum or a first hit, both exact over a block,
+and (n_steps + 1, m, n) paths are kept only for callers asking for
+trajectories.  The marginal minimum of the distance to a set over a tube
+of bundle paths, read off at several steps per start, is
 :func:`tube_minimum`.
 
 Escape through the configured radius freezes the row and is reported as a
@@ -38,7 +39,7 @@ from .dynamics import InclusionSpec, Selector, selector_table
 from .geometry import SetSpec, distance_to_set_many
 
 
-# rows x steps per observed block of rk4_sweep: bounds the observer's batch
+# rows x nodes per observed block of rk4_sweep: bounds the observer's batch
 BLOCK_ROWS = 8192
 
 
@@ -158,11 +159,15 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     row steps until it has taken its count: fn(k, rows, X) is the right-hand
     side of step k (from 1) at the states X of ``rows``, a slice or an index
     array into X0.  A row whose new state leaves escape_radius is frozen
-    there.  The observer sees blocks of j <= K consecutive steps, K =
-    BLOCK_ROWS // m (at least 1): observe(k0, stepped, Xb) gets the first
-    step k0 of the block, the (j, m) mask of the rows that took each step
-    (an escaping row counts at its escape step) and the (j, m, n) whole
-    state arrays after each step, a fresh array the observer may keep.
+    there.  The observer sees the sweep's nodes in blocks of j <= K
+    consecutive nodes, K = BLOCK_ROWS // m counted in nodes (at least 1, at
+    most n_max + 1), so a sweep of rows x (steps + 1) <= BLOCK_ROWS is one
+    block: observe(k0, stepped, Xb) gets the first node k0 of the block, the
+    (j, m) mask of the rows at each node and the (j, m, n) whole state
+    arrays at each node, a fresh array the observer may keep.  Node 0 opens
+    the first block (k0 = 0, Xb[0] the rows of X0, every row marked), and is
+    observed even when no row steps; node k >= 1 marks the rows that took
+    step k (an escaping row counts at its escape step).
     A non-finite new state raises :class:`SolverError` naming the step; fn
     runs with numpy's warnings off, the observer under the caller's.
     Returns the final states, the steps each row took (its escape step,
@@ -180,9 +185,12 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
     # no row norm exceeds the radius while every coordinate stays below this
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
-    K = max(1, min(BLOCK_ROWS // max(m, 1), n_max))
-    j = 0   # steps buffered for the observer
+    K = max(1, min(BLOCK_ROWS // max(m, 1), n_max + 1))   # nodes per observed block
     caller_err = np.geterr()    # restored around observe; the stages run with warnings off
+    if observe is not None:
+        # node 0 opens the first block: every row is observed at its start
+        k0, Xb, stepped = 0, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
+        Xb[0], stepped[0], j = X, True, 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n_max + 1):
             if n_live == 0:
@@ -190,8 +198,11 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
             # frozen and finished states may sit where the field overflows: step live rows only
             rows = slice(None) if n_live == m else np.flatnonzero(alive)
             if observe is not None:
-                if j == 0:
+                if j == K:
+                    with np.errstate(**caller_err):
+                        observe(k0, stepped, Xb)
                     k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
+                    j = 0
                 stepped[j] = alive
             Xs = X[rows]
             hs = h if h_rows is None else h_rows[rows]
@@ -215,25 +226,21 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
             if observe is not None:
                 Xb[j] = X
                 j += 1
-                if j == K:
-                    with np.errstate(**caller_err):
-                        observe(k0, stepped, Xb)
-                    j = 0
             if k in stops:
                 done = alive & (steps == k)
                 alive &= ~done
                 n_live -= int(np.count_nonzero(done))
-    if j:
+    if observe is not None:
         observe(k0, stepped[:j], Xb[:j])
     return X, steps, escaped
 
 
 def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray):
     """fn, points (k, n) -> values (k,), on the rows of an observed block
-    that stepped, in one call: a (j, m) array reading +inf where a row did
-    not step, so such a row adds no new minimum and no hit.  The rows are
-    gathered with np.compress: on a block of 5 x 1536 rows a boolean index
-    into the block costs about 8x more."""
+    marked in stepped (every row at node 0), in one call: a (j, m) array
+    reading +inf where a row did not step, so such a row adds no new
+    minimum and no hit.  The rows are gathered with np.compress: on a block
+    of 5 x 1536 rows a boolean index into the block costs about 8x more."""
     j, m, n = Xb.shape
     if stepped.all():
         return np.asarray(fn(Xb.reshape(-1, n))).reshape(j, m)
@@ -290,17 +297,17 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     S, p = len(sels), len(U)
     k_end = np.zeros(p, dtype=int)
     np.maximum.at(k_end, at, K.max(axis=0, initial=0))
-    dmin = np.tile(distance_to_set_many(U, X_o), S)
+    dmin = np.full(S * p, np.inf)
     D = dmin.reshape(S, p)
-    # slot i * m + q reads entry (i, q)
+    # slot i * m + q reads entry (i, q); the block holding node K[i, q] writes it
     k_slot, u_slot = K.reshape(-1), np.tile(at, len(K))
-    seen = D[:, u_slot]
+    seen = np.empty((S, len(k_slot)))
     order = np.argsort(k_slot, kind="stable")
     ks, starts = np.unique(k_slot[order], return_index=True)
     slots = np.split(order, starts[1:])
 
     def observe(k0, stepped, Yb):
-        # running minimum through the block: row i of acc is dmin after step k0 + i
+        # running minimum through the block: row i of acc is dmin at node k0 + i
         acc = on_stepped(lambda Y: distance_to_set_many(Y, X_o), stepped, Yb)
         np.minimum(acc[0], dmin, out=acc[0])
         np.minimum.accumulate(acc, axis=0, out=acc)
@@ -323,10 +330,10 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
 
     Row j * m + i runs sels[j] from X0[i]; all rows take n = ceil(T / step)
     steps of h = T / n in one sweep, see :func:`bundle_field`.  The observer
-    sees the sweep's blocks of steps: observe(times, stepped, Xb) gets the
-    block's node times and the block of :func:`rk4_sweep`.  Returns the
-    termination of every row (horizon | escape) and, if record, its
-    Trajectory.
+    sees the sweep's blocks of nodes, node 0 at t = 0 first:
+    observe(times, stepped, Xb) gets the block's node times and the block of
+    :func:`rk4_sweep`.  Returns the termination of every row (horizon |
+    escape) and, if record, its Trajectory.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.isfinite(T):
@@ -337,8 +344,7 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     n = max(1.0, np.ceil(T / cfg.step - 1e-9))
     cfg.check_steps(T, n)
     h = T / n
-    X = np.tile(X0, (len(sels), 1))
-    times, path = [np.zeros(1)], [X[None]]
+    times, path = [], []
 
     def obs(k0, stepped, Xb):
         t = h * (k0 + np.arange(len(Xb)))
@@ -348,7 +354,8 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
         if observe is not None:
             observe(t, stepped, Xb)
 
-    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction), X, h, n,
+    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction),
+                                  np.tile(X0, (len(sels), 1)), h, n,
                                   obs if record or observe is not None else None, cfg.escape_radius)
     termination = np.full(len(escaped), "horizon", dtype=object)
     termination[escaped] = "escape"

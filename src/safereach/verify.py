@@ -101,12 +101,13 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
 
     All selectors x starts run as one sweep, and no path is kept: an
     observer tracks the smallest margin and each row's first hit, one
-    distance batch per block of steps.  The witness is the earliest hit,
-    ties going to the earlier selector, then the earlier start."""
+    distance batch per block of nodes, start included.  The witness is the
+    earliest hit, ties going to the earlier selector, then the earlier
+    start."""
     starts = p.initial_samples()
     sels = p.bundle.selectors(p.F, p.horizon)
     m = len(starts)
-    margin = float(p.unsafe_margins(starts).min())
+    margin = float("inf")
     hit_time = np.full(len(sels) * m, np.inf)
     hit_state = np.empty((len(sels) * m, starts.shape[1]))
 

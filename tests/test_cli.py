@@ -471,6 +471,24 @@ class TestCommands:
                      "--set", "sampling.tgrid=0 1 0", "--out", str(tmp_path / "out")]) == 1
         assert "tgrid count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("tgrid", "0 1 -2", "[barrier-eval] tgrid count must be at least 1, got -2"),
+        ("tgrid", "0 1 0", "[barrier-eval] tgrid count must be at least 1, got 0"),
+        ("tgrid", "0 1 2.5", "[barrier-eval] tgrid count must be a whole number, got 2.5"),
+        ("nx", "0", "[barrier-eval] nx must be at least 1, got 0"),
+    ])
+    def test_an_empty_or_fractional_barrier_eval_grid_is_refused(self, tmp_path, capsys,
+                                                                  key, value, message):
+        text = MINIMAL + ("\n[barrier]\nkind = user\nexpression = x1\n"
+                          "[barrier-eval]\nwindow = -1 -1 1 1\nnx = 3\ntgrid = 0 1 2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["barrier-eval", "--config", str(self._write(tmp_path, text)),
+                         "--set", f"barrier-eval.{key}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):
         text = MINIMAL + ("\n[set TINY]\nkind = box\nlo = -0.01 -0.01\nhi = 0.01 0.01\n"
                           "[check filippov]\nkind = filippov\nlam_box = TINY\npairs = 3\n")

@@ -119,6 +119,17 @@ class TestCache:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_cloud(path)
 
+    @pytest.mark.parametrize("offset, name", [(20, "mode"), (21, "truncated")])
+    def test_a_flag_byte_other_than_0_or_1_is_refused_by_name(self, tmp_path, offset, name):
+        path = tmp_path / "cloud.rch"
+        save_cloud(reach(LINEAR, np.array([1.0, 0.0]), 0.25, CFG, PLAN), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {name} flag must be "
+                                             "0 or 1, got 7$"):
+            load_cloud(path)
+
     def test_magic_guard(self, tmp_path):
         p = tmp_path / "bad.rch"
         p.write_bytes(b"NOPE" + b"\x00" * 64)

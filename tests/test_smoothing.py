@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from safereach.barrier import BarrierError
 from safereach.dynamics import Selector, builtin_field
-from safereach.geometry import SetSpec, distance_to_set_many
+from safereach.geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
 from safereach.smoothing import (ConverseResolution, GlobalSmoothedFn, SmoothingError,
                                  _RescaledTubeMin, annulus_points, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
@@ -203,6 +203,17 @@ class TestSmoothOnCompact:
         bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
         assert np.array_equal(bits(g.sample_times(ts, Q)), bits(alone))
         assert np.array_equal(bits(pairs.reshape(alone.shape)), bits(alone))
+
+    def test_a_call_of_several_chunks_equals_per_row_calls(self):
+        grid = annulus_grid(41)
+        g = smooth_on_compact(build_time_partition(exp_decay, grid, k_max=2, table_res=128))
+        Q = np.random.default_rng(6).uniform(-1.0, 1.0, size=(400, 2))
+        ts = np.random.default_rng(7).uniform(0.0, 2.0, size=400)
+        # rows per chunk: (rows, n_grid, dim) temporaries of at most PAIR_BUDGET elements
+        assert len(Q) > 2 * (PAIR_BUDGET // (len(g.grid) * 2))
+        alone = [g.sample_pairs(ts[i:i + 1], Q[i:i + 1])[0] for i in range(len(Q))]
+        assert np.array_equal(g.sample_pairs(ts, Q).view(np.uint64),
+                              np.array(alone).view(np.uint64))
 
     def test_certificate_present(self):
         grid = annulus_grid(21)

@@ -297,7 +297,7 @@ class TestSweepKernel:
         assert not escaped.any()
 
     def test_observer_sees_the_rows_that_stepped(self, monkeypatch):
-        # blocks of 7 steps of 2 rows: 1-7, 8-14 (row 0 escapes inside), 15-20
+        # blocks of 7 nodes of 2 rows: 0-6, 7-13 (row 0 escapes inside), 14-20
         monkeypatch.setattr(solver, "BLOCK_ROWS", 14)
         X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
         blocks = []
@@ -305,12 +305,14 @@ class TestSweepKernel:
                                 observe=lambda k0, stepped, Xb: blocks.append(
                                     (k0, stepped.copy(), Xb.copy())))
         e = int(steps[0])
-        assert [(k0, len(Xb)) for k0, _, Xb in blocks] == [(1, 7), (8, 7), (15, 6)]
-        assert 8 < e < 14
+        assert [(k0, len(Xb)) for k0, _, Xb in blocks] == [(0, 7), (7, 7), (14, 7)]
+        assert 7 < e < 13
         stepped = np.concatenate([s for _, s, _ in blocks])
         states = np.concatenate([Xb for _, _, Xb in blocks])
-        assert [np.flatnonzero(s).tolist() for s in stepped] == [[0, 1]] * e + [[1]] * (20 - e)
-        assert (states[e - 1:, 0] == X[0]).all()   # frozen at the escape node
+        assert ([np.flatnonzero(s).tolist() for s in stepped]
+                == [[0, 1]] * (e + 1) + [[1]] * (20 - e))
+        assert np.array_equal(states[0], X0)
+        assert (states[e:, 0] == X[0]).all()   # frozen at the escape node
         assert np.array_equal(states[-1], X)
 
     def test_escaped_rows_freeze_and_stop_stepping(self):
@@ -328,7 +330,7 @@ class TestSweepKernel:
             rk4_sweep(blow, np.ones((3, 2)), 0.1, 5)
 
     def test_per_row_step_counts(self, monkeypatch):
-        # blocks of 2 steps of 3 rows: row 1 finishes inside the second block
+        # blocks of 2 nodes of 3 rows: row 1 finishes inside the second block
         monkeypatch.setattr(solver, "BLOCK_ROWS", 6)
         fn = _CountingField()
         X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
@@ -337,7 +339,7 @@ class TestSweepKernel:
                                       observe=lambda k0, stepped, Xb: seen.append(
                                           (k0, [np.flatnonzero(s).tolist() for s in stepped])))
         assert fn.rows == [2] * 12 + [1] * 8
-        assert seen == [(1, [[1, 2]] * 2), (3, [[1, 2], [2]]), (5, [[2]])]
+        assert seen == [(0, [[0, 1, 2], [1, 2]]), (2, [[1, 2], [1, 2]]), (4, [[2], [2]])]
         assert steps.tolist() == [0, 3, 5] and not escaped.any()
         assert np.array_equal(X[0], X0[0])
         three, _, _ = rk4_sweep(_CountingField(), X0[1:2], 1 / 64, 3)
@@ -350,6 +352,30 @@ class TestSweepKernel:
         one, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0[:1], 1 / 128, 64)
         assert np.array_equal(X[1], one[0])
         assert np.linalg.norm(X[0] - expm(LINEAR_SAFE_A) @ X0[0]) < 1e-7
+
+    @pytest.mark.parametrize("n_steps", [4, np.array([0, 2, 4])])
+    def test_the_first_block_opens_with_node_zero(self, n_steps):
+        X0 = np.array([[1.0, 0.0], [0.5, 0.5], [-0.0, 1.0]])
+        blocks = []
+        rk4_sweep(_CountingField(), X0, 1 / 64, n_steps,
+                  observe=lambda k0, stepped, Xb: blocks.append((k0, stepped, Xb)))
+        # 3 rows x 5 nodes fit one block
+        [(k0, stepped, Xb)] = blocks
+        assert k0 == 0 and len(Xb) == 5
+        assert np.array_equal(Xb[0].view(np.uint64), X0.view(np.uint64))
+        assert stepped[0].all()
+
+    @pytest.mark.parametrize("n_steps", [0, np.zeros(3, dtype=int)])
+    def test_a_sweep_of_no_step_observes_node_zero_once(self, n_steps):
+        fn = _CountingField()
+        X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        blocks = []
+        X, steps, _ = rk4_sweep(fn, X0, 1 / 64, n_steps,
+                                observe=lambda k0, stepped, Xb: blocks.append((k0, stepped, Xb)))
+        assert fn.rows == [] and steps.tolist() == [0, 0, 0]
+        [(k0, stepped, Xb)] = blocks
+        assert k0 == 0 and stepped.tolist() == [[True] * 3]
+        assert np.array_equal(Xb, X0[None]) and np.array_equal(X, X0)
 
 
 def _old_stage(F, sels, m, h, direction, k, rows, X):
@@ -417,9 +443,107 @@ class TestStageFunction:
                              IntegratorConfig(step=0.1))
 
 
+class TestNodeZeroInTheSweep:
+    """Node 0 is folded by the sweep's observer like any other node; the
+    results equal those of folding it apart, from the recorded paths."""
+
+    ELLIPSE = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10.0 + X[:, 1] ** 2 - 1.0, 0.0, 2,
+                               [-4.0, -2.0, 4.0, 2.0], grid=41)
+
+    def test_a_one_block_tube_makes_one_distance_batch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "distance_to_set_many",
+                            lambda X, S: calls.append(len(X)) or distance_to_set_many(X, S))
+        X = np.random.default_rng(5).uniform([-3.6, -1.8], [3.6, 1.8], size=(28, 2))
+        K = np.array([[0] * 14 + [4] * 14, [8] * 28])
+        # 28 rows x 9 nodes fit one block of BLOCK_ROWS
+        assert 28 * 9 <= solver.BLOCK_ROWS
+        best, _ = tube_minimum(LINEAR, [Selector.constant()], X, K, 1 / 32, "backward",
+                               self.ELLIPSE)
+        assert calls == [28 * 9]
+        paths = solution_bundle(LINEAR, X, 8 / 32, "backward", IntegratorConfig(step=1 / 32),
+                                BundlePlan(1))
+        ref = [[distance_to_set_many(trs[0].states[:k + 1], self.ELLIPSE).min()
+                for k, trs in zip(row, paths)] for row in K]
+        assert np.array_equal(best, ref)
+        # one more node than a block holds splits it in two
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 28 * 9 - 1)
+        calls.clear()
+        again, _ = tube_minimum(LINEAR, [Selector.constant()], X, K, 1 / 32, "backward",
+                                self.ELLIPSE)
+        assert calls == [28 * 8, 28] and np.array_equal(again, best)
+
+    def test_simulate_check_equals_the_fold_of_recorded_paths(self):
+        F = InclusionSpec.ball_perturbed(field_from_expressions(["x1", "0 - x2"]), 0.1)
+        p = verify.SafetyProblem(F, SetSpec.ball([0.0, 0.0], 0.5),
+                                 SetSpec.halfspace([1.0, 0.0], 1.5), 2.0,
+                                 IntegratorConfig(step=1 / 32), verify.SamplePlan(4, 4, seed=2),
+                                 BundlePlan(3, switches=1))
+        rep = verify.simulate_safety_check(p)
+        starts = p.initial_samples()
+        paths = solution_bundle(F, starts, p.horizon, cfg=p.cfg, plan=p.bundle)
+        # the starts' margins first, then every path's, as they were folded apart
+        margin = float(p.unsafe_margins(starts).min())
+        hits = []
+        for q, trs in enumerate(paths):
+            for tr in trs:
+                margins = p.unsafe_margins(tr.states[1:])
+                margin = min(margin, float(margins.min()))
+                k = np.flatnonzero(p.margin_hits(margins))
+                if len(k):
+                    hits.append((tr.times[k[0] + 1], tr.selector_index, q, tr.states[k[0] + 1]))
+        t, sel, q, state = min(hits, key=lambda hit: hit[:3])
+        assert rep.verdict == "violation" and rep.margin == margin
+        assert rep.witness == {"x0": starts[q].tolist(), "selector": sel,
+                               "hit_time": t, "hit_state": state.tolist()}
+
+    def test_filippov_check_equals_the_fold_of_recorded_paths(self):
+        F = InclusionSpec.ball_perturbed(builtin_field("counterexample2d"), 0.2)
+        plan, lam, T = BundlePlan(3, switches=1, seed=1), 0.5, 0.5
+        X = np.random.default_rng(4).uniform(-0.6, 0.6, size=(5, 2))
+        Y = X + np.random.default_rng(5).uniform(-0.1, 0.1, size=(5, 2))
+        box = SetSpec.box([-0.7, -0.7], [0.7, 0.7])
+        res = reachability.filippov_check(F, X, Y, T, lam, CFG, plan, box=box)
+        paths = solution_bundle(F, np.concatenate([X, Y]), T, cfg=CFG, plan=plan)
+        for i in range(len(X)):
+            tx, ty = paths[i], paths[len(X) + i]
+            cloud = np.stack([tr.states for tr in ty])
+            base = float(np.linalg.norm(X[i] - Y[i]))
+            worst = max(float((np.linalg.norm(tr.states[None] - cloud, axis=2).min(axis=0)
+                               - np.exp(lam * tr.times) * base).max()) for tr in tx)
+            inside = all((distance_to_set_many(tr.states, box) == 0.0).all() for tr in tx + ty)
+            assert res["applicable"][i] == inside
+            assert (res["max_violation"][i] == worst if inside
+                    else np.isnan(res["max_violation"][i]))
+        assert 0 < res["applicable"].sum() < len(X)
+
+    def test_converse_clock_equals_the_trapezoid_sum_along_each_path(self, monkeypatch):
+        f = builtin_field("counterexample2d")
+        X_o = SetSpec.ball([0.0, 0.0], 0.05)
+        ts = np.array([0.0, 0.3, 1.0, 0.75, 1.0])
+        X = np.array([[0.4, 0.1], [0.2, -0.3], [0.01, 0.0], [0.0, 0.6], [0.5, 0.5]])
+        values, [(tau, Y)] = TestTimeRescale.clock(monkeypatch, f, X_o, ts, X)
+        tol = smoothing.ConverseResolution().touch_tol
+        free = []
+        for t, x in zip(ts, X):
+            states = (integrate(InclusionSpec.singleton(f), Selector.constant(), x, t,
+                                "backward", CFG).states if t > 0 else x[None])
+            d = distance_to_set_many(states, X_o)
+            inv = 1.0 / np.maximum(d ** 2, tol ** 2)
+            h, clock = t / max(len(d) - 1, 1), 0.0
+            for k in range(1, len(d)):
+                clock += 0.5 * (inv[k - 1] + inv[k]) * h
+            if d.min() > tol:
+                free.append((t + clock, states[-1]))
+        assert values[2] == 0.0 and len(free) == 4
+        assert np.array_equal(tau, smoothing._soft_saturate(np.array([c for c, _ in free]),
+                                                            smoothing.ConverseResolution().k_max))
+        assert np.array_equal(Y, [y for _, y in free])
+
+
 class TestObservedBlocks:
-    """Every observer folds blocks of steps; its results must not depend on
-    the block size, down to one step per block."""
+    """Every observer folds blocks of nodes; its results must not depend on
+    the block size, down to one node per block."""
 
     SADDLE = InclusionSpec.ball_perturbed(field_from_expressions(["x1", "0 - x2"]), 0.1)
 
