@@ -31,7 +31,8 @@ from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, bisect_boundar
                        proximal_subgradient_test)
 from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
 
-DEFAULT_POS_TOL = 1e-9
+POS_TOL = 1e-9          # B >= POS_TOL on X_u samples stands for B > 0
+CLARKE_RADIUS = 1e-4    # radius of the Clarke gradient samples around (t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +61,6 @@ class BarrierFn:
     band_width: float = 0.1
     params: dict = field(default_factory=dict)
     core: Optional[MarginalBarrier] = None
-
-    def evaluate(self, t: float, x) -> float:
-        return float(self.evaluate_many([t], np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_many(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -154,19 +152,17 @@ def counterexample_barrier(t, x):
     Zero at the origin; constant 1/(k*pi) on the circles 1/|x| = k*pi; on the
     open annulus 1/|x| in (k*pi, (k+1)*pi) the value is
     1 / (arccot(cot(1/|x|) - t/2) + k*pi) with arccot valued in (0, pi).
-    A float at one (t, x), x of shape (2,); the (m,) values at times t (m,)
-    and states x (m, 2), each row on its own.
+    The (m,) values at times t (m,) and states x (m, 2), each row on its own.
     """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    X = np.asarray(x, dtype=float)
     r = np.sqrt(np.vecdot(X, X))
     u = 1.0 / np.where(r == 0.0, 1.0, r)
     frac = u / np.pi
     k = np.rint(frac)
     circle = (k >= 1) & (np.abs(frac - k) <= 1e-12)
     phase = np.pi / 2.0 - np.arctan(np.cos(u) / np.sin(u) - 0.5 * np.asarray(t, dtype=float))
-    vals = np.where(r == 0.0, 0.0, np.where(circle, 1.0 / (np.maximum(k, 1.0) * np.pi),
+    return np.where(r == 0.0, 0.0, np.where(circle, 1.0 / (np.maximum(k, 1.0) * np.pi),
                                             1.0 / (phase + np.floor(frac) * np.pi)))
-    return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
@@ -260,11 +256,10 @@ def jsonable(obj):
 def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
                          n_init: int = 64, n_unsafe: int = 64,
                          window=None, seed: int = 0,
-                         pos_tol: float = DEFAULT_POS_TOL,
                          zero_tol: float = 1e-9) -> CheckReport:
-    """B <= 0 on X_o samples x t-grid and B >= pos_tol on X_u samples.
+    """B <= 0 on X_o samples x t-grid and B >= POS_TOL on X_u samples.
 
-    Strict positivity on X_u is tested against pos_tol since "> 0" is not
+    Strict positivity on X_u is tested against POS_TOL since "> 0" is not
     decidable from samples.  Marginal barriers are exactly zero on X_o so the
     nonpositive side uses the same tolerance.
     """
@@ -285,8 +280,8 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
     j, b = np.unravel_index(np.argmin(vu), vu.shape)
     worst_o, wo = float(vo[i, a]), {"t": float(t_grid[i]), "x": pts_o[a].tolist()}
     worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
-    viol = max(worst_o - zero_tol, pos_tol - worst_u)
-    witness = wo if worst_o - zero_tol >= pos_tol - worst_u else wu
+    viol = max(worst_o - zero_tol, POS_TOL - worst_u)
+    witness = wo if worst_o - zero_tol >= POS_TOL - worst_u else wu
     # samples counts every evaluated (t, x), repeats too: a one-point X_o is
     # drawn many times; distinct_samples counts them bit for bit
     distinct = (len(np.unique(t_grid.view(np.uint64)))
@@ -399,8 +394,7 @@ def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
 def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                         region="everywhere", g: RelaxFn = None,
                         t_grid=(0.0,), window=None, count: int = 200,
-                        fd: float = 1e-6, clarke_radius: float = 1e-4,
-                        seed: int = 0, tol: float = 1e-7) -> CheckReport:
+                        fd: float = 1e-6, seed: int = 0, tol: float = 1e-7) -> CheckReport:
     """Decrease condition <zeta, (1, eta)> <= g(B) over sampled region points.
 
     mode smooth: zeta is the finite-difference gradient of B;
@@ -420,7 +414,7 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "region empty after sampling"})
     ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
-    Z, keep = _zeta_candidates(B, mode, ts, X, fd, clarke_radius, seed)
+    Z, keep = _zeta_candidates(B, mode, ts, X, fd, seed)
     gbs = np.asarray(g(B.evaluate_many(ts, X)), dtype=float)
     if not keep.any():
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
@@ -437,7 +431,7 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
 
 
 def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
-                     fd: float, radius: float, seed: int):
+                     fd: float, seed: int):
     """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
     prox_radius = 1e-3
     if mode == "smooth":
@@ -446,9 +440,9 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
         raise ValueError(f"unknown mode '{mode}'")
     handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
-    floor = (max(radius, prox_radius) if mode == "proximal" else radius) + fd
+    floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + fd
     TX = np.column_stack([np.maximum(ts, floor), X])
-    grads = clarke_gradient_sample(handle, TX, radius=radius, fd_step=fd, seed=seed)
+    grads = clarke_gradient_sample(handle, TX, radius=CLARKE_RADIUS, fd_step=fd, seed=seed)
     if mode == "clarke":
         return grads, np.ones(grads.shape[:2], dtype=bool)
     # each margin is nondecreasing in eps, so the curvature bound 100 accepts

@@ -244,15 +244,12 @@ def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> Set
             raise ConfigError(f"[{section}] needs at least one point")
         spec = SetSpec.points(pts, name=name)
     elif kind == "sublevel":
-        window = cfg.get(section, "window")
+        window = _window(cfg, section, None)
         if window is None:
             raise ConfigError(f"[{section}] sublevel needs a window")
-        dim = len(window) // 2
-        fn_text = cfg.get(section, "fn")
-        variables = tuple(f"x{i + 1}" for i in range(dim))
-        fn = compile_expression(fn_text, variables)
-        spec = SetSpec.sublevel(fn, cfg.get(section, "level", 0.0), dim,
-                                (window[:dim], window[dim:]),
+        dim = len(window[0])
+        fn = compile_expression(cfg.get(section, "fn"), tuple(f"x{i + 1}" for i in range(dim)))
+        spec = SetSpec.sublevel(fn, cfg.get(section, "level", 0.0), dim, window,
                                 grid=cfg.get(section, "grid", 33), name=name)
     elif kind in ("complement", "union", "intersection"):
         refs = (cfg.get(section, "of") or "").split()
@@ -271,43 +268,6 @@ def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> Set
         raise ConfigError(f"unknown set kind '{kind}'")
     cache[name] = spec
     return spec
-
-
-def set_to_config(spec: SetSpec, name: Optional[str] = None) -> str:
-    """Serialize a set back to scenario-file lines (inverse of _build_set).
-
-    Sublevel sets carry function handles, which have no faithful text form
-    unless they were built from an expression; those round-trip through the
-    stored source."""
-    name = name or spec.name or spec.kind
-    lines = [f"[set {name}]", f"kind = {spec.kind}"]
-    fmt = lambda v: " ".join(repr(float(c)) for c in np.atleast_1d(v))
-    if spec.kind == "ball":
-        lines += [f"center = {fmt(spec.center)}", f"radius = {spec.radius!r}"]
-    elif spec.kind == "box":
-        lines += [f"lo = {fmt(spec.lo)}", f"hi = {fmt(spec.hi)}"]
-    elif spec.kind == "halfspace":
-        lines += [f"normal = {fmt(spec.normal)}", f"offset = {spec.offset!r}"]
-    elif spec.kind == "points":
-        lines += [f"point = {fmt(p)}" for p in spec.pts]
-    elif spec.kind == "sublevel":
-        source = getattr(spec.fn, "source", None)
-        if source is None:
-            raise ConfigError("sublevel set has no expression source to serialize")
-        lo, hi = spec.window
-        lines += [f"fn = {source}", f"level = {spec.level!r}",
-                  f"window = {fmt(lo)} {fmt(hi)}", f"grid = {spec.grid}"]
-    elif spec.kind in ("complement", "union", "intersection"):
-        parts = []
-        for i, m in enumerate(spec.members):
-            child = m.name or f"{name}_m{i}"
-            parts.append((child, m))
-        lines += ["of = " + " ".join(child for child, _ in parts)]
-        for child, m in parts:
-            lines = [set_to_config(m, child), ""] + lines
-    else:
-        raise ConfigError(f"cannot serialize set kind '{spec.kind}'")
-    return "\n".join(lines)
 
 
 def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
@@ -362,6 +322,21 @@ def time_grid(cfg: RawConfig, section: str, default: list) -> np.ndarray:
     return np.linspace(tg[0], tg[1], int(tg[2]))
 
 
+def _window(cfg: RawConfig, section: str, system: Optional[InclusionSpec]):
+    """[section] window = 'lo_1 .. lo_n hi_1 .. hi_n' as (lo, hi), or None;
+    refused by name unless it holds 2n numbers, n the [system] dimension
+    when there is a system."""
+    w = cfg.get(section, "window")
+    if w is None:
+        return None
+    if not w or len(w) % 2 or (system is not None and len(w) != 2 * system.dim):
+        n = "" if system is None else f" with n = {system.dim}"
+        raise ConfigError(f"[{section}] window must be 'lo_1 .. lo_n hi_1 .. hi_n'{n}, "
+                          f"got {len(w)} numbers")
+    n = len(w) // 2
+    return np.asarray(w[:n]), np.asarray(w[n:])
+
+
 def build_scenario(cfg: RawConfig) -> Scenario:
     seed = cfg.get("", "seed")
     out_dir = cfg.get("", "out")
@@ -370,21 +345,20 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         raise ConfigError(f"[solver] method must be rk4, got '{method}'")
     solver = IntegratorConfig(**_given(cfg, "solver", step="step", escape="escape_radius",
                                        max_steps="max_steps"))
+    system = _build_system(cfg)
+    sets = cfg.section_names("set")
+    for section in ["barrier-eval"] + sets:
+        _window(cfg, section, system)
     cache: dict = {}
-    for section in cfg.section_names("set"):
-        name = section.split(" ", 1)[1]
-        _build_set(name, cfg, cache)
-    window = cfg.get("sampling", "window")
-    if window is not None:
-        dim = len(window) // 2
-        window = (np.asarray(window[:dim]), np.asarray(window[dim:]))
+    for section in sets:
+        _build_set(section.split(" ", 1)[1], cfg, cache)
     t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
     return Scenario(
-        raw=cfg, seed=seed, out_dir=out_dir, system=_build_system(cfg),
+        raw=cfg, seed=seed, out_dir=out_dir, system=system,
         solver=solver,
         bundle=BundlePlan(seed=seed, **_given(cfg, "bundle", directions="directions",
                                               switches="switches")),
-        samples=SamplePlan(seed=seed, window=window,
+        samples=SamplePlan(seed=seed, window=_window(cfg, "sampling", system),
                            **_given(cfg, "sampling", boundary="boundary", interior="interior")),
         sets=cache, t_grid=t_grid,
     )

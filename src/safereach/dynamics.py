@@ -158,37 +158,25 @@ class InclusionSpec:
         return self.fields[0]
 
 
-@dataclass(frozen=True)
-class EvaluatedInclusion:
-    """F(x) as vertices (singleton/hull) or a center plus a ball radius;
-    vertices is (p, n) at one point x and (k, p, n) at k points."""
-
-    vertices: np.ndarray
-    radius: float = 0.0
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.vertices[..., 0, :]
-
-
-def eval_inclusion(F: InclusionSpec, x) -> EvaluatedInclusion:
-    """F at one point x (n,) or at every row of a batch (k, n), one call per field."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+def eval_inclusion(F: InclusionSpec, X) -> np.ndarray:
+    """The (k, p, n) vertices of F at every row of X (k, n), one call per
+    field: one per field of a singleton or hull; for a ball, its center f at
+    [..., 0, :] (the radius is F.epsilon)."""
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
         raise DynamicsError("eval_inclusion at non-finite point")
-    return EvaluatedInclusion(np.stack([f(x) for f in F.fields], axis=-2),
-                              radius=F.epsilon if F.kind == "ball" else 0.0)
+    return np.stack([f(X) for f in F.fields], axis=-2)
 
 
-def inclusion_extreme_points(F: InclusionSpec, x, directions: int = 16,
+def inclusion_extreme_points(F: InclusionSpec, X, directions: int = 16,
                              seed: int = 0) -> np.ndarray:
-    """Finite vertex cloud approximating F(x), (p, n) or (k, p, n) like
-    :func:`eval_inclusion` (exact for singleton/hull)."""
-    ev = eval_inclusion(F, x)
+    """Finite vertex cloud (k, p, n) approximating F at every row of X (k, n)
+    (exact for singleton/hull)."""
+    V = eval_inclusion(F, X)
     if F.kind != "ball" or F.epsilon == 0.0:
-        return ev.vertices
+        return V
     dirs = sampling.sphere_directions(F.dim, directions, seed=seed)
-    return ev.center[..., None, :] + F.epsilon * dirs
+    return V[..., 0, None, :] + F.epsilon * dirs
 
 
 def max_rate(F: InclusionSpec, X, Z):
@@ -201,7 +189,7 @@ def max_rate(F: InclusionSpec, X, Z):
     """
     Z = np.asarray(Z, dtype=float)
     zt, zx = Z[..., 0], Z[..., 1:]
-    V = eval_inclusion(F, X).vertices                          # (k, p, n)
+    V = eval_inclusion(F, X)                                   # (k, p, n)
     rates = zt[..., None] + np.vecdot(zx[:, :, None, :], V[:, None, :, :])
     if F.kind == "ball":
         norm = np.sqrt(np.vecdot(zx, zx))[..., None]
@@ -302,7 +290,7 @@ def lipschitz_estimate(F: InclusionSpec, box: SetSpec, grid: int = 9) -> float:
         raise DynamicsError("need at least 2 grid points per axis")
     pts = sampling.grid_points(box.lo, box.hi, grid)
     # F(x) as its vertex set (P, p, n); the ball radius cancels in d_H
-    V = eval_inclusion(F, pts).vertices
+    V = eval_inclusion(F, pts)
     d = np.linalg.norm(V[:, None, :, None, :] - V[None, :, None, :, :], axis=-1)
     d_H = np.maximum(d.min(axis=3).max(axis=2), d.min(axis=2).max(axis=2))
     sep = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)

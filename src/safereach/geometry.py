@@ -531,8 +531,8 @@ def _as_cloud(A) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeProbe:
-    """Finite surrogate for membership of direction v in a tangent cone at x:
-    one probe (x, v of shape (n,)) or k probes ((k, n) each)."""
+    """Finite surrogate for membership of directions v in the tangent cone
+    at points x: k probes, x and v of shape (k, n)."""
 
     x: np.ndarray
     v: np.ndarray
@@ -540,59 +540,35 @@ class ConeProbe:
     mode: str = "contingent"
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
+        object.__setattr__(self, "v", np.atleast_2d(np.asarray(self.v, dtype=float)))
         steps = tuple(float(s) for s in self.steps)
         if len(steps) < 3 or any(s <= 0 for s in steps) or any(
                 steps[i + 1] >= steps[i] for i in range(len(steps) - 1)):
             raise GeometryError("steps must be >= 3 strictly decreasing positive reals")
         object.__setattr__(self, "steps", steps)
-        if self.mode not in ("contingent", "external", "clarke-tangent"):
+        if self.mode not in ("contingent", "external"):
             raise GeometryError(f"unknown cone mode {self.mode}")
 
 
-def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL):
-    """Admission residual: <= tol means the direction is admitted by the cone.
+def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
+    """Admission residuals (k,): <= tol means the direction is admitted by the cone.
 
     contingent: min_h |x + h v|_S / h, requiring x in S (within tol);
     external:   min_h (|x + h v|_S - |x|_S) / h.
-    A float for one probe, a (k,) array for k; every base point and step
-    point of the batch goes into one distance call.
+    Every base point and step point of the batch goes into one distance call.
     """
-    X, V = np.atleast_2d(probe.x), np.atleast_2d(probe.v)
+    X, V = probe.x, probe.v
     k, n = X.shape
     steps = np.asarray(probe.steps)
     d = distance_to_set_many(np.concatenate(
         [X, (X[:, None, :] + steps[:, None] * V[:, None, :]).reshape(-1, n)]), S)
     d0, ds = d[:k], d[k:].reshape(k, len(steps))
     if probe.mode == "external":
-        res = ((ds - d0[:, None]) / steps).min(axis=1)
-    elif (d0 > tol).any():
+        return ((ds - d0[:, None]) / steps).min(axis=1)
+    if (d0 > tol).any():
         raise GeometryError(f"base point {X[np.argmax(d0 > tol)].tolist()} not in set")
-    else:
-        res = (ds / steps).min(axis=1)
-    if probe.mode == "clarke-tangent":
-        # also probe from perturbed base points (limsup over y -> x)
-        dy = np.repeat(10.0 * steps[-3:], 2)
-        perp = np.reshape([_unit_perp(v) for v in V], (k, 1, n))
-        Y = X[:, None, :] + (np.tile([1.0, -1.0], 3) * dy)[:, None] * perp
-        dY = distance_to_set_many(Y.reshape(-1, n), S).reshape(k, len(dy))
-        dQ = distance_to_set_many(
-            (Y[:, :, None, :] + steps[:, None] * V[:, None, None, :]).reshape(-1, n), S)
-        near = (dQ.reshape(k, len(dy), len(steps)) / steps).min(axis=2)
-        res = np.maximum(res, np.where(dY <= tol + dy, near, -np.inf).max(axis=1))
-    return float(res[0]) if probe.x.ndim == 1 else res
-
-
-def _unit_perp(v: np.ndarray) -> np.ndarray:
-    if len(v) == 1:
-        return np.zeros(1)
-    p = np.zeros_like(v)
-    i = int(np.argmin(np.abs(v)))
-    p[i] = 1.0
-    p = p - (p @ v) * v / max(v @ v, 1e-30)
-    n = np.linalg.norm(p)
-    return p / n if n > 0 else p
+    return (ds / steps).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +607,8 @@ def clarke_gradient_sample(B, X, radius: float, m: int = 0, fd_step: float = 1e-
 
 @dataclass(frozen=True)
 class SubgradientCandidate:
-    """Candidate proximal subgradients of B with curvature bound eps: zeta
-    (n,) or (z, n) at one base x (n,), or zetas (k, z, n) at bases x (k, n)."""
+    """Candidate proximal subgradients of B with curvature bound eps: zetas
+    (k, z, n) at bases x (k, n)."""
 
     x: np.ndarray
     zeta: np.ndarray
@@ -653,13 +629,12 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
     """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
 
     B is a batch handle, called once on every base and all of its samples.
-    "holds" and "worst_margin" are (z,) arrays for one base and (z, n) zetas,
-    (k, z) ones for bases (k, n); a zeta's margins do not depend on the others."""
+    "holds" and "worst_margin" are (k, z) arrays; a zeta's margins do not
+    depend on the others."""
     if m < 10:
         raise GeometryError("need m >= 10 test points")
-    X = np.atleast_2d(cand.x)
+    X, zeta = cand.x, cand.zeta
     k, n = X.shape
-    zeta = cand.zeta.reshape(k, -1, n)
     # ball_points(x, ...) is x plus offsets that do not depend on x; the
     # boundary probes along +-coordinate axes are where violations peak
     offsets = np.vstack([sampling.ball_points(np.zeros(n), cand.radius, m, seed=seed),
@@ -672,6 +647,4 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                - _row_dot(d[:, :, None, :], zeta[:, None, :, :])
                + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
     worst = margins.min(axis=1)
-    if cand.x.ndim == 1:
-        worst = float(worst[0, 0]) if cand.zeta.ndim == 1 else worst[0]
     return {"holds": worst >= -tol, "worst_margin": worst}

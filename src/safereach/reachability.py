@@ -54,7 +54,7 @@ def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfi
         raise ValueError("horizon must be finite")
     if t == 0.0:
         return ReachCloud(x, 0.0, x[None, :], "full_tube", len(plan.selectors(F, 0.0)), stride)
-    trajs = solution_bundle(F, x, abs(t), "backward" if t < 0 else "forward", cfg, plan)
+    trajs = solution_bundle(F, x[None], abs(t), "backward" if t < 0 else "forward", cfg, plan)[0]
     points = np.vstack([tr.states[::stride] for tr in trajs]
                        + [tr.states[-1][None, :] for tr in trajs])
     return ReachCloud(x, t, points, "full_tube", len(trajs), stride,
@@ -75,9 +75,8 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
     lam should come from a Lipschitz estimate on a box holding both tubes: a
     pair with a row that leaves box, or escapes, is not applicable.  Returns
     per-pair arrays max_violation (nan where not applicable), holds and
-    applicable; one pair given as (n,) arrays gives a float and bools."""
-    one = np.ndim(X) == 1
-    X, Y = np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(Y, dtype=float))
+    applicable."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     p, n = X.shape
     D = X - Y
     base = np.sqrt(np.vecdot(D, D))     # rounds like np.linalg.norm of one row
@@ -99,11 +98,8 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
                                   observe=lambda t, stepped, Xb: fold(t, Xb))
     applicable = inside & ~(termination == "escape").reshape(S * 2, p).any(axis=0)
     worst = np.where(applicable, worst, np.nan)
-    holds = applicable & (worst <= tol)
-    if one:
-        return {"max_violation": float(worst[0]), "holds": bool(holds[0]),
-                "applicable": bool(applicable[0])}
-    return {"max_violation": worst, "holds": holds, "applicable": applicable}
+    return {"max_violation": worst, "holds": applicable & (worst <= tol),
+            "applicable": applicable}
 
 
 # ---------------------------------------------------------------------------

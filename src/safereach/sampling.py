@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SKIP = 20      # leading Halton points dropped
 
 
 def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray) -> np.ndarray:
@@ -26,13 +27,13 @@ def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray) -> np.nda
     return x
 
 
-def halton(count: int, dim: int, seed: int = 0, skip: int = 20) -> np.ndarray:
+def halton(count: int, dim: int, seed: int = 0) -> np.ndarray:
     """Scrambled Halton points in the unit cube, shape (count, dim)."""
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
     rng = np.random.default_rng(seed)
     cols = []
-    idx = np.arange(skip, skip + count, dtype=np.int64)
+    idx = np.arange(_SKIP, _SKIP + count, dtype=np.int64)
     for d in range(dim):
         base = _PRIMES[d]
         perm = rng.permutation(base)

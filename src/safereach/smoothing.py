@@ -197,14 +197,17 @@ class SmoothedFn:
                       0, len(self.nodes) - 2)
         return ts, seg, _gauss_weights(Q, self.grid, self.sigma)
 
+    def _chunks(self, Q: np.ndarray) -> list:
+        """Row slices of Q small enough that no (rows, n_grid, dim) temporary
+        of the Gaussian weights exceeds PAIR_BUDGET elements."""
+        step = max(1, PAIR_BUDGET // (len(self.grid) * Q.shape[1]))
+        return [slice(i, i + step) for i in range(0, max(len(Q), 1), step)]
+
     def sample_pairs(self, ts, Q) -> np.ndarray:
-        """g(ts[i], Q[i]) for per-point times, a chunk of rows at a time: no
-        (rows, n_grid, dim) temporary exceeds PAIR_BUDGET elements."""
+        """g(ts[i], Q[i]) for per-point times, a chunk of rows at a time."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), len(Q))
-        step = max(1, PAIR_BUDGET // (len(self.grid) * Q.shape[1]))
-        return np.concatenate([self._pairs(ts[i:i + step], Q[i:i + step])
-                               for i in range(0, max(len(Q), 1), step)])
+        return np.concatenate([self._pairs(ts[c], Q[c]) for c in self._chunks(Q)])
 
     def _pairs(self, ts, Q) -> np.ndarray:
         ts, seg, W = self._locate(ts, Q)
@@ -214,7 +217,12 @@ class SmoothedFn:
 
     def sample_times(self, ts, Q) -> np.ndarray:
         """g on a whole time grid, (len(ts), len(Q)): the values of sample_pairs,
-        with the mollified row of each node a time needs computed once."""
+        a chunk of points at a time like it."""
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        return np.concatenate([self._times(ts, Q[c]) for c in self._chunks(Q)], axis=1)
+
+    def _times(self, ts, Q) -> np.ndarray:
+        # the mollified row of each node a time needs is computed once
         ts, seg, W = self._locate(ts, Q)
         need, at = np.unique(np.concatenate([seg, seg + 1]), return_inverse=True)
         M = np.vecdot(self.snapshots[need][:, None, :], W)    # (len(need), len(Q))

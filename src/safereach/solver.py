@@ -95,10 +95,6 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise SolverError("times must be strictly increasing")
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
     def to_csv(self, path) -> None:
         write_csv(path, "t", np.column_stack([self.times, self.states]))
 
@@ -372,16 +368,13 @@ def integrate(F: InclusionSpec, s: Selector, x0, T: float,
     return bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
 
 
-def solution_bundle(F: InclusionSpec, x0, T: float, direction: str = "forward",
+def solution_bundle(F: InclusionSpec, X0, T: float, direction: str = "forward",
                     cfg: IntegratorConfig = IntegratorConfig(),
                     plan: BundlePlan = BundlePlan()) -> list:
-    """One trajectory per selector of plan from x0 (n,); a singleton F yields
-    exactly one.  For a batch of starts (k, n), one such list per start, all
-    integrated in one sweep."""
-    X0 = np.asarray(x0, dtype=float)
-    starts = np.atleast_2d(X0)
+    """For every start of X0 (k, n), one trajectory per selector of plan (a
+    singleton F yields exactly one), all integrated in one sweep."""
     sels = plan.selectors(F, T)
-    flat = bundle_sweep(F, sels, starts, T, cfg, direction, record=True)[1]
-    out = [flat[i::len(starts)] for i in range(len(starts))]
-    return out[0] if X0.ndim == 1 else out
+    flat = bundle_sweep(F, sels, X0, T, cfg, direction, record=True)[1]
+    m = len(flat) // len(sels)
+    return [flat[i::m] for i in range(m)]
 

@@ -28,6 +28,7 @@ UNDER_APPROX_DISCLAIMER = (
     "of F are assumed, not verified")
 
 NAGUMO_DEFAULT_TOL = 1e-5   # absorbs curvature x min-step plus distance noise
+PROP1_CLARKE_RADIUS = 1e-6  # radius of prop1_check's Clarke gradient samples
 
 
 BundlePlanV = BundlePlan     # former name, still imported by bench/test_bench.py
@@ -202,8 +203,7 @@ def _exterior_shell(K: SetSpec, count: int, width: float, seed: int, window):
 def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
                 g: RelaxFn = None, mode: str = "conditional",
                 n_samples: int = 64, shell_width: float = 1e-3, window=None,
-                seed: int = 0, tol: float = 1e-7,
-                clarke_radius: float = 1e-6, fd: float = 1e-7) -> CheckReport:
+                seed: int = 0, tol: float = 1e-7, fd: float = 1e-7) -> CheckReport:
     """Sign conditions plus the Clarke decrease inequality for conditional
     (or strict conditional) invariance of X_s with respect to X_o.
 
@@ -245,7 +245,8 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     if len(region) == 0:
         return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
                            details={"reason": "empty decrease region"})
-    grads = clarke_gradient_sample(handle, region, radius=clarke_radius, fd_step=fd, seed=seed)
+    grads = clarke_gradient_sample(handle, region, radius=PROP1_CLARKE_RADIUS, fd_step=fd,
+                                   seed=seed)
     # time-independent B: zeta_t = 0
     rates, etas = max_rate(F, region, np.concatenate(
         [np.zeros(grads.shape[:-1] + (1,)), grads], axis=-1))

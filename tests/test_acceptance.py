@@ -53,8 +53,7 @@ def test_counterexample_barrier_equivalence():
     T, R = np.meshgrid(ts, radii, indexing="ij")
     pts = np.column_stack([R.ravel(), np.zeros(R.size)])
     got = B.evaluate_many(T.ravel(), pts)
-    want = np.array([counterexample_barrier(t, x)
-                     for t, x in zip(T.ravel(), pts)])
+    want = counterexample_barrier(T.ravel(), pts)
     rel = np.max(np.abs(got - want) / np.abs(want))
     elapsed = time.time() - t0
     _verdict("counterexample-barrier-equivalence",
@@ -69,7 +68,7 @@ def test_limit_cycle_drift():
         r0 = 1.0 / (k * np.pi)
         tr = integrate(COUNTER, Selector.constant(), np.array([r0, 0.0]),
                        2.0 * np.pi, cfg=CFG)
-        worst = max(worst, abs(float(np.linalg.norm(tr.endpoint)) - r0))
+        worst = max(worst, abs(float(np.linalg.norm(tr.states[-1])) - r0))
     _verdict("limit-cycle-drift", worst <= 1e-6, f"max drift {worst:.2e}")
 
 
@@ -81,7 +80,7 @@ def test_time_zero_identity():
     worst = 0.0
     for r, a in zip(radii, angles):
         x = r * np.array([np.cos(a), np.sin(a)])
-        worst = max(worst, abs(counterexample_barrier(0.0, x) - r))
+        worst = max(worst, abs(counterexample_barrier([0.0], [x])[0] - r))
     _verdict("time-zero-identity", worst <= 1e-12, f"max |B(0,x) - |x|| = {worst:.2e}")
 
 
@@ -125,8 +124,8 @@ def test_filippov_bound():
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=2)
         y = x + rng.uniform(-1.0, 1.0, size=2) * 0.5 / np.sqrt(2.0)
-        res = filippov_check(LINEAR, x, y, 1.0, lam, CFG, BundlePlan(1))
-        worst = max(worst, res["max_violation"])
+        res = filippov_check(LINEAR, x[None], y[None], 1.0, lam, CFG, BundlePlan(1))
+        worst = max(worst, res["max_violation"][0])
     _verdict("filippov-bound", worst <= 1e-6,
              f"lambda {lam:.4f}, max violation {worst:.2e} over 20 pairs")
 
@@ -242,7 +241,7 @@ def test_smooth_converse_pipeline():
                              table_res=64, annulus_count=512)
     B = converse_smooth_barrier(f, ORIGIN2, CFG, res)
 
-    zero_ok = all(B.evaluate(t, np.zeros(2)) == 0.0 for t in (0.0, 1.0, 3.0))
+    zero_ok = all(B.evaluate_many([t], [np.zeros(2)])[0] == 0.0 for t in (0.0, 1.0, 3.0))
 
     ax = np.linspace(-1.0, 1.0, 30)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")

@@ -44,7 +44,7 @@ def _assert_batch_independent(B, data, t_max):
         st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))])
     order = np.array(data.draw(st.permutations(range(n))))
     cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
-    singles = np.array([B.evaluate(t, x) for t, x in zip(ts, xs)])
+    singles = np.array([B.evaluate_many([t], [x])[0] for t, x in zip(ts, xs)])
     permuted = B.evaluate_many(ts[order], xs[order])
     assert np.array_equal(permuted, singles[order])
     parts = [B.evaluate_many(ts[p], xs[p]) for p in np.split(order, [c for c in cuts if c < n])]
@@ -54,13 +54,13 @@ def _assert_batch_independent(B, data, t_max):
 class TestClosedFormBarrier:
     def test_zero_at_origin(self):
         for t in (0.0, 1.0, 17.3):
-            assert counterexample_barrier(t, np.zeros(2)) == 0.0
+            assert counterexample_barrier([t], [np.zeros(2)])[0] == 0.0
 
     def test_constant_on_limit_cycles(self):
         for k in (1, 2, 3, 7):
             x = np.array([1.0 / (k * np.pi), 0.0])
             for t in (0.0, 2.0, 100.0):
-                assert counterexample_barrier(t, x) == pytest.approx(
+                assert counterexample_barrier([t], [x])[0] == pytest.approx(
                     1.0 / (k * np.pi), abs=1e-15)
 
     def test_time_zero_identity(self):
@@ -73,22 +73,22 @@ class TestClosedFormBarrier:
                 continue
             ang = rng.uniform(0, 2 * np.pi)
             x = r * np.array([np.cos(ang), np.sin(ang)])
-            assert abs(counterexample_barrier(0.0, x) - r) < 1e-12
+            assert abs(counterexample_barrier([0.0], [x])[0] - r) < 1e-12
             count += 1
 
     def test_matches_radial_flow_branch(self):
         # cot(pi/2) = 0, so at r = 2/pi and t = 2 the value is 1/(3 pi/4)
         x = np.array([2.0 / np.pi, 0.0])
-        assert counterexample_barrier(2.0, x) == pytest.approx(4.0 / (3.0 * np.pi))
+        assert counterexample_barrier([2.0], [x])[0] == pytest.approx(4.0 / (3.0 * np.pi))
 
     def test_nonincreasing_in_time(self):
         x = np.array([0.4, 0.1])
-        vals = [counterexample_barrier(t, x) for t in np.linspace(0, 10, 101)]
+        vals = [counterexample_barrier([t], [x])[0] for t in np.linspace(0, 10, 101)]
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_limits_to_inner_cycle(self):
         x = np.array([0.4, 0.0])          # 1/0.4 = 2.5 in (0, pi), k = 0
-        assert counterexample_barrier(1e9, x) == pytest.approx(1.0 / np.pi, rel=1e-6)
+        assert counterexample_barrier([1e9], [x])[0] == pytest.approx(1.0 / np.pi, rel=1e-6)
 
     @staticmethod
     def _scalar_reference(t, x):
@@ -114,7 +114,7 @@ class TestClosedFormBarrier:
         ts = rng.uniform(0.0, 10.0, len(X))
         with np.errstate(all="raise"):
             batch = counterexample_barrier(ts, X)
-        singles = np.array([counterexample_barrier(t, x) for t, x in zip(ts, X)])
+        singles = np.array([counterexample_barrier([t], [x])[0] for t, x in zip(ts, X)])
         reference = np.array([self._scalar_reference(t, x) for t, x in zip(ts, X)])
         assert np.array_equal(batch, singles) and np.array_equal(batch, reference)
         assert np.array_equal(batch[-len(k):], 1.0 / (k * np.pi)) and not batch[400:402].any()
@@ -125,7 +125,7 @@ class TestMarginalBarrier:
     def test_time_zero_is_distance(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         for x in ([0.3, 0.4], [0.05, 0.0], [1.0, -1.0]):
-            assert B.evaluate(0.0, np.array(x)) == pytest.approx(
+            assert B.evaluate_many([0.0], [np.array(x)])[0] == pytest.approx(
                 np.linalg.norm(x), abs=1e-12)
 
     def test_negative_time_raises_barrier_error(self):
@@ -146,12 +146,12 @@ class TestMarginalBarrier:
     def test_zero_on_initial_set(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         for t in (0.0, 1.0, 3.0):
-            assert B.evaluate(t, np.zeros(2)) == 0.0
+            assert B.evaluate_many([t], [np.zeros(2)])[0] == 0.0
 
     def test_matches_closed_form_at_spec_point(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         x = np.array([2.0 / np.pi, 0.0])
-        assert B.evaluate(2.0, x) == pytest.approx(4.0 / (3.0 * np.pi), rel=1e-6)
+        assert B.evaluate_many([2.0], [x])[0] == pytest.approx(4.0 / (3.0 * np.pi), rel=1e-6)
 
     def test_nonincreasing_in_t_on_stored_grid(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
@@ -174,7 +174,7 @@ class TestMarginalBarrier:
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2)
             y = x + rng.uniform(-0.1, 0.1, size=2)
-            bx, by = (B.evaluate(t, x), B.evaluate(t, y))
+            bx, by = (B.evaluate_many([t], [x])[0], B.evaluate_many([t], [y])[0])
             assert abs(bx - by) <= np.exp(lam * t) * np.linalg.norm(x - y) + 1e-9
 
     def test_perturbed_bundle_lowers_values(self):
@@ -186,8 +186,8 @@ class TestMarginalBarrier:
         B0 = marginal_barrier(F0, X_o, CFG, directions=1)
         Be = marginal_barrier(Fe, X_o, CFG, directions=8)
         for x in ([1.2, 0.0], [0.9, 0.7]):
-            v0 = B0.evaluate(0.75, np.array(x))
-            ve = Be.evaluate(0.75, np.array(x))
+            v0 = B0.evaluate_many([0.75], [np.array(x)])[0]
+            ve = Be.evaluate_many([0.75], [np.array(x)])[0]
             assert ve <= v0 + 1e-9
 
     def test_batch_matches_scalar(self):
@@ -195,7 +195,7 @@ class TestMarginalBarrier:
         ts = np.array([0.0, 0.5, 1.25])
         xs = np.array([[0.3, 0.0], [0.4, 0.2], [0.6, -0.1]])
         batch = B.evaluate_many(ts, xs)
-        singles = [B.evaluate(t, x) for t, x in zip(ts, xs)]
+        singles = [B.evaluate_many([t], [x])[0] for t, x in zip(ts, xs)]
         assert np.array_equal(batch, singles)
 
     @settings(max_examples=20, deadline=None)
@@ -215,7 +215,7 @@ class TestMarginalBarrier:
         # switch times spread over the batch's largest t gave this point
         # 0.9196 alone and 0.9745 beside a t = 6 point
         x = np.array([1.923, 0.742])
-        alone = SWITCHED_B.evaluate(1.081, x)
+        alone = SWITCHED_B.evaluate_many([1.081], [x])[0]
         assert SWITCHED_B.evaluate_many([1.081, 6.0], [x, [0.3, -1.4]])[0] == alone
 
     def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
@@ -247,7 +247,7 @@ class TestMarginalBarrier:
         ts = np.array([0.0, 0.25, 0.5 + 1 / 128, 1.0, 1.5, 0.25])
         xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
         T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
-        singles = {(t, tuple(x)): B.evaluate(t, x) for t, x in zip(T, X)}
+        singles = {(t, tuple(x)): B.evaluate_many([t], [x])[0] for t, x in zip(T, X)}
         expected = np.array([singles[t, tuple(x)] for t, x in zip(T, X)])
         assert np.array_equal(B.evaluate_many(T, X), expected)
         order = np.random.default_rng(4).permutation(len(T))
@@ -264,12 +264,12 @@ class TestMarginalBarrier:
                              directions=4, switches=switches)
         ts = np.array([0.25, 0.5 + 1 / 128, 1.0 + 1 / 256, 1.5, 3.0])
         xs = np.array([[2.5, 0.5], [0.9, 0.7], [0.2, 0.1]])
-        B.evaluate(0.5 + 1 / 128, xs[0])
+        B.evaluate_many([0.5 + 1 / 128], [xs[0]])
         assert not B.core.truncated
-        B.evaluate(1.0 + 1 / 256, xs[0])
+        B.evaluate_many([1.0 + 1 / 256], [xs[0]])
         assert B.core.truncated
         T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
-        singles = np.array([B.evaluate(t, x) for t, x in zip(T, X)])
+        singles = np.array([B.evaluate_many([t], [x])[0] for t, x in zip(T, X)])
         assert np.array_equal(B.evaluate_many(T, X), singles)
         assert B.core.truncated
         order = np.random.default_rng(6).permutation(len(T))
@@ -527,7 +527,7 @@ def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, 
     depends on its own row only.  Proximal base times sit at least the
     proximal radius + fd above 0.  A ball inclusion takes the exact ball
     maximum, any other kind a loop over its vertices; samples count zetas."""
-    value = functools.cache(lambda t, *x: B.evaluate(t, np.array(x)))
+    value = functools.cache(lambda t, *x: B.evaluate_many([t], [np.array(x)])[0])
     H = lambda u: value(*map(float, u))
     per_t = max(count // len(t_grid), 8)
     pool = sampling.box_points(np.array(WINDOW[0]), np.array(WINDOW[1]), per_t * 4, seed=seed)
@@ -597,7 +597,7 @@ class TestZeroLevelBisection:
         assert len(picked) == len(expect) == count
         for (t, p), (te, pe) in zip(picked, expect):
             assert t == te and np.array_equal(p, pe)
-            assert 0.0 < HULL_B.evaluate(t, p) < 1e-12
+            assert 0.0 < HULL_B.evaluate_many([t], [p])[0] < 1e-12
 
 
 class TestBatchedDecrease:
@@ -675,8 +675,8 @@ class TestMembershipAndProbes:
     def test_marginal_membership_on_initial_set(self):
         # X_o lies in the zero sublevel set of B(1, .), a point off it does not
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
-        assert B.evaluate(1.0, np.zeros(2)) <= 0.0
-        assert B.evaluate(1.0, np.array([0.3, 0.0])) > 0.0
+        assert B.evaluate_many([1.0], [np.zeros(2)])[0] <= 0.0
+        assert B.evaluate_many([1.0], [[0.3, 0.0]])[0] > 0.0
 
     def test_lsc_probe_on_continuous_barrier(self):
         # lower semicontinuity, one-sided: on shrinking rings around x the
@@ -685,5 +685,5 @@ class TestMembershipAndProbes:
         t, x = 1.0, np.array([0.4, 0.0])
         rings = np.concatenate([x + r * sampling.sphere_directions(2, 16, seed=0)
                                 for r in (1e-2, 1e-3, 1e-4)])
-        drop = B.evaluate(t, x) - B.evaluate_many(np.full(len(rings), t), rings).min()
+        drop = B.evaluate_many([t], [x])[0] - B.evaluate_many(np.full(len(rings), t), rings).min()
         assert drop <= 0.05

@@ -12,10 +12,9 @@ import safereach.barrier as barrier
 import safereach.reachability as reachability
 from safereach import cli
 from safereach.cli import main
-from safereach.config import (ConfigError, build_scenario, parse_config,
-                              set_to_config)
+from safereach.config import ConfigError, build_scenario, parse_config
 from safereach.dynamics import InclusionSpec, builtin_field
-from safereach.geometry import SamplePlan, SetSpec, distance_to_set
+from safereach.geometry import SamplePlan, SetSpec
 from safereach.solver import BundlePlan, IntegratorConfig
 from safereach.verify import nagumo_check
 
@@ -131,19 +130,6 @@ class TestConfigParsing:
         a = parse_config(MINIMAL)
         b = parse_config(MINIMAL + "\n# comment\n")
         assert a.hash() != b.hash()
-
-    def test_set_round_trips_through_config(self):
-        original = SetSpec.intersection(
-            [SetSpec.ball([0.5, -1.0], 2.0),
-             SetSpec.complement(SetSpec.box([-0.5, -0.5], [0.5, 0.5]))],
-            name="shell")
-        text = "seed = 1\n" + set_to_config(original)
-        scn = build_scenario(parse_config(text))
-        rebuilt = scn.sets["shell"]
-        rng = np.random.default_rng(0)
-        for p in rng.uniform(-3, 3, size=(25, 2)):
-            assert distance_to_set(p, rebuilt) == pytest.approx(
-                distance_to_set(p, original), abs=1e-9)
 
 
 class TestCommands:
@@ -487,6 +473,32 @@ class TestCommands:
             assert main(["barrier-eval", "--config", str(self._write(tmp_path, text)),
                          "--set", f"barrier-eval.{key}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["barrier-eval", "--config", "counterexample.scenario", "--set",
+          "barrier.kind=counterexample", "--set", "barrier-eval.window=-1 1 -1"],
+         "[barrier-eval] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 3 numbers"),
+        (["barrier-eval", "--config", "counterexample.scenario",
+          "--set", "barrier-eval.window=-1 -1 -1 1 1 1"],
+         "[barrier-eval] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 6 numbers"),
+        (["check", "--config", "linear.scenario", "--set", "sampling.window=-1 1 -1"],
+         "[sampling] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 3 numbers"),
+        (["check", "--config", "counterexample.scenario", "--set", "sampling.window=-1 1"],
+         "[sampling] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 2 numbers"),
+        (["check", "--config", "linear.scenario", "--set", "set ELLIPSE.window=-4 -2 4"],
+         "[set ELLIPSE] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 3 numbers"),
+        (["smooth", "--config", "smooth.scenario", "--set", "set ANNULUS.window=-1 1 0"],
+         "[set ANNULUS] window must be 'lo_1 .. lo_n hi_1 .. hi_n', got 3 numbers"),
+    ])
+    def test_a_malformed_window_is_refused_by_its_key(self, tmp_path, capsys, argv, message):
+        argv = argv[:2] + [str(SCENARIOS / argv[2])] + argv[3:]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not out.exists()
 
     def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):

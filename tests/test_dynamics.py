@@ -80,19 +80,19 @@ class TestBuiltins:
 class TestInclusion:
     def test_singleton_eval(self):
         F = InclusionSpec.singleton(builtin_field("linear_safe"))
-        ev = eval_inclusion(F, np.array([1.0, 0.0]))
-        assert ev.radius == 0.0
-        assert np.allclose(ev.vertices, [[-1.0, 1.0]])
+        assert np.allclose(eval_inclusion(F, [[1.0, 0.0]]), [[[-1.0, 1.0]]])
 
     def test_ball_degenerates_to_singleton(self):
-        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.0)
-        assert eval_inclusion(F, np.zeros(2)).radius == 0.0
+        f = builtin_field("linear_safe")
+        X = np.array([[0.0, 0.0], [1.0, -0.5]])
+        assert np.array_equal(inclusion_extreme_points(InclusionSpec.ball_perturbed(f, 0.0), X),
+                              eval_inclusion(InclusionSpec.singleton(f), X))
 
     def test_hull_of_f_and_minus_f(self):
         f = builtin_field("linear_safe")
         F = InclusionSpec.hull([f, negated(f)])
-        ev = eval_inclusion(F, np.array([0.5, 0.5]))
-        assert np.allclose(ev.vertices[0], -ev.vertices[1])
+        V = eval_inclusion(F, [[0.5, 0.5]])[0]
+        assert np.allclose(V[0], -V[1])
 
     def test_selection_is_member(self):
         f = builtin_field("linear_safe")
@@ -124,7 +124,7 @@ class TestInclusion:
         f = builtin_field("linear_safe")
         F = InclusionSpec.ball_perturbed(f, 0.25)
         x = np.array([1.0, 0.0])
-        pts = inclusion_extreme_points(F, x, directions=8)
+        pts = inclusion_extreme_points(F, x[None], directions=8)[0]
         assert len(pts) == 8
         assert np.allclose(np.linalg.norm(pts - f(x), axis=1), 0.25)
 
@@ -133,11 +133,12 @@ class TestInclusion:
         X = np.random.default_rng(2).normal(size=(5, 2))
         for F in (InclusionSpec.singleton(f), InclusionSpec.hull([f, QUAD]),
                   InclusionSpec.ball_perturbed(f, 0.25)):
-            ev = eval_inclusion(F, X)
-            assert ev.vertices.shape == (5, len(F.fields), 2)
-            assert np.array_equal(ev.center, np.stack([eval_inclusion(F, x).center for x in X]))
+            V = eval_inclusion(F, X)
+            assert V.shape == (5, len(F.fields), 2)
+            assert np.array_equal(V, np.concatenate([eval_inclusion(F, x[None]) for x in X]))
             pts = inclusion_extreme_points(F, X, directions=8)
-            assert np.array_equal(pts, np.stack([inclusion_extreme_points(F, x, 8) for x in X]))
+            assert np.array_equal(pts, np.concatenate([inclusion_extreme_points(F, x[None], 8)
+                                                       for x in X]))
 
     @given(st.floats(0, 2 * np.pi), st.floats(0, 1),
            st.lists(st.floats(-3, 3), min_size=2, max_size=2))

@@ -1,41 +1,68 @@
-"""Every public name of the package is one that the package itself runs."""
+"""Every name defined in src/ is one that the package itself runs: each
+export, top-level function and class, and method (dunders aside) is read
+somewhere in src/ outside its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import safereach
 
 SRC = Path(safereach.__file__).parent
 
-# public names kept on purpose with no reference in src/
+# names kept on purpose with no reference in src/
 KEPT = {
     "distance_to_set": "bench/spans.py patches it",
     "integrate": "bench/spans.py patches it",
     "load_cloud": "reads the .rch files that the reach command writes",
     "hausdorff_distance": "a reference distance for the tests of reach clouds",
+    "exactness": "bench/spans.py reads it to tell exact from estimated distance queries",
 }
 
 
-def _referenced_names() -> set:
-    """Names loaded (x) or read as attributes (m.x) in src/, imports and
-    definitions not counted; __init__ only lists the exports."""
-    names = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+def _loads(node) -> Counter:
+    """Names loaded (x) or read as attributes (m.x) under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _modules() -> list:
+    """The parsed modules of src/; __init__ only lists the exports."""
+    return [ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "__init__.py"]
+
+
+def _definitions(modules: list) -> list:
+    """The top-level functions and classes of the modules and the methods of
+    those classes, dunders aside."""
+    defs = []
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+                if isinstance(node, ast.ClassDef):
+                    defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+    return [d for d in defs if not (d.name.startswith("__") and d.name.endswith("__"))]
+
+
+def _unreferenced() -> set:
+    """Definitions whose name is read nowhere in src/ but in their own body
+    (a recursion is not a use)."""
+    modules = _modules()
+    total = sum((_loads(m) for m in modules), Counter())
+    return {d.name for d in _definitions(modules) if total[d.name] == _loads(d)[d.name]}
 
 
 def test_every_export_has_a_reference_in_src():
-    unused = sorted(set(safereach.__all__) - _referenced_names() - set(KEPT))
+    unused = sorted(set(safereach.__all__) & _unreferenced() - set(KEPT))
     assert unused == [], f"exported but unreferenced in src/: {unused}"
 
 
+def test_every_definition_has_a_reference_in_src():
+    unused = sorted(_unreferenced() - set(KEPT))
+    assert unused == [], f"defined but unreferenced in src/: {unused}"
+
+
 def test_the_kept_names_are_still_exported_and_still_unreferenced():
-    assert set(KEPT) <= set(safereach.__all__)
-    assert not set(KEPT) & _referenced_names()
+    # a kept name is an export or, like a method, a definition of src/
+    assert set(KEPT) <= set(safereach.__all__) | {d.name for d in _definitions(_modules())}
+    assert set(KEPT) <= _unreferenced()

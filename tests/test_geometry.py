@@ -172,7 +172,7 @@ class TestConeResidual:
         with pytest.raises(GeometryError):
             ConeProbe([0, 0], [1, 0], steps=(1e-3, 1e-2, 1e-1))  # increasing
 
-    @pytest.mark.parametrize("mode", ["contingent", "external", "clarke-tangent"])
+    @pytest.mark.parametrize("mode", ["contingent", "external"])
     @pytest.mark.parametrize("S", [disk, SetSpec.sublevel(
         lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2, window=([-4, -2], [4, 2]))])
     def test_batch_equals_one_row_calls(self, mode, S):
@@ -185,22 +185,13 @@ class TestConeResidual:
         V = rng.normal(size=(12, 2))
         V[5, 0] = 0.0                           # an axis-aligned direction
         batch = cone_residual(ConeProbe(X, V, mode=mode), S)
-        singles = [cone_residual(ConeProbe(x, v, mode=mode), S) for x, v in zip(X, V)]
-        assert batch.shape == (12,) and all(isinstance(r, float) for r in singles)
-        assert np.array_equal(batch, singles)
+        singles = [cone_residual(ConeProbe([x], [v], mode=mode), S)[0] for x, v in zip(X, V)]
+        assert batch.shape == (12,) and np.array_equal(batch, singles)
 
     def test_batch_names_the_first_base_outside(self):
         X = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 3.0], [2.0, 0.0]])
         with pytest.raises(GeometryError, match=r"base point \[0\.0, 3\.0\] not in set"):
             cone_residual(ConeProbe(X, np.ones((4, 2))), self.disk)
-
-    def test_clarke_tangent_mode(self):
-        # on the smooth disk the Clarke tangent cone matches the contingent
-        # cone: inward admitted, outward rejected, also from perturbed bases
-        inward = ConeProbe([1.0, 0.0], [-1.0, 0.0], mode="clarke-tangent")
-        assert cone_residual(inward, self.disk) <= 1e-6
-        outward = ConeProbe([1.0, 0.0], [1.0, 0.0], mode="clarke-tangent")
-        assert cone_residual(outward, self.disk) > 0.5
 
 
 class TestClarkeGradient:
@@ -261,32 +252,35 @@ class TestClarkeGradient:
 
 class TestProximalSubgradient:
     def test_squared_norm_at_origin(self):
-        cand = SubgradientCandidate([0.0, 0.0], [0.0, 0.0], radius=0.1)
+        cand = SubgradientCandidate([[0.0, 0.0]], [[[0.0, 0.0]]], radius=0.1)
         res = proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1))
-        assert res["holds"] and res["worst_margin"] >= 0.0
+        assert res["holds"][0, 0] and res["worst_margin"][0, 0] >= 0.0
 
     def test_concave_kink_has_empty_subdifferential(self):
         # 1-D enumeration: at y = +-r the margin is -r -+ zeta*r + eps r^2 < 0
         B = lambda X: -np.abs(X[:, 0])
         for zeta in ([0.0], [0.5], [-0.7]):
-            cand = SubgradientCandidate([0.0], zeta, radius=1e-3, eps=10.0)
-            assert not proximal_subgradient_test(cand, B)["holds"]
+            cand = SubgradientCandidate([[0.0]], [[zeta]], radius=1e-3, eps=10.0)
+            assert not proximal_subgradient_test(cand, B)["holds"][0, 0]
 
     def test_norm_kink_accepts_interior_slope(self):
         B = lambda X: np.linalg.norm(X, axis=1)
-        cand = SubgradientCandidate([0.0, 0.0], [0.5, 0.0], radius=0.1)
-        assert proximal_subgradient_test(cand, B)["holds"]
+        cand = SubgradientCandidate([[0.0, 0.0]], [[[0.5, 0.0]]], radius=0.1)
+        assert proximal_subgradient_test(cand, B)["holds"][0, 0]
 
     def test_all_candidates_in_one_call(self):
         calls = []
         B = lambda X: calls.append(len(X)) or np.abs(X[:, 0]) + X[:, 1] ** 2
         zetas = np.array([[0.0, 0.0], [0.9, 0.0], [1.5, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        res = proximal_subgradient_test(SubgradientCandidate([0.0, 0.0], zetas, radius=0.1), B)
+        res = proximal_subgradient_test(SubgradientCandidate([[0.0, 0.0]], [zetas], radius=0.1),
+                                        B)
         assert calls == [1 + 64 + 4]
-        assert res["holds"].tolist() == [True, True, False, True, False]
-        for zeta, holds, worst in zip(zetas, res["holds"], res["worst_margin"]):
-            one = proximal_subgradient_test(SubgradientCandidate([0.0, 0.0], zeta, radius=0.1), B)
-            assert one == {"holds": holds, "worst_margin": worst}
+        assert res["holds"].tolist() == [[True, True, False, True, False]]
+        for zeta, holds, worst in zip(zetas, res["holds"][0], res["worst_margin"][0]):
+            one = proximal_subgradient_test(SubgradientCandidate([[0.0, 0.0]], [[zeta]],
+                                                                 radius=0.1), B)
+            assert np.array_equal(one["holds"], [[holds]])
+            assert np.array_equal(one["worst_margin"], [[worst]])
 
     def test_all_bases_in_one_call(self):
         calls = []
@@ -299,13 +293,13 @@ class TestProximalSubgradient:
         assert res["holds"].shape == res["worst_margin"].shape == (3, 4)
         assert 0 < res["holds"].sum() < 12
         for x, zs, holds, worst in zip(X, zetas, res["holds"], res["worst_margin"]):
-            one = proximal_subgradient_test(SubgradientCandidate(x, zs, radius=0.1, eps=2.0),
+            one = proximal_subgradient_test(SubgradientCandidate([x], [zs], radius=0.1, eps=2.0),
                                             B, m=16)
-            assert np.array_equal(one["holds"], holds)
-            assert np.array_equal(one["worst_margin"], worst)
+            assert np.array_equal(one["holds"], [holds])
+            assert np.array_equal(one["worst_margin"], [worst])
 
     def test_minimum_sample_count(self):
-        cand = SubgradientCandidate([0.0], [0.0], radius=0.1)
+        cand = SubgradientCandidate([[0.0]], [[[0.0]]], radius=0.1)
         with pytest.raises(GeometryError):
             proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1), m=4)
 

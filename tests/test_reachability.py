@@ -63,7 +63,7 @@ class TestReach:
         # a stride that skips the last node still keeps every path's endpoint
         x = np.array([1.0, 0.0])
         tube = reach(LINEAR, x, 1.0, CFG, PLAN, stride=7)
-        end = solution_bundle(LINEAR, x, 1.0, cfg=CFG, plan=PLAN)[0].endpoint
+        end = solution_bundle(LINEAR, x[None], 1.0, cfg=CFG, plan=PLAN)[0][0].states[-1]
         assert (1.0 / CFG.step) % 7 != 0
         assert any(np.array_equal(p, end) for p in tube.points)
 
@@ -146,32 +146,29 @@ class TestCache:
 
 class TestFilippov:
     def test_identical_points_zero_bound(self):
-        x = np.array([1.0, 0.0])
+        x = np.array([[1.0, 0.0]])
         res = filippov_check(LINEAR, x, x, 1.0, 10.0, CFG, PLAN)
-        assert res["holds"]
-        assert abs(res["max_violation"]) < 1e-10
+        assert res["holds"][0]
+        assert abs(res["max_violation"][0]) < 1e-10
 
     def test_linear_pair_with_estimated_constant(self):
         lam = lipschitz_estimate(LINEAR, SetSpec.box([-3, -3], [3, 3]), grid=9)
-        res = filippov_check(LINEAR, np.array([1.0, 0.0]), np.array([0.95, 0.05]),
-                             1.0, lam, CFG, PLAN)
-        assert res["holds"]
-        assert res["max_violation"] <= 1e-6
+        res = filippov_check(LINEAR, [[1.0, 0.0]], [[0.95, 0.05]], 1.0, lam, CFG, PLAN)
+        assert res["holds"][0]
+        assert res["max_violation"][0] <= 1e-6
 
     def test_zero_lambda_fails_on_expanding_field(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
-        res = filippov_check(F, np.array([1.0, 0.0]), np.array([1.2, 0.0]),
-                             1.0, 0.0, CFG, PLAN)
-        assert not res["holds"]
+        res = filippov_check(F, [[1.0, 0.0]], [[1.2, 0.0]], 1.0, 0.0, CFG, PLAN)
+        assert not res["holds"][0]
         # spread grows like (e^s - 1)|x - y|
-        assert res["max_violation"] == pytest.approx((np.e - 1.0) * 0.2, rel=1e-3)
+        assert res["max_violation"][0] == pytest.approx((np.e - 1.0) * 0.2, rel=1e-3)
 
     def test_box_exit_reported(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
         box = SetSpec.box([-0.5, -0.5], [0.5, 0.5])
-        res = filippov_check(F, np.array([0.4, 0.0]), np.array([0.45, 0.0]),
-                             2.0, 1.0, CFG, PLAN, box=box)
-        assert res["applicable"] is False
+        res = filippov_check(F, [[0.4, 0.0]], [[0.45, 0.0]], 2.0, 1.0, CFG, PLAN, box=box)
+        assert res["applicable"].tolist() == [False]
 
 
 class TestFilippovBatch:
@@ -189,9 +186,9 @@ class TestFilippovBatch:
         res = filippov_check(self.F, X, Y, 1.0, lam, CFG, self.PLAN)
         assert res["max_violation"].shape == res["holds"].shape == (6,)
         for i in range(6):
-            one = filippov_check(self.F, X[i], Y[i], 1.0, lam, CFG, self.PLAN)
-            assert one["max_violation"] == res["max_violation"][i]
-            assert one["holds"] == res["holds"][i] and one["applicable"]
+            one = filippov_check(self.F, X[i:i + 1], Y[i:i + 1], 1.0, lam, CFG, self.PLAN)
+            assert one["max_violation"][0] == res["max_violation"][i]
+            assert one["holds"][0] == res["holds"][i] and one["applicable"][0]
             # the bound along recorded paths: every x-path against the y-cloud, node by node
             tx, ty = solution_bundle(self.F, np.stack([X[i], Y[i]]), 1.0, cfg=CFG,
                                      plan=self.PLAN)
@@ -199,7 +196,7 @@ class TestFilippovBatch:
             base = float(np.linalg.norm(X[i] - Y[i]))
             worst = max(float((np.linalg.norm(tr.states[None] - cloud, axis=2).min(axis=0)
                                - np.exp(lam * tr.times) * base).max()) for tr in tx)
-            assert one["max_violation"] == worst
+            assert one["max_violation"][0] == worst
         assert res["applicable"].all()
         assert res["holds"].tolist() == (res["max_violation"] <= 1e-6).tolist()
 
@@ -225,8 +222,8 @@ class TestFilippovBatch:
         assert res["applicable"].tolist() == [True, False, True, True]
         assert np.isnan(res["max_violation"][1]) and not res["holds"][1]
         for i in (0, 2, 3):
-            one = filippov_check(F, X[i], Y[i], 1.0, 1.0, CFG, PLAN, box=box)
-            assert one["max_violation"] == res["max_violation"][i] and one["holds"]
+            one = filippov_check(F, X[i:i + 1], Y[i:i + 1], 1.0, 1.0, CFG, PLAN, box=box)
+            assert one["max_violation"][0] == res["max_violation"][i] and one["holds"][0]
         # an escaping row is frozen early; its pair alone is not applicable
         esc = IntegratorConfig(step=CFG.step, escape_radius=1.0)
         res = filippov_check(F, X, Y, 1.0, 1.0, esc, PLAN)

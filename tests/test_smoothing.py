@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safereach import smoothing
 from safereach.barrier import BarrierError
 from safereach.dynamics import Selector, builtin_field
 from safereach.geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
@@ -215,6 +216,17 @@ class TestSmoothOnCompact:
         assert np.array_equal(g.sample_pairs(ts, Q).view(np.uint64),
                               np.array(alone).view(np.uint64))
 
+    def test_a_sample_times_call_of_several_chunks_equals_one_chunk(self, monkeypatch):
+        grid = annulus_grid(41)
+        g = smooth_on_compact(build_time_partition(exp_decay, grid, k_max=2, table_res=128))
+        Q = np.random.default_rng(8).uniform(-1.0, 1.0, size=(400, 2))
+        ts = np.array([0.0, 0.31, 1.0, 1.47, 2.0])
+        assert len(g._chunks(Q)) >= 3
+        chunked = g.sample_times(ts, Q)
+        monkeypatch.setattr(smoothing, "PAIR_BUDGET", len(Q) * len(g.grid) * 2)
+        assert len(g._chunks(Q)) == 1
+        assert np.array_equal(chunked.view(np.uint64), g.sample_times(ts, Q).view(np.uint64))
+
     def test_certificate_present(self):
         grid = annulus_grid(21)
         part = build_time_partition(exp_decay, grid, k_max=1, table_res=64)
@@ -345,9 +357,9 @@ class TestConversePipeline:
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, Xo, IntegratorConfig(step=1 / 256), res)
         # zero on X_o, positive off it
-        assert B.evaluate(1.0, np.zeros(2)) == 0.0
+        assert B.evaluate_many([1.0], [np.zeros(2)])[0] == 0.0
         for x in ([0.3, 0.0], [0.0, -0.7], [0.5, 0.5]):
-            assert B.evaluate(0.5, np.array(x)) > 0.0
+            assert B.evaluate_many([0.5], [np.array(x)])[0] > 0.0
         # nonincreasing along a forward trajectory of the original system
         from safereach.dynamics import InclusionSpec, Selector
         from safereach.solver import integrate
@@ -358,7 +370,7 @@ class TestConversePipeline:
         vals = B.evaluate_many(tr.times[idx], tr.states[idx])
         assert np.all(np.diff(vals) <= 1e-7)
         # a value depends on its own (t, x) only, not on the batch's other times
-        single = [B.evaluate(t, x) for t, x in zip(tr.times[idx], tr.states[idx])]
+        single = [B.evaluate_many([t], [x])[0] for t, x in zip(tr.times[idx], tr.states[idx])]
         assert np.array_equal(vals, single)
 
     def test_backward_touch_gives_zero(self):
@@ -369,20 +381,20 @@ class TestConversePipeline:
         res = ConverseResolution(s_range=tuple(range(-10, 1)), k_max=3,
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, Xo, IntegratorConfig(step=1 / 256), res)
-        assert B.evaluate(2.0, np.array([0.02, 0.0])) == 0.0
-        assert B.evaluate(2.0, np.array([0.2, 0.0])) > 0.0
-        assert B.evaluate(0.0, np.array([0.8, 0.0])) > 0.0
+        assert B.evaluate_many([2.0], [[0.02, 0.0]])[0] == 0.0
+        assert B.evaluate_many([2.0], [[0.2, 0.0]])[0] > 0.0
+        assert B.evaluate_many([0.0], [[0.8, 0.0]])[0] > 0.0
         # a horizon over the step budget is refused before any step
         B.batch_fn.__self__.cfg = IntegratorConfig(step=1 / 256, max_steps=256)
-        assert B.evaluate(1.0, np.array([0.2, 0.0])) > 0.0
+        assert B.evaluate_many([1.0], [[0.2, 0.0]])[0] > 0.0
         with pytest.raises(SolverError, match="horizon 2 needs 512 steps"):
-            B.evaluate(2.0, np.array([0.2, 0.0]))
+            B.evaluate_many([2.0], [[0.2, 0.0]])
         # a count cast to int before the check wrapped negative: no step, and
         # the value of an unflowed state
         with pytest.raises(SolverError, match="horizon 1e[+]20 needs 25600000000000000000000 "):
-            B.evaluate(1e20, np.array([0.2, 0.0]))
+            B.evaluate_many([1e20], [[0.2, 0.0]])
         with pytest.raises(BarrierError, match="finite t, got inf"):
-            B.evaluate(np.inf, np.array([0.2, 0.0]))
+            B.evaluate_many([np.inf], [[0.2, 0.0]])
 
     def test_negative_time_is_refused(self):
         f = builtin_field("counterexample2d")
@@ -390,10 +402,10 @@ class TestConversePipeline:
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, SetSpec.ball([0.0, 0.0], 0.05), IntegratorConfig(step=1 / 256),
                                     res)
-        assert B.evaluate(0.0, np.array([0.2, 0.0])) > 0.0
+        assert B.evaluate_many([0.0], [[0.2, 0.0]])[0] > 0.0
         for t in (-1.0, -5.0):
             with pytest.raises(BarrierError, match="converse barrier defined for t >= 0"):
-                B.evaluate(t, np.array([0.2, 0.0]))
+                B.evaluate_many([t], [[0.2, 0.0]])
 
     def test_tube_table_is_the_running_minimum_along_each_path(self):
         # every table entry against a running minimum along the recorded

@@ -29,7 +29,7 @@ class TestIntegrate:
         tr = integrate(LINEAR, Selector.constant(), x0, T, cfg=CFG)
         oracle = expm(LINEAR_SAFE_A * T) @ x0
         assert tr.termination == "horizon"
-        assert np.linalg.norm(tr.endpoint - oracle) < 1e-8
+        assert np.linalg.norm(tr.states[-1] - oracle) < 1e-8
         assert np.max(np.linalg.norm(tr.states, axis=1)) < 4.0
 
     def test_rk4_order_via_step_halving(self):
@@ -40,7 +40,7 @@ class TestIntegrate:
         for step in (1 / 64, 1 / 128):
             tr = integrate(LINEAR, Selector.constant(), x0, T,
                            cfg=IntegratorConfig(step=step))
-            errs.append(np.linalg.norm(tr.endpoint - oracle))
+            errs.append(np.linalg.norm(tr.states[-1] - oracle))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
@@ -50,7 +50,7 @@ class TestIntegrate:
             r0 = 1.0 / (k * np.pi)
             tr = integrate(F, Selector.constant(), np.array([r0, 0.0]),
                            2 * np.pi, cfg=CFG)
-            assert abs(np.linalg.norm(tr.endpoint) - r0) < 1e-6
+            assert abs(np.linalg.norm(tr.states[-1]) - r0) < 1e-6
 
     def test_equilibrium_constant(self):
         F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
@@ -60,9 +60,9 @@ class TestIntegrate:
     def test_forward_backward_roundtrip(self):
         x0 = np.array([0.8, -0.3])
         fwd = integrate(LINEAR, Selector.constant(), x0, 1.0, cfg=CFG)
-        back = integrate(LINEAR, Selector.constant(), fwd.endpoint, 1.0,
+        back = integrate(LINEAR, Selector.constant(), fwd.states[-1], 1.0,
                          direction="backward", cfg=CFG)
-        assert np.linalg.norm(back.endpoint - x0) < 10 * CFG.accuracy
+        assert np.linalg.norm(back.states[-1] - x0) < 10 * CFG.accuracy
 
     def test_escape_termination(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
@@ -91,7 +91,7 @@ class TestIntegrate:
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
         r0 = 1.0 / (2 * np.pi)
         tr = integrate(F, Selector.constant(), np.array([r0, 0.0]), 2 * np.pi, cfg=CFG)
-        assert abs(np.linalg.norm(tr.endpoint) - r0) < 1e-6
+        assert abs(np.linalg.norm(tr.states[-1]) - r0) < 1e-6
 
     def test_backward_stores_nonnegative_times(self):
         tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.5,
@@ -99,19 +99,19 @@ class TestIntegrate:
         assert tr.direction == "backward"
         assert tr.times[0] == 0.0 and np.all(np.diff(tr.times) > 0)
         oracle = expm(-LINEAR_SAFE_A * 0.5) @ np.array([1.0, 0.0])
-        assert np.linalg.norm(tr.endpoint - oracle) < 1e-7
+        assert np.linalg.norm(tr.states[-1] - oracle) < 1e-7
 
 
 class TestBundle:
     def test_singleton_bundle_size_one(self):
-        trs = solution_bundle(LINEAR, np.array([1.0, 0.0]), 0.5, cfg=CFG, plan=BundlePlan(8))
+        trs = solution_bundle(LINEAR, [[1.0, 0.0]], 0.5, cfg=CFG, plan=BundlePlan(8))[0]
         assert len(trs) == 1
 
     def test_degenerate_ball_identical(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.0)
-        trs = solution_bundle(F, np.array([1.0, 0.0]), 0.5, cfg=CFG, plan=BundlePlan(8))
+        trs = solution_bundle(F, [[1.0, 0.0]], 0.5, cfg=CFG, plan=BundlePlan(8))[0]
         assert len(trs) == 8
-        ends = np.array([tr.endpoint for tr in trs])
+        ends = np.array([tr.states[-1] for tr in trs])
         assert np.allclose(ends, ends[0])
 
     def test_gronwall_endpoint_spread(self):
@@ -119,16 +119,16 @@ class TestBundle:
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), eps)
         lam = lipschitz_estimate(InclusionSpec.singleton(builtin_field("linear_safe")),
                                  SetSpec.box([-3, -3], [3, 3]), grid=7)
-        trs = solution_bundle(F, np.array([1.0, 0.0]), T, cfg=CFG, plan=BundlePlan(8))
-        ends = np.array([tr.endpoint for tr in trs])
+        trs = solution_bundle(F, [[1.0, 0.0]], T, cfg=CFG, plan=BundlePlan(8))[0]
+        ends = np.array([tr.states[-1] for tr in trs])
         spread = max(np.linalg.norm(a - b) for a in ends for b in ends)
         bound = 2 * eps * (np.exp(lam * T) - 1.0) / lam
         assert spread <= bound
 
     def test_every_trajectory_satisfies_inclusion(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.05)
-        trs = solution_bundle(F, np.array([0.5, 0.5]), 0.5, cfg=CFG,
-                              plan=BundlePlan(4, switches=1))
+        trs = solution_bundle(F, [[0.5, 0.5]], 0.5, cfg=CFG,
+                              plan=BundlePlan(4, switches=1))[0]
         for tr in trs:
             mid = tr.states[:-1]
             fd = np.diff(tr.states, axis=0) / np.diff(tr.times)[:, None]
@@ -141,8 +141,8 @@ class TestBundle:
 
     def test_deterministic_selector_order(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        a = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, plan=BundlePlan(4))
-        b = solution_bundle(F, np.array([1.0, 0.0]), 0.25, cfg=CFG, plan=BundlePlan(4))
+        a = solution_bundle(F, [[1.0, 0.0]], 0.25, cfg=CFG, plan=BundlePlan(4))[0]
+        b = solution_bundle(F, [[1.0, 0.0]], 0.25, cfg=CFG, plan=BundlePlan(4))[0]
         for ta, tb in zip(a, b):
             assert ta.selector_index == tb.selector_index
             assert np.array_equal(ta.states, tb.states)
@@ -228,7 +228,7 @@ def _assert_bundle_matches_integrate(plan, T):
     # one sweep against one rerun per selector
     F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
     x0 = np.array([1.0, 0.0])
-    batched = solution_bundle(F, x0, T, cfg=CFG, plan=plan)
+    batched = solution_bundle(F, x0[None], T, cfg=CFG, plan=plan)[0]
     sels = plan.selectors(F, T)
     assert len(batched) == len(sels)
     for tr, sel in zip(batched, sels):
@@ -267,7 +267,8 @@ class TestBatchedBundles:
         batched = solution_bundle(F, starts, 0.5, cfg=CFG, plan=BundlePlan(3, switches=2))
         assert len(batched) == len(starts)
         for x0, trajs in zip(starts, batched):
-            single = solution_bundle(F, x0, 0.5, cfg=CFG, plan=BundlePlan(3, switches=2))
+            single = solution_bundle(F, x0[None], 0.5, cfg=CFG,
+                                     plan=BundlePlan(3, switches=2))[0]
             assert [t.selector_index for t in trajs] == [t.selector_index for t in single]
             for a, b in zip(trajs, single):
                 assert np.array_equal(a.times, b.times)
