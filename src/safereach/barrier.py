@@ -255,9 +255,9 @@ def jsonable(obj):
 
 def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
                          n_init: int = 64, n_unsafe: int = 64,
-                         window=None, seed: int = 0,
-                         zero_tol: float = 1e-9) -> CheckReport:
-    """B <= 0 on X_o samples x t-grid and B >= POS_TOL on X_u samples.
+                         window=None, seed: int = 0) -> CheckReport:
+    """B <= 0 (within POS_TOL) on X_o samples x t-grid and B >= POS_TOL on
+    X_u samples.
 
     Strict positivity on X_u is tested against POS_TOL since "> 0" is not
     decidable from samples.  Marginal barriers are exactly zero on X_o so the
@@ -280,8 +280,8 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
     j, b = np.unravel_index(np.argmin(vu), vu.shape)
     worst_o, wo = float(vo[i, a]), {"t": float(t_grid[i]), "x": pts_o[a].tolist()}
     worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
-    viol = max(worst_o - zero_tol, POS_TOL - worst_u)
-    witness = wo if worst_o - zero_tol >= POS_TOL - worst_u else wu
+    viol = max(worst_o - POS_TOL, POS_TOL - worst_u)
+    witness = wo if worst_o - POS_TOL >= POS_TOL - worst_u else wu
     # samples counts every evaluated (t, x), repeats too: a one-point X_o is
     # drawn many times; distinct_samples counts them bit for bit
     distinct = (len(np.unique(t_grid.view(np.uint64)))

@@ -202,16 +202,17 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
-    """Run one [check NAME] section; barrier() returns the run's barrier."""
-    from .barrier import candidate_sign_check, infinitesimal_check, monotonicity_check
-    from .verify import SafetyProblem, nagumo_check, prop1_check, simulate_safety_check
-
+    """Run one [check NAME] section; barrier() returns the run's barrier.
+    Each kind imports what it runs: a simulate check never loads barrier,
+    a sign or monotonicity check never loads verify."""
     cfg = scn.raw
     section = f"check {name}"
     kind = _require(cfg.get(section, "kind"), f"[{section}] needs kind")
     window = scn.samples.window
     seed = scn.seed
     if kind == "simulate":
+        from .verify import SafetyProblem, simulate_safety_check
+
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
         p = SafetyProblem(scn.system, X_o, X_u, cfg.get(section, "T", 1.0), scn.solver,
@@ -219,6 +220,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
+        from .barrier import candidate_sign_check
+
         B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
@@ -228,6 +231,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
                                    window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "monotonicity":
+        from .barrier import monotonicity_check
+
         B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         n = cfg.get(section, "n_samples", 8)
@@ -242,6 +247,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
                                  stride=cfg.get(section, "stride", 16))
         return rep.to_json(), rep.verdict
     if kind == "infinitesimal":
+        from .barrier import infinitesimal_check
+
         B = barrier()
         region = cfg.get(section, "region", "everywhere")
         if region == "margin_band":
@@ -255,6 +262,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
                                   seed=seed, tol=cfg.get(section, "tol", 1e-7))
         return rep.to_json(), rep.verdict
     if kind == "nagumo":
+        from .verify import nagumo_check
+
         K = _get_set(scn, _require(cfg.get(section, "K"), f"[{section}] needs K"))
         rep = nagumo_check(scn.system, K, cfg.get(section, "mode", "boundary"),
                            n_samples=cfg.get(section, "n_samples", 64),
@@ -262,6 +271,8 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
                            window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":
+        from .verify import prop1_check
+
         B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_s = _get_set(scn, _require(cfg.get(section, "X_s"), f"[{section}] needs X_s"))

@@ -8,6 +8,7 @@ velocity out of F(x) at every time (``solver.bundle_field``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +25,9 @@ class DynamicsError(ValueError):
 
 @dataclass(frozen=True)
 class FieldHandle:
-    """Evaluable vector field, vectorized over leading axes of x."""
+    """Evaluable vector field, vectorized over leading axes of x.  fn returns
+    a new array or its input: a sweep may overwrite a value that shares no
+    memory with the input (``solver.bundle_field``)."""
 
     fn: Callable
     dim: int
@@ -62,26 +65,29 @@ def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHan
 # ---------------------------------------------------------------------------
 
 LINEAR_SAFE_A = np.array([[-1.0, -10.0], [1.0, 0.0]])
-# its entries as Python floats, unpacked once: the field runs on every RK4 stage
+# its entries as Python floats, the factors of _linear_safe's tiles
 (_LS_A, _LS_B), (_LS_C, _LS_D) = LINEAR_SAFE_A.tolist()
 _ORIGIN_GUARD = 1e-12
 
 
 def _counterexample2d(x):
     # planar system with limit cycles at every radius 1/(k*pi); the radial
-    # rate is (r^2/2) sin^2(1/r) and the angular rate is 1
-    # column by column; (0.5 r) x1 s rounds like 0.5 * r * x1 * s, a
-    # reordered 0.5 * r * s * x1 would not
+    # rate is (r^2/2) sin^2(1/r) and the angular rate is 1.  Column by
+    # column, each written straight into out: ((0.5 r) x1) s - x2 is
+    # -x2 + ((0.5 r) x1) s by the IEEE definition of subtraction, while a
+    # reordered 0.5 * r * s * x1 would round differently.  The origin mask
+    # is built only when some radius is below the guard (or NaN); the rows
+    # it zeroes are the only ones where max(r, guard) is not r
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     r = np.sqrt(x1 * x1 + x2 * x2)
-    origin = r < _ORIGIN_GUARD
-    s = np.sin(1.0 / np.where(origin, 1.0, r)) ** 2
+    origin = None if r.min(initial=np.inf) >= _ORIGIN_GUARD else r < _ORIGIN_GUARD
+    s = np.sin(1.0 / (r if origin is None else np.maximum(r, _ORIGIN_GUARD))) ** 2
     hr = 0.5 * r
     out = np.empty(x.shape)
-    out[..., 0] = -x2 + hr * x1 * s
-    out[..., 1] = x1 + hr * x2 * s
-    if origin.any():
+    np.subtract(hr * x1 * s, x2, out=out[..., 0])
+    np.add(x1, hr * x2 * s, out=out[..., 1])
+    if origin is not None:
         out[origin] = 0.0
     return out
 
@@ -94,14 +100,28 @@ def _counterexample_radial(x):
     return np.where(np.abs(r) < _ORIGIN_GUARD, 0.0, out)
 
 
+@functools.lru_cache(maxsize=8)
+def _linear_safe_tiles(rows: int) -> tuple:
+    """The rows x 2 factors (a, d) and (c, b) of LINEAR_SAFE_A, read-only
+    since every caller shares them: one contiguous product each gives
+    (a x1, d x2) and (c x1, b x2)."""
+    tiles = np.tile([_LS_A, _LS_D], (rows, 1)), np.tile([_LS_C, _LS_B], (rows, 1))
+    for t in tiles:
+        t.flags.writeable = False
+    return tiles
+
+
 def _linear_safe(x):
-    # column by column, not a BLAS product: BLAS rounds a single row unlike
-    # the same row in a batch, and a value must not depend on its batch
+    # a x1 + b x2 and c x1 + d x2 from elementwise products, not a BLAS
+    # product: BLAS rounds a single row unlike the same row in a batch, and
+    # a value must not depend on its batch
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    out[..., 0] = _LS_A * x[..., 0] + _LS_B * x[..., 1]
-    out[..., 1] = _LS_C * x[..., 0] + _LS_D * x[..., 1]
-    return out
+    X = x.reshape(-1, 2)
+    diag, anti = _linear_safe_tiles(len(X))
+    out, t = X * diag, X * anti
+    np.add(out[:, 0], t[:, 1], out=out[:, 0])
+    np.add(out[:, 1], t[:, 0], out=out[:, 1])     # d x2 + c x1 == c x1 + d x2
+    return out.reshape(x.shape)
 
 
 _BUILTINS = {

@@ -154,11 +154,14 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     is one step count for every row or an (m,) array of per-row counts.  A
     row steps until it has taken its count: fn(k, rows, X) is the right-hand
     side of step k (from 1) at the states X of ``rows``, a slice or an index
-    array into X0.  A row whose new state leaves escape_radius is frozen
-    there.  The observer sees the sweep's nodes in blocks of j <= K
-    consecutive nodes, K = BLOCK_ROWS // m counted in nodes (at least 1, at
-    most n_max + 1), so a sweep of rows x (steps + 1) <= BLOCK_ROWS is one
-    block: observe(k0, stepped, Xb) gets the first node k0 of the block, the
+    array into X0; fn may return X itself.  The stage inputs and the RK4
+    combination go into (r, n) buffers of the kernel, r the live rows, with
+    the textbook formula's operations in its order, so a state is bit for
+    bit the allocating formula's.  A row whose new state leaves
+    escape_radius is frozen there.  The observer sees the sweep's nodes in
+    blocks of j <= K consecutive nodes, K = BLOCK_ROWS // m counted in nodes
+    (at least 1, at most n_max + 1), so a sweep of rows x (steps + 1) <=
+    BLOCK_ROWS is one block: observe(k0, stepped, Xb) gets the first node k0 of the block, the
     (j, m) mask of the rows at each node and the (j, m, n) whole state
     arrays at each node, a fresh array the observer may keep.  Node 0 opens
     the first block (k0 = 0, Xb[0] the rows of X0, every row marked), and is
@@ -179,6 +182,9 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     # the steps after which some row has taken its count
     stops = set(steps.tolist())
     h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
+    if h_rows is None:
+        hs, hh, h6 = h, 0.5 * h, h / 6.0
+    r = -1      # live rows the stage buffers S, A, T are sized for
     # no row norm exceeds the radius while every coordinate stays below this
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
     K = max(1, min(BLOCK_ROWS // max(m, 1), n_max + 1))   # nodes per observed block
@@ -201,12 +207,26 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
                     j = 0
                 stepped[j] = alive
             Xs = X[rows]
-            hs = h if h_rows is None else h_rows[rows]
+            if n_live != r:
+                r = n_live
+                S, A, T = np.empty((r, n)), np.empty((r, n)), np.empty((r, n))
+            if h_rows is not None:
+                hs = h_rows[rows]
+                hh, h6 = 0.5 * hs, hs / 6.0
+            # Xs + (0.5 h) k1, ..., then Xs + (h / 6) (((k1 + 2 k2) + 2 k3) + k4),
+            # the operations of the textbook formula in its order, into S, A
+            # and T; a stage value may be its input S, so each k is folded
+            # into A before S is overwritten
             k1 = fn(k, rows, Xs)
-            k2 = fn(k, rows, Xs + 0.5 * hs * k1)
-            k3 = fn(k, rows, Xs + 0.5 * hs * k2)
-            k4 = fn(k, rows, Xs + hs * k3)
-            Xn = Xs + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.add(Xs, np.multiply(k1, hh, out=S), out=S)
+            k2 = fn(k, rows, S)
+            np.add(k1, np.multiply(k2, 2.0, out=A), out=A)
+            np.add(Xs, np.multiply(k2, hh, out=S), out=S)
+            k3 = fn(k, rows, S)
+            np.add(A, np.multiply(k3, 2.0, out=T), out=A)
+            np.add(Xs, np.multiply(k3, hs, out=S), out=S)
+            k4 = fn(k, rows, S)
+            Xn = np.add(Xs, np.multiply(np.add(A, k4, out=A), h6, out=A), out=A)
             # one pass answers both tests: NaN or inf fails top < inf
             top = max(Xn.max(), -Xn.min())
             if not top < np.inf:
@@ -253,24 +273,33 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     direction of the segment holding its midpoint (k - 1/2) h.  Piecewise
     selectors share their switch times, as those of one BundlePlan do.
     Built once per sweep on ``FieldHandle.raw`` (no finiteness test): a ball
-    adds eps * d premultiplied per segment and row; backward negates each f."""
+    adds eps * d premultiplied per segment and row; backward negates each f.
+    A field's value is overwritten in place unless it shares memory with the
+    stage input, which a field may return."""
     switch_times, D = selector_table(F, sels)
     fs = [f.raw for f in F.fields]
     if direction == "backward":
-        fs = [lambda X, g=g: -g(X) for g in fs]
+        fs = [lambda X, g=g: _apply(np.negative, g(X), X) for g in fs]
     if D is None:
         return lambda k, rows, X: fs[0](X)
     if F.kind == "ball":
-        D, stage = F.epsilon * D, lambda X, e: fs[0](X) + e
+        D, stage = F.epsilon * D, lambda X, e: _apply(np.add, fs[0](X), X, e)
     else:
         def stage(X, w):
             # weight by weight, not a BLAS product, which rounds rows by batch size
             out = fs[0](X) * w[..., 0, None]
             for i in range(1, len(fs)):
-                out = out + fs[i](X) * w[..., i, None]
+                np.add(out, fs[i](X) * w[..., i, None], out=out)
             return out
     E, st = D[:, np.repeat(np.arange(len(sels)), m)], switch_times.tolist()   # segment, row
     return lambda k, rows, X: stage(X, E[bisect_right(st, (k - 0.5) * h)][rows])
+
+
+def _apply(ufunc, out: np.ndarray, X: np.ndarray, *operands) -> np.ndarray:
+    """ufunc(out, *operands), written over out unless out shares memory with X."""
+    if np.may_share_memory(out, X):
+        return ufunc(out, *operands)
+    return ufunc(out, *operands, out=out)
 
 
 def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
-from .barrier import BarrierFn, CheckReport, RelaxFn, jsonable
 from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .geometry import (ConeProbe, SamplePlan, SetSpec,
                        clarke_gradient_sample, cone_residual,
                        distance_to_set_many)
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped
+
+# nagumo_check and prop1_check import barrier when they run: a simulate check never loads it
+if TYPE_CHECKING:
+    from .barrier import BarrierFn, CheckReport, RelaxFn
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -50,6 +53,8 @@ class SafetyProblem:
         return self.margin_hits(self.unsafe_margins(states))
 
     def unsafe_margins(self, states: np.ndarray) -> np.ndarray:
+        """The values margin_hits tests: d(x, X_u), or -d(x, X_s) for
+        X_u = complement(X_s)."""
         if self.X_u.kind == "complement":
             return -distance_to_set_many(states, self.X_u.members[0])
         return distance_to_set_many(states, self.X_u)
@@ -78,17 +83,20 @@ class SafetyReport:
     coverage: dict = field(default_factory=dict)
     disclaimers: list = field(default_factory=lambda: [UNDER_APPROX_DISCLAIMER])
     escapes: int = 0
-    margin: float = float("inf")      # min distance of any node to X_u
+    # min distance of any node to X_u; None where that distance is estimated
+    margin: Optional[float] = float("inf")
 
     def to_json(self) -> str:
+        # every field holds native values: json.dumps needs no conversion
         return json.dumps({
             "check": "simulate_safety",
             "verdict": self.verdict,
-            "witness": jsonable(self.witness),
-            "coverage": jsonable(self.coverage),
+            "witness": self.witness,
+            "coverage": self.coverage,
             "disclaimers": self.disclaimers,
             "escapes": self.escapes,
-            "margin": self.margin if np.isfinite(self.margin) else None,
+            "margin": self.margin if self.margin is not None and np.isfinite(self.margin)
+            else None,
         }, indent=2, sort_keys=True)
 
     @property
@@ -104,19 +112,35 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     observer tracks the smallest margin and each row's first hit, one
     distance batch per block of nodes, start included.  The witness is the
     earliest hit, ties going to the earlier selector, then the earlier
-    start."""
+    start.
+
+    The margin is the least distance of a node to X_u.  For X_u =
+    complement(X_s) the hit test's -d(x, X_s) is 0 at every node inside
+    X_s, so the margin is the least depth inside X_s, d(x, X_u), from a
+    second batch per block; it is None when that distance is estimated,
+    since an upper estimate would overstate it."""
     starts = p.initial_samples()
     sels = p.bundle.selectors(p.F, p.horizon)
     m = len(starts)
     margin = float("inf")
     hit_time = np.full(len(sels) * m, np.inf)
     hit_state = np.empty((len(sels) * m, starts.shape[1]))
+    complement, exact = p.X_u.kind == "complement", p.X_u.exactness() == "exact"
 
     def observe(times, stepped, Xb):
         nonlocal margin
         # rows that did not step get an infinite margin: no hit, no new minimum
         margins = on_stepped(p.unsafe_margins, stepped, Xb)
-        margin = min(margin, float(margins.min()))
+        least = float(margins.min())
+        if not complement:
+            margin = min(margin, least)
+        elif exact:
+            depth = on_stepped(lambda Y: distance_to_set_many(Y, p.X_u), stepped, Xb)
+            margin = min(margin, float(depth.min()))
+        # a hit is a small margin: a block whose least margin is no hit has
+        # none (a NaN least margin takes the full test)
+        if least == least and not p.margin_hits(least):
+            return
         hits = p.margin_hits(margins)
         rows = np.flatnonzero(hits.any(axis=0) & (hit_time == np.inf))
         if len(rows):
@@ -133,7 +157,8 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     return SafetyReport("violation" if witness else "no_violation_found", witness,
                         coverage={"initial_samples": m, "selectors": len(sels),
                                   "trajectories": len(sels) * m, "horizon": p.horizon},
-                        escapes=int(np.sum(termination == "escape")), margin=margin)
+                        escapes=int(np.sum(termination == "escape")),
+                        margin=None if complement and not exact else margin)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +179,8 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     x step floor of the finite quotients (1e-5 on the boundary, 1e-3 on the
     exterior shell where distances are themselves estimates).
     """
+    from .barrier import CheckReport
+
     if mode not in ("boundary", "exterior"):
         raise ValueError(f"unknown mode {mode}")
     if tol is None:
@@ -213,6 +240,8 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     Each Clarke gradient sample zeta is tested against its exact maximum over
     eta in F(x) (:func:`~safereach.dynamics.max_rate`).
     """
+    from .barrier import CheckReport, RelaxFn
+
     if g is None:
         g = RelaxFn.zero()
     if g.kind not in ("minimal", "zero", "linear"):

@@ -355,7 +355,7 @@ class TestSignCheck:
         disk = SetSpec.ball([0, 0], 1.0)
         X_u = SetSpec.halfspace([0, 1], 2.0)
         rep = candidate_sign_check(B, disk, X_u, [0.0], n_init=64, n_unsafe=32,
-                                   window=([-4, -4], [4, 4]), zero_tol=1e-9)
+                                   window=([-4, -4], [4, 4]))
         assert rep.verdict == "pass"
         assert rep.details["max_on_X_o"] <= 1e-9
         assert rep.details["min_on_X_u"] >= 3.0

@@ -589,6 +589,25 @@ else:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, verdicts, unloaded", [
+        (["--config", str(SCENARIOS / "perturbed.scenario"),
+          "--set", "check perturbed_safety.T=0.25"],
+         ["check perturbed_safety: pass"], "safereach.barrier"),
+        (["--config", str(SCENARIOS / "counterexample.scenario"),
+          "--set", "sampling.tgrid=0 1 3", "--set", "check monotone.T=0.25"],
+         ["check sign: pass", "check monotone: pass"], "safereach.verify"),
+    ], ids=["simulate", "sign-monotonicity"])
+    def test_a_check_loads_only_what_its_kinds_run(self, tmp_path, argv, verdicts, unloaded):
+        script = f"""
+import sys
+import safereach.cli as cli
+assert cli.main(["check", *{argv!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+assert {unloaded!r} not in sys.modules
+"""
+        run = self._run("-c", script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == verdicts
+
     # each error class below is defined by a module that only its command loads
     def _assert_one_error_line(self, tmp_path, argv, message):
         run = self._run("-m", "safereach.cli", *argv, "--out", str(tmp_path / "out"))

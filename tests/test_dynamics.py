@@ -68,6 +68,53 @@ class TestBuiltins:
         ref = np.where(r < 1e-12, 0.0, ref)
         assert np.array_equal(builtin_field("counterexample2d")(x), ref)
 
+    @staticmethod
+    def _rows(count):
+        """count rows with both signed zeros, the origin, and rows inside and
+        just outside the origin guard among random ones."""
+        x = np.random.default_rng(count).uniform(-1.0, 1.0, size=(count, 2))
+        special = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [3e-13, -4e-13],
+                            [-1e-13, 0.0], [0.0, 9.9e-13], [1e-12, 0.0], [0.0, -2e-12],
+                            [-0.0, 0.7], [0.3, -0.0], [5.0, -3.0]])
+        x[:min(count, len(special))] = special[:count]
+        return x
+
+    @staticmethod
+    def _column_forms(x):
+        """The allocating column-by-column forms the builtins had before
+        writing into their output: (linear_safe, counterexample2d)."""
+        (a, b), (c, d) = LINEAR_SAFE_A.tolist()
+        lin = np.empty(x.shape)
+        lin[..., 0] = a * x[..., 0] + b * x[..., 1]
+        lin[..., 1] = c * x[..., 0] + d * x[..., 1]
+        x1, x2 = x[..., 0], x[..., 1]
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        origin = r < 1e-12
+        s = np.sin(1.0 / np.where(origin, 1.0, r)) ** 2
+        hr = 0.5 * r
+        ce = np.empty(x.shape)
+        ce[..., 0] = -x2 + hr * x1 * s
+        ce[..., 1] = x1 + hr * x2 * s
+        ce[origin] = 0.0
+        return lin, ce
+
+    @pytest.mark.parametrize("shape", [(1, 2), (17, 2), (1536, 2), (2,), (3, 4, 2), (0, 2)])
+    def test_builtins_equal_their_column_by_column_form(self, shape):
+        x = self._rows(max(1, int(np.prod(shape[:-1]))))[:int(np.prod(shape[:-1]))]
+        x = x.reshape(shape)
+        lin, ce = self._column_forms(x)
+        assert np.array_equal(builtin_field("linear_safe")(x).view(np.uint64), lin.view(np.uint64))
+        assert np.array_equal(builtin_field("counterexample2d")(x).view(np.uint64),
+                              ce.view(np.uint64))
+
+    def test_counterexample_without_origin_rows_equals_the_masked_form(self):
+        # no radius below the guard: the mask is skipped, the values are the same
+        x = self._rows(1536)[11:]
+        assert np.sqrt((x * x).sum(axis=1)).min() > 1e-3
+        lin, ce = self._column_forms(x)
+        assert np.array_equal(builtin_field("counterexample2d")(x).view(np.uint64),
+                              ce.view(np.uint64))
+
     def test_radial_matches_planar_radial_rate(self):
         f2 = builtin_field("counterexample2d")
         f1 = builtin_field("counterexample_radial")

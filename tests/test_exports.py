@@ -16,7 +16,6 @@ KEPT = {
     "integrate": "bench/spans.py patches it",
     "load_cloud": "reads the .rch files that the reach command writes",
     "hausdorff_distance": "a reference distance for the tests of reach clouds",
-    "exactness": "bench/spans.py reads it to tell exact from estimated distance queries",
 }
 
 

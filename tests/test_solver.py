@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -589,3 +590,75 @@ class TestObservedBlocks:
         assert reports[0].witness["hit_time"] not in (0.0, 3.0)
         for rep in reports[1:]:
             assert rep.to_json() == reports[0].to_json()
+
+
+def _textbook_sweep(fn, X0, h, n_steps):
+    """rk4_sweep without escape or observer, by the allocating formula:
+    Xs + (h / 6) (k1 + 2 k2 + 2 k3 + k4) on the rows still stepping."""
+    X = np.array(X0, dtype=float)
+    m = len(X)
+    steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (m,))
+    h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
+    for k in range(1, int(steps.max(initial=0)) + 1):
+        rows = np.flatnonzero(steps >= k)
+        rows = slice(None) if len(rows) == m else rows
+        Xs = X[rows]
+        hs = h if h_rows is None else h_rows[rows]
+        k1 = fn(k, rows, Xs)
+        k2 = fn(k, rows, Xs + 0.5 * hs * k1)
+        k3 = fn(k, rows, Xs + 0.5 * hs * k2)
+        k4 = fn(k, rows, Xs + hs * k3)
+        X[rows] = Xs + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X
+
+
+# coordinates with both signed zeros among them
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+class TestInPlaceStep:
+    """The kernel's buffered step equals the allocating textbook formula bit
+    for bit, signed zeros included, whatever the field returns."""
+
+    IDENTITY = FieldHandle(lambda x: x, 2, "identity")      # returns its input
+    INCLUSIONS = {
+        "linear-ball": InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1),
+        "counterexample": InclusionSpec.singleton(builtin_field("counterexample2d")),
+        "identity": InclusionSpec.singleton(IDENTITY),
+        "identity-ball": InclusionSpec.ball_perturbed(IDENTITY, 0.25),
+        "hull": InclusionSpec.hull([builtin_field("linear_safe"), IDENTITY]),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(INCLUSIONS)),
+           direction=st.sampled_from(["forward", "backward"]),
+           data=st.data())
+    def test_equals_the_textbook_formula(self, kind, direction, data):
+        F = self.INCLUSIONS[kind]
+        sels = BundlePlan(2).selectors(F)
+        m = data.draw(st.integers(1, 6))
+        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * len(sels),
+                                         max_size=m * len(sels))), dtype=float)
+        # one step for all rows or one per row; one count for all rows or one
+        # per row, so that the live rows thin out
+        h = data.draw(st.one_of(st.sampled_from([1 / 8, 1 / 64]),
+                                st.lists(st.sampled_from([1 / 8, 1 / 16, 1 / 64]),
+                                         min_size=len(X0), max_size=len(X0)).map(np.array)))
+        n_steps = data.draw(st.one_of(st.integers(0, 5),
+                                      st.lists(st.integers(0, 5), min_size=len(X0),
+                                               max_size=len(X0)).map(np.array)))
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, 1 / 8, direction,
+                                                            k, rows, X), X0, h, n_steps)
+        X, _, _ = rk4_sweep(bundle_field(F, sels, m, 1 / 8, direction), X0, h, n_steps)
+        assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("rows_live", [slice(None), np.array([0, 2, 3])])
+    def test_a_field_returning_its_input_is_not_overwritten_early(self, rows_live):
+        # x -> x from -0.0: every stage and state stays -0.0 exactly
+        X0 = np.array([[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.0], [2.0, -1.0]])
+        n_steps = np.where(np.isin(np.arange(4), np.arange(4)[rows_live]), 3, 1)
+        fn = lambda k, rows, X: X
+        X, _, _ = rk4_sweep(fn, X0, 1 / 4, n_steps)
+        ref = _textbook_sweep(fn, X0, 1 / 4, n_steps)
+        assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+        assert np.signbit(X[X0 == 0.0]).all()

@@ -51,3 +51,54 @@ def test_install_then_uninstall_restores_every_patched_attribute(monkeypatch):
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert tracer._undo == []
+
+
+CHECKS = """
+seed = 5
+[system]
+kind = builtin
+name = linear_safe
+inclusion = singleton
+[solver]
+step = 0.015625
+[sampling]
+window = -4 -4 4 4
+boundary = 4
+interior = 4
+tgrid = 0 1 2
+[set X_o]
+kind = ball
+center = 0 0
+radius = 1
+[set X_u]
+kind = halfspace
+normal = 0 1
+offset = 2
+[barrier]
+kind = user
+expression = x1^2/10 + x2^2 - 1
+[check safety]
+kind = simulate
+X_o = X_o
+X_u = X_u
+T = 0.5
+[check sign]
+kind = sign
+X_o = X_o
+X_u = X_u
+n_samples = 8
+"""
+
+
+def test_checks_importing_per_kind_are_still_traced(monkeypatch, tmp_path):
+    # a check kind imports its module when it runs, and must find the traced names there
+    config = tmp_path / "checks.scenario"
+    config.write_text(CHECKS)
+    tracer = _load_spans(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("verify.simulate") == 1 and names.count("barrier.check.sign") == 1

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from safereach import geometry, sampling, verify
+from safereach import geometry, sampling, solver, verify
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
 from safereach.dynamics import FieldHandle, InclusionSpec, builtin_field, field_from_expressions
 from safereach.geometry import SetSpec, clarke_gradient_sample
@@ -14,6 +16,8 @@ ZERO = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
 UP = InclusionSpec.singleton(field_from_expressions(["0", "1"], "up"))
 DISK = SetSpec.ball([0, 0], 1.0, name="disk")
 WALL = SetSpec.halfspace([0, 1], 2.0, name="wall")
+# {x2 >= 2} again, as the complement of {x2 <= 2}
+NOT_BELOW = SetSpec.complement(SetSpec.halfspace([0, -1], -2.0, name="below"), name="not_below")
 CFG = IntegratorConfig(step=1.0 / 256.0)
 HULL = InclusionSpec.hull([builtin_field("linear_safe"),
                            field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")])
@@ -83,6 +87,69 @@ class TestSimulate:
         rep = simulate_safety_check(p)
         assert rep.passed
         assert rep.coverage["trajectories"] == 12 * 8
+
+
+class TestComplementMargin:
+    """The margin of a complement X_u is the least depth of a node inside X_s,
+    d(x, X_u), not the hit test's -d(x, X_s), which reads -0.0 inside."""
+
+    BALL = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
+
+    def test_the_complement_twin_reports_the_halfspace_margin(self):
+        reps = [simulate_safety_check(SafetyProblem(self.BALL, DISK, X_u, 5.0, CFG,
+                                                    SamplePlan(8, 8), BundlePlan(8)))
+                for X_u in (WALL, NOT_BELOW)]
+        plain, twin = reps
+        assert plain.passed and twin.passed
+        assert 0.9 < plain.margin < 1.1
+        assert twin.margin.hex() == plain.margin.hex()
+        assert json.loads(twin.to_json())["margin"] == plain.margin
+
+    def test_the_twin_distances_are_bit_equal(self):
+        X = np.random.default_rng(4).uniform(-6.0, 6.0, size=(100_000, 2))
+        X[:6] = [[0.0, 2.0], [-0.0, -0.0], [1.0, 2.0 + 1e-15], [3.0, -0.0], [-0.0, 5.0],
+                 [2.0, 2.0 - 1e-15]]
+        plain = geometry.distance_to_set_many(X, WALL)
+        twin = geometry.distance_to_set_many(X, NOT_BELOW)
+        assert np.array_equal(plain.view(np.uint64), twin.view(np.uint64))
+
+    def test_the_margin_is_the_least_depth_over_the_nodes(self):
+        # a violation: nodes leave X_s, so the least depth is 0
+        p = SafetyProblem(UP, DISK, NOT_BELOW, 3.0, CFG, SamplePlan(4, 4), hit_tol=1e-6)
+        rep = simulate_safety_check(p)
+        depth = min(float(geometry.distance_to_set_many(tr.states, NOT_BELOW).min())
+                    for s in p.bundle.selectors(p.F, p.horizon)
+                    for tr in [integrate(p.F, s, x0, p.horizon, "forward", p.cfg)
+                               for x0 in p.initial_samples()])
+        assert rep.verdict == "violation"
+        assert rep.margin == depth == 0.0 and not np.signbit(rep.margin)
+
+    def test_an_estimated_complement_reports_no_margin(self):
+        ell = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2,
+                               window=([-4, -2], [4, 2]), grid=41, name="ellipse")
+        X_u = SetSpec.complement(ell)
+        assert X_u.exactness() == "estimated"
+        rep = simulate_safety_check(SafetyProblem(LINEAR, DISK, X_u, 0.25, CFG,
+                                                  SamplePlan(4, 4)))
+        assert rep.passed and rep.margin is None
+        assert json.loads(rep.to_json())["margin"] is None
+
+
+class TestHitAfterHitFreeBlocks:
+    """The observer tests each block's least margin first; a first hit in a
+    block after hit-free ones is still the witness."""
+
+    @pytest.mark.parametrize("X_u", [WALL, NOT_BELOW], ids=["halfspace", "complement"])
+    def test_the_first_hit_is_found_after_hit_free_blocks(self, monkeypatch, X_u):
+        # 8 rows, 16 nodes of h = 1/256 per block; the first hits come near t = 1
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 8 * 16)
+        p = SafetyProblem(UP, DISK, X_u, 3.0, CFG, SamplePlan(4, 4), hit_tol=1e-6)
+        rep = simulate_safety_check(p)
+        verdict, _, _, _, witness, first_hits = _per_selector_reference(p)
+        assert rep.verdict == verdict == "violation"
+        assert rep.witness == witness
+        assert rep.witness["hit_time"] > 16 * CFG.step
+        assert len({t for t, _, _ in first_hits}) > 1
 
 
 class TestInvarianceWrappers:
