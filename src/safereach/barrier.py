@@ -33,6 +33,7 @@ from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
 
 POS_TOL = 1e-9          # B >= POS_TOL on X_u samples stands for B > 0
 CLARKE_RADIUS = 1e-4    # radius of the Clarke gradient samples around (t, x)
+FD_STEP = 1e-6          # step of the infinitesimal check's finite differences
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,11 @@ def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
 # infinitesimal decrease checks
 # ---------------------------------------------------------------------------
 
-def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray,
-                           fd: float = 1e-6) -> np.ndarray:
+def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Central finite-difference gradients of B in (t, x) at every pair
     (ts[i], X[i]), from one batch of 2(n+1) probes per pair."""
     k, n = X.shape
+    fd = FD_STEP
     tp = np.maximum(ts, fd)   # keep probes at t >= 0
     step = fd * np.eye(n)
     # per pair: (tp + fd, x), (tp - fd, x), (t, x + fd e_i) for each i, then (t, x - fd e_i)
@@ -394,7 +395,7 @@ def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
 def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                         region="everywhere", g: RelaxFn = None,
                         t_grid=(0.0,), window=None, count: int = 200,
-                        fd: float = 1e-6, seed: int = 0, tol: float = 1e-7) -> CheckReport:
+                        seed: int = 0, tol: float = 1e-7) -> CheckReport:
     """Decrease condition <zeta, (1, eta)> <= g(B) over sampled region points.
 
     mode smooth: zeta is the finite-difference gradient of B;
@@ -414,7 +415,7 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "region empty after sampling"})
     ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
-    Z, keep = _zeta_candidates(B, mode, ts, X, fd, seed)
+    Z, keep = _zeta_candidates(B, mode, ts, X, seed)
     gbs = np.asarray(g(B.evaluate_many(ts, X)), dtype=float)
     if not keep.any():
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
@@ -430,19 +431,18 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                        details={"relaxation": g.kind, "region": str(region)})
 
 
-def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray,
-                     fd: float, seed: int):
+def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, seed: int):
     """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
     prox_radius = 1e-3
     if mode == "smooth":
-        return _fd_extended_gradients(B, ts, X, fd)[:, None, :], np.ones((len(ts), 1), dtype=bool)
+        return _fd_extended_gradients(B, ts, X)[:, None, :], np.ones((len(ts), 1), dtype=bool)
     if mode not in ("clarke", "proximal"):
         raise ValueError(f"unknown mode '{mode}'")
     handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
-    floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + fd
+    floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
     TX = np.column_stack([np.maximum(ts, floor), X])
-    grads = clarke_gradient_sample(handle, TX, radius=CLARKE_RADIUS, fd_step=fd, seed=seed)
+    grads = clarke_gradient_sample(handle, TX, radius=CLARKE_RADIUS, fd_step=FD_STEP, seed=seed)
     if mode == "clarke":
         return grads, np.ones(grads.shape[:2], dtype=bool)
     # each margin is nondecreasing in eps, so the curvature bound 100 accepts

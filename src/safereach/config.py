@@ -15,7 +15,7 @@ main reproducibility killer.  Sections:
     [reach]         x0, t, stride
     [barrier-eval]  window, nx, tgrid
     [smooth]        h, region, k_max, table_res, grid_n
-    [check NAME]    kind plus per-kind fields
+    [check NAME]    kind plus the keys that kind reads (CHECK_KEYS)
 """
 
 from __future__ import annotations
@@ -63,6 +63,17 @@ _SCHEMAS = {
               "n_samples": "int", "lam_box": "str",
               "pairs": "int", "max_sep": "float", "stride": "int"},
 }
+
+
+# the keys each [check NAME] kind reads besides kind (cli._run_one_check);
+# build_scenario refuses any other key in its section
+CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
+              "sign": ("X_o", "X_u", "n_samples"),
+              "monotonicity": ("X_o", "n_samples", "T", "tol", "stride"),
+              "infinitesimal": ("region", "width", "mode", "g", "count", "tol"),
+              "nagumo": ("K", "mode", "n_samples", "tol"),
+              "prop1": ("X_o", "X_s", "g", "mode", "n_samples", "width"),
+              "filippov": ("lam_box", "T", "pairs", "max_sep", "tol")}
 
 
 def _parse_value(raw: str, typ: str, where: str):
@@ -353,6 +364,15 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     for section in sets:
         _build_set(section.split(" ", 1)[1], cfg, cache)
     t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
+    for section in cfg.section_names("check"):
+        kind = cfg.get(section, "kind")
+        if kind not in CHECK_KEYS:
+            raise ConfigError(f"[{section}] needs kind" if kind is None else
+                              f"[{section}] unknown check kind '{kind}' ({' | '.join(CHECK_KEYS)})")
+        unread = [key for key in cfg.sections[section] if key not in ("kind",) + CHECK_KEYS[kind]]
+        if unread:
+            raise ConfigError(f"[{section}] key '{unread[0]}' is not read by kind '{kind}', "
+                              f"which reads {', '.join(CHECK_KEYS[kind])}")
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=system,
         solver=solver,

@@ -25,26 +25,29 @@ class DynamicsError(ValueError):
 
 @dataclass(frozen=True)
 class FieldHandle:
-    """Evaluable vector field, vectorized over leading axes of x.  fn returns
-    a new array or its input: a sweep may overwrite a value that shares no
-    memory with the input (``solver.bundle_field``)."""
+    """Evaluable vector field, vectorized over leading axes of x.  fn maps a
+    float array to a float array of its shape: a new one, its input or a view
+    of it.  Sweeps call fn (``solver.bundle_field``); calling the handle is
+    the guarded entry, coercing x and checking every value's shape and
+    finiteness."""
 
     fn: Callable
     dim: int
     name: str = "field"
 
     def __call__(self, x):
-        out = self.raw(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self.fn(x), dtype=float)
+        self.check_shape(out, x)
         if not np.isfinite(out).all():
             raise DynamicsError(f"field '{self.name}' returned non-finite values")
         return out
 
-    def raw(self, x: np.ndarray) -> np.ndarray:
-        """fn at float x, shape-checked; the sweep kernel checks finiteness."""
-        out = np.asarray(self.fn(x), dtype=float)
-        if out.shape != x.shape:
-            raise DynamicsError(f"field '{self.name}' returned shape {out.shape} for input {x.shape}")
-        return out
+    def check_shape(self, out, x: np.ndarray) -> None:
+        """Refuse a value out of fn whose shape is not its input's, naming both."""
+        if np.shape(out) != x.shape:
+            raise DynamicsError(f"field '{self.name}' returned shape {np.shape(out)} "
+                                f"for input {x.shape}")
 
 
 def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHandle:
@@ -54,7 +57,6 @@ def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHan
     comps = [compile_expression(e, variables) for e in exprs]
 
     def fn(x):
-        x = np.asarray(x, dtype=float)
         return np.stack([c(x) for c in comps], axis=-1)
 
     return FieldHandle(fn, n, name=name)
@@ -78,7 +80,6 @@ def _counterexample2d(x):
     # reordered 0.5 * r * s * x1 would round differently.  The origin mask
     # is built only when some radius is below the guard (or NaN); the rows
     # it zeroes are the only ones where max(r, guard) is not r
-    x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     r = np.sqrt(x1 * x1 + x2 * x2)
     origin = None if r.min(initial=np.inf) >= _ORIGIN_GUARD else r < _ORIGIN_GUARD
@@ -93,7 +94,6 @@ def _counterexample2d(x):
 
 
 def _counterexample_radial(x):
-    x = np.asarray(x, dtype=float)
     r = x[..., 0:1]
     safe_r = np.where(np.abs(r) < _ORIGIN_GUARD, 1.0, r)
     out = 0.5 * r**2 * np.sin(1.0 / safe_r) ** 2
@@ -115,7 +115,6 @@ def _linear_safe(x):
     # a x1 + b x2 and c x1 + d x2 from elementwise products, not a BLAS
     # product: BLAS rounds a single row unlike the same row in a batch, and
     # a value must not depend on its batch
-    x = np.asarray(x, dtype=float)
     X = x.reshape(-1, 2)
     diag, anti = _linear_safe_tiles(len(X))
     out, t = X * diag, X * anti
@@ -293,11 +292,10 @@ def rescale_field(f: FieldHandle, V: Callable) -> FieldHandle:
     """
 
     def fn(x):
-        x = np.asarray(x, dtype=float)
         v = np.asarray(V(x), dtype=float).reshape(x.shape[:-1])
         if np.any(v < 0):
             raise DynamicsError("rescale_field requires V >= 0")
-        return f.raw(x) * (v / (1.0 + v))[..., None]
+        return f.fn(x) * (v / (1.0 + v))[..., None]
 
     return FieldHandle(fn, f.dim, name=f"{f.name}*V/(1+V)")
 

@@ -25,6 +25,8 @@ from . import sampling
 DEFAULT_CONE_TOL = 1e-6
 DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
 _MEMBER_TOL = 1e-12
+_POLISH_STEPS = 25      # tangential descent steps of _polish_to_boundary
+_PROX_TOL = 1e-9        # a proximal margin >= -_PROX_TOL holds
 _CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
 PAIR_BUDGET = 2 ** 18   # elements of one (rows, points) distance matrix
 
@@ -470,14 +472,13 @@ def bisect_boundary(member: Callable, inside: np.ndarray, outside: np.ndarray,
     return a
 
 
-def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray,
-                        iters: int = 25) -> np.ndarray:
+def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Tangential descent of |x - y| along the boundary of a sublevel set,
     for every row pair; a row stops at its first step that does not improve."""
     best = np.sqrt(_row_sq(X - Y))
     h = np.maximum(1e-7, 1e-7 * best)
     Y, n, live = Y.copy(), X.shape[1], np.arange(len(X))
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         # central-difference gradient of fn at every live y, one call
         y, e = Y[live], h[live, None, None] * np.eye(n)
         f = np.asarray(S.fn(np.stack([y[:, None] + e, y[:, None] - e]).reshape(-1, n)))
@@ -625,7 +626,7 @@ class SubgradientCandidate:
 
 
 def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
-                              tol: float = 1e-9, seed: int = 0) -> dict:
+                              seed: int = 0) -> dict:
     """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
 
     B is a batch handle, called once on every base and all of its samples.
@@ -647,4 +648,4 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                - _row_dot(d[:, :, None, :], zeta[:, None, :, :])
                + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
     worst = margins.min(axis=1)
-    return {"holds": worst >= -tol, "worst_margin": worst}
+    return {"holds": worst >= -_PROX_TOL, "worst_margin": worst}

@@ -32,7 +32,6 @@ class ReachCloud:
     base: np.ndarray
     horizon: float                   # signed; negative means backward
     points: np.ndarray
-    mode: str = "full_tube"          # full_tube | endpoints_only
     bundle_size: int = 1
     node_stride: int = 1
     truncated: bool = False
@@ -53,11 +52,11 @@ def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfi
     if not np.isfinite(t):
         raise ValueError("horizon must be finite")
     if t == 0.0:
-        return ReachCloud(x, 0.0, x[None, :], "full_tube", len(plan.selectors(F, 0.0)), stride)
+        return ReachCloud(x, 0.0, x[None, :], len(plan.selectors(F, 0.0)), stride)
     trajs = solution_bundle(F, x[None], abs(t), "backward" if t < 0 else "forward", cfg, plan)[0]
     points = np.vstack([tr.states[::stride] for tr in trajs]
                        + [tr.states[-1][None, :] for tr in trajs])
-    return ReachCloud(x, t, points, "full_tube", len(trajs), stride,
+    return ReachCloud(x, t, points, len(trajs), stride,
                       truncated=any(tr.termination == "escape" for tr in trajs))
 
 
@@ -108,19 +107,18 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
 
 def save_cloud(cloud: ReachCloud, path) -> None:
     """Binary layout: magic 'RCH1', then little-endian u32 n, u32 n_points,
-    u32 bundle, u32 stride, u8 mode, u8 truncated, 2 pad bytes, f64 horizon,
-    f64[n] base, f64[n_points * n] points."""
+    u32 bundle, u32 stride, u8 mode (always 0, a full tube), u8 truncated,
+    2 pad bytes, f64 horizon, f64[n] base, f64[n_points * n] points."""
     n = cloud.points.shape[1]
-    mode_flag = 0 if cloud.mode == "full_tube" else 1
     header = _MAGIC + _HEADER.pack(n, len(cloud.points), cloud.bundle_size, cloud.node_stride,
-                                   mode_flag, 1 if cloud.truncated else 0, cloud.horizon)
+                                   0, 1 if cloud.truncated else 0, cloud.horizon)
     body = cloud.base.astype("<f8").tobytes() + cloud.points.astype("<f8").tobytes()
     Path(path).write_bytes(header + body)
 
 
 def load_cloud(path) -> ReachCloud:
     """Read a file of save_cloud; its length must be what its header says,
-    and each flag byte 0 or 1."""
+    its mode byte 0 and its truncated byte 0 or 1."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a reach-cloud file")
@@ -128,9 +126,10 @@ def load_cloud(path) -> ReachCloud:
     if len(raw) < off:
         raise ValueError(f"{path}: truncated header: {len(raw)} bytes, a header is {off}")
     n, npts, bundle, stride, mode_flag, trunc, horizon = _HEADER.unpack_from(raw, 4)
-    for name, flag in (("mode", mode_flag), ("truncated", trunc)):
-        if flag not in (0, 1):
-            raise ValueError(f"{path}: {name} flag must be 0 or 1, got {flag}")
+    if mode_flag != 0:
+        raise ValueError(f"{path}: mode flag must be 0, got {mode_flag}")
+    if trunc not in (0, 1):
+        raise ValueError(f"{path}: truncated flag must be 0 or 1, got {trunc}")
     size = off + 8 * n * (1 + npts)
     if len(raw) != size:
         raise ValueError(f"{path}: {len(raw)} bytes, but a header of {npts} points in "
@@ -138,9 +137,7 @@ def load_cloud(path) -> ReachCloud:
     base = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
     off += 8 * n
     pts = np.frombuffer(raw, dtype="<f8", count=npts * n, offset=off).reshape(npts, n).copy()
-    return ReachCloud(base, horizon, pts,
-                      "full_tube" if mode_flag == 0 else "endpoints_only",
-                      bundle, stride, bool(trunc))
+    return ReachCloud(base, horizon, pts, bundle, stride, bool(trunc))
 
 
 def cloud_to_csv(cloud: ReachCloud, path) -> None:

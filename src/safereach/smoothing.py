@@ -68,7 +68,7 @@ class TimePartition:
 
 
 def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
-                         table_res: int = 256, u_cap: int = 2 ** 16) -> TimePartition:
+                         table_res: int = 256) -> TimePartition:
     """Floors eta_k, subdivision counts u_k (doubled until the oscillation of
     h over one subinterval drops below eta_k/4 on the grid), and the geometric
     slack sequence zeta.  h is a table function, h(times, X) -> (len(times),
@@ -109,9 +109,9 @@ def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
             if osc < bound:
                 break
             u *= 2
-            if u > min(u_cap, table_res):
+            if u > table_res:
                 raise SmoothingError(
-                    f"u_{k} exceeded {min(u_cap, table_res)} subdivisions in unit "
+                    f"u_{k} exceeded {table_res} subdivisions in unit "
                     f"interval {k}; raise table_res or smooth the input")
         u_counts.append(u)
 
@@ -413,8 +413,7 @@ class GlobalSmoothedFn:
 
 
 def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 3,
-                  table_res: int = 256, annulus_count: int = 512,
-                  w_tol: Optional[float] = None, seed: int = 0,
+                  table_res: int = 256, annulus_count: int = 512, seed: int = 0,
                   validation_points: Optional[np.ndarray] = None) -> GlobalSmoothedFn:
     """Smooth h (positive off K, zero on K, nonincreasing in t) on the union
     of dyadic annuli indexed by s_range; dim <= 2.  h is a table function,
@@ -429,7 +428,7 @@ def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 
     for s in s_range:
         grid = annulus_points(K, s, annulus_count, seed=seed + s - s_range[0])
         partition = build_time_partition(h, grid, k_max, table_res=table_res)
-        parts[s] = smooth_on_compact(partition, w_tol=w_tol)
+        parts[s] = smooth_on_compact(partition)
     fn = GlobalSmoothedFn(K, parts, s_range, float(k_max))
     if validation_points is not None:
         _validate_global(fn, h, np.atleast_2d(validation_points), k_max)

@@ -270,36 +270,44 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     """Right-hand side fn(k, rows, X) of a bundle for :func:`rk4_sweep`.
 
     Row j * m + i runs sels[j]; step k (from 1) of length h uses the
-    direction of the segment holding its midpoint (k - 1/2) h.  Piecewise
-    selectors share their switch times, as those of one BundlePlan do.
-    Built once per sweep on ``FieldHandle.raw`` (no finiteness test): a ball
-    adds eps * d premultiplied per segment and row; backward negates each f.
-    A field's value is overwritten in place unless it shares memory with the
-    stage input, which a field may return."""
+    direction of the segment holding its midpoint (k - 1/2) h, on the switch
+    grid the selectors of one BundlePlan share.  The stage calls each field's
+    ``FieldHandle.fn`` itself, checks the shape of its first value and
+    negates each value backward; a ball then adds eps * d, a hull sums weight
+    by weight.  No finiteness test.  A value is written over unless it shares
+    memory with the stage input X, as X or a view of it does."""
     switch_times, D = selector_table(F, sels)
-    fs = [f.raw for f in F.fields]
-    if direction == "backward":
-        fs = [lambda X, g=g: _apply(np.negative, g(X), X) for g in fs]
-    if D is None:
-        return lambda k, rows, X: fs[0](X)
-    if F.kind == "ball":
-        D, stage = F.epsilon * D, lambda X, e: _apply(np.add, fs[0](X), X, e)
-    else:
-        def stage(X, w):
+    st, back = switch_times.tolist(), direction == "backward"
+    unchecked = list(F.fields)    # each field's first value is shape-checked
+    if D is not None:    # E[q, r]: the direction of row r on segment q, eps * d for a ball
+        E = (F.epsilon * D if F.kind == "ball" else D)[:, np.repeat(np.arange(len(sels)), m)]
+    if F.kind != "hull":
+        fn = F.fields[0].fn
+
+        def stage(k, rows, X):
+            v = fn(X)
+            if unchecked:
+                unchecked.pop().check_shape(v, X)
+            if D is None and not back:
+                return v
+            out = None if np.may_share_memory(v, X) else v
+            if back:
+                v = out = np.negative(v, out=out)
+            return v if D is None else np.add(v, E[bisect_right(st, (k - 0.5) * h)][rows], out=out)
+        return stage
+
+    def hull(k, rows, X):
+        w, out = E[bisect_right(st, (k - 0.5) * h)][rows], None
+        for i, f in enumerate(F.fields):
+            v = f.fn(X)
+            if unchecked:      # the first call pops the fields in order
+                unchecked.pop(0).check_shape(v, X)
+            if back:
+                v = np.negative(v, out=None if np.may_share_memory(v, X) else v)
             # weight by weight, not a BLAS product, which rounds rows by batch size
-            out = fs[0](X) * w[..., 0, None]
-            for i in range(1, len(fs)):
-                np.add(out, fs[i](X) * w[..., i, None], out=out)
-            return out
-    E, st = D[:, np.repeat(np.arange(len(sels)), m)], switch_times.tolist()   # segment, row
-    return lambda k, rows, X: stage(X, E[bisect_right(st, (k - 0.5) * h)][rows])
-
-
-def _apply(ufunc, out: np.ndarray, X: np.ndarray, *operands) -> np.ndarray:
-    """ufunc(out, *operands), written over out unless out shares memory with X."""
-    if np.may_share_memory(out, X):
-        return ufunc(out, *operands)
-    return ufunc(out, *operands, out=out)
+            out = v * w[..., i, None] if out is None else np.add(out, v * w[..., i, None], out=out)
+        return out
+    return hull
 
 
 def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,

@@ -32,6 +32,8 @@ UNDER_APPROX_DISCLAIMER = (
 
 NAGUMO_DEFAULT_TOL = 1e-5   # absorbs curvature x min-step plus distance noise
 PROP1_CLARKE_RADIUS = 1e-6  # radius of prop1_check's Clarke gradient samples
+PROP1_FD_STEP = 1e-7        # step of their finite differences
+PROP1_TOL = 1e-7            # prop1_check passes when its worst margin is at most this
 
 
 BundlePlanV = BundlePlan     # former name, still imported by bench/test_bench.py
@@ -230,7 +232,7 @@ def _exterior_shell(K: SetSpec, count: int, width: float, seed: int, window):
 def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
                 g: RelaxFn = None, mode: str = "conditional",
                 n_samples: int = 64, shell_width: float = 1e-3, window=None,
-                seed: int = 0, tol: float = 1e-7, fd: float = 1e-7) -> CheckReport:
+                seed: int = 0) -> CheckReport:
     """Sign conditions plus the Clarke decrease inequality for conditional
     (or strict conditional) invariance of X_s with respect to X_o.
 
@@ -274,8 +276,8 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     if len(region) == 0:
         return CheckReport(f"prop1_{mode}", checked, worst, witness, "inconclusive",
                            details={"reason": "empty decrease region"})
-    grads = clarke_gradient_sample(handle, region, radius=PROP1_CLARKE_RADIUS, fd_step=fd,
-                                   seed=seed)
+    grads = clarke_gradient_sample(handle, region, radius=PROP1_CLARKE_RADIUS,
+                                   fd_step=PROP1_FD_STEP, seed=seed)
     # time-independent B: zeta_t = 0
     rates, etas = max_rate(F, region, np.concatenate(
         [np.zeros(grads.shape[:-1] + (1,)), grads], axis=-1))
@@ -286,7 +288,7 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
         worst, witness = margins[i, j], {"condition": "decrease", "x": region[i].tolist(),
                                          "eta": etas[i, j].tolist(), "zeta": grads[i, j].tolist()}
     return CheckReport(f"prop1_{mode}", checked, float(worst), witness,
-                       "pass" if worst <= tol else "fail",
+                       "pass" if worst <= PROP1_TOL else "fail",
                        details={"relaxation": g.kind})
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import safereach.barrier as barrier
 import safereach.reachability as reachability
 from safereach import cli
 from safereach.cli import main
-from safereach.config import ConfigError, build_scenario, parse_config
+from safereach.config import CHECK_KEYS, ConfigError, RawConfig, build_scenario, parse_config
 from safereach.dynamics import InclusionSpec, builtin_field
 from safereach.geometry import SamplePlan, SetSpec
 from safereach.solver import BundlePlan, IntegratorConfig
@@ -125,6 +126,44 @@ class TestConfigParsing:
         scn = build_scenario(parse_config(text))
         v = scn.system.fields[0](np.array([1.0, 2.0]))
         assert np.allclose(v, [-2.0, 1.0])
+
+    def test_each_check_kind_reads_exactly_its_listed_keys(self, tmp_path, monkeypatch):
+        # one small section per kind; the infinitesimal region reads width
+        sections = {
+            "simulate": "X_o = X_o\nX_u = X_u\nT = 0.25",
+            "sign": "X_o = X_o\nX_u = X_u\nn_samples = 4",
+            "monotonicity": "X_o = X_o\nT = 0.25\nn_samples = 2",
+            "infinitesimal": "region = boundary\ncount = 4",
+            "nagumo": "K = X_o\nn_samples = 4",
+            "prop1": "X_o = X_o\nX_s = X_s\nn_samples = 4",
+            "filippov": "lam_box = BOX\npairs = 2\nT = 0.25",
+        }
+        assert sections.keys() == CHECK_KEYS.keys()
+        text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
+            "[set X_s]\nkind = halfspace\nnormal = 0 -1\noffset = -2\n"
+            "[set BOX]\nkind = box\nlo = -3 -3\nhi = 3 3\n"
+            "[barrier]\nkind = user\nexpression = x1^2/10 + x2^2 - 1\n") + "".join(
+            f"[check {kind}]\nkind = {kind}\n{keys}\n" for kind, keys in sections.items())
+        scn = build_scenario(parse_config(text))
+        reads, get = [], RawConfig.get
+        monkeypatch.setattr(RawConfig, "get", lambda cfg, section, key, default=None: (
+            reads.append((section, key)), get(cfg, section, key, default))[1])
+        barrier = functools.cache(lambda: cli._build_barrier(scn))
+        for kind, keys in CHECK_KEYS.items():
+            reads.clear()
+            cli._run_one_check(kind, scn, barrier)
+            assert {k for sec, k in reads if sec == f"check {kind}"} == {"kind", *keys}
+
+    @pytest.mark.parametrize("section, message", [
+        ("[check quick]\nX_o = X_o", r"^\[check quick\] needs kind$"),
+        ("[check quick]\nkind = sign\nX_o = X_o\nX_u = X_u\nstride = 4",
+         r"^\[check quick\] key 'stride' is not read by kind 'sign', "
+         r"which reads X_o, X_u, n_samples$"),
+    ])
+    def test_a_check_section_is_refused_before_any_command(self, section, message):
+        text = MINIMAL.split("[check quick]")[0] + section + "\n"
+        with pytest.raises(ConfigError, match=message):
+            build_scenario(parse_config(text))
 
     def test_config_hash_tracks_bytes(self):
         a = parse_config(MINIMAL)
@@ -423,12 +462,25 @@ class TestCommands:
              "cannot parse 'x1 +'", ["safety.check.json"]),                  # ExpressionError
             (["check", "--config", linear, "--set", "set ELLIPSE.fn=x1 +"],
              "cannot parse 'x1 +'", []),                                     # ExpressionError
+            # a [check NAME] key that its kind does not read, and an unknown
+            # kind after passing checks, are refused before any check runs
+            (["check", "--config", str(SCENARIOS / "perturbed.scenario"),
+              "--set", "check perturbed_safety.T=0.5",
+              "--set", "check perturbed_safety.n_samples=5",
+              "--set", "check perturbed_safety.lam_box=nosuchset"],
+             "[check perturbed_safety] key 'lam_box' is not read by kind 'simulate'",
+             []),                                                            # ConfigError
+            (["check", "--config", linear, "--set", "check conditional.tol=1e-3"],
+             "[check conditional] key 'tol' is not read by kind 'prop1'", []),  # ConfigError
+            (["check", "--config", linear, "--set", "check filippov.kind=nosuch"],
+             "[check filippov] unknown check kind 'nosuch'", []),            # ConfigError
         ]
         for i, (argv, message, written) in enumerate(cases):
             out = tmp_path / f"out{i}"
             assert main(argv + ["--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
+            assert len(err.splitlines()) == 1
             assert "Traceback" not in err
             if written:
                 assert sorted(p.name for p in out.iterdir()) == sorted(

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, Selector,
-                                builtin_field, field_from_expressions,
+from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
+                                Selector, builtin_field, field_from_expressions,
                                 lipschitz_estimate, selector_table)
 from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
@@ -421,16 +422,56 @@ class TestStageFunction:
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_a_sweep_calls_only_the_raw_field(self, monkeypatch, direction):
-        raw_rows, guarded = [], []
-        g = FieldHandle(lambda X: (raw_rows.append(len(X)), self.f.fn(X))[1], 2, "counted")
+    def test_a_sweep_calls_only_the_field_fn(self, monkeypatch, direction):
+        fn_rows, guarded = [], []
+        g = FieldHandle(lambda X: (fn_rows.append(len(X)), self.f.fn(X))[1], 2, "counted")
         guard = FieldHandle.__call__
         monkeypatch.setattr(FieldHandle, "__call__",
                             lambda fh, x: (guarded.append(len(x)), guard(fh, x))[1])
         sels = BundlePlan(3).selectors(InclusionSpec.ball_perturbed(g, 0.1))
         X0 = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 2))
         bundle_sweep(InclusionSpec.ball_perturbed(g, 0.1), sels, X0, 11 / 512, CFG, direction)
-        assert raw_rows == [15] * (4 * 11) and guarded == []
+        assert fn_rows == [15] * (4 * 11) and guarded == []
+
+    @staticmethod
+    def _inclusion(kind, g):
+        """An inclusion of the given kind holding field g; a hull puts g
+        after a well-formed field, so each field's value is checked."""
+        if kind == "singleton":
+            return InclusionSpec.singleton(g)
+        if kind == "ball":
+            return InclusionSpec.ball_perturbed(g, 0.1)
+        return InclusionSpec.hull([builtin_field("linear_safe"), g])
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_one_frame_lies_between_the_kernel_and_the_field(self, kind, direction):
+        callers = []
+
+        def fn(X):
+            caller, kernel = sys._getframe(1), sys._getframe(2)
+            callers.append((caller.f_code.co_filename, kernel.f_code.co_name,
+                            kernel.f_code.co_filename))
+            return self.f.fn(X)
+
+        F = self._inclusion(kind, FieldHandle(fn, 2, "framed"))
+        X0 = np.random.default_rng(2).uniform(-0.5, 0.5, size=(3, 2))
+        bundle_sweep(F, BundlePlan(2).selectors(F), X0, 3 / 512, CFG, direction)
+        assert len(callers) == 4 * 3
+        assert set(callers) == {(solver.__file__, "rk4_sweep", solver.__file__)}
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("bad, shape", [(lambda X: X[:, :1].copy(), r"\(6, 1\)"),
+                                            (lambda X: X[0].copy(), r"\(2,\)")])
+    def test_a_value_of_the_wrong_shape_is_refused_naming_both(self, kind, direction,
+                                                               bad, shape):
+        F = self._inclusion(kind, FieldHandle(bad, 2, "bad"))
+        sels = BundlePlan(2).selectors(F)
+        X0 = np.random.default_rng(4).uniform(-0.5, 0.5, size=(6 // len(sels), 2))
+        with pytest.raises(DynamicsError,
+                           match=rf"^field 'bad' returned shape {shape} for input \(6, 2\)$"):
+            bundle_sweep(F, sels, X0, 3 / 512, CFG, direction)
 
     def test_a_field_going_nan_in_one_row_ends_the_sweep_quietly(self):
         # x1 moves at unit speed; log(1.2 - x1) is NaN past 1.2, reached in step 2
@@ -621,15 +662,25 @@ class TestInPlaceStep:
     for bit, signed zeros included, whatever the field returns."""
 
     IDENTITY = FieldHandle(lambda x: x, 2, "identity")      # returns its input
+    # returns a view of its input: another array object on the same memory
+    VIEW = FieldHandle(lambda x: x.reshape(x.shape), 2, "view")
     INCLUSIONS = {
         "linear-ball": InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1),
         "counterexample": InclusionSpec.singleton(builtin_field("counterexample2d")),
         "identity": InclusionSpec.singleton(IDENTITY),
         "identity-ball": InclusionSpec.ball_perturbed(IDENTITY, 0.25),
         "hull": InclusionSpec.hull([builtin_field("linear_safe"), IDENTITY]),
+        "view": InclusionSpec.singleton(VIEW),
+        "view-ball": InclusionSpec.ball_perturbed(VIEW, 0.25),
+        "view-hull": InclusionSpec.hull([VIEW, builtin_field("linear_safe")]),
     }
 
-    @settings(max_examples=60, deadline=None)
+    def test_the_view_field_returns_another_array_on_its_input(self):
+        X = np.ones((3, 2))
+        v = self.VIEW.fn(X)
+        assert v is not X and np.shares_memory(v, X)
+
+    @settings(max_examples=96, deadline=None)
     @given(kind=st.sampled_from(sorted(INCLUSIONS)),
            direction=st.sampled_from(["forward", "backward"]),
            data=st.data())
