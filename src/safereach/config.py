@@ -190,8 +190,7 @@ def _apply_overrides(text: str, overrides: dict) -> str:
         out = []
         current = ""
         replaced = False
-        section_end = None
-        for i, line in enumerate(lines):
+        for line in lines:
             stripped = line.split("#", 1)[0].strip()
             if stripped.startswith("[") and stripped.endswith("]"):
                 current = stripped[1:-1].strip()

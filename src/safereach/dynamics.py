@@ -9,7 +9,7 @@ velocity out of F(x) at every time (``solver.bundle_field``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,11 +29,14 @@ class FieldHandle:
     float array to a float array of its shape: a new one, its input or a view
     of it.  Sweeps call fn (``solver.bundle_field``); calling the handle is
     the guarded entry, coercing x and checking every value's shape and
-    finiteness."""
+    finiteness.  A linear field may declare its (dim, dim) matrix A, with
+    fn(x) == x @ A.T up to rounding: a sweep then takes RK4's affine step
+    in place of calling fn (``solver.affine_step``)."""
 
     fn: Callable
     dim: int
     name: str = "field"
+    matrix: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -127,7 +130,7 @@ _BUILTINS = {
     "counterexample2d": lambda: FieldHandle(_counterexample2d, 2, "counterexample2d"),
     "counterexample_radial": lambda: FieldHandle(_counterexample_radial, 1,
                                                  "counterexample_radial"),
-    "linear_safe": lambda: FieldHandle(_linear_safe, 2, "linear_safe"),
+    "linear_safe": lambda: FieldHandle(_linear_safe, 2, "linear_safe", LINEAR_SAFE_A),
 }
 
 

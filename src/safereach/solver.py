@@ -2,7 +2,9 @@
 
 Every fixed-step integration runs through one kernel, :func:`rk4_sweep`:
 RK4 on a flat batch of rows, one row per (selector, start) pair, so a step
-costs the same few numpy calls whatever the number of rows.  One function,
+costs the same few numpy calls whatever the number of rows.  A step is four
+stage calls of the field, or, for a field declaring its matrix, RK4's exact
+affine map of one step (:func:`affine_step`).  One function,
 :func:`bundle_field`, decides which direction a row uses at a step: the
 segment holding the step's midpoint, on the absolute switch grid of
 :class:`BundlePlan`, so a bundle is one sweep and its family on [0, t] does
@@ -146,8 +148,9 @@ class BundlePlan:
         return sels
 
 
-def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
-              observe: Optional[Callable] = None, escape_radius: float = np.inf):
+def rk4_sweep(fn: Optional[Callable], X0: np.ndarray, h, n_steps,
+              observe: Optional[Callable] = None, escape_radius: float = np.inf,
+              step: Optional[Callable] = None):
     """Fixed-step RK4 on the rows of X0 (m, n); rows run independently.
 
     h is one step for every row or an (m,) array of per-row steps; n_steps
@@ -156,8 +159,12 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
     side of step k (from 1) at the states X of ``rows``, a slice or an index
     array into X0; fn may return X itself.  The stage inputs and the RK4
     combination go into (r, n) buffers of the kernel, r the live rows, with
-    the textbook formula's operations in its order, so a state is bit for
-    bit the allocating formula's.  A row whose new state leaves
+    the textbook formula's operations in its order, so on this stage path a
+    state is bit for bit the allocating formula's.  A given step(k, rows,
+    X, out), see :func:`affine_step`, replaces the four stage calls and the
+    combination: it writes the new states of ``rows`` into the (r, n) buffer
+    out and returns it, for its own scalar h; fn is then not called.
+    Everything else is shared by both paths.  A row whose new state leaves
     escape_radius is frozen there.  The observer sees the sweep's nodes in
     blocks of j <= K consecutive nodes, K = BLOCK_ROWS // m counted in nodes
     (at least 1, at most n_max + 1), so a sweep of rows x (steps + 1) <=
@@ -210,23 +217,26 @@ def rk4_sweep(fn: Callable, X0: np.ndarray, h, n_steps,
             if n_live != r:
                 r = n_live
                 S, A, T = np.empty((r, n)), np.empty((r, n)), np.empty((r, n))
-            if h_rows is not None:
-                hs = h_rows[rows]
-                hh, h6 = 0.5 * hs, hs / 6.0
-            # Xs + (0.5 h) k1, ..., then Xs + (h / 6) (((k1 + 2 k2) + 2 k3) + k4),
-            # the operations of the textbook formula in its order, into S, A
-            # and T; a stage value may be its input S, so each k is folded
-            # into A before S is overwritten
-            k1 = fn(k, rows, Xs)
-            np.add(Xs, np.multiply(k1, hh, out=S), out=S)
-            k2 = fn(k, rows, S)
-            np.add(k1, np.multiply(k2, 2.0, out=A), out=A)
-            np.add(Xs, np.multiply(k2, hh, out=S), out=S)
-            k3 = fn(k, rows, S)
-            np.add(A, np.multiply(k3, 2.0, out=T), out=A)
-            np.add(Xs, np.multiply(k3, hs, out=S), out=S)
-            k4 = fn(k, rows, S)
-            Xn = np.add(Xs, np.multiply(np.add(A, k4, out=A), h6, out=A), out=A)
+            if step is not None:
+                Xn = step(k, rows, Xs, A)
+            else:
+                if h_rows is not None:
+                    hs = h_rows[rows]
+                    hh, h6 = 0.5 * hs, hs / 6.0
+                # Xs + (0.5 h) k1, ..., then Xs + (h / 6) (((k1 + 2 k2) + 2 k3) + k4),
+                # the operations of the textbook formula in its order, into S, A
+                # and T; a stage value may be its input S, so each k is folded
+                # into A before S is overwritten
+                k1 = fn(k, rows, Xs)
+                np.add(Xs, np.multiply(k1, hh, out=S), out=S)
+                k2 = fn(k, rows, S)
+                np.add(k1, np.multiply(k2, 2.0, out=A), out=A)
+                np.add(Xs, np.multiply(k2, hh, out=S), out=S)
+                k3 = fn(k, rows, S)
+                np.add(A, np.multiply(k3, 2.0, out=T), out=A)
+                np.add(Xs, np.multiply(k3, hs, out=S), out=S)
+                k4 = fn(k, rows, S)
+                Xn = np.add(Xs, np.multiply(np.add(A, k4, out=A), h6, out=A), out=A)
             # one pass answers both tests: NaN or inf fails top < inf
             top = max(Xn.max(), -Xn.min())
             if not top < np.inf:
@@ -272,22 +282,25 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     Row j * m + i runs sels[j]; step k (from 1) of length h uses the
     direction of the segment holding its midpoint (k - 1/2) h, on the switch
     grid the selectors of one BundlePlan share.  The stage calls each field's
-    ``FieldHandle.fn`` itself, checks the shape of its first value and
-    negates each value backward; a ball then adds eps * d, a hull sums weight
-    by weight.  No finiteness test.  A value is written over unless it shares
-    memory with the stage input X, as X or a view of it does."""
+    ``FieldHandle.fn`` itself, checks the shape of every value and negates
+    each value backward; a ball then adds eps * d, a hull sums weight by
+    weight.  No finiteness test.  A value is written over unless it shares
+    memory with the stage input X, as X or a view of it does.  On this
+    stage path a sweep's states are bit for bit the allocating RK4
+    formula's on these velocities; :func:`bundle_sweep` and
+    :func:`tube_minimum` take :func:`affine_step` instead where it applies."""
     switch_times, D = selector_table(F, sels)
     st, back = switch_times.tolist(), direction == "backward"
-    unchecked = list(F.fields)    # each field's first value is shape-checked
     if D is not None:    # E[q, r]: the direction of row r on segment q, eps * d for a ball
         E = (F.epsilon * D if F.kind == "ball" else D)[:, np.repeat(np.arange(len(sels)), m)]
     if F.kind != "hull":
-        fn = F.fields[0].fn
+        f = F.fields[0]
+        fn = f.fn
 
         def stage(k, rows, X):
             v = fn(X)
-            if unchecked:
-                unchecked.pop().check_shape(v, X)
+            if v.shape != X.shape:
+                f.check_shape(v, X)
             if D is None and not back:
                 return v
             out = None if np.may_share_memory(v, X) else v
@@ -300,14 +313,57 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
         w, out = E[bisect_right(st, (k - 0.5) * h)][rows], None
         for i, f in enumerate(F.fields):
             v = f.fn(X)
-            if unchecked:      # the first call pops the fields in order
-                unchecked.pop(0).check_shape(v, X)
+            if v.shape != X.shape:
+                f.check_shape(v, X)
             if back:
                 v = np.negative(v, out=None if np.may_share_memory(v, X) else v)
             # weight by weight, not a BLAS product, which rounds rows by batch size
             out = v * w[..., i, None] if out is None else np.add(out, v * w[..., i, None], out=out)
         return out
     return hull
+
+
+def _rows_times(P: list, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P x into out for every row x of X (..., n), P given as nested lists:
+    component i is P[i][0] x_0 + P[i][1] x_1 + ..., summed in that order
+    from elementwise products, not a BLAS product, which rounds a row alone
+    unlike the same row in a batch."""
+    for i, row in enumerate(P):
+        o = out[..., i]
+        np.multiply(X[..., 0], row[0], out=o)
+        for j in range(1, len(row)):
+            np.add(o, X[..., j] * row[j], out=o)
+    return out
+
+
+def affine_step(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Optional[Callable]:
+    """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`
+    on a linear field, or None: F is a singleton or ball whose field
+    declares its matrix A (``FieldHandle.matrix``).  One RK4 step of length
+    h of dx/dt = B x + c, B = A forward and -A backward, c = eps * d the
+    row's offset, is exactly the affine map x+ = R(M) x + h T(M) c with
+    M = h B, T(M) = I + M/2 + M^2/6 + M^3/24 and R(M) = I + M T(M).  The
+    offsets h T(M) c are premultiplied per segment of the switch grid, and
+    R(M) x is taken by elementwise products, so a row gets the same bits
+    alone and in a batch.  The states differ from the four stages' by
+    rounding only: a few ulps of the state's scale per step."""
+    A = F.fields[0].matrix
+    if F.kind == "hull" or A is None:
+        return None
+    switch_times, D = selector_table(F, sels)
+    st = switch_times.tolist()
+    M = (h if direction == "forward" else -h) * np.asarray(A, dtype=float)
+    M2 = M @ M
+    T = np.eye(len(M)) + M / 2.0 + M2 / 6.0 + M2 @ M / 24.0
+    R = (np.eye(len(M)) + M @ T).tolist()
+    if D is not None:    # O[q, r]: the offset h T(M) (eps d) of row r on segment q
+        O = _rows_times((h * T).tolist(), F.epsilon * D, np.empty(D.shape))[
+            :, np.repeat(np.arange(len(sels)), m)]
+
+    def step(k, rows, X, out):
+        out = _rows_times(R, X, out)
+        return out if D is None else np.add(out, O[bisect_right(st, (k - 0.5) * h)][rows], out=out)
+    return step
 
 
 def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,
@@ -349,8 +405,10 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
             q = slots[i]
             seen[:, q] = acc[ks[i] - k0].reshape(S, p)[:, u_slot[q]]
 
-    _, steps, escaped = rk4_sweep(bundle_field(F, sels, p, h, direction), np.tile(U, (S, 1)),
-                                  h, np.tile(k_end, S), observe, escape_radius)
+    step = affine_step(F, sels, p, h, direction)
+    fn = bundle_field(F, sels, p, h, direction) if step is None else None
+    _, steps, escaped = rk4_sweep(fn, np.tile(U, (S, 1)), h, np.tile(k_end, S), observe,
+                                  escape_radius, step)
     # a row that escaped at or before a slot's step stays frozen: its minimum is final
     seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
     return seen.min(axis=0).reshape(K.shape), bool(escaped.any())
@@ -387,9 +445,11 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
         if observe is not None:
             observe(t, stepped, Xb)
 
-    _, steps, escaped = rk4_sweep(bundle_field(F, sels, m, h, direction),
-                                  np.tile(X0, (len(sels), 1)), h, n,
-                                  obs if record or observe is not None else None, cfg.escape_radius)
+    step = affine_step(F, sels, m, h, direction)
+    fn = bundle_field(F, sels, m, h, direction) if step is None else None
+    _, steps, escaped = rk4_sweep(fn, np.tile(X0, (len(sels), 1)), h, n,
+                                  obs if record or observe is not None else None,
+                                  cfg.escape_radius, step)
     termination = np.full(len(escaped), "horizon", dtype=object)
     termination[escaped] = "escape"
     if not record:

@@ -37,6 +37,7 @@ class TestBuiltins:
         assert np.allclose(f(np.array([1.0, 0.0])), [-1.0, 1.0])
         x = np.array([0.3, -0.7])
         assert np.allclose(f(x), LINEAR_SAFE_A @ x)
+        assert f.matrix is LINEAR_SAFE_A   # sweeps step it by the affine RK4 map
 
     def test_unknown_name(self):
         with pytest.raises(DynamicsError):

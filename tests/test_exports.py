@@ -1,6 +1,7 @@
 """Every name defined in src/ is one that the package itself runs: each
 export, top-level function and class, and method (dunders aside) is read
-somewhere in src/ outside its own definition."""
+somewhere in src/ outside its own definition, and no function stores a
+local name that it never reads."""
 
 import ast
 from collections import Counter
@@ -65,3 +66,18 @@ def test_the_kept_names_are_still_exported_and_still_unreferenced():
     # a kept name is an export or, like a method, a definition of src/
     assert set(KEPT) <= set(safereach.__all__) | {d.name for d in _definitions(_modules())}
     assert set(KEPT) <= _unreferenced()
+
+
+def test_no_function_stores_a_name_it_never_reads():
+    # a nested function counts apart and as part of the one around it; a
+    # name stored only to be dropped is spelled with a leading _
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                names = [n for n in ast.walk(f) if isinstance(n, ast.Name)]
+                stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+                read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.name}:{f.name}:{x}" for x in sorted(stored - read)
+                           if not x.startswith("_")]
+    assert unread == [], f"stored but never read: {unread}"

@@ -13,7 +13,7 @@ from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEA
 from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
 from safereach import reachability, smoothing, solver, verify
-from safereach.solver import (BundlePlan, IntegratorConfig, SolverError,
+from safereach.solver import (BundlePlan, IntegratorConfig, SolverError, affine_step,
                               Trajectory, bundle_field, bundle_sweep, integrate,
                               rk4_sweep, solution_bundle, tube_minimum, write_csv)
 
@@ -462,11 +462,20 @@ class TestStageFunction:
 
     @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    @pytest.mark.parametrize("bad, shape", [(lambda X: X[:, :1].copy(), r"\(6, 1\)"),
-                                            (lambda X: X[0].copy(), r"\(2,\)")])
+    @pytest.mark.parametrize("good_calls, bad, shape", [
+        (0, lambda X: X[:, :1].copy(), r"\(6, 1\)"),
+        (0, lambda X: X[0].copy(), r"\(2,\)"),
+        # a well-shaped first value, then a value the kernel would broadcast
+        (1, lambda X: -X[:, :1], r"\(6, 1\)")])
     def test_a_value_of_the_wrong_shape_is_refused_naming_both(self, kind, direction,
-                                                               bad, shape):
-        F = self._inclusion(kind, FieldHandle(bad, 2, "bad"))
+                                                               good_calls, bad, shape):
+        calls = []
+
+        def fn(X):
+            calls.append(len(X))
+            return -X if len(calls) <= good_calls else bad(X)
+
+        F = self._inclusion(kind, FieldHandle(fn, 2, "bad"))
         sels = BundlePlan(2).selectors(F)
         X0 = np.random.default_rng(4).uniform(-0.5, 0.5, size=(6 // len(sels), 2))
         with pytest.raises(DynamicsError,
@@ -713,3 +722,85 @@ class TestInPlaceStep:
         ref = _textbook_sweep(fn, X0, 1 / 4, n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
         assert np.signbit(X[X0 == 0.0]).all()
+
+
+class TestAffineStep:
+    """A field declaring its matrix steps by RK4's affine map: the stage
+    path's states up to rounding, the same bits for a row alone and in a
+    batch, and the kernel's escape and finiteness handling unchanged."""
+
+    BASE = builtin_field("linear_safe")
+    INCLUSIONS = {"singleton": InclusionSpec.singleton(BASE),
+                  "ball": InclusionSpec.ball_perturbed(BASE, 0.3)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["singleton", "ball"]),
+           direction=st.sampled_from(["forward", "backward"]),
+           switches=st.sampled_from([0, 2]), h=st.sampled_from([1 / 8, 1 / 64]),
+           data=st.data())
+    def test_equals_the_stage_path_up_to_rounding(self, kind, direction, switches, h, data):
+        F = self.INCLUSIONS[kind]
+        sels = BundlePlan(2, switches=switches).selectors(F, 40 * h)
+        m = data.draw(st.integers(1, 4))
+        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * len(sels),
+                                         max_size=m * len(sels))), dtype=float)
+        n_steps = data.draw(st.one_of(st.integers(0, 40),
+                                      st.lists(st.integers(0, 40), min_size=len(X0),
+                                               max_size=len(X0)).map(np.array)))
+        step = affine_step(F, sels, m, h, direction)
+        X, _, _ = rk4_sweep(None, X0, h, n_steps, step=step)
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, direction,
+                                                            k, rows, X), X0, h, n_steps)
+        # a relative bound, floored at the smallest normal float: subnormals
+        # round at an absolute 5e-324
+        assert np.abs(X - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_a_row_alone_equals_the_row_in_a_batch(self, kind, direction):
+        # a singleton start alone is one row; a ball's, one row per selector
+        F = self.INCLUSIONS[kind]
+        X0 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(7, 2))
+        plan = BundlePlan(1, switches=2)
+        batch = solution_bundle(F, X0, 1.5, direction, CFG, plan)
+        for i in (0, 4, 6):
+            [alone] = solution_bundle(F, X0[i:i + 1], 1.5, direction, CFG, plan)
+            for a, b in zip(alone, batch[i]):
+                assert np.array_equal(a.states.view(np.uint64), b.states.view(np.uint64))
+
+    @pytest.mark.parametrize("direction, sign", [("forward", 1.0), ("backward", -1.0)])
+    def test_rows_escape_at_the_stage_paths_step(self, direction, sign):
+        # x -> x forward, x -> -x backward: rows grow out of escape_radius = 10
+        F = InclusionSpec.ball_perturbed(FieldHandle(lambda X: sign * X, 2, "grow",
+                                                     sign * np.eye(2)), 0.5)
+        sels = BundlePlan(4).selectors(F)
+        X0 = np.tile([[1.0, 0.0], [0.3, -0.2], [2.0, 2.0], [0.0, 0.0]], (len(sels), 1))
+        h, n = 1 / 16, 200
+        stage = rk4_sweep(bundle_field(F, sels, 4, h, direction), X0, h, n, escape_radius=10.0)
+        affine = rk4_sweep(None, X0, h, n, escape_radius=10.0,
+                           step=affine_step(F, sels, 4, h, direction))
+        assert stage[2].all() and len(np.unique(stage[1])) > 4
+        assert np.array_equal(affine[1], stage[1]) and np.array_equal(affine[2], stage[2])
+        assert np.abs(affine[0] - stage[0]).max() <= 1e-12 * np.abs(stage[0]).max()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_start_raises(self, bad):
+        F = self.INCLUSIONS["ball"]
+        X = np.array([[1.0, 0.0], [bad, 0.5]])
+        with pytest.raises(SolverError, match="non-finite state at step 1"):
+            tube_minimum(F, BundlePlan(2).selectors(F), X, np.array([[4, 4]]), 1 / 16,
+                         "backward", ORIGIN)
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball"])
+    @pytest.mark.parametrize("matrix, calls", [(None, 4 * 11), (LINEAR_SAFE_A, 0)])
+    def test_only_a_field_without_matrix_is_called(self, kind, matrix, calls):
+        rows = []
+        g = FieldHandle(lambda X: rows.append(len(X)) or self.BASE.fn(X), 2, "linear_safe",
+                        matrix)
+        F = InclusionSpec.singleton(g) if kind == "singleton" else \
+            InclusionSpec.ball_perturbed(g, 0.3)
+        sels = BundlePlan(3).selectors(F)
+        X0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 2))
+        bundle_sweep(F, sels, X0, 11 / 512, CFG)
+        assert rows == [5 * len(sels)] * calls
+        assert (affine_step(F, sels, 5, 1 / 512, "forward") is None) == (matrix is None)
