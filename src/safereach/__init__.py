@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "dynamics": ("FieldHandle", "InclusionSpec", "Selector", "builtin_field",
-                 "eval_inclusion", "field_from_expressions", "lipschitz_estimate",
-                 "max_rate", "rescale_field"),
+                 "eval_inclusion", "field_from_expressions", "linear_field",
+                 "lipschitz_estimate", "max_rate", "rescale_field"),
     "geometry": ("ConeProbe", "SamplePlan", "SetSpec", "SubgradientCandidate",
                  "clarke_gradient_sample", "cone_residual", "distance_to_set",
                  "hausdorff_distance", "proximal_subgradient_test"),

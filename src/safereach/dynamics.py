@@ -8,7 +8,6 @@ velocity out of F(x) at every time (``solver.bundle_field``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -29,14 +28,22 @@ class FieldHandle:
     float array to a float array of its shape: a new one, its input or a view
     of it.  Sweeps call fn (``solver.bundle_field``); calling the handle is
     the guarded entry, coercing x and checking every value's shape and
-    finiteness.  A linear field may declare its (dim, dim) matrix A, with
-    fn(x) == x @ A.T up to rounding: a sweep then takes RK4's affine step
-    in place of calling fn (``solver.affine_step``)."""
+    finiteness.  A linear field may declare its finite (dim, dim) matrix A,
+    with fn(x) == x @ A.T up to rounding: a sweep then takes RK4's affine
+    step in place of calling fn (``solver.bundle_step``).  Build one with
+    :func:`linear_field`, whose fn is its matrix's."""
 
     fn: Callable
     dim: int
     name: str = "field"
     matrix: Optional[np.ndarray] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.matrix is not None:
+            A = np.asarray(self.matrix, dtype=float)
+            if A.shape != (self.dim, self.dim) or not np.isfinite(A).all():
+                raise DynamicsError(f"field '{self.name}' needs a finite ({self.dim}, "
+                                    f"{self.dim}) matrix, got shape {A.shape}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -65,13 +72,34 @@ def field_from_expressions(exprs: Sequence[str], name: str = "user") -> FieldHan
     return FieldHandle(fn, n, name=name)
 
 
+def rows_times(P: list, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P x into out for every row x of X (..., n), P given as nested lists:
+    component i is P[i][0] x_0 + P[i][1] x_1 + ..., summed in that order
+    from elementwise products, not a BLAS product, which rounds a row alone
+    unlike the same row in a batch."""
+    for i, row in enumerate(P):
+        o = out[..., i]
+        np.multiply(X[..., 0], row[0], out=o)
+        for j in range(1, len(row)):
+            np.add(o, X[..., j] * row[j], out=o)
+    return out
+
+
+def linear_field(A, name: str) -> FieldHandle:
+    """The field x -> A x, declaring its matrix A (n, n), which
+    ``FieldHandle`` checks: fn is :func:`rows_times` of A, so a value does
+    not depend on its batch."""
+    A = np.asarray(A, dtype=float)
+    P = A.tolist()
+    return FieldHandle(lambda x: rows_times(P, x, np.empty(x.shape)), len(A) if A.ndim else 0,
+                       name, A)
+
+
 # ---------------------------------------------------------------------------
 # built-in systems
 # ---------------------------------------------------------------------------
 
 LINEAR_SAFE_A = np.array([[-1.0, -10.0], [1.0, 0.0]])
-# its entries as Python floats, the factors of _linear_safe's tiles
-(_LS_A, _LS_B), (_LS_C, _LS_D) = LINEAR_SAFE_A.tolist()
 _ORIGIN_GUARD = 1e-12
 
 
@@ -103,34 +131,11 @@ def _counterexample_radial(x):
     return np.where(np.abs(r) < _ORIGIN_GUARD, 0.0, out)
 
 
-@functools.lru_cache(maxsize=8)
-def _linear_safe_tiles(rows: int) -> tuple:
-    """The rows x 2 factors (a, d) and (c, b) of LINEAR_SAFE_A, read-only
-    since every caller shares them: one contiguous product each gives
-    (a x1, d x2) and (c x1, b x2)."""
-    tiles = np.tile([_LS_A, _LS_D], (rows, 1)), np.tile([_LS_C, _LS_B], (rows, 1))
-    for t in tiles:
-        t.flags.writeable = False
-    return tiles
-
-
-def _linear_safe(x):
-    # a x1 + b x2 and c x1 + d x2 from elementwise products, not a BLAS
-    # product: BLAS rounds a single row unlike the same row in a batch, and
-    # a value must not depend on its batch
-    X = x.reshape(-1, 2)
-    diag, anti = _linear_safe_tiles(len(X))
-    out, t = X * diag, X * anti
-    np.add(out[:, 0], t[:, 1], out=out[:, 0])
-    np.add(out[:, 1], t[:, 0], out=out[:, 1])     # d x2 + c x1 == c x1 + d x2
-    return out.reshape(x.shape)
-
-
 _BUILTINS = {
     "counterexample2d": lambda: FieldHandle(_counterexample2d, 2, "counterexample2d"),
     "counterexample_radial": lambda: FieldHandle(_counterexample_radial, 1,
                                                  "counterexample_radial"),
-    "linear_safe": lambda: FieldHandle(_linear_safe, 2, "linear_safe", LINEAR_SAFE_A),
+    "linear_safe": lambda: linear_field(LINEAR_SAFE_A, "linear_safe"),
 }
 
 

@@ -28,7 +28,7 @@ from . import sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
 from .geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
-from .solver import (IntegratorConfig, SolverError, bundle_field, on_stepped, rk4_sweep,
+from .solver import (IntegratorConfig, SolverError, bundle_step, on_stepped, rk4_sweep,
                      tube_minimum)
 
 
@@ -521,9 +521,7 @@ class ConverseBarrier:
         self.X_o = X_o
         self.cfg = cfg
         self.res = res
-        # a singleton stage reads neither k nor rows: one serves every batch
-        self.back = bundle_field(InclusionSpec.singleton(f), [Selector.constant()], 1, 0.0,
-                                 "backward")
+        self.F = InclusionSpec.singleton(f)
         tube = _RescaledTubeMin(f, X_o, res)
         self.g = smooth_global(tube, X_o, res.s_range, k_max=res.k_max,
                                table_res=res.table_res,
@@ -556,7 +554,8 @@ class ConverseBarrier:
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError
         try:
-            state = rk4_sweep(self.back, Xs, h_rows, n_rows, observe)[0]
+            step = bundle_step(self.F, [Selector.constant()], m, h_rows, "backward")
+            state = rk4_sweep(step, Xs, n_rows, observe)[0]
         except SolverError as exc:
             raise SmoothingError(f"backward flow diverged during barrier evaluation: {exc}") from exc
         touched = dmin <= self.res.touch_tol

@@ -2,21 +2,22 @@
 
 Every fixed-step integration runs through one kernel, :func:`rk4_sweep`:
 RK4 on a flat batch of rows, one row per (selector, start) pair, so a step
-costs the same few numpy calls whatever the number of rows.  A step is four
-stage calls of the field, or, for a field declaring its matrix, RK4's exact
-affine map of one step (:func:`affine_step`).  One function,
-:func:`bundle_field`, decides which direction a row uses at a step: the
-segment holding the step's midpoint, on the absolute switch grid of
-:class:`BundlePlan`, so a bundle is one sweep and its family on [0, t] does
-not depend on the horizon.  The kernel records nothing: it hands its
-observer blocks of nodes, start included, with the states at each node and
-which rows are there, so an observer pays one batch per block, not per
-step (see :func:`on_stepped`), and no caller handles node 0 apart.  That
-is enough for a running minimum or a first hit, both exact over a block,
-and (n_steps + 1, m, n) paths are kept only for callers asking for
-trajectories.  The marginal minimum of the distance to a set over a tube
-of bundle paths, read off at several steps per start, is
-:func:`tube_minimum`.
+costs the same few numpy calls whatever the number of rows.  The kernel
+takes one step function: four stage calls of a right-hand side
+(:func:`rk4_stages`), or, for a field declaring its matrix, RK4's exact
+affine map of one step; :func:`bundle_step` alone chooses between them for
+a bundle.  One function, :func:`bundle_field`, decides which direction a
+row uses at a step: the segment holding the step's midpoint, on the
+absolute switch grid of :class:`BundlePlan`, so a bundle is one sweep and
+its family on [0, t] does not depend on the horizon.  The kernel records
+nothing: it hands its observer blocks of nodes, start included, with the
+states at each node and which rows are there, so an observer pays one
+batch per block, not per step (see :func:`on_stepped`), and no caller
+handles node 0 apart.  That is enough for a running minimum or a first
+hit, both exact over a block, and (n_steps + 1, m, n) paths are kept only
+for callers asking for trajectories.  The marginal minimum of the distance
+to a set over a tube of bundle paths, read off at several steps per start,
+is :func:`tube_minimum`.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import InclusionSpec, Selector, selector_table
+from .dynamics import InclusionSpec, Selector, rows_times, selector_table
 from .geometry import SetSpec, distance_to_set_many
 
 
@@ -148,34 +149,28 @@ class BundlePlan:
         return sels
 
 
-def rk4_sweep(fn: Optional[Callable], X0: np.ndarray, h, n_steps,
-              observe: Optional[Callable] = None, escape_radius: float = np.inf,
-              step: Optional[Callable] = None):
+def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callable] = None,
+              escape_radius: float = np.inf):
     """Fixed-step RK4 on the rows of X0 (m, n); rows run independently.
 
-    h is one step for every row or an (m,) array of per-row steps; n_steps
-    is one step count for every row or an (m,) array of per-row counts.  A
-    row steps until it has taken its count: fn(k, rows, X) is the right-hand
-    side of step k (from 1) at the states X of ``rows``, a slice or an index
-    array into X0; fn may return X itself.  The stage inputs and the RK4
-    combination go into (r, n) buffers of the kernel, r the live rows, with
-    the textbook formula's operations in its order, so on this stage path a
-    state is bit for bit the allocating formula's.  A given step(k, rows,
-    X, out), see :func:`affine_step`, replaces the four stage calls and the
-    combination: it writes the new states of ``rows`` into the (r, n) buffer
-    out and returns it, for its own scalar h; fn is then not called.
-    Everything else is shared by both paths.  A row whose new state leaves
-    escape_radius is frozen there.  The observer sees the sweep's nodes in
-    blocks of j <= K consecutive nodes, K = BLOCK_ROWS // m counted in nodes
-    (at least 1, at most n_max + 1), so a sweep of rows x (steps + 1) <=
-    BLOCK_ROWS is one block: observe(k0, stepped, Xb) gets the first node k0 of the block, the
+    n_steps is one step count for every row or an (m,) array of per-row
+    counts.  A row steps until it has taken its count: step(k, rows, X, W)
+    takes step k (from 1) from the states X of ``rows``, a slice or an index
+    array into X0, and returns the new states, in one of the kernel's three
+    (r, n) buffers W or an array of its own, r the live rows.  The step is
+    :func:`rk4_stages` of a right-hand side, or the affine map of
+    :func:`bundle_step`.  A row whose new state leaves escape_radius is
+    frozen there.  The observer sees the sweep's nodes in blocks of j <= K
+    consecutive nodes, K = BLOCK_ROWS // m counted in nodes (at least 1, at
+    most n_max + 1), so a sweep of rows x (steps + 1) <= BLOCK_ROWS is one
+    block: observe(k0, stepped, Xb) gets the first node k0 of the block, the
     (j, m) mask of the rows at each node and the (j, m, n) whole state
     arrays at each node, a fresh array the observer may keep.  Node 0 opens
     the first block (k0 = 0, Xb[0] the rows of X0, every row marked), and is
     observed even when no row steps; node k >= 1 marks the rows that took
     step k (an escaping row counts at its escape step).
-    A non-finite new state raises :class:`SolverError` naming the step; fn
-    runs with numpy's warnings off, the observer under the caller's.
+    A non-finite new state raises :class:`SolverError` naming the step; the
+    step runs with numpy's warnings off, the observer under the caller's.
     Returns the final states, the steps each row took (its escape step,
     else its count) and the escaped rows.
     """
@@ -188,14 +183,11 @@ def rk4_sweep(fn: Optional[Callable], X0: np.ndarray, h, n_steps,
     n_max = int(steps.max(initial=0))
     # the steps after which some row has taken its count
     stops = set(steps.tolist())
-    h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
-    if h_rows is None:
-        hs, hh, h6 = h, 0.5 * h, h / 6.0
-    r = -1      # live rows the stage buffers S, A, T are sized for
+    r = -1      # live rows the buffers W are sized for
     # no row norm exceeds the radius while every coordinate stays below this
     coord_bound = escape_radius / (np.sqrt(n) * (1.0 + 1e-9))
     K = max(1, min(BLOCK_ROWS // max(m, 1), n_max + 1))   # nodes per observed block
-    caller_err = np.geterr()    # restored around observe; the stages run with warnings off
+    caller_err = np.geterr()    # restored around observe; the steps run with warnings off
     if observe is not None:
         # node 0 opens the first block: every row is observed at its start
         k0, Xb, stepped = 0, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
@@ -216,27 +208,8 @@ def rk4_sweep(fn: Optional[Callable], X0: np.ndarray, h, n_steps,
             Xs = X[rows]
             if n_live != r:
                 r = n_live
-                S, A, T = np.empty((r, n)), np.empty((r, n)), np.empty((r, n))
-            if step is not None:
-                Xn = step(k, rows, Xs, A)
-            else:
-                if h_rows is not None:
-                    hs = h_rows[rows]
-                    hh, h6 = 0.5 * hs, hs / 6.0
-                # Xs + (0.5 h) k1, ..., then Xs + (h / 6) (((k1 + 2 k2) + 2 k3) + k4),
-                # the operations of the textbook formula in its order, into S, A
-                # and T; a stage value may be its input S, so each k is folded
-                # into A before S is overwritten
-                k1 = fn(k, rows, Xs)
-                np.add(Xs, np.multiply(k1, hh, out=S), out=S)
-                k2 = fn(k, rows, S)
-                np.add(k1, np.multiply(k2, 2.0, out=A), out=A)
-                np.add(Xs, np.multiply(k2, hh, out=S), out=S)
-                k3 = fn(k, rows, S)
-                np.add(A, np.multiply(k3, 2.0, out=T), out=A)
-                np.add(Xs, np.multiply(k3, hs, out=S), out=S)
-                k4 = fn(k, rows, S)
-                Xn = np.add(Xs, np.multiply(np.add(A, k4, out=A), h6, out=A), out=A)
+                W = (np.empty((r, n)), np.empty((r, n)), np.empty((r, n)))
+            Xn = step(k, rows, Xs, W)
             # one pass answers both tests: NaN or inf fails top < inf
             top = max(Xn.max(), -Xn.min())
             if not top < np.inf:
@@ -261,6 +234,36 @@ def rk4_sweep(fn: Optional[Callable], X0: np.ndarray, h, n_steps,
     return X, steps, escaped
 
 
+def rk4_stages(fn: Callable, h) -> Callable:
+    """The step of :func:`rk4_sweep` making four stage calls of the
+    right-hand side fn(k, rows, X) of step k; fn may return X itself.
+    h is one step for every row or an (m,) array of per-row steps.  The
+    stage inputs and the RK4 combination go into the kernel's buffers, with
+    the textbook formula's operations in its order, so a state is bit for
+    bit the allocating formula's."""
+    h_rows = np.asarray(h, dtype=float)[:, None] if np.ndim(h) else None
+
+    def step(k, rows, Xs, W):
+        S, A, T = W
+        hs = h if h_rows is None else h_rows[rows]
+        hh, h6 = 0.5 * hs, hs / 6.0
+        # Xs + (0.5 h) k1, ..., then Xs + (h / 6) (((k1 + 2 k2) + 2 k3) + k4),
+        # the operations of the textbook formula in its order, into S, A
+        # and T; a stage value may be its input S, so each k is folded
+        # into A before S is overwritten
+        k1 = fn(k, rows, Xs)
+        np.add(Xs, np.multiply(k1, hh, out=S), out=S)
+        k2 = fn(k, rows, S)
+        np.add(k1, np.multiply(k2, 2.0, out=A), out=A)
+        np.add(Xs, np.multiply(k2, hh, out=S), out=S)
+        k3 = fn(k, rows, S)
+        np.add(A, np.multiply(k3, 2.0, out=T), out=A)
+        np.add(Xs, np.multiply(k3, hs, out=S), out=S)
+        k4 = fn(k, rows, S)
+        return np.add(Xs, np.multiply(np.add(A, k4, out=A), h6, out=A), out=A)
+    return step
+
+
 def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray):
     """fn, points (k, n) -> values (k,), on the rows of an observed block
     marked in stepped (every row at node 0), in one call: a (j, m) array
@@ -277,18 +280,16 @@ def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray):
 
 
 def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Callable:
-    """Right-hand side fn(k, rows, X) of a bundle for :func:`rk4_sweep`.
+    """Right-hand side fn(k, rows, X) of a bundle for :func:`rk4_stages`.
 
     Row j * m + i runs sels[j]; step k (from 1) of length h uses the
     direction of the segment holding its midpoint (k - 1/2) h, on the switch
-    grid the selectors of one BundlePlan share.  The stage calls each field's
+    grid the selectors of one BundlePlan share (a singleton reads no grid,
+    so its h may be per row).  The stage calls each field's
     ``FieldHandle.fn`` itself, checks the shape of every value and negates
     each value backward; a ball then adds eps * d, a hull sums weight by
     weight.  No finiteness test.  A value is written over unless it shares
-    memory with the stage input X, as X or a view of it does.  On this
-    stage path a sweep's states are bit for bit the allocating RK4
-    formula's on these velocities; :func:`bundle_sweep` and
-    :func:`tube_minimum` take :func:`affine_step` instead where it applies."""
+    memory with the stage input X, as X or a view of it does."""
     switch_times, D = selector_table(F, sels)
     st, back = switch_times.tolist(), direction == "backward"
     if D is not None:    # E[q, r]: the direction of row r on segment q, eps * d for a ball
@@ -323,33 +324,21 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     return hull
 
 
-def _rows_times(P: list, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P x into out for every row x of X (..., n), P given as nested lists:
-    component i is P[i][0] x_0 + P[i][1] x_1 + ..., summed in that order
-    from elementwise products, not a BLAS product, which rounds a row alone
-    unlike the same row in a batch."""
-    for i, row in enumerate(P):
-        o = out[..., i]
-        np.multiply(X[..., 0], row[0], out=o)
-        for j in range(1, len(row)):
-            np.add(o, X[..., j] * row[j], out=o)
-    return out
-
-
-def affine_step(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Optional[Callable]:
-    """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`
-    on a linear field, or None: F is a singleton or ball whose field
-    declares its matrix A (``FieldHandle.matrix``).  One RK4 step of length
-    h of dx/dt = B x + c, B = A forward and -A backward, c = eps * d the
-    row's offset, is exactly the affine map x+ = R(M) x + h T(M) c with
-    M = h B, T(M) = I + M/2 + M^2/6 + M^3/24 and R(M) = I + M T(M).  The
-    offsets h T(M) c are premultiplied per segment of the switch grid, and
-    R(M) x is taken by elementwise products, so a row gets the same bits
-    alone and in a batch.  The states differ from the four stages' by
-    rounding only: a few ulps of the state's scale per step."""
+def bundle_step(F: InclusionSpec, sels, m: int, h, direction: str) -> Callable:
+    """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`:
+    :func:`rk4_stages` of it, or, for a singleton or ball whose field
+    declares its matrix A (``FieldHandle.matrix``) and one scalar h, RK4's
+    affine map.  One RK4 step of length h of dx/dt = B x + c, B = A forward
+    and -A backward, c = eps * d the row's offset, is exactly the affine map
+    x+ = R(M) x + h T(M) c with M = h B, T(M) = I + M/2 + M^2/6 + M^3/24 and
+    R(M) = I + M T(M).  The offsets h T(M) c are premultiplied per segment
+    of the switch grid, and R(M) x is taken by ``dynamics.rows_times`` into
+    W[0], so a row gets the same bits alone and in a batch.  The states
+    differ from the four stages' by rounding only: a few ulps of the
+    state's scale per step."""
     A = F.fields[0].matrix
-    if F.kind == "hull" or A is None:
-        return None
+    if F.kind == "hull" or A is None or np.ndim(h):
+        return rk4_stages(bundle_field(F, sels, m, h, direction), h)
     switch_times, D = selector_table(F, sels)
     st = switch_times.tolist()
     M = (h if direction == "forward" else -h) * np.asarray(A, dtype=float)
@@ -357,11 +346,11 @@ def affine_step(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Opt
     T = np.eye(len(M)) + M / 2.0 + M2 / 6.0 + M2 @ M / 24.0
     R = (np.eye(len(M)) + M @ T).tolist()
     if D is not None:    # O[q, r]: the offset h T(M) (eps d) of row r on segment q
-        O = _rows_times((h * T).tolist(), F.epsilon * D, np.empty(D.shape))[
+        O = rows_times((h * T).tolist(), F.epsilon * D, np.empty(D.shape))[
             :, np.repeat(np.arange(len(sels)), m)]
 
-    def step(k, rows, X, out):
-        out = _rows_times(R, X, out)
+    def step(k, rows, X, W):
+        out = rows_times(R, X, W[0])
         return out if D is None else np.add(out, O[bisect_right(st, (k - 0.5) * h)][rows], out=out)
     return step
 
@@ -405,10 +394,8 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
             q = slots[i]
             seen[:, q] = acc[ks[i] - k0].reshape(S, p)[:, u_slot[q]]
 
-    step = affine_step(F, sels, p, h, direction)
-    fn = bundle_field(F, sels, p, h, direction) if step is None else None
-    _, steps, escaped = rk4_sweep(fn, np.tile(U, (S, 1)), h, np.tile(k_end, S), observe,
-                                  escape_radius, step)
+    _, steps, escaped = rk4_sweep(bundle_step(F, sels, p, h, direction), np.tile(U, (S, 1)),
+                                  np.tile(k_end, S), observe, escape_radius)
     # a row that escaped at or before a slot's step stays frozen: its minimum is final
     seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
     return seen.min(axis=0).reshape(K.shape), bool(escaped.any())
@@ -420,7 +407,7 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     """Fixed-step RK4 of every selector in sels from every start in X0 (m, n).
 
     Row j * m + i runs sels[j] from X0[i]; all rows take n = ceil(T / step)
-    steps of h = T / n in one sweep, see :func:`bundle_field`.  The observer
+    steps of h = T / n in one sweep, see :func:`bundle_step`.  The observer
     sees the sweep's blocks of nodes, node 0 at t = 0 first:
     observe(times, stepped, Xb) gets the block's node times and the block of
     :func:`rk4_sweep`.  Returns the termination of every row (horizon |
@@ -445,11 +432,10 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
         if observe is not None:
             observe(t, stepped, Xb)
 
-    step = affine_step(F, sels, m, h, direction)
-    fn = bundle_field(F, sels, m, h, direction) if step is None else None
-    _, steps, escaped = rk4_sweep(fn, np.tile(X0, (len(sels), 1)), h, n,
+    _, steps, escaped = rk4_sweep(bundle_step(F, sels, m, h, direction),
+                                  np.tile(X0, (len(sels), 1)), n,
                                   obs if record or observe is not None else None,
-                                  cfg.escape_radius, step)
+                                  cfg.escape_radius)
     termination = np.full(len(escaped), "horizon", dtype=object)
     termination[escaped] = "escape"
     if not record:

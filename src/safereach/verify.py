@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ UNDER_APPROX_DISCLAIMER = (
     "of F are assumed, not verified")
 
 NAGUMO_DEFAULT_TOL = 1e-5   # absorbs curvature x min-step plus distance noise
+NAGUMO_SHELL_WIDTH = 1e-3   # width of nagumo_check's exterior shell
 PROP1_CLARKE_RADIUS = 1e-6  # radius of prop1_check's Clarke gradient samples
 PROP1_FD_STEP = 1e-7        # step of their finite differences
 PROP1_TOL = 1e-7            # prop1_check passes when its worst margin is at most this
@@ -168,9 +169,8 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
 # ---------------------------------------------------------------------------
 
 def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
-                 n_samples: int = 64, shell_width: float = 1e-3,
-                 tol: Optional[float] = None, seed: int = 0,
-                 window=None, extra_points: Optional[Sequence] = None) -> CheckReport:
+                 n_samples: int = 64, tol: Optional[float] = None, seed: int = 0,
+                 window=None) -> CheckReport:
     """Tangent-cone test for forward pre-invariance of K.
 
     boundary mode: every inclusion vertex at boundary samples must be admitted
@@ -179,7 +179,8 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     before probing (cones are positively homogeneous) so the residual is an
     outward rate per unit speed; the default tolerances absorb the curvature
     x step floor of the finite quotients (1e-5 on the boundary, 1e-3 on the
-    exterior shell where distances are themselves estimates).
+    exterior shell, NAGUMO_SHELL_WIDTH wide, where distances are themselves
+    estimates).
     """
     from .barrier import CheckReport
 
@@ -188,13 +189,11 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     if tol is None:
         tol = NAGUMO_DEFAULT_TOL if mode == "boundary" else 1e-3
     pts = (K.sample_boundary(n_samples, seed=seed, window=window) if mode == "boundary"
-           else _exterior_shell(K, n_samples, shell_width, seed, window))
+           else _exterior_shell(K, n_samples, NAGUMO_SHELL_WIDTH, seed, window))
     if len(pts) == 0:
         reason = "no boundary samples" if mode == "boundary" else "empty shell after sampling"
         return CheckReport(f"nagumo_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": reason})
-    if extra_points is not None:
-        pts = np.vstack([pts, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     E = inclusion_extreme_points(F, pts, seed=seed)
     X, E = np.repeat(pts, E.shape[1], axis=0), E.reshape(-1, pts.shape[1])
     speed = np.sqrt(np.vecdot(E, E))
@@ -202,7 +201,8 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     res = np.zeros(len(E))    # zero velocity is in every cone
     res[moving] = cone_residual(ConeProbe(
         X[moving], E[moving] / speed[moving, None],
-        mode="contingent" if mode == "boundary" else "external"), K, tol=max(tol, shell_width))
+        mode="contingent" if mode == "boundary" else "external"), K,
+        tol=max(tol, NAGUMO_SHELL_WIDTH))
     i = int(np.argmax(res))     # the first largest, in (sample, vertex) order
     return CheckReport(f"nagumo_{mode}", len(res), float(res[i]),
                        {"x": X[i].tolist(), "eta": E[i].tolist()},

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safereach.dynamics import (DynamicsError, InclusionSpec, LINEAR_SAFE_A,
+from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
-                                lipschitz_estimate, max_rate, rescale_field,
+                                linear_field, lipschitz_estimate, max_rate, rescale_field,
                                 selector_table)
 from safereach.geometry import SetSpec, hausdorff_distance
 from safereach.sampling import grid_points
@@ -123,6 +123,41 @@ class TestBuiltins:
             x = np.array([r, 0.0])
             radial = x @ f2(x) / r
             assert radial == pytest.approx(f1(np.array([r]))[0], abs=1e-14)
+
+
+class TestLinearField:
+    A3 = np.array([[0.3, -1.7, 2.0], [1.1, -0.0, -0.4], [-2.5, 0.9, 1e-3]])
+
+    @staticmethod
+    def _column_sum(A, x):
+        """(A x)_i as A[i, 0] x_0 + A[i, 1] x_1 + ..., summed in that order."""
+        out = np.empty(x.shape)
+        for i, row in enumerate(A):
+            acc = row[0] * x[..., 0]
+            for j in range(1, len(row)):
+                acc = acc + row[j] * x[..., j]
+            out[..., i] = acc
+        return out
+
+    @pytest.mark.parametrize("A", [LINEAR_SAFE_A, A3], ids=["2x2", "3x3"])
+    @pytest.mark.parametrize("lead", [(), (1,), (17,), (3, 4)])
+    def test_values_equal_the_column_sum_bit_for_bit(self, A, lead):
+        n = len(A)
+        x = np.random.default_rng(n).uniform(-3.0, 3.0, size=lead + (n,))
+        x.reshape(-1, n)[0] = [-0.0] * n      # signed zeros in, signed zeros out
+        f = linear_field(A, "lin")
+        assert f.dim == n and f.matrix is A
+        assert np.array_equal(f(x).view(np.uint64), self._column_sum(A, x).view(np.uint64))
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.ones((2, 3)), np.ones(2),
+                                        np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                        np.array([[1.0, 0.0], [-np.inf, 1.0]])])
+    def test_a_bad_matrix_is_refused_at_construction(self, matrix):
+        with pytest.raises(DynamicsError, match="field 'bad' needs a finite"):
+            FieldHandle(lambda x: x, 2, "bad", matrix)
+        if matrix.shape != (3, 3):      # linear_field(np.eye(3)) is a 3-D field
+            with pytest.raises(DynamicsError, match="field 'bad' needs a finite"):
+                linear_field(matrix, "bad")
 
 
 class TestInclusion:

@@ -1,7 +1,8 @@
 """Every name defined in src/ is one that the package itself runs: each
 export, top-level function and class, and method (dunders aside) is read
-somewhere in src/ outside its own definition, and no function stores a
-local name that it never reads."""
+somewhere in src/ outside its own definition, no function stores a local
+name that it never reads, and every parameter with a default is set by some
+call in src/."""
 
 import ast
 from collections import Counter
@@ -81,3 +82,82 @@ def test_no_function_stores_a_name_it_never_reads():
                 unread += [f"{path.name}:{f.name}:{x}" for x in sorted(stored - read)
                            if not x.startswith("_")]
     assert unread == [], f"stored but never read: {unread}"
+
+
+# parameters with a default that no call in src/ sets, kept on purpose
+KEPT_DEFAULTS = {
+    ("main", "argv"): "the console entry point passes none; tests pass their argv",
+    ("integrate", "direction"): "bench/spans.py patches integrate; tests integrate backward",
+    ("integrate", "cfg"): "bench/spans.py patches integrate; tests pass their step",
+    ("clarke_gradient_sample", "m"): "a library leftover: the sample count per point",
+    ("inclusion_extreme_points", "directions"): "a library leftover: the ball's vertex count",
+    ("smooth_global", "seed"): "a library leftover: the validation draw",
+    ("smooth_global", "validation_points"): "a library leftover: the validation count",
+    ("singleton", "name"): "InclusionSpec's constructors name an inclusion for library callers",
+    ("ball_perturbed", "name"): "as singleton",
+    ("hull", "name"): "as singleton",
+}
+
+
+def _defaulted_parameters(modules: list) -> list:
+    """(function, parameter, position) for every parameter with a default of
+    every function of the modules, nested ones included; position is the
+    parameter's index among a call's positional arguments (None for a
+    keyword-only one), so a method's self or cls is skipped.  An __init__
+    is called by its class's name."""
+    out = []
+
+    def visit(node, owner=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if owner is not None and not static else 0
+                name = owner.name if child.name == "__init__" and owner is not None else child.name
+                for i, p in enumerate(positional[len(positional) - len(a.defaults):],
+                                      len(positional) - len(a.defaults)):
+                    out.append((name, p.arg, i - skip))
+                out.extend((name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+                visit(child)
+            else:
+                visit(child, child if isinstance(child, ast.ClassDef) else None)
+
+    for module in modules:
+        visit(module)
+    return out
+
+
+def _set_parameters(modules: list) -> set:
+    """(callee, parameter or position) for every argument of every call in
+    the modules, the callee named as called (f(...) or x.f(...)); a call
+    unpacking *args or **kwargs sets every parameter of its callee."""
+    out = set()
+    for module in modules:
+        for call in ast.walk(module):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg is None for k in call.keywords):
+                out.add((name, "*"))
+            out |= {(name, i) for i in range(len(call.args))}
+            out |= {(name, k.arg) for k in call.keywords}
+    return out
+
+
+def _unset_defaults() -> set:
+    modules = _modules()
+    called = _set_parameters(modules)
+    return {(f, p) for f, p, i in _defaulted_parameters(modules)
+            if not {(f, p), (f, i), (f, "*")} & called}
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    # a default no caller overrides is a settable value nothing sets: make
+    # it a constant, or name it in KEPT_DEFAULTS with its reason
+    unset = sorted(_unset_defaults() - set(KEPT_DEFAULTS))
+    assert unset == [], f"parameters with a default that no call in src/ sets: {unset}"
+    assert set(KEPT_DEFAULTS) <= _unset_defaults()

@@ -9,12 +9,12 @@ from scipy.linalg import expm
 
 from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, field_from_expressions,
-                                lipschitz_estimate, selector_table)
+                                linear_field, lipschitz_estimate, selector_table)
 from safereach.geometry import SetSpec, distance_to_set_many
 import safereach
 from safereach import reachability, smoothing, solver, verify
-from safereach.solver import (BundlePlan, IntegratorConfig, SolverError, affine_step,
-                              Trajectory, bundle_field, bundle_sweep, integrate,
+from safereach.solver import (BundlePlan, IntegratorConfig, SolverError, Trajectory,
+                              bundle_field, bundle_step, bundle_sweep, integrate, rk4_stages,
                               rk4_sweep, solution_bundle, tube_minimum, write_csv)
 
 from helpers import negated
@@ -294,7 +294,7 @@ class TestSweepKernel:
         fn = _CountingField()
         m, n = 7, 13
         X0 = np.random.default_rng(0).normal(size=(m, 2))
-        _, steps, escaped = rk4_sweep(fn, X0, 1 / 64, n)
+        _, steps, escaped = rk4_sweep(rk4_stages(fn, 1 / 64), X0, n)
         assert fn.rows == [m] * (4 * n)
         assert np.array_equal(steps, np.full(m, n))
         assert not escaped.any()
@@ -304,8 +304,8 @@ class TestSweepKernel:
         monkeypatch.setattr(solver, "BLOCK_ROWS", 14)
         X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
         blocks = []
-        X, steps, _ = rk4_sweep(_CountingField(np.eye(2)), X0, 0.25, 20, escape_radius=10.0,
-                                observe=lambda k0, stepped, Xb: blocks.append(
+        X, steps, _ = rk4_sweep(rk4_stages(_CountingField(np.eye(2)), 0.25), X0, 20,
+                                escape_radius=10.0, observe=lambda k0, stepped, Xb: blocks.append(
                                     (k0, stepped.copy(), Xb.copy())))
         e = int(steps[0])
         assert [(k0, len(Xb)) for k0, _, Xb in blocks] == [(0, 7), (7, 7), (14, 7)]
@@ -321,7 +321,7 @@ class TestSweepKernel:
     def test_escaped_rows_freeze_and_stop_stepping(self):
         fn = _CountingField(np.eye(2))
         X0 = np.array([[1.0, 0.0], [1e-3, 0.0]])
-        X, steps, escaped = rk4_sweep(fn, X0, 0.25, 20, escape_radius=10.0)
+        X, steps, escaped = rk4_sweep(rk4_stages(fn, 0.25), X0, 20, escape_radius=10.0)
         assert escaped.tolist() == [True, False]
         assert steps[0] < 20 and steps[1] == 20
         assert 10.0 < np.linalg.norm(X[0]) < 20.0
@@ -330,7 +330,7 @@ class TestSweepKernel:
     def test_non_finite_state_raises(self):
         blow = lambda k, rows, X: np.where(k > 2, np.inf, 1.0) * X
         with pytest.raises(SolverError, match="non-finite state at step 3"):
-            rk4_sweep(blow, np.ones((3, 2)), 0.1, 5)
+            rk4_sweep(rk4_stages(blow, 0.1), np.ones((3, 2)), 5)
 
     def test_per_row_step_counts(self, monkeypatch):
         # blocks of 2 nodes of 3 rows: row 1 finishes inside the second block
@@ -338,21 +338,22 @@ class TestSweepKernel:
         fn = _CountingField()
         X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         seen = []
-        X, steps, escaped = rk4_sweep(fn, X0, 1 / 64, np.array([0, 3, 5]),
+        X, steps, escaped = rk4_sweep(rk4_stages(fn, 1 / 64), X0, np.array([0, 3, 5]),
                                       observe=lambda k0, stepped, Xb: seen.append(
                                           (k0, [np.flatnonzero(s).tolist() for s in stepped])))
         assert fn.rows == [2] * 12 + [1] * 8
         assert seen == [(0, [[0, 1, 2], [1, 2]]), (2, [[1, 2], [1, 2]]), (4, [[2], [2]])]
         assert steps.tolist() == [0, 3, 5] and not escaped.any()
         assert np.array_equal(X[0], X0[0])
-        three, _, _ = rk4_sweep(_CountingField(), X0[1:2], 1 / 64, 3)
+        three, _, _ = rk4_sweep(rk4_stages(_CountingField(), 1 / 64), X0[1:2], 3)
         assert np.array_equal(X[1], three[0])
 
     def test_per_row_steps(self):
         f = builtin_field("linear_safe")
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        X, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0, np.array([1 / 64, 1 / 128]), 64)
-        one, _, _ = rk4_sweep(lambda k, rows, X: f(X), X0[:1], 1 / 128, 64)
+        X, _, _ = rk4_sweep(rk4_stages(lambda k, rows, X: f(X), np.array([1 / 64, 1 / 128])),
+                            X0, 64)
+        one, _, _ = rk4_sweep(rk4_stages(lambda k, rows, X: f(X), 1 / 128), X0[:1], 64)
         assert np.array_equal(X[1], one[0])
         assert np.linalg.norm(X[0] - expm(LINEAR_SAFE_A) @ X0[0]) < 1e-7
 
@@ -360,7 +361,7 @@ class TestSweepKernel:
     def test_the_first_block_opens_with_node_zero(self, n_steps):
         X0 = np.array([[1.0, 0.0], [0.5, 0.5], [-0.0, 1.0]])
         blocks = []
-        rk4_sweep(_CountingField(), X0, 1 / 64, n_steps,
+        rk4_sweep(rk4_stages(_CountingField(), 1 / 64), X0, n_steps,
                   observe=lambda k0, stepped, Xb: blocks.append((k0, stepped, Xb)))
         # 3 rows x 5 nodes fit one block
         [(k0, stepped, Xb)] = blocks
@@ -373,7 +374,7 @@ class TestSweepKernel:
         fn = _CountingField()
         X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         blocks = []
-        X, steps, _ = rk4_sweep(fn, X0, 1 / 64, n_steps,
+        X, steps, _ = rk4_sweep(rk4_stages(fn, 1 / 64), X0, n_steps,
                                 observe=lambda k0, stepped, Xb: blocks.append((k0, stepped, Xb)))
         assert fn.rows == [] and steps.tolist() == [0, 0, 0]
         [(k0, stepped, Xb)] = blocks
@@ -449,16 +450,19 @@ class TestStageFunction:
         callers = []
 
         def fn(X):
-            caller, kernel = sys._getframe(1), sys._getframe(2)
-            callers.append((caller.f_code.co_filename, kernel.f_code.co_name,
-                            kernel.f_code.co_filename))
+            # field <- stage closure <- the step of rk4_stages <- rk4_sweep
+            frames = [sys._getframe(1), sys._getframe(2), sys._getframe(3)]
+            callers.append(tuple((f.f_code.co_filename, f.f_code.co_qualname) for f in frames))
             return self.f.fn(X)
 
         F = self._inclusion(kind, FieldHandle(fn, 2, "framed"))
         X0 = np.random.default_rng(2).uniform(-0.5, 0.5, size=(3, 2))
         bundle_sweep(F, BundlePlan(2).selectors(F), X0, 3 / 512, CFG, direction)
+        stage = "bundle_field.<locals>." + ("hull" if kind == "hull" else "stage")
         assert len(callers) == 4 * 3
-        assert set(callers) == {(solver.__file__, "rk4_sweep", solver.__file__)}
+        assert set(callers) == {((solver.__file__, stage),
+                                 (solver.__file__, "rk4_stages.<locals>.step"),
+                                 (solver.__file__, "rk4_sweep"))}
 
     @pytest.mark.parametrize("kind", ["singleton", "ball", "hull"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -709,7 +713,8 @@ class TestInPlaceStep:
                                                max_size=len(X0)).map(np.array)))
         ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, 1 / 8, direction,
                                                             k, rows, X), X0, h, n_steps)
-        X, _, _ = rk4_sweep(bundle_field(F, sels, m, 1 / 8, direction), X0, h, n_steps)
+        X, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, m, 1 / 8, direction), h), X0,
+                            n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("rows_live", [slice(None), np.array([0, 2, 3])])
@@ -718,7 +723,7 @@ class TestInPlaceStep:
         X0 = np.array([[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.0], [2.0, -1.0]])
         n_steps = np.where(np.isin(np.arange(4), np.arange(4)[rows_live]), 3, 1)
         fn = lambda k, rows, X: X
-        X, _, _ = rk4_sweep(fn, X0, 1 / 4, n_steps)
+        X, _, _ = rk4_sweep(rk4_stages(fn, 1 / 4), X0, n_steps)
         ref = _textbook_sweep(fn, X0, 1 / 4, n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
         assert np.signbit(X[X0 == 0.0]).all()
@@ -747,13 +752,48 @@ class TestAffineStep:
         n_steps = data.draw(st.one_of(st.integers(0, 40),
                                       st.lists(st.integers(0, 40), min_size=len(X0),
                                                max_size=len(X0)).map(np.array)))
-        step = affine_step(F, sels, m, h, direction)
-        X, _, _ = rk4_sweep(None, X0, h, n_steps, step=step)
+        X, _, _ = rk4_sweep(bundle_step(F, sels, m, h, direction), X0, n_steps)
         ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, direction,
                                                             k, rows, X), X0, h, n_steps)
         # a relative bound, floored at the smallest normal float: subnormals
         # round at an absolute 5e-324
         assert np.abs(X - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.finfo(float).tiny)
+
+    A3 = np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.25, -1.0, -0.2]])
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("switches", [0, 2])
+    def test_a_3d_linear_field_equals_the_stage_path_up_to_rounding(self, kind, direction,
+                                                                   switches):
+        f = linear_field(self.A3, "rot3")
+        F = InclusionSpec.singleton(f) if kind == "singleton" else \
+            InclusionSpec.ball_perturbed(f, 0.3)
+        h, m = 1 / 16, 3
+        sels = BundlePlan(2, switches=switches).selectors(F, 40 * h)
+        X0 = np.random.default_rng(8).uniform(-2.0, 2.0, size=(m * len(sels), 3))
+        n_steps = 40 - 5 * (np.arange(len(X0)) % 3)
+        step = bundle_step(F, sels, m, h, direction)
+        X, _, _ = rk4_sweep(step, X0, n_steps)
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, direction,
+                                                            k, rows, X), X0, h, n_steps)
+        assert step.__qualname__ == "bundle_step.<locals>.step"
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_per_row_steps_take_the_four_stages(self, direction):
+        # the smooth converse's flow: a singleton, one row per (t, x), each
+        # with its own step; its field declares a matrix
+        rows = []
+        g = FieldHandle(lambda X: rows.append(len(X)) or self.BASE.fn(X), 2, "linear_safe",
+                        LINEAR_SAFE_A)
+        F, sels = InclusionSpec.singleton(g), [Selector.constant()]
+        X0 = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 2))
+        h, n = np.array([1 / 64, 1 / 100, 1 / 128, 3 / 256]), np.array([64, 50, 0, 30])
+        X, _, _ = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n)
+        assert rows == [3] * (4 * 30) + [2] * (4 * 20) + [1] * (4 * 14)
+        ref, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction), h), X0, n)
+        assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("kind", ["singleton", "ball"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -776,9 +816,9 @@ class TestAffineStep:
         sels = BundlePlan(4).selectors(F)
         X0 = np.tile([[1.0, 0.0], [0.3, -0.2], [2.0, 2.0], [0.0, 0.0]], (len(sels), 1))
         h, n = 1 / 16, 200
-        stage = rk4_sweep(bundle_field(F, sels, 4, h, direction), X0, h, n, escape_radius=10.0)
-        affine = rk4_sweep(None, X0, h, n, escape_radius=10.0,
-                           step=affine_step(F, sels, 4, h, direction))
+        stage = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction), h), X0, n,
+                          escape_radius=10.0)
+        affine = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n, escape_radius=10.0)
         assert stage[2].all() and len(np.unique(stage[1])) > 4
         assert np.array_equal(affine[1], stage[1]) and np.array_equal(affine[2], stage[2])
         assert np.abs(affine[0] - stage[0]).max() <= 1e-12 * np.abs(stage[0]).max()
@@ -803,4 +843,5 @@ class TestAffineStep:
         X0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 2))
         bundle_sweep(F, sels, X0, 11 / 512, CFG)
         assert rows == [5 * len(sels)] * calls
-        assert (affine_step(F, sels, 5, 1 / 512, "forward") is None) == (matrix is None)
+        step = bundle_step(F, sels, 5, 1 / 512, "forward")
+        assert (step.__qualname__ == "rk4_stages.<locals>.step") == (matrix is None)

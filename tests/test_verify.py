@@ -5,7 +5,8 @@ import pytest
 
 from safereach import geometry, sampling, solver, verify
 from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
-from safereach.dynamics import FieldHandle, InclusionSpec, builtin_field, field_from_expressions
+from safereach.dynamics import (FieldHandle, InclusionSpec, builtin_field,
+                                field_from_expressions, inclusion_extreme_points)
 from safereach.geometry import SetSpec, clarke_gradient_sample
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
 from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
@@ -21,6 +22,15 @@ NOT_BELOW = SetSpec.complement(SetSpec.halfspace([0, -1], -2.0, name="below"), n
 CFG = IntegratorConfig(step=1.0 / 256.0)
 HULL = InclusionSpec.hull([builtin_field("linear_safe"),
                            field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")])
+
+
+def _boundary_residual(F, K, x):
+    """The residual nagumo_check's boundary mode gives the first vertex of F
+    at the point x of K's boundary: its unit direction probed directly."""
+    v = inclusion_extreme_points(F, [x])[0, 0]
+    probe = geometry.ConeProbe([x], v / np.linalg.norm(v))
+    return geometry.cone_residual(probe, K, tol=max(verify.NAGUMO_DEFAULT_TOL,
+                                                    verify.NAGUMO_SHELL_WIDTH))[0]
 
 
 def _count_rhs_calls(monkeypatch):
@@ -180,31 +190,30 @@ class TestNagumo:
 
     def test_disk_fails_with_quantified_witness(self):
         w = np.array([-np.sqrt(2) / 2, np.sqrt(2) / 2])
-        rep = nagumo_check(LINEAR, DISK, "boundary", n_samples=64,
-                           extra_points=[w])
+        rep = nagumo_check(LINEAR, DISK, "boundary", n_samples=64)
         assert rep.verdict == "fail"
         A = np.array([[-1.0, -10.0], [1.0, 0.0]])
         # the named witness alone violates: outward component <x, Ax> = 4,
         # i.e. a residual of 4/|Ax| per unit speed
-        solo = nagumo_check(LINEAR, SetSpec.ball([0, 0], 1.0), "boundary",
-                            n_samples=1, extra_points=[w])
-        assert solo.verdict == "fail"
+        solo = _boundary_residual(LINEAR, SetSpec.ball([0, 0], 1.0), w)
+        assert solo > verify.NAGUMO_DEFAULT_TOL
         assert float(w @ (A @ w)) == pytest.approx(4.0)
-        assert solo.worst_margin == pytest.approx(
-            4.0 / np.linalg.norm(A @ w), abs=1e-6)
+        assert solo == pytest.approx(4.0 / np.linalg.norm(A @ w), abs=1e-6)
 
     def test_ellipse_passes(self):
         ell = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2,
                                window=([-4, -2], [4, 2]), grid=41, name="ellipse")
-        rep = nagumo_check(LINEAR, ell, "boundary", n_samples=32,
-                           extra_points=[[0.0, 1.0], [0.0, -1.0]])
+        rep = nagumo_check(LINEAR, ell, "boundary", n_samples=32)
         assert rep.verdict == "pass"
+        for x in ([0.0, 1.0], [0.0, -1.0]):
+            assert _boundary_residual(LINEAR, ell, x) <= verify.NAGUMO_DEFAULT_TOL
 
-    def test_exterior_mode_on_ellipse(self):
+    def test_exterior_mode_on_ellipse(self, monkeypatch):
         ell = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2,
                                window=([-4, -2], [4, 2]), grid=41, name="ellipse")
-        rep = nagumo_check(LINEAR, ell, "exterior", n_samples=24,
-                           shell_width=0.05, window=([-4, -2], [4, 2]))
+        # a shell wide enough for 24 samples out of 768 candidates
+        monkeypatch.setattr(verify, "NAGUMO_SHELL_WIDTH", 0.05)
+        rep = nagumo_check(LINEAR, ell, "exterior", n_samples=24, window=([-4, -2], [4, 2]))
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("F,names", [(HULL, ["linear_safe", "quad"]),
@@ -228,14 +237,14 @@ class TestNagumo:
         counted = lambda X, S: count.append(len(X)) or real(X, S)
         monkeypatch.setattr(geometry, "distance_to_set_many", counted)
         monkeypatch.setattr(verify, "distance_to_set_many", counted)
+        monkeypatch.setattr(verify, "NAGUMO_SHELL_WIDTH", 0.05)
         for n in (8, 64):
             count.clear()
-            rep = nagumo_check(F, DISK, mode, n_samples=n, shell_width=0.05)
+            rep = nagumo_check(F, DISK, mode, n_samples=n)
             assert rep.samples > 0 and len(count) == calls
 
     def test_empty_shell_inconclusive(self):
-        rep = nagumo_check(LINEAR, DISK, "exterior", n_samples=8,
-                           shell_width=1e-9, window=([5, 5], [6, 6]))
+        rep = nagumo_check(LINEAR, DISK, "exterior", n_samples=8, window=([5, 5], [6, 6]))
         assert rep.verdict == "inconclusive"
 
     def test_agreement_with_infinitesimal_boundary(self):
