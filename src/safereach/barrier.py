@@ -110,7 +110,8 @@ class MarginalBarrier:
         self.X_o = X_o
         self.cfg = cfg
         self.plan = plan
-        self.truncated = False      # the last batch had a tube cut short by escape
+        # per row of the last batch: its tube was cut short by escape at or before t
+        self.truncated = np.zeros(0, dtype=bool)
 
     def values(self, ts, Xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -126,8 +127,9 @@ class MarginalBarrier:
         self.cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
         selectors = self.plan.selectors(self.F, max_k * h if max_k > 0 else h)
-        best, self.truncated = tube_minimum(self.F, selectors, Xs, [k_lo, k_hi], h, "backward",
-                                            self.X_o, self.cfg.escape_radius)
+        best, cut = tube_minimum(self.F, selectors, Xs, [k_lo, k_hi], h, "backward",
+                                 self.X_o, self.cfg.escape_radius)
+        self.truncated = cut[1]
         return best[0] * (1.0 - frac) + best[1] * frac
 
 
@@ -254,73 +256,168 @@ def jsonable(obj):
 # sign and monotonicity checks
 # ---------------------------------------------------------------------------
 
-def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid,
-                         n_init: int = 64, n_unsafe: int = 64,
-                         window=None, seed: int = 0) -> CheckReport:
+class Queries:
+    """The (t, x) rows one check asks of B.  report(vals, cut) makes the
+    check's report from their values and which of them read a backward tube
+    cut short by escape; check(source, drawn) runs the check's entry
+    (:func:`candidate_sign_check` or :func:`monotonicity_check`, the spans
+    bench/spans.py records) with these queries as drawn.  A plain class: a
+    dataclass would add about 1 ms to every import of this module."""
+
+    def __init__(self, ts: np.ndarray, Xs: np.ndarray, report: Callable, check: Callable):
+        self.ts, self.Xs, self.report, self.check = ts, Xs, report, check
+
+    def answer(self, source) -> CheckReport:
+        """The report from the values of source: B, or a Batch standing for it."""
+        return self.report(*(source.values(self) if isinstance(source, Batch)
+                             else _values(source, self.ts, self.Xs)))
+
+
+def _values(B: BarrierFn, ts, Xs):
+    """B at the rows (ts, Xs), and which values read a truncated tube."""
+    if len(ts) == 0:
+        return np.empty(0), np.zeros(0, dtype=bool)
+    vals = B.evaluate_many(ts, Xs)
+    return vals, (B.core.truncated if B.core is not None else np.zeros(len(vals), dtype=bool))
+
+
+class Batch:
+    """Stands for B in several checks: the first of them to ask for values
+    evaluates the queries of all of them in one evaluate_many of B, so a
+    marginal B sweeps each distinct x once, to its largest t.  A value
+    depends on its own (t, x) only, so a report is the one its queries
+    alone would give.  If that batch raises, each check's queries are
+    evaluated alone when it asks, so the first failing check raises its own
+    error."""
+
+    def __init__(self, B: BarrierFn, asked: list[Queries]):
+        self.B, self.asked, self.got = B, asked, None
+
+    def values(self, q: Queries):
+        if self.got is None:
+            self.got = {}
+            try:
+                vals, cut = _values(self.B, np.concatenate([a.ts for a in self.asked]),
+                                    np.vstack([a.Xs for a in self.asked]))
+            except (ValueError, RuntimeError):     # the library's errors
+                pass        # each check then evaluates its own queries, below
+            else:
+                ends = np.cumsum([len(a.ts) for a in self.asked])[:-1]
+                self.got = {id(a): got for a, got in
+                            zip(self.asked, zip(np.split(vals, ends), np.split(cut, ends)))}
+        got = self.got.get(id(q))
+        return got if got is not None else _values(self.B, q.ts, q.Xs)
+
+
+def check_results(B: BarrierFn, runs: list):
+    """The (JSON report, verdict) of each run of a check command, in order:
+    a pair as it is, and each Queries from its check, all of them answered
+    by one Batch."""
+    batch = Batch(B, [run for run in runs if isinstance(run, Queries)])
+    for run in runs:
+        if isinstance(run, Queries):
+            rep = run.check(batch, run)
+            run = rep.to_json(), rep.verdict
+        yield run
+
+
+def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64,
+                         n_unsafe: int = 64, window=None, seed: int = 0,
+                         drawn: Optional[Queries] = None) -> CheckReport:
     """B <= 0 (within POS_TOL) on X_o samples x t-grid and B >= POS_TOL on
-    X_u samples.
+    X_u samples, from the queries :func:`sign_queries` draws, or drawn,
+    those drawn already; B may be a Batch answering them with other checks'.
 
     Strict positivity on X_u is tested against POS_TOL since "> 0" is not
     decidable from samples.  Marginal barriers are exactly zero on X_o so the
     nonpositive side uses the same tolerance.
     """
+    if drawn is None:
+        drawn = sign_queries(B, X_o, X_u, t_grid, n_init, n_unsafe, window, seed)
+    return drawn.answer(B)
+
+
+def sign_queries(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64,
+                 n_unsafe: int = 64, window=None, seed: int = 0) -> Queries:
+    """The queries of :func:`candidate_sign_check`: its X_o and X_u samples
+    at every t of the grid."""
     t_grid = np.asarray(t_grid, dtype=float)
+    check = lambda source, drawn: candidate_sign_check(source, X_o, X_u, t_grid, n_init,
+                                                       n_unsafe, window, seed, drawn)
     if len(t_grid) == 0:
-        return CheckReport("candidate_sign", 0, 0.0, {}, "inconclusive",
-                           details={"reason": "empty t-grid"})
+        return Queries(np.empty(0), np.empty((0, B.dim)), lambda vals, cut: CheckReport(
+            "candidate_sign", 0, 0.0, {}, "inconclusive", details={"reason": "empty t-grid"}),
+            check)
     n_b = max(1, n_init // 2)
     pts_o = SamplePlan(n_b, n_init - n_b, seed, window).draw(X_o)
     pts_u = X_u.sample_interior(n_unsafe, seed=seed + 2, window=window)
     # one batch over t-grid x samples, t-major; argmax/argmin pick the first
     # extreme in that order
     pts = np.vstack([pts_o, pts_u])
-    vals = B.evaluate_many(np.repeat(t_grid, len(pts)), np.tile(pts, (len(t_grid), 1)))
-    vals = vals.reshape(len(t_grid), len(pts))
-    vo, vu = vals[:, :len(pts_o)], vals[:, len(pts_o):]
-    i, a = np.unravel_index(np.argmax(vo), vo.shape)
-    j, b = np.unravel_index(np.argmin(vu), vu.shape)
-    worst_o, wo = float(vo[i, a]), {"t": float(t_grid[i]), "x": pts_o[a].tolist()}
-    worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
-    viol = max(worst_o - POS_TOL, POS_TOL - worst_u)
-    witness = wo if worst_o - POS_TOL >= POS_TOL - worst_u else wu
-    # samples counts every evaluated (t, x), repeats too: a one-point X_o is
-    # drawn many times; distinct_samples counts them bit for bit
-    distinct = (len(np.unique(t_grid.view(np.uint64)))
-                * len(np.unique(pts.view(np.uint64), axis=0)))
-    details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u, "distinct_samples": distinct}
-    if B.core is not None and B.core.truncated:
-        details["lower_bound_only"] = "backward tube truncated by escape"
-    return CheckReport(
-        "candidate_sign", vals.size, viol, witness,
-        "pass" if viol <= 0.0 else "fail", details=details)
+
+    def report(vals, cut) -> CheckReport:
+        vals = vals.reshape(len(t_grid), len(pts))
+        vo, vu = vals[:, :len(pts_o)], vals[:, len(pts_o):]
+        i, a = np.unravel_index(np.argmax(vo), vo.shape)
+        j, b = np.unravel_index(np.argmin(vu), vu.shape)
+        worst_o, wo = float(vo[i, a]), {"t": float(t_grid[i]), "x": pts_o[a].tolist()}
+        worst_u, wu = float(vu[j, b]), {"t": float(t_grid[j]), "x": pts_u[b].tolist()}
+        viol = max(worst_o - POS_TOL, POS_TOL - worst_u)
+        witness = wo if worst_o - POS_TOL >= POS_TOL - worst_u else wu
+        # samples counts every evaluated (t, x), repeats too: a one-point X_o is
+        # drawn many times; distinct_samples counts them bit for bit, as sets
+        # of their bits: np.unique would import numpy.ma for it
+        distinct = (len(set(t_grid.view(np.uint64).tolist()))
+                    * len(set(map(tuple, pts.view(np.uint64).tolist()))))
+        details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u, "distinct_samples": distinct}
+        if cut.any():
+            details["lower_bound_only"] = "backward tube truncated by escape"
+        return CheckReport("candidate_sign", vals.size, viol, witness,
+                           "pass" if viol <= 0.0 else "fail", details=details)
+
+    return Queries(np.repeat(t_grid, len(pts)), np.tile(pts, (len(t_grid), 1)), report, check)
 
 
 def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
-                       stride: int = 1) -> CheckReport:
+                       stride: int = 1, drawn: Optional[Queries] = None) -> CheckReport:
     """Worst positive increment of t -> B(t, phi(t)) across the stored nodes
-    of forward trajectories, every stride-th node and the last, all in one
-    batch.  Returns the report of the first trajectory with the largest
-    increment; a trajectory of one node is inconclusive."""
+    of forward trajectories, every stride-th node and the last, from the
+    queries :func:`monotonicity_queries` makes, or drawn, those made
+    already; B may be a Batch answering them with other checks'.  Returns
+    the report of the first trajectory with the largest increment; a
+    trajectory of one node is inconclusive."""
+    if drawn is None:
+        drawn = monotonicity_queries(trajs, tol, stride)
+    return drawn.answer(B)
+
+
+def monotonicity_queries(trajs: list[Trajectory], tol: float = 1e-8,
+                         stride: int = 1) -> Queries:
+    """The queries of :func:`monotonicity_check`: the trajectories' nodes it reads."""
     if not trajs:
         raise ValueError("monotonicity check needs at least one trajectory")
     if any(tr.direction != "forward" for tr in trajs):
         raise ValueError("monotonicity check expects forward trajectories")
-    idxs = [np.unique(np.append(np.arange(0, len(tr.times), stride), len(tr.times) - 1))
+    idxs = [np.append(np.arange(0, len(tr.times) - 1, stride), len(tr.times) - 1)
             for tr in trajs]
-    vals = B.evaluate_many(np.concatenate([tr.times[idx] for tr, idx in zip(trajs, idxs)]),
-                           np.vstack([tr.states[idx] for tr, idx in zip(trajs, idxs)]))
-    vals = np.split(vals, np.cumsum([len(idx) for idx in idxs])[:-1])
-    incs = [np.diff(v) for v in vals]
-    w = int(np.argmax([inc.max() if len(inc) else 0.0 for inc in incs]))
-    tr, idx, v, inc = trajs[w], idxs[w], vals[w], incs[w]
-    if len(inc) == 0:
-        return CheckReport("monotonicity", 1, 0.0, {}, "inconclusive")
-    k = int(np.argmax(inc))
-    worst = float(inc[k])
-    witness = {"t": float(tr.times[idx[k + 1]]), "x": tr.states[idx[k + 1]].tolist(),
-               "previous_value": float(v[k]), "value": float(v[k + 1])}
-    return CheckReport("monotonicity", len(idx), worst, witness,
-                       "pass" if worst <= tol else "fail")
+
+    def report(vals, cut) -> CheckReport:
+        vals = np.split(vals, np.cumsum([len(idx) for idx in idxs])[:-1])
+        incs = [np.diff(v) for v in vals]
+        w = int(np.argmax([inc.max() if len(inc) else 0.0 for inc in incs]))
+        tr, idx, v, inc = trajs[w], idxs[w], vals[w], incs[w]
+        if len(inc) == 0:
+            return CheckReport("monotonicity", 1, 0.0, {}, "inconclusive")
+        k = int(np.argmax(inc))
+        worst = float(inc[k])
+        witness = {"t": float(tr.times[idx[k + 1]]), "x": tr.states[idx[k + 1]].tolist(),
+                   "previous_value": float(v[k]), "value": float(v[k + 1])}
+        return CheckReport("monotonicity", len(idx), worst, witness,
+                           "pass" if worst <= tol else "fail")
+
+    return Queries(np.concatenate([tr.times[idx] for tr, idx in zip(trajs, idxs)]),
+                   np.vstack([tr.states[idx] for tr, idx in zip(trajs, idxs)]), report,
+                   lambda source, drawn: monotonicity_check(source, trajs, tol, stride, drawn))
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,12 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     return 0
 
 
-def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
+def _run_one_check(name: str, scn: Scenario, barrier):
     """Run one [check NAME] section; barrier() returns the run's barrier.
-    Each kind imports what it runs: a simulate check never loads barrier,
-    a sign or monotonicity check never loads verify."""
+    Returns the report's JSON and verdict, or, for a sign or monotonicity
+    check, its ``barrier.Queries``.  Each kind imports what it runs: a
+    simulate check never loads barrier, a sign or monotonicity check never
+    loads verify."""
     cfg = scn.raw
     section = f"check {name}"
     kind = cfg.get(section, "kind")     # known, with only its keys: see build_scenario
@@ -220,20 +222,19 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
-        from .barrier import candidate_sign_check
+        from .barrier import sign_queries
 
         B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
-        rep = candidate_sign_check(B, X_o, X_u, scn.t_grid,
-                                   n_init=scn.samples.interior + scn.samples.boundary,
-                                   n_unsafe=cfg.get(section, "n_samples", 64),
-                                   window=window, seed=seed)
-        return rep.to_json(), rep.verdict
+        return sign_queries(B, X_o, X_u, scn.t_grid,
+                            n_init=scn.samples.interior + scn.samples.boundary,
+                            n_unsafe=cfg.get(section, "n_samples", 64),
+                            window=window, seed=seed)
     if kind == "monotonicity":
-        from .barrier import monotonicity_check
+        from .barrier import monotonicity_queries
 
-        B = barrier()
+        barrier()   # built before the section's keys are read, as for the other kinds
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         n = cfg.get(section, "n_samples", 8)
         try:
@@ -242,10 +243,9 @@ def _run_one_check(name: str, scn: Scenario, barrier) -> tuple[str, str]:
             starts = X_o.sample_interior(n, seed=seed, window=window)
         bundles = solution_bundle(scn.system, starts, cfg.get(section, "T", 1.0),
                                   cfg=scn.solver, plan=scn.bundle)
-        rep = monotonicity_check(B, [tr for trajs in bundles for tr in trajs],
-                                 tol=cfg.get(section, "tol", 10 * scn.solver.accuracy),
-                                 stride=cfg.get(section, "stride", 16))
-        return rep.to_json(), rep.verdict
+        return monotonicity_queries([tr for trajs in bundles for tr in trajs],
+                                    tol=cfg.get(section, "tol", 10 * scn.solver.accuracy),
+                                    stride=cfg.get(section, "stride", 16))
     if kind == "infinitesimal":
         from .barrier import infinitesimal_check
 
@@ -315,12 +315,26 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
     if not names:
         raise CliError("no [check NAME] sections in config")
     barrier = functools.cache(lambda: _build_barrier(scn))
-    verdicts = []
+    # every check runs, or asks its queries of B, in config order up to the
+    # first that raises; the results before it are written first
+    runs, error = [], None
     for name in names:
-        payload, verdict = _run_one_check(name, scn, barrier)
+        try:
+            runs.append(_run_one_check(name, scn, barrier))
+        except Exception as exc:
+            error = exc
+            break
+    if not all(isinstance(run, tuple) for run in runs):
+        from .barrier import check_results
+
+        runs = check_results(barrier(), runs)
+    verdicts = []
+    for name, (payload, verdict) in zip(names, runs):
         manifest.add(manifest.out / f"{name}.check.json").write_text(payload)
         verdicts.append(verdict)
         print(f"check {name}: {verdict}")
+    if error is not None:
+        raise error
     return 2 if any(v == "fail" for v in verdicts) else 0
 
 

@@ -30,8 +30,9 @@ class FieldHandle:
     the guarded entry, coercing x and checking every value's shape and
     finiteness.  A linear field may declare its finite (dim, dim) matrix A,
     with fn(x) == x @ A.T up to rounding: a sweep then takes RK4's affine
-    step in place of calling fn (``solver.bundle_step``).  Build one with
-    :func:`linear_field`, whose fn is its matrix's."""
+    step in place of calling fn (``solver.bundle_step``).  The declaration
+    is checked once, on the unit vectors: fn(I) must equal A.T exactly, as
+    it does for :func:`linear_field`, whose fn is its matrix's."""
 
     fn: Callable
     dim: int
@@ -44,6 +45,9 @@ class FieldHandle:
             if A.shape != (self.dim, self.dim) or not np.isfinite(A).all():
                 raise DynamicsError(f"field '{self.name}' needs a finite ({self.dim}, "
                                     f"{self.dim}) matrix, got shape {A.shape}")
+            if not np.array_equal(self.fn(np.eye(self.dim)), A.T):
+                raise DynamicsError(f"field '{self.name}' does not equal its declared "
+                                    f"matrix: fn(e_j) must be column j of the matrix")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

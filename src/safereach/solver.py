@@ -22,7 +22,7 @@ is :func:`tube_minimum`.
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
 of the "pre" invariance semantics.  The kernel is the only finiteness guard
-in a sweep: a non-finite stage value makes the state non-finite (h > 0),
+in a sweep: a non-finite stage value makes the state non-finite (h != 0),
 which aborts the sweep.  A non-finite horizon, or one needing more steps
 than the budget, is refused before any step.
 Each row steps to its own horizon: the step count is one for the batch or
@@ -284,16 +284,23 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
 
     Row j * m + i runs sels[j]; step k (from 1) of length h uses the
     direction of the segment holding its midpoint (k - 1/2) h, on the switch
-    grid the selectors of one BundlePlan share (a singleton reads no grid,
-    so its h may be per row).  The stage calls each field's
-    ``FieldHandle.fn`` itself, checks the shape of every value and negates
-    each value backward; a ball then adds eps * d, a hull sums weight by
-    weight.  No finiteness test.  A value is written over unless it shares
-    memory with the stage input X, as X or a view of it does."""
+    grid the selectors of one BundlePlan share; a singleton reads no grid,
+    and a bundle without switches may take one h per row.  The field is the
+    forward one, a ball's offsets eps * d negated backward, where the sweep
+    steps by -h: rounding to nearest is symmetric under a change of sign, so
+    that gives the negated field's bits but for the sign of an exact zero.
+    The stage calls each field's ``FieldHandle.fn`` itself and checks the
+    shape of every value; a ball then adds its offset, a hull sums weight by
+    weight.  No finiteness test.  A ball's value is written over unless it
+    shares memory with the stage input X, as X or a view of it does."""
     switch_times, D = selector_table(F, sels)
-    st, back = switch_times.tolist(), direction == "backward"
-    if D is not None:    # E[q, r]: the direction of row r on segment q, eps * d for a ball
-        E = (F.epsilon * D if F.kind == "ball" else D)[:, np.repeat(np.arange(len(sels)), m)]
+    st = switch_times.tolist()
+    if st and np.ndim(h):
+        raise SolverError("per-row steps need a bundle without switches: a switch grid "
+                          "is read at one step for every row")
+    if D is not None:    # E[q, r]: the direction of row r on segment q, +-eps * d for a ball
+        eps = F.epsilon if direction == "forward" else -F.epsilon
+        E = (eps * D if F.kind == "ball" else D)[:, np.repeat(np.arange(len(sels)), m)]
     if F.kind != "hull":
         f = F.fields[0]
         fn = f.fn
@@ -302,12 +309,10 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
             v = fn(X)
             if v.shape != X.shape:
                 f.check_shape(v, X)
-            if D is None and not back:
+            if D is None:
                 return v
-            out = None if np.may_share_memory(v, X) else v
-            if back:
-                v = out = np.negative(v, out=out)
-            return v if D is None else np.add(v, E[bisect_right(st, (k - 0.5) * h)][rows], out=out)
+            return np.add(v, E[bisect_right(st, (k - 0.5) * h)][rows],
+                          out=None if np.may_share_memory(v, X) else v)
         return stage
 
     def hull(k, rows, X):
@@ -316,8 +321,6 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
             v = f.fn(X)
             if v.shape != X.shape:
                 f.check_shape(v, X)
-            if back:
-                v = np.negative(v, out=None if np.may_share_memory(v, X) else v)
             # weight by weight, not a BLAS product, which rounds rows by batch size
             out = v * w[..., i, None] if out is None else np.add(out, v * w[..., i, None], out=out)
         return out
@@ -326,27 +329,29 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
 
 def bundle_step(F: InclusionSpec, sels, m: int, h, direction: str) -> Callable:
     """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`:
-    :func:`rk4_stages` of it, or, for a singleton or ball whose field
-    declares its matrix A (``FieldHandle.matrix``) and one scalar h, RK4's
-    affine map.  One RK4 step of length h of dx/dt = B x + c, B = A forward
-    and -A backward, c = eps * d the row's offset, is exactly the affine map
-    x+ = R(M) x + h T(M) c with M = h B, T(M) = I + M/2 + M^2/6 + M^3/24 and
-    R(M) = I + M T(M).  The offsets h T(M) c are premultiplied per segment
-    of the switch grid, and R(M) x is taken by ``dynamics.rows_times`` into
-    W[0], so a row gets the same bits alone and in a batch.  The states
-    differ from the four stages' by rounding only: a few ulps of the
-    state's scale per step."""
+    :func:`rk4_stages` of it with step h forward and -h backward, or, for a
+    singleton or ball whose field declares its matrix A
+    (``FieldHandle.matrix``) and one scalar h, RK4's affine map.  One RK4
+    step of signed length s of dx/dt = A x + c, c the row's offset, is
+    exactly the affine map x+ = R(M) x + s T(M) c with M = s A,
+    T(M) = I + M/2 + M^2/6 + M^3/24 and R(M) = I + M T(M).  The offsets
+    s T(M) c are premultiplied per segment of the switch grid, and R(M) x
+    is taken by ``dynamics.rows_times`` into W[0], so a row gets the same
+    bits alone and in a batch.  The states differ from the four stages' by
+    rounding only: a few ulps of the state's scale per step."""
+    s = h if direction == "forward" else np.negative(h)
     A = F.fields[0].matrix
     if F.kind == "hull" or A is None or np.ndim(h):
-        return rk4_stages(bundle_field(F, sels, m, h, direction), h)
+        return rk4_stages(bundle_field(F, sels, m, h, direction), s)
     switch_times, D = selector_table(F, sels)
     st = switch_times.tolist()
-    M = (h if direction == "forward" else -h) * np.asarray(A, dtype=float)
+    M = s * np.asarray(A, dtype=float)
     M2 = M @ M
     T = np.eye(len(M)) + M / 2.0 + M2 / 6.0 + M2 @ M / 24.0
     R = (np.eye(len(M)) + M @ T).tolist()
-    if D is not None:    # O[q, r]: the offset h T(M) (eps d) of row r on segment q
-        O = rows_times((h * T).tolist(), F.epsilon * D, np.empty(D.shape))[
+    if D is not None:    # O[q, r]: the offset s T(M) (+-eps d) of row r on segment q
+        eps = F.epsilon if direction == "forward" else -F.epsilon
+        O = rows_times((s * T).tolist(), eps * D, np.empty(D.shape))[
             :, np.repeat(np.arange(len(sels)), m)]
 
     def step(k, rows, X, W):
@@ -364,7 +369,8 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     from X[q].  Points equal bit for bit share one row per selector, which
     steps to the largest K asked at its point, so the result does not depend
     on the batch.  A row frozen by escape gives its final minimum to every
-    later read.  Returns the minima and whether any path escaped.
+    later read.  Returns the minima and the (r, m) entries cut short by
+    escape: some path of the entry's point escaped at or before its node.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = np.asarray(K, dtype=int)
@@ -397,8 +403,9 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     _, steps, escaped = rk4_sweep(bundle_step(F, sels, p, h, direction), np.tile(U, (S, 1)),
                                   np.tile(k_end, S), observe, escape_radius)
     # a row that escaped at or before a slot's step stays frozen: its minimum is final
-    seen = np.where(k_slot < steps.reshape(S, p)[:, u_slot], seen, D[:, u_slot])
-    return seen.min(axis=0).reshape(K.shape), bool(escaped.any())
+    frozen = escaped.reshape(S, p)[:, u_slot] & (steps.reshape(S, p)[:, u_slot] <= k_slot)
+    return (np.where(frozen, D[:, u_slot], seen).min(axis=0).reshape(K.shape),
+            frozen.any(axis=0).reshape(K.shape))
 
 
 def bundle_sweep(F: InclusionSpec, sels, X0, T: float,

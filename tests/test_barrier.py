@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -271,7 +272,9 @@ class TestMarginalBarrier:
         T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
         singles = np.array([B.evaluate_many([t], [x])[0] for t, x in zip(T, X)])
         assert np.array_equal(B.evaluate_many(T, X), singles)
-        assert B.core.truncated
+        # per row: the first point's tube is cut short from t = 1 + 1/256 on
+        assert B.core.truncated.any() and not B.core.truncated.all()
+        assert B.core.truncated[(X == xs[0]).all(axis=1)].tolist() == [False] * 2 + [True] * 3
         order = np.random.default_rng(6).permutation(len(T))
         assert np.array_equal(B.evaluate_many(T[order], X[order]), singles[order])
 
@@ -432,6 +435,77 @@ class TestMonotonicity:
                        direction="backward", cfg=CFG)
         with pytest.raises(ValueError):
             monotonicity_check(user_barrier("1", 2), [tr])
+
+
+class TestOneBatch:
+    """check_results answers the queries of several checks from one batch
+    of B; each report is the one its queries alone give."""
+
+    SADDLE = InclusionSpec.singleton(field_from_expressions(["x1", "0 - x2"], "saddle"))
+
+    def test_only_the_escaping_check_reads_a_truncated_tube(self):
+        # backward, x1 shrinks and x2 grows: the sign check's tubes, from
+        # |x| < 0.75 up to t = 1, stay inside radius 3; the monotonicity
+        # check's trajectory runs out along x1 past it, so its later nodes'
+        # backward tubes escape at their first step
+        B = marginal_barrier(self.SADDLE, SetSpec.ball([0.0, 0.0], 0.1),
+                             IntegratorConfig(step=1 / 64, escape_radius=3.0))
+        window = ([-0.5, -0.5], [0.5, 0.5])
+        sign = lambda: barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
+                                            SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5, 1.0],
+                                            n_init=8, n_unsafe=8, window=window, seed=3)
+        tr = integrate(self.SADDLE, Selector.constant(), np.array([1.0, 0.2]), 1.5,
+                       cfg=IntegratorConfig(step=1 / 64))
+        mono = lambda: barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
+        alone = [sign().answer(B)]
+        assert not B.core.truncated.any()
+        alone.append(mono().answer(B))
+        assert B.core.truncated.any()
+        runs = [("simulate report", "pass"), sign(), mono()]
+        out = list(barrier.check_results(B, runs))
+        assert B.core.truncated.any() and not B.core.truncated.all()
+        assert out == [runs[0]] + [(rep.to_json(), rep.verdict) for rep in alone]
+        assert "lower_bound_only" not in json.loads(out[1][0])["details"]
+
+    def test_each_check_runs_through_its_entry(self, monkeypatch):
+        # the module's candidate_sign_check and monotonicity_check, whose
+        # spans bench/spans.py records, make the reports of one batch
+        B = user_barrier("x1^2 + x2^2", 2)
+        called = []
+        for name in ("candidate_sign_check", "monotonicity_check"):
+            entry = getattr(barrier, name)
+            monkeypatch.setattr(barrier, name, lambda *a, entry=entry, **k:
+                                called.append(entry.__name__) or entry(*a, **k))
+        tr = integrate(InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp")),
+                       Selector.constant(), np.array([0.1, 0.0]), 0.25, cfg=CFG)
+        runs = [barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
+                                     SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5], n_init=4,
+                                     n_unsafe=4, seed=1),
+                barrier.monotonicity_queries([tr], tol=1e-9, stride=16)]
+        assert len(list(barrier.check_results(B, runs))) == 2
+        assert called == ["candidate_sign_check", "monotonicity_check"]
+
+    def test_a_failing_batch_answers_each_check_alone_in_turn(self, monkeypatch):
+        B = user_barrier("x1^2 + x2^2", 2)
+        calls = []
+        evaluate = barrier.BarrierFn.evaluate_many
+
+        def fail_big(self, ts, Xs):
+            calls.append(len(ts))
+            if len(ts) > 9:
+                raise BarrierError("batch refused")
+            return evaluate(self, ts, Xs)
+
+        monkeypatch.setattr(barrier.BarrierFn, "evaluate_many", fail_big)
+        F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
+        trajs = [integrate(F, Selector.constant(), np.array([r, 0.0]), 0.25, cfg=CFG)
+                 for r in (0.1, 0.4)]
+        runs = [barrier.monotonicity_queries([tr], tol=1e-9, stride=16) for tr in trajs]
+        results = barrier.check_results(B, runs)
+        assert calls == []      # nothing is evaluated before the first result is asked
+        first = next(results)
+        assert calls == [18, 9] and first[1] == "fail"
+        assert next(results)[1] == "fail" and calls == [18, 9, 9]
 
 
 class TestInfinitesimal:

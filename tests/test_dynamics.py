@@ -17,9 +17,11 @@ QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
 
 
 def stage(F, d=None, direction="forward"):
-    """The sweep's stage function for one constant selector, at one point x."""
+    """The velocity of the sweep's stages for one constant selector, at one
+    point x: the stage value, negated backward, where the stages step by -h."""
     fn = bundle_field(F, [Selector.constant(d)], 1, 1.0, direction)
-    return lambda x: fn(1, slice(None), np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    sign = 1.0 if direction == "forward" else -1.0
+    return lambda x: sign * fn(1, slice(None), np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 class TestBuiltins:
@@ -158,6 +160,15 @@ class TestLinearField:
         if matrix.shape != (3, 3):      # linear_field(np.eye(3)) is a 3-D field
             with pytest.raises(DynamicsError, match="field 'bad' needs a finite"):
                 linear_field(matrix, "bad")
+
+    def test_a_matrix_that_disagrees_with_its_field_is_refused(self):
+        # integrating the matrix would step x' = x where fn says x' = -x
+        with pytest.raises(DynamicsError, match="field 'neg' does not equal its declared matrix"):
+            FieldHandle(lambda x: -x, 2, "neg", np.eye(2))
+        # the transpose of a non-symmetric matrix is refused too
+        with pytest.raises(DynamicsError, match="field 'lin' does not equal"):
+            FieldHandle(linear_field(self.A3, "lin").fn, 3, "lin", self.A3.T)
+        assert FieldHandle(lambda x: -x, 2, "neg", -np.eye(2)).matrix is not None
 
 
 class TestInclusion:

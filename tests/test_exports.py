@@ -161,3 +161,16 @@ def test_every_defaulted_parameter_is_set_in_src():
     unset = sorted(_unset_defaults() - set(KEPT_DEFAULTS))
     assert unset == [], f"parameters with a default that no call in src/ sets: {unset}"
     assert set(KEPT_DEFAULTS) <= _unset_defaults()
+
+
+def test_np_unique_is_always_called_with_a_return_flag():
+    # numpy 2.4's np.unique without a return_* flag calls np.ma.is_masked,
+    # which imports numpy.ma: 13.5 ms of every run that reaches it
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and \
+                    call.func.attr == "unique" and \
+                    not any((k.arg or "").startswith("return_") for k in call.keywords):
+                bare.append(f"{path.name}:{call.lineno}")
+    assert bare == [], f"np.unique without a return_* keyword: {bare}"

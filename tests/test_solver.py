@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,7 +385,8 @@ class TestSweepKernel:
 
 def _old_stage(F, sels, m, h, direction, k, rows, X):
     """The velocity of the rows at step k, computed as before the stage
-    builder: the negated inclusion's FieldHandle calls, selected per row."""
+    builder, stepped by +h both ways: the negated inclusion's FieldHandle
+    calls, selected per row."""
     fields = [f if direction == "forward" else negated(f) for f in F.fields]
     if F.kind == "singleton":
         return fields[0](X)
@@ -397,6 +399,20 @@ def _old_stage(F, sels, m, h, direction, k, rows, X):
     for i, f in enumerate(fields[1:], start=1):
         out = out + f(X) * s[..., i, None]
     return out
+
+
+def _stage(F, sels, m, h, direction, k, rows, X):
+    """The stage value of bundle_field, which the sweep steps by -h
+    backward: _old_stage forward, of the forward inclusion with a ball's
+    offsets negated."""
+    if direction == "backward" and F.kind == "ball":
+        F = replace(F, epsilon=-F.epsilon)
+    return _old_stage(F, sels, m, h, "forward", k, rows, X)
+
+
+def _signed(h, direction):
+    """The step of a sweep's stages: -h backward."""
+    return h if direction == "forward" else np.negative(h)
 
 
 class TestStageFunction:
@@ -419,7 +435,7 @@ class TestStageFunction:
         X = np.random.default_rng(3).normal(size=(len(sels) * m, 2))[rows]
         X[0] = 0.0   # signed zeros: a negated field gives -0.0
         for k in (1, 21, 22, 64, 100, 128):
-            new, old = fn(k, rows, X), _old_stage(F, sels, m, h, direction, k, rows, X)
+            new, old = fn(k, rows, X), _stage(F, sels, m, h, direction, k, rows, X)
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -619,10 +635,10 @@ class TestObservedBlocks:
         X_o = SetSpec.ball([0.2, 1.2], 0.1)
         run = lambda: tube_minimum(self.SADDLE, sels, X, K, 1 / 16, "backward", X_o,
                                    escape_radius=3.0)
-        (one, esc), *rest = self._each_block_size(monkeypatch, len(sels) * 4, run)
-        assert esc and len(np.unique(one)) > 5
-        for other, other_esc in rest:
-            assert np.array_equal(other, one) and other_esc
+        (one, cut), *rest = self._each_block_size(monkeypatch, len(sels) * 4, run)
+        assert cut.any() and not cut.all() and len(np.unique(one)) > 5
+        for other, other_cut in rest:
+            assert np.array_equal(other, one) and np.array_equal(other_cut, cut)
         # against the minimum over the first K + 1 nodes of every recorded path
         paths = solution_bundle(self.SADDLE, X, 40 / 16, "backward",
                                 IntegratorConfig(step=1 / 16, escape_radius=3.0), BundlePlan(3))
@@ -630,6 +646,9 @@ class TestObservedBlocks:
         ref = [[min(distance_to_set_many(tr.states[:k + 1], X_o).min() for tr in trs)
                 for k, trs in zip(row, paths)] for row in K]
         assert np.array_equal(one, ref)
+        # an entry is cut short when some path of its point escaped at or before its node
+        assert cut.tolist() == [[any(tr.termination == "escape" and len(tr.times) - 1 <= k
+                                     for tr in trs) for k, trs in zip(row, paths)] for row in K]
 
     def test_safety_report_does_not_depend_on_the_block(self, monkeypatch):
         # forward, x1 grows: rows hit x1 >= 1.5 and later escape the radius,
@@ -711,9 +730,10 @@ class TestInPlaceStep:
         n_steps = data.draw(st.one_of(st.integers(0, 5),
                                       st.lists(st.integers(0, 5), min_size=len(X0),
                                                max_size=len(X0)).map(np.array)))
-        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, 1 / 8, direction,
-                                                            k, rows, X), X0, h, n_steps)
-        X, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, m, 1 / 8, direction), h), X0,
+        s = _signed(h, direction)
+        ref = _textbook_sweep(lambda k, rows, X: _stage(F, sels, m, 1 / 8, direction,
+                                                        k, rows, X), X0, s, n_steps)
+        X, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, m, 1 / 8, direction), s), X0,
                             n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
@@ -787,12 +807,14 @@ class TestAffineStep:
         rows = []
         g = FieldHandle(lambda X: rows.append(len(X)) or self.BASE.fn(X), 2, "linear_safe",
                         LINEAR_SAFE_A)
+        rows.clear()    # FieldHandle calls fn once to check the matrix
         F, sels = InclusionSpec.singleton(g), [Selector.constant()]
         X0 = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 2))
         h, n = np.array([1 / 64, 1 / 100, 1 / 128, 3 / 256]), np.array([64, 50, 0, 30])
         X, _, _ = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n)
         assert rows == [3] * (4 * 30) + [2] * (4 * 20) + [1] * (4 * 14)
-        ref, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction), h), X0, n)
+        ref, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction),
+                                         _signed(h, direction)), X0, n)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("kind", ["singleton", "ball"])
@@ -816,8 +838,8 @@ class TestAffineStep:
         sels = BundlePlan(4).selectors(F)
         X0 = np.tile([[1.0, 0.0], [0.3, -0.2], [2.0, 2.0], [0.0, 0.0]], (len(sels), 1))
         h, n = 1 / 16, 200
-        stage = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction), h), X0, n,
-                          escape_radius=10.0)
+        stage = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction),
+                                     _signed(h, direction)), X0, n, escape_radius=10.0)
         affine = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n, escape_radius=10.0)
         assert stage[2].all() and len(np.unique(stage[1])) > 4
         assert np.array_equal(affine[1], stage[1]) and np.array_equal(affine[2], stage[2])
@@ -837,6 +859,7 @@ class TestAffineStep:
         rows = []
         g = FieldHandle(lambda X: rows.append(len(X)) or self.BASE.fn(X), 2, "linear_safe",
                         matrix)
+        rows.clear()    # FieldHandle calls fn once to check a matrix
         F = InclusionSpec.singleton(g) if kind == "singleton" else \
             InclusionSpec.ball_perturbed(g, 0.3)
         sels = BundlePlan(3).selectors(F)
@@ -845,3 +868,35 @@ class TestAffineStep:
         assert rows == [5 * len(sels)] * calls
         step = bundle_step(F, sels, 5, 1 / 512, "forward")
         assert (step.__qualname__ == "rk4_stages.<locals>.step") == (matrix is None)
+
+
+class TestBackwardByNegatedStep:
+    """A backward sweep runs the forward stages with step -h, a ball's
+    offsets negated; rounding to nearest is symmetric under a change of
+    sign, so the states are the old negating stages' bits."""
+
+    f = builtin_field("counterexample2d")       # declares no matrix: four stages
+    QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
+
+    @pytest.mark.parametrize("kind", ["singleton", "ball", "hull", "per-row h"])
+    def test_equals_the_negating_stages_bit_for_bit(self, kind):
+        F = {"singleton": InclusionSpec.singleton(self.f),
+             "ball": InclusionSpec.ball_perturbed(self.f, 0.3),
+             "hull": InclusionSpec.hull([self.f, self.QUAD, negated(self.f)]),
+             "per-row h": InclusionSpec.singleton(self.f)}[kind]
+        sels = BundlePlan(3, switches=2).selectors(F, 2.0)
+        m = 5
+        X0 = np.random.default_rng(11).normal(scale=0.4, size=(m * len(sels), 2))
+        h = np.linspace(1 / 128, 1 / 32, len(X0)) if kind == "per-row h" else 1 / 64
+        n_steps = 64 - 7 * (np.arange(len(X0)) % 4)
+        X, _, _ = rk4_sweep(bundle_step(F, sels, m, h, "backward"), X0, n_steps)
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, "backward",
+                                                            k, rows, X), X0, h, n_steps)
+        assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+
+    def test_per_row_steps_on_a_switch_grid_are_refused(self):
+        F = InclusionSpec.ball_perturbed(self.f, 0.1)
+        sels = BundlePlan(2, switches=2).selectors(F, 2.0)
+        with pytest.raises(SolverError, match="per-row steps need a bundle without switches"):
+            rk4_sweep(bundle_step(F, sels, 2, np.full(8, 1 / 64), "forward"),
+                      np.full((8, 2), 0.1), 100)
