@@ -18,6 +18,10 @@ from .expr import compile_expression
 from .geometry import SetSpec
 
 
+# boundary points of a ball in the vertex cloud of inclusion_extreme_points
+EXTREME_DIRECTIONS = 16
+
+
 class DynamicsError(ValueError):
     pass
 
@@ -199,14 +203,13 @@ def eval_inclusion(F: InclusionSpec, X) -> np.ndarray:
     return np.stack([f(X) for f in F.fields], axis=-2)
 
 
-def inclusion_extreme_points(F: InclusionSpec, X, directions: int = 16,
-                             seed: int = 0) -> np.ndarray:
+def inclusion_extreme_points(F: InclusionSpec, X, seed: int = 0) -> np.ndarray:
     """Finite vertex cloud (k, p, n) approximating F at every row of X (k, n)
-    (exact for singleton/hull)."""
+    (exact for singleton/hull; a ball's EXTREME_DIRECTIONS boundary points)."""
     V = eval_inclusion(F, X)
     if F.kind != "ball" or F.epsilon == 0.0:
         return V
-    dirs = sampling.sphere_directions(F.dim, directions, seed=seed)
+    dirs = sampling.sphere_directions(F.dim, EXTREME_DIRECTIONS, seed=seed)
     return V[..., 0, None, :] + F.epsilon * dirs
 
 

@@ -576,26 +576,23 @@ def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -
 # Clarke generalized gradient sampling, proximal subgradient test
 # ---------------------------------------------------------------------------
 
-def clarke_gradient_sample(B, X, radius: float, m: int = 0, fd_step: float = 1e-7,
+def clarke_gradient_sample(B, X, radius: float, fd_step: float = 1e-7,
                            seed: int = 0) -> np.ndarray:
     """Finite-difference gradient estimates near each base point of X, (n,)
-    or (k, n), generator sets for the Clarke gradient hulls: (m, n) or (k, m, n).
+    or (k, n), generator sets for the Clarke gradient hulls: (m, n) or
+    (k, m, n) with m = 2n + 1.
 
     B is a batch handle on R^n, mapping points P (k, n) to k values; it is
     called once, on all m * 2n probes of every base.  Gradients are taken at
-    the base and m - 1 low-discrepancy points in the radius-ball around it; a
+    the base and 2n low-discrepancy points in the radius-ball around it; a
     linear test functional's max over the hull equals its max over these.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
-    if m <= 0:
-        m = 2 * n + 1
-    if m < 2 * n + 1:
-        raise GeometryError("need m >= 2n+1 gradient samples")
     if radius <= 0 or fd_step <= 0:
         raise GeometryError("radius and fd_step must be positive")
     # ball_points(x, ...) is x plus offsets that do not depend on x
-    offsets = sampling.ball_points(np.zeros(n), radius, m - 1, seed=seed)
+    offsets = sampling.ball_points(np.zeros(n), radius, 2 * n, seed=seed)
     pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
     step = fd_step * np.eye(n)
     probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])

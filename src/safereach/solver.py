@@ -15,9 +15,12 @@ states at each node and which rows are there, so an observer pays one
 batch per block, not per step (see :func:`on_stepped`), and no caller
 handles node 0 apart.  That is enough for a running minimum or a first
 hit, both exact over a block, and (n_steps + 1, m, n) paths are kept only
-for callers asking for trajectories.  The marginal minimum of the distance
-to a set over a tube of bundle paths, read off at several steps per start,
-is :func:`tube_minimum`.
+for callers asking for trajectories.  An observer may end rows whose answer
+is settled: they leave at the block's last node and step no further.  The
+marginal minimum of the distance to a set over a tube of bundle paths, read
+off at several steps per start, is :func:`tube_minimum`; a start whose
+minimum reaches 0 is settled, so its later reads are 0 exact and may lose
+the escape flag that every read above 0 keeps.
 
 Escape through the configured radius freezes the row and is reported as a
 termination reason, never silently truncated: finite-escape behavior is part
@@ -155,10 +158,11 @@ def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callabl
 
     n_steps is one step count for every row or an (m,) array of per-row
     counts.  A row steps until it has taken its count: step(k, rows, X, W)
-    takes step k (from 1) from the states X of ``rows``, a slice or an index
-    array into X0, and returns the new states, in one of the kernel's three
-    (r, n) buffers W or an array of its own, r the live rows.  The step is
-    :func:`rk4_stages` of a right-hand side, or the affine map of
+    takes step k (from 1) from the states X of ``rows``, the live rows as a
+    slice when they are one run, else an index array into X0, rebuilt only
+    when they change, and returns the new states, in one of the kernel's
+    three (r, n) buffers W or an array of its own, r the live rows.  The
+    step is :func:`rk4_stages` of a right-hand side, or the affine map of
     :func:`bundle_step`.  A row whose new state leaves escape_radius is
     frozen there.  The observer sees the sweep's nodes in blocks of j <= K
     consecutive nodes, K = BLOCK_ROWS // m counted in nodes (at least 1, at
@@ -168,18 +172,23 @@ def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callabl
     arrays at each node, a fresh array the observer may keep.  Node 0 opens
     the first block (k0 = 0, Xb[0] the rows of X0, every row marked), and is
     observed even when no row steps; node k >= 1 marks the rows that took
-    step k (an escaping row counts at its escape step).
+    step k (an escaping row counts at its escape step).  The observer may
+    return the indices of rows whose answer is settled (None for none):
+    such a row, if still live, leaves at the block's last node as if it had
+    reached its count there, takes no further step and is not escaped.
+    What it returns for the sweep's last block is ignored, and a block with
+    no node is not observed.
     A non-finite new state raises :class:`SolverError` naming the step; the
     step runs with numpy's warnings off, the observer under the caller's.
     Returns the final states, the steps each row took (its escape step,
-    else its count) and the escaped rows.
+    the node it left at when settled, else its count) and the escaped rows.
     """
     X = np.array(X0, dtype=float)
     m, n = X.shape
     steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (m,)).copy()
     alive = steps > 0
     escaped = np.zeros(m, dtype=bool)
-    n_live = int(np.count_nonzero(alive))
+    rows, n_live = _live_rows(alive)
     n_max = int(steps.max(initial=0))
     # the steps after which some row has taken its count
     stops = set(steps.tolist())
@@ -194,17 +203,24 @@ def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callabl
         Xb[0], stepped[0], j = X, True, 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n_max + 1):
+            if observe is not None and j == K:
+                with np.errstate(**caller_err):
+                    settled = observe(k0, stepped, Xb)
+                if settled is not None:
+                    # settled live rows leave at the block's last node, k - 1
+                    done = np.asarray(settled, dtype=int)
+                    done = done[alive[done]]
+                    if len(done):
+                        steps[done] = k - 1
+                        alive[done] = False
+                        rows, n_live = _live_rows(alive)
+                k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
+                j = 0
             if n_live == 0:
                 break
-            # frozen and finished states may sit where the field overflows: step live rows only
-            rows = slice(None) if n_live == m else np.flatnonzero(alive)
             if observe is not None:
-                if j == K:
-                    with np.errstate(**caller_err):
-                        observe(k0, stepped, Xb)
-                    k0, Xb, stepped = k, np.empty((K, m, n)), np.empty((K, m), dtype=bool)
-                    j = 0
                 stepped[j] = alive
+            # frozen and finished states may sit where the field overflows: step live rows only
             Xs = X[rows]
             if n_live != r:
                 r = n_live
@@ -217,21 +233,31 @@ def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callabl
                 raise SolverError(f"non-finite state at step {k}; last valid state {bad.tolist()}")
             X[rows] = Xn
             if top > coord_bound:
-                idx = np.arange(m)[rows][np.linalg.norm(Xn, axis=1) > escape_radius]
-                steps[idx] = k
-                escaped[idx] = True
-                alive[idx] = False
-                n_live -= len(idx)
+                out = np.linalg.norm(Xn, axis=1) > escape_radius
+                if out.any():
+                    idx = np.arange(m)[rows][out]
+                    steps[idx] = k
+                    escaped[idx] = True
+                    alive[idx] = False
+                    rows, n_live = _live_rows(alive)
             if observe is not None:
                 Xb[j] = X
                 j += 1
             if k in stops:
-                done = alive & (steps == k)
-                alive &= ~done
-                n_live -= int(np.count_nonzero(done))
-    if observe is not None:
+                alive &= steps != k
+                rows, n_live = _live_rows(alive)
+    if observe is not None and j:
         observe(k0, stepped[:j], Xb[:j])
     return X, steps, escaped
+
+
+def _live_rows(alive: np.ndarray):
+    """The rows of the mask alive as an index into X, a slice when they are
+    one run (a view, no gather), and their number."""
+    idx = np.flatnonzero(alive)
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1), len(idx)
+    return idx, len(idx)
 
 
 def rk4_stages(fn: Callable, h) -> Callable:
@@ -368,19 +394,28 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     0..K[i, q] (steps of length h) of the paths of every selector in sels
     from X[q].  Points equal bit for bit share one row per selector, which
     steps to the largest K asked at its point, so the result does not depend
-    on the batch.  A row frozen by escape gives its final minimum to every
-    later read.  Returns the minima and the (r, m) entries cut short by
-    escape: some path of the entry's point escaped at or before its node.
+    on the batch.  A point whose minimum over selectors has reached 0 keeps
+    it: the observer returns its rows, which leave the sweep at the end of
+    that block, and every later read of the point is 0.  A row that ended,
+    by escape, settling or its count, gives its final minimum to every later
+    read.  Returns the minima and the (r, m) entries cut short by escape:
+    some path of the entry's point escaped at or before its node.  An entry
+    of value 0 may lose that flag, as its point's rows may leave before they
+    would escape; an entry of value > 0 keeps it bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = np.asarray(K, dtype=int)
     # row j * p + u runs selector j from U[u]; the uint64 view keeps 0.0 and -0.0 apart
     _, first, at = np.unique(np.ascontiguousarray(X).view(np.uint64), axis=0,
                              return_index=True, return_inverse=True)
-    U, at = X[first], at.reshape(-1)
+    k_end = np.zeros(len(first), dtype=int)
+    np.maximum.at(k_end, at.reshape(-1), K.max(axis=0, initial=0))
+    # points by largest asked step, descending: rows finishing early form a
+    # suffix of each selector's rows, so with one selector the live rows
+    # stay one run, which the kernel steps through a slice
+    by_end = np.argsort(-k_end, kind="stable")
+    U, k_end, at = X[first[by_end]], k_end[by_end], np.argsort(by_end)[at.reshape(-1)]
     S, p = len(sels), len(U)
-    k_end = np.zeros(p, dtype=int)
-    np.maximum.at(k_end, at, K.max(axis=0, initial=0))
     dmin = np.full(S * p, np.inf)
     D = dmin.reshape(S, p)
     # slot i * m + q reads entry (i, q); the block holding node K[i, q] writes it
@@ -399,12 +434,17 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
         for i in range(np.searchsorted(ks, k0), np.searchsorted(ks, k0 + len(acc))):
             q = slots[i]
             seen[:, q] = acc[ks[i] - k0].reshape(S, p)[:, u_slot[q]]
+        # every row of a point at minimum 0 is settled
+        zero = D.min(axis=0) == 0.0
+        return np.flatnonzero(np.tile(zero, S)) if zero.any() else None
 
     _, steps, escaped = rk4_sweep(bundle_step(F, sels, p, h, direction), np.tile(U, (S, 1)),
                                   np.tile(k_end, S), observe, escape_radius)
-    # a row that escaped at or before a slot's step stays frozen: its minimum is final
-    frozen = escaped.reshape(S, p)[:, u_slot] & (steps.reshape(S, p)[:, u_slot] <= k_slot)
-    return (np.where(frozen, D[:, u_slot], seen).min(axis=0).reshape(K.shape),
+    # a row that ended at or before a slot's node holds its final minimum
+    # there; blocks after the last live row's end are never observed
+    ended = steps.reshape(S, p)[:, u_slot] <= k_slot
+    frozen = escaped.reshape(S, p)[:, u_slot] & ended
+    return (np.where(ended, D[:, u_slot], seen).min(axis=0).reshape(K.shape),
             frozen.any(axis=0).reshape(K.shape))
 
 

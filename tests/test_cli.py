@@ -504,28 +504,33 @@ class TestCommands:
                      "--out", str(out)]) == 0
         assert len(built) == 1
 
-    @pytest.mark.parametrize("overrides, steps", [
-        ([], 2560 + 1536),
-        # the marginal-check benchmark workload
-        (["--set", "sampling.tgrid=0 1.5 7", "--set", "check monotone.T=0.5"], 768 + 256),
+    @pytest.mark.parametrize("overrides, steps, rows", [
+        # the origin, a sign sample in X_o, leaves the backward sweep of 265
+        # points after its first block of 8192 // 265 = 30 nodes: 29 steps, not 2560
+        ([], 2560 + 1536, 12288 + 320000 - (2560 - 29)),
+        # the marginal-check benchmark workload: 105 points, blocks of 78
+        # nodes, so the origin takes 77 steps, not 768
+        (["--set", "sampling.tgrid=0 1.5 7", "--set", "check monotone.T=0.5"], 768 + 256,
+         2048 + 55040 - (768 - 77)),
     ], ids=["shipped", "marginal-check"])
     def test_sign_and_monotonicity_queries_make_one_backward_sweep(self, tmp_path,
                                                                    monkeypatch, overrides,
-                                                                   steps):
+                                                                   steps, rows):
         # one forward bundle for the monotonicity check, then every query of
         # both checks in one tube_minimum: its sweep runs to the sign check's
         # largest t, which covers the monotonicity check's
         from safereach import solver
 
-        sweeps, tubes = [], []
+        sweeps, stepped, tubes = [], [], []
         sweep, tube = solver.rk4_sweep, solver.tube_minimum
 
         def counted(step, *args):
             sweeps.append(0)
 
-            def one(*a):
+            def one(k, live, X, W):
                 sweeps[-1] += 1
-                return step(*a)
+                stepped.append(len(X))
+                return step(k, live, X, W)
             return sweep(one, *args)
 
         monkeypatch.setattr(solver, "rk4_sweep", counted)
@@ -534,6 +539,7 @@ class TestCommands:
         assert main(["check", "--config", str(SCENARIOS / "counterexample.scenario"),
                      *overrides, "--out", str(tmp_path / "out")]) == 0
         assert len(tubes) == 1 and len(sweeps) == 2 and sum(sweeps) == steps
+        assert sum(stepped) == rows
 
     def test_results_before_a_failing_check_are_written(self, tmp_path, capsys):
         # a: sign and monotonicity queries of a user B, answered alone when

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
-                                Selector, builtin_field, eval_inclusion,
+from safereach.dynamics import (EXTREME_DIRECTIONS, DynamicsError, FieldHandle,
+                                InclusionSpec, LINEAR_SAFE_A, Selector, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
                                 linear_field, lipschitz_estimate, max_rate, rescale_field,
                                 selector_table)
@@ -218,8 +218,8 @@ class TestInclusion:
         f = builtin_field("linear_safe")
         F = InclusionSpec.ball_perturbed(f, 0.25)
         x = np.array([1.0, 0.0])
-        pts = inclusion_extreme_points(F, x[None], directions=8)[0]
-        assert len(pts) == 8
+        pts = inclusion_extreme_points(F, x[None])[0]
+        assert len(pts) == EXTREME_DIRECTIONS
         assert np.allclose(np.linalg.norm(pts - f(x), axis=1), 0.25)
 
     def test_batched_vertices_equal_per_point(self):
@@ -230,8 +230,8 @@ class TestInclusion:
             V = eval_inclusion(F, X)
             assert V.shape == (5, len(F.fields), 2)
             assert np.array_equal(V, np.concatenate([eval_inclusion(F, x[None]) for x in X]))
-            pts = inclusion_extreme_points(F, X, directions=8)
-            assert np.array_equal(pts, np.concatenate([inclusion_extreme_points(F, x[None], 8)
+            pts = inclusion_extreme_points(F, X)
+            assert np.array_equal(pts, np.concatenate([inclusion_extreme_points(F, x[None])
                                                        for x in X]))
 
     @given(st.floats(0, 2 * np.pi), st.floats(0, 1),

@@ -89,8 +89,6 @@ KEPT_DEFAULTS = {
     ("main", "argv"): "the console entry point passes none; tests pass their argv",
     ("integrate", "direction"): "bench/spans.py patches integrate; tests integrate backward",
     ("integrate", "cfg"): "bench/spans.py patches integrate; tests pass their step",
-    ("clarke_gradient_sample", "m"): "a library leftover: the sample count per point",
-    ("inclusion_extreme_points", "directions"): "a library leftover: the ball's vertex count",
     ("smooth_global", "seed"): "a library leftover: the validation draw",
     ("smooth_global", "validation_points"): "a library leftover: the validation count",
     ("singleton", "name"): "InclusionSpec's constructors name an inclusion for library callers",

@@ -197,46 +197,51 @@ class TestConeResidual:
 class TestClarkeGradient:
     def test_smooth_point_of_norm(self):
         grads = clarke_gradient_sample(lambda X: np.linalg.norm(X, axis=1),
-                                       [1.0, 0.0], radius=1e-3, m=8)
+                                       [1.0, 0.0], radius=1e-3)
         assert np.allclose(grads, [1.0, 0.0], atol=1e-3)
 
     def test_kink_splits_by_sign(self):
         grads = clarke_gradient_sample(lambda X: np.abs(X[:, 0]), [0.0, 0.0],
-                                       radius=1e-3, m=16, fd_step=1e-8)
+                                       radius=1e-3, fd_step=1e-8)
         first = grads[:, 1]
         assert np.allclose(first, 0.0, atol=1e-6)
+        # the base, on the kink, reads 0; the 4 ball points read +-1
         signs = grads[:, 0]
         interior = signs[np.abs(np.abs(signs) - 1.0) < 1e-6]
-        assert len(interior) >= 12
+        assert signs[0] == 0.0 and len(interior) == 4
         assert (interior > 0).any() and (interior < 0).any()
 
     def test_quadratic_gradient(self):
         B = lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2 - 1.0
-        grads = clarke_gradient_sample(B, [1.0, 1.0], radius=1e-5, m=8)
+        grads = clarke_gradient_sample(B, [1.0, 1.0], radius=1e-5)
         assert np.allclose(grads, [0.2, 2.0], atol=1e-4)
 
     def test_c2_accuracy_order(self):
         B = lambda X: np.sin(X[:, 0]) + np.cos(2 * X[:, 1])
         x = np.array([0.4, -0.3])
         exact = np.array([np.cos(0.4), -2 * np.sin(-0.6)])
-        grads = clarke_gradient_sample(B, x, radius=1e-4, m=8, fd_step=1e-6)
+        grads = clarke_gradient_sample(B, x, radius=1e-4, fd_step=1e-6)
         assert np.max(np.linalg.norm(grads - exact, axis=1)) < 5e-4
 
     def test_sample_count_contract(self):
-        with pytest.raises(GeometryError):
-            clarke_gradient_sample(lambda X: X[:, 0], [0.0, 0.0], radius=1e-3, m=3)
+        # 2n + 1 gradients per base: the base and 2n ball points
+        for n in (1, 2, 3):
+            grads = clarke_gradient_sample(lambda X: X[:, 0], np.zeros(n), radius=1e-3)
+            assert grads.shape == (2 * n + 1, n)
+        with pytest.raises(GeometryError, match="must be positive"):
+            clarke_gradient_sample(lambda X: X[:, 0], [0.0, 0.0], radius=0.0)
 
     def test_non_finite_reported(self):
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(GeometryError, match="non-finite"):
                 clarke_gradient_sample(lambda X: np.log(X[:, 0]), [0.0, 0.0],
-                                       radius=1e-3, m=8)
+                                       radius=1e-3)
 
     def test_one_call_on_all_probes(self):
         calls = []
         B = lambda X: calls.append(X.shape) or X[:, 0] - 2 * X[:, 2]
-        grads = clarke_gradient_sample(B, [0.5, -1.0, 2.0], radius=1e-3, m=9)
-        assert calls == [(9 * 2 * 3, 3)]
+        grads = clarke_gradient_sample(B, [0.5, -1.0, 2.0], radius=1e-3)
+        assert calls == [(7 * 2 * 3, 3)]
         assert np.allclose(grads, [1.0, 0.0, -2.0], atol=1e-6)
 
     def test_batch_of_bases_in_one_call(self):
@@ -244,10 +249,10 @@ class TestClarkeGradient:
         calls = []
         B = lambda X: calls.append(X.shape) or np.sin(X[:, 0]) * X[:, 1] ** 2
         X = np.array([[0.4, -0.3], [1.0, 2.0], [-0.5, 0.1]])
-        grads = clarke_gradient_sample(B, X, radius=1e-4, m=6, seed=2)
-        assert grads.shape == (3, 6, 2) and calls == [(3 * 6 * 2 * 2, 2)]
+        grads = clarke_gradient_sample(B, X, radius=1e-4, seed=2)
+        assert grads.shape == (3, 5, 2) and calls == [(3 * 5 * 2 * 2, 2)]
         for x, g in zip(X, grads):
-            assert np.array_equal(clarke_gradient_sample(B, x, radius=1e-4, m=6, seed=2), g)
+            assert np.array_equal(clarke_gradient_sample(B, x, radius=1e-4, seed=2), g)
 
 
 class TestProximalSubgradient:

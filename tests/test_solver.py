@@ -349,6 +349,75 @@ class TestSweepKernel:
         three, _, _ = rk4_sweep(rk4_stages(_CountingField(), 1 / 64), X0[1:2], 3)
         assert np.array_equal(X[1], three[0])
 
+    def test_rows_an_observer_settles_leave_at_the_blocks_last_node(self, monkeypatch):
+        # blocks of 4 nodes of 3 rows: nodes 0-3, 4-7, 8-10; row 1 is settled
+        # by the first block and leaves at node 3, row 2 by the second and
+        # leaves at node 7; returning row 1 again, no longer live, is a no-op
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 12)
+        fn = _CountingField(np.eye(2))
+        X0 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        settle, blocks = {0: [1], 4: np.array([2, 1])}, []
+
+        def observe(k0, stepped, Xb):
+            blocks.append((k0, [np.flatnonzero(s).tolist() for s in stepped], Xb))
+            return settle.get(k0)
+
+        X, steps, escaped = rk4_sweep(rk4_stages(fn, 1 / 64), X0, 10, observe)
+        assert steps.tolist() == [10, 3, 7] and not escaped.any()
+        assert fn.rows == [3] * 12 + [2] * 16 + [1] * 12
+        assert [(k0, stepped) for k0, stepped, _ in blocks] == [
+            (0, [[0, 1, 2]] * 4), (4, [[0, 2]] * 4), (8, [[0]] * 3)]
+        # a settled row keeps its state at the node it left: a sweep to that node alone
+        for i, k in enumerate(steps):
+            alone, _, _ = rk4_sweep(rk4_stages(_CountingField(np.eye(2)), 1 / 64),
+                                    X0[i:i + 1], k)
+            assert np.array_equal(X[i], alone[0])
+        assert np.array_equal(blocks[0][2][3, 1], X[1])
+        assert np.array_equal(blocks[1][2][3, 2], X[2])
+
+    def test_settling_every_row_ends_the_sweep(self, monkeypatch):
+        # the second block, nodes 4-7, settles both rows: no step 8, and no
+        # empty block is observed after it
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 8)
+        fn = _CountingField()
+        blocks = []
+        X, steps, _ = rk4_sweep(rk4_stages(fn, 1 / 64), np.eye(2), 20,
+                                lambda k0, stepped, Xb: blocks.append(k0) or
+                                ([0, 1] if k0 == 4 else None))
+        assert blocks == [0, 4] and steps.tolist() == [7, 7]
+        assert fn.rows == [2] * (4 * 7)
+
+    def test_an_observer_returning_none_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 6)
+        X0 = np.random.default_rng(1).normal(size=(3, 2))
+        runs = []
+        for observe in (None, lambda k0, stepped, Xb: None):
+            fn = _CountingField(np.eye(2))
+            runs.append((rk4_sweep(rk4_stages(fn, 0.25), X0, np.array([4, 9, 20]), observe,
+                                   escape_radius=10.0), fn.rows))
+        (X, steps, escaped), rows = runs[0]
+        assert escaped.any() and not escaped.all()
+        assert np.array_equal(runs[1][0][0], X) and runs[1][1] == rows
+        assert np.array_equal(runs[1][0][1], steps) and np.array_equal(runs[1][0][2], escaped)
+
+    def test_the_live_row_index_is_rebuilt_only_when_the_live_rows_change(self):
+        # rows 0 and 3 finish after step 2, then row 1 after step 4: the
+        # live rows are 0-3, then 1-2, then 2 alone, each one run, so a
+        # slice; a hole in them makes an index array
+        indices = []
+
+        def step(k, rows, X, W):
+            indices.append(rows)
+            return X + 1.0
+
+        rk4_sweep(step, np.zeros((4, 1)), np.array([2, 4, 6, 2]))
+        assert [(r.start, r.stop) for r in indices] == [(0, 4)] * 2 + [(1, 3)] * 2 + [(2, 3)] * 2
+        assert indices[0] is indices[1] and indices[2] is indices[3]
+        indices.clear()
+        X, _, _ = rk4_sweep(step, np.zeros((4, 1)), np.array([3, 1, 3, 2]))
+        assert isinstance(indices[1], np.ndarray) and indices[1].tolist() == [0, 2, 3]
+        assert indices[2].tolist() == [0, 2] and X[:, 0].tolist() == [3, 1, 3, 2]
+
     def test_per_row_steps(self):
         f = builtin_field("linear_safe")
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -538,12 +607,16 @@ class TestNodeZeroInTheSweep:
         ref = [[distance_to_set_many(trs[0].states[:k + 1], self.ELLIPSE).min()
                 for k, trs in zip(row, paths)] for row in K]
         assert np.array_equal(best, ref)
-        # one more node than a block holds splits it in two
+        # one more node than a block holds splits it in two; the rows that
+        # reached the ellipse by node 7 are settled and leave after the first
         monkeypatch.setattr(solver, "BLOCK_ROWS", 28 * 9 - 1)
         calls.clear()
         again, _ = tube_minimum(LINEAR, [Selector.constant()], X, K, 1 / 32, "backward",
                                 self.ELLIPSE)
-        assert calls == [28 * 8, 28] and np.array_equal(again, best)
+        inside = sum(distance_to_set_many(trs[0].states[:8], self.ELLIPSE).min() == 0.0
+                     for trs in paths)
+        assert inside == 9
+        assert calls == [28 * 8, 28 - inside] and np.array_equal(again, best)
 
     def test_simulate_check_equals_the_fold_of_recorded_paths(self):
         F = InclusionSpec.ball_perturbed(field_from_expressions(["x1", "0 - x2"]), 0.1)
@@ -635,10 +708,12 @@ class TestObservedBlocks:
         X_o = SetSpec.ball([0.2, 1.2], 0.1)
         run = lambda: tube_minimum(self.SADDLE, sels, X, K, 1 / 16, "backward", X_o,
                                    escape_radius=3.0)
-        (one, cut), *rest = self._each_block_size(monkeypatch, len(sels) * 4, run)
-        assert cut.any() and not cut.all() and len(np.unique(one)) > 5
-        for other, other_cut in rest:
-            assert np.array_equal(other, one) and np.array_equal(other_cut, cut)
+        runs = self._each_block_size(monkeypatch, len(sels) * 4, run)
+        (one, cut), pos = runs[0], runs[0][0] > 0
+        assert cut[pos].any() and not cut.all() and len(np.unique(one)) > 5
+        assert (one == 0).any()
+        for other, other_cut in runs[1:]:
+            assert np.array_equal(other, one) and np.array_equal(other_cut[pos], cut[pos])
         # against the minimum over the first K + 1 nodes of every recorded path
         paths = solution_bundle(self.SADDLE, X, 40 / 16, "backward",
                                 IntegratorConfig(step=1 / 16, escape_radius=3.0), BundlePlan(3))
@@ -646,9 +721,13 @@ class TestObservedBlocks:
         ref = [[min(distance_to_set_many(tr.states[:k + 1], X_o).min() for tr in trs)
                 for k, trs in zip(row, paths)] for row in K]
         assert np.array_equal(one, ref)
-        # an entry is cut short when some path of its point escaped at or before its node
-        assert cut.tolist() == [[any(tr.termination == "escape" and len(tr.times) - 1 <= k
-                                     for tr in trs) for k, trs in zip(row, paths)] for row in K]
+        # an entry is cut short when some path of its point escaped at or
+        # before its node; an entry of value 0 may drop that flag, as its
+        # point's rows leave the sweep, but never gains it
+        want = np.array([[any(tr.termination == "escape" and len(tr.times) - 1 <= k
+                              for tr in trs) for k, trs in zip(row, paths)] for row in K])
+        for _, other_cut in runs:
+            assert np.array_equal(other_cut[pos], want[pos]) and not (other_cut & ~want).any()
 
     def test_safety_report_does_not_depend_on_the_block(self, monkeypatch):
         # forward, x1 grows: rows hit x1 >= 1.5 and later escape the radius,
@@ -663,6 +742,47 @@ class TestObservedBlocks:
         assert reports[0].witness["hit_time"] not in (0.0, 3.0)
         for rep in reports[1:]:
             assert rep.to_json() == reports[0].to_json()
+
+
+class TestSettledRows:
+    """A point whose running minimum over selectors reaches 0 keeps it, so
+    tube_minimum's observer settles its rows: they leave the sweep at the end
+    of that block, and the minima stay those of the recorded paths."""
+
+    # x -> -x plus a ball of radius 0.1: paths contract towards X_o
+    SHRINK = InclusionSpec.ball_perturbed(FieldHandle(lambda X: -X, 2, "shrink"), 0.1)
+    X_o = SetSpec.ball([0.0, 0.0], 0.5)
+
+    def test_minima_equal_the_fold_of_recorded_paths_at_every_block_size(self, monkeypatch):
+        # (0, 0) starts in X_o, (0.6, 0) and (0.55, -0.3) enter it mid-sweep,
+        # (3, 0) never does; the origin is asked twice
+        sels = BundlePlan(3).selectors(self.SHRINK)
+        X = np.array([[0.6, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.55, -0.3]])
+        K = np.array([[0, 2, 5, 9, 1], [16, 11, 16, 1, 9]])
+        paths = solution_bundle(self.SHRINK, X, 1.0, "forward", IntegratorConfig(step=1 / 16),
+                                BundlePlan(3))
+        ref = np.array([[min(distance_to_set_many(tr.states[:k + 1], self.X_o).min()
+                             for tr in trs) for k, trs in zip(row, paths)] for row in K])
+        assert (ref[:, [1, 3]] == 0.0).all() and (ref[:, 2] > 0.0).all()
+        assert ref[0, 0] > 0.0 and ref[1, 0] == 0.0 and ref[0, 4] > 0.0 and ref[1, 4] == 0.0
+        m = len(sels) * 4       # rows: the selectors x the distinct points
+        for nodes in (17, 9, 1):       # one block, two blocks, one node per block
+            monkeypatch.setattr(solver, "BLOCK_ROWS", nodes * m)
+            best, cut = tube_minimum(self.SHRINK, sels, X, K, 1 / 16, "forward", self.X_o)
+            assert np.array_equal(best, ref) and not cut.any()
+
+    def test_a_settled_points_rows_leave_after_their_block(self, monkeypatch):
+        # blocks of 4 nodes of 2 selectors x 2 points: the origin, in X_o at
+        # node 0, leaves at node 3; (3, 0) steps to 12
+        rows = []
+        g = FieldHandle(lambda X: rows.append(len(X)) or -X, 2, "shrink")
+        F = InclusionSpec.ball_perturbed(g, 0.1)
+        sels = BundlePlan(2).selectors(F)
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 4 * 4)
+        best, _ = tube_minimum(F, sels, np.array([[3.0, 0.0], [0.0, 0.0]]),
+                               np.array([[12, 12], [12, 2]]), 1 / 16, "forward", self.X_o)
+        assert rows == [4] * (4 * 3) + [2] * (4 * 9)
+        assert best[:, 1].tolist() == [0.0, 0.0] and (best[:, 0] > 0.5).all()
 
 
 def _textbook_sweep(fn, X0, h, n_steps):
