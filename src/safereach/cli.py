@@ -25,7 +25,7 @@ from .config import ConfigError, RawConfig, Scenario, build_scenario, load_confi
 from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError, SetSpec
-from .sampling import grid_points
+from .sampling import Stream, grid_points
 from .solver import SolverError, solution_bundle, write_csv
 
 # each command imports the library modules it runs, so a run loads only its own
@@ -291,7 +291,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
         max_sep = cfg.get(section, "max_sep", 0.5)
         dim = scn.system.dim
         # per pair: x, then the offset of y, as successive draws of one stream
-        U = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(pairs, 2, dim))
+        U = Stream(seed).uniform(-1.0, 1.0, (pairs, 2, dim))
         res = filippov_check(scn.system, U[:, 0], U[:, 0] + U[:, 1] * max_sep / np.sqrt(dim),
                              cfg.get(section, "T", 1.0), lam, scn.solver, scn.bundle, box=box,
                              tol=cfg.get(section, "tol", 1e-6))

@@ -3,7 +3,7 @@
 Unknown sections and unknown keys are hard errors; silent config drift is the
 main reproducibility killer.  Sections:
 
-    top level       seed (required), out (optional)
+    top level       seed (required, a non-negative integer), out (optional)
     [system]        kind, name | dim+rhs / member lines, inclusion, epsilon
     [solver]        method (rk4, the only integrator), step, escape, max_steps
     [bundle]        directions, switches (per unit time, on an absolute grid)
@@ -20,7 +20,6 @@ main reproducibility killer.  Sections:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -31,6 +30,15 @@ from .dynamics import InclusionSpec, builtin_field, field_from_expressions
 from .expr import compile_expression
 from .geometry import SamplePlan, SetSpec
 from .solver import BundlePlan, IntegratorConfig
+
+# CPython's own SHA-256: hashlib would load OpenSSL for one small hash
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -111,7 +119,7 @@ class RawConfig:
     text: str
 
     def hash(self) -> str:
-        return hashlib.sha256(self.text.encode()).hexdigest()
+        return sha256(self.text.encode()).hexdigest()
 
     def get(self, section: str, key: str, default=None):
         vals = self.sections.get(section, {}).get(key)
@@ -349,6 +357,8 @@ def _window(cfg: RawConfig, section: str, system: Optional[InclusionSpec]):
 
 def build_scenario(cfg: RawConfig) -> Scenario:
     seed = cfg.get("", "seed")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     out_dir = cfg.get("", "out")
     method = cfg.get("solver", "method", "rk4")
     if method != "rk4":

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -102,6 +104,12 @@ class TestConfigParsing:
     def test_missing_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("[solver]\nstep = 0.1\n")
+
+    def test_negative_or_non_integer_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative integer, got -1$"):
+            build_scenario(parse_config(MINIMAL.replace("seed = 5", "seed = -1")))
+        with pytest.raises(ConfigError, match="non-negative integer, got 1.5$"):
+            build_scenario(RawConfig({"": {"seed": [1.5]}}, "seed = 1.5\n"))
 
     def test_typed_values(self):
         with pytest.raises(ConfigError, match="expected number"):
@@ -432,6 +440,8 @@ class TestCommands:
         sign = self._write(tmp_path, MINIMAL + (
             "\n[barrier]\nkind = user\nexpression = x1^2 + x2^2 - 1\n"
             "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"))
+        negative = tmp_path / "negative.scenario"
+        negative.write_text(MINIMAL.replace("seed = 5", "seed = -7"))
         # (argv, message, artifacts written before the error); a run that
         # fails before its first artifact leaves no output directory, and a
         # run that fails after it leaves a manifest naming the error
@@ -474,6 +484,17 @@ class TestCommands:
              "[check conditional] key 'tol' is not read by kind 'prop1'", []),  # ConfigError
             (["check", "--config", linear, "--set", "check filippov.kind=nosuch"],
              "[check filippov] unknown check kind 'nosuch'", []),            # ConfigError
+            # a seed is refused before any command draws from it
+            (["check", "--config", str(SCENARIOS / "perturbed.scenario"), "--seed", "-1"],
+             "seed must be a non-negative integer, got -1", []),           # ConfigError
+            (["simulate", "--config", counter, "--seed", "-1"],
+             "seed must be a non-negative integer, got -1", []),           # ConfigError
+            (["check", "--config", counter, "--seed", "-1"],
+             "seed must be a non-negative integer, got -1", []),           # ConfigError
+            (["check", "--config", str(negative)],
+             "seed must be a non-negative integer, got -7", []),           # ConfigError
+            (["check", "--config", counter, "--set", "seed=1.5"],
+             "expected integer, got '1.5'", []),                             # ConfigError
         ]
         for i, (argv, message, written) in enumerate(cases):
             out = tmp_path / f"out{i}"
@@ -726,6 +747,38 @@ assert not {set(unloaded)!r} & sys.modules.keys(), {unloaded!r}
         run = self._run("-c", script)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == verdicts
+
+    def test_commands_load_neither_numpy_random_nor_openssl(self, tmp_path):
+        # the Halton scramble and the Filippov draw come from sampling.Stream,
+        # and the config hash from CPython's own SHA-256 where it has one
+        config = tmp_path / "short.scenario"
+        config.write_bytes((SCENARIOS / "counterexample.scenario").read_bytes().replace(
+            b"T = 6.283185307179586", b"T = 0.05"))
+        counter = str(SCENARIOS / "counterexample.scenario")
+        runs = [
+            ["simulate", "--config", str(config)],
+            ["check", "--config", str(SCENARIOS / "perturbed.scenario"),
+             "--set", "check perturbed_safety.T=0.25"],
+            ["check", "--config", counter, "--set", "sampling.tgrid=0 1 3",
+             "--set", "check monotone.T=0.25"],
+            ["barrier-eval", "--config", counter, "--set", "barrier-eval.tgrid=0 0.5 2",
+             "--set", "barrier-eval.nx=5"],
+        ]
+        unloaded = {"numpy.random"}
+        if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            unloaded.add("_hashlib")
+        script = f"""
+import sys
+import safereach.cli as cli
+for i, argv in enumerate({runs!r}):
+    assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
+    loaded = {unloaded!r} & sys.modules.keys()
+    assert not loaded, (argv, sorted(loaded))
+"""
+        run = self._run("-c", script)
+        assert run.returncode == 0, run.stderr
+        manifest = json.loads((tmp_path / "out0" / "manifest.json").read_text())
+        assert manifest["config_hash"] == hashlib.sha256(config.read_bytes()).hexdigest()
 
     # each error class below is defined by a module that only its command loads
     def _assert_one_error_line(self, tmp_path, argv, message):

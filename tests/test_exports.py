@@ -172,3 +172,33 @@ def test_np_unique_is_always_called_with_a_return_flag():
                     not any((k.arg or "").startswith("return_") for k in call.keywords):
                 bare.append(f"{path.name}:{call.lineno}")
     assert bare == [], f"np.unique without a return_* keyword: {bare}"
+
+
+def test_src_loads_neither_numpy_random_nor_hashlib():
+    # numpy.random loads secrets, hmac and OpenSSL, and hashlib loads OpenSSL:
+    # sampling.Stream draws numpy's default_rng stream itself, and config
+    # hashes with CPython's own SHA-256, reaching hashlib only where that is
+    # missing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallback = {id(n) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and
+                    isinstance(h.type, ast.Name) and h.type.id == "ImportError"
+                    for n in ast.walk(h)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                bad = node.attr == "random" and isinstance(node.value, ast.Name) and \
+                    node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                bad = any(a.name.startswith("numpy.random") or a.name == "hashlib"
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                bad = module.startswith("numpy.random") or \
+                    (module == "numpy" and any(a.name == "random" for a in node.names)) or \
+                    (module == "hashlib" and id(node) not in fallback)
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"numpy.random or hashlib in src/: {found}"
