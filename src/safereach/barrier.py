@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,16 +44,26 @@ class BarrierError(ValueError):
     pass
 
 
+class BarrierValues(NamedTuple):
+    """B at m (t, x) rows: value, the (m,) floats, and cut, the (m,) bools
+    true where the value read a backward tube cut short by escape at or
+    before its t, so it is only a lower bound of the marginal."""
+
+    value: np.ndarray
+    cut: np.ndarray
+
+
 @dataclass
 class BarrierFn:
     """Scalar B(t, x), evaluated in batches, with provenance metadata.
 
-    batch_fn maps times ts (m,) and states Xs (m, n) to the m values; each
-    value depends on its own (t, x) row only.  provenance is one of
+    batch_fn maps times ts (m,) and states Xs (m, n) to the pair (values,
+    cut) of (m,) arrays that evaluate_many returns as a BarrierValues; each
+    row depends on its own (t, x) only, and a B with no backward tube cuts
+    none.  provenance is one of
     marginal | closedform_counterexample | smoothed | user.  band_width is the
     default width of the margin band realizing "a neighborhood of the
     zero-sublevel set minus the set itself" in the infinitesimal checks.
-    core is the marginal construction behind batch_fn, if any.
     """
 
     batch_fn: Callable
@@ -61,33 +71,29 @@ class BarrierFn:
     dim: int
     band_width: float = 0.1
     params: dict = field(default_factory=dict)
-    core: Optional[MarginalBarrier] = None
 
-    def evaluate_many(self, ts, Xs) -> np.ndarray:
+    def evaluate_many(self, ts, Xs) -> BarrierValues:
         ts = np.asarray(ts, dtype=float)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         # a non-finite value is rejected below by name, so numpy need not warn
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.asarray(self.batch_fn(ts, Xs), dtype=float)
+            vals, cut = self.batch_fn(ts, Xs)
+            vals = np.asarray(vals, dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = int(np.argmax(bad))
             raise BarrierError(f"barrier returned non-finite value at t={float(ts[i])!r}, "
                                f"x={Xs[i].tolist()}")
-        return vals
+        return BarrierValues(vals, cut)
 
 
 def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierFn:
     """Barrier from an expression over x1..xn, optionally involving t."""
     time_dep = re.search(r"\bt\b", expression) is not None
-    if time_dep:
-        variables = ("t",) + tuple(f"x{i + 1}" for i in range(dim))
-        g = compile_expression(expression, variables)
-        batch = lambda ts, Xs: g(np.column_stack([ts, Xs]))
-    else:
-        variables = tuple(f"x{i + 1}" for i in range(dim))
-        g = compile_expression(expression, variables)
-        batch = lambda ts, Xs: g(Xs)
+    g = compile_expression(expression, (("t",) if time_dep else ())
+                           + tuple(f"x{i + 1}" for i in range(dim)))
+    batch = lambda ts, Xs: (g(np.column_stack([ts, Xs]) if time_dep else Xs),
+                            np.zeros(len(ts), dtype=bool))
     return BarrierFn(batch, "user", dim, band_width, params={"expression": expression})
 
 
@@ -95,28 +101,23 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
 # marginal barrier
 # ---------------------------------------------------------------------------
 
-class MarginalBarrier:
-    """Backward-tube distance minimum, evaluated by batched integration.
+def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
+                     cfg: IntegratorConfig = IntegratorConfig(),
+                     directions: int = 8, switches: int = 0, seed: int = 0,
+                     band_width: float = 0.1) -> BarrierFn:
+    """The converse construction: B(t,x) = min over R(-t,x) of |y|_{X_o},
+    evaluated by batched integration.
 
     The minimum runs along nested backward tubes, so one backward sweep per
     distinct x, to its largest queried t, yields B(t, x) at every queried t:
-    each query reads the running minimum off the steps around its t."""
+    each query reads the running minimum off the steps around its t, and
+    its cut says whether its tube was cut short by escape at or before t."""
+    if X_o.kind == "complement":
+        raise ValueError("X_o must be a closed set variant, not an open complement")
+    plan = BundlePlan(directions, switches, seed)
 
-    def __init__(self, F: InclusionSpec, X_o: SetSpec, cfg: IntegratorConfig,
-                 plan: BundlePlan = BundlePlan()):
-        if X_o.kind == "complement":
-            raise ValueError("X_o must be a closed set variant, not an open complement")
-        self.F = F
-        self.X_o = X_o
-        self.cfg = cfg
-        self.plan = plan
-        # per row of the last batch: its tube was cut short by escape at or before t
-        self.truncated = np.zeros(0, dtype=bool)
-
-    def values(self, ts, Xs) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        h = self.cfg.step
+    def values(ts, Xs):
+        h = cfg.step
         if np.any(ts < 0):
             raise BarrierError("marginal barrier defined for t >= 0")
         if not np.all(np.isfinite(ts)):
@@ -124,25 +125,16 @@ class MarginalBarrier:
         k_lo = np.floor(ts / h + 1e-12)
         frac = np.clip(ts / h - k_lo, 0.0, 1.0)
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
-        self.cfg.check_steps(ts, k_hi)
+        cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
-        selectors = self.plan.selectors(self.F, max_k * h if max_k > 0 else h)
-        best, cut = tube_minimum(self.F, selectors, Xs, [k_lo, k_hi], h, "backward",
-                                 self.X_o, self.cfg.escape_radius)
-        self.truncated = cut[1]
-        return best[0] * (1.0 - frac) + best[1] * frac
+        selectors = plan.selectors(F, max_k * h if max_k > 0 else h)
+        best, cut = tube_minimum(F, selectors, Xs, [k_lo, k_hi], h, "backward",
+                                 X_o, cfg.escape_radius)
+        return best[0] * (1.0 - frac) + best[1] * frac, cut[1]
 
-
-def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
-                     cfg: IntegratorConfig = IntegratorConfig(),
-                     directions: int = 8, switches: int = 0, seed: int = 0,
-                     band_width: float = 0.1) -> BarrierFn:
-    """The converse construction: B(t,x) = min over R(-t,x) of |y|_{X_o}."""
-    core = MarginalBarrier(F, X_o, cfg, BundlePlan(directions, switches, seed))
-    return BarrierFn(core.values, "marginal", F.dim, band_width,
+    return BarrierFn(values, "marginal", F.dim, band_width,
                      params={"system": F.name, "X_o": X_o.name or X_o.kind,
-                             "directions": directions, "switches": switches},
-                     core=core)
+                             "directions": directions, "switches": switches})
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,9 @@ def counterexample_barrier(t, x):
 
 
 def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
-    return BarrierFn(counterexample_barrier, "closedform_counterexample", 2, band_width)
+    return BarrierFn(lambda ts, Xs: (counterexample_barrier(ts, Xs),
+                                     np.zeros(len(ts), dtype=bool)),
+                     "closedform_counterexample", 2, band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +251,9 @@ def jsonable(obj):
 # ---------------------------------------------------------------------------
 
 class Queries:
-    """The (t, x) rows one check asks of B.  report(vals, cut) makes the
-    check's report from their values and which of them read a backward tube
-    cut short by escape; check(source, drawn) runs the check's entry
+    """The (t, x) rows one check asks of B.  report(got) makes the check's
+    report from their BarrierValues, each row's value and whether it read a
+    backward tube cut short by escape; check(source, drawn) runs the check's entry
     (:func:`candidate_sign_check` or :func:`monotonicity_check`, the spans
     bench/spans.py records) with these queries as drawn.  A plain class: a
     dataclass would add about 1 ms to every import of this module."""
@@ -269,16 +263,8 @@ class Queries:
 
     def answer(self, source) -> CheckReport:
         """The report from the values of source: B, or a Batch standing for it."""
-        return self.report(*(source.values(self) if isinstance(source, Batch)
-                             else _values(source, self.ts, self.Xs)))
-
-
-def _values(B: BarrierFn, ts, Xs):
-    """B at the rows (ts, Xs), and which values read a truncated tube."""
-    if len(ts) == 0:
-        return np.empty(0), np.zeros(0, dtype=bool)
-    vals = B.evaluate_many(ts, Xs)
-    return vals, (B.core.truncated if B.core is not None else np.zeros(len(vals), dtype=bool))
+        return self.report(source.values(self) if isinstance(source, Batch)
+                           else source.evaluate_many(self.ts, self.Xs))
 
 
 class Batch:
@@ -293,20 +279,20 @@ class Batch:
     def __init__(self, B: BarrierFn, asked: list[Queries]):
         self.B, self.asked, self.got = B, asked, None
 
-    def values(self, q: Queries):
+    def values(self, q: Queries) -> BarrierValues:
         if self.got is None:
             self.got = {}
             try:
-                vals, cut = _values(self.B, np.concatenate([a.ts for a in self.asked]),
-                                    np.vstack([a.Xs for a in self.asked]))
+                whole = self.B.evaluate_many(np.concatenate([a.ts for a in self.asked]),
+                                             np.vstack([a.Xs for a in self.asked]))
             except (ValueError, RuntimeError):     # the library's errors
                 pass        # each check then evaluates its own queries, below
             else:
                 ends = np.cumsum([len(a.ts) for a in self.asked])[:-1]
-                self.got = {id(a): got for a, got in
-                            zip(self.asked, zip(np.split(vals, ends), np.split(cut, ends)))}
+                self.got = {id(a): BarrierValues(*part) for a, part in
+                            zip(self.asked, zip(*(np.split(f, ends) for f in whole)))}
         got = self.got.get(id(q))
-        return got if got is not None else _values(self.B, q.ts, q.Xs)
+        return got if got is not None else self.B.evaluate_many(q.ts, q.Xs)
 
 
 def check_results(B: BarrierFn, runs: list):
@@ -345,7 +331,7 @@ def sign_queries(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int =
     check = lambda source, drawn: candidate_sign_check(source, X_o, X_u, t_grid, n_init,
                                                        n_unsafe, window, seed, drawn)
     if len(t_grid) == 0:
-        return Queries(np.empty(0), np.empty((0, B.dim)), lambda vals, cut: CheckReport(
+        return Queries(np.empty(0), np.empty((0, B.dim)), lambda got: CheckReport(
             "candidate_sign", 0, 0.0, {}, "inconclusive", details={"reason": "empty t-grid"}),
             check)
     n_b = max(1, n_init // 2)
@@ -355,8 +341,8 @@ def sign_queries(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int =
     # extreme in that order
     pts = np.vstack([pts_o, pts_u])
 
-    def report(vals, cut) -> CheckReport:
-        vals = vals.reshape(len(t_grid), len(pts))
+    def report(got: BarrierValues) -> CheckReport:
+        vals = got.value.reshape(len(t_grid), len(pts))
         vo, vu = vals[:, :len(pts_o)], vals[:, len(pts_o):]
         i, a = np.unravel_index(np.argmax(vo), vo.shape)
         j, b = np.unravel_index(np.argmin(vu), vu.shape)
@@ -370,8 +356,8 @@ def sign_queries(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int =
         distinct = (len(set(t_grid.view(np.uint64).tolist()))
                     * len(set(map(tuple, pts.view(np.uint64).tolist()))))
         details = {"max_on_X_o": worst_o, "min_on_X_u": worst_u, "distinct_samples": distinct}
-        if cut.any():
-            details["lower_bound_only"] = "backward tube truncated by escape"
+        if got.cut.any():
+            details["lower_bound_only"] = "backward tube cut short by escape"
         return CheckReport("candidate_sign", vals.size, viol, witness,
                            "pass" if viol <= 0.0 else "fail", details=details)
 
@@ -384,8 +370,9 @@ def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
     of forward trajectories, every stride-th node and the last, from the
     queries :func:`monotonicity_queries` makes, or drawn, those made
     already; B may be a Batch answering them with other checks'.  Returns
-    the report of the first trajectory with the largest increment; a
-    trajectory of one node is inconclusive."""
+    the report of the first trajectory with the largest increment; one of a
+    single node has no increment and is skipped, and if every trajectory is
+    one of those the check is inconclusive."""
     if drawn is None:
         drawn = monotonicity_queries(trajs, tol, stride)
     return drawn.answer(B)
@@ -401,13 +388,14 @@ def monotonicity_queries(trajs: list[Trajectory], tol: float = 1e-8,
     idxs = [np.append(np.arange(0, len(tr.times) - 1, stride), len(tr.times) - 1)
             for tr in trajs]
 
-    def report(vals, cut) -> CheckReport:
-        vals = np.split(vals, np.cumsum([len(idx) for idx in idxs])[:-1])
+    def report(got: BarrierValues) -> CheckReport:
+        vals = np.split(got.value, np.cumsum([len(idx) for idx in idxs])[:-1])
         incs = [np.diff(v) for v in vals]
-        w = int(np.argmax([inc.max() if len(inc) else 0.0 for inc in incs]))
-        tr, idx, v, inc = trajs[w], idxs[w], vals[w], incs[w]
-        if len(inc) == 0:
+        some = [w for w, inc in enumerate(incs) if len(inc)]
+        if not some:
             return CheckReport("monotonicity", 1, 0.0, {}, "inconclusive")
+        w = max(some, key=lambda w: incs[w].max())      # the first largest
+        tr, idx, v, inc = trajs[w], idxs[w], vals[w], incs[w]
         k = int(np.argmax(inc))
         worst = float(inc[k])
         witness = {"t": float(tr.times[idx[k + 1]]), "x": tr.states[idx[k + 1]].tolist(),
@@ -435,7 +423,7 @@ def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.nd
     pt = np.column_stack([tp + fd, tp - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
     px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + step,
                          X[:, None] - step], axis=1)
-    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).reshape(k, 2 * n + 2)
+    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).value.reshape(k, 2 * n + 2)
     return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
 
 
@@ -451,7 +439,7 @@ def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
     width = None if isinstance(region, str) else region[1]
     # one t-major batch over t-grid x pool
     vals_t = B.evaluate_many(np.repeat(t_grid, len(pool_x)),
-                             np.tile(pool_x, (len(t_grid), 1))).reshape(len(t_grid), -1)
+                             np.tile(pool_x, (len(t_grid), 1))).value.reshape(len(t_grid), -1)
     picked = []
     for t, vals in zip(t_grid, vals_t):
         if kind == "everywhere":
@@ -484,7 +472,7 @@ def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
     if len(neg) == 0 or len(pos) == 0:
         return []
     i = np.arange(count)
-    ends = bisect_boundary(lambda P: B.evaluate_many(np.full(count, t), P) > 0.0,
+    ends = bisect_boundary(lambda P: B.evaluate_many(np.full(count, t), P).value > 0.0,
                            pos[(3 * i + 1) % len(pos)], neg[i % len(neg)])
     return [(t, p) for p in ends]
 
@@ -513,7 +501,7 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
                            details={"reason": "region empty after sampling"})
     ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
     Z, keep = _zeta_candidates(B, mode, ts, X, seed)
-    gbs = np.asarray(g(B.evaluate_many(ts, X)), dtype=float)
+    gbs = np.asarray(g(B.evaluate_many(ts, X).value), dtype=float)
     if not keep.any():
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "no subgradient candidates"})
@@ -535,7 +523,7 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, see
         return _fd_extended_gradients(B, ts, X)[:, None, :], np.ones((len(ts), 1), dtype=bool)
     if mode not in ("clarke", "proximal"):
         raise ValueError(f"unknown mode '{mode}'")
-    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:])
+    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:]).value
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
     floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
     TX = np.column_stack([np.maximum(ts, floor), X])

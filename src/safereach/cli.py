@@ -163,7 +163,7 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     pts = grid_points(window[:dim], window[dim:], nx)
     # one t-major batch: a value depends on its own (t, x) only
     t_col, x_rows = np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))
-    data = np.column_stack([t_col, x_rows, B.evaluate_many(t_col, x_rows)])
+    data = np.column_stack([t_col, x_rows, B.evaluate_many(t_col, x_rows).value])
     write_csv(manifest.add(manifest.out / "barrier_grid.csv"), "t", data, "B")
     return 0
 

@@ -85,9 +85,9 @@ CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
 
 
 def _parse_value(raw: str, typ: str, where: str):
-    """A value of type typ; "time" and "tvec" are a float and a vec that must
-    be finite, refused by their key where (say "[simulate] T") before a
-    pipeline turns them into NaN steps."""
+    """A value of type typ, refused by its key where (say "[simulate] T") if
+    it does not parse; "time" and "tvec" are a float and a vec that must also
+    be finite, refused before a pipeline turns them into NaN steps."""
     raw = raw.strip()
     base = typ.rstrip("+")
     if base in ("time", "tvec"):
@@ -99,17 +99,17 @@ def _parse_value(raw: str, typ: str, where: str):
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"expected integer, got '{raw}'") from None
+            raise ConfigError(f"{where}: expected integer, got '{raw}'") from None
     if base == "float":
         try:
             return float(raw)
         except ValueError:
-            raise ConfigError(f"expected number, got '{raw}'") from None
+            raise ConfigError(f"{where}: expected number, got '{raw}'") from None
     if base == "vec":
         try:
             return [float(tok) for tok in raw.split()]
         except ValueError:
-            raise ConfigError(f"expected numbers, got '{raw}'") from None
+            raise ConfigError(f"{where}: expected numbers, got '{raw}'") from None
     return raw
 
 
@@ -170,7 +170,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RawConfig:
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{current or 'top level'}]")
         typ = schema[key]
-        value = _parse_value(raw, typ, f"[{current}] {key}")
+        value = _parse_value(raw, typ, f"[{current}] {key}" if current else key)
         bucket = sections[current].setdefault(key, [])
         if bucket and not typ.endswith("+"):
             raise ConfigError(f"line {lineno}: key '{key}' repeated in [{current}]")

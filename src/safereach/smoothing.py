@@ -527,9 +527,9 @@ class ConverseBarrier:
                                table_res=res.table_res,
                                annulus_count=res.annulus_count)
 
-    def values(self, ts, Xs) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+    def values(self, ts, Xs) -> tuple:
+        """The (values, cut) pair of the rows of float arrays ts (m,) and Xs
+        (m, n), as BarrierFn.evaluate_many passes them; no flow is cut short."""
         m = len(ts)
         if not np.all(np.isfinite(ts)):
             raise BarrierError(f"converse barrier needs a finite t, got {ts[~np.isfinite(ts)][0]}")
@@ -564,7 +564,7 @@ class ConverseBarrier:
         if free.any():
             tau = _soft_saturate(ts[free] + tau_int[free], float(self.res.k_max))
             out[free] = self.g.sample_pairs(tau, state[free])
-        return out
+        return out, np.zeros(m, dtype=bool)
 
 
 def converse_smooth_barrier(f: FieldHandle, X_o: SetSpec,

@@ -250,7 +250,7 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
         raise ValueError("prop1_check expects a minimal-type relaxation")
     if mode not in ("conditional", "strict"):
         raise ValueError(f"unknown mode {mode}")
-    handle = lambda P: B.evaluate_many(np.zeros(len(P)), P)
+    handle = lambda P: B.evaluate_many(np.zeros(len(P)), P).value
     sign_margins = []
     if mode == "conditional":
         outside = _exterior_shell(X_s, n_samples, shell_width, seed, window)

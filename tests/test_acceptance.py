@@ -52,7 +52,7 @@ def test_counterexample_barrier_equivalence():
     assert len(radii) == 40
     T, R = np.meshgrid(ts, radii, indexing="ij")
     pts = np.column_stack([R.ravel(), np.zeros(R.size)])
-    got = B.evaluate_many(T.ravel(), pts)
+    got = B.evaluate_many(T.ravel(), pts).value
     want = counterexample_barrier(T.ravel(), pts)
     rel = np.max(np.abs(got - want) / np.abs(want))
     elapsed = time.time() - t0
@@ -244,13 +244,13 @@ def test_smooth_converse_pipeline():
                              table_res=64, annulus_count=512)
     B = converse_smooth_barrier(f, ORIGIN2, CFG, res)
 
-    zero_ok = all(B.evaluate_many([t], [np.zeros(2)])[0] == 0.0 for t in (0.0, 1.0, 3.0))
+    zero_ok = all(B.evaluate_many([t], [np.zeros(2)]).value[0] == 0.0 for t in (0.0, 1.0, 3.0))
 
     ax = np.linspace(-1.0, 1.0, 30)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     grid = grid[np.linalg.norm(grid, axis=1) >= 0.15]
-    pos_vals = B.evaluate_many(np.full(len(grid), 0.5), grid)
+    pos_vals = B.evaluate_many(np.full(len(grid), 0.5), grid).value
     pos_ok = bool(np.all(pos_vals > 0.0))
 
     # 200 margin-band samples: positive barrier values below half the median
@@ -260,7 +260,7 @@ def test_smooth_converse_pipeline():
         cand = rng.uniform(-1.0, 1.0, size=(400, 2))
         cand = cand[np.linalg.norm(cand, axis=1) >= 0.15]
         t_cand = rng.uniform(0.2, 1.0, size=len(cand))
-        v = B.evaluate_many(t_cand, cand)
+        v = B.evaluate_many(t_cand, cand).value
         keep = (v > 0.0) & (v <= 0.5)
         band_pts.extend(cand[keep])
         band_ts.extend(t_cand[keep])
@@ -273,7 +273,7 @@ def test_smooth_converse_pipeline():
     for t, x in zip(band_ts, band_pts):
         tq += [t + fd, t - fd, t, t, t, t]
         xq += [x, x, x + fd * e1, x - fd * e1, x + fd * e2, x - fd * e2]
-    V = B.evaluate_many(np.asarray(tq), np.asarray(xq)).reshape(-1, 6)
+    V = B.evaluate_many(np.asarray(tq), np.asarray(xq)).value.reshape(-1, 6)
     worst = -np.inf
     for i, x in enumerate(band_pts):
         fx = f(x)

@@ -45,10 +45,11 @@ def _assert_batch_independent(B, data, t_max):
         st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))])
     order = np.array(data.draw(st.permutations(range(n))))
     cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
-    singles = np.array([B.evaluate_many([t], [x])[0] for t, x in zip(ts, xs)])
-    permuted = B.evaluate_many(ts[order], xs[order])
+    singles = np.array([B.evaluate_many([t], [x]).value[0] for t, x in zip(ts, xs)])
+    permuted = B.evaluate_many(ts[order], xs[order]).value
     assert np.array_equal(permuted, singles[order])
-    parts = [B.evaluate_many(ts[p], xs[p]) for p in np.split(order, [c for c in cuts if c < n])]
+    parts = [B.evaluate_many(ts[p], xs[p]).value
+             for p in np.split(order, [c for c in cuts if c < n])]
     assert np.array_equal(np.concatenate(parts), singles[order])
 
 
@@ -119,14 +120,14 @@ class TestClosedFormBarrier:
         reference = np.array([self._scalar_reference(t, x) for t, x in zip(ts, X)])
         assert np.array_equal(batch, singles) and np.array_equal(batch, reference)
         assert np.array_equal(batch[-len(k):], 1.0 / (k * np.pi)) and not batch[400:402].any()
-        assert np.array_equal(counterexample_barrier_fn().evaluate_many(ts, X), batch)
+        assert np.array_equal(counterexample_barrier_fn().evaluate_many(ts, X).value, batch)
 
 
 class TestMarginalBarrier:
     def test_time_zero_is_distance(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         for x in ([0.3, 0.4], [0.05, 0.0], [1.0, -1.0]):
-            assert B.evaluate_many([0.0], [np.array(x)])[0] == pytest.approx(
+            assert B.evaluate_many([0.0], [np.array(x)]).value[0] == pytest.approx(
                 np.linalg.norm(x), abs=1e-12)
 
     def test_negative_time_raises_barrier_error(self):
@@ -147,18 +148,18 @@ class TestMarginalBarrier:
     def test_zero_on_initial_set(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         for t in (0.0, 1.0, 3.0):
-            assert B.evaluate_many([t], [np.zeros(2)])[0] == 0.0
+            assert B.evaluate_many([t], [np.zeros(2)]).value[0] == 0.0
 
     def test_matches_closed_form_at_spec_point(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         x = np.array([2.0 / np.pi, 0.0])
-        assert B.evaluate_many([2.0], [x])[0] == pytest.approx(4.0 / (3.0 * np.pi), rel=1e-6)
+        assert B.evaluate_many([2.0], [x]).value[0] == pytest.approx(4.0 / (3.0 * np.pi), rel=1e-6)
 
     def test_nonincreasing_in_t_on_stored_grid(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         x = np.array([0.5, 0.2])
         ts = np.arange(0.0, 3.0 + 1e-12, 0.25)
-        vals = B.evaluate_many(ts, np.tile(x, (len(ts), 1)))
+        vals = B.evaluate_many(ts, np.tile(x, (len(ts), 1))).value
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_rejects_open_complement_target(self):
@@ -175,7 +176,7 @@ class TestMarginalBarrier:
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2)
             y = x + rng.uniform(-0.1, 0.1, size=2)
-            bx, by = (B.evaluate_many([t], [x])[0], B.evaluate_many([t], [y])[0])
+            bx, by = (B.evaluate_many([t], [x]).value[0], B.evaluate_many([t], [y]).value[0])
             assert abs(bx - by) <= np.exp(lam * t) * np.linalg.norm(x - y) + 1e-9
 
     def test_perturbed_bundle_lowers_values(self):
@@ -187,16 +188,16 @@ class TestMarginalBarrier:
         B0 = marginal_barrier(F0, X_o, CFG, directions=1)
         Be = marginal_barrier(Fe, X_o, CFG, directions=8)
         for x in ([1.2, 0.0], [0.9, 0.7]):
-            v0 = B0.evaluate_many([0.75], [np.array(x)])[0]
-            ve = Be.evaluate_many([0.75], [np.array(x)])[0]
+            v0 = B0.evaluate_many([0.75], [np.array(x)]).value[0]
+            ve = Be.evaluate_many([0.75], [np.array(x)]).value[0]
             assert ve <= v0 + 1e-9
 
     def test_batch_matches_scalar(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         ts = np.array([0.0, 0.5, 1.25])
         xs = np.array([[0.3, 0.0], [0.4, 0.2], [0.6, -0.1]])
-        batch = B.evaluate_many(ts, xs)
-        singles = [B.evaluate_many([t], [x])[0] for t, x in zip(ts, xs)]
+        batch = B.evaluate_many(ts, xs).value
+        singles = [B.evaluate_many([t], [x]).value[0] for t, x in zip(ts, xs)]
         assert np.array_equal(batch, singles)
 
     @settings(max_examples=20, deadline=None)
@@ -216,8 +217,8 @@ class TestMarginalBarrier:
         # switch times spread over the batch's largest t gave this point
         # 0.9196 alone and 0.9745 beside a t = 6 point
         x = np.array([1.923, 0.742])
-        alone = SWITCHED_B.evaluate_many([1.081], [x])[0]
-        assert SWITCHED_B.evaluate_many([1.081, 6.0], [x, [0.3, -1.4]])[0] == alone
+        alone = SWITCHED_B.evaluate_many([1.081], [x]).value[0]
+        assert SWITCHED_B.evaluate_many([1.081, 6.0], [x, [0.3, -1.4]]).value[0] == alone
 
     def test_mixed_times_query_no_more_points_than_per_t_batches(self, monkeypatch):
         # neither distance points nor right-hand-side rows: each row stops at its own t
@@ -231,11 +232,11 @@ class TestMarginalBarrier:
                              IntegratorConfig(step=1 / 64), directions=1)
         ts = np.array([0.0, 0.25, 1.0, 0.5 + 1 / 128])
         xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
-        mixed = B.evaluate_many(np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1)))
+        mixed = B.evaluate_many(np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))).value
         n_mixed, rows_mixed = sum(counted), sum(rhs_rows)
         counted.clear()
         rhs_rows.clear()
-        per_t = np.concatenate([B.evaluate_many(np.full(len(xs), t), xs) for t in ts])
+        per_t = np.concatenate([B.evaluate_many(np.full(len(xs), t), xs).value for t in ts])
         assert np.array_equal(mixed, per_t)
         assert 0 < n_mixed <= sum(counted)
         assert rows_mixed <= sum(rhs_rows)
@@ -248,11 +249,11 @@ class TestMarginalBarrier:
         ts = np.array([0.0, 0.25, 0.5 + 1 / 128, 1.0, 1.5, 0.25])
         xs = np.array([[1.2, 0.0], [0.9, 0.7], [-1.0, 0.4]])
         T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
-        singles = {(t, tuple(x)): B.evaluate_many([t], [x])[0] for t, x in zip(T, X)}
+        singles = {(t, tuple(x)): B.evaluate_many([t], [x]).value[0] for t, x in zip(T, X)}
         expected = np.array([singles[t, tuple(x)] for t, x in zip(T, X)])
-        assert np.array_equal(B.evaluate_many(T, X), expected)
+        assert np.array_equal(B.evaluate_many(T, X).value, expected)
         order = np.random.default_rng(4).permutation(len(T))
-        assert np.array_equal(B.evaluate_many(T[order], X[order]), expected[order])
+        assert np.array_equal(B.evaluate_many(T[order], X[order]).value, expected[order])
 
     @pytest.mark.parametrize("switches", [0, 2])
     def test_read_off_across_an_escape(self, switches):
@@ -265,18 +266,33 @@ class TestMarginalBarrier:
                              directions=4, switches=switches)
         ts = np.array([0.25, 0.5 + 1 / 128, 1.0 + 1 / 256, 1.5, 3.0])
         xs = np.array([[2.5, 0.5], [0.9, 0.7], [0.2, 0.1]])
-        B.evaluate_many([0.5 + 1 / 128], [xs[0]])
-        assert not B.core.truncated
-        B.evaluate_many([1.0 + 1 / 256], [xs[0]])
-        assert B.core.truncated
+        assert B.evaluate_many([0.5 + 1 / 128], [xs[0]]).cut.tolist() == [False]
+        assert B.evaluate_many([1.0 + 1 / 256], [xs[0]]).cut.tolist() == [True]
         T, X = np.repeat(ts, len(xs)), np.tile(xs, (len(ts), 1))
-        singles = np.array([B.evaluate_many([t], [x])[0] for t, x in zip(T, X)])
-        assert np.array_equal(B.evaluate_many(T, X), singles)
+        singles = [np.concatenate(f) for f in zip(*(B.evaluate_many([t], [x])
+                                                     for t, x in zip(T, X)))]
+        got = B.evaluate_many(T, X)
+        assert np.array_equal(got.value, singles[0]) and np.array_equal(got.cut, singles[1])
         # per row: the first point's tube is cut short from t = 1 + 1/256 on
-        assert B.core.truncated.any() and not B.core.truncated.all()
-        assert B.core.truncated[(X == xs[0]).all(axis=1)].tolist() == [False] * 2 + [True] * 3
+        assert got.cut.any() and not got.cut.all()
+        assert got.cut[(X == xs[0]).all(axis=1)].tolist() == [False] * 2 + [True] * 3
         order = np.random.default_rng(6).permutation(len(T))
-        assert np.array_equal(B.evaluate_many(T[order], X[order]), singles[order])
+        permuted = B.evaluate_many(T[order], X[order])
+        assert np.array_equal(permuted.value, singles[0][order])
+        assert np.array_equal(permuted.cut, singles[1][order])
+
+    def test_each_batch_keeps_its_own_cut(self):
+        # batch A's record is its own: evaluating batch B after it changes
+        # neither A's values nor A's cut, and both equal A evaluated afresh
+        make = lambda: marginal_barrier(TestOneBatch.SADDLE, SetSpec.ball([0.0, 0.0], 0.1),
+                                        IntegratorConfig(step=1 / 64, escape_radius=3.0))
+        B = make()
+        a = B.evaluate_many([1.0], [[0.2, 0.2]])
+        value = a.value.copy()
+        assert B.evaluate_many([1.0, 1.0], [[0.1, 2.9], [0.2, 0.2]]).cut.tolist() == [True, False]
+        fresh = make().evaluate_many([1.0], [[0.2, 0.2]])
+        for got in (a, fresh):
+            assert np.array_equal(got.value, value) and got.cut.tolist() == [False]
 
     def test_one_sweep_per_distinct_point(self):
         # 7 t's x 3 copies of one x step S rows, not 7 * 3 * S
@@ -287,7 +303,7 @@ class TestMarginalBarrier:
                              SetSpec.ball([0, 0], 0.5), IntegratorConfig(step=1 / 64),
                              directions=4)
         ts = np.repeat(np.linspace(0.0, 1.5, 7), 3)
-        vals = B.evaluate_many(ts, np.tile([0.9, 0.7], (len(ts), 1)))
+        vals = B.evaluate_many(ts, np.tile([0.9, 0.7], (len(ts), 1))).value
         assert set(rhs_rows) == {4} and len(rhs_rows) == 4 * 96
         assert np.all(np.diff(vals[::3]) <= 0.0)
         rhs_rows.clear()
@@ -316,7 +332,7 @@ class TestMarginalBarrier:
                 best_lo[i] = min(best_lo[i], run[k_lo[i]])
                 best_hi[i] = min(best_hi[i], run[k_hi[i]])
         expected = best_lo * (1.0 - frac) + best_hi * frac
-        assert np.array_equal(B.evaluate_many(ts, xs), expected)
+        assert np.array_equal(B.evaluate_many(ts, xs).value, expected)
 
 
 class TestSignCheck:
@@ -430,6 +446,19 @@ class TestMonotonicity:
         rep = monotonicity_check(B, trajs, tol=1e-9, stride=8)
         assert rep.to_json() == reps[1].to_json()
 
+    def test_one_node_trajectory_adds_nothing(self):
+        # a trajectory of one node has no increment: it neither makes a
+        # passing check inconclusive nor is picked as the worst
+        B = user_barrier("x1^2/10 + x2^2 - t", 2)
+        long = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.5]), 1.0, cfg=CFG)
+        one = solver.Trajectory(np.zeros(1), np.array([[0.3, 0.2]]))
+        alone = monotonicity_check(B, [long], tol=1e-9, stride=16)
+        assert alone.verdict == "pass" and alone.samples > 1
+        for trajs in ([one, long], [long, one]):
+            assert monotonicity_check(B, trajs, tol=1e-9, stride=16).to_json() == alone.to_json()
+        rep = monotonicity_check(B, [one, one])
+        assert (rep.verdict, rep.samples) == ("inconclusive", 1)
+
     def test_requires_forward_trajectory(self):
         tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.5,
                        direction="backward", cfg=CFG)
@@ -457,15 +486,38 @@ class TestOneBatch:
         tr = integrate(self.SADDLE, Selector.constant(), np.array([1.0, 0.2]), 1.5,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = lambda: barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
-        alone = [sign().answer(B)]
-        assert not B.core.truncated.any()
-        alone.append(mono().answer(B))
-        assert B.core.truncated.any()
+        queries = [sign(), mono()]
+        got = [B.evaluate_many(q.ts, q.Xs) for q in queries]
+        assert not got[0].cut.any() and got[1].cut.any()
+        alone = [q.answer(B) for q in queries]
         runs = [("simulate report", "pass"), sign(), mono()]
+        batch = barrier.Batch(B, runs[1:])
+        both = [batch.values(q) for q in runs[1:]]
+        assert not both[0].cut.any() and both[1].cut.any() and not both[1].cut.all()
+        for one, many in zip(got, both):
+            assert np.array_equal(one.value, many.value) and np.array_equal(one.cut, many.cut)
         out = list(barrier.check_results(B, runs))
-        assert B.core.truncated.any() and not B.core.truncated.all()
         assert out == [runs[0]] + [(rep.to_json(), rep.verdict) for rep in alone]
         assert "lower_bound_only" not in json.loads(out[1][0])["details"]
+
+    def test_a_sign_check_reading_an_escaped_tube_is_a_lower_bound(self):
+        # backward, x2 grows from the X_u disk around (0.3, 2.5) past radius
+        # 3 before t = 0.5; the monotonicity check's tubes stay inside it.
+        # The sign report is the same alone and in one batch with it
+        B = marginal_barrier(self.SADDLE, SetSpec.ball([0.0, 0.0], 0.1),
+                             IntegratorConfig(step=1 / 64, escape_radius=3.0))
+        sign = lambda: barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
+                                            SetSpec.ball([0.3, 2.5], 0.1), [0.0, 0.5, 1.0],
+                                            n_init=8, n_unsafe=8, seed=3)
+        tr = integrate(self.SADDLE, Selector.constant(), np.array([0.05, 0.3]), 1.0,
+                       cfg=IntegratorConfig(step=1 / 64))
+        mono = barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
+        assert not B.evaluate_many(mono.ts, mono.Xs).cut.any()
+        alone = sign().answer(B)
+        assert alone.details["lower_bound_only"] == "backward tube cut short by escape"
+        out = list(barrier.check_results(B, [sign(), mono]))
+        assert out[0] == (alone.to_json(), alone.verdict)
+        assert out[1] == (mono.answer(B).to_json(), mono.answer(B).verdict)
 
     def test_each_check_runs_through_its_entry(self, monkeypatch):
         # the module's candidate_sign_check and monotonicity_check, whose
@@ -601,7 +653,7 @@ def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, 
     depends on its own row only.  Proximal base times sit at least the
     proximal radius + fd above 0.  A ball inclusion takes the exact ball
     maximum, any other kind a loop over its vertices; samples count zetas."""
-    value = functools.cache(lambda t, *x: B.evaluate_many([t], [np.array(x)])[0])
+    value = functools.cache(lambda t, *x: B.evaluate_many([t], [np.array(x)]).value[0])
     H = lambda u: value(*map(float, u))
     per_t = max(count // len(t_grid), 8)
     pool = sampling.box_points(np.array(WINDOW[0]), np.array(WINDOW[1]), per_t * 4, seed=seed)
@@ -659,19 +711,19 @@ class TestZeroLevelBisection:
         pool = sampling.box_points(*WINDOW, per_t * 4, seed=seed)
         expect = []
         for t in t_grid:
-            vals = HULL_B.evaluate_many(np.full(len(pool), t), pool)
+            vals = HULL_B.evaluate_many(np.full(len(pool), t), pool).value
             neg, pos = pool[vals <= 0.0], pool[vals > 0.0]
             i = np.arange(per_t)
             a, b = neg[i % len(neg)], pos[(3 * i + 1) % len(pos)]
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                inside = (HULL_B.evaluate_many(np.full(per_t, t), mid) <= 0.0)[:, None]
+                inside = (HULL_B.evaluate_many(np.full(per_t, t), mid).value <= 0.0)[:, None]
                 a, b = np.where(inside, mid, a), np.where(inside, b, mid)
             expect.extend((t, p) for p in b)
         assert len(picked) == len(expect) == count
         for (t, p), (te, pe) in zip(picked, expect):
             assert t == te and np.array_equal(p, pe)
-            assert 0.0 < HULL_B.evaluate_many([t], [p])[0] < 1e-12
+            assert 0.0 < HULL_B.evaluate_many([t], [p]).value[0] < 1e-12
 
 
 class TestBatchedDecrease:
@@ -749,8 +801,8 @@ class TestMembershipAndProbes:
     def test_marginal_membership_on_initial_set(self):
         # X_o lies in the zero sublevel set of B(1, .), a point off it does not
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
-        assert B.evaluate_many([1.0], [np.zeros(2)])[0] <= 0.0
-        assert B.evaluate_many([1.0], [[0.3, 0.0]])[0] > 0.0
+        assert B.evaluate_many([1.0], [np.zeros(2)]).value[0] <= 0.0
+        assert B.evaluate_many([1.0], [[0.3, 0.0]]).value[0] > 0.0
 
     def test_lsc_probe_on_continuous_barrier(self):
         # lower semicontinuity, one-sided: on shrinking rings around x the
@@ -759,5 +811,6 @@ class TestMembershipAndProbes:
         t, x = 1.0, np.array([0.4, 0.0])
         rings = np.concatenate([x + r * sampling.sphere_directions(2, 16, seed=0)
                                 for r in (1e-2, 1e-3, 1e-4)])
-        drop = B.evaluate_many([t], [x])[0] - B.evaluate_many(np.full(len(rings), t), rings).min()
+        drop = (B.evaluate_many([t], [x]).value[0]
+                - B.evaluate_many(np.full(len(rings), t), rings).value.min())
         assert drop <= 0.05

@@ -112,8 +112,17 @@ class TestConfigParsing:
             build_scenario(RawConfig({"": {"seed": [1.5]}}, "seed = 1.5\n"))
 
     def test_typed_values(self):
-        with pytest.raises(ConfigError, match="expected number"):
+        # a value that does not parse is refused by its key; a top-level key
+        # is named bare
+        with pytest.raises(ConfigError, match=r"^\[solver\] step: expected number, got 'tiny'$"):
             parse_config("seed = 1\n[solver]\nstep = tiny\n")
+        with pytest.raises(ConfigError, match=r"^seed: expected integer, got 'x'$"):
+            parse_config("seed = x\n")
+        with pytest.raises(ConfigError,
+                           match=r"^\[sampling\] window: expected numbers, got '-2 a 2 2'$"):
+            parse_config(MINIMAL.replace("window = -2 -2 2 2", "window = -2 a 2 2"))
+        with pytest.raises(ConfigError, match=r"^\[simulate\] T: expected number, got 'soon'$"):
+            parse_config("seed = 1\n[simulate]\nT = soon\n")
 
     def test_set_cycle_rejected(self):
         text = "seed = 1\n[set A]\nkind = complement\nof = B\n[set B]\nkind = complement\nof = A\n"
@@ -494,7 +503,7 @@ class TestCommands:
             (["check", "--config", str(negative)],
              "seed must be a non-negative integer, got -7", []),           # ConfigError
             (["check", "--config", counter, "--set", "seed=1.5"],
-             "expected integer, got '1.5'", []),                             # ConfigError
+             "seed: expected integer, got '1.5'", []),                       # ConfigError
         ]
         for i, (argv, message, written) in enumerate(cases):
             out = tmp_path / f"out{i}"

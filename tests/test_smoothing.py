@@ -357,9 +357,9 @@ class TestConversePipeline:
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, Xo, IntegratorConfig(step=1 / 256), res)
         # zero on X_o, positive off it
-        assert B.evaluate_many([1.0], [np.zeros(2)])[0] == 0.0
+        assert B.evaluate_many([1.0], [np.zeros(2)]).value[0] == 0.0
         for x in ([0.3, 0.0], [0.0, -0.7], [0.5, 0.5]):
-            assert B.evaluate_many([0.5], [np.array(x)])[0] > 0.0
+            assert B.evaluate_many([0.5], [np.array(x)]).value[0] > 0.0
         # nonincreasing along a forward trajectory of the original system
         from safereach.dynamics import InclusionSpec, Selector
         from safereach.solver import integrate
@@ -367,10 +367,10 @@ class TestConversePipeline:
         tr = integrate(F, Selector.constant(), np.array([0.45, 0.0]), 1.5,
                        cfg=IntegratorConfig(step=1 / 256))
         idx = np.arange(0, len(tr.times), 64)
-        vals = B.evaluate_many(tr.times[idx], tr.states[idx])
+        vals = B.evaluate_many(tr.times[idx], tr.states[idx]).value
         assert np.all(np.diff(vals) <= 1e-7)
         # a value depends on its own (t, x) only, not on the batch's other times
-        single = [B.evaluate_many([t], [x])[0] for t, x in zip(tr.times[idx], tr.states[idx])]
+        single = [B.evaluate_many([t], [x]).value[0] for t, x in zip(tr.times[idx], tr.states[idx])]
         assert np.array_equal(vals, single)
 
     def test_backward_touch_gives_zero(self):
@@ -381,12 +381,12 @@ class TestConversePipeline:
         res = ConverseResolution(s_range=tuple(range(-10, 1)), k_max=3,
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, Xo, IntegratorConfig(step=1 / 256), res)
-        assert B.evaluate_many([2.0], [[0.02, 0.0]])[0] == 0.0
-        assert B.evaluate_many([2.0], [[0.2, 0.0]])[0] > 0.0
-        assert B.evaluate_many([0.0], [[0.8, 0.0]])[0] > 0.0
+        assert B.evaluate_many([2.0], [[0.02, 0.0]]).value[0] == 0.0
+        assert B.evaluate_many([2.0], [[0.2, 0.0]]).value[0] > 0.0
+        assert B.evaluate_many([0.0], [[0.8, 0.0]]).value[0] > 0.0
         # a horizon over the step budget is refused before any step
         B.batch_fn.__self__.cfg = IntegratorConfig(step=1 / 256, max_steps=256)
-        assert B.evaluate_many([1.0], [[0.2, 0.0]])[0] > 0.0
+        assert B.evaluate_many([1.0], [[0.2, 0.0]]).value[0] > 0.0
         with pytest.raises(SolverError, match="horizon 2 needs 512 steps"):
             B.evaluate_many([2.0], [[0.2, 0.0]])
         # a count cast to int before the check wrapped negative: no step, and
@@ -402,7 +402,7 @@ class TestConversePipeline:
                                  table_res=32, annulus_count=256)
         B = converse_smooth_barrier(f, SetSpec.ball([0.0, 0.0], 0.05), IntegratorConfig(step=1 / 256),
                                     res)
-        assert B.evaluate_many([0.0], [[0.2, 0.0]])[0] > 0.0
+        assert B.evaluate_many([0.0], [[0.2, 0.0]]).value[0] > 0.0
         for t in (-1.0, -5.0):
             with pytest.raises(BarrierError, match="converse barrier defined for t >= 0"):
                 B.evaluate_many([t], [[0.2, 0.0]])

@@ -172,7 +172,9 @@ class TestTimeRescale:
 
         monkeypatch.setattr(smoothing, "smooth_global", lambda *args, **kw: Recorder())
         B = smoothing.ConverseBarrier(f, X_o, CFG, smoothing.ConverseResolution())
-        return B.values(np.asarray(ts, dtype=float), np.asarray(X, dtype=float)), seen
+        values, cut = B.values(np.asarray(ts, dtype=float), np.asarray(X, dtype=float))
+        assert not cut.any() and len(cut) == len(values)    # no backward tube is cut short
+        return values, seen
 
     def test_constant_trajectory_at_unit_radius(self, monkeypatch):
         ts = np.array([0.25, 0.5, 1.0])

@@ -269,7 +269,7 @@ class TestProp1:
         """Per-zeta loops over the decrease region of the conditional check
         (X_o = DISK, g = 0): candidates(x, zeta) lists (eta, margin) pairs.
         Returns the first largest margin, its witness and the zeta count."""
-        handle = lambda P: self.B.evaluate_many(np.zeros(len(P)), P)
+        handle = lambda P: self.B.evaluate_many(np.zeros(len(P)), P).value
         region = verify._between_region(DISK, self.Xs, "conditional", n_samples, width,
                                         seed + 2, self.window)
         grads = clarke_gradient_sample(handle, region, radius=1e-6, fd_step=1e-7, seed=seed)
