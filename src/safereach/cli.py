@@ -2,15 +2,18 @@
 smooth | report.
 
 Exit status: 0 when every requested check passes, 2 when any check fails,
-1 on usage or configuration errors.  Every run writes a manifest listing the
-emitted artifacts together with the config hash, so reruns are auditable; a
-run that fails after its first artifact records the error in it.
+1 on usage or configuration errors.  ``report`` exits 0 on a PASS or
+INCONCLUSIVE rollup, 2 on FAIL, and 1 when the results directory is missing
+or holds no check report.  Every run writes a manifest listing the emitted
+artifacts together with the config hash, so reruns are auditable; a run that
+fails after its first artifact records the error in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -156,8 +159,6 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
     _require(window, "[barrier-eval] needs window")
     dim = len(window) // 2
     nx = cfg.get("barrier-eval", "nx", 21)
-    if nx < 1:
-        raise ConfigError(f"[barrier-eval] nx must be at least 1, got {nx}")
     ts = time_grid(cfg, "barrier-eval", [0.0, 1.0, 5])
     B = _build_barrier(scn)
     pts = grid_points(window[:dim], window[dim:], nx)
@@ -339,8 +340,11 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def cmd_report(results_dir: str, out: Path) -> int:
+    """Roll up the check reports of results_dir into out; nothing is written
+    unless results_dir holds at least one, so a mistyped or empty directory
+    cannot roll up PASS."""
     d = Path(results_dir)
-    if not d.exists():
+    if not d.is_dir():
         raise CliError(f"results directory not found: {d}")
     entries = []
     for path in sorted(d.glob("*.json")):
@@ -360,6 +364,9 @@ def cmd_report(results_dir: str, out: Path) -> int:
         entries.append({"file": path.name, "check": data.get("check", path.stem),
                         "verdict": verdict,
                         "worst_margin": data.get("worst_margin")})
+    if not entries:
+        raise CliError(f"results directory {d} holds no check report "
+                       "(a JSON file with a verdict)")
     if any(e["verdict"] == "fail" for e in entries):
         rollup = "FAIL"
     elif any(e["verdict"] == "inconclusive" for e in entries):
@@ -371,6 +378,7 @@ def cmd_report(results_dir: str, out: Path) -> int:
     summary = {"rollup": rollup, "checks": entries, "failing": failing,
                "inconclusive": inconclusive,
                "disclaimer": "verdicts are one-sided numerical evidence, not proofs"}
+    out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     lines = [f"ROLLUP: {rollup}"]
     for e in entries:
@@ -382,7 +390,7 @@ def cmd_report(results_dir: str, out: Path) -> int:
     lines.append(summary["disclaimer"])
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return 0 if rollup == "PASS" else (2 if rollup == "FAIL" else 0)
+    return 2 if rollup == "FAIL" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +428,8 @@ def main(argv=None) -> int:
     manifest = None
     try:
         if args.command == "report":
-            out = Path(args.out or args.results or ".")
-            out.mkdir(parents=True, exist_ok=True)
-            return cmd_report(args.results or args.out or ".", out)
+            return cmd_report(args.results or args.out or ".",
+                              Path(args.out or args.results or "."))
         if not args.config:
             raise CliError("--config is required")
         overrides = {}
@@ -452,5 +459,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: ``main``, then ``gc.freeze()``.  Interpreter
+    shutdown runs full collections over every object still tracked, numpy's
+    and ours, to free memory the OS is about to drop; a frozen object is out
+    of the collector's reach.  ``main`` itself never freezes: an in-process
+    caller would keep its cyclic garbage for the rest of its life."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -61,15 +61,15 @@ _SCHEMAS = {
                 "band": "float", "k_max": "int",
                 "s_lo": "int", "s_hi": "int"},
     "simulate": {"X_o": "str", "T": "time"},
-    "reach": {"x0": "vec", "t": "time", "stride": "int"},
-    "barrier-eval": {"window": "vec", "nx": "int", "tgrid": "tvec"},
+    "reach": {"x0": "vec", "t": "time", "stride": "count"},
+    "barrier-eval": {"window": "vec", "nx": "count", "tgrid": "tvec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "int",
                "grid_n": "int", "w_tol": "float", "out_n": "int"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
               "K": "str", "T": "time", "tol": "float", "mode": "str",
-              "region": "str", "width": "float", "g": "str", "count": "int",
-              "n_samples": "int", "lam_box": "str",
-              "pairs": "int", "max_sep": "float", "stride": "int"},
+              "region": "str", "width": "float", "g": "str", "count": "count",
+              "n_samples": "count", "lam_box": "str",
+              "pairs": "count", "max_sep": "float", "stride": "count"},
 }
 
 
@@ -87,7 +87,9 @@ CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
 def _parse_value(raw: str, typ: str, where: str):
     """A value of type typ, refused by its key where (say "[simulate] T") if
     it does not parse; "time" and "tvec" are a float and a vec that must also
-    be finite, refused before a pipeline turns them into NaN steps."""
+    be finite, refused before a pipeline turns them into NaN steps, and
+    "count" is an int of at least 1, refused before a sampler or a stride
+    meets 0 or a negative number."""
     raw = raw.strip()
     base = typ.rstrip("+")
     if base in ("time", "tvec"):
@@ -95,11 +97,14 @@ def _parse_value(raw: str, typ: str, where: str):
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"{where} must be finite, got {value}")
         return value
-    if base == "int":
+    if base in ("int", "count"):
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected integer, got '{raw}'") from None
+        if base == "count" and value < 1:
+            raise ConfigError(f"{where} must be at least 1, got {value}")
+        return value
     if base == "float":
         try:
             return float(raw)

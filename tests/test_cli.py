@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -21,8 +22,9 @@ from safereach.geometry import SamplePlan, SetSpec
 from safereach.solver import BundlePlan, IntegratorConfig
 from safereach.verify import nagumo_check
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+SRC = ROOT / "src"
 
 MINIMAL = """
 seed = 5
@@ -401,16 +403,16 @@ class TestCommands:
         rep = json.loads((out / "monotone.check.json").read_text())
         assert status in (0, 2) and rep["samples"] == 2
 
-    def test_nagumo_without_samples_is_inconclusive(self, tmp_path):
-        text = MINIMAL + "[check nag]\nkind = nagumo\nK = X_o\nn_samples = 0\n"
-        out = tmp_path / "out"
-        assert main(["check", "--config", str(self._write(tmp_path, text)),
-                     "--out", str(out)]) == 0
+    def test_nagumo_without_samples_is_inconclusive(self):
+        # a config refuses n_samples = 0; a library caller still gets a
+        # report of the empty sample, in plain JSON
+        lib = nagumo_check(InclusionSpec.singleton(builtin_field("linear_safe")),
+                           SetSpec.ball([0.0, 0.0], 1.0), "boundary", n_samples=0)
 
         def reject(name):
             raise ValueError(f"not JSON: {name}")
 
-        rep = json.loads((out / "nag.check.json").read_text(), parse_constant=reject)
+        rep = json.loads(lib.to_json(), parse_constant=reject)
         assert rep["verdict"] == "inconclusive" and rep["samples"] == 0
         assert rep["details"]["reason"] == "no boundary samples"
 
@@ -623,6 +625,30 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, scenario, dotted, value", [
+        ("reach", "counterexample", "reach.stride", "0"),
+        ("reach", "counterexample", "reach.stride", "-2"),
+        ("barrier-eval", "counterexample", "barrier-eval.nx", "-1"),
+        ("check", "counterexample", "check sign.n_samples", "0"),
+        ("check", "counterexample", "check sign.n_samples", "-3"),
+        ("check", "counterexample", "check monotone.n_samples", "0"),
+        ("check", "counterexample", "check monotone.stride", "0"),
+        ("check", "counterexample", "check monotone.stride", "-1"),
+        ("check", "linear", "check decrease.count", "0"),
+        ("check", "linear", "check ellipse_invariance.n_samples", "0"),
+        ("check", "linear", "check conditional.n_samples", "0"),
+        ("check", "linear", "check filippov.pairs", "0"),
+    ])
+    def test_a_count_below_one_is_refused_by_its_key(self, tmp_path, capsys, command,
+                                                     scenario, dotted, value):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(SCENARIOS / f"{scenario}.scenario"),
+                     "--set", f"{dotted}={value}", "--out", str(out)]) == 1
+        section, key = dotted.rsplit(".", 1)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [{section}] {key} must be at least 1, got {value}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["barrier-eval", "--config", "counterexample.scenario", "--set",
           "barrier.kind=counterexample", "--set", "barrier-eval.window=-1 1 -1"],
@@ -702,12 +728,54 @@ class TestReportCommand:
         text = (tmp_path / "summary.txt").read_text()
         assert "ROLLUP" in text and "one-sided" in text
 
+    def test_a_missing_results_directory_is_refused_and_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "typo_dir"
+        assert main(["report", "--results", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: results directory not found: {missing}\n"
+        assert captured.out == "" and not missing.exists()
+
+    def test_a_results_directory_without_a_check_report_is_refused(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps({"artifacts": []}))
+        (tmp_path / "smooth_info.json").write_text(json.dumps({"sigma": 1.0}))
+        assert main(["report", "--results", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: results directory {tmp_path} holds no check report "
+                                "(a JSON file with a verdict)\n")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+        assert not (tmp_path / "summary.json").exists()
+
+
+class TestProcessEntry:
+    def test_run_returns_mains_status_and_freezes_the_heap(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.check.json").write_text(json.dumps({"check": "c", "verdict": "fail"}))
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["safereach", "report", "--results", str(tmp_path)])
+        try:
+            assert cli.run() == 2
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "ROLLUP: FAIL" in capsys.readouterr().out
+
+    def test_main_never_freezes(self, tmp_path):
+        before = gc.get_freeze_count()
+        config = tmp_path / "case.scenario"
+        config.write_text(MINIMAL)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_installed_script_takes_the_process_entry(self):
+        lines = (ROOT / "pyproject.toml").read_text().splitlines()
+        assert lines[lines.index("[project.scripts]") + 1] == 'safereach = "safereach.cli:run"'
+
 
 class TestFreshInterpreter:
     """Runs in a new interpreter: in-process, pytest has loaded every module."""
 
     def _run(self, *args):
-        env = dict(os.environ)
+        # stdout is a pipe, block-buffered as in a shell pipeline
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                               env=env, timeout=300)
@@ -788,6 +856,19 @@ for i, argv in enumerate({runs!r}):
         assert run.returncode == 0, run.stderr
         manifest = json.loads((tmp_path / "out0" / "manifest.json").read_text())
         assert manifest["config_hash"] == hashlib.sha256(config.read_bytes()).hexdigest()
+
+    def test_the_module_entry_runs_a_check_to_its_exit(self, tmp_path):
+        config = SCENARIOS / "linear.scenario"
+        run = self._run("-m", "safereach.cli", "check", "--config", str(config),
+                        "--out", str(tmp_path / "out"))
+        assert run.returncode == 0, run.stderr
+        names = [s.split(" ", 1)[1] for s in parse_config(config.read_text()).section_names("check")]
+        assert len(names) == 5
+        assert run.stdout.splitlines() == [f"check {name}: pass" for name in names]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["artifacts"] == [f"{name}.check.json" for name in names]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            sorted(manifest["artifacts"] + ["manifest.json"])
 
     # each error class below is defined by a module that only its command loads
     def _assert_one_error_line(self, tmp_path, argv, message):
