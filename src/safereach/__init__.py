@@ -13,15 +13,16 @@ _EXPORTS = {
     "dynamics": ("FieldHandle", "InclusionSpec", "Selector", "builtin_field",
                  "eval_inclusion", "field_from_expressions", "linear_field",
                  "lipschitz_estimate", "max_rate", "rescale_field"),
-    "geometry": ("ConeProbe", "SamplePlan", "SetSpec", "SubgradientCandidate",
-                 "clarke_gradient_sample", "cone_residual", "distance_to_set",
-                 "hausdorff_distance", "proximal_subgradient_test"),
+    "geometry": ("SamplePlan", "SetSpec", "distance_to_set", "hausdorff_distance"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",
                "solution_bundle"),
     "reachability": ("ReachCloud", "filippov_check", "load_cloud", "reach", "save_cloud"),
-    "barrier": ("BarrierFn", "CheckReport", "RelaxFn", "candidate_sign_check",
-                "counterexample_barrier", "infinitesimal_check", "marginal_barrier",
-                "monotonicity_check", "user_barrier"),
+    "barrier": ("BarrierFn", "CheckReport", "candidate_sign_check",
+                "counterexample_barrier", "marginal_barrier", "monotonicity_check",
+                "user_barrier"),
+    "infinitesimal": ("ConeProbe", "RelaxFn", "SubgradientCandidate",
+                      "clarke_gradient_sample", "cone_residual", "infinitesimal_check",
+                      "proximal_subgradient_test"),
     "smoothing": ("ConverseResolution", "SmoothedFn", "build_time_partition",
                   "converse_smooth_barrier", "hermite_segment", "smooth_global",
                   "smooth_on_compact"),

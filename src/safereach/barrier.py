@@ -9,8 +9,10 @@ bundles.  B(0, x) is the plain distance to X_o, B vanishes as soon as the
 backward tube touches X_o, and nesting of backward tubes makes t -> B(t, x)
 nonincreasing along solutions of the same system.
 
-Checks are one-sided numerical evidence: finitely many selections and sample
-points can witness a violation but never prove safety.
+The sign and monotonicity checks are here; the infinitesimal decrease check
+is in :mod:`safereach.infinitesimal`.  Checks are one-sided numerical
+evidence: finitely many selections and sample points can witness a violation
+but never prove safety.
 """
 
 from __future__ import annotations
@@ -22,18 +24,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import sampling
-from .dynamics import InclusionSpec, max_rate
-from .expr import compile_expression, compile_scalar_expression
+from .dynamics import InclusionSpec
+from .expr import compile_expression
 # distance_to_set_many is unused here: bench/test_bench.py reads barrier.distance_to_set_many
-from .geometry import (SamplePlan, SetSpec, SubgradientCandidate, bisect_boundary,
-                       clarke_gradient_sample, distance_to_set_many,
-                       proximal_subgradient_test)
+from .geometry import SamplePlan, SetSpec, distance_to_set_many
 from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
 
 POS_TOL = 1e-9          # B >= POS_TOL on X_u samples stands for B > 0
-CLARKE_RADIUS = 1e-4    # radius of the Clarke gradient samples around (t, x)
-FD_STEP = 1e-6          # step of the infinitesimal check's finite differences
 
 
 # ---------------------------------------------------------------------------
@@ -164,49 +161,6 @@ def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
     return BarrierFn(lambda ts, Xs: (counterexample_barrier(ts, Xs),
                                      np.zeros(len(ts), dtype=bool)),
                      "closedform_counterexample", 2, band_width)
-
-
-# ---------------------------------------------------------------------------
-# relaxation functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RelaxFn:
-    """Right-hand side g of the relaxed decrease condition <zeta,(1,eta)> <= g(B)."""
-
-    kind: str                       # zero | linear | extended_classK | minimal
-    fn: Callable = None
-    expression: str = ""
-
-    @staticmethod
-    def zero() -> "RelaxFn":
-        return RelaxFn("zero", lambda b: np.zeros_like(np.asarray(b, dtype=float)))
-
-    @staticmethod
-    def linear(L: float) -> "RelaxFn":
-        if L <= 0:
-            raise ValueError("linear relaxation needs L > 0")
-        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float),
-                       expression=f"{L}*b")
-
-    @staticmethod
-    def extended_classK(expression: str) -> "RelaxFn":
-        g = compile_scalar_expression(expression, "b")
-        probe = np.linspace(-2.0, 2.0, 41)
-        vals = g(probe)
-        if abs(float(g(np.array(0.0)))) > 1e-9:
-            raise ValueError("extended class-K function must satisfy g(0) = 0")
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("extended class-K function must be strictly increasing")
-        return RelaxFn("extended_classK", g, expression)
-
-    @staticmethod
-    def minimal(expression: str) -> "RelaxFn":
-        return RelaxFn("minimal", compile_scalar_expression(expression, "b"),
-                       expression)
-
-    def __call__(self, b):
-        return self.fn(b)
 
 
 # ---------------------------------------------------------------------------
@@ -406,132 +360,3 @@ def monotonicity_queries(trajs: list[Trajectory], tol: float = 1e-8,
     return Queries(np.concatenate([tr.times[idx] for tr, idx in zip(trajs, idxs)]),
                    np.vstack([tr.states[idx] for tr, idx in zip(trajs, idxs)]), report,
                    lambda source, drawn: monotonicity_check(source, trajs, tol, stride, drawn))
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal decrease checks
-# ---------------------------------------------------------------------------
-
-def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradients of B in (t, x) at every pair
-    (ts[i], X[i]), from one batch of 2(n+1) probes per pair."""
-    k, n = X.shape
-    fd = FD_STEP
-    tp = np.maximum(ts, fd)   # keep probes at t >= 0
-    step = fd * np.eye(n)
-    # per pair: (tp + fd, x), (tp - fd, x), (t, x + fd e_i) for each i, then (t, x - fd e_i)
-    pt = np.column_stack([tp + fd, tp - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
-    px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + step,
-                         X[:, None] - step], axis=1)
-    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).value.reshape(k, 2 * n + 2)
-    return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
-
-
-def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
-    """Sample (t, x) pairs in the requested region of the (t, x) space."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) == 0:
-        return []
-    lo, hi = window
-    per_t = max(count // len(t_grid), 8)
-    pool_x = sampling.box_points(lo, hi, per_t * 4, seed=seed)
-    kind = region if isinstance(region, str) else region[0]
-    width = None if isinstance(region, str) else region[1]
-    # one t-major batch over t-grid x pool
-    vals_t = B.evaluate_many(np.repeat(t_grid, len(pool_x)),
-                             np.tile(pool_x, (len(t_grid), 1))).value.reshape(len(t_grid), -1)
-    picked = []
-    for t, vals in zip(t_grid, vals_t):
-        if kind == "everywhere":
-            keep = np.ones(len(pool_x), dtype=bool)
-        elif kind == "margin_band":
-            w = width if width is not None else _default_band(vals, B.band_width)
-            keep = (vals > 0.0) & (vals <= w)
-        elif kind == "boundary":
-            keep = np.abs(vals) <= (width if width is not None else 1e-3)
-            if not keep.any():
-                picked.extend(_bisect_zero_level(B, float(t), pool_x, vals, per_t))
-                continue
-        else:
-            raise ValueError(f"unknown region '{kind}'")
-        pts = pool_x[keep][:per_t]
-        picked.extend((float(t), p) for p in pts)
-    return picked[:count] if count else picked
-
-
-def _default_band(vals: np.ndarray, fallback: float) -> float:
-    pos = vals[vals > 0]
-    return 0.1 * float(np.median(pos)) if len(pos) else fallback
-
-
-def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
-                       vals: np.ndarray, count: int):
-    """Bisect count pool pairs straddling the zero level at t, all together;
-    returns the ends where B > 0."""
-    neg, pos = pool[vals <= 0.0], pool[vals > 0.0]
-    if len(neg) == 0 or len(pos) == 0:
-        return []
-    i = np.arange(count)
-    ends = bisect_boundary(lambda P: B.evaluate_many(np.full(count, t), P).value > 0.0,
-                           pos[(3 * i + 1) % len(pos)], neg[i % len(neg)])
-    return [(t, p) for p in ends]
-
-
-def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
-                        region="everywhere", g: RelaxFn = None,
-                        t_grid=(0.0,), window=None, count: int = 200,
-                        seed: int = 0, tol: float = 1e-7) -> CheckReport:
-    """Decrease condition <zeta, (1, eta)> <= g(B) over sampled region points.
-
-    mode smooth: zeta is the finite-difference gradient of B;
-    mode clarke: zeta ranges over Clarke gradient samples around (t, x);
-    mode proximal: zeta ranges over candidates that pass the proximal
-    subgradient inequality (an empty candidate set passes vacuously).
-    Each zeta is tested against its exact maximum over eta in F(x)
-    (:func:`~safereach.dynamics.max_rate`); samples counts the zetas.
-    """
-    if g is None:
-        g = RelaxFn.zero()
-    if window is None:
-        raise ValueError("infinitesimal_check needs a sampling window")
-    lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
-    pairs = _region_samples(B, region, t_grid, (lo, hi), count, seed)
-    if not pairs:
-        return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
-                           details={"reason": "region empty after sampling"})
-    ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
-    Z, keep = _zeta_candidates(B, mode, ts, X, seed)
-    gbs = np.asarray(g(B.evaluate_many(ts, X).value), dtype=float)
-    if not keep.any():
-        return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
-                           details={"reason": "no subgradient candidates"})
-    rates, etas = max_rate(F, X, Z)
-    margins = np.where(keep, rates - gbs[:, None], -np.inf)
-    i, j = np.unravel_index(np.argmax(margins), margins.shape)
-    worst = float(margins[i, j])
-    witness = {"t": float(ts[i]), "x": X[i].tolist(), "eta": etas[i, j].tolist(),
-               "zeta": Z[i, j].tolist()}
-    return CheckReport(f"infinitesimal_{mode}", int(keep.sum()), worst, witness,
-                       "pass" if worst <= tol else "fail",
-                       details={"relaxation": g.kind, "region": str(region)})
-
-
-def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, seed: int):
-    """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
-    prox_radius = 1e-3
-    if mode == "smooth":
-        return _fd_extended_gradients(B, ts, X)[:, None, :], np.ones((len(ts), 1), dtype=bool)
-    if mode not in ("clarke", "proximal"):
-        raise ValueError(f"unknown mode '{mode}'")
-    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:]).value
-    # base times keep every probe of the Clarke (and proximal) ball at t >= 0
-    floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
-    TX = np.column_stack([np.maximum(ts, floor), X])
-    grads = clarke_gradient_sample(handle, TX, radius=CLARKE_RADIUS, fd_step=FD_STEP, seed=seed)
-    if mode == "clarke":
-        return grads, np.ones(grads.shape[:2], dtype=bool)
-    # each margin is nondecreasing in eps, so the curvature bound 100 accepts
-    # every zeta that a smaller one would; one test on every pair and its zetas
-    keep = proximal_subgradient_test(SubgradientCandidate(TX, grads, radius=prox_radius,
-                                                          eps=100.0), handle, m=24, seed=seed)
-    return grads, keep["holds"]

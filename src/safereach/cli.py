@@ -11,9 +11,15 @@ fails after its first artifact records the error in it.
 
 from __future__ import annotations
 
+import gc
+
+# a process entered here runs no collection while numpy and the package load;
+# run() freezes what the loading built and turns the collector back on
+if __name__ == "__main__":
+    gc.disable()
+
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -33,7 +39,8 @@ from .solver import SolverError, solution_bundle, write_csv
 
 # each command imports the library modules it runs, so a run loads only its own
 if TYPE_CHECKING:
-    from .barrier import BarrierFn, RelaxFn
+    from .barrier import BarrierFn
+    from .infinitesimal import RelaxFn
 
 
 class CliError(Exception):
@@ -106,7 +113,7 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
 
 
 def _parse_relax(text: str) -> RelaxFn:
-    from .barrier import RelaxFn
+    from .infinitesimal import RelaxFn
 
     if text in (None, "zero"):
         return RelaxFn.zero()
@@ -248,7 +255,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
                                     tol=cfg.get(section, "tol", 10 * scn.solver.accuracy),
                                     stride=cfg.get(section, "stride", 16))
     if kind == "infinitesimal":
-        from .barrier import infinitesimal_check
+        from .infinitesimal import infinitesimal_check
 
         B = barrier()
         region = cfg.get(section, "region", "everywhere")
@@ -460,11 +467,16 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The process entry: ``main``, then ``gc.freeze()``.  Interpreter
-    shutdown runs full collections over every object still tracked, numpy's
-    and ours, to free memory the OS is about to drop; a frozen object is out
-    of the collector's reach.  ``main`` itself never freezes: an in-process
-    caller would keep its cyclic garbage for the rest of its life."""
+    """The process entry: ``gc.freeze()`` and ``gc.enable()``, ``main``, then
+    ``gc.freeze()`` again.  The objects that loading built, numpy's and ours,
+    live for the whole process; frozen, they are out of the collector's
+    reach, so a collection during ``main`` scans only what ``main`` builds.
+    Interpreter shutdown runs full collections over every object still
+    tracked, to free memory the OS is about to drop; the second freeze takes
+    what ``main`` left there too.  ``main`` itself never freezes: an
+    in-process caller would keep its cyclic garbage for the rest of its life."""
+    gc.freeze()
+    gc.enable()
     status = main()
     gc.freeze()
     return status

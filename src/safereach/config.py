@@ -20,9 +20,8 @@ main reproducibility killer.  Sections:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,8 +49,8 @@ _SCHEMAS = {
     "system": {"kind": "str", "name": "str", "dim": "int", "rhs": "str",
                "member": "str+", "inclusion": "str", "epsilon": "float"},
     "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
-    "bundle": {"directions": "int", "switches": "int"},
-    "sampling": {"window": "vec", "boundary": "int", "interior": "int",
+    "bundle": {"directions": "int", "switches": "size"},
+    "sampling": {"window": "vec", "boundary": "size", "interior": "size",
                  "tgrid": "tvec"},
     "set": {"kind": "str", "center": "vec", "radius": "float", "lo": "vec",
             "hi": "vec", "normal": "vec", "offset": "float", "fn": "str",
@@ -63,8 +62,8 @@ _SCHEMAS = {
     "simulate": {"X_o": "str", "T": "time"},
     "reach": {"x0": "vec", "t": "time", "stride": "count"},
     "barrier-eval": {"window": "vec", "nx": "count", "tgrid": "tvec"},
-    "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "int",
-               "grid_n": "int", "w_tol": "float", "out_n": "int"},
+    "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "count",
+               "grid_n": "int", "w_tol": "float", "out_n": "count"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
               "K": "str", "T": "time", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "count",
@@ -87,9 +86,10 @@ CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
 def _parse_value(raw: str, typ: str, where: str):
     """A value of type typ, refused by its key where (say "[simulate] T") if
     it does not parse; "time" and "tvec" are a float and a vec that must also
-    be finite, refused before a pipeline turns them into NaN steps, and
+    be finite, refused before a pipeline turns them into NaN steps;
     "count" is an int of at least 1, refused before a sampler or a stride
-    meets 0 or a negative number."""
+    meets 0 or a negative number, and "size" an int of at least 0, for
+    the keys where 0 means none."""
     raw = raw.strip()
     base = typ.rstrip("+")
     if base in ("time", "tvec"):
@@ -97,13 +97,14 @@ def _parse_value(raw: str, typ: str, where: str):
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"{where} must be finite, got {value}")
         return value
-    if base in ("int", "count"):
+    if base in ("int", "count", "size"):
         try:
             value = int(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected integer, got '{raw}'") from None
-        if base == "count" and value < 1:
-            raise ConfigError(f"{where} must be at least 1, got {value}")
+        least = {"count": 1, "size": 0}.get(base)
+        if least is not None and value < least:
+            raise ConfigError(f"{where} must be at least {least}, got {value}")
         return value
     if base == "float":
         try:
@@ -118,8 +119,7 @@ def _parse_value(raw: str, typ: str, where: str):
     return raw
 
 
-@dataclass
-class RawConfig:
+class RawConfig(NamedTuple):
     sections: dict
     text: str
 
@@ -231,8 +231,7 @@ def _apply_overrides(text: str, overrides: dict) -> str:
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     raw: RawConfig
     seed: int
     out_dir: Optional[str]
@@ -328,7 +327,7 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
 
 
 def _given(cfg: RawConfig, section: str, **fields) -> dict:
-    """The keys (key=field) that section sets; the dataclasses hold the defaults."""
+    """The keys (key=field) that section sets; the records hold the defaults."""
     return {f: cfg.get(section, k) for k, f in fields.items() if cfg.get(section, k) is not None}
 
 

@@ -9,7 +9,7 @@ velocity out of F(x) at every time (``solver.bundle_field``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def builtin_field(name: str) -> FieldHandle:
 # inclusions and selections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InclusionSpec:
+class InclusionSpec(NamedTuple):
     """Right-hand side F of the inclusion dx/dt in F(x)."""
 
     kind: str                       # singleton | ball | hull
@@ -234,8 +233,7 @@ def max_rate(F: InclusionSpec, X, Z):
     return rates.max(axis=-1), V[np.arange(len(V))[:, None], best]
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(NamedTuple):
     """Selection rule picking an element of F(x) at each time.
 
     constant: a fixed unit direction (ball variant) or hull weight vector;

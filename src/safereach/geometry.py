@@ -1,4 +1,4 @@
-"""State-space sets, distances, tangent-cone probes, and nonsmooth differentials.
+"""State-space sets and distances.
 
 Sets are symbolic (:class:`SetSpec`) and support membership and distance
 queries everywhere, both on (m, n) batches of rows, one row's result never
@@ -6,27 +6,21 @@ depending on the others.  Ball/box/halfspace/points distances are
 closed-form; sublevel sets and boolean intersections fall back to a
 projection estimate (grid seeding plus boundary bisection and a tangential
 polish, run on all rows at once), and such sets report ``exactness() ==
-"estimated"`` so callers can tell the two apart.
-
-Cone membership is probed with finite difference quotients of the distance
-function along a decreasing step sequence, a computable surrogate for the
-liminf in the contingent / external-cone definitions.
+"estimated"`` so callers can tell the two apart.  Tangent cones and
+nonsmooth differentials, built on these distances, are in
+:mod:`safereach.infinitesimal`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
 
-DEFAULT_CONE_TOL = 1e-6
-DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
 _MEMBER_TOL = 1e-12
 _POLISH_STEPS = 25      # tangential descent steps of _polish_to_boundary
-_PROX_TOL = 1e-9        # a proximal margin >= -_PROX_TOL holds
 _CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
 PAIR_BUDGET = 2 ** 18   # elements of one (rows, points) distance matrix
 
@@ -39,8 +33,7 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SetSpec:
+class SetSpec(NamedTuple):
     """Symbolic region of state space.
 
     kind: one of ball | box | halfspace | sublevel | points | complement |
@@ -148,7 +141,7 @@ class SetSpec:
         if self.kind == "box":
             return ((X >= self.lo - tol) & (X <= self.hi + tol)).all(axis=1)
         if self.kind == "halfspace":
-            return _row_dot(X, self.normal) >= self.offset - tol * np.linalg.norm(self.normal)
+            return row_dot(X, self.normal) >= self.offset - tol * np.linalg.norm(self.normal)
         if self.kind == "points":
             return np.sqrt(_row_sq(X - self.pts[_nearest(X, self.pts)])) <= tol
         if self.kind == "sublevel":
@@ -245,8 +238,7 @@ class SetSpec:
         return box
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(NamedTuple):
     """How many start points to draw from a set, at which seed and in which
     window (needed for unbounded sets)."""
 
@@ -325,7 +317,7 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
         return np.sqrt(_row_sq(X - np.clip(X, S.lo, S.hi)))
     if S.kind == "halfspace":
         nn = np.linalg.norm(S.normal)
-        return np.maximum(S.offset - _row_dot(X, S.normal), 0.0) / nn
+        return np.maximum(S.offset - row_dot(X, S.normal), 0.0) / nn
     if S.kind == "points":
         return np.sqrt(_row_sq(X - S.pts[_nearest(X, S.pts)]))
     if S.kind == "union":
@@ -341,7 +333,7 @@ def _distance(X: np.ndarray, S: SetSpec) -> np.ndarray:
     return out
 
 
-def _row_dot(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+def row_dot(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     # dot products over the last axis (V broadcasts), column by column, not a
     # BLAS product: BLAS rounds a single row unlike the same row in a batch,
     # and a distance must not depend on its batch
@@ -349,7 +341,7 @@ def _row_dot(X: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _row_sq(D: np.ndarray) -> np.ndarray:
-    # squared norms over the last axis, column by column like _row_dot
+    # squared norms over the last axis, column by column like row_dot
     return sum(D[..., j] * D[..., j] for j in range(D.shape[-1]))
 
 
@@ -376,7 +368,7 @@ def _complement_distance(X: np.ndarray, inner: SetSpec) -> np.ndarray:
         return np.maximum(depth, 0.0)
     if inner.kind == "halfspace":
         nn = np.linalg.norm(inner.normal)
-        return np.maximum(_row_dot(X, inner.normal) - inner.offset, 0.0) / nn
+        return np.maximum(row_dot(X, inner.normal) - inner.offset, 0.0) / nn
     if inner.kind == "points":
         # complement of a finite set is dense: its closure is the whole space
         return np.zeros(len(X))
@@ -432,7 +424,7 @@ def _project(Y: np.ndarray, S: SetSpec) -> np.ndarray:
         far = n > S.radius
         out[far] = S.center + d[far] * (S.radius / n[far])[:, None]
     else:
-        slack = _row_dot(Y, S.normal) - S.offset
+        slack = row_dot(Y, S.normal) - S.offset
         low = slack < 0
         out[low] = Y[low] - slack[low, None] * S.normal / (S.normal @ S.normal)
     return out
@@ -488,7 +480,7 @@ def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         keep = gn >= 1e-14
         live, y, g, gn = live[keep], y[keep], g[keep], gn[keep]
         d = X[live] - y
-        tangent = d - _row_dot(d, g)[:, None] * g / (gn ** 2)[:, None]
+        tangent = d - row_dot(d, g)[:, None] * g / (gn ** 2)[:, None]
         tn = np.sqrt(_row_sq(tangent))
         keep = tn >= 1e-14
         live, y, g, gn, tangent, tn = (a[keep] for a in (live, y, g, gn, tangent, tn))
@@ -524,125 +516,3 @@ def hausdorff_distance(A, B) -> float:
 def _as_cloud(A) -> np.ndarray:
     pts = getattr(A, "points", A)
     return np.atleast_2d(np.asarray(pts, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# cone probes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConeProbe:
-    """Finite surrogate for membership of directions v in the tangent cone
-    at points x: k probes, x and v of shape (k, n)."""
-
-    x: np.ndarray
-    v: np.ndarray
-    steps: tuple = DEFAULT_CONE_STEPS
-    mode: str = "contingent"
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "v", np.atleast_2d(np.asarray(self.v, dtype=float)))
-        steps = tuple(float(s) for s in self.steps)
-        if len(steps) < 3 or any(s <= 0 for s in steps) or any(
-                steps[i + 1] >= steps[i] for i in range(len(steps) - 1)):
-            raise GeometryError("steps must be >= 3 strictly decreasing positive reals")
-        object.__setattr__(self, "steps", steps)
-        if self.mode not in ("contingent", "external"):
-            raise GeometryError(f"unknown cone mode {self.mode}")
-
-
-def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
-    """Admission residuals (k,): <= tol means the direction is admitted by the cone.
-
-    contingent: min_h |x + h v|_S / h, requiring x in S (within tol);
-    external:   min_h (|x + h v|_S - |x|_S) / h.
-    Every base point and step point of the batch goes into one distance call.
-    """
-    X, V = probe.x, probe.v
-    k, n = X.shape
-    steps = np.asarray(probe.steps)
-    d = distance_to_set_many(np.concatenate(
-        [X, (X[:, None, :] + steps[:, None] * V[:, None, :]).reshape(-1, n)]), S)
-    d0, ds = d[:k], d[k:].reshape(k, len(steps))
-    if probe.mode == "external":
-        return ((ds - d0[:, None]) / steps).min(axis=1)
-    if (d0 > tol).any():
-        raise GeometryError(f"base point {X[np.argmax(d0 > tol)].tolist()} not in set")
-    return (ds / steps).min(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Clarke generalized gradient sampling, proximal subgradient test
-# ---------------------------------------------------------------------------
-
-def clarke_gradient_sample(B, X, radius: float, fd_step: float = 1e-7,
-                           seed: int = 0) -> np.ndarray:
-    """Finite-difference gradient estimates near each base point of X, (n,)
-    or (k, n), generator sets for the Clarke gradient hulls: (m, n) or
-    (k, m, n) with m = 2n + 1.
-
-    B is a batch handle on R^n, mapping points P (k, n) to k values; it is
-    called once, on all m * 2n probes of every base.  Gradients are taken at
-    the base and 2n low-discrepancy points in the radius-ball around it; a
-    linear test functional's max over the hull equals its max over these.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[-1]
-    if radius <= 0 or fd_step <= 0:
-        raise GeometryError("radius and fd_step must be positive")
-    # ball_points(x, ...) is x plus offsets that do not depend on x
-    offsets = sampling.ball_points(np.zeros(n), radius, 2 * n, seed=seed)
-    pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
-    step = fd_step * np.eye(n)
-    probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])
-    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(probes.shape[:-1])
-    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=-1)
-    if bad.any():
-        raise GeometryError(f"non-finite value near sample {pts.reshape(-1, n)[np.argmax(bad)]}")
-    return (hi - lo) / (2.0 * fd_step)
-
-
-@dataclass(frozen=True)
-class SubgradientCandidate:
-    """Candidate proximal subgradients of B with curvature bound eps: zetas
-    (k, z, n) at bases x (k, n)."""
-
-    x: np.ndarray
-    zeta: np.ndarray
-    radius: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
-        if self.radius <= 0:
-            raise GeometryError("radius must be positive")
-        if self.eps < 0:
-            raise GeometryError("eps must be nonnegative")
-
-
-def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
-                              seed: int = 0) -> dict:
-    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
-
-    B is a batch handle, called once on every base and all of its samples.
-    "holds" and "worst_margin" are (k, z) arrays; a zeta's margins do not
-    depend on the others."""
-    if m < 10:
-        raise GeometryError("need m >= 10 test points")
-    X, zeta = cand.x, cand.zeta
-    k, n = X.shape
-    # ball_points(x, ...) is x plus offsets that do not depend on x; the
-    # boundary probes along +-coordinate axes are where violations peak
-    offsets = np.vstack([sampling.ball_points(np.zeros(n), cand.radius, m, seed=seed),
-                         np.vstack([np.eye(n), -np.eye(n)]) * cand.radius])
-    pts = X[:, None, :] + offsets
-    vals = np.asarray(B(np.concatenate([X[:, None, :], pts], axis=1).reshape(-1, n)),
-                      dtype=float).reshape(k, -1)
-    d = pts - X[:, None, :]
-    margins = ((vals[:, 1:] - vals[:, :1])[:, :, None]
-               - _row_dot(d[:, :, None, :], zeta[:, None, :, :])
-               + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
-    worst = margins.min(axis=1)
-    return {"holds": worst >= -_PROX_TOL, "worst_margin": worst}

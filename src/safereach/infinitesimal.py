@@ -1,0 +1,328 @@
+"""Infinitesimal conditions: tangent-cone probes, nonsmooth differentials,
+and the infinitesimal decrease check of a barrier.
+
+Cone membership is probed with finite difference quotients of the distance
+function along a decreasing step sequence, a computable surrogate for the
+liminf in the contingent / external-cone definitions.  Clarke gradients are
+sampled by finite differences around each base point, and a proximal
+subgradient candidate is tested on ball samples.  The decrease condition
+<zeta, (1, eta)> <= g(B) is checked over sampled (t, x) points of a region,
+zeta a finite-difference gradient, a Clarke gradient sample or a proximal
+subgradient candidate.
+
+Only the checks that run these conditions load this module: the
+``infinitesimal`` check of the command line, ``verify.nagumo_check`` and
+``verify.prop1_check``.  Checks are one-sided numerical evidence.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import sampling
+from .barrier import BarrierFn, CheckReport
+from .dynamics import InclusionSpec, max_rate
+from .expr import compile_scalar_expression
+from .geometry import GeometryError, SetSpec, bisect_boundary, distance_to_set_many, row_dot
+
+DEFAULT_CONE_TOL = 1e-6
+DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
+_PROX_TOL = 1e-9        # a proximal margin >= -_PROX_TOL holds
+CLARKE_RADIUS = 1e-4    # radius of the Clarke gradient samples around (t, x)
+FD_STEP = 1e-6          # step of the infinitesimal check's finite differences
+
+
+# ---------------------------------------------------------------------------
+# cone probes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConeProbe:
+    """Finite surrogate for membership of directions v in the tangent cone
+    at points x: k probes, x and v of shape (k, n)."""
+
+    x: np.ndarray
+    v: np.ndarray
+    steps: tuple = DEFAULT_CONE_STEPS
+    mode: str = "contingent"
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
+        object.__setattr__(self, "v", np.atleast_2d(np.asarray(self.v, dtype=float)))
+        steps = tuple(float(s) for s in self.steps)
+        if len(steps) < 3 or any(s <= 0 for s in steps) or any(
+                steps[i + 1] >= steps[i] for i in range(len(steps) - 1)):
+            raise GeometryError("steps must be >= 3 strictly decreasing positive reals")
+        object.__setattr__(self, "steps", steps)
+        if self.mode not in ("contingent", "external"):
+            raise GeometryError(f"unknown cone mode {self.mode}")
+
+
+def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
+    """Admission residuals (k,): <= tol means the direction is admitted by the cone.
+
+    contingent: min_h |x + h v|_S / h, requiring x in S (within tol);
+    external:   min_h (|x + h v|_S - |x|_S) / h.
+    Every base point and step point of the batch goes into one distance call.
+    """
+    X, V = probe.x, probe.v
+    k, n = X.shape
+    steps = np.asarray(probe.steps)
+    d = distance_to_set_many(np.concatenate(
+        [X, (X[:, None, :] + steps[:, None] * V[:, None, :]).reshape(-1, n)]), S)
+    d0, ds = d[:k], d[k:].reshape(k, len(steps))
+    if probe.mode == "external":
+        return ((ds - d0[:, None]) / steps).min(axis=1)
+    if (d0 > tol).any():
+        raise GeometryError(f"base point {X[np.argmax(d0 > tol)].tolist()} not in set")
+    return (ds / steps).min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Clarke generalized gradient sampling, proximal subgradient test
+# ---------------------------------------------------------------------------
+
+def clarke_gradient_sample(B, X, radius: float, fd_step: float = 1e-7,
+                           seed: int = 0) -> np.ndarray:
+    """Finite-difference gradient estimates near each base point of X, (n,)
+    or (k, n), generator sets for the Clarke gradient hulls: (m, n) or
+    (k, m, n) with m = 2n + 1.
+
+    B is a batch handle on R^n, mapping points P (k, n) to k values; it is
+    called once, on all m * 2n probes of every base.  Gradients are taken at
+    the base and 2n low-discrepancy points in the radius-ball around it; a
+    linear test functional's max over the hull equals its max over these.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    if radius <= 0 or fd_step <= 0:
+        raise GeometryError("radius and fd_step must be positive")
+    # ball_points(x, ...) is x plus offsets that do not depend on x
+    offsets = sampling.ball_points(np.zeros(n), radius, 2 * n, seed=seed)
+    pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
+    step = fd_step * np.eye(n)
+    probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])
+    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(probes.shape[:-1])
+    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=-1)
+    if bad.any():
+        raise GeometryError(f"non-finite value near sample {pts.reshape(-1, n)[np.argmax(bad)]}")
+    return (hi - lo) / (2.0 * fd_step)
+
+
+@dataclass(frozen=True)
+class SubgradientCandidate:
+    """Candidate proximal subgradients of B with curvature bound eps: zetas
+    (k, z, n) at bases x (k, n)."""
+
+    x: np.ndarray
+    zeta: np.ndarray
+    radius: float
+    eps: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
+        if self.radius <= 0:
+            raise GeometryError("radius must be positive")
+        if self.eps < 0:
+            raise GeometryError("eps must be nonnegative")
+
+
+def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
+                              seed: int = 0) -> dict:
+    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
+
+    B is a batch handle, called once on every base and all of its samples.
+    "holds" and "worst_margin" are (k, z) arrays; a zeta's margins do not
+    depend on the others."""
+    if m < 10:
+        raise GeometryError("need m >= 10 test points")
+    X, zeta = cand.x, cand.zeta
+    k, n = X.shape
+    # ball_points(x, ...) is x plus offsets that do not depend on x; the
+    # boundary probes along +-coordinate axes are where violations peak
+    offsets = np.vstack([sampling.ball_points(np.zeros(n), cand.radius, m, seed=seed),
+                         np.vstack([np.eye(n), -np.eye(n)]) * cand.radius])
+    pts = X[:, None, :] + offsets
+    vals = np.asarray(B(np.concatenate([X[:, None, :], pts], axis=1).reshape(-1, n)),
+                      dtype=float).reshape(k, -1)
+    d = pts - X[:, None, :]
+    margins = ((vals[:, 1:] - vals[:, :1])[:, :, None]
+               - row_dot(d[:, :, None, :], zeta[:, None, :, :])
+               + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
+    worst = margins.min(axis=1)
+    return {"holds": worst >= -_PROX_TOL, "worst_margin": worst}
+
+
+# ---------------------------------------------------------------------------
+# relaxation functions
+# ---------------------------------------------------------------------------
+
+class RelaxFn(NamedTuple):
+    """Right-hand side g of the relaxed decrease condition <zeta,(1,eta)> <= g(B)."""
+
+    kind: str                       # zero | linear | extended_classK | minimal
+    fn: Callable = None
+    expression: str = ""
+
+    @staticmethod
+    def zero() -> "RelaxFn":
+        return RelaxFn("zero", lambda b: np.zeros_like(np.asarray(b, dtype=float)))
+
+    @staticmethod
+    def linear(L: float) -> "RelaxFn":
+        if L <= 0:
+            raise ValueError("linear relaxation needs L > 0")
+        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float),
+                       expression=f"{L}*b")
+
+    @staticmethod
+    def extended_classK(expression: str) -> "RelaxFn":
+        g = compile_scalar_expression(expression, "b")
+        probe = np.linspace(-2.0, 2.0, 41)
+        vals = g(probe)
+        if abs(float(g(np.array(0.0)))) > 1e-9:
+            raise ValueError("extended class-K function must satisfy g(0) = 0")
+        if np.any(np.diff(vals) <= 0):
+            raise ValueError("extended class-K function must be strictly increasing")
+        return RelaxFn("extended_classK", g, expression)
+
+    @staticmethod
+    def minimal(expression: str) -> "RelaxFn":
+        return RelaxFn("minimal", compile_scalar_expression(expression, "b"),
+                       expression)
+
+    def __call__(self, b):
+        return self.fn(b)
+
+
+# ---------------------------------------------------------------------------
+# infinitesimal decrease checks
+# ---------------------------------------------------------------------------
+
+def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradients of B in (t, x) at every pair
+    (ts[i], X[i]), from one batch of 2(n+1) probes per pair."""
+    k, n = X.shape
+    fd = FD_STEP
+    tp = np.maximum(ts, fd)   # keep probes at t >= 0
+    step = fd * np.eye(n)
+    # per pair: (tp + fd, x), (tp - fd, x), (t, x + fd e_i) for each i, then (t, x - fd e_i)
+    pt = np.column_stack([tp + fd, tp - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
+    px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + step,
+                         X[:, None] - step], axis=1)
+    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).value.reshape(k, 2 * n + 2)
+    return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
+
+
+def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
+    """Sample (t, x) pairs in the requested region of the (t, x) space."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) == 0:
+        return []
+    lo, hi = window
+    per_t = max(count // len(t_grid), 8)
+    pool_x = sampling.box_points(lo, hi, per_t * 4, seed=seed)
+    kind = region if isinstance(region, str) else region[0]
+    width = None if isinstance(region, str) else region[1]
+    # one t-major batch over t-grid x pool
+    vals_t = B.evaluate_many(np.repeat(t_grid, len(pool_x)),
+                             np.tile(pool_x, (len(t_grid), 1))).value.reshape(len(t_grid), -1)
+    picked = []
+    for t, vals in zip(t_grid, vals_t):
+        if kind == "everywhere":
+            keep = np.ones(len(pool_x), dtype=bool)
+        elif kind == "margin_band":
+            w = width if width is not None else _default_band(vals, B.band_width)
+            keep = (vals > 0.0) & (vals <= w)
+        elif kind == "boundary":
+            keep = np.abs(vals) <= (width if width is not None else 1e-3)
+            if not keep.any():
+                picked.extend(_bisect_zero_level(B, float(t), pool_x, vals, per_t))
+                continue
+        else:
+            raise ValueError(f"unknown region '{kind}'")
+        pts = pool_x[keep][:per_t]
+        picked.extend((float(t), p) for p in pts)
+    return picked[:count] if count else picked
+
+
+def _default_band(vals: np.ndarray, fallback: float) -> float:
+    pos = vals[vals > 0]
+    return 0.1 * float(np.median(pos)) if len(pos) else fallback
+
+
+def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
+                       vals: np.ndarray, count: int):
+    """Bisect count pool pairs straddling the zero level at t, all together;
+    returns the ends where B > 0."""
+    neg, pos = pool[vals <= 0.0], pool[vals > 0.0]
+    if len(neg) == 0 or len(pos) == 0:
+        return []
+    i = np.arange(count)
+    ends = bisect_boundary(lambda P: B.evaluate_many(np.full(count, t), P).value > 0.0,
+                           pos[(3 * i + 1) % len(pos)], neg[i % len(neg)])
+    return [(t, p) for p in ends]
+
+
+def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
+                        region="everywhere", g: RelaxFn = None,
+                        t_grid=(0.0,), window=None, count: int = 200,
+                        seed: int = 0, tol: float = 1e-7) -> CheckReport:
+    """Decrease condition <zeta, (1, eta)> <= g(B) over sampled region points.
+
+    mode smooth: zeta is the finite-difference gradient of B;
+    mode clarke: zeta ranges over Clarke gradient samples around (t, x);
+    mode proximal: zeta ranges over candidates that pass the proximal
+    subgradient inequality (an empty candidate set passes vacuously).
+    Each zeta is tested against its exact maximum over eta in F(x)
+    (:func:`~safereach.dynamics.max_rate`); samples counts the zetas.
+    """
+    if g is None:
+        g = RelaxFn.zero()
+    if window is None:
+        raise ValueError("infinitesimal_check needs a sampling window")
+    lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
+    pairs = _region_samples(B, region, t_grid, (lo, hi), count, seed)
+    if not pairs:
+        return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
+                           details={"reason": "region empty after sampling"})
+    ts, X = np.array([t for t, _ in pairs]), np.array([x for _, x in pairs])
+    Z, keep = _zeta_candidates(B, mode, ts, X, seed)
+    gbs = np.asarray(g(B.evaluate_many(ts, X).value), dtype=float)
+    if not keep.any():
+        return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
+                           details={"reason": "no subgradient candidates"})
+    rates, etas = max_rate(F, X, Z)
+    margins = np.where(keep, rates - gbs[:, None], -np.inf)
+    i, j = np.unravel_index(np.argmax(margins), margins.shape)
+    worst = float(margins[i, j])
+    witness = {"t": float(ts[i]), "x": X[i].tolist(), "eta": etas[i, j].tolist(),
+               "zeta": Z[i, j].tolist()}
+    return CheckReport(f"infinitesimal_{mode}", int(keep.sum()), worst, witness,
+                       "pass" if worst <= tol else "fail",
+                       details={"relaxation": g.kind, "region": str(region)})
+
+
+def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, seed: int):
+    """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
+    prox_radius = 1e-3
+    if mode == "smooth":
+        return _fd_extended_gradients(B, ts, X)[:, None, :], np.ones((len(ts), 1), dtype=bool)
+    if mode not in ("clarke", "proximal"):
+        raise ValueError(f"unknown mode '{mode}'")
+    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:]).value
+    # base times keep every probe of the Clarke (and proximal) ball at t >= 0
+    floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
+    TX = np.column_stack([np.maximum(ts, floor), X])
+    grads = clarke_gradient_sample(handle, TX, radius=CLARKE_RADIUS, fd_step=FD_STEP, seed=seed)
+    if mode == "clarke":
+        return grads, np.ones(grads.shape[:2], dtype=bool)
+    # each margin is nondecreasing in eps, so the curvature bound 100 accepts
+    # every zeta that a smaller one would; one test on every pair and its zetas
+    keep = proximal_subgradient_test(SubgradientCandidate(TX, grads, radius=prox_radius,
+                                                          eps=100.0), handle, m=24, seed=seed)
+    return grads, keep["holds"]

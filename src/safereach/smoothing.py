@@ -19,8 +19,7 @@ decomposition is a desk-scale realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ class SmoothingError(RuntimeError):
 # time partition (floors, oscillation-driven subdivision, slack sequence)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TimePartition:
+class TimePartition(NamedTuple):
     """Per-unit subdivisions of [0, k_max] with floors and slack sequence.
 
     nodes[j] are the interpolation times; block_offsets[k-1] is the node index
@@ -463,8 +461,7 @@ def _validate_global(fn: GlobalSmoothedFn, h: Callable, pts: np.ndarray,
 # converse smooth barrier (rescale, marginal-of-rescaled, smooth, compose)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConverseResolution:
+class ConverseResolution(NamedTuple):
     s_range: tuple = tuple(range(-8, 1))
     k_max: int = 6
     table_res: int = 64

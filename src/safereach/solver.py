@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -115,12 +115,11 @@ def write_csv(path, first: str, data: np.ndarray, last: str = "") -> None:
         fh.write(header + "\n" + (row * len(data)) % tuple(data.ravel().tolist()))
 
 
-@dataclass(frozen=True)
-class BundlePlan:
+class BundlePlan(NamedTuple):
     """The finite selector family that under-approximates the solution set:
     ``directions`` constant selections, drawn at ``seed``, plus as many
     piecewise-constant ones with ``switches`` switches per unit time when
-    that is positive.  Frozen, so a plan is itself a cache key."""
+    that is positive.  A tuple, so a plan is itself a cache key."""
 
     directions: int = 8
     switches: int = 0

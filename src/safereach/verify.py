@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from . import sampling
 from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
-from .geometry import (ConeProbe, SamplePlan, SetSpec,
-                       clarke_gradient_sample, cone_residual,
-                       distance_to_set_many)
+from .geometry import SamplePlan, SetSpec, distance_to_set_many
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped
 
-# nagumo_check and prop1_check import barrier when they run: a simulate check never loads it
+# nagumo_check and prop1_check import barrier and infinitesimal when they run: a
+# simulate check never loads them
 if TYPE_CHECKING:
-    from .barrier import BarrierFn, CheckReport, RelaxFn
+    from .barrier import BarrierFn, CheckReport
+    from .infinitesimal import RelaxFn
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -40,8 +40,7 @@ PROP1_TOL = 1e-7            # prop1_check passes when its worst margin is at mos
 BundlePlanV = BundlePlan     # former name, still imported by bench/test_bench.py
 
 
-@dataclass(frozen=True)
-class SafetyProblem:
+class SafetyProblem(NamedTuple):
     F: InclusionSpec
     X_o: SetSpec
     X_u: SetSpec
@@ -183,6 +182,7 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     estimates).
     """
     from .barrier import CheckReport
+    from .infinitesimal import ConeProbe, cone_residual
 
     if mode not in ("boundary", "exterior"):
         raise ValueError(f"unknown mode {mode}")
@@ -242,7 +242,8 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     Each Clarke gradient sample zeta is tested against its exact maximum over
     eta in F(x) (:func:`~safereach.dynamics.max_rate`).
     """
-    from .barrier import CheckReport, RelaxFn
+    from .barrier import CheckReport
+    from .infinitesimal import RelaxFn, clarke_gradient_sample
 
     if g is None:
         g = RelaxFn.zero()

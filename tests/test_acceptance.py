@@ -5,12 +5,12 @@ import time
 
 import numpy as np
 
-from safereach.barrier import (RelaxFn, counterexample_barrier,
-                               infinitesimal_check, marginal_barrier,
+from safereach.barrier import (counterexample_barrier, marginal_barrier,
                                monotonicity_check, user_barrier)
 from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
                                 lipschitz_estimate)
-from safereach.geometry import ConeProbe, SetSpec, cone_residual
+from safereach.geometry import SetSpec
+from safereach.infinitesimal import ConeProbe, RelaxFn, cone_residual, infinitesimal_check
 from safereach.reachability import filippov_check
 from safereach.sampling import halton
 from safereach.smoothing import (ConverseResolution, build_time_partition,

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safereach.barrier as barrier
+import safereach.infinitesimal as infinitesimal
 import safereach.solver as solver
 from safereach import sampling
-from safereach.barrier import (BarrierError, RelaxFn, candidate_sign_check,
-                               counterexample_barrier, counterexample_barrier_fn,
-                               infinitesimal_check, marginal_barrier, monotonicity_check,
-                               user_barrier)
+from safereach.barrier import (BarrierError, candidate_sign_check, counterexample_barrier,
+                               counterexample_barrier_fn, marginal_barrier,
+                               monotonicity_check, user_barrier)
 from safereach.dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec, distance_to_set_many
+from safereach.infinitesimal import RelaxFn, infinitesimal_check
 from safereach.solver import BundlePlan, IntegratorConfig, SolverError, integrate
 
 ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
@@ -705,8 +706,8 @@ class TestZeroLevelBisection:
     def test_ends_equal_a_bisection_kept_by_the_nonpositive_side(self):
         # no pool point lies within 1e-12 of the zero level, so every t bisects
         t_grid, count, seed = [0.0, 0.5], 16, 3
-        picked = barrier._region_samples(HULL_B, ("boundary", 1e-12), t_grid, WINDOW,
-                                         count, seed)
+        picked = infinitesimal._region_samples(HULL_B, ("boundary", 1e-12), t_grid, WINDOW,
+                                               count, seed)
         per_t = max(count // len(t_grid), 8)
         pool = sampling.box_points(*WINDOW, per_t * 4, seed=seed)
         expect = []

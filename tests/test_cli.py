@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import safereach.barrier as barrier
+import safereach.infinitesimal as infinitesimal
 import safereach.reachability as reachability
 from safereach import cli
 from safereach.cli import main
@@ -340,7 +341,7 @@ class TestCommands:
         evaluate = barrier.BarrierFn.evaluate_many
         monkeypatch.setattr(barrier.BarrierFn, "evaluate_many", lambda self, ts, Xs: (
             calls.append(len(ts)) if inside else None) or evaluate(self, ts, Xs))
-        check = barrier.infinitesimal_check
+        check = infinitesimal.infinitesimal_check
 
         def counted(*args, **kw):
             inside.append(True)
@@ -349,7 +350,7 @@ class TestCommands:
             finally:
                 inside.clear()
 
-        monkeypatch.setattr(barrier, "infinitesimal_check", counted)
+        monkeypatch.setattr(infinitesimal, "infinitesimal_check", counted)
         out = tmp_path / "out"
         main(["check", "--config", str(SCENARIOS / "counterexample.scenario"),
               "--set", "check prox.kind=infinitesimal", "--set", "check prox.mode=proximal",
@@ -638,6 +639,8 @@ class TestCommands:
         ("check", "linear", "check ellipse_invariance.n_samples", "0"),
         ("check", "linear", "check conditional.n_samples", "0"),
         ("check", "linear", "check filippov.pairs", "0"),
+        ("smooth", "smooth", "smooth.table_res", "0"),
+        ("smooth", "smooth", "smooth.out_n", "0"),
     ])
     def test_a_count_below_one_is_refused_by_its_key(self, tmp_path, capsys, command,
                                                      scenario, dotted, value):
@@ -647,6 +650,24 @@ class TestCommands:
         section, key = dotted.rsplit(".", 1)
         captured = capsys.readouterr()
         assert captured.err == f"error: [{section}] {key} must be at least 1, got {value}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, scenario, dotted, value", [
+        ("simulate", "counterexample", "sampling.interior", "-3"),
+        ("simulate", "counterexample", "sampling.boundary", "-5"),
+        ("check", "perturbed", "bundle.switches", "-2"),
+    ])
+    def test_a_negative_size_is_refused_by_its_key(self, tmp_path, capsys, command,
+                                                   scenario, dotted, value):
+        # 0 is a size (no interior samples, no switches); a negative one is refused
+        config = SCENARIOS / f"{scenario}.scenario"
+        build_scenario(parse_config(config.read_text(), {dotted: "0"}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--set", f"{dotted}={value}",
+                     "--out", str(out)]) == 1
+        section, key = dotted.rsplit(".", 1)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [{section}] {key} must be at least 0, got {value}\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -758,6 +779,22 @@ class TestProcessEntry:
             gc.unfreeze()
         assert "ROLLUP: FAIL" in capsys.readouterr().out
 
+    def test_run_freezes_the_heap_and_enables_the_collector_before_main(self, monkeypatch):
+        # as after `python -m safereach.cli` has loaded: the collector paused
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(
+            (gc.get_freeze_count(), gc.isenabled())) or 2)
+        assert gc.get_freeze_count() == 0
+        gc.disable()
+        try:
+            assert cli.run() == 2
+            after = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        [(frozen, enabled)] = seen
+        assert frozen > 0 and enabled and after >= frozen
+
     def test_main_never_freezes(self, tmp_path):
         before = gc.get_freeze_count()
         config = tmp_path / "case.scenario"
@@ -780,14 +817,62 @@ class TestFreshInterpreter:
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                               env=env, timeout=300)
 
+    def test_the_module_entry_loads_with_the_collector_paused(self, tmp_path):
+        # `python -m safereach.cli`: no collection runs from the start of
+        # cli.py's body to main, and main runs on a frozen heap with the
+        # collector on; a plain import of the module leaves the collector on
+        (tmp_path / "c.check.json").write_text(json.dumps({"check": "c", "verdict": "pass"}))
+        script = f"""
+import gc, os, runpy, sys
+CLI = os.path.join("safereach", "cli.py")
+early, entered = [], []
+
+def on_gc(phase, info):
+    f, body = sys._getframe(), False
+    while f is not None:
+        body = body or (f.f_code.co_filename.endswith(CLI) and f.f_code.co_name == "<module>")
+        f = f.f_back
+    if phase == "start" and body and not entered:
+        early.append(info["generation"])
+
+def on_call(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" and \
+            frame.f_code.co_filename.endswith(CLI):
+        entered.append((gc.isenabled(), gc.get_freeze_count() > 0))
+
+gc.callbacks.append(on_gc)
+sys.setprofile(on_call)
+sys.argv = ["safereach", "report", "--results", {str(tmp_path)!r}]
+try:
+    runpy.run_module("safereach.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+sys.setprofile(None)
+gc.callbacks.remove(on_gc)
+assert status == 0, status
+assert early == [], f"{{len(early)}} collections while cli.py loaded"
+assert entered == [(True, True)], entered
+"""
+        run = self._run("-c", script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("ROLLUP: PASS")
+        run = self._run("-c", "import gc, safereach.cli; assert gc.isenabled()")
+        assert run.returncode == 0, run.stderr
+
     def test_commands_load_only_their_modules(self, tmp_path):
+        counter = str(SCENARIOS / "counterexample.scenario")
         script = f"""
 import importlib, sys
 import safereach.cli as cli
-lazy = {{"safereach." + m for m in ("barrier", "verify", "smoothing", "reachability")}}
+lazy = {{"safereach." + m for m in ("barrier", "verify", "smoothing", "reachability",
+                                     "infinitesimal")}}
 assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
-assert cli.main(["simulate", "--config", {str(SCENARIOS / "counterexample.scenario")!r},
+assert cli.main(["simulate", "--config", {counter!r},
                  "--set", "simulate.T=0.05", "--out", {str(tmp_path / "out")!r}]) == 0
+assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
+assert cli.main(["barrier-eval", "--config", {counter!r}, "--set", "barrier-eval.tgrid=0 0.5 2",
+                 "--set", "barrier-eval.nx=5", "--out", {str(tmp_path / "eval")!r}]) == 0
+lazy.discard("safereach.barrier")
 assert not lazy & sys.modules.keys(), sorted(lazy & sys.modules.keys())
 import safereach
 for name in safereach.__all__:
@@ -808,11 +893,12 @@ else:
     @pytest.mark.parametrize("argv, verdicts, unloaded", [
         (["--config", str(SCENARIOS / "perturbed.scenario"),
           "--set", "check perturbed_safety.T=0.25"],
-         ["check perturbed_safety: pass"], ["safereach.barrier"]),
+         ["check perturbed_safety: pass"], ["safereach.barrier", "safereach.infinitesimal"]),
         # np.unique without a return_* flag would load numpy.ma
         (["--config", str(SCENARIOS / "counterexample.scenario"),
           "--set", "sampling.tgrid=0 1 3", "--set", "check monotone.T=0.25"],
-         ["check sign: pass", "check monotone: pass"], ["safereach.verify", "numpy.ma"]),
+         ["check sign: pass", "check monotone: pass"],
+         ["safereach.verify", "safereach.infinitesimal", "numpy.ma"]),
     ], ids=["simulate", "sign-monotonicity"])
     def test_a_check_loads_only_what_its_kinds_run(self, tmp_path, argv, verdicts, unloaded):
         script = f"""
@@ -824,6 +910,26 @@ assert not {set(unloaded)!r} & sys.modules.keys(), {unloaded!r}
         run = self._run("-c", script)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == verdicts
+
+    @pytest.mark.parametrize("name, loads", [
+        ("safety", False), ("decrease", True), ("ellipse_invariance", True),
+        ("conditional", True), ("filippov", False)])
+    def test_only_the_checks_of_infinitesimal_conditions_load_them(self, tmp_path, name, loads):
+        # linear.scenario with its one [check name] section: infinitesimal,
+        # nagumo and prop1 checks load safereach.infinitesimal, no other kind does
+        head, *checks = (SCENARIOS / "linear.scenario").read_text().split("\n[check ")
+        [section] = [c for c in checks if c.startswith(name + "]")]
+        config = tmp_path / "one.scenario"
+        config.write_text(f"{head}\n[check {section}")
+        script = f"""
+import sys
+import safereach.cli as cli
+assert cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print("safereach.infinitesimal" in sys.modules)
+"""
+        run = self._run("-c", script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [f"check {name}: pass", str(loads)]
 
     def test_commands_load_neither_numpy_random_nor_openssl(self, tmp_path):
         # the Halton scramble and the Filippov draw come from sampling.Stream,

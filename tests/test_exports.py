@@ -2,9 +2,11 @@
 export, top-level function and class, and method (dunders aside) is read
 somewhere in src/ outside its own definition, no function stores a local
 name that it never reads, and every parameter with a default is set by some
-call in src/."""
+call in src/.  Every dataclass of src/ is more than a plain record."""
 
 import ast
+import dataclasses
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -202,3 +204,44 @@ def test_src_loads_neither_numpy_random_nor_hashlib():
             if bad:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"numpy.random or hashlib in src/: {found}"
+
+
+# the @dataclass classes of src/, each with what makes it more than a plain
+# record: a __post_init__, a field left out of equality or a mutable default.
+# A plain record is a typing.NamedTuple, whose class costs a fraction of a
+# dataclass's to build at import
+DATACLASSES = {
+    "FieldHandle": "a __post_init__ checks the declared matrix, which equality leaves out",
+    "IntegratorConfig": "a __post_init__ checks the step and the escape radius",
+    "Trajectory": "a __post_init__ coerces and checks its times and states",
+    "ReachCloud": "a __post_init__ coerces its points and refuses an empty cloud",
+    "ConeProbe": "a __post_init__ coerces its probes and checks their steps and mode",
+    "SubgradientCandidate": "a __post_init__ coerces its candidates, checks radius and eps",
+    "BarrierFn": "params, a mutable default",
+    "CheckReport": "witness and details, mutable defaults",
+    "SafetyReport": "witness, coverage and disclaimers, mutable defaults",
+}
+
+
+def _dataclasses() -> dict:
+    """Class name -> module name of every class of src/ decorated with
+    dataclass, called or not."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                found[node.name] = path.stem
+    return found
+
+
+def test_every_dataclass_is_more_than_a_plain_record():
+    found = _dataclasses()
+    assert sorted(found) == sorted(DATACLASSES), \
+        "a plain record is a NamedTuple; a dataclass is listed in DATACLASSES with its reason"
+    for name, module in found.items():
+        cls = getattr(importlib.import_module(f"safereach.{module}"), name)
+        fields = dataclasses.fields(cls)
+        assert "__post_init__" in vars(cls) or any(not f.compare for f in fields) or any(
+            f.default_factory is not dataclasses.MISSING for f in fields), name

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from safereach.expr import compile_expression
-from safereach.geometry import (ConeProbe, EmptySetError, GeometryError, SetSpec,
-                                SubgradientCandidate, clarke_gradient_sample,
-                                cone_residual, distance_to_set,
-                                distance_to_set_many, hausdorff_distance,
-                                proximal_subgradient_test)
+from safereach.geometry import (EmptySetError, GeometryError, SetSpec, distance_to_set,
+                                distance_to_set_many, hausdorff_distance)
+from safereach.infinitesimal import (ConeProbe, SubgradientCandidate, clarke_gradient_sample,
+                                     cone_residual, proximal_subgradient_test)
 
 
 def brute_hausdorff(A, B):

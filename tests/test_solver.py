@@ -1,6 +1,5 @@
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -477,7 +476,7 @@ def _stage(F, sels, m, h, direction, k, rows, X):
     backward: _old_stage forward, of the forward inclusion with a ball's
     offsets negated."""
     if direction == "backward" and F.kind == "ball":
-        F = replace(F, epsilon=-F.epsilon)
+        F = F._replace(epsilon=-F.epsilon)
     return _old_stage(F, sels, m, h, "forward", k, rows, X)
 
 

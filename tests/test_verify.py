@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from safereach import geometry, sampling, solver, verify
-from safereach.barrier import RelaxFn, infinitesimal_check, user_barrier
+from safereach import geometry, infinitesimal, sampling, solver, verify
+from safereach.barrier import user_barrier
 from safereach.dynamics import (FieldHandle, InclusionSpec, builtin_field,
                                 field_from_expressions, inclusion_extreme_points)
-from safereach.geometry import SetSpec, clarke_gradient_sample
+from safereach.geometry import SetSpec
+from safereach.infinitesimal import RelaxFn, clarke_gradient_sample, infinitesimal_check
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
 from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
                               nagumo_check, prop1_check, simulate_safety_check)
@@ -28,8 +29,8 @@ def _boundary_residual(F, K, x):
     """The residual nagumo_check's boundary mode gives the first vertex of F
     at the point x of K's boundary: its unit direction probed directly."""
     v = inclusion_extreme_points(F, [x])[0, 0]
-    probe = geometry.ConeProbe([x], v / np.linalg.norm(v))
-    return geometry.cone_residual(probe, K, tol=max(verify.NAGUMO_DEFAULT_TOL,
+    probe = infinitesimal.ConeProbe([x], v / np.linalg.norm(v))
+    return infinitesimal.cone_residual(probe, K, tol=max(verify.NAGUMO_DEFAULT_TOL,
                                                     verify.NAGUMO_SHELL_WIDTH))[0]
 
 
@@ -235,7 +236,7 @@ class TestNagumo:
         count = []
         real = geometry.distance_to_set_many
         counted = lambda X, S: count.append(len(X)) or real(X, S)
-        monkeypatch.setattr(geometry, "distance_to_set_many", counted)
+        monkeypatch.setattr(infinitesimal, "distance_to_set_many", counted)
         monkeypatch.setattr(verify, "distance_to_set_many", counted)
         monkeypatch.setattr(verify, "NAGUMO_SHELL_WIDTH", 0.05)
         for n in (8, 64):
