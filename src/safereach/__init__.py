@@ -13,10 +13,10 @@ _EXPORTS = {
     "dynamics": ("FieldHandle", "InclusionSpec", "Selector", "builtin_field",
                  "eval_inclusion", "field_from_expressions", "linear_field",
                  "lipschitz_estimate", "max_rate", "rescale_field"),
-    "geometry": ("SamplePlan", "SetSpec", "distance_to_set", "hausdorff_distance"),
+    "geometry": ("SamplePlan", "SetSpec", "distance_to_set"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",
                "solution_bundle"),
-    "reachability": ("ReachCloud", "filippov_check", "load_cloud", "reach", "save_cloud"),
+    "reachability": ("filippov_check", "reach"),
     "barrier": ("BarrierFn", "CheckReport", "candidate_sign_check",
                 "counterexample_barrier", "marginal_barrier", "monotonicity_check",
                 "user_barrier"),

@@ -50,24 +50,19 @@ class BarrierValues(NamedTuple):
     cut: np.ndarray
 
 
-@dataclass
-class BarrierFn:
-    """Scalar B(t, x), evaluated in batches, with provenance metadata.
+class BarrierFn(NamedTuple):
+    """Scalar B(t, x), evaluated in batches.
 
     batch_fn maps times ts (m,) and states Xs (m, n) to the pair (values,
     cut) of (m,) arrays that evaluate_many returns as a BarrierValues; each
     row depends on its own (t, x) only, and a B with no backward tube cuts
-    none.  provenance is one of
-    marginal | closedform_counterexample | smoothed | user.  band_width is the
-    default width of the margin band realizing "a neighborhood of the
-    zero-sublevel set minus the set itself" in the infinitesimal checks.
+    none.  band_width is the default width of the margin band realizing "a
+    neighborhood of the zero-sublevel set minus the set itself" in the
+    infinitesimal checks.
     """
 
     batch_fn: Callable
-    provenance: str
-    dim: int
     band_width: float = 0.1
-    params: dict = field(default_factory=dict)
 
     def evaluate_many(self, ts, Xs) -> BarrierValues:
         ts = np.asarray(ts, dtype=float)
@@ -91,7 +86,7 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
                            + tuple(f"x{i + 1}" for i in range(dim)))
     batch = lambda ts, Xs: (g(np.column_stack([ts, Xs]) if time_dep else Xs),
                             np.zeros(len(ts), dtype=bool))
-    return BarrierFn(batch, "user", dim, band_width, params={"expression": expression})
+    return BarrierFn(batch, band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +124,7 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
                                  X_o, cfg.escape_radius)
         return best[0] * (1.0 - frac) + best[1] * frac, cut[1]
 
-    return BarrierFn(values, "marginal", F.dim, band_width,
-                     params={"system": F.name, "X_o": X_o.name or X_o.kind,
-                             "directions": directions, "switches": switches})
+    return BarrierFn(values, band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +152,7 @@ def counterexample_barrier(t, x):
 
 def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
     return BarrierFn(lambda ts, Xs: (counterexample_barrier(ts, Xs),
-                                     np.zeros(len(ts), dtype=bool)),
-                     "closedform_counterexample", 2, band_width)
+                                     np.zeros(len(ts), dtype=bool)), band_width)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +265,19 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_ini
     nonpositive side uses the same tolerance.
     """
     if drawn is None:
-        drawn = sign_queries(B, X_o, X_u, t_grid, n_init, n_unsafe, window, seed)
+        drawn = sign_queries(X_o, X_u, t_grid, n_init, n_unsafe, window, seed)
     return drawn.answer(B)
 
 
-def sign_queries(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64,
-                 n_unsafe: int = 64, window=None, seed: int = 0) -> Queries:
+def sign_queries(X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64, n_unsafe: int = 64,
+                 window=None, seed: int = 0) -> Queries:
     """The queries of :func:`candidate_sign_check`: its X_o and X_u samples
     at every t of the grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     check = lambda source, drawn: candidate_sign_check(source, X_o, X_u, t_grid, n_init,
                                                        n_unsafe, window, seed, drawn)
     if len(t_grid) == 0:
-        return Queries(np.empty(0), np.empty((0, B.dim)), lambda got: CheckReport(
+        return Queries(np.empty(0), np.empty((0, X_o.dim)), lambda got: CheckReport(
             "candidate_sign", 0, 0.0, {}, "inconclusive", details={"reason": "empty t-grid"}),
             check)
     n_b = max(1, n_init // 2)

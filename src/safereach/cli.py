@@ -112,18 +112,18 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
     raise CliError(f"unknown barrier kind '{kind}'")
 
 
-def _parse_relax(text: str) -> RelaxFn:
+def _parse_relax(section: str, text: str) -> RelaxFn:
+    """The relaxation g of [section], of a form build_scenario checked; an
+    argument it refuses is refused by the key."""
     from .infinitesimal import RelaxFn
 
-    if text in (None, "zero"):
-        return RelaxFn.zero()
-    if text.startswith("linear:"):
-        return RelaxFn.linear(float(text.split(":", 1)[1]))
-    if text.startswith("classK:"):
-        return RelaxFn.extended_classK(text.split(":", 1)[1])
-    if text.startswith("minimal:"):
-        return RelaxFn.minimal(text.split(":", 1)[1])
-    raise CliError(f"unknown relaxation '{text}' (zero | linear:L | classK:expr | minimal:expr)")
+    kind, _, arg = (text or "zero").partition(":")
+    make = {"zero": lambda _: RelaxFn.zero(), "linear": lambda a: RelaxFn.linear(float(a)),
+            "classK": RelaxFn.extended_classK, "minimal": RelaxFn.minimal}[kind]
+    try:
+        return make(arg)
+    except ValueError as exc:
+        raise CliError(f"[{section}] g: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +147,18 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
-    from .reachability import cloud_to_csv, reach, save_cloud
+    from .reachability import reach
 
     cfg = scn.raw
     _require(scn.system, "reach needs a [system]")
     x0 = np.asarray(_require(cfg.get("reach", "x0"), "[reach] needs x0"), dtype=float)
     t = _require(cfg.get("reach", "t"), "[reach] needs t")
-    cloud = reach(scn.system, x0, t, scn.solver, scn.bundle,
-                  stride=cfg.get("reach", "stride", 1))
-    cloud_to_csv(cloud, manifest.add(manifest.out / "reach.csv"))
-    save_cloud(cloud, manifest.add(manifest.out / "reach.rch"))
+    points, truncated = reach(scn.system, x0, t, scn.solver, scn.bundle,
+                              stride=cfg.get("reach", "stride", 1))
+    write_csv(manifest.add(manifest.out / "reach.csv"), "index",
+              np.column_stack([np.arange(len(points)), points]))
+    if truncated:
+        manifest.data["truncated"] = True
     return 0
 
 
@@ -232,10 +234,10 @@ def _run_one_check(name: str, scn: Scenario, barrier):
     if kind == "sign":
         from .barrier import sign_queries
 
-        B = barrier()
+        barrier()   # built before the section's keys are read, as for the other kinds
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
-        return sign_queries(B, X_o, X_u, scn.t_grid,
+        return sign_queries(X_o, X_u, scn.t_grid,
                             n_init=scn.samples.interior + scn.samples.boundary,
                             n_unsafe=cfg.get(section, "n_samples", 64),
                             window=window, seed=seed)
@@ -264,7 +266,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
         elif region == "boundary":
             region = ("boundary", cfg.get(section, "width", 1e-3))
         rep = infinitesimal_check(B, scn.system, cfg.get(section, "mode", "smooth"),
-                                  region, _parse_relax(cfg.get(section, "g")),
+                                  region, _parse_relax(section, cfg.get(section, "g")),
                                   t_grid=scn.t_grid, window=window,
                                   count=cfg.get(section, "count", 200),
                                   seed=seed, tol=cfg.get(section, "tol", 1e-7))
@@ -284,8 +286,8 @@ def _run_one_check(name: str, scn: Scenario, barrier):
         B = barrier()
         X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
         X_s = _get_set(scn, _require(cfg.get(section, "X_s"), f"[{section}] needs X_s"))
-        rep = prop1_check(scn.system, X_o, X_s, B, _parse_relax(cfg.get(section, "g")),
-                          cfg.get(section, "mode", "conditional"),
+        g = _parse_relax(section, cfg.get(section, "g"))
+        rep = prop1_check(scn.system, X_o, X_s, B, g, cfg.get(section, "mode", "conditional"),
                           n_samples=cfg.get(section, "n_samples", 48),
                           shell_width=cfg.get(section, "width", 1e-3),
                           window=window, seed=seed)

@@ -49,12 +49,12 @@ _SCHEMAS = {
     "system": {"kind": "str", "name": "str", "dim": "int", "rhs": "str",
                "member": "str+", "inclusion": "str", "epsilon": "float"},
     "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
-    "bundle": {"directions": "int", "switches": "size"},
+    "bundle": {"directions": "count", "switches": "size"},
     "sampling": {"window": "vec", "boundary": "size", "interior": "size",
                  "tgrid": "tvec"},
     "set": {"kind": "str", "center": "vec", "radius": "float", "lo": "vec",
             "hi": "vec", "normal": "vec", "offset": "float", "fn": "str",
-            "level": "float", "window": "vec", "grid": "int", "point": "vec+",
+            "level": "float", "window": "vec", "grid": "count", "point": "vec+",
             "of": "str"},
     "barrier": {"kind": "str", "X_o": "str", "expression": "str",
                 "band": "float", "k_max": "int",
@@ -63,7 +63,7 @@ _SCHEMAS = {
     "reach": {"x0": "vec", "t": "time", "stride": "count"},
     "barrier-eval": {"window": "vec", "nx": "count", "tgrid": "tvec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "count",
-               "grid_n": "int", "w_tol": "float", "out_n": "count"},
+               "grid_n": "count", "w_tol": "float", "out_n": "count"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
               "K": "str", "T": "time", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "count",
@@ -81,6 +81,15 @@ CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
               "nagumo": ("K", "mode", "n_samples", "tol"),
               "prop1": ("X_o", "X_s", "g", "mode", "n_samples", "width"),
               "filippov": ("lam_box", "T", "pairs", "max_sep", "tol")}
+
+# the values a [check NAME] key may take, by kind; build_scenario refuses
+# others.  A choice KIND:ARG stands for KIND: with any ARG
+CHECK_CHOICES = {("infinitesimal", "mode"): ("smooth", "clarke", "proximal"),
+                 ("infinitesimal", "region"): ("everywhere", "margin_band", "boundary"),
+                 ("infinitesimal", "g"): ("zero", "linear:L", "classK:expr", "minimal:expr"),
+                 ("nagumo", "mode"): ("boundary", "exterior"),
+                 ("prop1", "mode"): ("conditional", "strict"),
+                 ("prop1", "g"): ("zero", "linear:L", "minimal:expr")}
 
 
 def _parse_value(raw: str, typ: str, where: str):
@@ -377,6 +386,7 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     for section in sets:
         _build_set(section.split(" ", 1)[1], cfg, cache)
     t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
+    form = lambda v: v.partition(":")[0] + ":" if ":" in v else v     # KIND:ARG as KIND:
     for section in cfg.section_names("check"):
         kind = cfg.get(section, "kind")
         if kind not in CHECK_KEYS:
@@ -386,6 +396,12 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         if unread:
             raise ConfigError(f"[{section}] key '{unread[0]}' is not read by kind '{kind}', "
                               f"which reads {', '.join(CHECK_KEYS[kind])}")
+        for key in CHECK_KEYS[kind]:
+            choices, value = CHECK_CHOICES.get((kind, key)), cfg.get(section, key)
+            if choices is not None and value is not None and \
+                    form(value) not in {form(c) for c in choices}:
+                raise ConfigError(f"[{section}] {key} must be {' | '.join(choices)}, "
+                                  f"got '{value}'")
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=system,
         solver=solver,

@@ -165,27 +165,25 @@ class InclusionSpec(NamedTuple):
     fields: tuple
     dim: int
     epsilon: float = 0.0
-    name: str = ""
 
     @staticmethod
-    def singleton(f: FieldHandle, name: str = "") -> "InclusionSpec":
-        return InclusionSpec("singleton", (f,), f.dim, name=name or f.name)
+    def singleton(f: FieldHandle) -> "InclusionSpec":
+        return InclusionSpec("singleton", (f,), f.dim)
 
     @staticmethod
-    def ball_perturbed(f: FieldHandle, epsilon: float, name: str = "") -> "InclusionSpec":
+    def ball_perturbed(f: FieldHandle, epsilon: float) -> "InclusionSpec":
         if epsilon < 0:
             raise DynamicsError("epsilon must be nonnegative")
-        return InclusionSpec("ball", (f,), f.dim, epsilon=float(epsilon),
-                             name=name or f"{f.name}+{epsilon}B")
+        return InclusionSpec("ball", (f,), f.dim, epsilon=float(epsilon))
 
     @staticmethod
-    def hull(fields: Sequence[FieldHandle], name: str = "") -> "InclusionSpec":
+    def hull(fields: Sequence[FieldHandle]) -> "InclusionSpec":
         fields = tuple(fields)
         if not fields:
             raise DynamicsError("hull needs at least one field")
         if len({f.dim for f in fields}) != 1:
             raise DynamicsError("hull fields must share the state dimension")
-        return InclusionSpec("hull", fields, fields[0].dim, name=name or "hull")
+        return InclusionSpec("hull", fields, fields[0].dim)
 
     @property
     def base_field(self) -> FieldHandle:

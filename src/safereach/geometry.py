@@ -25,11 +25,11 @@ _CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
 PAIR_BUDGET = 2 ** 18   # elements of one (rows, points) distance matrix
 
 
-class EmptySetError(ValueError):
+class GeometryError(ValueError):
     pass
 
 
-class GeometryError(ValueError):
+class EmptySetError(GeometryError):
     pass
 
 
@@ -497,22 +497,3 @@ def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if len(live) == 0:
             break
     return best
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff distance
-# ---------------------------------------------------------------------------
-
-def hausdorff_distance(A, B) -> float:
-    """Max of the two directed sup-inf distances between finite point clouds."""
-    A = _as_cloud(A)
-    B = _as_cloud(B)
-    if len(A) == 0 or len(B) == 0:
-        raise GeometryError("empty set")
-    d = np.sqrt(_pair_sq(A, B))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def _as_cloud(A) -> np.ndarray:
-    pts = getattr(A, "points", A)
-    return np.atleast_2d(np.asarray(pts, dtype=float))

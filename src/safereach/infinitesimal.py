@@ -166,7 +166,6 @@ class RelaxFn(NamedTuple):
 
     kind: str                       # zero | linear | extended_classK | minimal
     fn: Callable = None
-    expression: str = ""
 
     @staticmethod
     def zero() -> "RelaxFn":
@@ -176,8 +175,7 @@ class RelaxFn(NamedTuple):
     def linear(L: float) -> "RelaxFn":
         if L <= 0:
             raise ValueError("linear relaxation needs L > 0")
-        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float),
-                       expression=f"{L}*b")
+        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float))
 
     @staticmethod
     def extended_classK(expression: str) -> "RelaxFn":
@@ -188,12 +186,11 @@ class RelaxFn(NamedTuple):
             raise ValueError("extended class-K function must satisfy g(0) = 0")
         if np.any(np.diff(vals) <= 0):
             raise ValueError("extended class-K function must be strictly increasing")
-        return RelaxFn("extended_classK", g, expression)
+        return RelaxFn("extended_classK", g)
 
     @staticmethod
     def minimal(expression: str) -> "RelaxFn":
-        return RelaxFn("minimal", compile_scalar_expression(expression, "b"),
-                       expression)
+        return RelaxFn("minimal", compile_scalar_expression(expression, "b"))
 
     def __call__(self, b):
         return self.fn(b)

@@ -4,60 +4,34 @@
 states visited by the selected solutions over [0, t], t < 0 does the same for
 backward solutions over [t, 0].  Clouds are raw trajectory nodes, never
 convexified, and they under-approximate the true reach set: the selector
-family is finite.  Every cloud records its resolution, so a saved cloud can
-be reproduced bit-for-bit.
+family is finite.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import SetSpec, distance_to_set_many
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, write_csv
-
-_MAGIC = b"RCH1"
-_HEADER = struct.Struct("<IIIIBBxxd")   # after the magic, see save_cloud
-
-
-@dataclass
-class ReachCloud:
-    """Finite point-cloud approximation of the reach set R(t, x)."""
-
-    base: np.ndarray
-    horizon: float                   # signed; negative means backward
-    points: np.ndarray
-    bundle_size: int = 1
-    node_stride: int = 1
-    truncated: bool = False
-
-    def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=float)
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if len(self.points) == 0:
-            raise ValueError("reach cloud must be nonempty")
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
-          plan: BundlePlan = BundlePlan(), stride: int = 1) -> ReachCloud:
+          plan: BundlePlan = BundlePlan(), stride: int = 1) -> tuple[np.ndarray, bool]:
     """Full-tube cloud: every stride-th node of each path of the solution
-    bundle, then each path's final node.  Its bundle size is the number of
-    selectors plan yields for F, t = 0 included."""
+    bundle, then each path's final node, as (points, truncated), truncated
+    true when a path escaped.  At t = 0 the cloud is x alone."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(t):
         raise ValueError("horizon must be finite")
     if t == 0.0:
-        return ReachCloud(x, 0.0, x[None, :], len(plan.selectors(F, 0.0)), stride)
+        return x[None, :], False
     trajs = solution_bundle(F, x[None], abs(t), "backward" if t < 0 else "forward", cfg, plan)[0]
     points = np.vstack([tr.states[::stride] for tr in trajs]
                        + [tr.states[-1][None, :] for tr in trajs])
-    return ReachCloud(x, t, points, len(trajs), stride,
-                      truncated=any(tr.termination == "escape" for tr in trajs))
+    return points, any(tr.termination == "escape" for tr in trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -99,46 +73,3 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
     worst = np.where(applicable, worst, np.nan)
     return {"max_violation": worst, "holds": applicable & (worst <= tol),
             "applicable": applicable}
-
-
-# ---------------------------------------------------------------------------
-# binary persistence
-# ---------------------------------------------------------------------------
-
-def save_cloud(cloud: ReachCloud, path) -> None:
-    """Binary layout: magic 'RCH1', then little-endian u32 n, u32 n_points,
-    u32 bundle, u32 stride, u8 mode (always 0, a full tube), u8 truncated,
-    2 pad bytes, f64 horizon, f64[n] base, f64[n_points * n] points."""
-    n = cloud.points.shape[1]
-    header = _MAGIC + _HEADER.pack(n, len(cloud.points), cloud.bundle_size, cloud.node_stride,
-                                   0, 1 if cloud.truncated else 0, cloud.horizon)
-    body = cloud.base.astype("<f8").tobytes() + cloud.points.astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
-
-
-def load_cloud(path) -> ReachCloud:
-    """Read a file of save_cloud; its length must be what its header says,
-    its mode byte 0 and its truncated byte 0 or 1."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a reach-cloud file")
-    off = 4 + _HEADER.size
-    if len(raw) < off:
-        raise ValueError(f"{path}: truncated header: {len(raw)} bytes, a header is {off}")
-    n, npts, bundle, stride, mode_flag, trunc, horizon = _HEADER.unpack_from(raw, 4)
-    if mode_flag != 0:
-        raise ValueError(f"{path}: mode flag must be 0, got {mode_flag}")
-    if trunc not in (0, 1):
-        raise ValueError(f"{path}: truncated flag must be 0 or 1, got {trunc}")
-    size = off + 8 * n * (1 + npts)
-    if len(raw) != size:
-        raise ValueError(f"{path}: {len(raw)} bytes, but a header of {npts} points in "
-                         f"dimension {n} says {size}")
-    base = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    pts = np.frombuffer(raw, dtype="<f8", count=npts * n, offset=off).reshape(npts, n).copy()
-    return ReachCloud(base, horizon, pts, bundle, stride, bool(trunc))
-
-
-def cloud_to_csv(cloud: ReachCloud, path) -> None:
-    write_csv(path, "index", np.column_stack([np.arange(len(cloud.points)), cloud.points]))

@@ -42,14 +42,14 @@ class SmoothingError(RuntimeError):
 class TimePartition(NamedTuple):
     """Per-unit subdivisions of [0, k_max] with floors and slack sequence.
 
-    nodes[j] are the interpolation times; block_offsets[k-1] is the node index
-    of time k-1; eta[k-1] is the floor of h over the grid and [0, k]; zeta is
+    nodes[j] are the interpolation times: 0, then u_counts[k-1] of them in
+    (k-1, k] for each k, so j_k = u_1 + ... + u_{k-1} is the node index of
+    time k-1; eta[k-1] is the floor of h over the grid and [0, k]; zeta is
     positive, nonincreasing, and satisfies sum_{i >= j_k} zeta_i < eta_k / 8.
     """
 
     nodes: np.ndarray
     u_counts: tuple
-    block_offsets: tuple
     eta: np.ndarray
     zeta: np.ndarray
     table_times: np.ndarray
@@ -134,8 +134,7 @@ def build_time_partition(h: Callable, grid: np.ndarray, k_max: int,
     if np.any(zeta <= 0.0):
         raise SmoothingError("slack sequence underflowed; partition too fine")
 
-    return TimePartition(nodes, tuple(u_counts), tuple(offsets), eta, zeta,
-                         times, table, grid)
+    return TimePartition(nodes, tuple(u_counts), eta, zeta, times, table, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +575,4 @@ def converse_smooth_barrier(f: FieldHandle, X_o: SetSpec,
     tau(t) = t + integral ds / V.  Points whose backward path touches X_o get
     the value 0 by the second branch of the construction.
     """
-    return BarrierFn(ConverseBarrier(f, X_o, cfg, res).values, "smoothed", f.dim,
-                     params={"system": f.name, "X_o": X_o.name or X_o.kind,
-                             "k_max": res.k_max, "s_range": list(res.s_range)})
+    return BarrierFn(ConverseBarrier(f, X_o, cfg, res).values)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from safereach.dynamics import FieldHandle
+from safereach.geometry import GeometryError
 
 
 def negated(f: FieldHandle) -> FieldHandle:
@@ -12,3 +13,14 @@ def negated(f: FieldHandle) -> FieldHandle:
     inner = f.fn
     return replace(f, fn=lambda x: -np.asarray(inner(x), dtype=float), name=f"-{f.name}",
                    matrix=None if f.matrix is None else -f.matrix)
+
+
+def hausdorff_distance(A, B) -> float:
+    """Max of the two directed sup-inf distances between finite point clouds,
+    a reference distance for the tests; squared distances summed column by
+    column, as the library's own pair distances are."""
+    A, B = (np.atleast_2d(np.asarray(P, dtype=float)) for P in (A, B))
+    if len(A) == 0 or len(B) == 0:
+        raise GeometryError("empty set")
+    d = np.sqrt(sum((A[:, j, None] - B[None, :, j]) ** 2 for j in range(A.shape[1])))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -481,9 +481,9 @@ class TestOneBatch:
         B = marginal_barrier(self.SADDLE, SetSpec.ball([0.0, 0.0], 0.1),
                              IntegratorConfig(step=1 / 64, escape_radius=3.0))
         window = ([-0.5, -0.5], [0.5, 0.5])
-        sign = lambda: barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
-                                            SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5, 1.0],
-                                            n_init=8, n_unsafe=8, window=window, seed=3)
+        sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
+                                         SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5, 1.0],
+                                         n_init=8, n_unsafe=8, window=window, seed=3)
         tr = integrate(self.SADDLE, Selector.constant(), np.array([1.0, 0.2]), 1.5,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = lambda: barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
@@ -507,9 +507,9 @@ class TestOneBatch:
         # The sign report is the same alone and in one batch with it
         B = marginal_barrier(self.SADDLE, SetSpec.ball([0.0, 0.0], 0.1),
                              IntegratorConfig(step=1 / 64, escape_radius=3.0))
-        sign = lambda: barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
-                                            SetSpec.ball([0.3, 2.5], 0.1), [0.0, 0.5, 1.0],
-                                            n_init=8, n_unsafe=8, seed=3)
+        sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
+                                         SetSpec.ball([0.3, 2.5], 0.1), [0.0, 0.5, 1.0],
+                                         n_init=8, n_unsafe=8, seed=3)
         tr = integrate(self.SADDLE, Selector.constant(), np.array([0.05, 0.3]), 1.0,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
@@ -531,9 +531,9 @@ class TestOneBatch:
                                 called.append(entry.__name__) or entry(*a, **k))
         tr = integrate(InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp")),
                        Selector.constant(), np.array([0.1, 0.0]), 0.25, cfg=CFG)
-        runs = [barrier.sign_queries(B, SetSpec.ball([0.0, 0.0], 0.1),
-                                     SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5], n_init=4,
-                                     n_unsafe=4, seed=1),
+        runs = [barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
+                                  SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5], n_init=4,
+                                  n_unsafe=4, seed=1),
                 barrier.monotonicity_queries([tr], tol=1e-9, stride=16)]
         assert len(list(barrier.check_results(B, runs))) == 2
         assert called == ["candidate_sign_check", "monotonicity_check"]

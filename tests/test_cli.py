@@ -289,6 +289,27 @@ class TestCommands:
         assert data[in_disk, 3].max() <= 1e-12
         assert data[~in_disk, 3].max() > 0.0
 
+    @pytest.mark.parametrize("escape", [10.0, 3.0])
+    def test_reach_writes_its_cloud_and_flags_an_escaped_path(self, tmp_path, escape):
+        # x' = x from (1, 0) reaches radius e^2 > 3 by t = 2: the path escapes
+        # radius 3, not radius 10
+        text = MINIMAL.replace("kind = builtin\nname = linear_safe",
+                               "kind = expression\nrhs = x1 ; x2").replace(
+            "step = 0.015625", f"step = 0.015625\nescape = {escape}") + (
+            "[reach]\nx0 = 1 0\nt = 2\nstride = 8\n")
+        out = tmp_path / "out"
+        assert main(["reach", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        scn = build_scenario(parse_config(text))
+        points, truncated = reachability.reach(scn.system, np.array([1.0, 0.0]), 2.0,
+                                               scn.solver, scn.bundle, stride=8)
+        assert truncated == (escape == 3.0)
+        data = np.loadtxt(out / "reach.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data, np.column_stack([np.arange(len(points)), points]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["reach.csv"]
+        assert manifest.get("truncated", "absent") == (True if truncated else "absent")
+
     def test_jobs_flag_removed(self, tmp_path):
         p = self._write(tmp_path)
         with pytest.raises(SystemExit):
@@ -484,6 +505,14 @@ class TestCommands:
              "cannot parse 'x1 +'", ["safety.check.json"]),                  # ExpressionError
             (["check", "--config", linear, "--set", "set ELLIPSE.fn=x1 +"],
              "cannot parse 'x1 +'", []),                                     # ExpressionError
+            # an empty set is a GeometryError: a disjoint intersection when it is
+            # built, a sublevel set with no member on its grid when it is measured
+            (["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
+              "--set", "set OUTER.center=5 5", "--set", "set ANNULUS.of=OUTER INNER"],
+             "intersection is empty (disjoint balls)", []),                  # EmptySetError
+            (["check", "--config", linear, "--set", "set ELLIPSE.grid=1"],
+             "no member of 'ELLIPSE' found on its 1^n grid",
+             ["safety.check.json", "decrease.check.json"]),                  # EmptySetError
             # a [check NAME] key that its kind does not read, and an unknown
             # kind after passing checks, are refused before any check runs
             (["check", "--config", str(SCENARIOS / "perturbed.scenario"),
@@ -641,6 +670,12 @@ class TestCommands:
         ("check", "linear", "check filippov.pairs", "0"),
         ("smooth", "smooth", "smooth.table_res", "0"),
         ("smooth", "smooth", "smooth.out_n", "0"),
+        ("smooth", "smooth", "smooth.grid_n", "0"),
+        ("smooth", "smooth", "smooth.grid_n", "-4"),
+        ("check", "linear", "set ELLIPSE.grid", "0"),
+        ("check", "linear", "set ELLIPSE.grid", "-1"),
+        ("reach", "counterexample", "bundle.directions", "0"),
+        ("check", "perturbed", "bundle.directions", "-3"),
     ])
     def test_a_count_below_one_is_refused_by_its_key(self, tmp_path, capsys, command,
                                                      scenario, dotted, value):
@@ -651,6 +686,44 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: [{section}] {key} must be at least 1, got {value}\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("dotted, value, message, written", [
+        # a mode, region or form of g that the kind does not take: before any output
+        ("check decrease.mode", "bogus",
+         "[check decrease] mode must be smooth | clarke | proximal, got 'bogus'", []),
+        ("check decrease.region", "bogus",
+         "[check decrease] region must be everywhere | margin_band | boundary, got 'bogus'", []),
+        ("check decrease.g", "bogus", "[check decrease] g must be zero | linear:L | "
+         "classK:expr | minimal:expr, got 'bogus'", []),
+        ("check ellipse_invariance.mode", "bogus",
+         "[check ellipse_invariance] mode must be boundary | exterior, got 'bogus'", []),
+        ("check conditional.mode", "bogus",
+         "[check conditional] mode must be conditional | strict, got 'bogus'", []),
+        ("check conditional.g", "classK:b",
+         "[check conditional] g must be zero | linear:L | minimal:expr, got 'classK:b'", []),
+        # a g that its relaxation refuses: when its check runs
+        ("check decrease.g", "linear:abc",
+         "[check decrease] g: could not convert string to float: 'abc'", ["safety.check.json"]),
+        ("check decrease.g", "linear:-1",
+         "[check decrease] g: linear relaxation needs L > 0", ["safety.check.json"]),
+        ("check decrease.g", "classK:b^2",
+         "[check decrease] g: extended class-K function must be strictly increasing",
+         ["safety.check.json"]),
+        ("check conditional.g", "minimal:b +", "[check conditional] g: cannot parse 'b +'",
+         ["safety.check.json", "decrease.check.json", "ellipse_invariance.check.json"]),
+    ])
+    def test_a_bad_check_choice_or_relaxation_is_refused_by_its_key(
+            self, tmp_path, capsys, dotted, value, message, written):
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(SCENARIOS / "linear.scenario"),
+                     "--set", f"{dotted}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        if written:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["artifacts"] == written and message in manifest["error"]
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, scenario, dotted, value", [
         ("simulate", "counterexample", "sampling.interior", "-3"),

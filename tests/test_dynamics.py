@@ -7,11 +7,11 @@ from safereach.dynamics import (EXTREME_DIRECTIONS, DynamicsError, FieldHandle,
                                 field_from_expressions, inclusion_extreme_points,
                                 linear_field, lipschitz_estimate, max_rate, rescale_field,
                                 selector_table)
-from safereach.geometry import SetSpec, hausdorff_distance
+from safereach.geometry import SetSpec
 from safereach.sampling import grid_points
 from safereach.solver import bundle_field
 
-from helpers import negated
+from helpers import hausdorff_distance, negated
 
 QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
 

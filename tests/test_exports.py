@@ -2,7 +2,13 @@
 export, top-level function and class, and method (dunders aside) is read
 somewhere in src/ outside its own definition, no function stores a local
 name that it never reads, and every parameter with a default is set by some
-call in src/.  Every dataclass of src/ is more than a plain record."""
+call in src/.  Every dataclass of src/ is more than a plain record, and
+every field a record stores is read.
+
+The checks match by name, so a definition or field passes when anything of
+the same name is read anywhere in src/: a field read only as a tuple
+element, or named like an attribute read elsewhere, goes unflagged (the
+name of an InclusionSpec passed behind SetSpec.name while nothing read it)."""
 
 import ast
 import dataclasses
@@ -18,8 +24,6 @@ SRC = Path(safereach.__file__).parent
 KEPT = {
     "distance_to_set": "bench/spans.py patches it",
     "integrate": "bench/spans.py patches it",
-    "load_cloud": "reads the .rch files that the reach command writes",
-    "hausdorff_distance": "a reference distance for the tests of reach clouds",
 }
 
 
@@ -93,9 +97,6 @@ KEPT_DEFAULTS = {
     ("integrate", "cfg"): "bench/spans.py patches integrate; tests pass their step",
     ("smooth_global", "seed"): "a library leftover: the validation draw",
     ("smooth_global", "validation_points"): "a library leftover: the validation count",
-    ("singleton", "name"): "InclusionSpec's constructors name an inclusion for library callers",
-    ("ball_perturbed", "name"): "as singleton",
-    ("hull", "name"): "as singleton",
 }
 
 
@@ -214,10 +215,8 @@ DATACLASSES = {
     "FieldHandle": "a __post_init__ checks the declared matrix, which equality leaves out",
     "IntegratorConfig": "a __post_init__ checks the step and the escape radius",
     "Trajectory": "a __post_init__ coerces and checks its times and states",
-    "ReachCloud": "a __post_init__ coerces its points and refuses an empty cloud",
     "ConeProbe": "a __post_init__ coerces its probes and checks their steps and mode",
     "SubgradientCandidate": "a __post_init__ coerces its candidates, checks radius and eps",
-    "BarrierFn": "params, a mutable default",
     "CheckReport": "witness and details, mutable defaults",
     "SafetyReport": "witness, coverage and disclaimers, mutable defaults",
 }
@@ -234,6 +233,32 @@ def _dataclasses() -> dict:
                     for d in node.decorator_list):
                 found[node.name] = path.stem
     return found
+
+
+def _stored_fields(modules: list) -> list:
+    """(class, field) for every annotated field of a NamedTuple or dataclass
+    of the modules and every self.X that a method of a plain class stores."""
+    stored, records = [], _dataclasses()
+    for module in modules:
+        for cls in (n for n in module.body if isinstance(n, ast.ClassDef)):
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases}
+            if "NamedTuple" in bases or cls.name in records:
+                stored += [(cls.name, a.target.id) for a in cls.body
+                           if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
+            else:
+                stored += [(cls.name, n.attr) for n in ast.walk(cls)
+                           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return sorted(set(stored))
+
+
+def test_every_stored_field_is_read_in_src():
+    # a field nothing reads is a value the library keeps for no one: drop it
+    modules = _modules()
+    read = {n.attr for m in modules for n in ast.walk(m)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, name in _stored_fields(modules) if name not in read]
+    assert unread == [], f"stored but never read as an attribute in src/: {unread}"
 
 
 def test_every_dataclass_is_more_than_a_plain_record():

@@ -7,9 +7,11 @@ from scipy.optimize import brentq
 
 from safereach.expr import compile_expression
 from safereach.geometry import (EmptySetError, GeometryError, SetSpec, distance_to_set,
-                                distance_to_set_many, hausdorff_distance)
+                                distance_to_set_many)
 from safereach.infinitesimal import (ConeProbe, SubgradientCandidate, clarke_gradient_sample,
                                      cone_residual, proximal_subgradient_test)
+
+from helpers import hausdorff_distance
 
 
 def brute_hausdorff(A, B):

@@ -1,15 +1,14 @@
-import re
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
-from safereach.geometry import SetSpec, hausdorff_distance
-from safereach.reachability import (ReachCloud, cloud_to_csv, filippov_check, load_cloud,
-                                    reach, save_cloud)
+from safereach.geometry import SetSpec
+from safereach.reachability import filippov_check, reach
 from safereach.solver import BundlePlan, IntegratorConfig, solution_bundle
+
+from helpers import hausdorff_distance
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 256.0)
@@ -34,116 +33,54 @@ def backward_radial_oracle(r0: float, T: float, steps: int = 20000) -> float:
 class TestReach:
     def test_zero_horizon_is_base_point(self):
         x = np.array([0.4, -0.2])
-        cloud = reach(LINEAR, x, 0.0, CFG, PLAN)
-        assert np.array_equal(cloud.points, x[None, :])
+        points, truncated = reach(LINEAR, x, 0.0, CFG, PLAN)
+        assert np.array_equal(points, x[None, :]) and not truncated
 
     def test_equilibrium_cloud_is_constant(self):
         F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
-        cloud = reach(F, np.array([1.0, 2.0]), 3.0, CFG, PLAN)
-        assert np.allclose(cloud.points, [1.0, 2.0])
+        points, _ = reach(F, np.array([1.0, 2.0]), 3.0, CFG, PLAN)
+        assert np.allclose(points, [1.0, 2.0])
 
     def test_backward_radial_min_radius(self):
         # from r = 2/pi with horizon -2 the innermost radius is
         # 4/(3 pi); cross-checked against the closed-form barrier branch
         F1 = InclusionSpec.singleton(builtin_field("counterexample_radial"))
         r0 = 2.0 / np.pi
-        cloud = reach(F1, np.array([r0]), -2.0, CFG, PLAN)
-        got = cloud.points.min()
+        got = reach(F1, np.array([r0]), -2.0, CFG, PLAN)[0].min()
         oracle = backward_radial_oracle(r0, 2.0)
         assert got == pytest.approx(oracle, abs=1e-8)
         assert got == pytest.approx(4.0 / (3.0 * np.pi), abs=1e-9)
 
     def test_nesting_of_stored_points(self):
-        small = reach(LINEAR, np.array([1.0, 0.0]), 0.5, CFG, PLAN)
-        large = reach(LINEAR, np.array([1.0, 0.0]), 1.0, CFG, PLAN)
-        large_set = {tuple(p) for p in large.points}
-        assert all(tuple(p) in large_set for p in small.points)
+        small = reach(LINEAR, np.array([1.0, 0.0]), 0.5, CFG, PLAN)[0]
+        large = reach(LINEAR, np.array([1.0, 0.0]), 1.0, CFG, PLAN)[0]
+        large_set = {tuple(p) for p in large}
+        assert all(tuple(p) in large_set for p in small)
 
     def test_endpoint_subset_of_tube(self):
         # a stride that skips the last node still keeps every path's endpoint
         x = np.array([1.0, 0.0])
-        tube = reach(LINEAR, x, 1.0, CFG, PLAN, stride=7)
+        tube = reach(LINEAR, x, 1.0, CFG, PLAN, stride=7)[0]
         end = solution_bundle(LINEAR, x[None], 1.0, cfg=CFG, plan=PLAN)[0][0].states[-1]
         assert (1.0 / CFG.step) % 7 != 0
-        assert any(np.array_equal(p, end) for p in tube.points)
+        assert any(np.array_equal(p, end) for p in tube)
 
     def test_endpoint_matches_matrix_exponential(self):
         x = np.array([1.0, 0.0])
-        end = reach(LINEAR, x, 1.0, CFG, PLAN).points[-1]
+        end = reach(LINEAR, x, 1.0, CFG, PLAN)[0][-1]
         assert np.linalg.norm(end - expm(LINEAR_SAFE_A) @ x) < 1e-8
 
     def test_backward_forward_duality(self):
         x = np.array([0.7, 0.1])
-        z = reach(LINEAR, x, -0.75, CFG, PLAN).points[-1]
-        fwd = reach(LINEAR, z, 0.75, CFG, PLAN).points[-1]
+        z = reach(LINEAR, x, -0.75, CFG, PLAN)[0][-1]
+        fwd = reach(LINEAR, z, 0.75, CFG, PLAN)[0][-1]
         assert np.linalg.norm(fwd - x) <= 10 * CFG.accuracy
-
-    @pytest.mark.parametrize("F, size", [(LINEAR, 1), (BALL, 8)], ids=["singleton", "switched_ball"])
-    def test_bundle_size_is_the_selector_count_at_every_horizon(self, F, size):
-        plan = BundlePlan(4, switches=2)
-        assert [reach(F, np.array([1.0, 0.0]), t, CFG, plan).bundle_size
-                for t in (0.0, 0.5)] == [size, size]
 
     def test_escape_flags_truncated(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
-        cfg = IntegratorConfig(step=1 / 64, escape_radius=5.0)
-        cloud = reach(F, np.array([1.0, 0.0]), 5.0, cfg, PLAN)
-        assert cloud.truncated
-
-    def test_cloud_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            ReachCloud(np.zeros(2), 0.0, np.empty((0, 2)))
-
-
-class TestCache:
-    def test_binary_roundtrip_bit_identical(self, tmp_path):
-        cloud = reach(LINEAR, np.array([1.0, 0.0]), -0.5, CFG,
-                      BundlePlan(directions=2), stride=4)
-        path = tmp_path / "cloud.rch"
-        save_cloud(cloud, path)
-        assert path.read_bytes()[20] == 0       # the mode byte: a full tube
-        back = load_cloud(path)
-        assert np.array_equal(back.points, cloud.points)
-        assert np.array_equal(back.base, cloud.base)
-        assert back.horizon == cloud.horizon
-        assert back.bundle_size == cloud.bundle_size
-        assert back.node_stride == cloud.node_stride
-        assert back.truncated == cloud.truncated
-
-    @pytest.mark.parametrize("damage", ["header", "body", "trailing"])
-    def test_a_file_of_the_wrong_length_is_refused_by_name(self, tmp_path, damage):
-        path = tmp_path / "cloud.rch"
-        save_cloud(reach(LINEAR, np.array([1.0, 0.0]), 0.25, CFG, PLAN), path)
-        raw = path.read_bytes()
-        path.write_bytes({"header": raw[:20], "body": raw[:-8], "trailing": raw + b"\0"}[damage])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
-            load_cloud(path)
-
-    @pytest.mark.parametrize("offset, name", [(20, "mode"), (21, "truncated")])
-    def test_a_flag_byte_other_than_0_or_1_is_refused_by_name(self, tmp_path, offset, name):
-        # the mode byte of a full tube, the only cloud there is, must be 0
-        path = tmp_path / "cloud.rch"
-        save_cloud(reach(LINEAR, np.array([1.0, 0.0]), 0.25, CFG, PLAN), path)
-        raw = bytearray(path.read_bytes())
-        raw[offset] = 7
-        path.write_bytes(bytes(raw))
-        allowed = "0" if name == "mode" else "0 or 1"
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {name} flag must be "
-                                             f"{allowed}, got 7$"):
-            load_cloud(path)
-
-    def test_magic_guard(self, tmp_path):
-        p = tmp_path / "bad.rch"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="not a reach-cloud"):
-            load_cloud(p)
-
-    def test_csv_export(self, tmp_path):
-        cloud = reach(LINEAR, np.array([1.0, 0.0]), 0.25, CFG, PLAN)
-        path = tmp_path / "cloud.csv"
-        cloud_to_csv(cloud, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 1:], cloud.points)
+        x = np.array([1.0, 0.0])
+        assert reach(F, x, 5.0, IntegratorConfig(step=1 / 64, escape_radius=5.0), PLAN)[1]
+        assert not reach(F, x, 1.0, IntegratorConfig(step=1 / 64, escape_radius=5.0), PLAN)[1]
 
 
 class TestFilippov:
@@ -243,16 +180,16 @@ class TestRegularityProbe:
         # the zero field's reach map is constant in t and a translation in x
         F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
         x, delta = np.array([1.0, 1.0]), np.array([1e-3, 0.0])
-        clouds = [reach(F, x, t, CFG, PLAN).points for t in (0.2, 0.4, 0.6)]
+        clouds = [reach(F, x, t, CFG, PLAN)[0] for t in (0.2, 0.4, 0.6)]
         assert hausdorff_distance(clouds[0], clouds[1]) == 0.0
         assert hausdorff_distance(clouds[1], clouds[2]) == 0.0
-        moved = reach(F, x + delta, 0.6, CFG, PLAN).points
+        moved = reach(F, x + delta, 0.6, CFG, PLAN)[0]
         assert hausdorff_distance(clouds[2], moved) / np.linalg.norm(delta) == pytest.approx(1.0)
 
     def test_linear_spatial_moduli_within_gronwall(self):
         lam = lipschitz_estimate(LINEAR, SetSpec.box([-2, -2], [2, 2]), grid=7)
         x, t = np.array([1.0, 0.0]), 1.0
-        ref = reach(LINEAR, x, t, CFG, PLAN).points
+        ref = reach(LINEAR, x, t, CFG, PLAN)[0]
         for delta in ([1e-3, 0.0], [0.0, 1e-3]):
-            other = reach(LINEAR, x + np.array(delta), t, CFG, PLAN).points
+            other = reach(LINEAR, x + np.array(delta), t, CFG, PLAN)[0]
             assert hausdorff_distance(ref, other) / np.linalg.norm(delta) <= np.exp(lam * t) + 0.1

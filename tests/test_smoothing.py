@@ -92,7 +92,8 @@ class TestTimePartition:
         part = build_time_partition(h, grid, k_max=4, table_res=64)
         assert part.u_counts == (1, 1, 1, 1)
         assert np.allclose(part.eta, 2.5)
-        assert all(part.zeta[part.block_offsets[k]:].sum() < part.eta[k] / 8.0
+        offsets = np.cumsum((0,) + part.u_counts)
+        assert all(part.zeta[offsets[k]:].sum() < part.eta[k] / 8.0
                    for k in range(part.k_max))
 
     def test_exponential_decay_analytic_u(self):
@@ -113,8 +114,9 @@ class TestTimePartition:
         part = build_time_partition(exp_decay, annulus_grid(21), k_max=2,
                                     table_res=128)
         idx = part.node_table_indices()
+        offsets = np.cumsum((0,) + part.u_counts)
         for k in range(1, part.k_max + 1):
-            j0, j1 = part.block_offsets[k - 1], part.block_offsets[k]
+            j0, j1 = offsets[k - 1], offsets[k]
             for i in range(j0, j1):
                 drop = part.table[idx[i]] - part.table[idx[i + 1]]
                 assert np.max(drop) < part.eta[k - 1] / 4.0
@@ -124,8 +126,9 @@ class TestTimePartition:
                                     table_res=128)
         assert np.all(part.zeta > 0)
         assert np.all(np.diff(part.zeta) <= 0)
+        offsets = np.cumsum((0,) + part.u_counts)
         for k in range(1, part.k_max + 1):
-            jk = part.block_offsets[k - 1]
+            jk = offsets[k - 1]
             assert part.zeta[jk:].sum() < part.eta[k - 1] / 8.0
 
     def test_zero_locus_rejected(self):
