@@ -13,6 +13,7 @@ _EXPORTS = {
     "dynamics": ("FieldHandle", "InclusionSpec", "Selector", "builtin_field",
                  "eval_inclusion", "field_from_expressions", "linear_field",
                  "lipschitz_estimate", "max_rate", "rescale_field"),
+    "expr": ("RelaxFn",),
     "geometry": ("SamplePlan", "SetSpec", "distance_to_set"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",
                "solution_bundle"),
@@ -20,7 +21,7 @@ _EXPORTS = {
     "barrier": ("BarrierFn", "CheckReport", "candidate_sign_check",
                 "counterexample_barrier", "marginal_barrier", "monotonicity_check",
                 "user_barrier"),
-    "infinitesimal": ("ConeProbe", "RelaxFn", "SubgradientCandidate",
+    "infinitesimal": ("ConeProbe", "SubgradientCandidate",
                       "clarke_gradient_sample", "cone_residual", "infinitesimal_check",
                       "proximal_subgradient_test"),
     "smoothing": ("ConverseResolution", "SmoothedFn", "build_time_partition",

@@ -40,7 +40,6 @@ from .solver import SolverError, solution_bundle, write_csv
 # each command imports the library modules it runs, so a run loads only its own
 if TYPE_CHECKING:
     from .barrier import BarrierFn
-    from .infinitesimal import RelaxFn
 
 
 class CliError(Exception):
@@ -81,49 +80,22 @@ def _get_set(scn: Scenario, name: str) -> SetSpec:
 
 
 def _build_barrier(scn: Scenario) -> BarrierFn:
+    """The [barrier] of scn, from the arguments build_scenario resolved."""
     from .barrier import counterexample_barrier_fn, marginal_barrier, user_barrier
 
-    cfg = scn.raw
-    kind = _require(cfg.get("barrier", "kind"), "config needs a [barrier] section with kind")
-    band = cfg.get("barrier", "band", 0.1)
+    kind, a = _require(scn.barrier, "config needs a [barrier] section")
     if kind == "counterexample":
-        return counterexample_barrier_fn(band_width=band)
+        return counterexample_barrier_fn(band_width=a["band"])
     if kind == "user":
-        expr = _require(cfg.get("barrier", "expression"), "[barrier] user needs expression")
-        dim = scn.system.dim if scn.system else 2
-        return user_barrier(expr, dim, band_width=band)
+        return user_barrier(a["expression"], scn.system.dim if scn.system else 2,
+                            band_width=a["band"])
     if kind == "marginal":
-        X_o = _get_set(scn, _require(cfg.get("barrier", "X_o"), "[barrier] marginal needs X_o"))
-        _require(scn.system, "[barrier] marginal needs a [system]")
-        return marginal_barrier(scn.system, X_o, scn.solver, scn.bundle.directions,
-                                scn.bundle.switches, scn.bundle.seed, band)
-    if kind == "converse":
-        X_o = _get_set(scn, _require(cfg.get("barrier", "X_o"), "[barrier] converse needs X_o"))
-        _require(scn.system, "[barrier] converse needs a [system]")
-        if scn.system.kind != "singleton":
-            raise CliError("[barrier] converse needs a single-valued system")
-        from .smoothing import ConverseResolution, converse_smooth_barrier
+        return marginal_barrier(scn.system, a["X_o"], scn.solver, scn.bundle.directions,
+                                scn.bundle.switches, scn.bundle.seed, a["band"])
+    from .smoothing import ConverseResolution, converse_smooth_barrier
 
-        res = ConverseResolution(
-            s_range=tuple(range(cfg.get("barrier", "s_lo", -8),
-                                cfg.get("barrier", "s_hi", 0) + 1)),
-            k_max=cfg.get("barrier", "k_max", 6))
-        return converse_smooth_barrier(scn.system.base_field, X_o, scn.solver, res)
-    raise CliError(f"unknown barrier kind '{kind}'")
-
-
-def _parse_relax(section: str, text: str) -> RelaxFn:
-    """The relaxation g of [section], of a form build_scenario checked; an
-    argument it refuses is refused by the key."""
-    from .infinitesimal import RelaxFn
-
-    kind, _, arg = (text or "zero").partition(":")
-    make = {"zero": lambda _: RelaxFn.zero(), "linear": lambda a: RelaxFn.linear(float(a)),
-            "classK": RelaxFn.extended_classK, "minimal": RelaxFn.minimal}[kind]
-    try:
-        return make(arg)
-    except ValueError as exc:
-        raise CliError(f"[{section}] g: {exc}") from None
+    res = ConverseResolution(s_range=tuple(range(a["s_lo"], a["s_hi"] + 1)), k_max=a["k_max"])
+    return converse_smooth_barrier(scn.system.base_field, a["X_o"], scn.solver, res)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +107,7 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
     _require(scn.system, "simulate needs a [system]")
     X_o = _get_set(scn, _require(cfg.get("simulate", "X_o"), "[simulate] needs X_o"))
     T = cfg.get("simulate", "T", 1.0)
-    try:
-        starts = scn.samples.draw(X_o)
-    except ValueError as exc:
-        raise CliError(f"[simulate] {exc}") from None
+    starts = scn.samples.draw(X_o)
     bundles = solution_bundle(scn.system, starts, T, cfg=scn.solver, plan=scn.bundle)
     for i, trajs in enumerate(bundles):
         for tr in trajs:
@@ -212,99 +181,73 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def _run_one_check(name: str, scn: Scenario, barrier):
-    """Run one [check NAME] section; barrier() returns the run's barrier.
-    Returns the report's JSON and verdict, or, for a sign or monotonicity
-    check, its ``barrier.Queries``.  Each kind imports what it runs: a
-    simulate check never loads barrier, a sign or monotonicity check never
-    loads verify."""
-    cfg = scn.raw
-    section = f"check {name}"
-    kind = cfg.get(section, "kind")     # known, with only its keys: see build_scenario
+    """Run [check NAME] on the arguments build_scenario resolved; barrier()
+    returns the run's barrier.  Returns the report's JSON and verdict, or,
+    for a sign or monotonicity check, its ``barrier.Queries``.  Each kind
+    imports what it runs: a simulate check never loads barrier, a sign or
+    monotonicity check never loads verify."""
+    kind, a = scn.checks[name]
     window = scn.samples.window
     seed = scn.seed
     if kind == "simulate":
         from .verify import SafetyProblem, simulate_safety_check
 
-        X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
-        X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
-        p = SafetyProblem(scn.system, X_o, X_u, cfg.get(section, "T", 1.0), scn.solver,
-                          scn.samples, scn.bundle, hit_tol=cfg.get(section, "tol", 1e-9))
+        p = SafetyProblem(scn.system, a["X_o"], a["X_u"], a["T"], scn.solver,
+                          scn.samples, scn.bundle, hit_tol=a["tol"])
         rep = simulate_safety_check(p)
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
         from .barrier import sign_queries
 
-        barrier()   # built before the section's keys are read, as for the other kinds
-        X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
-        X_u = _get_set(scn, _require(cfg.get(section, "X_u"), f"[{section}] needs X_u"))
-        return sign_queries(X_o, X_u, scn.t_grid,
+        barrier()   # built before the queries are drawn, as for the other kinds
+        return sign_queries(a["X_o"], a["X_u"], scn.t_grid,
                             n_init=scn.samples.interior + scn.samples.boundary,
-                            n_unsafe=cfg.get(section, "n_samples", 64),
-                            window=window, seed=seed)
+                            n_unsafe=a["n_samples"], window=window, seed=seed)
     if kind == "monotonicity":
         from .barrier import monotonicity_queries
 
-        barrier()   # built before the section's keys are read, as for the other kinds
-        X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
-        n = cfg.get(section, "n_samples", 8)
+        barrier()   # built before the queries are drawn, as for the other kinds
         try:
-            starts = X_o.sample_boundary(n, seed=seed, window=window)
+            starts = a["X_o"].sample_boundary(a["n_samples"], seed=seed, window=window)
         except GeometryError:   # sets without a boundary sampler fall back to interior
-            starts = X_o.sample_interior(n, seed=seed, window=window)
-        bundles = solution_bundle(scn.system, starts, cfg.get(section, "T", 1.0),
-                                  cfg=scn.solver, plan=scn.bundle)
+            starts = a["X_o"].sample_interior(a["n_samples"], seed=seed, window=window)
+        bundles = solution_bundle(scn.system, starts, a["T"], cfg=scn.solver, plan=scn.bundle)
         return monotonicity_queries([tr for trajs in bundles for tr in trajs],
-                                    tol=cfg.get(section, "tol", 10 * scn.solver.accuracy),
-                                    stride=cfg.get(section, "stride", 16))
+                                    tol=a["tol"], stride=a["stride"])
     if kind == "infinitesimal":
         from .infinitesimal import infinitesimal_check
 
         B = barrier()
-        region = cfg.get(section, "region", "everywhere")
-        if region == "margin_band":
-            region = ("margin_band", cfg.get(section, "width"))
-        elif region == "boundary":
-            region = ("boundary", cfg.get(section, "width", 1e-3))
-        rep = infinitesimal_check(B, scn.system, cfg.get(section, "mode", "smooth"),
-                                  region, _parse_relax(section, cfg.get(section, "g")),
-                                  t_grid=scn.t_grid, window=window,
-                                  count=cfg.get(section, "count", 200),
-                                  seed=seed, tol=cfg.get(section, "tol", 1e-7))
+        region = a["region"]
+        if region != "everywhere":
+            region = (region, 1e-3 if a["width"] is None and region == "boundary" else a["width"])
+        rep = infinitesimal_check(B, scn.system, a["mode"], region, a["g"], t_grid=scn.t_grid,
+                                  window=window, count=a["count"], seed=seed, tol=a["tol"])
         return rep.to_json(), rep.verdict
     if kind == "nagumo":
         from .verify import nagumo_check
 
-        K = _get_set(scn, _require(cfg.get(section, "K"), f"[{section}] needs K"))
-        rep = nagumo_check(scn.system, K, cfg.get(section, "mode", "boundary"),
-                           n_samples=cfg.get(section, "n_samples", 64),
-                           tol=cfg.get(section, "tol"), seed=seed,
-                           window=window)
+        rep = nagumo_check(scn.system, a["K"], a["mode"], n_samples=a["n_samples"],
+                           tol=a["tol"], seed=seed, window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":
         from .verify import prop1_check
 
-        B = barrier()
-        X_o = _get_set(scn, _require(cfg.get(section, "X_o"), f"[{section}] needs X_o"))
-        X_s = _get_set(scn, _require(cfg.get(section, "X_s"), f"[{section}] needs X_s"))
-        g = _parse_relax(section, cfg.get(section, "g"))
-        rep = prop1_check(scn.system, X_o, X_s, B, g, cfg.get(section, "mode", "conditional"),
-                          n_samples=cfg.get(section, "n_samples", 48),
-                          shell_width=cfg.get(section, "width", 1e-3),
+        rep = prop1_check(scn.system, a["X_o"], a["X_s"], barrier(), a["g"], a["mode"],
+                          n_samples=a["n_samples"], shell_width=a["width"],
                           window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "filippov":
         from .reachability import filippov_check
 
-        box = _get_set(scn, _require(cfg.get(section, "lam_box"), f"[{section}] needs lam_box"))
+        box = a["lam_box"]
         lam = lipschitz_estimate(scn.system, box, grid=9)
-        pairs = cfg.get(section, "pairs", 10)
-        max_sep = cfg.get(section, "max_sep", 0.5)
+        pairs, max_sep = a["pairs"], a["max_sep"]
         dim = scn.system.dim
         # per pair: x, then the offset of y, as successive draws of one stream
         U = Stream(seed).uniform(-1.0, 1.0, (pairs, 2, dim))
         res = filippov_check(scn.system, U[:, 0], U[:, 0] + U[:, 1] * max_sep / np.sqrt(dim),
-                             cfg.get(section, "T", 1.0), lam, scn.solver, scn.bundle, box=box,
-                             tol=cfg.get(section, "tol", 1e-6))
+                             a["T"], lam, scn.solver, scn.bundle, box=box, tol=a["tol"])
         ok = res["applicable"]
         worst = {"max_violation": None, "holds": True}
         if ok.any():
@@ -321,7 +264,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
 
 
 def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
-    names = [s.split(" ", 1)[1] for s in scn.raw.section_names("check")]
+    names = list(scn.checks)
     if not names:
         raise CliError("no [check NAME] sections in config")
     barrier = functools.cache(lambda: _build_barrier(scn))

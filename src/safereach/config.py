@@ -4,18 +4,21 @@ Unknown sections and unknown keys are hard errors; silent config drift is the
 main reproducibility killer.  Sections:
 
     top level       seed (required, a non-negative integer), out (optional)
-    [system]        kind, name | dim+rhs / member lines, inclusion, epsilon
+    [system]        kind (SYSTEMS), inclusion (INCLUSIONS) plus the keys they read
     [solver]        method (rk4, the only integrator), step, escape, max_steps
     [bundle]        directions, switches (per unit time, on an absolute grid)
     [sampling]      window, boundary, interior, tgrid
-    [set NAME]      kind = ball|box|halfspace|sublevel|points|complement|
-                    union|intersection plus per-kind fields
-    [barrier]       kind = marginal|counterexample|user|converse, ...
+    [set NAME]      kind (SETS) plus the keys that kind reads
+    [barrier]       kind (BARRIERS) plus the keys that kind reads
     [simulate]      X_o, T
     [reach]         x0, t, stride
     [barrier-eval]  window, nx, tgrid
     [smooth]        h, region, k_max, table_res, grid_n
-    [check NAME]    kind plus the keys that kind reads (CHECK_KEYS)
+    [check NAME]    kind (CHECKS) plus the keys that kind reads
+
+build_scenario resolves each of these tabled sections (resolve) before any
+command writes output: defaults filled in, set names as their SetSpec, g
+as a RelaxFn.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import InclusionSpec, builtin_field, field_from_expressions
-from .expr import compile_expression
+from .expr import RelaxFn, compile_expression
 from .geometry import SamplePlan, SetSpec
 from .solver import BundlePlan, IntegratorConfig
 
@@ -72,24 +75,34 @@ _SCHEMAS = {
 }
 
 
-# the keys each [check NAME] kind reads besides kind (cli._run_one_check);
-# build_scenario refuses any other key in its section
-CHECK_KEYS = {"simulate": ("X_o", "X_u", "T", "tol"),
-              "sign": ("X_o", "X_u", "n_samples"),
-              "monotonicity": ("X_o", "n_samples", "T", "tol", "stride"),
-              "infinitesimal": ("region", "width", "mode", "g", "count", "tol"),
-              "nagumo": ("K", "mode", "n_samples", "tol"),
-              "prop1": ("X_o", "X_s", "g", "mode", "n_samples", "width"),
-              "filippov": ("lam_box", "T", "pairs", "max_sep", "tol")}
+NEEDED, SET = object(), object()    # a required key; a required set name
 
-# the values a [check NAME] key may take, by kind; build_scenario refuses
-# others.  A choice KIND:ARG stands for KIND: with any ARG
-CHECK_CHOICES = {("infinitesimal", "mode"): ("smooth", "clarke", "proximal"),
-                 ("infinitesimal", "region"): ("everywhere", "margin_band", "boundary"),
-                 ("infinitesimal", "g"): ("zero", "linear:L", "classK:expr", "minimal:expr"),
-                 ("nagumo", "mode"): ("boundary", "exterior"),
-                 ("prop1", "mode"): ("conditional", "strict"),
-                 ("prop1", "g"): ("zero", "linear:L", "minimal:expr")}
+# what each kind of a [set NAME], [barrier], [check NAME] and [system]
+# section reads: key -> default, NEEDED, SET (resolved to its SetSpec) or a
+# tuple of the values the key may take, its default first; a choice
+# KIND:ARG stands for KIND: with any ARG.  resolve() refuses any other key
+SETS = {"ball": {"center": NEEDED, "radius": NEEDED}, "box": {"lo": NEEDED, "hi": NEEDED},
+        "halfspace": {"normal": NEEDED, "offset": NEEDED}, "points": {"point": NEEDED},
+        "sublevel": {"fn": NEEDED, "level": 0.0, "window": NEEDED, "grid": 33},
+        "complement": {"of": NEEDED}, "union": {"of": NEEDED}, "intersection": {"of": NEEDED}}
+BARRIERS = {"counterexample": {"band": 0.1},
+            "user": {"expression": NEEDED, "band": 0.1},
+            "marginal": {"X_o": SET, "band": 0.1},
+            "converse": {"X_o": SET, "s_lo": -8, "s_hi": 0, "k_max": 6}}
+CHECKS = {"simulate": {"X_o": SET, "X_u": SET, "T": 1.0, "tol": 1e-9},
+          "sign": {"X_o": SET, "X_u": SET, "n_samples": 64},
+          # tol None: 10 [solver] accuracies, filled in by build_scenario
+          "monotonicity": {"X_o": SET, "n_samples": 8, "T": 1.0, "tol": None, "stride": 16},
+          "infinitesimal": {"region": ("everywhere", "margin_band", "boundary"),
+                            "width": None, "mode": ("smooth", "clarke", "proximal"),
+                            "g": ("zero", "linear:L", "classK:expr", "minimal:expr"),
+                            "count": 200, "tol": 1e-7},
+          "nagumo": {"K": SET, "mode": ("boundary", "exterior"), "n_samples": 64, "tol": None},
+          "prop1": {"X_o": SET, "X_s": SET, "g": ("zero", "linear:L", "minimal:expr"),
+                    "mode": ("conditional", "strict"), "n_samples": 48, "width": 1e-3},
+          "filippov": {"lam_box": SET, "T": 1.0, "pairs": 10, "max_sep": 0.5, "tol": 1e-6}}
+SYSTEMS = {"builtin": {"name": NEEDED}, "expression": {"rhs": NEEDED, "dim": None}}
+INCLUSIONS = {"singleton": {}, "ball": {"epsilon": 0.0}, "hull": {"member": []}}
 
 
 def _parse_value(raw: str, typ: str, where: str):
@@ -140,9 +153,6 @@ class RawConfig(NamedTuple):
         if vals is None:
             return default
         return vals[-1]
-
-    def get_all(self, section: str, key: str) -> list:
-        return self.sections.get(section, {}).get(key, [])
 
     def section_names(self, prefix: str) -> list:
         out = []
@@ -250,6 +260,47 @@ class Scenario(NamedTuple):
     samples: SamplePlan
     sets: dict
     t_grid: np.ndarray
+    barrier: Optional[tuple]    # (kind, args) of [barrier], or None
+    checks: dict                # NAME -> (kind, args) of [check NAME], in config order
+
+
+def resolve(cfg: RawConfig, section: str, kinds: dict, sets: Optional[dict] = None) -> tuple:
+    """(*kinds, args) of [section]: the kind each key of kinds (key -> (table,
+    default kind)) picks, then every key those kinds read, given or defaulted.
+    Refuses, by section and key, a missing or unknown kind, a key no picked
+    kind reads, a missing required key, a bad choice and an unknown set."""
+    given, picked, reads = cfg.sections[section], {}, {}
+    form = lambda v: v.partition(":")[0] + ":" if ":" in v else v    # KIND:ARG as KIND:
+    for key, (table, default) in kinds.items():
+        kind = cfg.get(section, key, default)
+        if kind not in table:
+            raise ConfigError(f"[{section}] needs {key}" if kind is None else
+                              f"[{section}] unknown {section.split()[0]} {key} '{kind}' "
+                              f"({' | '.join(table)})")
+        picked[key] = kind
+        reads.update(table[kind])
+    by = " and ".join(f"{key} '{kind}'" for key, kind in picked.items())
+    unread = [key for key in given if key not in reads and key not in kinds]
+    if unread:
+        raise ConfigError(f"[{section}] key '{unread[0]}' is not read by {by}, "
+                          f"which reads {', '.join(reads)}")
+    args = {}
+    for key, default in reads.items():
+        if key not in given:
+            if default is NEEDED or default is SET:
+                raise ConfigError(f"[{section}] {by} needs {key}")
+            args[key] = default[0] if isinstance(default, tuple) else default
+            continue
+        value = given[key] if _SCHEMAS[section.split()[0]][key].endswith("+") else given[key][0]
+        if isinstance(default, tuple) and form(value) not in map(form, default):
+            raise ConfigError(f"[{section}] {key} must be {' | '.join(default)}, got '{value}'")
+        if default is SET:
+            if value not in sets:
+                raise ConfigError(f"[{section}] {key}: unknown set '{value}' "
+                                  f"(defined: {sorted(sets)})")
+            value = sets[value]
+        args[key] = value
+    return (*picked.values(), args)
 
 
 def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> SetSpec:
@@ -259,44 +310,30 @@ def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> Set
         raise ConfigError(f"set '{name}' references itself (cycle)")
     section = f"set {name}"
     if section not in cfg.sections:
-        raise ConfigError(f"unknown set '{name}'")
-    kind = cfg.get(section, "kind")
-    if kind is None:
-        raise ConfigError(f"[{section}] needs kind")
+        raise ConfigError(f"[set {stack[-1]}] of: unknown set '{name}'")
+    kind, a = resolve(cfg, section, {"kind": (SETS, None)})
     if kind == "ball":
-        spec = SetSpec.ball(cfg.get(section, "center"), cfg.get(section, "radius"), name=name)
+        spec = SetSpec.ball(a["center"], a["radius"], name=name)
     elif kind == "box":
-        spec = SetSpec.box(cfg.get(section, "lo"), cfg.get(section, "hi"), name=name)
+        spec = SetSpec.box(a["lo"], a["hi"], name=name)
     elif kind == "halfspace":
-        spec = SetSpec.halfspace(cfg.get(section, "normal"), cfg.get(section, "offset"), name=name)
+        spec = SetSpec.halfspace(a["normal"], a["offset"], name=name)
     elif kind == "points":
-        pts = cfg.get_all(section, "point")
-        if not pts:
-            raise ConfigError(f"[{section}] needs at least one point")
-        spec = SetSpec.points(pts, name=name)
+        spec = SetSpec.points(a["point"], name=name)
     elif kind == "sublevel":
-        window = _window(cfg, section, None)
-        if window is None:
-            raise ConfigError(f"[{section}] sublevel needs a window")
-        dim = len(window[0])
-        fn = compile_expression(cfg.get(section, "fn"), tuple(f"x{i + 1}" for i in range(dim)))
-        spec = SetSpec.sublevel(fn, cfg.get(section, "level", 0.0), dim, window,
-                                grid=cfg.get(section, "grid", 33), name=name)
-    elif kind in ("complement", "union", "intersection"):
-        refs = (cfg.get(section, "of") or "").split()
-        if not refs:
-            raise ConfigError(f"[{section}] needs 'of = NAME...'")
-        members = [_build_set(r, cfg, cache, stack + (name,)) for r in refs]
+        dim = len(a["window"]) // 2
+        fn = compile_expression(a["fn"], tuple(f"x{i + 1}" for i in range(dim)))
+        spec = SetSpec.sublevel(fn, a["level"], dim, a["window"], grid=a["grid"], name=name)
+    else:
+        members = [_build_set(r, cfg, cache, stack + (name,)) for r in a["of"].split()]
         if kind == "complement":
             if len(members) != 1:
-                raise ConfigError("complement takes exactly one set")
+                raise ConfigError(f"[{section}] complement takes exactly one set")
             spec = SetSpec.complement(members[0], name=name)
         elif kind == "union":
             spec = SetSpec.union(members, name=name)
         else:
             spec = SetSpec.intersection(members, name=name)
-    else:
-        raise ConfigError(f"unknown set kind '{kind}'")
     cache[name] = spec
     return spec
 
@@ -304,35 +341,22 @@ def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> Set
 def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
     if "system" not in cfg.sections:
         return None
-    kind = cfg.get("system", "kind", "builtin")
-    inclusion = cfg.get("system", "inclusion", "singleton")
+    kind, inclusion, a = resolve(cfg, "system", {"kind": (SYSTEMS, "builtin"),
+                                                 "inclusion": (INCLUSIONS, "singleton")})
     if kind == "builtin":
-        name = cfg.get("system", "name")
-        if name is None:
-            raise ConfigError("[system] builtin needs name")
-        f = builtin_field(name)
-    elif kind == "expression":
-        rhs = cfg.get("system", "rhs")
-        if rhs is None:
-            raise ConfigError("[system] expression needs rhs")
-        exprs = [c.strip() for c in rhs.split(";")]
-        dim = cfg.get("system", "dim", len(exprs))
-        if dim != len(exprs):
-            raise ConfigError(f"[system] dim={dim} but rhs has {len(exprs)} components")
-        f = field_from_expressions(exprs, name="user")
+        f = builtin_field(a["name"])
     else:
-        raise ConfigError(f"unknown system kind '{kind}'")
+        exprs = [c.strip() for c in a["rhs"].split(";")]
+        if a["dim"] not in (None, len(exprs)):
+            raise ConfigError(f"[system] dim={a['dim']} but rhs has {len(exprs)} components")
+        f = field_from_expressions(exprs, name="user")
     if inclusion == "singleton":
         return InclusionSpec.singleton(f)
     if inclusion == "ball":
-        return InclusionSpec.ball_perturbed(f, cfg.get("system", "epsilon", 0.0))
-    if inclusion == "hull":
-        members = cfg.get_all("system", "member")
-        fields = [f] + [field_from_expressions([c.strip() for c in m.split(";")],
-                                               name=f"member{i}")
-                        for i, m in enumerate(members)]
-        return InclusionSpec.hull(fields)
-    raise ConfigError(f"unknown inclusion variant '{inclusion}'")
+        return InclusionSpec.ball_perturbed(f, a["epsilon"])
+    fields = [f] + [field_from_expressions([c.strip() for c in m.split(";")], name=f"member{i}")
+                    for i, m in enumerate(a["member"])]
+    return InclusionSpec.hull(fields)
 
 
 def _given(cfg: RawConfig, section: str, **fields) -> dict:
@@ -386,28 +410,37 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     for section in sets:
         _build_set(section.split(" ", 1)[1], cfg, cache)
     t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
-    form = lambda v: v.partition(":")[0] + ":" if ":" in v else v     # KIND:ARG as KIND:
+    samples = SamplePlan(seed=seed, window=_window(cfg, "sampling", system),
+                         **_given(cfg, "sampling", boundary="boundary", interior="interior"))
+    barrier = None
+    if "barrier" in cfg.sections:
+        barrier = kind, a = resolve(cfg, "barrier", {"kind": (BARRIERS, None)}, cache)
+        if "X_o" in a and system is None:
+            raise ConfigError(f"[barrier] {kind} needs a [system]")
+        if kind == "converse" and system.kind != "singleton":
+            raise ConfigError("[barrier] converse needs a single-valued system")
+        if "X_o" in a and a["X_o"].kind == "complement":
+            raise ConfigError(f"[barrier] X_o must be a closed set, not the complement "
+                              f"'{a['X_o'].name}'")
+    checks = {}
     for section in cfg.section_names("check"):
-        kind = cfg.get(section, "kind")
-        if kind not in CHECK_KEYS:
-            raise ConfigError(f"[{section}] needs kind" if kind is None else
-                              f"[{section}] unknown check kind '{kind}' ({' | '.join(CHECK_KEYS)})")
-        unread = [key for key in cfg.sections[section] if key not in ("kind",) + CHECK_KEYS[kind]]
-        if unread:
-            raise ConfigError(f"[{section}] key '{unread[0]}' is not read by kind '{kind}', "
-                              f"which reads {', '.join(CHECK_KEYS[kind])}")
-        for key in CHECK_KEYS[kind]:
-            choices, value = CHECK_CHOICES.get((kind, key)), cfg.get(section, key)
-            if choices is not None and value is not None and \
-                    form(value) not in {form(c) for c in choices}:
-                raise ConfigError(f"[{section}] {key} must be {' | '.join(choices)}, "
-                                  f"got '{value}'")
+        kind, a = resolve(cfg, section, {"kind": (CHECKS, None)}, cache)
+        if "g" in a:
+            try:
+                a["g"] = RelaxFn.parse(a["g"])
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] g: {exc}") from None
+        if kind == "monotonicity" and a["tol"] is None:
+            a["tol"] = 10 * solver.accuracy
+        if kind != "sign" and system is None:
+            raise ConfigError(f"[{section}] kind '{kind}' needs a [system]")
+        if kind == "infinitesimal" and samples.window is None:
+            raise ConfigError(f"[{section}] kind 'infinitesimal' needs a [sampling] window")
+        checks[section.split(" ", 1)[1]] = (kind, a)
     return Scenario(
         raw=cfg, seed=seed, out_dir=out_dir, system=system,
         solver=solver,
         bundle=BundlePlan(seed=seed, **_given(cfg, "bundle", directions="directions",
                                               switches="switches")),
-        samples=SamplePlan(seed=seed, window=_window(cfg, "sampling", system),
-                           **_given(cfg, "sampling", boundary="boundary", interior="interior")),
-        sets=cache, t_grid=t_grid,
+        samples=samples, sets=cache, t_grid=t_grid, barrier=barrier, checks=checks,
     )

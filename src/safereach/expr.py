@@ -4,12 +4,15 @@ Expressions are written over the variables ``x1 .. xn`` (or a custom variable
 list such as ``b`` for relaxation functions) with ``+ - * / ^ **``, unary
 minus, parentheses, numeric literals, and the functions sin, cos, tan, exp,
 log, sqrt, abs, atan, min, max.  An expression is parsed once into a callable
-that evaluates vectorized over trailing state axes.
+that evaluates vectorized over trailing state axes.  ``RelaxFn`` is the
+relaxation g of a decrease condition, built from such an expression in b.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 _FUNCS = {
@@ -92,3 +95,45 @@ def compile_scalar_expression(text: str, variable: str = "b"):
 
     fn.source = text
     return fn
+
+
+class RelaxFn(NamedTuple):
+    """Right-hand side g of the relaxed decrease condition <zeta,(1,eta)> <= g(B)."""
+
+    kind: str                       # zero | linear | extended_classK | minimal
+    fn: Callable = None
+
+    @staticmethod
+    def zero() -> "RelaxFn":
+        return RelaxFn("zero", lambda b: np.zeros_like(np.asarray(b, dtype=float)))
+
+    @staticmethod
+    def linear(L: float) -> "RelaxFn":
+        if L <= 0:
+            raise ValueError("linear relaxation needs L > 0")
+        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float))
+
+    @staticmethod
+    def extended_classK(expression: str) -> "RelaxFn":
+        g = compile_scalar_expression(expression, "b")
+        probe = np.linspace(-2.0, 2.0, 41)
+        vals = g(probe)
+        if abs(float(g(np.array(0.0)))) > 1e-9:
+            raise ValueError("extended class-K function must satisfy g(0) = 0")
+        if np.any(np.diff(vals) <= 0):
+            raise ValueError("extended class-K function must be strictly increasing")
+        return RelaxFn("extended_classK", g)
+
+    @staticmethod
+    def minimal(expression: str) -> "RelaxFn":
+        return RelaxFn("minimal", compile_scalar_expression(expression, "b"))
+
+    @staticmethod
+    def parse(text: str) -> "RelaxFn":
+        """The g of zero, linear:L, classK:expr or minimal:expr; ValueError for a bad arg."""
+        kind, _, arg = text.partition(":")
+        return {"zero": lambda _: RelaxFn.zero(), "linear": lambda a: RelaxFn.linear(float(a)),
+                "classK": RelaxFn.extended_classK, "minimal": RelaxFn.minimal}[kind](arg)
+
+    def __call__(self, b):
+        return self.fn(b)

@@ -260,7 +260,8 @@ class SamplePlan(NamedTuple):
             except GeometryError:
                 pass
         if not pts:
-            raise ValueError("sample plan produced no initial points")
+            why = "boundary = 0" if self.boundary == 0 else f"'{X.name}' has no boundary sampler"
+            raise GeometryError(f"[sampling] interior = 0 and {why}: no initial points")
         return np.vstack(pts)
 
 

@@ -18,14 +18,13 @@ Only the checks that run these conditions load this module: the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import sampling
 from .barrier import BarrierFn, CheckReport
 from .dynamics import InclusionSpec, max_rate
-from .expr import compile_scalar_expression
+from .expr import RelaxFn
 from .geometry import GeometryError, SetSpec, bisect_boundary, distance_to_set_many, row_dot
 
 DEFAULT_CONE_TOL = 1e-6
@@ -155,45 +154,6 @@ def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
                + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
     worst = margins.min(axis=1)
     return {"holds": worst >= -_PROX_TOL, "worst_margin": worst}
-
-
-# ---------------------------------------------------------------------------
-# relaxation functions
-# ---------------------------------------------------------------------------
-
-class RelaxFn(NamedTuple):
-    """Right-hand side g of the relaxed decrease condition <zeta,(1,eta)> <= g(B)."""
-
-    kind: str                       # zero | linear | extended_classK | minimal
-    fn: Callable = None
-
-    @staticmethod
-    def zero() -> "RelaxFn":
-        return RelaxFn("zero", lambda b: np.zeros_like(np.asarray(b, dtype=float)))
-
-    @staticmethod
-    def linear(L: float) -> "RelaxFn":
-        if L <= 0:
-            raise ValueError("linear relaxation needs L > 0")
-        return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float))
-
-    @staticmethod
-    def extended_classK(expression: str) -> "RelaxFn":
-        g = compile_scalar_expression(expression, "b")
-        probe = np.linspace(-2.0, 2.0, 41)
-        vals = g(probe)
-        if abs(float(g(np.array(0.0)))) > 1e-9:
-            raise ValueError("extended class-K function must satisfy g(0) = 0")
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("extended class-K function must be strictly increasing")
-        return RelaxFn("extended_classK", g)
-
-    @staticmethod
-    def minimal(expression: str) -> "RelaxFn":
-        return RelaxFn("minimal", compile_scalar_expression(expression, "b"))
-
-    def __call__(self, b):
-        return self.fn(b)
 
 
 # ---------------------------------------------------------------------------

@@ -371,13 +371,10 @@ class GlobalSmoothedFn:
     """Per-annulus smoothers glued by a normalized C^1 partition of unity in
     y = log2 |x|_K^2; zero exactly on K."""
 
-    def __init__(self, K: SetSpec, parts: dict, s_range: tuple, t_max: float):
+    def __init__(self, K: SetSpec, parts: dict, s_range: tuple):
         self.K = K
         self.parts = parts               # s -> SmoothedFn
-        self.s_range = s_range
-        self.t_max = t_max
         self.coverage = (s_range[0] - 1.5, s_range[-1] + 2.5)
-        self.certificate = {s: p.certificate for s, p in parts.items()}
 
     def sample_pairs(self, ts, Q) -> np.ndarray:
         """g(ts[i], Q[i]) for per-point times."""
@@ -426,7 +423,7 @@ def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 
         grid = annulus_points(K, s, annulus_count, seed=seed + s - s_range[0])
         partition = build_time_partition(h, grid, k_max, table_res=table_res)
         parts[s] = smooth_on_compact(partition)
-    fn = GlobalSmoothedFn(K, parts, s_range, float(k_max))
+    fn = GlobalSmoothedFn(K, parts, s_range)
     if validation_points is not None:
         _validate_global(fn, h, np.atleast_2d(validation_points), k_max)
     return fn
@@ -475,7 +472,6 @@ class _RescaledTubeMin:
 
     def __init__(self, f: FieldHandle, X_o: SetSpec, res: ConverseResolution):
         self.X_o = X_o
-        self.res = res
         V = lambda X: distance_to_set_many(np.atleast_2d(X), X_o) ** 2
         self.F = InclusionSpec.singleton(rescale_field(f, V))
         # exact divisor of the table spacing, no coarser than rescaled_step

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sampling
 from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
-from .geometry import SamplePlan, SetSpec, distance_to_set_many
+from .geometry import GeometryError, SamplePlan, SetSpec, distance_to_set_many
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped
 
 # nagumo_check and prop1_check import barrier and infinitesimal when they run: a
@@ -73,8 +73,8 @@ class SafetyProblem(NamedTuple):
         out = self.samples.draw(self.X_o)
         bad = self.unsafe_hits(out)
         if bad.any():
-            raise ValueError("X_o and X_u are not sample-disjoint: "
-                             f"sample {out[bad][0].tolist()} lies in both")
+            raise GeometryError(f"X_o '{self.X_o.name}' and X_u '{self.X_u.name}' are not "
+                                f"sample-disjoint: sample {out[bad][0].tolist()} lies in both")
         return out
 
 

@@ -15,9 +15,10 @@ import pytest
 import safereach.barrier as barrier
 import safereach.infinitesimal as infinitesimal
 import safereach.reachability as reachability
-from safereach import cli
+from safereach import cli, config
 from safereach.cli import main
-from safereach.config import CHECK_KEYS, ConfigError, RawConfig, build_scenario, parse_config
+from safereach.config import (BARRIERS, CHECKS, NEEDED, SET, SETS, ConfigError, RawConfig,
+                              build_scenario, parse_config)
 from safereach.dynamics import InclusionSpec, builtin_field
 from safereach.geometry import SamplePlan, SetSpec
 from safereach.solver import BundlePlan, IntegratorConfig
@@ -147,32 +148,97 @@ class TestConfigParsing:
         v = scn.system.fields[0](np.array([1.0, 2.0]))
         assert np.allclose(v, [-2.0, 1.0])
 
-    def test_each_check_kind_reads_exactly_its_listed_keys(self, tmp_path, monkeypatch):
-        # one small section per kind; the infinitesimal region reads width
-        sections = {
-            "simulate": "X_o = X_o\nX_u = X_u\nT = 0.25",
-            "sign": "X_o = X_o\nX_u = X_u\nn_samples = 4",
-            "monotonicity": "X_o = X_o\nT = 0.25\nn_samples = 2",
-            "infinitesimal": "region = boundary\ncount = 4",
-            "nagumo": "K = X_o\nn_samples = 4",
-            "prop1": "X_o = X_o\nX_s = X_s\nn_samples = 4",
-            "filippov": "lam_box = BOX\npairs = 2\nT = 0.25",
-        }
-        assert sections.keys() == CHECK_KEYS.keys()
-        text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
-            "[set X_s]\nkind = halfspace\nnormal = 0 -1\noffset = -2\n"
-            "[set BOX]\nkind = box\nlo = -3 -3\nhi = 3 3\n"
-            "[barrier]\nkind = user\nexpression = x1^2/10 + x2^2 - 1\n") + "".join(
-            f"[check {kind}]\nkind = {kind}\n{keys}\n" for kind, keys in sections.items())
-        scn = build_scenario(parse_config(text))
-        reads, get = [], RawConfig.get
-        monkeypatch.setattr(RawConfig, "get", lambda cfg, section, key, default=None: (
-            reads.append((section, key)), get(cfg, section, key, default))[1])
-        barrier = functools.cache(lambda: cli._build_barrier(scn))
-        for kind, keys in CHECK_KEYS.items():
-            reads.clear()
-            cli._run_one_check(kind, scn, barrier)
-            assert {k for sec, k in reads if sec == f"check {kind}"} == {"kind", *keys}
+    # one section of each kind of SETS, BARRIERS and CHECKS, each giving its
+    # required keys; the infinitesimal region is boundary, which reads width
+    SETS_GIVEN = {"ball": "center = 0 0\nradius = 1", "box": "lo = -3 -3\nhi = 3 3",
+                  "halfspace": "normal = 0 1\noffset = 2",
+                  "sublevel": "fn = x1^2/10 + x2^2 - 1\nwindow = -4 -2 4 2",
+                  "points": "point = 0 0\npoint = 0.5 0", "complement": "of = ball",
+                  "union": "of = ball box", "intersection": "of = box sublevel"}
+    BARRIERS_GIVEN = {"counterexample": "", "user": "expression = x1^2/10 + x2^2 - 1",
+                      "marginal": "X_o = points", "converse": "X_o = points\nk_max = 2"}
+    CHECKS_GIVEN = {"simulate": "X_o = ball\nX_u = halfspace",
+                    "sign": "X_o = ball\nX_u = complement",
+                    "monotonicity": "X_o = ball", "infinitesimal": "region = boundary",
+                    "nagumo": "K = sublevel", "prop1": "X_o = ball\nX_s = union",
+                    "filippov": "lam_box = box"}
+
+    def _every_kind(self, barrier="user", checks=None):
+        checks = self.CHECKS_GIVEN if checks is None else checks
+        return ("seed = 3\n[system]\nkind = builtin\nname = linear_safe\n"
+                "[sampling]\nwindow = -4 -4 4 4\nboundary = 4\ninterior = 4\ntgrid = 0 0.5 2\n"
+                + "".join(f"[set {k}]\nkind = {k}\n{v}\n" for k, v in self.SETS_GIVEN.items())
+                + f"[barrier]\nkind = {barrier}\n{self.BARRIERS_GIVEN[barrier]}\n"
+                + "".join(f"[check {k}]\nkind = {k}\n{v}\n" for k, v in checks.items()))
+
+    def test_every_kind_resolves_to_exactly_its_table_keys(self, monkeypatch):
+        assert (self.SETS_GIVEN.keys(), self.BARRIERS_GIVEN.keys(), self.CHECKS_GIVEN.keys()) \
+            == (SETS.keys(), BARRIERS.keys(), CHECKS.keys())
+        resolved, real = {}, config.resolve
+        monkeypatch.setattr(config, "resolve", lambda cfg, section, *rest: resolved.setdefault(
+            section, real(cfg, section, *rest)))
+
+        def expected(table, section, cfg, scn):
+            # a given set name as its SetSpec, a given value as parsed, else the default
+            given, out = cfg.sections[section], {}
+            for key, default in table.items():
+                if key not in given:
+                    out[key] = default[0] if isinstance(default, tuple) else default
+                elif default is SET:
+                    out[key] = scn.sets[given[key][0]]
+                else:
+                    out[key] = given[key] if key == "point" else given[key][0]
+            return out
+
+        for barrier in BARRIERS:
+            resolved.clear()
+            cfg = parse_config(self._every_kind(barrier))
+            scn = build_scenario(cfg)
+            for kind in SETS:
+                assert resolved[f"set {kind}"] == (kind, expected(SETS[kind], f"set {kind}",
+                                                                  cfg, scn))
+            assert scn.barrier == (barrier, expected(BARRIERS[barrier], "barrier", cfg, scn))
+        assert list(scn.checks) == list(CHECKS)
+        for kind, (got, args) in scn.checks.items():
+            want = expected(CHECKS[kind], f"check {kind}", cfg, scn)
+            if "g" in want:     # each g a RelaxFn, zero by default
+                assert args.pop("g").kind == want.pop("g") == "zero"
+            if kind == "monotonicity":
+                want["tol"] = 10 * scn.solver.accuracy
+            assert (got, args) == (kind, want)
+
+    def test_the_cli_reads_every_resolved_key_and_no_raw_one(self):
+        # run on a scenario with no raw config, so any read of one raises, and
+        # with arguments that record the keys read: every key of the table
+        class Reads(dict):
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        def recorded(kind, args):
+            reads = Reads(args)
+            reads.read = set()
+            return kind, reads
+
+        checks = {k: v + "\nn_samples = 2" if k in ("monotonicity", "sign") else v
+                  for k, v in self.CHECKS_GIVEN.items()}
+        checks["filippov"] += "\npairs = 2\nT = 0.25"
+        checks["infinitesimal"] += "\ncount = 4"
+        checks["monotonicity"] += "\nT = 0.25"
+        for kind in BARRIERS:
+            text = self._every_kind(kind, checks)
+            if kind == "converse":     # a small smooth converse of the limit-cycle field
+                text = text.replace("linear_safe", "counterexample2d")
+            scn = build_scenario(parse_config(text))
+            scn = scn._replace(raw=None, barrier=recorded(*scn.barrier), checks={
+                name: recorded(*check) for name, check in scn.checks.items()})
+            assert cli._build_barrier(scn).evaluate_many([0.5], [[0.25, 0.5]]).value.shape == (1,)
+            assert scn.barrier[1].read == BARRIERS[kind].keys()
+            if kind == "user":
+                barrier = functools.cache(lambda: cli._build_barrier(scn))
+                for name in CHECKS:
+                    cli._run_one_check(name, scn, barrier)
+                    assert scn.checks[name][1].read == CHECKS[name].keys()
 
     @pytest.mark.parametrize("section, message", [
         ("[check quick]\nX_o = X_o", r"^\[check quick\] needs kind$"),
@@ -443,9 +509,12 @@ class TestCommands:
         ("log(x1); x2", 1, "error: non-finite state at step 1; last valid state ["),
     ])
     def test_overflowing_field_prints_no_warning(self, tmp_path, capsys, rhs, status, err):
+        # the counterexample scenario with an expression system, which reads no name
+        text = (SCENARIOS / "counterexample.scenario").read_text()
+        config = self._write(tmp_path, text.replace("name = counterexample2d\n", ""))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["simulate", "--config", str(SCENARIOS / "counterexample.scenario"),
+            assert main(["simulate", "--config", str(config),
                          "--set", "system.kind=expression", "--set", f"system.rhs={rhs}",
                          "--set", "simulate.T=2", "--out", str(tmp_path / "out")]) == status
         captured = capsys.readouterr().err
@@ -475,6 +544,9 @@ class TestCommands:
             "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\n"))
         negative = tmp_path / "negative.scenario"
         negative.write_text(MINIMAL.replace("seed = 5", "seed = -7"))
+        no_window = tmp_path / "no_window.scenario"     # a simulate check, then this one
+        no_window.write_text(MINIMAL.replace("window = -2 -2 2 2\n", "") + (
+            "[barrier]\nkind = user\nexpression = x1\n[check decrease]\nkind = infinitesimal\n"))
         # (argv, message, artifacts written before the error); a run that
         # fails before its first artifact leaves no output directory, and a
         # run that fails after it leaves a manifest naming the error
@@ -536,6 +608,19 @@ class TestCommands:
              "seed must be a non-negative integer, got -7", []),           # ConfigError
             (["check", "--config", counter, "--set", "seed=1.5"],
              "seed: expected integer, got '1.5'", []),                       # ConfigError
+            # refusals that once ended in a ValueError traceback
+            (["check", "--config", linear, "--set", "check safety.X_u=X_o"],
+             "X_o 'X_o' and X_u 'X_o' are not sample-disjoint", []),         # GeometryError
+            (["check", "--config", linear, "--set", "sampling.interior=0",
+              "--set", "sampling.boundary=0"],
+             "[sampling] interior = 0 and boundary = 0: no initial points", []),  # GeometryError
+            (["simulate", "--config", counter, "--set", "sampling.interior=0",
+              "--set", "sampling.boundary=0"],
+             "[sampling] interior = 0 and boundary = 0: no initial points", []),  # GeometryError
+            (["barrier-eval", "--config", counter, "--set", "barrier.X_o=X_u"],
+             "[barrier] X_o must be a closed set, not the complement 'X_u'", []),  # ConfigError
+            (["check", "--config", str(no_window)],
+             "[check decrease] kind 'infinitesimal' needs a [sampling] window", []),  # ConfigError
         ]
         for i, (argv, message, written) in enumerate(cases):
             out = tmp_path / f"out{i}"
@@ -701,16 +786,13 @@ class TestCommands:
          "[check conditional] mode must be conditional | strict, got 'bogus'", []),
         ("check conditional.g", "classK:b",
          "[check conditional] g must be zero | linear:L | minimal:expr, got 'classK:b'", []),
-        # a g that its relaxation refuses: when its check runs
+        # a g that its relaxation refuses: by the config too, before any output
         ("check decrease.g", "linear:abc",
-         "[check decrease] g: could not convert string to float: 'abc'", ["safety.check.json"]),
-        ("check decrease.g", "linear:-1",
-         "[check decrease] g: linear relaxation needs L > 0", ["safety.check.json"]),
+         "[check decrease] g: could not convert string to float: 'abc'", []),
+        ("check decrease.g", "linear:-1", "[check decrease] g: linear relaxation needs L > 0", []),
         ("check decrease.g", "classK:b^2",
-         "[check decrease] g: extended class-K function must be strictly increasing",
-         ["safety.check.json"]),
-        ("check conditional.g", "minimal:b +", "[check conditional] g: cannot parse 'b +'",
-         ["safety.check.json", "decrease.check.json", "ellipse_invariance.check.json"]),
+         "[check decrease] g: extended class-K function must be strictly increasing", []),
+        ("check conditional.g", "minimal:b +", "[check conditional] g: cannot parse 'b +'", []),
     ])
     def test_a_bad_check_choice_or_relaxation_is_refused_by_its_key(
             self, tmp_path, capsys, dotted, value, message, written):
@@ -724,6 +806,84 @@ class TestCommands:
             assert manifest["artifacts"] == written and message in manifest["error"]
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # an unknown set, before the checks ahead of the one naming it run
+        (["check", "linear", "check conditional.X_s=NOSUCH"],
+         "[check conditional] X_s: unknown set 'NOSUCH' (defined: ['ELLIPSE', 'LAMBOX', "
+         "'X_o', 'X_s', 'X_u'])"),
+        (["reach", "smooth", "set ANNULUS.of=OUTER NOSUCH"],
+         "[set ANNULUS] of: unknown set 'NOSUCH'"),
+        # a key that the kind of its [barrier], [set NAME] or [system] does not read
+        (["barrier-eval", "counterexample", "barrier.expression=x1"],
+         "[barrier] key 'expression' is not read by kind 'marginal', which reads X_o, band"),
+        (["barrier-eval", "counterexample", "barrier.kind=converse", "barrier.band=0.2"],
+         "[barrier] key 'band' is not read by kind 'converse', "
+         "which reads X_o, s_lo, s_hi, k_max"),
+        (["reach", "counterexample", "set START.lo=1 1"],
+         "[set START] key 'lo' is not read by kind 'ball', which reads center, radius"),
+        (["check", "linear", "system.epsilon=0.5"],
+         "[system] key 'epsilon' is not read by kind 'builtin' and inclusion 'singleton', "
+         "which reads name"),
+        (["check", "linear", "system.rhs=x2; x1"],
+         "[system] key 'rhs' is not read by kind 'builtin' and inclusion 'singleton', "
+         "which reads name"),
+        (["check", "perturbed", "system.member=x2; x1"],
+         "[system] key 'member' is not read by kind 'builtin' and inclusion 'ball', "
+         "which reads name, epsilon"),
+        (["check", "linear", "system.kind=expression", "system.rhs=x2; x1",
+          "system.name=linear_safe"],
+         "[system] key 'name' is not read by kind 'expression' and inclusion 'singleton', "
+         "which reads rhs, dim"),
+        (["check", "perturbed", "system.inclusion=hull"],
+         "[system] key 'epsilon' is not read by kind 'builtin' and inclusion 'hull', "
+         "which reads name, member"),
+        # a missing required key or kind, and an unknown kind
+        (["check", "counterexample", "barrier.kind=user"],
+         "[barrier] key 'X_o' is not read by kind 'user', which reads expression, band"),
+        (["check", "linear", "system.inclusion=nosuch"],
+         "[system] unknown system inclusion 'nosuch' (singleton | ball | hull)"),
+        (["check", "linear", "barrier.kind=nosuch"],
+         "[barrier] unknown barrier kind 'nosuch' (counterexample | user | marginal | converse)"),
+        (["reach", "counterexample", "set START.kind=nosuch"],
+         "[set START] unknown set kind 'nosuch' (ball | box | halfspace | points | sublevel | "
+         "complement | union | intersection)"),
+    ])
+    def test_a_section_is_refused_by_its_table_before_any_output(self, tmp_path, capsys,
+                                                                  argv, message):
+        argv = [argv[0], "--config", str(SCENARIOS / f"{argv[1]}.scenario")] + [
+            a for dotted in argv[2:] for a in ("--set", dotted)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ("[set A]\nkind = ball\ncenter = 0 0", "[set A] kind 'ball' needs radius"),
+        ("[set A]\nkind = ball\nradius = 1", "[set A] kind 'ball' needs center"),
+        ("[set A]\nkind = halfspace\nnormal = 0 1", "[set A] kind 'halfspace' needs offset"),
+        ("[set A]\nkind = sublevel\nfn = x1", "[set A] kind 'sublevel' needs window"),
+        ("[set A]\nkind = complement\nof = X_o X_u", "[set A] complement takes exactly one set"),
+        ("[barrier]\nkind = user", "[barrier] kind 'user' needs expression"),
+        ("[barrier]\nkind = marginal", "[barrier] kind 'marginal' needs X_o"),
+        ("[barrier]\nband = 0.2", "[barrier] needs kind"),
+        ("[check c]\nkind = nagumo", "[check c] kind 'nagumo' needs K"),
+        ("", "[check quick] kind 'simulate' needs a [system]"),
+        ("[system]\nkind = expression",
+         "[system] kind 'expression' and inclusion 'singleton' needs rhs"),
+    ])
+    def test_a_missing_required_key_is_refused_before_any_output(self, tmp_path, capsys,
+                                                                 section, message):
+        # the section added to MINIMAL, or in place of its [system] ("": no [system])
+        system = "[system]\nkind = builtin\nname = linear_safe\ninclusion = singleton\n"
+        replaces = section == "" or section.startswith("[system]")
+        text = MINIMAL.replace(system, section + "\n") if replaces else MINIMAL + section + "\n"
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, scenario, dotted, value", [
         ("simulate", "counterexample", "sampling.interior", "-3"),

@@ -8,7 +8,9 @@ every field a record stores is read.
 The checks match by name, so a definition or field passes when anything of
 the same name is read anywhere in src/: a field read only as a tuple
 element, or named like an attribute read elsewhere, goes unflagged (the
-name of an InclusionSpec passed behind SetSpec.name while nothing read it)."""
+name of an InclusionSpec passed behind SetSpec.name while nothing read it).
+A plain class is held tighter: each self.X it stores is read as self.X in
+the class, unless READ_BY_CALLERS names it."""
 
 import ast
 import dataclasses
@@ -259,6 +261,32 @@ def test_every_stored_field_is_read_in_src():
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f"{cls}.{name}" for cls, name in _stored_fields(modules) if name not in read]
     assert unread == [], f"stored but never read as an attribute in src/: {unread}"
+
+
+# self.X fields that a plain class stores for its callers and never reads itself
+READ_BY_CALLERS = {
+    ("Queries", "check"): "barrier.check_results calls each check's entry through it",
+    ("SmoothedFn", "certificate"): "the smooth command writes it to smooth_info.json",
+}
+
+
+def test_every_field_a_plain_class_stores_is_read_by_the_class():
+    # by name anywhere in src/ is too loose for a plain class: a field of the
+    # same name read on another class hides a field nothing reads
+    found, records = {}, _dataclasses()
+    for module in _modules():
+        for cls in (n for n in module.body if isinstance(n, ast.ClassDef)):
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases}
+            if "NamedTuple" in bases or cls.name in records:
+                continue
+            own = [n for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"]
+            read = {n.attr for n in own if isinstance(n.ctx, ast.Load)}
+            found.update({(cls.name, n.attr): n.attr in read for n in own
+                          if isinstance(n.ctx, ast.Store)})
+    unread = sorted(field for field, is_read in found.items() if not is_read)
+    assert unread == sorted(READ_BY_CALLERS), \
+        f"stored as self.X but never read as self.X in its class: {unread}"
 
 
 def test_every_dataclass_is_more_than_a_plain_record():
