@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config, time_grid
+from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
 from .dynamics import DynamicsError, lipschitz_estimate
 from .expr import ExpressionError, compile_expression
-from .geometry import GeometryError, SetSpec
+from .geometry import GeometryError
 from .sampling import Stream, grid_points
 from .solver import SolverError, solution_bundle, write_csv
 
@@ -73,29 +73,27 @@ def _require(value, message: str):
     return value
 
 
-def _get_set(scn: Scenario, name: str) -> SetSpec:
-    if name not in scn.sets:
-        raise CliError(f"unknown set '{name}' (defined: {sorted(scn.sets)})")
-    return scn.sets[name]
-
-
 def _build_barrier(scn: Scenario) -> BarrierFn:
-    """The [barrier] of scn, from the arguments build_scenario resolved."""
+    """The [barrier] of scn, from the arguments build_scenario resolved; an
+    input error that building it raises names [barrier]."""
     from .barrier import counterexample_barrier_fn, marginal_barrier, user_barrier
 
     kind, a = _require(scn.barrier, "config needs a [barrier] section")
-    if kind == "counterexample":
-        return counterexample_barrier_fn(band_width=a["band"])
-    if kind == "user":
-        return user_barrier(a["expression"], scn.system.dim if scn.system else 2,
-                            band_width=a["band"])
-    if kind == "marginal":
-        return marginal_barrier(scn.system, a["X_o"], scn.solver, scn.bundle.directions,
-                                scn.bundle.switches, scn.bundle.seed, a["band"])
-    from .smoothing import ConverseResolution, converse_smooth_barrier
+    try:
+        if kind == "counterexample":
+            return counterexample_barrier_fn(band_width=a["band"])
+        if kind == "user":
+            return user_barrier(a["expression"], scn.system.dim if scn.system else 2,
+                                band_width=a["band"])
+        if kind == "marginal":
+            return marginal_barrier(scn.system, a["X_o"], scn.solver, scn.bundle.directions,
+                                    scn.bundle.switches, scn.bundle.seed, a["band"])
+        from .smoothing import ConverseResolution, converse_smooth_barrier
 
-    res = ConverseResolution(s_range=tuple(range(a["s_lo"], a["s_hi"] + 1)), k_max=a["k_max"])
-    return converse_smooth_barrier(scn.system.base_field, a["X_o"], scn.solver, res)
+        res = ConverseResolution(s_range=tuple(range(a["s_lo"], a["s_hi"] + 1)), k_max=a["k_max"])
+        return converse_smooth_barrier(scn.system.base_field, a["X_o"], scn.solver, res)
+    except _input_errors() as exc:
+        raise CliError(f"[barrier] {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +101,10 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
-    cfg = scn.raw
     _require(scn.system, "simulate needs a [system]")
-    X_o = _get_set(scn, _require(cfg.get("simulate", "X_o"), "[simulate] needs X_o"))
-    T = cfg.get("simulate", "T", 1.0)
-    starts = scn.samples.draw(X_o)
-    bundles = solution_bundle(scn.system, starts, T, cfg=scn.solver, plan=scn.bundle)
+    a = _require(scn.commands.get("simulate"), "[simulate] needs X_o")
+    starts = scn.samples.draw(a["X_o"])
+    bundles = solution_bundle(scn.system, starts, a["T"], cfg=scn.solver, plan=scn.bundle)
     for i, trajs in enumerate(bundles):
         for tr in trajs:
             tr.to_csv(manifest.add(manifest.out / f"traj_{i:03d}_{tr.selector_index:02d}.csv"))
@@ -118,12 +114,10 @@ def cmd_simulate(scn: Scenario, args, manifest: Manifest) -> int:
 def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
     from .reachability import reach
 
-    cfg = scn.raw
     _require(scn.system, "reach needs a [system]")
-    x0 = np.asarray(_require(cfg.get("reach", "x0"), "[reach] needs x0"), dtype=float)
-    t = _require(cfg.get("reach", "t"), "[reach] needs t")
-    points, truncated = reach(scn.system, x0, t, scn.solver, scn.bundle,
-                              stride=cfg.get("reach", "stride", 1))
+    a = _require(scn.commands.get("reach"), "[reach] needs x0")
+    points, truncated = reach(scn.system, a["x0"], a["t"], scn.solver, scn.bundle,
+                              stride=a["stride"])
     write_csv(manifest.add(manifest.out / "reach.csv"), "index",
               np.column_stack([np.arange(len(points)), points]))
     if truncated:
@@ -132,16 +126,11 @@ def cmd_reach(scn: Scenario, args, manifest: Manifest) -> int:
 
 
 def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
-    cfg = scn.raw
-    window = cfg.get("barrier-eval", "window")
-    _require(window, "[barrier-eval] needs window")
-    dim = len(window) // 2
-    nx = cfg.get("barrier-eval", "nx", 21)
-    ts = time_grid(cfg, "barrier-eval", [0.0, 1.0, 5])
+    a = _require(scn.commands.get("barrier-eval"), "[barrier-eval] needs window")
     B = _build_barrier(scn)
-    pts = grid_points(window[:dim], window[dim:], nx)
+    pts = grid_points(*a["window"], a["nx"])
     # one t-major batch: a value depends on its own (t, x) only
-    t_col, x_rows = np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))
+    t_col, x_rows = np.repeat(a["tgrid"], len(pts)), np.tile(pts, (len(a["tgrid"]), 1))
     data = np.column_stack([t_col, x_rows, B.evaluate_many(t_col, x_rows).value])
     write_csv(manifest.add(manifest.out / "barrier_grid.csv"), "t", data, "B")
     return 0
@@ -150,27 +139,23 @@ def cmd_barrier_eval(scn: Scenario, args, manifest: Manifest) -> int:
 def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     from .smoothing import build_time_partition, smooth_on_compact
 
-    cfg = scn.raw
-    h_text = _require(cfg.get("smooth", "h"), "[smooth] needs h expression over t,x1..xn")
-    region = _get_set(scn, _require(cfg.get("smooth", "region"), "[smooth] needs region set"))
-    dim = region.dim
-    variables = ("t",) + tuple(f"x{i + 1}" for i in range(dim))
-    hx = compile_expression(h_text, variables)
+    a = _require(scn.commands.get("smooth"), "[smooth] needs h expression over t,x1..xn")
+    region = a["region"]
+    variables = ("t",) + tuple(f"x{i + 1}" for i in range(region.dim))
+    hx = compile_expression(a["h"], variables)
     # rows (t, x) over times x points, t-major; h's table is one call on them
     tx = lambda ts, X: np.column_stack([np.repeat(ts, len(X)), np.tile(X, (len(ts), 1))])
     h = lambda ts, X: hx(tx(ts, X)).reshape(len(ts), len(X))
     box = region.bounding_box()
     if box is None:
         raise CliError("[smooth] region must be bounded")
-    pts = grid_points(box[0], box[1], cfg.get("smooth", "grid_n", 41))
+    pts = grid_points(box[0], box[1], a["grid_n"])
     grid = pts[region.contains(pts)]
     if len(grid) == 0:
         raise CliError("[smooth] region grid is empty")
-    part = build_time_partition(h, grid, cfg.get("smooth", "k_max", 3),
-                                table_res=cfg.get("smooth", "table_res", 256))
-    g = smooth_on_compact(part, w_tol=cfg.get("smooth", "w_tol"))
-    out_n = cfg.get("smooth", "out_n", 9)
-    ts = np.linspace(0.0, part.nodes[-1], out_n)
+    part = build_time_partition(h, grid, a["k_max"], table_res=a["table_res"])
+    g = smooth_on_compact(part, w_tol=a["w_tol"])
+    ts = np.linspace(0.0, part.nodes[-1], a["out_n"])
     data = np.column_stack([tx(ts, grid), g.sample_times(ts, grid).ravel()])
     write_csv(manifest.add(manifest.out / "smoothed_grid.csv"), "t", data, "g")
     info = {"u_counts": list(part.u_counts), "eta": part.eta.tolist(),
@@ -269,13 +254,15 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
         raise CliError("no [check NAME] sections in config")
     barrier = functools.cache(lambda: _build_barrier(scn))
     # every check runs, or asks its queries of B, in config order up to the
-    # first that raises; the results before it are written first
+    # first that raises, an input error named by the check (the barrier's by
+    # [barrier]); the results before it are written first
     runs, error = [], None
     for name in names:
         try:
             runs.append(_run_one_check(name, scn, barrier))
         except Exception as exc:
-            error = exc
+            named = isinstance(exc, _input_errors()) and not isinstance(exc, CliError)
+            error = CliError(f"[check {name}] {exc}") if named else exc
             break
     if not all(isinstance(run, tuple) for run in runs):
         from .barrier import check_results

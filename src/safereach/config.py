@@ -10,15 +10,16 @@ main reproducibility killer.  Sections:
     [sampling]      window, boundary, interior, tgrid
     [set NAME]      kind (SETS) plus the keys that kind reads
     [barrier]       kind (BARRIERS) plus the keys that kind reads
-    [simulate]      X_o, T
+    [simulate]      X_o, T (COMMANDS, as are the next three)
     [reach]         x0, t, stride
     [barrier-eval]  window, nx, tgrid
-    [smooth]        h, region, k_max, table_res, grid_n
+    [smooth]        h, region, k_max, table_res, grid_n, w_tol, out_n
     [check NAME]    kind (CHECKS) plus the keys that kind reads
 
-build_scenario resolves each of these tabled sections (resolve) before any
-command writes output: defaults filled in, set names as their SetSpec, g
-as a RelaxFn.
+build_scenario first holds every key typed point or window to n or 2n
+numbers, n the [system] dimension (_check_states), then resolves each section
+from [set NAME] on that is given (resolve), before any command writes output:
+defaults filled in, set names as their SetSpec, g as a RelaxFn.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import InclusionSpec, builtin_field, field_from_expressions
-from .expr import RelaxFn, compile_expression
-from .geometry import SamplePlan, SetSpec
+from .expr import ExpressionError, RelaxFn, compile_expression
+from .geometry import GeometryError, SamplePlan, SetSpec
 from .solver import BundlePlan, IntegratorConfig
 
 # CPython's own SHA-256: hashlib would load OpenSSL for one small hash
@@ -53,22 +54,22 @@ _SCHEMAS = {
                "member": "str+", "inclusion": "str", "epsilon": "float"},
     "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
     "bundle": {"directions": "count", "switches": "size"},
-    "sampling": {"window": "vec", "boundary": "size", "interior": "size",
+    "sampling": {"window": "window", "boundary": "size", "interior": "size",
                  "tgrid": "tvec"},
-    "set": {"kind": "str", "center": "vec", "radius": "float", "lo": "vec",
-            "hi": "vec", "normal": "vec", "offset": "float", "fn": "str",
-            "level": "float", "window": "vec", "grid": "count", "point": "vec+",
+    "set": {"kind": "str", "center": "point", "radius": "float", "lo": "point",
+            "hi": "point", "normal": "point", "offset": "float", "fn": "str",
+            "level": "float", "window": "window", "grid": "count", "point": "point+",
             "of": "str"},
     "barrier": {"kind": "str", "X_o": "str", "expression": "str",
                 "band": "float", "k_max": "int",
                 "s_lo": "int", "s_hi": "int"},
-    "simulate": {"X_o": "str", "T": "time"},
-    "reach": {"x0": "vec", "t": "time", "stride": "count"},
-    "barrier-eval": {"window": "vec", "nx": "count", "tgrid": "tvec"},
+    "simulate": {"X_o": "str", "T": "horizon"},
+    "reach": {"x0": "point", "t": "time", "stride": "count"},
+    "barrier-eval": {"window": "window", "nx": "count", "tgrid": "tvec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "count",
                "grid_n": "count", "w_tol": "float", "out_n": "count"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
-              "K": "str", "T": "time", "tol": "float", "mode": "str",
+              "K": "str", "T": "horizon", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "count",
               "n_samples": "count", "lam_box": "str",
               "pairs": "count", "max_sep": "float", "stride": "count"},
@@ -78,9 +79,10 @@ _SCHEMAS = {
 NEEDED, SET = object(), object()    # a required key; a required set name
 
 # what each kind of a [set NAME], [barrier], [check NAME] and [system]
-# section reads: key -> default, NEEDED, SET (resolved to its SetSpec) or a
-# tuple of the values the key may take, its default first; a choice
-# KIND:ARG stands for KIND: with any ARG.  resolve() refuses any other key
+# section, and each command section, reads: key -> default, NEEDED, SET
+# (resolved to its SetSpec) or a tuple of the values the key may take, its
+# default first; a choice KIND:ARG stands for KIND: with any ARG.  resolve()
+# refuses any other key
 SETS = {"ball": {"center": NEEDED, "radius": NEEDED}, "box": {"lo": NEEDED, "hi": NEEDED},
         "halfspace": {"normal": NEEDED, "offset": NEEDED}, "points": {"point": NEEDED},
         "sublevel": {"fn": NEEDED, "level": 0.0, "window": NEEDED, "grid": 33},
@@ -101,6 +103,11 @@ CHECKS = {"simulate": {"X_o": SET, "X_u": SET, "T": 1.0, "tol": 1e-9},
           "prop1": {"X_o": SET, "X_s": SET, "g": ("zero", "linear:L", "minimal:expr"),
                     "mode": ("conditional", "strict"), "n_samples": 48, "width": 1e-3},
           "filippov": {"lam_box": SET, "T": 1.0, "pairs": 10, "max_sep": 0.5, "tol": 1e-6}}
+COMMANDS = {"simulate": {"X_o": SET, "T": 1.0},
+            "reach": {"x0": NEEDED, "t": NEEDED, "stride": 1},
+            "barrier-eval": {"window": NEEDED, "nx": 21, "tgrid": [0.0, 1.0, 5]},
+            "smooth": {"h": NEEDED, "region": SET, "k_max": 3, "table_res": 256,
+                       "grid_n": 41, "w_tol": None, "out_n": 9}}
 SYSTEMS = {"builtin": {"name": NEEDED}, "expression": {"rhs": NEEDED, "dim": None}}
 INCLUSIONS = {"singleton": {}, "ball": {"epsilon": 0.0}, "hull": {"member": []}}
 
@@ -108,16 +115,20 @@ INCLUSIONS = {"singleton": {}, "ball": {"epsilon": 0.0}, "hull": {"member": []}}
 def _parse_value(raw: str, typ: str, where: str):
     """A value of type typ, refused by its key where (say "[simulate] T") if
     it does not parse; "time" and "tvec" are a float and a vec that must also
-    be finite, refused before a pipeline turns them into NaN steps;
-    "count" is an int of at least 1, refused before a sampler or a stride
-    meets 0 or a negative number, and "size" an int of at least 0, for
-    the keys where 0 means none."""
+    be finite, refused before a pipeline turns them into NaN steps, and
+    "horizon" a time that must also be positive; "count" is an int of at
+    least 1, refused before a sampler or a stride meets 0 or a negative
+    number, and "size" an int of at least 0, for the keys where 0 means
+    none; "point" and "window" are vecs of n and 2n numbers, which
+    _check_states holds to the [system] dimension."""
     raw = raw.strip()
     base = typ.rstrip("+")
-    if base in ("time", "tvec"):
-        value = _parse_value(raw, "float" if base == "time" else "vec", where)
+    if base in ("time", "horizon", "tvec"):
+        value = _parse_value(raw, "vec" if base == "tvec" else "float", where)
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"{where} must be finite, got {value}")
+        if base == "horizon" and value <= 0:
+            raise ConfigError(f"{where} must be positive, got {value:g}")
         return value
     if base in ("int", "count", "size"):
         try:
@@ -133,7 +144,7 @@ def _parse_value(raw: str, typ: str, where: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected number, got '{raw}'") from None
-    if base == "vec":
+    if base in ("vec", "point", "window"):
         try:
             return [float(tok) for tok in raw.split()]
         except ValueError:
@@ -251,25 +262,25 @@ def _apply_overrides(text: str, overrides: dict) -> str:
 # ---------------------------------------------------------------------------
 
 class Scenario(NamedTuple):
-    raw: RawConfig
     seed: int
     out_dir: Optional[str]
     system: Optional[InclusionSpec]
     solver: IntegratorConfig
     bundle: BundlePlan
     samples: SamplePlan
-    sets: dict
     t_grid: np.ndarray
     barrier: Optional[tuple]    # (kind, args) of [barrier], or None
+    commands: dict              # section -> args of each command section given
     checks: dict                # NAME -> (kind, args) of [check NAME], in config order
 
 
-def resolve(cfg: RawConfig, section: str, kinds: dict, sets: Optional[dict] = None) -> tuple:
+def resolve(cfg: RawConfig, section: str, kinds: dict, sets=None, reads=None) -> tuple:
     """(*kinds, args) of [section]: the kind each key of kinds (key -> (table,
-    default kind)) picks, then every key those kinds read, given or defaulted.
+    default kind)) picks, then every key those kinds read, and every key of
+    reads (the table of a section without a kind), given or defaulted.
     Refuses, by section and key, a missing or unknown kind, a key no picked
     kind reads, a missing required key, a bad choice and an unknown set."""
-    given, picked, reads = cfg.sections[section], {}, {}
+    given, picked, reads = cfg.sections[section], {}, dict(reads or {})
     form = lambda v: v.partition(":")[0] + ":" if ":" in v else v    # KIND:ARG as KIND:
     for key, (table, default) in kinds.items():
         kind = cfg.get(section, key, default)
@@ -288,7 +299,7 @@ def resolve(cfg: RawConfig, section: str, kinds: dict, sets: Optional[dict] = No
     for key, default in reads.items():
         if key not in given:
             if default is NEEDED or default is SET:
-                raise ConfigError(f"[{section}] {by} needs {key}")
+                raise ConfigError(f"[{section}] {by + ' ' if by else ''}needs {key}")
             args[key] = default[0] if isinstance(default, tuple) else default
             continue
         value = given[key] if _SCHEMAS[section.split()[0]][key].endswith("+") else given[key][0]
@@ -312,28 +323,31 @@ def _build_set(name: str, cfg: RawConfig, cache: dict, stack: tuple = ()) -> Set
     if section not in cfg.sections:
         raise ConfigError(f"[set {stack[-1]}] of: unknown set '{name}'")
     kind, a = resolve(cfg, section, {"kind": (SETS, None)})
-    if kind == "ball":
-        spec = SetSpec.ball(a["center"], a["radius"], name=name)
-    elif kind == "box":
-        spec = SetSpec.box(a["lo"], a["hi"], name=name)
-    elif kind == "halfspace":
-        spec = SetSpec.halfspace(a["normal"], a["offset"], name=name)
-    elif kind == "points":
-        spec = SetSpec.points(a["point"], name=name)
-    elif kind == "sublevel":
-        dim = len(a["window"]) // 2
-        fn = compile_expression(a["fn"], tuple(f"x{i + 1}" for i in range(dim)))
-        spec = SetSpec.sublevel(fn, a["level"], dim, a["window"], grid=a["grid"], name=name)
-    else:
-        members = [_build_set(r, cfg, cache, stack + (name,)) for r in a["of"].split()]
-        if kind == "complement":
-            if len(members) != 1:
-                raise ConfigError(f"[{section}] complement takes exactly one set")
-            spec = SetSpec.complement(members[0], name=name)
-        elif kind == "union":
-            spec = SetSpec.union(members, name=name)
+    try:
+        if kind == "ball":
+            spec = SetSpec.ball(a["center"], a["radius"], name=name)
+        elif kind == "box":
+            spec = SetSpec.box(a["lo"], a["hi"], name=name)
+        elif kind == "halfspace":
+            spec = SetSpec.halfspace(a["normal"], a["offset"], name=name)
+        elif kind == "points":
+            spec = SetSpec.points(a["point"], name=name)
+        elif kind == "sublevel":
+            dim = len(a["window"]) // 2
+            fn = compile_expression(a["fn"], tuple(f"x{i + 1}" for i in range(dim)))
+            spec = SetSpec.sublevel(fn, a["level"], dim, a["window"], grid=a["grid"], name=name)
         else:
-            spec = SetSpec.intersection(members, name=name)
+            members = [_build_set(r, cfg, cache, stack + (name,)) for r in a["of"].split()]
+            if kind == "complement":
+                if len(members) != 1:
+                    raise ConfigError(f"[{section}] complement takes exactly one set")
+                spec = SetSpec.complement(members[0], name=name)
+            elif kind == "union":
+                spec = SetSpec.union(members, name=name)
+            else:
+                spec = SetSpec.intersection(members, name=name)
+    except (GeometryError, ExpressionError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
     cache[name] = spec
     return spec
 
@@ -364,10 +378,9 @@ def _given(cfg: RawConfig, section: str, **fields) -> dict:
     return {f: cfg.get(section, k) for k, f in fields.items() if cfg.get(section, k) is not None}
 
 
-def time_grid(cfg: RawConfig, section: str, default: list) -> np.ndarray:
+def _time_grid(section: str, tg: list) -> np.ndarray:
     """The times of [section] tgrid = 'min max count': count evenly spaced
     times from min to max, count a whole number of at least 1."""
-    tg = cfg.get(section, "tgrid", default)
     if len(tg) != 3:
         raise ConfigError(f"[{section}] tgrid must be 'min max count'")
     if tg[2] < 1:
@@ -377,19 +390,27 @@ def time_grid(cfg: RawConfig, section: str, default: list) -> np.ndarray:
     return np.linspace(tg[0], tg[1], int(tg[2]))
 
 
-def _window(cfg: RawConfig, section: str, system: Optional[InclusionSpec]):
-    """[section] window = 'lo_1 .. lo_n hi_1 .. hi_n' as (lo, hi), or None;
-    refused by name unless it holds 2n numbers, n the [system] dimension
-    when there is a system."""
-    w = cfg.get(section, "window")
+def _window(w: Optional[list]):
+    """A window 'lo_1 .. lo_n hi_1 .. hi_n' as (lo, hi), or None."""
     if w is None:
         return None
-    if not w or len(w) % 2 or (system is not None and len(w) != 2 * system.dim):
-        n = "" if system is None else f" with n = {system.dim}"
-        raise ConfigError(f"[{section}] window must be 'lo_1 .. lo_n hi_1 .. hi_n'{n}, "
-                          f"got {len(w)} numbers")
     n = len(w) // 2
     return np.asarray(w[:n]), np.asarray(w[n:])
+
+
+def _check_states(cfg: RawConfig, system: Optional[InclusionSpec]) -> None:
+    """Refuse, by section and key, a key typed point that is not n numbers or
+    window that is not 2n, n the [system] dimension or, with none, any n >= 1."""
+    for section, keys in cfg.sections.items():
+        schema = _SCHEMAS[section.split(" ", 1)[0]]
+        for key, values in keys.items():
+            per = {"point": 1, "window": 2}.get(schema[key].rstrip("+"))
+            for v in values if per else ():
+                if not v or len(v) % per or (system is not None and len(v) != per * system.dim):
+                    form = "x_1 .. x_n" if per == 1 else "lo_1 .. lo_n hi_1 .. hi_n"
+                    n = "" if system is None else f" with n = {system.dim}"
+                    raise ConfigError(f"[{section}] {key} must be '{form}'{n}, "
+                                      f"got {len(v)} number{'s' * (len(v) != 1)}")
 
 
 def build_scenario(cfg: RawConfig) -> Scenario:
@@ -403,14 +424,12 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     solver = IntegratorConfig(**_given(cfg, "solver", step="step", escape="escape_radius",
                                        max_steps="max_steps"))
     system = _build_system(cfg)
-    sets = cfg.section_names("set")
-    for section in ["barrier-eval"] + sets:
-        _window(cfg, section, system)
+    _check_states(cfg, system)
     cache: dict = {}
-    for section in sets:
+    for section in cfg.section_names("set"):
         _build_set(section.split(" ", 1)[1], cfg, cache)
-    t_grid = time_grid(cfg, "sampling", [0.0, 1.0, 11])
-    samples = SamplePlan(seed=seed, window=_window(cfg, "sampling", system),
+    t_grid = _time_grid("sampling", cfg.get("sampling", "tgrid", [0.0, 1.0, 11]))
+    samples = SamplePlan(seed=seed, window=_window(cfg.get("sampling", "window")),
                          **_given(cfg, "sampling", boundary="boundary", interior="interior"))
     barrier = None
     if "barrier" in cfg.sections:
@@ -422,6 +441,11 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         if "X_o" in a and a["X_o"].kind == "complement":
             raise ConfigError(f"[barrier] X_o must be a closed set, not the complement "
                               f"'{a['X_o'].name}'")
+    commands = {section: resolve(cfg, section, {}, cache, table)[0]
+                for section, table in COMMANDS.items() if section in cfg.sections}
+    if "barrier-eval" in commands:
+        a = commands["barrier-eval"]
+        a["window"], a["tgrid"] = _window(a["window"]), _time_grid("barrier-eval", a["tgrid"])
     checks = {}
     for section in cfg.section_names("check"):
         kind, a = resolve(cfg, section, {"kind": (CHECKS, None)}, cache)
@@ -438,9 +462,9 @@ def build_scenario(cfg: RawConfig) -> Scenario:
             raise ConfigError(f"[{section}] kind 'infinitesimal' needs a [sampling] window")
         checks[section.split(" ", 1)[1]] = (kind, a)
     return Scenario(
-        raw=cfg, seed=seed, out_dir=out_dir, system=system,
+        seed=seed, out_dir=out_dir, system=system,
         solver=solver,
         bundle=BundlePlan(seed=seed, **_given(cfg, "bundle", directions="directions",
                                               switches="switches")),
-        samples=samples, sets=cache, t_grid=t_grid, barrier=barrier, checks=checks,
+        samples=samples, t_grid=t_grid, barrier=barrier, commands=commands, checks=checks,
     )

@@ -91,6 +91,8 @@ class SetSpec(NamedTuple):
 
     @staticmethod
     def points(pts, name: str = "") -> "SetSpec":
+        if len({len(np.atleast_1d(p)) for p in pts}) > 1:
+            raise GeometryError("points differ in their number of coordinates")
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return SetSpec("points", pts.shape[1], pts=pts, name=name)
 
@@ -100,16 +102,12 @@ class SetSpec(NamedTuple):
 
     @staticmethod
     def union(members: Sequence["SetSpec"], name: str = "") -> "SetSpec":
-        members = tuple(members)
-        if not members:
-            raise GeometryError("union needs at least one member")
+        members = _members("union", members)
         return SetSpec("union", members[0].dim, members=members, name=name)
 
     @staticmethod
     def intersection(members: Sequence["SetSpec"], name: str = "") -> "SetSpec":
-        members = tuple(members)
-        if not members:
-            raise GeometryError("intersection needs at least one member")
+        members = _members("intersection", members)
         spec = SetSpec("intersection", members[0].dim, members=members, name=name)
         _reject_provably_empty(spec)
         return spec
@@ -263,6 +261,18 @@ class SamplePlan(NamedTuple):
             why = "boundary = 0" if self.boundary == 0 else f"'{X.name}' has no boundary sampler"
             raise GeometryError(f"[sampling] interior = 0 and {why}: no initial points")
         return np.vstack(pts)
+
+
+def _members(kind: str, members) -> tuple:
+    """The members of a union or intersection, refused unless there is at
+    least one and all have one dimension."""
+    members = tuple(members)
+    if not members:
+        raise GeometryError(f"{kind} needs at least one member")
+    dims = sorted({m.dim for m in members})
+    if len(dims) > 1:
+        raise GeometryError(f"{kind} members differ in dimension: {dims}")
+    return members
 
 
 def _as_window(window, dim):

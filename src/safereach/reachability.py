@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import SetSpec, distance_to_set_many
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, start_states
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
@@ -23,7 +23,7 @@ def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfi
     """Full-tube cloud: every stride-th node of each path of the solution
     bundle, then each path's final node, as (points, truncated), truncated
     true when a path escaped.  At t = 0 the cloud is x alone."""
-    x = np.asarray(x, dtype=float)
+    x = start_states(F, x)[0]
     if not np.isfinite(t):
         raise ValueError("horizon must be finite")
     if t == 0.0:

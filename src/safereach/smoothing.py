@@ -28,7 +28,7 @@ from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
 from .geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
 from .solver import (IntegratorConfig, SolverError, bundle_step, on_stepped, rk4_sweep,
-                     tube_minimum)
+                     start_states, tube_minimum)
 
 
 class SmoothingError(RuntimeError):
@@ -527,6 +527,7 @@ class ConverseBarrier:
             raise BarrierError(f"converse barrier needs a finite t, got {ts[~np.isfinite(ts)][0]}")
         if np.any(ts < 0):
             raise BarrierError("converse barrier defined for t >= 0")
+        start_states(self.F, Xs)
         # each row steps to its own t with the largest step up to cfg.step
         n_rows = np.ceil(ts / self.cfg.step)
         h_rows = ts / np.maximum(n_rows, 1)

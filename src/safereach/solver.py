@@ -385,6 +385,15 @@ def bundle_step(F: InclusionSpec, sels, m: int, h, direction: str) -> Callable:
     return step
 
 
+def start_states(F: InclusionSpec, X) -> np.ndarray:
+    """X as a float batch (m, n) of start states, refused unless n is F.dim."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != F.dim:
+        raise SolverError(f"start states have {X.shape[1]} coordinates, "
+                          f"the inclusion has dimension {F.dim}")
+    return X
+
+
 def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,
                  escape_radius: float = np.inf):
     """Running minimum of the distance to X_o along bundle paths, read off.
@@ -402,7 +411,7 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
     of value 0 may lose that flag, as its point's rows may leave before they
     would escape; an entry of value > 0 keeps it bit for bit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = start_states(F, X)
     K = np.asarray(K, dtype=int)
     # row j * p + u runs selector j from U[u]; the uint64 view keeps 0.0 and -0.0 apart
     _, first, at = np.unique(np.ascontiguousarray(X).view(np.uint64), axis=0,
@@ -459,7 +468,7 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
     :func:`rk4_sweep`.  Returns the termination of every row (horizon |
     escape) and, if record, its Trajectory.
     """
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    X0 = start_states(F, X0)
     if not np.isfinite(T):
         raise SolverError(f"horizon must be finite, got {T:g}")
     if T <= 0 or not np.all(np.isfinite(X0)):

@@ -17,7 +17,7 @@ import safereach.infinitesimal as infinitesimal
 import safereach.reachability as reachability
 from safereach import cli, config
 from safereach.cli import main
-from safereach.config import (BARRIERS, CHECKS, NEEDED, SET, SETS, ConfigError, RawConfig,
+from safereach.config import (BARRIERS, CHECKS, COMMANDS, SETS, ConfigError, RawConfig,
                               build_scenario, parse_config)
 from safereach.dynamics import InclusionSpec, builtin_field
 from safereach.geometry import SamplePlan, SetSpec
@@ -60,13 +60,20 @@ T = 2
 """
 
 
+# (section head, key, type) of every key the schema types as a state: a
+# point holds n numbers, a window 2n, n the [system] dimension
+STATE_KEYS = [(head, key, typ.rstrip("+")) for head, schema in config._SCHEMAS.items()
+              for key, typ in schema.items() if typ.rstrip("+") in ("point", "window")]
+
+
 class TestConfigParsing:
     def test_minimal_parses(self):
         cfg = parse_config(MINIMAL)
         assert cfg.get("", "seed") == 5
         scn = build_scenario(cfg)
         assert scn.system.dim == 2
-        assert "X_o" in scn.sets and scn.sets["X_o"].kind == "ball"
+        X_o = scn.commands["simulate"]["X_o"]
+        assert (X_o.name, X_o.kind) == ("X_o", "ball")
 
     def test_unset_keys_take_the_dataclass_defaults(self):
         scn = build_scenario(parse_config("seed = 4\n[solver]\nstep = 0.125\n"))
@@ -148,8 +155,9 @@ class TestConfigParsing:
         v = scn.system.fields[0](np.array([1.0, 2.0]))
         assert np.allclose(v, [-2.0, 1.0])
 
-    # one section of each kind of SETS, BARRIERS and CHECKS, each giving its
-    # required keys; the infinitesimal region is boundary, which reads width
+    # one section of each kind of SETS, BARRIERS and CHECKS, and of each
+    # command section, each giving its required keys; the infinitesimal
+    # region is boundary, which reads width
     SETS_GIVEN = {"ball": "center = 0 0\nradius = 1", "box": "lo = -3 -3\nhi = 3 3",
                   "halfspace": "normal = 0 1\noffset = 2",
                   "sublevel": "fn = x1^2/10 + x2^2 - 1\nwindow = -4 -2 4 2",
@@ -162,30 +170,39 @@ class TestConfigParsing:
                     "monotonicity": "X_o = ball", "infinitesimal": "region = boundary",
                     "nagumo": "K = sublevel", "prop1": "X_o = ball\nX_s = union",
                     "filippov": "lam_box = box"}
+    COMMANDS_GIVEN = {"simulate": "X_o = ball", "reach": "x0 = 0.5 0\nt = 0.25",
+                      "barrier-eval": "window = -1 -1 1 1",
+                      "smooth": "h = exp(0 - t) * (4 + x1)\nregion = box"}
 
-    def _every_kind(self, barrier="user", checks=None):
+    def _every_kind(self, barrier="user", checks=None, commands=None):
         checks = self.CHECKS_GIVEN if checks is None else checks
+        commands = self.COMMANDS_GIVEN if commands is None else commands
         return ("seed = 3\n[system]\nkind = builtin\nname = linear_safe\n"
                 "[sampling]\nwindow = -4 -4 4 4\nboundary = 4\ninterior = 4\ntgrid = 0 0.5 2\n"
                 + "".join(f"[set {k}]\nkind = {k}\n{v}\n" for k, v in self.SETS_GIVEN.items())
                 + f"[barrier]\nkind = {barrier}\n{self.BARRIERS_GIVEN[barrier]}\n"
+                + "".join(f"[{k}]\n{v}\n" for k, v in commands.items())
                 + "".join(f"[check {k}]\nkind = {k}\n{v}\n" for k, v in checks.items()))
 
     def test_every_kind_resolves_to_exactly_its_table_keys(self, monkeypatch):
-        assert (self.SETS_GIVEN.keys(), self.BARRIERS_GIVEN.keys(), self.CHECKS_GIVEN.keys()) \
-            == (SETS.keys(), BARRIERS.keys(), CHECKS.keys())
+        assert (self.SETS_GIVEN.keys(), self.BARRIERS_GIVEN.keys(), self.CHECKS_GIVEN.keys(),
+                self.COMMANDS_GIVEN.keys()) == (SETS.keys(), BARRIERS.keys(), CHECKS.keys(),
+                                                COMMANDS.keys())
+        # a command section's table is all its schema: it has no kind to pick keys
+        assert all(table.keys() == config._SCHEMAS[section].keys()
+                   for section, table in COMMANDS.items())
         resolved, real = {}, config.resolve
         monkeypatch.setattr(config, "resolve", lambda cfg, section, *rest: resolved.setdefault(
             section, real(cfg, section, *rest)))
+        # a set as its name, so a resolved SetSpec compares with the name given
+        named = lambda args: {k: v.name if isinstance(v, SetSpec) else v for k, v in args.items()}
 
-        def expected(table, section, cfg, scn):
-            # a given set name as its SetSpec, a given value as parsed, else the default
+        def expected(table, section, cfg):
+            # a given value as parsed, else the default
             given, out = cfg.sections[section], {}
             for key, default in table.items():
                 if key not in given:
                     out[key] = default[0] if isinstance(default, tuple) else default
-                elif default is SET:
-                    out[key] = scn.sets[given[key][0]]
                 else:
                     out[key] = given[key] if key == "point" else given[key][0]
             return out
@@ -195,21 +212,31 @@ class TestConfigParsing:
             cfg = parse_config(self._every_kind(barrier))
             scn = build_scenario(cfg)
             for kind in SETS:
-                assert resolved[f"set {kind}"] == (kind, expected(SETS[kind], f"set {kind}",
-                                                                  cfg, scn))
-            assert scn.barrier == (barrier, expected(BARRIERS[barrier], "barrier", cfg, scn))
+                assert resolved[f"set {kind}"] == (kind, expected(SETS[kind], f"set {kind}", cfg))
+            kind, args = scn.barrier
+            assert (kind, named(args)) == (barrier, expected(BARRIERS[barrier], "barrier", cfg))
         assert list(scn.checks) == list(CHECKS)
         for kind, (got, args) in scn.checks.items():
-            want = expected(CHECKS[kind], f"check {kind}", cfg, scn)
+            want = expected(CHECKS[kind], f"check {kind}", cfg)
             if "g" in want:     # each g a RelaxFn, zero by default
                 assert args.pop("g").kind == want.pop("g") == "zero"
             if kind == "monotonicity":
                 want["tol"] = 10 * scn.solver.accuracy
-            assert (got, args) == (kind, want)
+            assert (got, named(args)) == (kind, want)
+        assert list(scn.commands) == list(COMMANDS)
+        for section, args in scn.commands.items():
+            want = expected(COMMANDS[section], section, cfg)
+            if section == "barrier-eval":   # the window as (lo, hi), tgrid as its times
+                (lo, hi), ts = args.pop("window"), args.pop("tgrid")
+                assert (lo.tolist(), hi.tolist()) == ([-1.0, -1.0], [1.0, 1.0])
+                lo, hi, count = want.pop("tgrid")
+                assert ts.tolist() == np.linspace(lo, hi, count).tolist()
+                want.pop("window")
+            assert named(args) == want
 
-    def test_the_cli_reads_every_resolved_key_and_no_raw_one(self):
-        # run on a scenario with no raw config, so any read of one raises, and
-        # with arguments that record the keys read: every key of the table
+    def test_the_cli_reads_every_resolved_key_and_no_raw_one(self, tmp_path):
+        # a scenario holds no raw config, and the commands and checks run on
+        # arguments that record the keys read: every key of the table
         class Reads(dict):
             def __getitem__(self, key):
                 self.read.add(key)
@@ -225,12 +252,16 @@ class TestConfigParsing:
         checks["filippov"] += "\npairs = 2\nT = 0.25"
         checks["infinitesimal"] += "\ncount = 4"
         checks["monotonicity"] += "\nT = 0.25"
+        commands = dict(self.COMMANDS_GIVEN, simulate="X_o = ball\nT = 0.25",
+                        smooth=self.COMMANDS_GIVEN["smooth"] + "\ngrid_n = 5")
+        assert "raw" not in config.Scenario._fields
         for kind in BARRIERS:
-            text = self._every_kind(kind, checks)
+            text = self._every_kind(kind, checks, commands)
             if kind == "converse":     # a small smooth converse of the limit-cycle field
                 text = text.replace("linear_safe", "counterexample2d")
-            scn = build_scenario(parse_config(text))
-            scn = scn._replace(raw=None, barrier=recorded(*scn.barrier), checks={
+            cfg = parse_config(text)
+            scn = build_scenario(cfg)
+            scn = scn._replace(barrier=recorded(*scn.barrier), checks={
                 name: recorded(*check) for name, check in scn.checks.items()})
             assert cli._build_barrier(scn).evaluate_many([0.5], [[0.25, 0.5]]).value.shape == (1,)
             assert scn.barrier[1].read == BARRIERS[kind].keys()
@@ -239,6 +270,14 @@ class TestConfigParsing:
                 for name in CHECKS:
                     cli._run_one_check(name, scn, barrier)
                     assert scn.checks[name][1].read == CHECKS[name].keys()
+                scn = scn._replace(commands={section: recorded(None, args)[1]
+                                             for section, args in scn.commands.items()})
+                for section, handler in [("simulate", cli.cmd_simulate), ("reach", cli.cmd_reach),
+                                         ("barrier-eval", cli.cmd_barrier_eval),
+                                         ("smooth", cli.cmd_smooth)]:
+                    manifest = cli.Manifest(section, cfg, tmp_path / section)
+                    assert handler(scn, None, manifest) == 0 and manifest.data["artifacts"]
+                    assert scn.commands[section].read == COMMANDS[section].keys()
 
     @pytest.mark.parametrize("section, message", [
         ("[check quick]\nX_o = X_o", r"^\[check quick\] needs kind$"),
@@ -848,6 +887,38 @@ class TestCommands:
         (["reach", "counterexample", "set START.kind=nosuch"],
          "[set START] unknown set kind 'nosuch' (ball | box | halfspace | points | sublevel | "
          "complement | union | intersection)"),
+        # a state that is not n numbers, n the [system] dimension, whichever
+        # command runs; each once wrote garbage or ended in a traceback
+        (["reach", "counterexample", "reach.x0=0.6 0 0"],
+         "[reach] x0 must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
+        (["reach", "counterexample", "reach.x0=0.6"],
+         "[reach] x0 must be 'x_1 .. x_n' with n = 2, got 1 number"),
+        (["reach", "perturbed", "reach.x0=0.6 0 0"],
+         "[reach] x0 must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
+        (["simulate", "counterexample", "set START.center=0 0 0"],
+         "[set START] center must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
+        (["check", "counterexample", "set START.center=0 0 0"],
+         "[set START] center must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
+        (["check", "counterexample", "set X_o.point="],
+         "[set X_o] point must be 'x_1 .. x_n' with n = 2, got 0 numbers"),
+        (["check", "linear", "set LAMBOX.lo=0 0 0"],
+         "[set LAMBOX] lo must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
+        # and without a [system], sets that cannot be one set
+        (["smooth", "smooth", "set INNER.center=0 0 0"],
+         "[set ANNULUS] intersection members differ in dimension: [2, 3]"),
+        (["smooth", "smooth", "set INNER.center="],
+         "[set INNER] center must be 'x_1 .. x_n', got 0 numbers"),
+        # an input error named by the section it came from
+        (["smooth", "smooth", "set ANNULUS.of="],
+         "[set ANNULUS] intersection needs at least one member"),
+        (["check", "linear", "check safety.X_o=LAMBOX", "check safety.X_u=ELLIPSE"],
+         "[check safety] X_o 'LAMBOX' and X_u 'ELLIPSE' are not sample-disjoint: "
+         "sample [2.4375, 0.5555555555555554] lies in both"),
+        (["barrier-eval", "linear", "barrier.expression=x1 +", "barrier-eval.window=-1 -1 1 1"],
+         "[barrier] cannot parse 'x1 +': invalid syntax"),
+        (["simulate", "counterexample", "simulate.T=-1"], "[simulate] T must be positive, got -1"),
+        (["check", "perturbed", "check perturbed_safety.T=0"],
+         "[check perturbed_safety] T must be positive, got 0"),
     ])
     def test_a_section_is_refused_by_its_table_before_any_output(self, tmp_path, capsys,
                                                                   argv, message):
@@ -928,6 +999,25 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("head, key, typ", STATE_KEYS,
+                             ids=[f"{head}.{key}" for head, key, _ in STATE_KEYS])
+    def test_a_state_one_number_too_long_is_refused_by_its_key(self, tmp_path, capsys,
+                                                               head, key, typ):
+        # drawn from the schema, so a key typed point or window later is
+        # covered at once: given in MINIMAL's section of that head, or in one
+        # appended, it is refused before the section is resolved
+        section = f"{head} EXTRA" if head in ("set", "check") else head
+        count = 3 if typ == "point" else 5
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path)),
+                     "--set", f"{section}.{key}={' '.join(['0.5'] * count)}",
+                     "--out", str(out)]) == 1
+        form = "x_1 .. x_n" if typ == "point" else "lo_1 .. lo_n hi_1 .. hi_n"
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: [{section}] {key} must be '{form}' with n = 2, "
+                                f"got {count} numbers\n")
+        assert captured.out == "" and not out.exists()
 
     def test_filippov_inconclusive_when_no_pair_applies(self, tmp_path, capsys):
         text = MINIMAL + ("\n[set TINY]\nkind = box\nlo = -0.01 -0.01\nhi = 0.01 0.01\n"

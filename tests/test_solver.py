@@ -10,7 +10,8 @@ from scipy.linalg import expm
 from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
                                 Selector, builtin_field, field_from_expressions,
                                 linear_field, lipschitz_estimate, selector_table)
-from safereach.geometry import SetSpec, distance_to_set_many
+from safereach.barrier import marginal_barrier
+from safereach.geometry import SamplePlan, SetSpec, distance_to_set_many
 import safereach
 from safereach import reachability, smoothing, solver, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError, Trajectory,
@@ -277,6 +278,43 @@ class TestBatchedBundles:
             for a, b in zip(trajs, single):
                 assert np.array_equal(a.times, b.times)
                 assert np.array_equal(a.states, b.states)
+
+
+COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
+START3 = [[0.3, 0.1, 0.0]]
+
+
+def _converse_values(X):
+    res = smoothing.ConverseResolution(s_range=tuple(range(-8, 1)), k_max=4, table_res=32,
+                                       annulus_count=256)
+    B = smoothing.converse_smooth_barrier(COUNTER.base_field, ORIGIN, CFG, res)
+    return B.evaluate_many([0.5], X)
+
+
+class TestStartWidth:
+    # each entry point, given 3-wide starts for a 2-D inclusion, which it
+    # would otherwise step with an uninitialised x3, or fail on with an
+    # IndexError or a broadcast ValueError
+    @pytest.mark.parametrize("run", [
+        lambda: solution_bundle(COUNTER, START3, 0.1),
+        lambda: integrate(COUNTER, Selector.constant(), START3[0], 0.1),
+        lambda: reachability.reach(COUNTER, np.array(START3[0]), -0.5, CFG, BundlePlan()),
+        lambda: reachability.reach(COUNTER, np.array(START3[0]), 0.0, CFG, BundlePlan()),
+        lambda: verify.simulate_safety_check(verify.SafetyProblem(
+            LINEAR, SetSpec.ball([0.0, 0.0, 0.0], 0.5), SetSpec.halfspace([0.0, 1.0, 0.0], 2.0),
+            1.0, CFG, SamplePlan(4, 4))),
+        lambda: solution_bundle(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1),
+                                START3, 0.1, plan=BundlePlan(4)),
+        lambda: marginal_barrier(COUNTER, ORIGIN, CFG, 1).evaluate_many([0.5], START3),
+        lambda: tube_minimum(COUNTER, [Selector.constant()], START3, [[4]], 0.125, "backward",
+                             ORIGIN),
+        lambda: _converse_values(START3),
+    ], ids=["solution_bundle", "integrate", "reach", "reach_at_t0", "simulate_check", "ball",
+            "marginal", "tube_minimum", "converse"])
+    def test_a_start_of_another_width_is_refused_naming_both(self, run):
+        with pytest.raises(SolverError, match="^start states have 3 coordinates, "
+                                              "the inclusion has dimension 2$"):
+            run()
 
 
 class _CountingField:
