@@ -17,18 +17,17 @@ _EXPORTS = {
     "geometry": ("SamplePlan", "SetSpec", "distance_to_set"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",
                "solution_bundle"),
-    "reachability": ("filippov_check", "reach"),
+    "reachability": ("filippov_check", "filippov_report", "reach"),
     "barrier": ("BarrierFn", "CheckReport", "candidate_sign_check",
                 "counterexample_barrier", "marginal_barrier", "monotonicity_check",
                 "user_barrier"),
     "infinitesimal": ("ConeProbe", "SubgradientCandidate",
                       "clarke_gradient_sample", "cone_residual", "infinitesimal_check",
-                      "proximal_subgradient_test"),
+                      "nagumo_check", "prop1_check", "proximal_subgradient_test"),
     "smoothing": ("ConverseResolution", "SmoothedFn", "build_time_partition",
                   "converse_smooth_barrier", "hermite_segment", "smooth_global",
                   "smooth_on_compact"),
-    "verify": ("SafetyProblem", "SafetyReport", "nagumo_check", "prop1_check",
-               "simulate_safety_check"),
+    "verify": ("SafetyProblem", "SafetyReport", "simulate_safety_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -27,8 +27,8 @@ import numpy as np
 from .dynamics import InclusionSpec
 from .expr import compile_expression
 # distance_to_set_many is unused here: bench/test_bench.py reads barrier.distance_to_set_many
-from .geometry import SamplePlan, SetSpec, distance_to_set_many
-from .solver import BundlePlan, IntegratorConfig, Trajectory, tube_minimum
+from .geometry import GeometryError, SamplePlan, SetSpec, distance_to_set_many
+from .solver import BundlePlan, IntegratorConfig, Trajectory, solution_bundle, tube_minimum
 
 POS_TOL = 1e-9          # B >= POS_TOL on X_u samples stands for B > 0
 
@@ -352,3 +352,17 @@ def monotonicity_queries(trajs: list[Trajectory], tol: float = 1e-8,
     return Queries(np.concatenate([tr.times[idx] for tr, idx in zip(trajs, idxs)]),
                    np.vstack([tr.states[idx] for tr, idx in zip(trajs, idxs)]), report,
                    lambda source, drawn: monotonicity_check(source, trajs, tol, stride, drawn))
+
+
+def bundle_monotonicity_queries(F: InclusionSpec, X_o: SetSpec, T: float, n_samples: int,
+                                tol: float, stride: int, cfg: IntegratorConfig,
+                                plan: BundlePlan, seed: int, window) -> Queries:
+    """The queries of a monotonicity check along the solution bundle of F
+    over [0, T] from n_samples boundary points of X_o, or interior points
+    of a set without a boundary sampler."""
+    try:
+        starts = X_o.sample_boundary(n_samples, seed=seed, window=window)
+    except GeometryError:
+        starts = X_o.sample_interior(n_samples, seed=seed, window=window)
+    bundles = solution_bundle(F, starts, T, cfg=cfg, plan=plan)
+    return monotonicity_queries([tr for trajs in bundles for tr in trajs], tol, stride)

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
-from .dynamics import DynamicsError, lipschitz_estimate
+from .dynamics import DynamicsError
 from .expr import ExpressionError, compile_expression
 from .geometry import GeometryError
-from .sampling import Stream, grid_points
+from .sampling import grid_points
 from .solver import SolverError, solution_bundle, write_csv
 
 # each command imports the library modules it runs, so a run loads only its own
@@ -83,8 +83,7 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
         if kind == "counterexample":
             return counterexample_barrier_fn(band_width=a["band"])
         if kind == "user":
-            return user_barrier(a["expression"], scn.system.dim if scn.system else 2,
-                                band_width=a["band"])
+            return user_barrier(a["expression"], scn.dim, band_width=a["band"])
         if kind == "marginal":
             return marginal_barrier(scn.system, a["X_o"], scn.solver, scn.bundle.directions,
                                     scn.bundle.switches, scn.bundle.seed, a["band"])
@@ -169,7 +168,8 @@ def _run_one_check(name: str, scn: Scenario, barrier):
     """Run [check NAME] on the arguments build_scenario resolved; barrier()
     returns the run's barrier.  Returns the report's JSON and verdict, or,
     for a sign or monotonicity check, its ``barrier.Queries``.  Each kind
-    imports what it runs: a simulate check never loads barrier, a sign or
+    imports the module of its check and makes one call into it, so a run
+    loads only its own: a simulate check never loads barrier, a sign or
     monotonicity check never loads verify."""
     kind, a = scn.checks[name]
     window = scn.samples.window
@@ -177,9 +177,9 @@ def _run_one_check(name: str, scn: Scenario, barrier):
     if kind == "simulate":
         from .verify import SafetyProblem, simulate_safety_check
 
-        p = SafetyProblem(scn.system, a["X_o"], a["X_u"], a["T"], scn.solver,
-                          scn.samples, scn.bundle, hit_tol=a["tol"])
-        rep = simulate_safety_check(p)
+        rep = simulate_safety_check(SafetyProblem(scn.system, a["X_o"], a["X_u"], a["T"],
+                                                  scn.solver, scn.samples, scn.bundle,
+                                                  hit_tol=a["tol"]))
         return rep.to_json(), ("pass" if rep.passed else "fail")
     if kind == "sign":
         from .barrier import sign_queries
@@ -189,63 +189,40 @@ def _run_one_check(name: str, scn: Scenario, barrier):
                             n_init=scn.samples.interior + scn.samples.boundary,
                             n_unsafe=a["n_samples"], window=window, seed=seed)
     if kind == "monotonicity":
-        from .barrier import monotonicity_queries
+        from .barrier import bundle_monotonicity_queries
 
         barrier()   # built before the queries are drawn, as for the other kinds
-        try:
-            starts = a["X_o"].sample_boundary(a["n_samples"], seed=seed, window=window)
-        except GeometryError:   # sets without a boundary sampler fall back to interior
-            starts = a["X_o"].sample_interior(a["n_samples"], seed=seed, window=window)
-        bundles = solution_bundle(scn.system, starts, a["T"], cfg=scn.solver, plan=scn.bundle)
-        return monotonicity_queries([tr for trajs in bundles for tr in trajs],
-                                    tol=a["tol"], stride=a["stride"])
+        return bundle_monotonicity_queries(scn.system, a["X_o"], a["T"], a["n_samples"],
+                                           a["tol"], a["stride"], scn.solver, scn.bundle,
+                                           seed, window)
     if kind == "infinitesimal":
         from .infinitesimal import infinitesimal_check
 
-        B = barrier()
         region = a["region"]
         if region != "everywhere":
             region = (region, 1e-3 if a["width"] is None and region == "boundary" else a["width"])
-        rep = infinitesimal_check(B, scn.system, a["mode"], region, a["g"], t_grid=scn.t_grid,
-                                  window=window, count=a["count"], seed=seed, tol=a["tol"])
+        rep = infinitesimal_check(barrier(), scn.system, a["mode"], region, a["g"],
+                                  t_grid=scn.t_grid, window=window, count=a["count"],
+                                  seed=seed, tol=a["tol"])
         return rep.to_json(), rep.verdict
     if kind == "nagumo":
-        from .verify import nagumo_check
+        from .infinitesimal import nagumo_check
 
         rep = nagumo_check(scn.system, a["K"], a["mode"], n_samples=a["n_samples"],
                            tol=a["tol"], seed=seed, window=window)
         return rep.to_json(), rep.verdict
     if kind == "prop1":
-        from .verify import prop1_check
+        from .infinitesimal import prop1_check
 
         rep = prop1_check(scn.system, a["X_o"], a["X_s"], barrier(), a["g"], a["mode"],
                           n_samples=a["n_samples"], shell_width=a["width"],
                           window=window, seed=seed)
         return rep.to_json(), rep.verdict
     if kind == "filippov":
-        from .reachability import filippov_check
+        from .reachability import filippov_report
 
-        box = a["lam_box"]
-        lam = lipschitz_estimate(scn.system, box, grid=9)
-        pairs, max_sep = a["pairs"], a["max_sep"]
-        dim = scn.system.dim
-        # per pair: x, then the offset of y, as successive draws of one stream
-        U = Stream(seed).uniform(-1.0, 1.0, (pairs, 2, dim))
-        res = filippov_check(scn.system, U[:, 0], U[:, 0] + U[:, 1] * max_sep / np.sqrt(dim),
-                             a["T"], lam, scn.solver, scn.bundle, box=box, tol=a["tol"])
-        ok = res["applicable"]
-        worst = {"max_violation": None, "holds": True}
-        if ok.any():
-            # the first applicable pair with the largest violation
-            i = int(np.argmax(np.where(ok, res["max_violation"], -np.inf)))
-            worst = {"max_violation": float(res["max_violation"][i]),
-                     "holds": bool(res["holds"][i])}
-        verdict = "inconclusive" if not ok.any() else "pass" if worst["holds"] else "fail"
-        payload = json.dumps({"check": "filippov", "lambda": lam, **worst, "pairs": pairs,
-                              "not_applicable": int(pairs - np.count_nonzero(ok)),
-                              "verdict": verdict},
-                             indent=2, sort_keys=True)
-        return payload, verdict
+        return filippov_report(scn.system, a["lam_box"], a["T"], a["pairs"], a["max_sep"],
+                               a["tol"], scn.solver, scn.bundle, seed)
 
 
 def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:

@@ -17,7 +17,8 @@ main reproducibility killer.  Sections:
     [check NAME]    kind (CHECKS) plus the keys that kind reads
 
 build_scenario first holds every key typed point or window to n or 2n
-numbers, n the [system] dimension (_check_states), then resolves each section
+numbers, n the [system] dimension or, with none, the one the first such key
+gives (_check_states), then resolves each section
 from [set NAME] on that is given (resolve), before any command writes output:
 defaults filled in, set names as their SetSpec, g as a RelaxFn.
 """
@@ -269,6 +270,7 @@ class Scenario(NamedTuple):
     bundle: BundlePlan
     samples: SamplePlan
     t_grid: np.ndarray
+    dim: Optional[int]          # the state dimension, None when nothing gives one
     barrier: Optional[tuple]    # (kind, args) of [barrier], or None
     commands: dict              # section -> args of each command section given
     checks: dict                # NAME -> (kind, args) of [check NAME], in config order
@@ -398,19 +400,26 @@ def _window(w: Optional[list]):
     return np.asarray(w[:n]), np.asarray(w[n:])
 
 
-def _check_states(cfg: RawConfig, system: Optional[InclusionSpec]) -> None:
-    """Refuse, by section and key, a key typed point that is not n numbers or
-    window that is not 2n, n the [system] dimension or, with none, any n >= 1."""
+def _check_states(cfg: RawConfig, system: Optional[InclusionSpec]) -> Optional[int]:
+    """The state dimension n of cfg: the [system]'s or, with none, the one
+    its first key typed point or window gives, None if no key gives one.
+    Refuses, by section and key, a point that is not n numbers or a window
+    that is not 2n."""
+    n, source = (system.dim if system is not None else None), ""
     for section, keys in cfg.sections.items():
         schema = _SCHEMAS[section.split(" ", 1)[0]]
         for key, values in keys.items():
             per = {"point": 1, "window": 2}.get(schema[key].rstrip("+"))
             for v in values if per else ():
-                if not v or len(v) % per or (system is not None and len(v) != per * system.dim):
+                whole = v and not len(v) % per
+                if whole and n is None:
+                    n, source = len(v) // per, f", as [{section}] {key} gives"
+                if not whole or len(v) != per * n:
                     form = "x_1 .. x_n" if per == 1 else "lo_1 .. lo_n hi_1 .. hi_n"
-                    n = "" if system is None else f" with n = {system.dim}"
-                    raise ConfigError(f"[{section}] {key} must be '{form}'{n}, "
+                    given = "" if n is None else f" with n = {n}{source}"
+                    raise ConfigError(f"[{section}] {key} must be '{form}'{given}, "
                                       f"got {len(v)} number{'s' * (len(v) != 1)}")
+    return n
 
 
 def build_scenario(cfg: RawConfig) -> Scenario:
@@ -424,7 +433,7 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     solver = IntegratorConfig(**_given(cfg, "solver", step="step", escape="escape_radius",
                                        max_steps="max_steps"))
     system = _build_system(cfg)
-    _check_states(cfg, system)
+    dim = _check_states(cfg, system)
     cache: dict = {}
     for section in cfg.section_names("set"):
         _build_set(section.split(" ", 1)[1], cfg, cache)
@@ -438,6 +447,8 @@ def build_scenario(cfg: RawConfig) -> Scenario:
             raise ConfigError(f"[barrier] {kind} needs a [system]")
         if kind == "converse" and system.kind != "singleton":
             raise ConfigError("[barrier] converse needs a single-valued system")
+        if kind == "converse" and a["s_lo"] > a["s_hi"]:
+            raise ConfigError(f"[barrier] s_lo must be at most s_hi, got {a['s_lo']} > {a['s_hi']}")
         if "X_o" in a and a["X_o"].kind == "complement":
             raise ConfigError(f"[barrier] X_o must be a closed set, not the complement "
                               f"'{a['X_o'].name}'")
@@ -466,5 +477,6 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         solver=solver,
         bundle=BundlePlan(seed=seed, **_given(cfg, "bundle", directions="directions",
                                               switches="switches")),
-        samples=samples, t_grid=t_grid, barrier=barrier, commands=commands, checks=checks,
+        samples=samples, t_grid=t_grid, dim=dim, barrier=barrier, commands=commands,
+        checks=checks,
     )

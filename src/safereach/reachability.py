@@ -1,20 +1,25 @@
-"""Sampled reachable-set maps and the empirical Filippov bound.
+"""Sampled reachable-set maps and the regularity of the reach map.
 
 ``reach(F, x, t)`` follows the signed-horizon convention: t >= 0 collects all
 states visited by the selected solutions over [0, t], t < 0 does the same for
 backward solutions over [t, 0].  Clouds are raw trajectory nodes, never
 convexified, and they under-approximate the true reach set: the selector
 family is finite.
+
+The Filippov check tests the regularity of the reach map: the empirical bound
+on given pairs, and the command line's check on drawn pairs.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import InclusionSpec
+from .dynamics import InclusionSpec, lipschitz_estimate
 from .geometry import SetSpec, distance_to_set_many
+from .sampling import Stream
 from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, start_states
 
 
@@ -73,3 +78,27 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
     worst = np.where(applicable, worst, np.nan)
     return {"max_violation": worst, "holds": applicable & (worst <= tol),
             "applicable": applicable}
+
+
+def filippov_report(F: InclusionSpec, lam_box: SetSpec, T: float, pairs: int, max_sep: float,
+                    tol: float, cfg: IntegratorConfig, plan: BundlePlan,
+                    seed: int) -> tuple[str, str]:
+    """(JSON report, verdict) of the Filippov check on pairs drawn pairs, at
+    most max_sep apart, lam estimated on lam_box: the first applicable pair
+    with the largest violation decides, and with none it is inconclusive."""
+    lam = lipschitz_estimate(F, lam_box, grid=9)
+    n = F.dim
+    # per pair: x, then the offset of y, as successive draws of one stream
+    U = Stream(seed).uniform(-1.0, 1.0, (pairs, 2, n))
+    res = filippov_check(F, U[:, 0], U[:, 0] + U[:, 1] * max_sep / np.sqrt(n), T, lam,
+                         cfg, plan, box=lam_box, tol=tol)
+    ok = res["applicable"]
+    worst = {"max_violation": None, "holds": True}
+    if ok.any():
+        i = int(np.argmax(np.where(ok, res["max_violation"], -np.inf)))
+        worst = {"max_violation": float(res["max_violation"][i]), "holds": bool(res["holds"][i])}
+    verdict = "inconclusive" if not ok.any() else "pass" if worst["holds"] else "fail"
+    payload = json.dumps({"check": "filippov", "lambda": lam, **worst, "pairs": pairs,
+                          "not_applicable": int(pairs - np.count_nonzero(ok)),
+                          "verdict": verdict}, indent=2, sort_keys=True)
+    return payload, verdict

@@ -407,50 +407,24 @@ class GlobalSmoothedFn:
 
 
 def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 3,
-                  table_res: int = 256, annulus_count: int = 512, seed: int = 0,
-                  validation_points: Optional[np.ndarray] = None) -> GlobalSmoothedFn:
+                  table_res: int = 256, annulus_count: int = 512) -> GlobalSmoothedFn:
     """Smooth h (positive off K, zero on K, nonincreasing in t) on the union
-    of dyadic annuli indexed by s_range; dim <= 2.  h is a table function,
-    h(times, X) -> (len(times), len(X)), called once per annulus and once
-    on the validation points, if any."""
+    of dyadic annuli indexed by s_range, consecutive integers; dim <= 2.  h
+    is a table function, h(times, X) -> (len(times), len(X)), called once
+    per annulus; annulus s draws its grid at seed s - s_range[0]."""
     if K.dim > 2:
         raise SmoothingError("smooth_global supports state dimension <= 2")
     s_range = tuple(int(s) for s in s_range)
+    if not s_range:
+        raise SmoothingError("s_range must not be empty")
     if list(s_range) != list(range(s_range[0], s_range[-1] + 1)):
         raise SmoothingError("s_range must be consecutive integers")
     parts = {}
     for s in s_range:
-        grid = annulus_points(K, s, annulus_count, seed=seed + s - s_range[0])
+        grid = annulus_points(K, s, annulus_count, seed=s - s_range[0])
         partition = build_time_partition(h, grid, k_max, table_res=table_res)
         parts[s] = smooth_on_compact(partition)
-    fn = GlobalSmoothedFn(K, parts, s_range)
-    if validation_points is not None:
-        _validate_global(fn, h, np.atleast_2d(validation_points), k_max)
-    return fn
-
-
-def _validate_global(fn: GlobalSmoothedFn, h: Callable, pts: np.ndarray,
-                     k_max: int) -> None:
-    d2 = distance_to_set_many(pts, fn.K) ** 2
-    off = d2 > 0.0
-    y = np.log2(np.where(off, d2, 1.0))
-    uncovered = off & ((y < fn.coverage[0]) | (y > fn.coverage[1]))
-    if uncovered.any():
-        shells = sorted({int(np.floor(v)) for v in y[uncovered]})
-        raise SmoothingError(f"validation grid not covered; missing shells near log2 d^2 in {shells}")
-    times = np.linspace(0.0, k_max, 4 * k_max + 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        H = np.asarray(h(times, pts), dtype=float)
-    # times x points, t-major, in one batch
-    G = fn.sample_pairs(np.repeat(times, len(pts)),
-                        np.tile(pts, (len(times), 1))).reshape(len(times), len(pts))
-    for i, (t, g, hv) in enumerate(zip(times, G, H)):
-        # written so that a non-finite h fails it, at that x
-        if not ((g >= 0.5 * hv - 1e-12) & (g <= 2.0 * hv + 1e-12))[off].all():
-            j = int(np.argmax(np.maximum(0.5 * hv - g, g - 2.0 * hv)[off]))
-            raise SmoothingError(f"global sandwich violated at t={t}, x={pts[off][j].tolist()}")
-        if i and np.any(g - G[i - 1] > 1e-12):
-            raise SmoothingError(f"global t-monotonicity violated at t={t}")
+    return GlobalSmoothedFn(K, parts, s_range)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ from safereach.barrier import (counterexample_barrier, marginal_barrier,
 from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
                                 lipschitz_estimate)
 from safereach.geometry import SetSpec
-from safereach.infinitesimal import ConeProbe, RelaxFn, cone_residual, infinitesimal_check
+from safereach.infinitesimal import (NAGUMO_DEFAULT_TOL, NAGUMO_SHELL_WIDTH, ConeProbe, RelaxFn,
+                                     cone_residual, infinitesimal_check, nagumo_check)
 from safereach.reachability import filippov_check
 from safereach.sampling import halton
 from safereach.smoothing import (ConverseResolution, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_on_compact)
 from safereach.solver import BundlePlan, IntegratorConfig, integrate, solution_bundle
-from safereach.verify import (NAGUMO_DEFAULT_TOL, NAGUMO_SHELL_WIDTH, SafetyProblem,
-                              SamplePlan, UNDER_APPROX_DISCLAIMER, nagumo_check,
+from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
                               simulate_safety_check)
 
 CFG = IntegratorConfig(step=1.0 / 512.0)

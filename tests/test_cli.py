@@ -21,8 +21,8 @@ from safereach.config import (BARRIERS, CHECKS, COMMANDS, SETS, ConfigError, Raw
                               build_scenario, parse_config)
 from safereach.dynamics import InclusionSpec, builtin_field
 from safereach.geometry import SamplePlan, SetSpec
+from safereach.infinitesimal import nagumo_check
 from safereach.solver import BundlePlan, IntegratorConfig
-from safereach.verify import nagumo_check
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -393,6 +393,16 @@ class TestCommands:
         in_disk = np.linalg.norm(data[:, 1:3], axis=1) <= 1.0
         assert data[in_disk, 3].max() <= 1e-12
         assert data[~in_disk, 3].max() > 0.0
+
+    def test_a_user_barrier_without_a_system_reads_the_dimension_of_the_states(self, tmp_path):
+        # a 3-D window: the barrier is compiled over x1, x2 and x3, not over x1 and x2
+        p = self._write(tmp_path, "seed = 1\n[barrier]\nkind = user\nexpression = x1 + x2 + x3\n"
+                                  "[barrier-eval]\nwindow = -1 -1 -1 1 1 1\nnx = 2\ntgrid = 0 0 1\n")
+        out = tmp_path / "out"
+        assert main(["barrier-eval", "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "barrier_grid.csv").read_text().splitlines()[0] == "t,x1,x2,x3,B"
+        data = np.loadtxt(out / "barrier_grid.csv", delimiter=",", skiprows=1)
+        assert len(data) == 8 and np.array_equal(data[:, 4], data[:, 1:4].sum(axis=1))
 
     @pytest.mark.parametrize("escape", [10.0, 3.0])
     def test_reach_writes_its_cloud_and_flags_an_escaped_path(self, tmp_path, escape):
@@ -905,7 +915,17 @@ class TestCommands:
          "[set LAMBOX] lo must be 'x_1 .. x_n' with n = 2, got 3 numbers"),
         # and without a [system], sets that cannot be one set
         (["smooth", "smooth", "set INNER.center=0 0 0"],
-         "[set ANNULUS] intersection members differ in dimension: [2, 3]"),
+         "[set OUTER] center must be 'x_1 .. x_n' with n = 3, as [set INNER] center gives, "
+         "got 2 numbers"),
+        # a user barrier is compiled over that one dimension, whatever its
+        # expression reads: x1 + x2 once ignored x3 of a 3-D window
+        *((["barrier-eval", "smooth", "barrier.kind=user", f"barrier.expression={e}",
+            "barrier-eval.window=-1 -1 -1 1 1 1"],
+           "[barrier-eval] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, "
+           "as [set INNER] center gives, got 6 numbers") for e in ("x1 + x2", "x1 + x2 + x3")),
+        # an empty annulus range once ended in an IndexError
+        (["check", "counterexample", "barrier.kind=converse", "barrier.s_lo=3"],
+         "[barrier] s_lo must be at most s_hi, got 3 > 0"),
         (["smooth", "smooth", "set INNER.center="],
          "[set INNER] center must be 'x_1 .. x_n', got 0 numbers"),
         # an input error named by the section it came from
@@ -988,7 +1008,8 @@ class TestCommands:
         (["check", "--config", "linear.scenario", "--set", "set ELLIPSE.window=-4 -2 4"],
          "[set ELLIPSE] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, got 3 numbers"),
         (["smooth", "--config", "smooth.scenario", "--set", "set ANNULUS.window=-1 1 0"],
-         "[set ANNULUS] window must be 'lo_1 .. lo_n hi_1 .. hi_n', got 3 numbers"),
+         "[set ANNULUS] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, "
+         "as [set INNER] center gives, got 3 numbers"),
     ])
     def test_a_malformed_window_is_refused_by_its_key(self, tmp_path, capsys, argv, message):
         argv = argv[:2] + [str(SCENARIOS / argv[2])] + argv[3:]
@@ -1235,11 +1256,13 @@ assert not {set(unloaded)!r} & sys.modules.keys(), {unloaded!r}
         assert run.stdout.splitlines() == verdicts
 
     @pytest.mark.parametrize("name, loads", [
-        ("safety", False), ("decrease", True), ("ellipse_invariance", True),
-        ("conditional", True), ("filippov", False)])
+        ("safety", "False True"), ("decrease", "True False"),
+        ("ellipse_invariance", "True False"), ("conditional", "True False"),
+        ("filippov", "False False")])
     def test_only_the_checks_of_infinitesimal_conditions_load_them(self, tmp_path, name, loads):
         # linear.scenario with its one [check name] section: infinitesimal,
-        # nagumo and prop1 checks load safereach.infinitesimal, no other kind does
+        # nagumo and prop1 checks load safereach.infinitesimal, no other kind
+        # does, and only the simulate check loads safereach.verify
         head, *checks = (SCENARIOS / "linear.scenario").read_text().split("\n[check ")
         [section] = [c for c in checks if c.startswith(name + "]")]
         config = tmp_path / "one.scenario"
@@ -1248,11 +1271,11 @@ assert not {set(unloaded)!r} & sys.modules.keys(), {unloaded!r}
 import sys
 import safereach.cli as cli
 assert cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
-print("safereach.infinitesimal" in sys.modules)
+print("safereach.infinitesimal" in sys.modules, "safereach.verify" in sys.modules)
 """
         run = self._run("-c", script)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == [f"check {name}: pass", str(loads)]
+        assert run.stdout.splitlines() == [f"check {name}: pass", loads]
 
     def test_commands_load_neither_numpy_random_nor_openssl(self, tmp_path):
         # the Halton scramble and the Filippov draw come from sampling.Stream,

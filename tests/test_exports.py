@@ -97,8 +97,6 @@ KEPT_DEFAULTS = {
     ("main", "argv"): "the console entry point passes none; tests pass their argv",
     ("integrate", "direction"): "bench/spans.py patches integrate; tests integrate backward",
     ("integrate", "cfg"): "bench/spans.py patches integrate; tests pass their step",
-    ("smooth_global", "seed"): "a library leftover: the validation draw",
-    ("smooth_global", "validation_points"): "a library leftover: the validation count",
 }
 
 
@@ -164,6 +162,26 @@ def test_every_defaulted_parameter_is_set_in_src():
     unset = sorted(_unset_defaults() - set(KEPT_DEFAULTS))
     assert unset == [], f"parameters with a default that no call in src/ sets: {unset}"
     assert set(KEPT_DEFAULTS) <= _unset_defaults()
+
+
+def _imports_the_package(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or (node.module or "").split(".")[0] == "safereach"
+    return isinstance(node, ast.Import) and \
+        any(a.name.split(".")[0] == "safereach" for a in node.names)
+
+
+def test_only_the_command_line_imports_a_package_module_inside_a_function():
+    # a library module imports what it runs at its top, so each check kind
+    # lives in the module that holds what it calls; the command line imports
+    # each command's and check's module when it runs, so a run loads only its own
+    nested = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cli.py":
+            nested |= {f"{path.name}:{n.lineno}" for f in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for n in ast.walk(f) if _imports_the_package(n)}
+    assert not nested, f"a package module imported inside a function: {sorted(nested)}"
 
 
 def test_np_unique_is_always_called_with_a_return_flag():

@@ -6,8 +6,8 @@ from safereach import smoothing
 from safereach.barrier import BarrierError
 from safereach.dynamics import Selector, builtin_field
 from safereach.geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
-from safereach.smoothing import (ConverseResolution, GlobalSmoothedFn, SmoothingError,
-                                 _RescaledTubeMin, annulus_points, build_time_partition,
+from safereach.smoothing import (ConverseResolution, SmoothingError, _RescaledTubeMin,
+                                 annulus_points, build_time_partition,
                                  converse_smooth_barrier, hermite_segment,
                                  smooth_global, smooth_on_compact)
 from safereach.solver import IntegratorConfig, SolverError, integrate
@@ -299,36 +299,19 @@ class TestSmoothGlobal:
         with pytest.raises(SmoothingError, match="coverage"):
             g.sample_pairs([0.0], np.array([[1e-4, 0.0]]))
 
-    def test_validation_lists_missing_shells(self):
-        pts = np.array([[1e-4, 0.0], [0.5, 0.0]])
-        with pytest.raises(SmoothingError, match="shells"):
-            smooth_global(self.h_dist, self.K, range(-4, 0), k_max=1,
-                          table_res=16, annulus_count=128,
-                          validation_points=pts)
-
-    def test_validation_rejects_non_finite_h(self):
-        # finite on every annulus grid, NaN at one validation point only
-        def h(ts, X):
-            return np.where(X[:, 0] == 0.3, np.nan, self.h_dist(ts, X))
-
-        with pytest.raises(SmoothingError, match=r"violated at t=0\.0, x=\[0\.3, 0\.0\]"):
-            smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
-                          validation_points=np.array([[0.0, -0.5], [0.3, 0.0]]))
-
-    def test_h_is_called_once_per_annulus_and_once_to_validate(self, monkeypatch):
-        calls, batches = [], []
+    def test_h_is_called_once_per_annulus(self):
+        calls = []
 
         def h(ts, X):
             calls.append(len(ts))
             return self.h_dist(ts, X)
 
-        sample_pairs = GlobalSmoothedFn.sample_pairs
-        monkeypatch.setattr(GlobalSmoothedFn, "sample_pairs",
-                            lambda fn, ts, Q: (batches.append(len(Q)), sample_pairs(fn, ts, Q))[1])
-        smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128,
-                      validation_points=np.array([[0.3, 0.0], [0.0, -0.5]]))
-        assert calls == [17] * 4 + [5]
-        assert batches == [5 * 2]   # the validation: times x points in one batch
+        smooth_global(h, self.K, range(-4, 0), k_max=1, table_res=16, annulus_count=128)
+        assert calls == [17] * 4
+
+    def test_empty_s_range_is_refused(self):
+        with pytest.raises(SmoothingError, match="s_range must not be empty"):
+            smooth_global(self.h_dist, self.K, range(3, 1))
 
     def test_dimension_cap(self):
         K3 = SetSpec.points([[0.0, 0.0, 0.0]])
@@ -338,8 +321,7 @@ class TestSmoothGlobal:
     def test_box_k_generic_annuli(self):
         K = SetSpec.box([-0.2, -0.2], [0.2, 0.2], name="core")
         h = lambda t, X: distance_to_set_many(np.atleast_2d(X), K) + np.zeros((*np.shape(t), 1))
-        g = smooth_global(h, K, range(-5, 1), k_max=1, table_res=16,
-                          annulus_count=512, seed=2)
+        g = smooth_global(h, K, range(-5, 1), k_max=1, table_res=16, annulus_count=512)
         pts = np.array([[0.5, 0.1], [0.9, -0.6], [-0.4, 0.45]])
         hv = h(0.0, pts)
         gv = g.sample_pairs(np.full(len(pts), 0.5), pts)

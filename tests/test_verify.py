@@ -8,10 +8,11 @@ from safereach.barrier import user_barrier
 from safereach.dynamics import (FieldHandle, InclusionSpec, builtin_field,
                                 field_from_expressions, inclusion_extreme_points)
 from safereach.geometry import SetSpec
-from safereach.infinitesimal import RelaxFn, clarke_gradient_sample, infinitesimal_check
+from safereach.infinitesimal import (RelaxFn, clarke_gradient_sample, infinitesimal_check,
+                                     nagumo_check, prop1_check)
 from safereach.solver import BundlePlan, IntegratorConfig, integrate
 from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
-                              nagumo_check, prop1_check, simulate_safety_check)
+                              simulate_safety_check)
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 ZERO = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
@@ -30,8 +31,8 @@ def _boundary_residual(F, K, x):
     at the point x of K's boundary: its unit direction probed directly."""
     v = inclusion_extreme_points(F, [x])[0, 0]
     probe = infinitesimal.ConeProbe([x], v / np.linalg.norm(v))
-    return infinitesimal.cone_residual(probe, K, tol=max(verify.NAGUMO_DEFAULT_TOL,
-                                                    verify.NAGUMO_SHELL_WIDTH))[0]
+    return infinitesimal.cone_residual(probe, K, tol=max(infinitesimal.NAGUMO_DEFAULT_TOL,
+                                                         infinitesimal.NAGUMO_SHELL_WIDTH))[0]
 
 
 def _count_rhs_calls(monkeypatch):
@@ -197,7 +198,7 @@ class TestNagumo:
         # the named witness alone violates: outward component <x, Ax> = 4,
         # i.e. a residual of 4/|Ax| per unit speed
         solo = _boundary_residual(LINEAR, SetSpec.ball([0, 0], 1.0), w)
-        assert solo > verify.NAGUMO_DEFAULT_TOL
+        assert solo > infinitesimal.NAGUMO_DEFAULT_TOL
         assert float(w @ (A @ w)) == pytest.approx(4.0)
         assert solo == pytest.approx(4.0 / np.linalg.norm(A @ w), abs=1e-6)
 
@@ -207,13 +208,13 @@ class TestNagumo:
         rep = nagumo_check(LINEAR, ell, "boundary", n_samples=32)
         assert rep.verdict == "pass"
         for x in ([0.0, 1.0], [0.0, -1.0]):
-            assert _boundary_residual(LINEAR, ell, x) <= verify.NAGUMO_DEFAULT_TOL
+            assert _boundary_residual(LINEAR, ell, x) <= infinitesimal.NAGUMO_DEFAULT_TOL
 
     def test_exterior_mode_on_ellipse(self, monkeypatch):
         ell = SetSpec.sublevel(lambda X: X[:, 0] ** 2 / 10 + X[:, 1] ** 2, 1.0, 2,
                                window=([-4, -2], [4, 2]), grid=41, name="ellipse")
         # a shell wide enough for 24 samples out of 768 candidates
-        monkeypatch.setattr(verify, "NAGUMO_SHELL_WIDTH", 0.05)
+        monkeypatch.setattr(infinitesimal, "NAGUMO_SHELL_WIDTH", 0.05)
         rep = nagumo_check(LINEAR, ell, "exterior", n_samples=24, window=([-4, -2], [4, 2]))
         assert rep.verdict == "pass"
 
@@ -237,8 +238,7 @@ class TestNagumo:
         real = geometry.distance_to_set_many
         counted = lambda X, S: count.append(len(X)) or real(X, S)
         monkeypatch.setattr(infinitesimal, "distance_to_set_many", counted)
-        monkeypatch.setattr(verify, "distance_to_set_many", counted)
-        monkeypatch.setattr(verify, "NAGUMO_SHELL_WIDTH", 0.05)
+        monkeypatch.setattr(infinitesimal, "NAGUMO_SHELL_WIDTH", 0.05)
         for n in (8, 64):
             count.clear()
             rep = nagumo_check(F, DISK, mode, n_samples=n)
@@ -271,7 +271,7 @@ class TestProp1:
         (X_o = DISK, g = 0): candidates(x, zeta) lists (eta, margin) pairs.
         Returns the first largest margin, its witness and the zeta count."""
         handle = lambda P: self.B.evaluate_many(np.zeros(len(P)), P).value
-        region = verify._between_region(DISK, self.Xs, "conditional", n_samples, width,
+        region = infinitesimal._between_region(DISK, self.Xs, "conditional", n_samples, width,
                                         seed + 2, self.window)
         grads = clarke_gradient_sample(handle, region, radius=1e-6, fd_step=1e-7, seed=seed)
         worst, witness, zetas = -np.inf, {}, 0
