@@ -21,8 +21,7 @@ _EXPORTS = {
     "barrier": ("BarrierFn", "CheckReport", "candidate_sign_check",
                 "counterexample_barrier", "marginal_barrier", "monotonicity_check",
                 "user_barrier"),
-    "infinitesimal": ("ConeProbe", "SubgradientCandidate",
-                      "clarke_gradient_sample", "cone_residual", "infinitesimal_check",
+    "infinitesimal": ("clarke_gradient_sample", "cone_residual", "infinitesimal_check",
                       "nagumo_check", "prop1_check", "proximal_subgradient_test"),
     "smoothing": ("ConverseResolution", "SmoothedFn", "build_time_partition",
                   "converse_smooth_barrier", "hermite_segment", "smooth_global",

@@ -56,13 +56,10 @@ class BarrierFn(NamedTuple):
     batch_fn maps times ts (m,) and states Xs (m, n) to the pair (values,
     cut) of (m,) arrays that evaluate_many returns as a BarrierValues; each
     row depends on its own (t, x) only, and a B with no backward tube cuts
-    none.  band_width is the default width of the margin band realizing "a
-    neighborhood of the zero-sublevel set minus the set itself" in the
-    infinitesimal checks.
+    none.
     """
 
     batch_fn: Callable
-    band_width: float = 0.1
 
     def evaluate_many(self, ts, Xs) -> BarrierValues:
         ts = np.asarray(ts, dtype=float)
@@ -79,14 +76,14 @@ class BarrierFn(NamedTuple):
         return BarrierValues(vals, cut)
 
 
-def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierFn:
+def user_barrier(expression: str, dim: int) -> BarrierFn:
     """Barrier from an expression over x1..xn, optionally involving t."""
     time_dep = re.search(r"\bt\b", expression) is not None
     g = compile_expression(expression, (("t",) if time_dep else ())
                            + tuple(f"x{i + 1}" for i in range(dim)))
     batch = lambda ts, Xs: (g(np.column_stack([ts, Xs]) if time_dep else Xs),
                             np.zeros(len(ts), dtype=bool))
-    return BarrierFn(batch, band_width)
+    return BarrierFn(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +92,7 @@ def user_barrier(expression: str, dim: int, band_width: float = 0.1) -> BarrierF
 
 def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
                      cfg: IntegratorConfig = IntegratorConfig(),
-                     directions: int = 8, switches: int = 0, seed: int = 0,
-                     band_width: float = 0.1) -> BarrierFn:
+                     directions: int = 8, switches: int = 0, seed: int = 0) -> BarrierFn:
     """The converse construction: B(t,x) = min over R(-t,x) of |y|_{X_o},
     evaluated by batched integration.
 
@@ -124,7 +120,7 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
                                  X_o, cfg.escape_radius)
         return best[0] * (1.0 - frac) + best[1] * frac, cut[1]
 
-    return BarrierFn(values, band_width)
+    return BarrierFn(values)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +146,9 @@ def counterexample_barrier(t, x):
                                             1.0 / (phase + np.floor(frac) * np.pi)))
 
 
-def counterexample_barrier_fn(band_width: float = 0.1) -> BarrierFn:
+def counterexample_barrier_fn() -> BarrierFn:
     return BarrierFn(lambda ts, Xs: (counterexample_barrier(ts, Xs),
-                                     np.zeros(len(ts), dtype=bool)), band_width)
+                                     np.zeros(len(ts), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,12 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
     kind, a = _require(scn.barrier, "config needs a [barrier] section")
     try:
         if kind == "counterexample":
-            return counterexample_barrier_fn(band_width=a["band"])
+            return counterexample_barrier_fn()
         if kind == "user":
-            return user_barrier(a["expression"], scn.dim, band_width=a["band"])
+            return user_barrier(a["expression"], scn.dim)
         if kind == "marginal":
             return marginal_barrier(scn.system, a["X_o"], scn.solver, scn.bundle.directions,
-                                    scn.bundle.switches, scn.bundle.seed, a["band"])
+                                    scn.bundle.switches, scn.bundle.seed)
         from .smoothing import ConverseResolution, converse_smooth_barrier
 
         res = ConverseResolution(s_range=tuple(range(a["s_lo"], a["s_hi"] + 1)), k_max=a["k_max"])
@@ -198,9 +198,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
     if kind == "infinitesimal":
         from .infinitesimal import infinitesimal_check
 
-        region = a["region"]
-        if region != "everywhere":
-            region = (region, 1e-3 if a["width"] is None and region == "boundary" else a["width"])
+        region = a["region"] if a["region"] == "everywhere" else (a["region"], a["width"])
         rep = infinitesimal_check(barrier(), scn.system, a["mode"], region, a["g"],
                                   t_grid=scn.t_grid, window=window, count=a["count"],
                                   seed=seed, tol=a["tol"])

@@ -51,7 +51,7 @@ class ConfigError(ValueError):
 
 _SCHEMAS = {
     "": {"seed": "int", "out": "str"},
-    "system": {"kind": "str", "name": "str", "dim": "int", "rhs": "str",
+    "system": {"kind": "str", "name": "str", "rhs": "str",
                "member": "str+", "inclusion": "str", "epsilon": "float"},
     "solver": {"method": "str", "step": "float", "escape": "float", "max_steps": "int"},
     "bundle": {"directions": "count", "switches": "size"},
@@ -61,8 +61,7 @@ _SCHEMAS = {
             "hi": "point", "normal": "point", "offset": "float", "fn": "str",
             "level": "float", "window": "window", "grid": "count", "point": "point+",
             "of": "str"},
-    "barrier": {"kind": "str", "X_o": "str", "expression": "str",
-                "band": "float", "k_max": "int",
+    "barrier": {"kind": "str", "X_o": "str", "expression": "str", "k_max": "int",
                 "s_lo": "int", "s_hi": "int"},
     "simulate": {"X_o": "str", "T": "horizon"},
     "reach": {"x0": "point", "t": "time", "stride": "count"},
@@ -88,9 +87,7 @@ SETS = {"ball": {"center": NEEDED, "radius": NEEDED}, "box": {"lo": NEEDED, "hi"
         "halfspace": {"normal": NEEDED, "offset": NEEDED}, "points": {"point": NEEDED},
         "sublevel": {"fn": NEEDED, "level": 0.0, "window": NEEDED, "grid": 33},
         "complement": {"of": NEEDED}, "union": {"of": NEEDED}, "intersection": {"of": NEEDED}}
-BARRIERS = {"counterexample": {"band": 0.1},
-            "user": {"expression": NEEDED, "band": 0.1},
-            "marginal": {"X_o": SET, "band": 0.1},
+BARRIERS = {"counterexample": {}, "user": {"expression": NEEDED}, "marginal": {"X_o": SET},
             "converse": {"X_o": SET, "s_lo": -8, "s_hi": 0, "k_max": 6}}
 CHECKS = {"simulate": {"X_o": SET, "X_u": SET, "T": 1.0, "tol": 1e-9},
           "sign": {"X_o": SET, "X_u": SET, "n_samples": 64},
@@ -109,7 +106,7 @@ COMMANDS = {"simulate": {"X_o": SET, "T": 1.0},
             "barrier-eval": {"window": NEEDED, "nx": 21, "tgrid": [0.0, 1.0, 5]},
             "smooth": {"h": NEEDED, "region": SET, "k_max": 3, "table_res": 256,
                        "grid_n": 41, "w_tol": None, "out_n": 9}}
-SYSTEMS = {"builtin": {"name": NEEDED}, "expression": {"rhs": NEEDED, "dim": None}}
+SYSTEMS = {"builtin": {"name": NEEDED}, "expression": {"rhs": NEEDED}}
 INCLUSIONS = {"singleton": {}, "ball": {"epsilon": 0.0}, "hull": {"member": []}}
 
 
@@ -296,7 +293,7 @@ def resolve(cfg: RawConfig, section: str, kinds: dict, sets=None, reads=None) ->
     unread = [key for key in given if key not in reads and key not in kinds]
     if unread:
         raise ConfigError(f"[{section}] key '{unread[0]}' is not read by {by}, "
-                          f"which reads {', '.join(reads)}")
+                          f"which reads {', '.join(reads) or 'no key'}")
     args = {}
     for key, default in reads.items():
         if key not in given:
@@ -362,10 +359,7 @@ def _build_system(cfg: RawConfig) -> Optional[InclusionSpec]:
     if kind == "builtin":
         f = builtin_field(a["name"])
     else:
-        exprs = [c.strip() for c in a["rhs"].split(";")]
-        if a["dim"] not in (None, len(exprs)):
-            raise ConfigError(f"[system] dim={a['dim']} but rhs has {len(exprs)} components")
-        f = field_from_expressions(exprs, name="user")
+        f = field_from_expressions([c.strip() for c in a["rhs"].split(";")], name="user")
     if inclusion == "singleton":
         return InclusionSpec.singleton(f)
     if inclusion == "ball":
@@ -445,6 +439,9 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         barrier = kind, a = resolve(cfg, "barrier", {"kind": (BARRIERS, None)}, cache)
         if "X_o" in a and system is None:
             raise ConfigError(f"[barrier] {kind} needs a [system]")
+        if kind == "counterexample" and dim not in (None, 2):
+            raise ConfigError(f"[barrier] counterexample is the planar system's barrier: "
+                              f"it needs n = 2, got n = {dim}")
         if kind == "converse" and system.kind != "singleton":
             raise ConfigError("[barrier] converse needs a single-valued system")
         if kind == "converse" and a["s_lo"] > a["s_hi"]:

@@ -48,6 +48,11 @@ def _validate(tree: ast.AST, variables: tuple[str, ...]) -> None:
                 raise ExpressionError("only sin/cos/tan/exp/log/sqrt/abs/atan/min/max calls allowed")
             if node.keywords:
                 raise ExpressionError("keyword arguments not allowed")
+            # a surplus argument would be numpy's out= and overwrite a state
+            arity = 2 if node.func.id in ("min", "max") else 1
+            if len(node.args) != arity:
+                raise ExpressionError(f"{node.func.id} takes {arity} argument"
+                                      f"{'s' * (arity > 1)}, got {len(node.args)}")
         if isinstance(node, ast.Name):
             if node.id not in variables and node.id not in _FUNCS and node.id != "pi":
                 raise ExpressionError(f"unknown symbol '{node.id}'")

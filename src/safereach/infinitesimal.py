@@ -17,7 +17,6 @@ line load this module.  Checks are one-sided numerical evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,10 +28,11 @@ from .expr import RelaxFn
 from .geometry import GeometryError, SetSpec, bisect_boundary, distance_to_set_many, row_dot
 
 DEFAULT_CONE_TOL = 1e-6
-DEFAULT_CONE_STEPS = tuple(10.0 ** -i for i in range(1, 7))
+CONE_STEPS = np.array([10.0 ** -i for i in range(1, 7)])  # the steps h of the quotients
 _PROX_TOL = 1e-9        # a proximal margin >= -_PROX_TOL holds
 CLARKE_RADIUS = 1e-4    # radius of the Clarke gradient samples around (t, x)
 FD_STEP = 1e-6          # step of the infinitesimal check's finite differences
+BOUNDARY_WIDTH = 1e-3   # |B| <= this is the boundary region when no width is given
 NAGUMO_DEFAULT_TOL = 1e-5   # absorbs curvature x min-step plus distance noise
 NAGUMO_SHELL_WIDTH = 1e-3   # width of nagumo_check's exterior shell
 PROP1_CLARKE_RADIUS = 1e-6  # radius of prop1_check's Clarke gradient samples
@@ -44,46 +44,30 @@ PROP1_TOL = 1e-7            # prop1_check passes when its worst margin is at mos
 # cone probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeProbe:
-    """Finite surrogate for membership of directions v in the tangent cone
-    at points x: k probes, x and v of shape (k, n)."""
-
-    x: np.ndarray
-    v: np.ndarray
-    steps: tuple = DEFAULT_CONE_STEPS
-    mode: str = "contingent"
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "v", np.atleast_2d(np.asarray(self.v, dtype=float)))
-        steps = tuple(float(s) for s in self.steps)
-        if len(steps) < 3 or any(s <= 0 for s in steps) or any(
-                steps[i + 1] >= steps[i] for i in range(len(steps) - 1)):
-            raise GeometryError("steps must be >= 3 strictly decreasing positive reals")
-        object.__setattr__(self, "steps", steps)
-        if self.mode not in ("contingent", "external"):
-            raise GeometryError(f"unknown cone mode {self.mode}")
-
-
-def cone_residual(probe: ConeProbe, S: SetSpec, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
-    """Admission residuals (k,): <= tol means the direction is admitted by the cone.
+def cone_residual(X, V, S: SetSpec, mode: str = "contingent",
+                  tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
+    """Admission residuals (k,) of directions V at points X, both (k, n) or
+    (n,) for one probe, in the tangent cone of S: <= tol means the direction
+    is admitted by the cone.
 
     contingent: min_h |x + h v|_S / h, requiring x in S (within tol);
-    external:   min_h (|x + h v|_S - |x|_S) / h.
-    Every base point and step point of the batch goes into one distance call.
+    external:   min_h (|x + h v|_S - |x|_S) / h,
+    h over CONE_STEPS.  Every base point and step point of the batch goes
+    into one distance call.
     """
-    X, V = probe.x, probe.v
+    if mode not in ("contingent", "external"):
+        raise GeometryError(f"unknown cone mode {mode}")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
     k, n = X.shape
-    steps = np.asarray(probe.steps)
     d = distance_to_set_many(np.concatenate(
-        [X, (X[:, None, :] + steps[:, None] * V[:, None, :]).reshape(-1, n)]), S)
-    d0, ds = d[:k], d[k:].reshape(k, len(steps))
-    if probe.mode == "external":
-        return ((ds - d0[:, None]) / steps).min(axis=1)
+        [X, (X[:, None, :] + CONE_STEPS[:, None] * V[:, None, :]).reshape(-1, n)]), S)
+    d0, ds = d[:k], d[k:].reshape(k, len(CONE_STEPS))
+    if mode == "external":
+        return ((ds - d0[:, None]) / CONE_STEPS).min(axis=1)
     if (d0 > tol).any():
         raise GeometryError(f"base point {X[np.argmax(d0 > tol)].tolist()} not in set")
-    return (ds / steps).min(axis=1)
+    return (ds / CONE_STEPS).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,47 +101,34 @@ def clarke_gradient_sample(B, X, radius: float, fd_step: float = 1e-7,
     return (hi - lo) / (2.0 * fd_step)
 
 
-@dataclass(frozen=True)
-class SubgradientCandidate:
-    """Candidate proximal subgradients of B with curvature bound eps: zetas
-    (k, z, n) at bases x (k, n)."""
-
-    x: np.ndarray
-    zeta: np.ndarray
-    radius: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
-        if self.radius <= 0:
-            raise GeometryError("radius must be positive")
-        if self.eps < 0:
-            raise GeometryError("eps must be nonnegative")
-
-
-def proximal_subgradient_test(cand: SubgradientCandidate, B, m: int = 64,
+def proximal_subgradient_test(X, zeta, B, radius: float, eps: float = 0.0, m: int = 64,
                               seed: int = 0) -> dict:
-    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m ball samples.
+    """Check B(y) >= B(x) + <zeta, y-x> - eps |y-x|^2 on m samples of the
+    radius-ball around each base, for candidate proximal subgradients zeta
+    (k, z, n) of B at bases X (k, n) with curvature bound eps.
 
     B is a batch handle, called once on every base and all of its samples.
     "holds" and "worst_margin" are (k, z) arrays; a zeta's margins do not
     depend on the others."""
+    if radius <= 0:
+        raise GeometryError("radius must be positive")
+    if eps < 0:
+        raise GeometryError("eps must be nonnegative")
     if m < 10:
         raise GeometryError("need m >= 10 test points")
-    X, zeta = cand.x, cand.zeta
+    X, zeta = np.asarray(X, dtype=float), np.asarray(zeta, dtype=float)
     k, n = X.shape
     # ball_points(x, ...) is x plus offsets that do not depend on x; the
     # boundary probes along +-coordinate axes are where violations peak
-    offsets = np.vstack([sampling.ball_points(np.zeros(n), cand.radius, m, seed=seed),
-                         np.vstack([np.eye(n), -np.eye(n)]) * cand.radius])
+    offsets = np.vstack([sampling.ball_points(np.zeros(n), radius, m, seed=seed),
+                         np.vstack([np.eye(n), -np.eye(n)]) * radius])
     pts = X[:, None, :] + offsets
     vals = np.asarray(B(np.concatenate([X[:, None, :], pts], axis=1).reshape(-1, n)),
                       dtype=float).reshape(k, -1)
     d = pts - X[:, None, :]
     margins = ((vals[:, 1:] - vals[:, :1])[:, :, None]
                - row_dot(d[:, :, None, :], zeta[:, None, :, :])
-               + cand.eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
+               + eps * np.einsum("kij,kij->ki", d, d)[:, :, None])
     worst = margins.min(axis=1)
     return {"holds": worst >= -_PROX_TOL, "worst_margin": worst}
 
@@ -181,16 +152,16 @@ def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.nd
     return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
 
 
-def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
-    """Sample (t, x) pairs in the requested region of the (t, x) space."""
+def _region_samples(B: BarrierFn, kind: str, width, t_grid, window, count, seed):
+    """Sample (t, x) pairs in the region kind of the (t, x) space: everywhere,
+    the margin 0 < B <= width, or the boundary |B| <= width; a margin
+    without a width is a tenth of the median positive value at its t."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         return []
     lo, hi = window
     per_t = max(count // len(t_grid), 8)
     pool_x = sampling.box_points(lo, hi, per_t * 4, seed=seed)
-    kind = region if isinstance(region, str) else region[0]
-    width = None if isinstance(region, str) else region[1]
     # one t-major batch over t-grid x pool
     vals_t = B.evaluate_many(np.repeat(t_grid, len(pool_x)),
                              np.tile(pool_x, (len(t_grid), 1))).value.reshape(len(t_grid), -1)
@@ -199,10 +170,12 @@ def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
         if kind == "everywhere":
             keep = np.ones(len(pool_x), dtype=bool)
         elif kind == "margin_band":
-            w = width if width is not None else _default_band(vals, B.band_width)
-            keep = (vals > 0.0) & (vals <= w)
+            keep = vals > 0.0
+            if keep.any():      # with no value positive, no width keeps one
+                keep &= vals <= (width if width is not None
+                                 else 0.1 * float(np.median(vals[keep])))
         elif kind == "boundary":
-            keep = np.abs(vals) <= (width if width is not None else 1e-3)
+            keep = np.abs(vals) <= width
             if not keep.any():
                 picked.extend(_bisect_zero_level(B, float(t), pool_x, vals, per_t))
                 continue
@@ -211,11 +184,6 @@ def _region_samples(B: BarrierFn, region, t_grid, window, count, seed):
         pts = pool_x[keep][:per_t]
         picked.extend((float(t), p) for p in pts)
     return picked[:count] if count else picked
-
-
-def _default_band(vals: np.ndarray, fallback: float) -> float:
-    pos = vals[vals > 0]
-    return 0.1 * float(np.median(pos)) if len(pos) else fallback
 
 
 def _bisect_zero_level(B: BarrierFn, t: float, pool: np.ndarray,
@@ -249,7 +217,10 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
     if window is None:
         raise ValueError("infinitesimal_check needs a sampling window")
     lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
-    pairs = _region_samples(B, region, t_grid, (lo, hi), count, seed)
+    kind, width = (region, None) if isinstance(region, str) else region
+    if kind == "boundary" and width is None:
+        width = BOUNDARY_WIDTH
+    pairs = _region_samples(B, kind, width, t_grid, (lo, hi), count, seed)
     if not pairs:
         return CheckReport(f"infinitesimal_{mode}", 0, 0.0, {}, "inconclusive",
                            details={"reason": "region empty after sampling"})
@@ -265,9 +236,11 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
     worst = float(margins[i, j])
     witness = {"t": float(ts[i]), "x": X[i].tolist(), "eta": etas[i, j].tolist(),
                "zeta": Z[i, j].tolist()}
+    # a (kind, width) region is reported with the width it used
+    text = str(region if isinstance(region, str) else (kind, width))
     return CheckReport(f"infinitesimal_{mode}", int(keep.sum()), worst, witness,
                        "pass" if worst <= tol else "fail",
-                       details={"relaxation": g.kind, "region": str(region)})
+                       details={"relaxation": g.kind, "region": text})
 
 
 def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, seed: int):
@@ -286,8 +259,7 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, see
         return grads, np.ones(grads.shape[:2], dtype=bool)
     # each margin is nondecreasing in eps, so the curvature bound 100 accepts
     # every zeta that a smaller one would; one test on every pair and its zetas
-    keep = proximal_subgradient_test(SubgradientCandidate(TX, grads, radius=prox_radius,
-                                                          eps=100.0), handle, m=24, seed=seed)
+    keep = proximal_subgradient_test(TX, grads, handle, prox_radius, 100.0, m=24, seed=seed)
     return grads, keep["holds"]
 
 
@@ -324,10 +296,9 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     speed = np.sqrt(np.vecdot(E, E))
     moving = speed >= 1e-15
     res = np.zeros(len(E))    # zero velocity is in every cone
-    res[moving] = cone_residual(ConeProbe(
-        X[moving], E[moving] / speed[moving, None],
-        mode="contingent" if mode == "boundary" else "external"), K,
-        tol=max(tol, NAGUMO_SHELL_WIDTH))
+    res[moving] = cone_residual(X[moving], E[moving] / speed[moving, None], K,
+                                "contingent" if mode == "boundary" else "external",
+                                max(tol, NAGUMO_SHELL_WIDTH))
     i = int(np.argmax(res))     # the first largest, in (sample, vertex) order
     return CheckReport(f"nagumo_{mode}", len(res), float(res[i]),
                        {"x": X[i].tolist(), "eta": E[i].tolist()},
@@ -338,7 +309,7 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
 def _exterior_shell(K: SetSpec, count: int, width: float, seed: int, window):
     box = K.bounding_box()
     if box is None and window is None:
-        raise ValueError("exterior shell sampling needs a bounded K or window")
+        raise GeometryError("exterior shell sampling needs a bounded K or window")
     if window is not None:
         lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
     else:
@@ -422,7 +393,7 @@ def _between_region(X_o: SetSpec, X_s: SetSpec, mode: str, count: int,
     else:
         box = X_s.bounding_box() or X_o.bounding_box()
         if box is None:
-            raise ValueError("prop1_check needs a window for unbounded sets")
+            raise GeometryError("prop1_check needs a window for unbounded sets")
         lo, hi = box
     cand = sampling.box_points(lo, hi, count * 16, seed=seed)
     d_o = distance_to_set_many(cand, X_o)

@@ -431,13 +431,15 @@ def smooth_global(h: Callable, K: SetSpec, s_range: Sequence[int], k_max: int = 
 # converse smooth barrier (rescale, marginal-of-rescaled, smooth, compose)
 # ---------------------------------------------------------------------------
 
+TOUCH_TOL = 1e-9            # a backward path this near X_o touches it, and B is 0 there
+RESCALED_STEP = 1.0 / 64.0  # the coarsest step of the rescaled flow's tube table
+
+
 class ConverseResolution(NamedTuple):
     s_range: tuple = tuple(range(-8, 1))
     k_max: int = 6
     table_res: int = 64
     annulus_count: int = 384
-    touch_tol: float = 1e-9
-    rescaled_step: float = 1.0 / 64.0
 
 
 class _RescaledTubeMin:
@@ -448,9 +450,9 @@ class _RescaledTubeMin:
         self.X_o = X_o
         V = lambda X: distance_to_set_many(np.atleast_2d(X), X_o) ** 2
         self.F = InclusionSpec.singleton(rescale_field(f, V))
-        # exact divisor of the table spacing, no coarser than rescaled_step
+        # exact divisor of the table spacing, no coarser than RESCALED_STEP
         spacing = 1.0 / res.table_res
-        self.h = spacing / max(1, int(np.ceil(spacing / res.rescaled_step)))
+        self.h = spacing / max(1, int(np.ceil(spacing / RESCALED_STEP)))
 
     def __call__(self, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
@@ -513,7 +515,7 @@ class ConverseBarrier:
             np.minimum(dmin, d_block.min(axis=0), out=dmin)
             # the trapezoid sum for tau, node by node in order; node 0 only opens it
             for k, (rows, d_here) in enumerate(zip(stepped, d_block), k0):
-                inv_here = 1.0 / np.maximum(d_here[rows] ** 2, self.res.touch_tol ** 2)
+                inv_here = 1.0 / np.maximum(d_here[rows] ** 2, TOUCH_TOL ** 2)
                 if k:
                     tau_int[rows] += 0.5 * (inv_prev[rows] + inv_here) * h_rows[rows]
                 inv_prev[rows] = inv_here
@@ -525,7 +527,7 @@ class ConverseBarrier:
             state = rk4_sweep(step, Xs, n_rows, observe)[0]
         except SolverError as exc:
             raise SmoothingError(f"backward flow diverged during barrier evaluation: {exc}") from exc
-        touched = dmin <= self.res.touch_tol
+        touched = dmin <= TOUCH_TOL
         out = np.zeros(m)
         free = ~touched
         if free.any():

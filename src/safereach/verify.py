@@ -73,7 +73,6 @@ class SafetyReport:
     verdict: str                      # no_violation_found | violation
     witness: dict = field(default_factory=dict)
     coverage: dict = field(default_factory=dict)
-    disclaimers: list = field(default_factory=lambda: [UNDER_APPROX_DISCLAIMER])
     escapes: int = 0
     # min distance of any node to X_u; None where that distance is estimated
     margin: Optional[float] = float("inf")
@@ -85,7 +84,7 @@ class SafetyReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "coverage": self.coverage,
-            "disclaimers": self.disclaimers,
+            "disclaimers": [UNDER_APPROX_DISCLAIMER],
             "escapes": self.escapes,
             "margin": self.margin if self.margin is not None and np.isfinite(self.margin)
             else None,

@@ -706,7 +706,7 @@ class TestZeroLevelBisection:
     def test_ends_equal_a_bisection_kept_by_the_nonpositive_side(self):
         # no pool point lies within 1e-12 of the zero level, so every t bisects
         t_grid, count, seed = [0.0, 0.5], 16, 3
-        picked = infinitesimal._region_samples(HULL_B, ("boundary", 1e-12), t_grid, WINDOW,
+        picked = infinitesimal._region_samples(HULL_B, "boundary", 1e-12, t_grid, WINDOW,
                                                count, seed)
         per_t = max(count // len(t_grid), 8)
         pool = sampling.box_points(*WINDOW, per_t * 4, seed=seed)

@@ -89,7 +89,10 @@ class TestConfigParsing:
                              ("[simulate]", "X_u = X_u"),
                              ("[simulate]", "hit_tol = 1e-6"),
                              ("[check quick]", "tgrid = 0 1 3"),
-                             ("T = 2", "[barrier]\ndirections = 4")):
+                             ("T = 2", "[barrier]\ndirections = 4"),
+                             # a barrier's band width and a [system] dim changed no output
+                             ("T = 2", "[barrier]\nkind = counterexample\nband = 0.2"),
+                             ("name = linear_safe", "dim = 2")):
             bad = MINIMAL.replace(anchor, f"{anchor}\n{line}")
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(bad)
@@ -687,6 +690,47 @@ class TestCommands:
             else:
                 assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, name, written", [
+        ([], "conditional", ["safety", "ellipse_invariance"]),
+        (["check ellipse_invariance.K=X_u", "check ellipse_invariance.mode=exterior"],
+         "ellipse_invariance", ["safety"]),
+    ])
+    def test_an_unbounded_set_without_a_window_is_refused_by_its_check(
+            self, tmp_path, capsys, overrides, name, written):
+        # linear.scenario without its [sampling] window, and without the
+        # [check decrease] that needs one: the shell outside the halfspace
+        # X_s, or X_u, has no box to draw from; this once ended in a
+        # ValueError traceback with no manifest written
+        text = (SCENARIOS / "linear.scenario").read_text().replace("window = -4 -4 4 4\n", "")
+        start = text.index("[check decrease]")
+        config = self._write(tmp_path, text[:start] + text[text.index("[check", start + 1):])
+        out = tmp_path / "out"
+        argv = ["check", "--config", str(config), "--out", str(out)]
+        assert main(argv + [a for o in overrides for a in ("--set", o)]) == 1
+        captured = capsys.readouterr()
+        message = f"[check {name}] exterior shell sampling needs a bounded K or window"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "".join(f"check {w}: pass\n" for w in written)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == [f"{w}.check.json" for w in written]
+        assert manifest["error"] == message
+
+    @pytest.mark.parametrize("overrides, text", [
+        ([], "everywhere"),
+        (["check decrease.region=boundary"], "('boundary', 0.001)"),
+        (["check decrease.region=boundary", "check decrease.width=0.01"], "('boundary', 0.01)"),
+        (["check decrease.region=margin_band"], "('margin_band', None)"),
+    ])
+    def test_an_infinitesimal_report_names_its_region_and_width(self, tmp_path, overrides,
+                                                               text):
+        # a boundary without a width is reported with the width infinitesimal
+        # gives it; a margin without one is as wide as its values make it
+        out = tmp_path / "out"
+        main(["check", "--config", str(SCENARIOS / "linear.scenario"), "--out", str(out)]
+             + [a for o in overrides for a in ("--set", o)])
+        report = json.loads((out / "decrease.check.json").read_text())
+        assert report["details"]["region"] == text
+
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
             "\n[barrier]\nkind = user\nexpression = x1^2/10 + x2^2 - 1\n"
@@ -865,9 +909,9 @@ class TestCommands:
          "[set ANNULUS] of: unknown set 'NOSUCH'"),
         # a key that the kind of its [barrier], [set NAME] or [system] does not read
         (["barrier-eval", "counterexample", "barrier.expression=x1"],
-         "[barrier] key 'expression' is not read by kind 'marginal', which reads X_o, band"),
-        (["barrier-eval", "counterexample", "barrier.kind=converse", "barrier.band=0.2"],
-         "[barrier] key 'band' is not read by kind 'converse', "
+         "[barrier] key 'expression' is not read by kind 'marginal', which reads X_o"),
+        (["barrier-eval", "counterexample", "barrier.kind=converse", "barrier.expression=x1"],
+         "[barrier] key 'expression' is not read by kind 'converse', "
          "which reads X_o, s_lo, s_hi, k_max"),
         (["reach", "counterexample", "set START.lo=1 1"],
          "[set START] key 'lo' is not read by kind 'ball', which reads center, radius"),
@@ -883,13 +927,13 @@ class TestCommands:
         (["check", "linear", "system.kind=expression", "system.rhs=x2; x1",
           "system.name=linear_safe"],
          "[system] key 'name' is not read by kind 'expression' and inclusion 'singleton', "
-         "which reads rhs, dim"),
+         "which reads rhs"),
         (["check", "perturbed", "system.inclusion=hull"],
          "[system] key 'epsilon' is not read by kind 'builtin' and inclusion 'hull', "
          "which reads name, member"),
         # a missing required key or kind, and an unknown kind
         (["check", "counterexample", "barrier.kind=user"],
-         "[barrier] key 'X_o' is not read by kind 'user', which reads expression, band"),
+         "[barrier] key 'X_o' is not read by kind 'user', which reads expression"),
         (["check", "linear", "system.inclusion=nosuch"],
          "[system] unknown system inclusion 'nosuch' (singleton | ball | hull)"),
         (["check", "linear", "barrier.kind=nosuch"],
@@ -923,6 +967,18 @@ class TestCommands:
             "barrier-eval.window=-1 -1 -1 1 1 1"],
            "[barrier-eval] window must be 'lo_1 .. lo_n hi_1 .. hi_n' with n = 2, "
            "as [set INNER] center gives, got 6 numbers") for e in ("x1 + x2", "x1 + x2 + x3")),
+        # the closed form of the counterexample barrier is the planar system's:
+        # it once gave the radial formula of |x| in R^3 at every corner
+        (["barrier-eval", "smooth", "set INNER.center=0 0 0", "set OUTER.center=0 0 0",
+          "barrier.kind=counterexample", "barrier-eval.window=-1 -1 -1 1 1 1"],
+         "[barrier] counterexample is the planar system's barrier: it needs n = 2, got n = 3"),
+        # a call with a surplus argument once overwrote a state column, and one
+        # with a missing argument ended in a TypeError
+        *((["barrier-eval", "linear", f"barrier.expression={e}", "barrier-eval.window=-1 -1 1 1"],
+           f"[barrier] {message}") for e, message in (
+            ("max(x1, x2, x1)", "max takes 2 arguments, got 3"),
+            ("sin(x1, x2)", "sin takes 1 argument, got 2"),
+            ("min(x1)", "min takes 2 arguments, got 1"))),
         # an empty annulus range once ended in an IndexError
         (["check", "counterexample", "barrier.kind=converse", "barrier.s_lo=3"],
          "[barrier] s_lo must be at most s_hi, got 3 > 0"),
@@ -958,7 +1014,7 @@ class TestCommands:
         ("[set A]\nkind = complement\nof = X_o X_u", "[set A] complement takes exactly one set"),
         ("[barrier]\nkind = user", "[barrier] kind 'user' needs expression"),
         ("[barrier]\nkind = marginal", "[barrier] kind 'marginal' needs X_o"),
-        ("[barrier]\nband = 0.2", "[barrier] needs kind"),
+        ("[barrier]\nexpression = x1", "[barrier] needs kind"),
         ("[check c]\nkind = nagumo", "[check c] kind 'nagumo' needs K"),
         ("", "[check quick] kind 'simulate' needs a [system]"),
         ("[system]\nkind = expression",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -434,3 +436,15 @@ class TestExpressionFields:
         const = compile_expression("2 * pi", ("x1", "x2"))(X)
         assert const.shape == (3,) and np.all(const == 2 * np.pi)
         assert compile_expression("x1 * x2", ("x1", "x2"))(X).tolist() == [2.0, 12.0, 30.0]
+
+    @pytest.mark.parametrize("text, message", [
+        # a surplus argument was numpy's out= and overwrote a state column
+        ("max(x1, x2, x1)", "max takes 2 arguments, got 3"),
+        ("sin(x1, x2)", "sin takes 1 argument, got 2"),
+        # a missing one ended in a TypeError
+        ("min(x1)", "min takes 2 arguments, got 1"),
+    ])
+    def test_a_call_takes_exactly_its_number_of_arguments(self, text, message):
+        from safereach.expr import ExpressionError, compile_expression
+        with pytest.raises(ExpressionError, match=rf"^{re.escape(message)}$"):
+            compile_expression(text, ("x1", "x2"))

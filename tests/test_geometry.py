@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from safereach.expr import compile_expression
 from safereach.geometry import (EmptySetError, GeometryError, SetSpec, distance_to_set,
                                 distance_to_set_many)
-from safereach.infinitesimal import (ConeProbe, SubgradientCandidate, clarke_gradient_sample,
-                                     cone_residual, proximal_subgradient_test)
+from safereach.infinitesimal import (clarke_gradient_sample, cone_residual,
+                                     proximal_subgradient_test)
 
 from helpers import hausdorff_distance
 
@@ -132,46 +132,32 @@ class TestConeResidual:
     disk = SetSpec.ball([0, 0], 1.0)
 
     def test_inward_admitted(self):
-        probe = ConeProbe([1.0, 0.0], [-1.0, 0.0])
-        assert cone_residual(probe, self.disk) <= 1e-9
+        assert cone_residual([1.0, 0.0], [-1.0, 0.0], self.disk) <= 1e-9
 
     def test_outward_rejected(self):
         # |x + h v| = 1 + h so every quotient is exactly 1
-        probe = ConeProbe([1.0, 0.0], [1.0, 0.0])
-        assert cone_residual(probe, self.disk) == pytest.approx(1.0, rel=1e-9)
+        assert cone_residual([1.0, 0.0], [1.0, 0.0], self.disk) == pytest.approx(1.0, rel=1e-9)
 
     def test_corner_quadrant(self):
         quad = SetSpec.intersection([SetSpec.halfspace([-1, 0], 0.0),
                                      SetSpec.halfspace([0, -1], 0.0)])
-        admitted = ConeProbe([0.0, 0.0], [-1.0, -1.0])
-        assert cone_residual(admitted, quad) <= 1e-9
-        rejected = ConeProbe([0.0, 0.0], [1.0, 0.0])
+        assert cone_residual([0.0, 0.0], [-1.0, -1.0], quad) <= 1e-9
         # |x + h v|_quad = h, so the quotient is ~1 for every step
-        assert cone_residual(rejected, quad) > 0.5
+        assert cone_residual([0.0, 0.0], [1.0, 0.0], quad) > 0.5
 
     def test_base_point_must_lie_in_set(self):
         with pytest.raises(GeometryError, match="base point"):
-            cone_residual(ConeProbe([2.0, 0.0], [1.0, 0.0]), self.disk)
+            cone_residual([2.0, 0.0], [1.0, 0.0], self.disk)
 
     def test_external_mode(self):
-        probe = ConeProbe([2.0, 0.0], [-1.0, 0.0], mode="external")
-        assert cone_residual(probe, self.disk) == pytest.approx(-1.0, rel=1e-9)
-        probe_out = ConeProbe([2.0, 0.0], [1.0, 0.0], mode="external")
-        assert cone_residual(probe_out, self.disk) == pytest.approx(1.0, rel=1e-9)
+        inward = cone_residual([2.0, 0.0], [-1.0, 0.0], self.disk, "external")
+        assert inward == pytest.approx(-1.0, rel=1e-9)
+        outward = cone_residual([2.0, 0.0], [1.0, 0.0], self.disk, "external")
+        assert outward == pytest.approx(1.0, rel=1e-9)
 
-    def test_step_refinement_monotone(self):
-        # adding finer steps can only lower the min-quotient surrogate
-        coarse = ConeProbe([1.0, 0.0], [-0.6, 0.8], steps=(1e-1, 1e-2, 1e-3))
-        fine = ConeProbe([1.0, 0.0], [-0.6, 0.8],
-                         steps=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
-        assert (cone_residual(fine, self.disk)
-                <= cone_residual(coarse, self.disk) + 1e-15)
-
-    def test_probe_validation(self):
-        with pytest.raises(GeometryError):
-            ConeProbe([0, 0], [1, 0], steps=(1e-1, 1e-2))      # too few
-        with pytest.raises(GeometryError):
-            ConeProbe([0, 0], [1, 0], steps=(1e-3, 1e-2, 1e-1))  # increasing
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(GeometryError, match="unknown cone mode clarke"):
+            cone_residual([1.0, 0.0], [1.0, 0.0], self.disk, "clarke")
 
     @pytest.mark.parametrize("mode", ["contingent", "external"])
     @pytest.mark.parametrize("S", [disk, SetSpec.sublevel(
@@ -185,14 +171,14 @@ class TestConeResidual:
         X[:4] = S.sample_boundary(4, seed=2)    # bases on the boundary too
         V = rng.normal(size=(12, 2))
         V[5, 0] = 0.0                           # an axis-aligned direction
-        batch = cone_residual(ConeProbe(X, V, mode=mode), S)
-        singles = [cone_residual(ConeProbe([x], [v], mode=mode), S)[0] for x, v in zip(X, V)]
+        batch = cone_residual(X, V, S, mode)
+        singles = [cone_residual([x], [v], S, mode)[0] for x, v in zip(X, V)]
         assert batch.shape == (12,) and np.array_equal(batch, singles)
 
     def test_batch_names_the_first_base_outside(self):
         X = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 3.0], [2.0, 0.0]])
         with pytest.raises(GeometryError, match=r"base point \[0\.0, 3\.0\] not in set"):
-            cone_residual(ConeProbe(X, np.ones((4, 2))), self.disk)
+            cone_residual(X, np.ones((4, 2)), self.disk)
 
 
 class TestClarkeGradient:
@@ -258,33 +244,29 @@ class TestClarkeGradient:
 
 class TestProximalSubgradient:
     def test_squared_norm_at_origin(self):
-        cand = SubgradientCandidate([[0.0, 0.0]], [[[0.0, 0.0]]], radius=0.1)
-        res = proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1))
+        res = proximal_subgradient_test([[0.0, 0.0]], [[[0.0, 0.0]]],
+                                        lambda X: (X * X).sum(axis=1), 0.1)
         assert res["holds"][0, 0] and res["worst_margin"][0, 0] >= 0.0
 
     def test_concave_kink_has_empty_subdifferential(self):
         # 1-D enumeration: at y = +-r the margin is -r -+ zeta*r + eps r^2 < 0
         B = lambda X: -np.abs(X[:, 0])
         for zeta in ([0.0], [0.5], [-0.7]):
-            cand = SubgradientCandidate([[0.0]], [[zeta]], radius=1e-3, eps=10.0)
-            assert not proximal_subgradient_test(cand, B)["holds"][0, 0]
+            assert not proximal_subgradient_test([[0.0]], [[zeta]], B, 1e-3, 10.0)["holds"][0, 0]
 
     def test_norm_kink_accepts_interior_slope(self):
         B = lambda X: np.linalg.norm(X, axis=1)
-        cand = SubgradientCandidate([[0.0, 0.0]], [[[0.5, 0.0]]], radius=0.1)
-        assert proximal_subgradient_test(cand, B)["holds"][0, 0]
+        assert proximal_subgradient_test([[0.0, 0.0]], [[[0.5, 0.0]]], B, 0.1)["holds"][0, 0]
 
     def test_all_candidates_in_one_call(self):
         calls = []
         B = lambda X: calls.append(len(X)) or np.abs(X[:, 0]) + X[:, 1] ** 2
         zetas = np.array([[0.0, 0.0], [0.9, 0.0], [1.5, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        res = proximal_subgradient_test(SubgradientCandidate([[0.0, 0.0]], [zetas], radius=0.1),
-                                        B)
+        res = proximal_subgradient_test([[0.0, 0.0]], [zetas], B, 0.1)
         assert calls == [1 + 64 + 4]
         assert res["holds"].tolist() == [[True, True, False, True, False]]
         for zeta, holds, worst in zip(zetas, res["holds"][0], res["worst_margin"][0]):
-            one = proximal_subgradient_test(SubgradientCandidate([[0.0, 0.0]], [[zeta]],
-                                                                 radius=0.1), B)
+            one = proximal_subgradient_test([[0.0, 0.0]], [[zeta]], B, 0.1)
             assert np.array_equal(one["holds"], [[holds]])
             assert np.array_equal(one["worst_margin"], [[worst]])
 
@@ -293,21 +275,26 @@ class TestProximalSubgradient:
         B = lambda X: calls.append(len(X)) or np.abs(X).sum(axis=1) + X[:, 0] ** 2
         X = np.array([[0.0, 0.0], [0.3, -0.2], [1.0, 0.5]])
         zetas = np.random.default_rng(1).uniform(-1.5, 1.5, size=(3, 4, 2))
-        res = proximal_subgradient_test(SubgradientCandidate(X, zetas, radius=0.1, eps=2.0),
-                                        B, m=16)
+        res = proximal_subgradient_test(X, zetas, B, 0.1, 2.0, m=16)
         assert calls == [3 * (1 + 16 + 4)]
         assert res["holds"].shape == res["worst_margin"].shape == (3, 4)
         assert 0 < res["holds"].sum() < 12
         for x, zs, holds, worst in zip(X, zetas, res["holds"], res["worst_margin"]):
-            one = proximal_subgradient_test(SubgradientCandidate([x], [zs], radius=0.1, eps=2.0),
-                                            B, m=16)
+            one = proximal_subgradient_test([x], [zs], B, 0.1, 2.0, m=16)
             assert np.array_equal(one["holds"], [holds])
             assert np.array_equal(one["worst_margin"], [worst])
 
     def test_minimum_sample_count(self):
-        cand = SubgradientCandidate([[0.0]], [[[0.0]]], radius=0.1)
         with pytest.raises(GeometryError):
-            proximal_subgradient_test(cand, lambda X: (X * X).sum(axis=1), m=4)
+            proximal_subgradient_test([[0.0]], [[[0.0]]], lambda X: (X * X).sum(axis=1), 0.1,
+                                      m=4)
+
+    @pytest.mark.parametrize("radius, eps, message", [
+        (0.0, 0.0, "radius must be positive"), (0.1, -1.0, "eps must be nonnegative")])
+    def test_radius_and_curvature_bound_are_checked(self, radius, eps, message):
+        with pytest.raises(GeometryError, match=message):
+            proximal_subgradient_test([[0.0]], [[[0.0]]], lambda X: (X * X).sum(axis=1),
+                                      radius, eps)
 
 
 class TestSamplers:

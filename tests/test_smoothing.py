@@ -396,7 +396,7 @@ class TestConversePipeline:
         # every table entry against a running minimum along the recorded
         # forward path of the rescaled field, one point at a time
         Xo = SetSpec.points([[0.0, 0.0]], name="origin")
-        res = ConverseResolution(k_max=2, table_res=32, rescaled_step=1 / 64)
+        res = ConverseResolution(k_max=2, table_res=32)
         tube = _RescaledTubeMin(builtin_field("counterexample2d"), Xo, res)
         assert tube.h == 1 / 64
         times = np.arange(0, res.k_max * res.table_res + 1) / res.table_res
@@ -412,7 +412,7 @@ class TestConversePipeline:
 
     def test_tube_table_equals_per_time_calls(self):
         Xo = SetSpec.points([[0.0, 0.0]], name="origin")
-        res = ConverseResolution(k_max=2, table_res=32, rescaled_step=1 / 64)
+        res = ConverseResolution(k_max=2, table_res=32)
         tube = _RescaledTubeMin(builtin_field("counterexample2d"), Xo, res)
         times = np.arange(0, res.k_max * res.table_res + 1) / res.table_res
         X = np.array([[0.3, 0.0], [0.0, -0.7], [0.5, 0.5]])

@@ -707,7 +707,7 @@ class TestNodeZeroInTheSweep:
         ts = np.array([0.0, 0.3, 1.0, 0.75, 1.0])
         X = np.array([[0.4, 0.1], [0.2, -0.3], [0.01, 0.0], [0.0, 0.6], [0.5, 0.5]])
         values, [(tau, Y)] = TestTimeRescale.clock(monkeypatch, f, X_o, ts, X)
-        tol = smoothing.ConverseResolution().touch_tol
+        tol = smoothing.TOUCH_TOL
         free = []
         for t, x in zip(ts, X):
             states = (integrate(InclusionSpec.singleton(f), Selector.constant(), x, t,
