@@ -10,9 +10,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "dynamics": ("FieldHandle", "InclusionSpec", "Selector", "builtin_field",
-                 "eval_inclusion", "field_from_expressions", "linear_field",
-                 "lipschitz_estimate", "max_rate", "rescale_field"),
+    "dynamics": ("FieldHandle", "InclusionSpec", "builtin_field", "eval_inclusion",
+                 "field_from_expressions", "linear_field", "lipschitz_estimate", "max_rate",
+                 "rescale_field"),
     "expr": ("RelaxFn",),
     "geometry": ("SamplePlan", "SetSpec", "distance_to_set"),
     "solver": ("BundlePlan", "IntegratorConfig", "Trajectory", "integrate",

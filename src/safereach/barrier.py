@@ -115,9 +115,8 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         cfg.check_steps(ts, k_hi)
         max_k = int(k_hi.max(initial=0))
-        selectors = plan.selectors(F, max_k * h if max_k > 0 else h)
-        best, cut = tube_minimum(F, selectors, Xs, [k_lo, k_hi], h, "backward",
-                                 X_o, cfg.escape_radius)
+        best, cut = tube_minimum(F, plan.table(F, max_k * h if max_k > 0 else h), Xs,
+                                 [k_lo, k_hi], h, "backward", X_o, cfg.escape_radius)
         return best[0] * (1.0 - frac) + best[1] * frac, cut[1]
 
     return BarrierFn(values)

@@ -3,10 +3,11 @@ smooth | report.
 
 Exit status: 0 when every requested check passes, 2 when any check fails,
 1 on usage or configuration errors.  ``report`` exits 0 on a PASS or
-INCONCLUSIVE rollup, 2 on FAIL, and 1 when the results directory is missing
-or holds no check report.  Every run writes a manifest listing the emitted
-artifacts together with the config hash, so reruns are auditable; a run that
-fails after its first artifact records the error in it.
+INCONCLUSIVE rollup, 2 on FAIL, and 1 when the results directory is missing,
+holds no check report or holds a verdict it does not know.  Every run writes
+a manifest listing the emitted artifacts together with the config hash, so
+reruns are auditable; a run that fails after its first artifact records the
+error in it.
 """
 
 from __future__ import annotations
@@ -253,10 +254,16 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
     return 2 if any(v == "fail" for v in verdicts) else 0
 
 
+# each verdict a check report may hold, as the rollup reads it; report refuses any other
+ROLLUP_VERDICTS = {"pass": "pass", "fail": "fail", "inconclusive": "inconclusive",
+                   "no_violation_found": "pass", "violation": "fail"}
+
+
 def cmd_report(results_dir: str, out: Path) -> int:
-    """Roll up the check reports of results_dir into out; nothing is written
-    unless results_dir holds at least one, so a mistyped or empty directory
-    cannot roll up PASS."""
+    """Roll up the check reports of results_dir, its JSON objects with a
+    verdict, into out.  Nothing is written unless there is one and every
+    verdict is a key of ROLLUP_VERDICTS, so a mistyped or empty directory,
+    or a verdict the rollup does not know, cannot roll up PASS."""
     d = Path(results_dir)
     if not d.is_dir():
         raise CliError(f"results directory not found: {d}")
@@ -268,35 +275,28 @@ def cmd_report(results_dir: str, out: Path) -> int:
             data = json.loads(path.read_text())
         except json.JSONDecodeError:
             continue
-        verdict = data.get("verdict")
+        verdict = data.get("verdict") if isinstance(data, dict) else None
         if verdict is None:
             continue
-        if verdict == "no_violation_found":
-            verdict = "pass"
-        elif verdict == "violation":
-            verdict = "fail"
+        if not isinstance(verdict, str) or verdict not in ROLLUP_VERDICTS:
+            raise CliError(f"{path} holds verdict {verdict!r}, not one of "
+                           + " | ".join(ROLLUP_VERDICTS))
         entries.append({"file": path.name, "check": data.get("check", path.stem),
-                        "verdict": verdict,
+                        "verdict": ROLLUP_VERDICTS[verdict],
                         "worst_margin": data.get("worst_margin")})
     if not entries:
         raise CliError(f"results directory {d} holds no check report "
                        "(a JSON file with a verdict)")
-    if any(e["verdict"] == "fail" for e in entries):
-        rollup = "FAIL"
-    elif any(e["verdict"] == "inconclusive" for e in entries):
-        rollup = "INCONCLUSIVE"
-    else:
-        rollup = "PASS"
     failing = [e["check"] for e in entries if e["verdict"] == "fail"]
     inconclusive = [e["check"] for e in entries if e["verdict"] == "inconclusive"]
+    rollup = "FAIL" if failing else "INCONCLUSIVE" if inconclusive else "PASS"
     summary = {"rollup": rollup, "checks": entries, "failing": failing,
                "inconclusive": inconclusive,
                "disclaimer": "verdicts are one-sided numerical evidence, not proofs"}
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    lines = [f"ROLLUP: {rollup}"]
-    for e in entries:
-        lines.append(f"  {e['verdict'].upper():12s} {e['check']} ({e['file']})")
+    lines = [f"ROLLUP: {rollup}"] + [f"  {e['verdict'].upper():12s} {e['check']} ({e['file']})"
+                                     for e in entries]
     if failing:
         lines.append("failing: " + ", ".join(failing))
     if inconclusive:

@@ -1,9 +1,11 @@
-"""Set-valued right-hand sides, selections, and the built-in example systems.
+"""Set-valued right-hand sides and the built-in example systems.
 
 An :class:`InclusionSpec` is a singleton field, a ball-perturbed field
 f(x) + eps*B, or the convex hull of finitely many fields.  Solutions of the
-inclusion are generated through :class:`Selector` objects picking a concrete
-velocity out of F(x) at every time (``solver.bundle_field``).
+inclusion are generated from selections, the columns of the table
+``solver.BundlePlan.table`` builds: a ball's unit vectors or a hull's
+weights, one per selection and segment of a switch grid, which
+``solver.bundle_field`` turns into a velocity out of F(x) at every step.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .geometry import SetSpec
 
 # boundary points of a ball in the vertex cloud of inclusion_extreme_points
 EXTREME_DIRECTIONS = 16
+Selector = None     # former selection record, still imported by bench/test_bench.py
 
 
 class DynamicsError(ValueError):
@@ -155,7 +158,7 @@ def builtin_field(name: str) -> FieldHandle:
 
 
 # ---------------------------------------------------------------------------
-# inclusions and selections
+# inclusions
 # ---------------------------------------------------------------------------
 
 class InclusionSpec(NamedTuple):
@@ -229,70 +232,6 @@ def max_rate(F: InclusionSpec, X, Z):
         return rates[..., 0] + F.epsilon * norm[..., 0], eta
     best = rates.argmax(axis=-1)
     return rates.max(axis=-1), V[np.arange(len(V))[:, None], best]
-
-
-class Selector(NamedTuple):
-    """Selection rule picking an element of F(x) at each time.
-
-    constant: a fixed unit direction (ball variant) or hull weight vector;
-    piecewise: increasing switch times with one direction per segment.
-    """
-
-    kind: str                         # constant | piecewise
-    direction: Optional[np.ndarray] = None
-    switch_times: Optional[np.ndarray] = None
-    directions: Optional[np.ndarray] = None
-    index: int = 0
-
-    @staticmethod
-    def constant(direction=None, index: int = 0) -> "Selector":
-        d = None if direction is None else np.asarray(direction, dtype=float)
-        return Selector("constant", direction=d, index=index)
-
-    @staticmethod
-    def piecewise(switch_times, directions, index: int = 0) -> "Selector":
-        st = np.asarray(switch_times, dtype=float)
-        ds = np.asarray(directions, dtype=float)
-        if np.any(np.diff(st) <= 0):
-            raise DynamicsError("switch times must be strictly increasing")
-        if len(ds) != len(st) + 1:
-            raise DynamicsError("need one direction per segment (switches + 1)")
-        return Selector("piecewise", switch_times=st, directions=ds, index=index)
-
-
-def _validate_direction(F: InclusionSpec, d: Optional[np.ndarray]) -> None:
-    if F.kind == "singleton":
-        return
-    if d is None:
-        raise DynamicsError(f"{F.kind} inclusion needs a selector direction")
-    if F.kind == "ball":
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise DynamicsError("ball selector direction must be a unit vector")
-    else:
-        if np.any(d < -1e-12) or abs(d.sum() - 1.0) > 1e-9 or len(d) != len(F.fields):
-            raise DynamicsError("hull selector weights must be nonnegative and sum to 1")
-
-
-def selector_table(F: InclusionSpec, sels: Sequence[Selector]):
-    """Validated directions of sels on their shared switch grid.
-
-    Returns (switch_times, D) with D[q, j] the direction selector j uses on
-    segment q of the grid; constant selectors repeat theirs on every
-    segment.  D is None for a singleton inclusion, which ignores selectors.
-    """
-    grids = {tuple(s.switch_times) for s in sels if s.kind == "piecewise"}
-    if len(grids) > 1:
-        raise DynamicsError("piecewise selectors of one table must share their switch times")
-    switch_times = np.array(grids.pop() if grids else (), dtype=float)
-    if F.kind == "singleton":
-        return switch_times, None
-    for s in sels:
-        for d in ([s.direction] if s.kind == "constant" else s.directions):
-            _validate_direction(F, d)
-    segs = len(switch_times) + 1
-    D = np.stack([np.tile(s.direction, (segs, 1)) if s.kind == "constant"
-                  else s.directions for s in sels], axis=1)
-    return switch_times, D
 
 
 def rescale_field(f: FieldHandle, V: Callable) -> FieldHandle:

@@ -155,7 +155,8 @@ def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.nd
 def _region_samples(B: BarrierFn, kind: str, width, t_grid, window, count, seed):
     """Sample (t, x) pairs in the region kind of the (t, x) space: everywhere,
     the margin 0 < B <= width, or the boundary |B| <= width; a margin
-    without a width is a tenth of the median positive value at its t."""
+    without a width holds the per_t smallest positive values at its t, so
+    it keeps a sample whenever some value is positive."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) == 0:
         return []
@@ -173,7 +174,7 @@ def _region_samples(B: BarrierFn, kind: str, width, t_grid, window, count, seed)
             keep = vals > 0.0
             if keep.any():      # with no value positive, no width keeps one
                 keep &= vals <= (width if width is not None
-                                 else 0.1 * float(np.median(vals[keep])))
+                                 else np.sort(vals[keep])[:per_t][-1])
         elif kind == "boundary":
             keep = np.abs(vals) <= width
             if not keep.any():

@@ -20,7 +20,8 @@ import numpy as np
 from .dynamics import InclusionSpec, lipschitz_estimate
 from .geometry import SetSpec, distance_to_set_many
 from .sampling import Stream
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, solution_bundle, start_states
+from .solver import (BundlePlan, IntegratorConfig, bundle_sweep, selections, solution_bundle,
+                     start_states)
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
@@ -58,12 +59,12 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
     p, n = X.shape
     D = X - Y
     base = np.sqrt(np.vecdot(D, D))     # rounds like np.linalg.norm of one row
-    sels = plan.selectors(F, T)
-    S = len(sels)
+    table = plan.table(F, T)
+    S = selections(table)
     worst, inside = np.full(p, -np.inf), np.ones(p, dtype=bool)
 
     def fold(t, Xb):
-        # row (j * 2 + e) * p + i runs selector j from the pair-i end e (0: x, 1: y)
+        # row (j * 2 + e) * p + i runs selection j from the pair-i end e (0: x, 1: y)
         V = Xb.reshape(len(Xb), S, 2, p, n)
         gap = np.linalg.norm(V[:, :, None, 0] - V[:, None, :, 1], axis=-1).min(axis=2)
         viol = gap - np.exp(lam * t)[:, None, None] * base
@@ -72,7 +73,7 @@ def filippov_check(F: InclusionSpec, X, Y, T: float, lam: float,
             out = distance_to_set_many(Xb.reshape(-1, n), box) > 0.0
             inside[out.reshape(len(Xb), S * 2, p).any(axis=(0, 1))] = False
 
-    termination, _ = bundle_sweep(F, sels, np.concatenate([X, Y]), T, cfg,
+    termination, _ = bundle_sweep(F, table, np.concatenate([X, Y]), T, cfg,
                                   observe=lambda t, stepped, Xb: fold(t, Xb))
     applicable = inside & ~(termination == "escape").reshape(S * 2, p).any(axis=0)
     worst = np.where(applicable, worst, np.nan)

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import sampling
 from .barrier import BarrierError, BarrierFn
-from .dynamics import FieldHandle, InclusionSpec, Selector, rescale_field
+from .dynamics import FieldHandle, InclusionSpec, rescale_field
 from .geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
-from .solver import (IntegratorConfig, SolverError, bundle_step, on_stepped, rk4_sweep,
-                     start_states, tube_minimum)
+from .solver import (BundlePlan, IntegratorConfig, SolverError, bundle_step, on_stepped,
+                     rk4_sweep, start_states, tube_minimum)
 
 
 class SmoothingError(RuntimeError):
@@ -462,7 +462,7 @@ class _RescaledTubeMin:
             raise SmoothingError("tube-min table expects step-aligned times")
         K = np.repeat(idx[:, None], len(X), axis=1)
         try:
-            return tube_minimum(self.F, [Selector.constant()], X, K, self.h, "forward",
+            return tube_minimum(self.F, BundlePlan().table(self.F), X, K, self.h, "forward",
                                 self.X_o)[0]
         except SolverError as exc:
             raise SmoothingError(f"rescaled flow diverged during tube evaluation: {exc}") from exc
@@ -523,7 +523,7 @@ class ConverseBarrier:
         # rows are not frozen on escape: an escaped row that never touched X_o
         # lies outside the annulus coverage, where self.g raises SmoothingError
         try:
-            step = bundle_step(self.F, [Selector.constant()], m, h_rows, "backward")
+            step = bundle_step(self.F, BundlePlan().table(self.F), m, h_rows, "backward")
             state = rk4_sweep(step, Xs, n_rows, observe)[0]
         except SolverError as exc:
             raise SmoothingError(f"backward flow diverged during barrier evaluation: {exc}") from exc

@@ -1,15 +1,17 @@
 """Trajectory generation for selected fields, forward and backward.
 
 Every fixed-step integration runs through one kernel, :func:`rk4_sweep`:
-RK4 on a flat batch of rows, one row per (selector, start) pair, so a step
+RK4 on a flat batch of rows, one row per (selection, start) pair, so a step
 costs the same few numpy calls whatever the number of rows.  The kernel
 takes one step function: four stage calls of a right-hand side
 (:func:`rk4_stages`), or, for a field declaring its matrix, RK4's exact
 affine map of one step; :func:`bundle_step` alone chooses between them for
-a bundle.  One function, :func:`bundle_field`, decides which direction a
-row uses at a step: the segment holding the step's midpoint, on the
-absolute switch grid of :class:`BundlePlan`, so a bundle is one sweep and
-its family on [0, t] does not depend on the horizon.  The kernel records
+a bundle.  A bundle's selections are the columns of one table,
+(switch_times, D), which :meth:`BundlePlan.table` builds and every sweep
+reads.  One function, :func:`bundle_field`, decides which direction a row
+uses at a step: the segment holding the step's midpoint, on the absolute
+switch grid of the table, so a bundle is one sweep and its family on
+[0, t] does not depend on the horizon.  The kernel records
 nothing: it hands its observer blocks of nodes, start included, with the
 states at each node and which rows are there, so an observer pays one
 batch per block, not per step (see :func:`on_stepped`), and no caller
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import sampling
-from .dynamics import InclusionSpec, Selector, rows_times, selector_table
+from .dynamics import InclusionSpec, rows_times
 from .geometry import SetSpec, distance_to_set_many
 
 
@@ -116,8 +118,8 @@ def write_csv(path, first: str, data: np.ndarray, last: str = "") -> None:
 
 
 class BundlePlan(NamedTuple):
-    """The finite selector family that under-approximates the solution set:
-    ``directions`` constant selections, drawn at ``seed``, plus as many
+    """The finite family of selections that under-approximates the solution
+    set: ``directions`` constant selections, drawn at ``seed``, plus as many
     piecewise-constant ones with ``switches`` switches per unit time when
     that is positive.  A tuple, so a plan is itself a cache key."""
 
@@ -125,30 +127,37 @@ class BundlePlan(NamedTuple):
     switches: int = 0
     seed: int = 0
 
-    def selectors(self, F: InclusionSpec, T: float = 1.0) -> list[Selector]:
-        """Deterministic selectors over [0, T]; piecewise ones switch at the
-        times k / (switches + 1) below T, so any prefix of their switches
-        and picks is the same whatever T."""
+    def table(self, F: InclusionSpec, T: float = 1.0):
+        """The family over [0, T] as the table (switch_times, D) every sweep
+        reads, D[q, j] the direction (a ball's unit vector, a hull's
+        weights) of selection j on segment q: column j < m = directions is
+        the plan's direction j, and column m + j takes direction
+        (j + 2q + 1) % m, the grid switching at the times k / (switches + 1)
+        below T, so any prefix of the family is the same whatever T.  A
+        singleton's one selection is its field: D is None, the grid empty."""
         m = self.directions
         if m < 1:
             raise SolverError("need at least one selector")
         if F.kind == "singleton":
-            return [Selector.constant(index=0)]
+            return [], None
         if F.kind == "ball":
             dirs = sampling.sphere_directions(F.dim, m, seed=self.seed)
         else:
             dirs = sampling.simplex_weights(len(F.fields), m, seed=self.seed)
-        sels = [Selector.constant(dirs[i], index=i) for i in range(m)]
+        switch_times, picks = [], np.arange(m)[None, :]
         if self.switches > 0:
             if not np.isfinite(T):
                 raise SolverError(f"horizon must be finite, got {T:g}")
             per = self.switches + 1
-            st = np.arange(1, int(np.ceil(T * per)) + 1) / per
-            st = st[st < T]
-            for j in range(m):
-                picks = [(j + 2 * q + 1) % m for q in range(len(st) + 1)]
-                sels.append(Selector.piecewise(st, dirs[picks], index=m + j))
-        return sels
+            switch_times = [k / per for k in range(1, int(np.ceil(T * per)) + 1) if k / per < T]
+            q = np.arange(len(switch_times) + 1)[:, None]
+            picks = np.hstack([np.repeat(picks, len(q), axis=0), (picks + 2 * q + 1) % m])
+        return switch_times, dirs[picks]
+
+
+def selections(table) -> int:
+    """The selections of a plan table: D's columns, or 1 for a singleton's None."""
+    return 1 if table[1] is None else table[1].shape[1]
 
 
 def rk4_sweep(step: Callable, X0: np.ndarray, n_steps, observe: Optional[Callable] = None,
@@ -304,28 +313,28 @@ def on_stepped(fn: Callable, stepped: np.ndarray, Xb: np.ndarray):
     return out.reshape(j, m)
 
 
-def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Callable:
+def bundle_field(F: InclusionSpec, table, m: int, h: float, direction: str) -> Callable:
     """Right-hand side fn(k, rows, X) of a bundle for :func:`rk4_stages`.
 
-    Row j * m + i runs sels[j]; step k (from 1) of length h uses the
-    direction of the segment holding its midpoint (k - 1/2) h, on the switch
-    grid the selectors of one BundlePlan share; a singleton reads no grid,
-    and a bundle without switches may take one h per row.  The field is the
-    forward one, a ball's offsets eps * d negated backward, where the sweep
-    steps by -h: rounding to nearest is symmetric under a change of sign, so
-    that gives the negated field's bits but for the sign of an exact zero.
+    Row j * m + i runs selection j of the plan table (switch_times, D) of
+    :meth:`BundlePlan.table`; step k (from 1) of length h uses its direction
+    D[q, j] on the segment q of the switch grid holding the step's midpoint
+    (k - 1/2) h; a singleton reads no grid, and a bundle without switches
+    may take one h per row.  The field is the forward one, a ball's offsets
+    eps * d negated backward, where the sweep steps by -h: rounding to
+    nearest is symmetric under a change of sign, so that gives the negated
+    field's bits but for the sign of an exact zero.
     The stage calls each field's ``FieldHandle.fn`` itself and checks the
     shape of every value; a ball then adds its offset, a hull sums weight by
     weight.  No finiteness test.  A ball's value is written over unless it
     shares memory with the stage input X, as X or a view of it does."""
-    switch_times, D = selector_table(F, sels)
-    st = switch_times.tolist()
+    st, D = table
     if st and np.ndim(h):
         raise SolverError("per-row steps need a bundle without switches: a switch grid "
                           "is read at one step for every row")
     if D is not None:    # E[q, r]: the direction of row r on segment q, +-eps * d for a ball
         eps = F.epsilon if direction == "forward" else -F.epsilon
-        E = (eps * D if F.kind == "ball" else D)[:, np.repeat(np.arange(len(sels)), m)]
+        E = np.repeat(eps * D if F.kind == "ball" else D, m, axis=1)
     if F.kind != "hull":
         f = F.fields[0]
         fn = f.fn
@@ -352,32 +361,31 @@ def bundle_field(F: InclusionSpec, sels, m: int, h: float, direction: str) -> Ca
     return hull
 
 
-def bundle_step(F: InclusionSpec, sels, m: int, h, direction: str) -> Callable:
-    """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`:
+def bundle_step(F: InclusionSpec, table, m: int, h, direction: str) -> Callable:
+    """The step of :func:`rk4_sweep` for the bundle of :func:`bundle_field`,
+    row j * m + i running column j of the plan table (switch_times, D):
     :func:`rk4_stages` of it with step h forward and -h backward, or, for a
     singleton or ball whose field declares its matrix A
     (``FieldHandle.matrix``) and one scalar h, RK4's affine map.  One RK4
     step of signed length s of dx/dt = A x + c, c the row's offset, is
     exactly the affine map x+ = R(M) x + s T(M) c with M = s A,
     T(M) = I + M/2 + M^2/6 + M^3/24 and R(M) = I + M T(M).  The offsets
-    s T(M) c are premultiplied per segment of the switch grid, and R(M) x
-    is taken by ``dynamics.rows_times`` into W[0], so a row gets the same
-    bits alone and in a batch.  The states differ from the four stages' by
+    s T(M) c are premultiplied from D per segment of the switch grid, and
+    R(M) x is taken by ``dynamics.rows_times`` into W[0], so a row gets the
+    same bits alone and in a batch.  The states differ from the four stages' by
     rounding only: a few ulps of the state's scale per step."""
     s = h if direction == "forward" else np.negative(h)
     A = F.fields[0].matrix
     if F.kind == "hull" or A is None or np.ndim(h):
-        return rk4_stages(bundle_field(F, sels, m, h, direction), s)
-    switch_times, D = selector_table(F, sels)
-    st = switch_times.tolist()
+        return rk4_stages(bundle_field(F, table, m, h, direction), s)
+    st, D = table
     M = s * np.asarray(A, dtype=float)
     M2 = M @ M
     T = np.eye(len(M)) + M / 2.0 + M2 / 6.0 + M2 @ M / 24.0
     R = (np.eye(len(M)) + M @ T).tolist()
     if D is not None:    # O[q, r]: the offset s T(M) (+-eps d) of row r on segment q
         eps = F.epsilon if direction == "forward" else -F.epsilon
-        O = rows_times((s * T).tolist(), eps * D, np.empty(D.shape))[
-            :, np.repeat(np.arange(len(sels)), m)]
+        O = np.repeat(rows_times((s * T).tolist(), eps * D, np.empty(D.shape)), m, axis=1)
 
     def step(k, rows, X, W):
         out = rows_times(R, X, W[0])
@@ -394,36 +402,37 @@ def start_states(F: InclusionSpec, X) -> np.ndarray:
     return X
 
 
-def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: SetSpec,
+def tube_minimum(F: InclusionSpec, table, X, K, h: float, direction: str, X_o: SetSpec,
                  escape_radius: float = np.inf):
     """Running minimum of the distance to X_o along bundle paths, read off.
 
     Entry (i, q) of the (r, m) result is the minimum of d(., X_o) over nodes
-    0..K[i, q] (steps of length h) of the paths of every selector in sels
-    from X[q].  Points equal bit for bit share one row per selector, which
-    steps to the largest K asked at its point, so the result does not depend
-    on the batch.  A point whose minimum over selectors has reached 0 keeps
-    it: the observer returns its rows, which leave the sweep at the end of
-    that block, and every later read of the point is 0.  A row that ended,
-    by escape, settling or its count, gives its final minimum to every later
-    read.  Returns the minima and the (r, m) entries cut short by escape:
-    some path of the entry's point escaped at or before its node.  An entry
-    of value 0 may lose that flag, as its point's rows may leave before they
-    would escape; an entry of value > 0 keeps it bit for bit.
+    0..K[i, q] (steps of length h) of the paths of every selection of the
+    plan table from X[q].  Points equal bit for bit share one row per
+    selection, which steps to the largest K asked at its point, so the
+    result does not depend on the batch.  A point whose minimum over
+    selections has reached 0 keeps it: the observer returns its rows,
+    which leave the sweep at the end of that block, and every later read of
+    the point is 0.  A row that ended, by escape, settling or its count,
+    gives its final minimum to every later read.  Returns the minima and
+    the (r, m) entries cut short by escape: some path of the entry's point
+    escaped at or before its node.  An entry of value 0 may lose that flag,
+    as its point's rows may leave before they would escape; an entry of
+    value > 0 keeps it bit for bit.
     """
     X = start_states(F, X)
     K = np.asarray(K, dtype=int)
-    # row j * p + u runs selector j from U[u]; the uint64 view keeps 0.0 and -0.0 apart
+    # row j * p + u runs selection j from U[u]; the uint64 view keeps 0.0 and -0.0 apart
     _, first, at = np.unique(np.ascontiguousarray(X).view(np.uint64), axis=0,
                              return_index=True, return_inverse=True)
     k_end = np.zeros(len(first), dtype=int)
     np.maximum.at(k_end, at.reshape(-1), K.max(axis=0, initial=0))
     # points by largest asked step, descending: rows finishing early form a
-    # suffix of each selector's rows, so with one selector the live rows
+    # suffix of each selection's rows, so with one selection the live rows
     # stay one run, which the kernel steps through a slice
     by_end = np.argsort(-k_end, kind="stable")
     U, k_end, at = X[first[by_end]], k_end[by_end], np.argsort(by_end)[at.reshape(-1)]
-    S, p = len(sels), len(U)
+    S, p = selections(table), len(U)
     dmin = np.full(S * p, np.inf)
     D = dmin.reshape(S, p)
     # slot i * m + q reads entry (i, q); the block holding node K[i, q] writes it
@@ -446,7 +455,7 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
         zero = D.min(axis=0) == 0.0
         return np.flatnonzero(np.tile(zero, S)) if zero.any() else None
 
-    _, steps, escaped = rk4_sweep(bundle_step(F, sels, p, h, direction), np.tile(U, (S, 1)),
+    _, steps, escaped = rk4_sweep(bundle_step(F, table, p, h, direction), np.tile(U, (S, 1)),
                                   np.tile(k_end, S), observe, escape_radius)
     # a row that ended at or before a slot's node holds its final minimum
     # there; blocks after the last live row's end are never observed
@@ -456,17 +465,18 @@ def tube_minimum(F: InclusionSpec, sels, X, K, h: float, direction: str, X_o: Se
             frozen.any(axis=0).reshape(K.shape))
 
 
-def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
+def bundle_sweep(F: InclusionSpec, table, X0, T: float,
                  cfg: IntegratorConfig = IntegratorConfig(), direction: str = "forward",
                  observe: Optional[Callable] = None, record: bool = False):
-    """Fixed-step RK4 of every selector in sels from every start in X0 (m, n).
+    """Fixed-step RK4 of every selection of table from every start in X0 (m, n).
 
-    Row j * m + i runs sels[j] from X0[i]; all rows take n = ceil(T / step)
-    steps of h = T / n in one sweep, see :func:`bundle_step`.  The observer
-    sees the sweep's blocks of nodes, node 0 at t = 0 first:
-    observe(times, stepped, Xb) gets the block's node times and the block of
-    :func:`rk4_sweep`.  Returns the termination of every row (horizon |
-    escape) and, if record, its Trajectory.
+    Row j * m + i runs selection j from X0[i]; all rows take
+    n = ceil(T / step) steps of h = T / n in one sweep, see
+    :func:`bundle_step`.  The observer sees the sweep's blocks of nodes,
+    node 0 at t = 0 first: observe(times, stepped, Xb) gets the block's node
+    times and the block of :func:`rk4_sweep`.  Returns the termination of
+    every row (horizon | escape) and, if record, its Trajectory, whose
+    selector_index is j.
     """
     X0 = start_states(F, X0)
     if not np.isfinite(T):
@@ -487,8 +497,8 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
         if observe is not None:
             observe(t, stepped, Xb)
 
-    _, steps, escaped = rk4_sweep(bundle_step(F, sels, m, h, direction),
-                                  np.tile(X0, (len(sels), 1)), n,
+    _, steps, escaped = rk4_sweep(bundle_step(F, table, m, h, direction),
+                                  np.tile(X0, (selections(table), 1)), n,
                                   obs if record or observe is not None else None,
                                   cfg.escape_radius)
     termination = np.full(len(escaped), "horizon", dtype=object)
@@ -497,22 +507,22 @@ def bundle_sweep(F: InclusionSpec, sels, X0, T: float,
         return termination, None
     times, path = np.concatenate(times), np.concatenate(path)
     return termination, [Trajectory(times[:k + 1], path[:k + 1, r], termination[r], direction,
-                                    sels[r // m].index) for r, k in enumerate(steps)]
+                                    r // m) for r, k in enumerate(steps)]
 
 
-def integrate(F: InclusionSpec, s: Selector, x0, T: float,
-              direction: str = "forward", cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate dx/dt = s(t, x) in F(x) (negated for backward) over [0, T]."""
-    return bundle_sweep(F, [s], x0, T, cfg, direction, record=True)[1][0]
+def integrate(F: InclusionSpec, x0, T: float, direction: str = "forward",
+              cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """The path from x0 of BundlePlan(directions=1)'s one selection (a singleton's field)."""
+    return solution_bundle(F, x0, T, direction, cfg, BundlePlan(directions=1))[0][0]
 
 
 def solution_bundle(F: InclusionSpec, X0, T: float, direction: str = "forward",
                     cfg: IntegratorConfig = IntegratorConfig(),
                     plan: BundlePlan = BundlePlan()) -> list:
-    """For every start of X0 (k, n), one trajectory per selector of plan (a
-    singleton F yields exactly one), all integrated in one sweep."""
-    sels = plan.selectors(F, T)
-    flat = bundle_sweep(F, sels, X0, T, cfg, direction, record=True)[1]
-    m = len(flat) // len(sels)
+    """For every start of X0 (k, n), one trajectory per selection of plan (a
+    singleton F has exactly one), all integrated in one sweep."""
+    table = plan.table(F, T)
+    flat = bundle_sweep(F, table, X0, T, cfg, direction, record=True)[1]
+    m = len(flat) // selections(table)
     return [flat[i::m] for i in range(m)]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import InclusionSpec
 from .geometry import GeometryError, SamplePlan, SetSpec, distance_to_set_many
-from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped
+from .solver import BundlePlan, IntegratorConfig, bundle_sweep, on_stepped, selections
 
 UNDER_APPROX_DISCLAIMER = (
     "one-sided evidence: finitely many selections and initial samples "
@@ -111,11 +111,11 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
     second batch per block; it is None when that distance is estimated,
     since an upper estimate would overstate it."""
     starts = p.initial_samples()
-    sels = p.bundle.selectors(p.F, p.horizon)
-    m = len(starts)
+    table = p.bundle.table(p.F, p.horizon)
+    S, m = selections(table), len(starts)
     margin = float("inf")
-    hit_time = np.full(len(sels) * m, np.inf)
-    hit_state = np.empty((len(sels) * m, starts.shape[1]))
+    hit_time = np.full(S * m, np.inf)
+    hit_state = np.empty((S * m, starts.shape[1]))
     complement, exact = p.X_u.kind == "complement", p.X_u.exactness() == "exact"
 
     def observe(times, stepped, Xb):
@@ -139,14 +139,14 @@ def simulate_safety_check(p: SafetyProblem) -> SafetyReport:
             hit_time[rows] = times[first]
             hit_state[rows] = Xb[first, rows]
 
-    termination, _ = bundle_sweep(p.F, sels, starts, p.horizon, p.cfg, observe=observe)
+    termination, _ = bundle_sweep(p.F, table, starts, p.horizon, p.cfg, observe=observe)
     witness = {}
     r = int(np.argmin(hit_time))
     if np.isfinite(hit_time[r]):
-        witness = {"x0": starts[r % m].tolist(), "selector": sels[r // m].index,
+        witness = {"x0": starts[r % m].tolist(), "selector": r // m,
                    "hit_time": float(hit_time[r]), "hit_state": hit_state[r].tolist()}
     return SafetyReport("violation" if witness else "no_violation_found", witness,
-                        coverage={"initial_samples": m, "selectors": len(sels),
-                                  "trajectories": len(sels) * m, "horizon": p.horizon},
+                        coverage={"initial_samples": m, "selectors": S,
+                                  "trajectories": S * m, "horizon": p.horizon},
                         escapes=int(np.sum(termination == "escape")),
                         margin=None if complement and not exact else margin)

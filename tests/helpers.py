@@ -6,6 +6,7 @@ import numpy as np
 
 from safereach.dynamics import FieldHandle
 from safereach.geometry import GeometryError
+from safereach.solver import bundle_sweep
 
 
 def negated(f: FieldHandle) -> FieldHandle:
@@ -13,6 +14,14 @@ def negated(f: FieldHandle) -> FieldHandle:
     inner = f.fn
     return replace(f, fn=lambda x: -np.asarray(inner(x), dtype=float), name=f"-{f.name}",
                    matrix=None if f.matrix is None else -f.matrix)
+
+
+def selection_path(F, table, j, x0, T, direction, cfg):
+    """The trajectory of selection j of a plan table from x0, swept alone as
+    its column of D (a singleton's one selection is its field)."""
+    switch_times, D = table
+    column = (switch_times, None if D is None else D[:, j:j + 1])
+    return bundle_sweep(F, column, x0, T, cfg, direction, record=True)[1][0]
 
 
 def hausdorff_distance(A, B) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 from safereach.barrier import (counterexample_barrier, marginal_barrier,
                                monotonicity_check, user_barrier)
-from safereach.dynamics import (InclusionSpec, Selector, builtin_field,
+from safereach.dynamics import (InclusionSpec, builtin_field,
                                 lipschitz_estimate)
 from safereach.geometry import SetSpec
 from safereach.infinitesimal import (NAGUMO_DEFAULT_TOL, NAGUMO_SHELL_WIDTH, RelaxFn,
@@ -67,7 +67,7 @@ def test_limit_cycle_drift():
     worst = 0.0
     for k in (1, 2, 3, 4):
         r0 = 1.0 / (k * np.pi)
-        tr = integrate(COUNTER, Selector.constant(), np.array([r0, 0.0]),
+        tr = integrate(COUNTER, np.array([r0, 0.0]),
                        2.0 * np.pi, cfg=CFG)
         worst = max(worst, abs(float(np.linalg.norm(tr.states[-1])) - r0))
     _verdict("limit-cycle-drift", worst <= 1e-6, f"max drift {worst:.2e}")

@@ -12,11 +12,13 @@ from safereach import sampling
 from safereach.barrier import (BarrierError, candidate_sign_check, counterexample_barrier,
                                counterexample_barrier_fn, marginal_barrier,
                                monotonicity_check, user_barrier)
-from safereach.dynamics import (FieldHandle, InclusionSpec, Selector, builtin_field,
+from safereach.dynamics import (FieldHandle, InclusionSpec, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec, distance_to_set_many
 from safereach.infinitesimal import RelaxFn, infinitesimal_check
 from safereach.solver import BundlePlan, IntegratorConfig, SolverError, integrate
+
+from helpers import selection_path
 
 ORIGIN = SetSpec.points([[0.0, 0.0]], name="origin")
 COUNTER = InclusionSpec.singleton(builtin_field("counterexample2d"))
@@ -326,9 +328,10 @@ class TestMarginalBarrier:
         k_hi = np.where(frac > 1e-12, k_lo + 1, k_lo)
         T = int(k_hi.max()) * h
         best_lo, best_hi = np.full(len(ts), np.inf), np.full(len(ts), np.inf)
-        for sel in BundlePlan(4).selectors(F, T):
+        table = BundlePlan(4).table(F, T)
+        for j in range(4):
             for i, x in enumerate(xs):
-                tr = integrate(F, sel, x, T, "backward", cfg)
+                tr = selection_path(F, table, j, x, T, "backward", cfg)
                 run = np.minimum.accumulate(distance_to_set_many(tr.states, X_o))
                 best_lo[i] = min(best_lo[i], run[k_lo[i]])
                 best_hi[i] = min(best_hi[i], run[k_hi[i]])
@@ -410,26 +413,26 @@ class TestSignCheck:
 class TestMonotonicity:
     def test_constant_barrier(self):
         B = user_barrier("1", 2)
-        tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 1.0, cfg=CFG)
+        tr = integrate(LINEAR, np.array([1.0, 0.0]), 1.0, cfg=CFG)
         rep = monotonicity_check(B, [tr], tol=1e-12)
         assert rep.verdict == "pass" and rep.worst_margin == 0.0
 
     def test_marginal_along_forward_spiral(self):
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
-        tr = integrate(COUNTER, Selector.constant(), np.array([0.5, 0.0]), 2.0, cfg=CFG)
+        tr = integrate(COUNTER, np.array([0.5, 0.0]), 2.0, cfg=CFG)
         rep = monotonicity_check(B, [tr], tol=10 * CFG.accuracy, stride=64)
         assert rep.verdict == "pass"
 
     def test_closed_form_along_forward_spiral(self):
         B = counterexample_barrier_fn()
-        tr = integrate(COUNTER, Selector.constant(), np.array([0.5, 0.0]), 3.0, cfg=CFG)
+        tr = integrate(COUNTER, np.array([0.5, 0.0]), 3.0, cfg=CFG)
         rep = monotonicity_check(B, [tr], tol=1e-9, stride=16)
         assert rep.verdict == "pass"
 
     def test_increasing_barrier_fails(self):
         B = user_barrier("0 - x1^2 - x2^2", 2)     # grows along expanding field
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
-        tr = integrate(F, Selector.constant(), np.array([0.1, 0.0]), 0.5, cfg=CFG)
+        tr = integrate(F, np.array([0.1, 0.0]), 0.5, cfg=CFG)
         # B decreases along expansion; flip to make it increase
         B2 = user_barrier("x1^2 + x2^2", 2)
         rep = monotonicity_check(B2, [tr], tol=1e-9)
@@ -441,7 +444,7 @@ class TestMonotonicity:
         # largest increment, as a loop over them picks it
         B = user_barrier("x1^2 + x2^2", 2)
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
-        trajs = [integrate(F, Selector.constant(), np.array([r, 0.0]), 0.25, cfg=CFG)
+        trajs = [integrate(F, np.array([r, 0.0]), 0.25, cfg=CFG)
                  for r in (0.1, 0.4, 0.2)]
         reps = [monotonicity_check(B, [tr], tol=1e-9, stride=8) for tr in trajs]
         rep = monotonicity_check(B, trajs, tol=1e-9, stride=8)
@@ -451,7 +454,7 @@ class TestMonotonicity:
         # a trajectory of one node has no increment: it neither makes a
         # passing check inconclusive nor is picked as the worst
         B = user_barrier("x1^2/10 + x2^2 - t", 2)
-        long = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.5]), 1.0, cfg=CFG)
+        long = integrate(LINEAR, np.array([1.0, 0.5]), 1.0, cfg=CFG)
         one = solver.Trajectory(np.zeros(1), np.array([[0.3, 0.2]]))
         alone = monotonicity_check(B, [long], tol=1e-9, stride=16)
         assert alone.verdict == "pass" and alone.samples > 1
@@ -461,7 +464,7 @@ class TestMonotonicity:
         assert (rep.verdict, rep.samples) == ("inconclusive", 1)
 
     def test_requires_forward_trajectory(self):
-        tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.5,
+        tr = integrate(LINEAR, np.array([1.0, 0.0]), 0.5,
                        direction="backward", cfg=CFG)
         with pytest.raises(ValueError):
             monotonicity_check(user_barrier("1", 2), [tr])
@@ -484,7 +487,7 @@ class TestOneBatch:
         sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
                                          SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5, 1.0],
                                          n_init=8, n_unsafe=8, window=window, seed=3)
-        tr = integrate(self.SADDLE, Selector.constant(), np.array([1.0, 0.2]), 1.5,
+        tr = integrate(self.SADDLE, np.array([1.0, 0.2]), 1.5,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = lambda: barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
         queries = [sign(), mono()]
@@ -510,7 +513,7 @@ class TestOneBatch:
         sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
                                          SetSpec.ball([0.3, 2.5], 0.1), [0.0, 0.5, 1.0],
                                          n_init=8, n_unsafe=8, seed=3)
-        tr = integrate(self.SADDLE, Selector.constant(), np.array([0.05, 0.3]), 1.0,
+        tr = integrate(self.SADDLE, np.array([0.05, 0.3]), 1.0,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
         assert not B.evaluate_many(mono.ts, mono.Xs).cut.any()
@@ -530,7 +533,7 @@ class TestOneBatch:
             monkeypatch.setattr(barrier, name, lambda *a, entry=entry, **k:
                                 called.append(entry.__name__) or entry(*a, **k))
         tr = integrate(InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp")),
-                       Selector.constant(), np.array([0.1, 0.0]), 0.25, cfg=CFG)
+                       np.array([0.1, 0.0]), 0.25, cfg=CFG)
         runs = [barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
                                   SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5], n_init=4,
                                   n_unsafe=4, seed=1),
@@ -551,7 +554,7 @@ class TestOneBatch:
 
         monkeypatch.setattr(barrier.BarrierFn, "evaluate_many", fail_big)
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
-        trajs = [integrate(F, Selector.constant(), np.array([r, 0.0]), 0.25, cfg=CFG)
+        trajs = [integrate(F, np.array([r, 0.0]), 0.25, cfg=CFG)
                  for r in (0.1, 0.4)]
         runs = [barrier.monotonicity_queries([tr], tol=1e-9, stride=16) for tr in trajs]
         results = barrier.check_results(B, runs)

@@ -731,6 +731,20 @@ class TestCommands:
         report = json.loads((out / "decrease.check.json").read_text())
         assert report["details"]["region"] == text
 
+    def test_a_margin_band_without_a_width_keeps_a_sample(self, tmp_path):
+        # the closed-form barrier's positive values at each t lie within a
+        # factor of ten of each other: a band of a tenth of their median
+        # kept none, and the check was inconclusive
+        text = (SCENARIOS / "counterexample.scenario").read_text().replace(
+            "[barrier]\nkind = marginal\nX_o = X_o\n", "[barrier]\nkind = counterexample\n")
+        text = (text[:text.index("[check sign]")]
+                + "[check mb]\nkind = infinitesimal\nregion = margin_band\n")
+        out = tmp_path / "out"
+        main(["check", "--config", str(self._write(tmp_path, text)), "--out", str(out)])
+        report = json.loads((out / "mb.check.json").read_text())
+        assert report["details"]["region"] == "('margin_band', None)"
+        assert report["samples"] > 0 and report["verdict"] != "inconclusive"
+
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
             "\n[barrier]\nkind = user\nexpression = x1^2/10 + x2^2 - 1\n"
@@ -1163,6 +1177,26 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.err == (f"error: results directory {tmp_path} holds no check report "
                                 "(a JSON file with a verdict)\n")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+        assert not (tmp_path / "summary.json").exists()
+
+
+    def test_a_json_file_that_is_not_an_object_is_skipped(self, tmp_path):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        self._fake_reports(tmp_path, ["pass"])
+        assert main(["report", "--results", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [e["file"] for e in summary["checks"]] == ["c0.check.json"]
+
+    @pytest.mark.parametrize("verdict", [["pass"], "error"], ids=["list", "unknown"])
+    def test_a_verdict_it_does_not_know_is_refused(self, tmp_path, capsys, verdict):
+        # a non-string verdict once ended in a traceback, an unknown one in PASS
+        self._fake_reports(tmp_path, [verdict])
+        assert main(["report", "--results", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {tmp_path / 'c0.check.json'} holds verdict {verdict!r}, "
+                                "not one of pass | fail | inconclusive | no_violation_found | "
+                                "violation\n")
         assert captured.out == "" and not (tmp_path / "o").exists()
         assert not (tmp_path / "summary.json").exists()
 

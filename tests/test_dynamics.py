@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safereach.dynamics import (EXTREME_DIRECTIONS, DynamicsError, FieldHandle,
-                                InclusionSpec, LINEAR_SAFE_A, Selector, builtin_field, eval_inclusion,
+                                InclusionSpec, LINEAR_SAFE_A, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
-                                linear_field, lipschitz_estimate, max_rate, rescale_field,
-                                selector_table)
+                                linear_field, lipschitz_estimate, max_rate, rescale_field)
 from safereach.geometry import SetSpec
-from safereach.sampling import grid_points
-from safereach.solver import bundle_field
+from safereach.sampling import grid_points, simplex_weights, sphere_directions
+from safereach.solver import BundlePlan, bundle_field
 
 from helpers import hausdorff_distance, negated
 
@@ -19,9 +18,10 @@ QUAD = field_from_expressions(["x2 - x1", "x1*x2/2 - x2"], "quad")
 
 
 def stage(F, d=None, direction="forward"):
-    """The velocity of the sweep's stages for one constant selector, at one
+    """The velocity of the sweep's stages for one constant direction d, at one
     point x: the stage value, negated backward, where the stages step by -h."""
-    fn = bundle_field(F, [Selector.constant(d)], 1, 1.0, direction)
+    D = None if F.kind == "singleton" else np.asarray(d, dtype=float)[None, None]
+    fn = bundle_field(F, ([], D), 1, 1.0, direction)
     sign = 1.0 if direction == "forward" else -1.0
     return lambda x: sign * fn(1, slice(None), np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
@@ -207,15 +207,6 @@ class TestInclusion:
         x = np.array([1.0, 1.0])
         assert np.allclose(stage(F)(x), F.fields[0](x))
 
-    def test_selector_validation(self):
-        f = builtin_field("linear_safe")
-        F = InclusionSpec.ball_perturbed(f, 0.1)
-        with pytest.raises(DynamicsError):
-            selector_table(F, [Selector.constant([1.0, 1.0])])  # not unit
-        H = InclusionSpec.hull([f, negated(f)])
-        with pytest.raises(DynamicsError):
-            selector_table(H, [Selector.constant([0.7, 0.7])])  # sum != 1
-
     def test_extreme_points_on_ball(self):
         f = builtin_field("linear_safe")
         F = InclusionSpec.ball_perturbed(f, 0.25)
@@ -256,15 +247,26 @@ class TestInclusion:
         tt = 0.0 if seg @ seg == 0 else np.clip((v2 - a) @ seg / (seg @ seg), 0, 1)
         assert np.linalg.norm(v2 - (a + tt * seg)) <= 1e-12
 
-    def test_piecewise_selector(self):
-        s = Selector.piecewise([1.0, 2.0], [[1, 0], [0, 1], [-1, 0]])
-        F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        switch_times, D = selector_table(F, [s])
-        assert np.array_equal(switch_times, [1.0, 2.0])
-        for t, d in [(0.5, [1, 0]), (1.5, [0, 1]), (2.5, [-1, 0])]:
-            assert np.array_equal(D[np.searchsorted(switch_times, t, side="right"), 0], d)
-        with pytest.raises(DynamicsError):
-            Selector.piecewise([2.0, 1.0], [[1, 0]] * 3)
+    @pytest.mark.parametrize("switches", [0, 2])
+    @pytest.mark.parametrize("kind", ["ball", "hull"])
+    def test_plan_table(self, kind, switches):
+        # column j < m is the plan's direction j on every segment; column
+        # m + j takes direction (j + 2q + 1) % m on segment q
+        f = builtin_field("linear_safe")
+        if kind == "ball":
+            F, dirs = InclusionSpec.ball_perturbed(f, 0.1), sphere_directions(2, 3, seed=5)
+        else:
+            F, dirs = InclusionSpec.hull([f, negated(f), QUAD]), simplex_weights(3, 3, seed=5)
+        m = len(dirs)
+        switch_times, D = BundlePlan(m, switches, seed=5).table(F, 2.0)
+        assert np.array_equal(switch_times, np.arange(1, 6) / 3 if switches else [])
+        assert D.shape == (len(switch_times) + 1, 2 * m if switches else m, dirs.shape[1])
+        for q in range(len(D)):
+            for j in range(m):
+                assert np.array_equal(D[q, j], dirs[j])
+                if switches:
+                    assert np.array_equal(D[q, m + j], dirs[(j + 2 * q + 1) % m])
+        assert BundlePlan(m, switches).table(InclusionSpec.singleton(f), 2.0)[1] is None
 
 
 class TestNegate:

@@ -6,7 +6,7 @@ from safereach.dynamics import (FieldHandle, InclusionSpec, LINEAR_SAFE_A, built
                                 field_from_expressions, lipschitz_estimate)
 from safereach.geometry import SetSpec
 from safereach.reachability import filippov_check, reach
-from safereach.solver import BundlePlan, IntegratorConfig, solution_bundle
+from safereach.solver import BundlePlan, IntegratorConfig, selections, solution_bundle
 
 from helpers import hausdorff_distance
 
@@ -149,7 +149,7 @@ class TestFilippovBatch:
             X, Y = self.pairs(p, seed=p)
             filippov_check(F, X, Y, 0.5, 1.0, CFG, self.PLAN)
             assert len(calls) == 4 * int(np.ceil(0.5 / CFG.step))
-            assert set(calls) == {len(self.PLAN.selectors(F, 0.5)) * 2 * p}
+            assert set(calls) == {selections(self.PLAN.table(F, 0.5)) * 2 * p}
 
     def test_box_exit_and_escape_are_per_pair(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from safereach import smoothing
 from safereach.barrier import BarrierError
-from safereach.dynamics import Selector, builtin_field
+from safereach.dynamics import builtin_field
 from safereach.geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
 from safereach.smoothing import (ConverseResolution, SmoothingError, _RescaledTubeMin,
                                  annulus_points, build_time_partition,
@@ -346,10 +346,10 @@ class TestConversePipeline:
         for x in ([0.3, 0.0], [0.0, -0.7], [0.5, 0.5]):
             assert B.evaluate_many([0.5], [np.array(x)]).value[0] > 0.0
         # nonincreasing along a forward trajectory of the original system
-        from safereach.dynamics import InclusionSpec, Selector
+        from safereach.dynamics import InclusionSpec
         from safereach.solver import integrate
         F = InclusionSpec.singleton(f)
-        tr = integrate(F, Selector.constant(), np.array([0.45, 0.0]), 1.5,
+        tr = integrate(F, np.array([0.45, 0.0]), 1.5,
                        cfg=IntegratorConfig(step=1 / 256))
         idx = np.arange(0, len(tr.times), 64)
         vals = B.evaluate_many(tr.times[idx], tr.states[idx]).value
@@ -404,7 +404,7 @@ class TestConversePipeline:
         table = tube(times, X)
         assert table.shape == (len(times), len(X))
         for q, x in enumerate(X):
-            path = integrate(tube.F, Selector.constant(), x, float(res.k_max),
+            path = integrate(tube.F, x, float(res.k_max),
                              cfg=IntegratorConfig(step=tube.h))
             running = np.minimum.accumulate(distance_to_set_many(path.states, Xo))
             assert np.array_equal(table[:, q], running[::2])

@@ -8,17 +8,17 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from safereach.dynamics import (DynamicsError, FieldHandle, InclusionSpec, LINEAR_SAFE_A,
-                                Selector, builtin_field, field_from_expressions,
-                                linear_field, lipschitz_estimate, selector_table)
+                                builtin_field, field_from_expressions, linear_field,
+                                lipschitz_estimate)
 from safereach.barrier import marginal_barrier
 from safereach.geometry import SamplePlan, SetSpec, distance_to_set_many
 import safereach
 from safereach import reachability, smoothing, solver, verify
 from safereach.solver import (BundlePlan, IntegratorConfig, SolverError, Trajectory,
                               bundle_field, bundle_step, bundle_sweep, integrate, rk4_stages,
-                              rk4_sweep, solution_bundle, tube_minimum, write_csv)
+                              rk4_sweep, selections, solution_bundle, tube_minimum, write_csv)
 
-from helpers import negated
+from helpers import negated, selection_path
 
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 CFG = IntegratorConfig(step=1.0 / 512.0)
@@ -29,7 +29,7 @@ class TestIntegrate:
     def test_linear_against_matrix_exponential(self):
         x0 = np.array([1.0, 0.0])
         T = 2 * np.pi
-        tr = integrate(LINEAR, Selector.constant(), x0, T, cfg=CFG)
+        tr = integrate(LINEAR, x0, T, cfg=CFG)
         oracle = expm(LINEAR_SAFE_A * T) @ x0
         assert tr.termination == "horizon"
         assert np.linalg.norm(tr.states[-1] - oracle) < 1e-8
@@ -41,7 +41,7 @@ class TestIntegrate:
         oracle = expm(LINEAR_SAFE_A * T) @ x0
         errs = []
         for step in (1 / 64, 1 / 128):
-            tr = integrate(LINEAR, Selector.constant(), x0, T,
+            tr = integrate(LINEAR, x0, T,
                            cfg=IntegratorConfig(step=step))
             errs.append(np.linalg.norm(tr.states[-1] - oracle))
         ratio = errs[0] / errs[1]
@@ -51,53 +51,53 @@ class TestIntegrate:
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
         for k in (1, 2, 3, 4):
             r0 = 1.0 / (k * np.pi)
-            tr = integrate(F, Selector.constant(), np.array([r0, 0.0]),
+            tr = integrate(F, np.array([r0, 0.0]),
                            2 * np.pi, cfg=CFG)
             assert abs(np.linalg.norm(tr.states[-1]) - r0) < 1e-6
 
     def test_equilibrium_constant(self):
         F = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
-        tr = integrate(F, Selector.constant(), np.array([0.3, 0.4]), 1.0, cfg=CFG)
+        tr = integrate(F, np.array([0.3, 0.4]), 1.0, cfg=CFG)
         assert np.allclose(tr.states, [0.3, 0.4])
 
     def test_forward_backward_roundtrip(self):
         x0 = np.array([0.8, -0.3])
-        fwd = integrate(LINEAR, Selector.constant(), x0, 1.0, cfg=CFG)
-        back = integrate(LINEAR, Selector.constant(), fwd.states[-1], 1.0,
+        fwd = integrate(LINEAR, x0, 1.0, cfg=CFG)
+        back = integrate(LINEAR, fwd.states[-1], 1.0,
                          direction="backward", cfg=CFG)
         assert np.linalg.norm(back.states[-1] - x0) < 10 * CFG.accuracy
 
     def test_escape_termination(self):
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
         cfg = IntegratorConfig(step=1 / 64, escape_radius=10.0)
-        tr = integrate(F, Selector.constant(), np.array([1.0, 0.0]), 10.0, cfg=cfg)
+        tr = integrate(F, np.array([1.0, 0.0]), 10.0, cfg=cfg)
         assert tr.termination == "escape"
         assert tr.times[-1] < 10.0
         assert np.linalg.norm(tr.states[-2]) <= 10.0
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(SolverError):
-            integrate(LINEAR, Selector.constant(), np.zeros(2), 0.0, cfg=CFG)
+            integrate(LINEAR, np.zeros(2), 0.0, cfg=CFG)
 
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_horizon_must_be_finite(self, T):
         # an infinite horizon overflowed the int step count, a NaN one failed its cast
         with pytest.raises(SolverError, match=f"horizon must be finite, got {T}"):
-            bundle_sweep(LINEAR, [Selector.constant()], np.ones((2, 2)), T, CFG)
+            bundle_sweep(LINEAR, BundlePlan().table(LINEAR), np.ones((2, 2)), T, CFG)
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
         with pytest.raises(SolverError, match=f"horizon must be finite, got {T}"):
-            BundlePlan(directions=2, switches=1).selectors(F, T)
+            BundlePlan(directions=2, switches=1).table(F, T)
 
     def test_rk4_holds_counterexample_limit_cycle(self):
         # the radial rate (r^2/2) sin^2(1/r) has a derivative bounded by r + 1/2,
         # so fixed-step RK4 needs no step control near the origin
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
         r0 = 1.0 / (2 * np.pi)
-        tr = integrate(F, Selector.constant(), np.array([r0, 0.0]), 2 * np.pi, cfg=CFG)
+        tr = integrate(F, np.array([r0, 0.0]), 2 * np.pi, cfg=CFG)
         assert abs(np.linalg.norm(tr.states[-1]) - r0) < 1e-6
 
     def test_backward_stores_nonnegative_times(self):
-        tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.5,
+        tr = integrate(LINEAR, np.array([1.0, 0.0]), 0.5,
                        direction="backward", cfg=CFG)
         assert tr.direction == "backward"
         assert tr.times[0] == 0.0 and np.all(np.diff(tr.times) > 0)
@@ -210,7 +210,7 @@ class TestTrajectory:
             Trajectory([0.0, 0.0], [[0.0], [1.0]])
 
     def test_csv_roundtrip(self, tmp_path):
-        tr = integrate(LINEAR, Selector.constant(), np.array([1.0, 0.0]), 0.1, cfg=CFG)
+        tr = integrate(LINEAR, np.array([1.0, 0.0]), 0.1, cfg=CFG)
         path = tmp_path / "tr.csv"
         tr.to_csv(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -230,41 +230,40 @@ class TestTrajectory:
 
 
 def _assert_bundle_matches_integrate(plan, T):
-    # one sweep against one rerun per selector
+    # one sweep against one rerun per selection, its column of the table alone
     F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
     x0 = np.array([1.0, 0.0])
     batched = solution_bundle(F, x0[None], T, cfg=CFG, plan=plan)[0]
-    sels = plan.selectors(F, T)
-    assert len(batched) == len(sels)
-    for tr, sel in zip(batched, sels):
-        ref = integrate(F, sel, x0, T, cfg=CFG)
-        assert tr.selector_index == sel.index
+    table = plan.table(F, T)
+    assert len(batched) == selections(table)
+    for j, tr in enumerate(batched):
+        ref = selection_path(F, table, j, x0, T, "forward", CFG)
+        assert tr.selector_index == j
         assert np.array_equal(tr.times, ref.times)
         assert np.array_equal(tr.states, ref.states)
-    return sels
+    return table
 
 
 class TestBatchedBundles:
     def test_batched_bundle_matches_per_selector_integrate(self):
-        assert len(_assert_bundle_matches_integrate(BundlePlan(6), 0.5)) == 6
+        assert selections(_assert_bundle_matches_integrate(BundlePlan(6), 0.5)) == 6
 
     def test_switched_bundle_matches_per_selector_integrate(self):
-        sels = _assert_bundle_matches_integrate(BundlePlan(6, switches=2), 1.0)
-        assert len(sels) == 12
-        assert np.array_equal(sels[6].switch_times, [1 / 3, 2 / 3])
+        switch_times, D = _assert_bundle_matches_integrate(BundlePlan(6, switches=2), 1.0)
+        assert D.shape[1] == 12
+        assert np.array_equal(switch_times, [1 / 3, 2 / 3])
 
     def test_switch_grid_is_absolute(self):
         # the family restricted to [0, 1] is the same whatever the horizon
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
-        short, long = BundlePlan(4, 2).selectors(F, 1.0), BundlePlan(4, 2).selectors(F, 3.0)
-        assert [s.index for s in short] == [s.index for s in long] == list(range(8))
-        for a, b in zip(short[:4], long[:4]):
-            assert a.kind == b.kind == "constant" and np.array_equal(a.direction, b.direction)
-        for a, b in zip(short[4:], long[4:]):
-            k = len(a.switch_times)
-            assert np.array_equal(a.switch_times, [1 / 3, 2 / 3])
-            assert np.array_equal(b.switch_times[:k], a.switch_times) and b.switch_times[k] >= 1.0
-            assert np.array_equal(b.directions[:k + 1], a.directions)
+        (st_a, D_a), (st_b, D_b) = BundlePlan(4, 2).table(F, 1.0), BundlePlan(4, 2).table(F, 3.0)
+        assert D_a.shape[1] == D_b.shape[1] == 8
+        k = len(st_a)
+        assert np.array_equal(st_a, [1 / 3, 2 / 3])
+        assert np.array_equal(st_b[:k], st_a) and st_b[k] >= 1.0
+        # constant columns on every segment, piecewise ones on the segments of [0, 1]
+        assert (D_b[:, :4] == D_a[0, :4]).all()
+        assert np.array_equal(D_b[:k + 1], D_a)
 
     def test_batch_of_starts_matches_one_start_at_a_time(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
@@ -297,7 +296,7 @@ class TestStartWidth:
     # IndexError or a broadcast ValueError
     @pytest.mark.parametrize("run", [
         lambda: solution_bundle(COUNTER, START3, 0.1),
-        lambda: integrate(COUNTER, Selector.constant(), START3[0], 0.1),
+        lambda: integrate(COUNTER, START3[0], 0.1),
         lambda: reachability.reach(COUNTER, np.array(START3[0]), -0.5, CFG, BundlePlan()),
         lambda: reachability.reach(COUNTER, np.array(START3[0]), 0.0, CFG, BundlePlan()),
         lambda: verify.simulate_safety_check(verify.SafetyProblem(
@@ -306,8 +305,8 @@ class TestStartWidth:
         lambda: solution_bundle(InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1),
                                 START3, 0.1, plan=BundlePlan(4)),
         lambda: marginal_barrier(COUNTER, ORIGIN, CFG, 1).evaluate_many([0.5], START3),
-        lambda: tube_minimum(COUNTER, [Selector.constant()], START3, [[4]], 0.125, "backward",
-                             ORIGIN),
+        lambda: tube_minimum(COUNTER, BundlePlan().table(COUNTER), START3, [[4]], 0.125,
+                             "backward", ORIGIN),
         lambda: _converse_values(START3),
     ], ids=["solution_bundle", "integrate", "reach", "reach_at_t0", "simulate_check", "ball",
             "marginal", "tube_minimum", "converse"])
@@ -491,16 +490,16 @@ class TestSweepKernel:
         assert np.array_equal(Xb, X0[None]) and np.array_equal(X, X0)
 
 
-def _old_stage(F, sels, m, h, direction, k, rows, X):
+def _old_stage(F, table, m, h, direction, k, rows, X):
     """The velocity of the rows at step k, computed as before the stage
     builder, stepped by +h both ways: the negated inclusion's FieldHandle
     calls, selected per row."""
     fields = [f if direction == "forward" else negated(f) for f in F.fields]
     if F.kind == "singleton":
         return fields[0](X)
-    switch_times, D = selector_table(F, sels)
+    switch_times, D = table
     s = D[np.searchsorted(switch_times, (k - 0.5) * h, side="right")][
-        np.repeat(np.arange(len(sels)), m)[rows]]
+        np.repeat(np.arange(selections(table)), m)[rows]]
     if F.kind == "ball":
         return fields[0](X) + F.epsilon * s
     out = fields[0](X) * s[..., 0, None]
@@ -509,13 +508,13 @@ def _old_stage(F, sels, m, h, direction, k, rows, X):
     return out
 
 
-def _stage(F, sels, m, h, direction, k, rows, X):
+def _stage(F, table, m, h, direction, k, rows, X):
     """The stage value of bundle_field, which the sweep steps by -h
     backward: _old_stage forward, of the forward inclusion with a ball's
     offsets negated."""
     if direction == "backward" and F.kind == "ball":
         F = F._replace(epsilon=-F.epsilon)
-    return _old_stage(F, sels, m, h, "forward", k, rows, X)
+    return _old_stage(F, table, m, h, "forward", k, rows, X)
 
 
 def _signed(h, direction):
@@ -536,14 +535,14 @@ class TestStageFunction:
     @pytest.mark.parametrize("rows", [slice(None), np.array([0, 3, 4, 9, 11])])
     def test_equals_the_selected_velocity_bit_for_bit(self, kind, direction, switches, rows):
         F, m, h = self.INCLUSIONS[kind], 4, 1 / 64
-        sels = BundlePlan(3, switches=switches).selectors(F, 2.0)
-        fn = bundle_field(F, sels, m, h, direction)
+        table = BundlePlan(3, switches=switches).table(F, 2.0)
+        fn = bundle_field(F, table, m, h, direction)
         if isinstance(rows, np.ndarray):
-            rows = rows[rows < len(sels) * m]   # a singleton has one selector
-        X = np.random.default_rng(3).normal(size=(len(sels) * m, 2))[rows]
+            rows = rows[rows < selections(table) * m]   # a singleton has one selection
+        X = np.random.default_rng(3).normal(size=(selections(table) * m, 2))[rows]
         X[0] = 0.0   # signed zeros: a negated field gives -0.0
         for k in (1, 21, 22, 64, 100, 128):
-            new, old = fn(k, rows, X), _stage(F, sels, m, h, direction, k, rows, X)
+            new, old = fn(k, rows, X), _stage(F, table, m, h, direction, k, rows, X)
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -553,9 +552,9 @@ class TestStageFunction:
         guard = FieldHandle.__call__
         monkeypatch.setattr(FieldHandle, "__call__",
                             lambda fh, x: (guarded.append(len(x)), guard(fh, x))[1])
-        sels = BundlePlan(3).selectors(InclusionSpec.ball_perturbed(g, 0.1))
+        table = BundlePlan(3).table(InclusionSpec.ball_perturbed(g, 0.1))
         X0 = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 2))
-        bundle_sweep(InclusionSpec.ball_perturbed(g, 0.1), sels, X0, 11 / 512, CFG, direction)
+        bundle_sweep(InclusionSpec.ball_perturbed(g, 0.1), table, X0, 11 / 512, CFG, direction)
         assert fn_rows == [15] * (4 * 11) and guarded == []
 
     @staticmethod
@@ -581,7 +580,7 @@ class TestStageFunction:
 
         F = self._inclusion(kind, FieldHandle(fn, 2, "framed"))
         X0 = np.random.default_rng(2).uniform(-0.5, 0.5, size=(3, 2))
-        bundle_sweep(F, BundlePlan(2).selectors(F), X0, 3 / 512, CFG, direction)
+        bundle_sweep(F, BundlePlan(2).table(F), X0, 3 / 512, CFG, direction)
         stage = "bundle_field.<locals>." + ("hull" if kind == "hull" else "stage")
         assert len(callers) == 4 * 3
         assert set(callers) == {((solver.__file__, stage),
@@ -604,11 +603,11 @@ class TestStageFunction:
             return -X if len(calls) <= good_calls else bad(X)
 
         F = self._inclusion(kind, FieldHandle(fn, 2, "bad"))
-        sels = BundlePlan(2).selectors(F)
-        X0 = np.random.default_rng(4).uniform(-0.5, 0.5, size=(6 // len(sels), 2))
+        table = BundlePlan(2).table(F)
+        X0 = np.random.default_rng(4).uniform(-0.5, 0.5, size=(6 // selections(table), 2))
         with pytest.raises(DynamicsError,
                            match=rf"^field 'bad' returned shape {shape} for input \(6, 2\)$"):
-            bundle_sweep(F, sels, X0, 3 / 512, CFG, direction)
+            bundle_sweep(F, table, X0, 3 / 512, CFG, direction)
 
     def test_a_field_going_nan_in_one_row_ends_the_sweep_quietly(self):
         # x1 moves at unit speed; log(1.2 - x1) is NaN past 1.2, reached in step 2
@@ -619,8 +618,8 @@ class TestStageFunction:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"non-finite state at step 2; last valid "
                                                   r"state \[1\.1\d*, 0\.0\]"):
-                bundle_sweep(InclusionSpec.singleton(g), [Selector.constant()], X0, 1.0,
-                             IntegratorConfig(step=0.1))
+                F = InclusionSpec.singleton(g)
+                bundle_sweep(F, BundlePlan().table(F), X0, 1.0, IntegratorConfig(step=0.1))
 
 
 class TestNodeZeroInTheSweep:
@@ -638,7 +637,7 @@ class TestNodeZeroInTheSweep:
         K = np.array([[0] * 14 + [4] * 14, [8] * 28])
         # 28 rows x 9 nodes fit one block of BLOCK_ROWS
         assert 28 * 9 <= solver.BLOCK_ROWS
-        best, _ = tube_minimum(LINEAR, [Selector.constant()], X, K, 1 / 32, "backward",
+        best, _ = tube_minimum(LINEAR, BundlePlan().table(LINEAR), X, K, 1 / 32, "backward",
                                self.ELLIPSE)
         assert calls == [28 * 9]
         paths = solution_bundle(LINEAR, X, 8 / 32, "backward", IntegratorConfig(step=1 / 32),
@@ -650,7 +649,7 @@ class TestNodeZeroInTheSweep:
         # reached the ellipse by node 7 are settled and leave after the first
         monkeypatch.setattr(solver, "BLOCK_ROWS", 28 * 9 - 1)
         calls.clear()
-        again, _ = tube_minimum(LINEAR, [Selector.constant()], X, K, 1 / 32, "backward",
+        again, _ = tube_minimum(LINEAR, BundlePlan().table(LINEAR), X, K, 1 / 32, "backward",
                                 self.ELLIPSE)
         inside = sum(distance_to_set_many(trs[0].states[:8], self.ELLIPSE).min() == 0.0
                      for trs in paths)
@@ -710,7 +709,7 @@ class TestNodeZeroInTheSweep:
         tol = smoothing.TOUCH_TOL
         free = []
         for t, x in zip(ts, X):
-            states = (integrate(InclusionSpec.singleton(f), Selector.constant(), x, t,
+            states = (integrate(InclusionSpec.singleton(f), x, t,
                                 "backward", CFG).states if t > 0 else x[None])
             d = distance_to_set_many(states, X_o)
             inv = 1.0 / np.maximum(d ** 2, tol ** 2)
@@ -741,13 +740,13 @@ class TestObservedBlocks:
     def test_tube_minimum_does_not_depend_on_the_block(self, monkeypatch):
         # backward, x2 grows: rows escape the radius at different steps, and
         # points asked to different horizons finish at different steps
-        sels = BundlePlan(3).selectors(self.SADDLE)
+        table = BundlePlan(3).table(self.SADDLE)
         X = np.array([[0.3, 0.9], [-0.4, 0.2], [0.1, -0.05], [0.5, 1.5], [0.3, 0.9]])
         K = np.array([[0, 5, 13, 40, 2], [11, 17, 29, 40, 23]])
         X_o = SetSpec.ball([0.2, 1.2], 0.1)
-        run = lambda: tube_minimum(self.SADDLE, sels, X, K, 1 / 16, "backward", X_o,
+        run = lambda: tube_minimum(self.SADDLE, table, X, K, 1 / 16, "backward", X_o,
                                    escape_radius=3.0)
-        runs = self._each_block_size(monkeypatch, len(sels) * 4, run)
+        runs = self._each_block_size(monkeypatch, selections(table) * 4, run)
         (one, cut), pos = runs[0], runs[0][0] > 0
         assert cut[pos].any() and not cut.all() and len(np.unique(one)) > 5
         assert (one == 0).any()
@@ -775,7 +774,7 @@ class TestObservedBlocks:
                                  SetSpec.halfspace([1.0, 0.0], 1.5), 3.0,
                                  IntegratorConfig(step=1 / 16, escape_radius=2.5),
                                  verify.SamplePlan(4, 4, seed=2), BundlePlan(3, switches=2))
-        m = 8 * len(p.bundle.selectors(p.F, p.horizon))
+        m = 8 * selections(p.bundle.table(p.F, p.horizon))
         reports = self._each_block_size(monkeypatch, m, lambda: verify.simulate_safety_check(p))
         assert reports[0].verdict == "violation" and reports[0].escapes > 0
         assert reports[0].witness["hit_time"] not in (0.0, 3.0)
@@ -795,7 +794,7 @@ class TestSettledRows:
     def test_minima_equal_the_fold_of_recorded_paths_at_every_block_size(self, monkeypatch):
         # (0, 0) starts in X_o, (0.6, 0) and (0.55, -0.3) enter it mid-sweep,
         # (3, 0) never does; the origin is asked twice
-        sels = BundlePlan(3).selectors(self.SHRINK)
+        table = BundlePlan(3).table(self.SHRINK)
         X = np.array([[0.6, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.55, -0.3]])
         K = np.array([[0, 2, 5, 9, 1], [16, 11, 16, 1, 9]])
         paths = solution_bundle(self.SHRINK, X, 1.0, "forward", IntegratorConfig(step=1 / 16),
@@ -804,10 +803,10 @@ class TestSettledRows:
                              for tr in trs) for k, trs in zip(row, paths)] for row in K])
         assert (ref[:, [1, 3]] == 0.0).all() and (ref[:, 2] > 0.0).all()
         assert ref[0, 0] > 0.0 and ref[1, 0] == 0.0 and ref[0, 4] > 0.0 and ref[1, 4] == 0.0
-        m = len(sels) * 4       # rows: the selectors x the distinct points
+        m = selections(table) * 4       # rows: the selections x the distinct points
         for nodes in (17, 9, 1):       # one block, two blocks, one node per block
             monkeypatch.setattr(solver, "BLOCK_ROWS", nodes * m)
-            best, cut = tube_minimum(self.SHRINK, sels, X, K, 1 / 16, "forward", self.X_o)
+            best, cut = tube_minimum(self.SHRINK, table, X, K, 1 / 16, "forward", self.X_o)
             assert np.array_equal(best, ref) and not cut.any()
 
     def test_a_settled_points_rows_leave_after_their_block(self, monkeypatch):
@@ -816,9 +815,9 @@ class TestSettledRows:
         rows = []
         g = FieldHandle(lambda X: rows.append(len(X)) or -X, 2, "shrink")
         F = InclusionSpec.ball_perturbed(g, 0.1)
-        sels = BundlePlan(2).selectors(F)
+        table = BundlePlan(2).table(F)
         monkeypatch.setattr(solver, "BLOCK_ROWS", 4 * 4)
-        best, _ = tube_minimum(F, sels, np.array([[3.0, 0.0], [0.0, 0.0]]),
+        best, _ = tube_minimum(F, table, np.array([[3.0, 0.0], [0.0, 0.0]]),
                                np.array([[12, 12], [12, 2]]), 1 / 16, "forward", self.X_o)
         assert rows == [4] * (4 * 3) + [2] * (4 * 9)
         assert best[:, 1].tolist() == [0.0, 0.0] and (best[:, 0] > 0.5).all()
@@ -877,10 +876,10 @@ class TestInPlaceStep:
            data=st.data())
     def test_equals_the_textbook_formula(self, kind, direction, data):
         F = self.INCLUSIONS[kind]
-        sels = BundlePlan(2).selectors(F)
+        table = BundlePlan(2).table(F)
         m = data.draw(st.integers(1, 6))
-        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * len(sels),
-                                         max_size=m * len(sels))), dtype=float)
+        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * selections(table),
+                                         max_size=m * selections(table))), dtype=float)
         # one step for all rows or one per row; one count for all rows or one
         # per row, so that the live rows thin out
         h = data.draw(st.one_of(st.sampled_from([1 / 8, 1 / 64]),
@@ -890,9 +889,9 @@ class TestInPlaceStep:
                                       st.lists(st.integers(0, 5), min_size=len(X0),
                                                max_size=len(X0)).map(np.array)))
         s = _signed(h, direction)
-        ref = _textbook_sweep(lambda k, rows, X: _stage(F, sels, m, 1 / 8, direction,
+        ref = _textbook_sweep(lambda k, rows, X: _stage(F, table, m, 1 / 8, direction,
                                                         k, rows, X), X0, s, n_steps)
-        X, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, m, 1 / 8, direction), s), X0,
+        X, _, _ = rk4_sweep(rk4_stages(bundle_field(F, table, m, 1 / 8, direction), s), X0,
                             n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
@@ -924,15 +923,15 @@ class TestAffineStep:
            data=st.data())
     def test_equals_the_stage_path_up_to_rounding(self, kind, direction, switches, h, data):
         F = self.INCLUSIONS[kind]
-        sels = BundlePlan(2, switches=switches).selectors(F, 40 * h)
+        table = BundlePlan(2, switches=switches).table(F, 40 * h)
         m = data.draw(st.integers(1, 4))
-        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * len(sels),
-                                         max_size=m * len(sels))), dtype=float)
+        X0 = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD), min_size=m * selections(table),
+                                         max_size=m * selections(table))), dtype=float)
         n_steps = data.draw(st.one_of(st.integers(0, 40),
                                       st.lists(st.integers(0, 40), min_size=len(X0),
                                                max_size=len(X0)).map(np.array)))
-        X, _, _ = rk4_sweep(bundle_step(F, sels, m, h, direction), X0, n_steps)
-        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, direction,
+        X, _, _ = rk4_sweep(bundle_step(F, table, m, h, direction), X0, n_steps)
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, table, m, h, direction,
                                                             k, rows, X), X0, h, n_steps)
         # a relative bound, floored at the smallest normal float: subnormals
         # round at an absolute 5e-324
@@ -949,12 +948,12 @@ class TestAffineStep:
         F = InclusionSpec.singleton(f) if kind == "singleton" else \
             InclusionSpec.ball_perturbed(f, 0.3)
         h, m = 1 / 16, 3
-        sels = BundlePlan(2, switches=switches).selectors(F, 40 * h)
-        X0 = np.random.default_rng(8).uniform(-2.0, 2.0, size=(m * len(sels), 3))
+        table = BundlePlan(2, switches=switches).table(F, 40 * h)
+        X0 = np.random.default_rng(8).uniform(-2.0, 2.0, size=(m * selections(table), 3))
         n_steps = 40 - 5 * (np.arange(len(X0)) % 3)
-        step = bundle_step(F, sels, m, h, direction)
+        step = bundle_step(F, table, m, h, direction)
         X, _, _ = rk4_sweep(step, X0, n_steps)
-        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, direction,
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, table, m, h, direction,
                                                             k, rows, X), X0, h, n_steps)
         assert step.__qualname__ == "bundle_step.<locals>.step"
         assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -967,12 +966,13 @@ class TestAffineStep:
         g = FieldHandle(lambda X: rows.append(len(X)) or self.BASE.fn(X), 2, "linear_safe",
                         LINEAR_SAFE_A)
         rows.clear()    # FieldHandle calls fn once to check the matrix
-        F, sels = InclusionSpec.singleton(g), [Selector.constant()]
+        F = InclusionSpec.singleton(g)
+        table = BundlePlan().table(F)
         X0 = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 2))
         h, n = np.array([1 / 64, 1 / 100, 1 / 128, 3 / 256]), np.array([64, 50, 0, 30])
-        X, _, _ = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n)
+        X, _, _ = rk4_sweep(bundle_step(F, table, 4, h, direction), X0, n)
         assert rows == [3] * (4 * 30) + [2] * (4 * 20) + [1] * (4 * 14)
-        ref, _, _ = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction),
+        ref, _, _ = rk4_sweep(rk4_stages(bundle_field(F, table, 4, h, direction),
                                          _signed(h, direction)), X0, n)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
@@ -994,12 +994,12 @@ class TestAffineStep:
         # x -> x forward, x -> -x backward: rows grow out of escape_radius = 10
         F = InclusionSpec.ball_perturbed(FieldHandle(lambda X: sign * X, 2, "grow",
                                                      sign * np.eye(2)), 0.5)
-        sels = BundlePlan(4).selectors(F)
-        X0 = np.tile([[1.0, 0.0], [0.3, -0.2], [2.0, 2.0], [0.0, 0.0]], (len(sels), 1))
+        table = BundlePlan(4).table(F)
+        X0 = np.tile([[1.0, 0.0], [0.3, -0.2], [2.0, 2.0], [0.0, 0.0]], (selections(table), 1))
         h, n = 1 / 16, 200
-        stage = rk4_sweep(rk4_stages(bundle_field(F, sels, 4, h, direction),
+        stage = rk4_sweep(rk4_stages(bundle_field(F, table, 4, h, direction),
                                      _signed(h, direction)), X0, n, escape_radius=10.0)
-        affine = rk4_sweep(bundle_step(F, sels, 4, h, direction), X0, n, escape_radius=10.0)
+        affine = rk4_sweep(bundle_step(F, table, 4, h, direction), X0, n, escape_radius=10.0)
         assert stage[2].all() and len(np.unique(stage[1])) > 4
         assert np.array_equal(affine[1], stage[1]) and np.array_equal(affine[2], stage[2])
         assert np.abs(affine[0] - stage[0]).max() <= 1e-12 * np.abs(stage[0]).max()
@@ -1009,7 +1009,7 @@ class TestAffineStep:
         F = self.INCLUSIONS["ball"]
         X = np.array([[1.0, 0.0], [bad, 0.5]])
         with pytest.raises(SolverError, match="non-finite state at step 1"):
-            tube_minimum(F, BundlePlan(2).selectors(F), X, np.array([[4, 4]]), 1 / 16,
+            tube_minimum(F, BundlePlan(2).table(F), X, np.array([[4, 4]]), 1 / 16,
                          "backward", ORIGIN)
 
     @pytest.mark.parametrize("kind", ["singleton", "ball"])
@@ -1021,11 +1021,11 @@ class TestAffineStep:
         rows.clear()    # FieldHandle calls fn once to check a matrix
         F = InclusionSpec.singleton(g) if kind == "singleton" else \
             InclusionSpec.ball_perturbed(g, 0.3)
-        sels = BundlePlan(3).selectors(F)
+        table = BundlePlan(3).table(F)
         X0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 2))
-        bundle_sweep(F, sels, X0, 11 / 512, CFG)
-        assert rows == [5 * len(sels)] * calls
-        step = bundle_step(F, sels, 5, 1 / 512, "forward")
+        bundle_sweep(F, table, X0, 11 / 512, CFG)
+        assert rows == [5 * selections(table)] * calls
+        step = bundle_step(F, table, 5, 1 / 512, "forward")
         assert (step.__qualname__ == "rk4_stages.<locals>.step") == (matrix is None)
 
 
@@ -1043,19 +1043,19 @@ class TestBackwardByNegatedStep:
              "ball": InclusionSpec.ball_perturbed(self.f, 0.3),
              "hull": InclusionSpec.hull([self.f, self.QUAD, negated(self.f)]),
              "per-row h": InclusionSpec.singleton(self.f)}[kind]
-        sels = BundlePlan(3, switches=2).selectors(F, 2.0)
+        table = BundlePlan(3, switches=2).table(F, 2.0)
         m = 5
-        X0 = np.random.default_rng(11).normal(scale=0.4, size=(m * len(sels), 2))
+        X0 = np.random.default_rng(11).normal(scale=0.4, size=(m * selections(table), 2))
         h = np.linspace(1 / 128, 1 / 32, len(X0)) if kind == "per-row h" else 1 / 64
         n_steps = 64 - 7 * (np.arange(len(X0)) % 4)
-        X, _, _ = rk4_sweep(bundle_step(F, sels, m, h, "backward"), X0, n_steps)
-        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, sels, m, h, "backward",
+        X, _, _ = rk4_sweep(bundle_step(F, table, m, h, "backward"), X0, n_steps)
+        ref = _textbook_sweep(lambda k, rows, X: _old_stage(F, table, m, h, "backward",
                                                             k, rows, X), X0, h, n_steps)
         assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
 
     def test_per_row_steps_on_a_switch_grid_are_refused(self):
         F = InclusionSpec.ball_perturbed(self.f, 0.1)
-        sels = BundlePlan(2, switches=2).selectors(F, 2.0)
+        table = BundlePlan(2, switches=2).table(F, 2.0)
         with pytest.raises(SolverError, match="per-row steps need a bundle without switches"):
-            rk4_sweep(bundle_step(F, sels, 2, np.full(8, 1 / 64), "forward"),
+            rk4_sweep(bundle_step(F, table, 2, np.full(8, 1 / 64), "forward"),
                       np.full((8, 2), 0.1), 100)

@@ -14,6 +14,8 @@ from safereach.solver import BundlePlan, IntegratorConfig, integrate
 from safereach.verify import (SafetyProblem, SamplePlan, UNDER_APPROX_DISCLAIMER,
                               simulate_safety_check)
 
+from helpers import selection_path
+
 LINEAR = InclusionSpec.singleton(builtin_field("linear_safe"))
 ZERO = InclusionSpec.singleton(field_from_expressions(["0", "0"], "zero"))
 UP = InclusionSpec.singleton(field_from_expressions(["0", "1"], "up"))
@@ -63,9 +65,8 @@ class TestSimulate:
         # earliest hit is from the top of the disk: flight time 1
         assert rep.witness["hit_time"] == pytest.approx(1.0, abs=2 * CFG.step)
         # a fresh run of the witness selector from its start hits at hit_time
-        sel = next(s for s in p.bundle.selectors(p.F, p.horizon)
-                   if s.index == rep.witness["selector"])
-        tr = integrate(p.F, sel, np.array(rep.witness["x0"]), p.horizon, "forward", p.cfg)
+        tr = selection_path(p.F, p.bundle.table(p.F, p.horizon), rep.witness["selector"],
+                            np.array(rep.witness["x0"]), p.horizon, "forward", p.cfg)
         hits = p.unsafe_hits(tr.states)
         assert hits.any() and tr.times[np.argmax(hits)] == rep.witness["hit_time"]
         assert tr.states[np.argmax(hits)].tolist() == rep.witness["hit_state"]
@@ -129,9 +130,10 @@ class TestComplementMargin:
         # a violation: nodes leave X_s, so the least depth is 0
         p = SafetyProblem(UP, DISK, NOT_BELOW, 3.0, CFG, SamplePlan(4, 4), hit_tol=1e-6)
         rep = simulate_safety_check(p)
+        table = p.bundle.table(p.F, p.horizon)
         depth = min(float(geometry.distance_to_set_many(tr.states, NOT_BELOW).min())
-                    for s in p.bundle.selectors(p.F, p.horizon)
-                    for tr in [integrate(p.F, s, x0, p.horizon, "forward", p.cfg)
+                    for j in range(solver.selections(table))
+                    for tr in [selection_path(p.F, table, j, x0, p.horizon, "forward", p.cfg)
                                for x0 in p.initial_samples()])
         assert rep.verdict == "violation"
         assert rep.margin == depth == 0.0 and not np.signbit(rep.margin)
@@ -374,15 +376,13 @@ class TestSufficiencyChain:
 
     def test_counterexample_chain(self):
         from safereach.barrier import candidate_sign_check, marginal_barrier, monotonicity_check
-        from safereach.solver import Selector, integrate
-
         F = InclusionSpec.singleton(builtin_field("counterexample2d"))
         origin = SetSpec.points([[0.0, 0.0]], name="origin")
         X_u = SetSpec.complement(origin, name="off_origin")
         B = marginal_barrier(F, origin, CFG, directions=1)
         sign = candidate_sign_check(B, origin, X_u, [0.0, 1.0], n_init=4,
                                     n_unsafe=24, window=([-1, -1], [1, 1]))
-        tr = integrate(F, Selector.constant(), np.array([0.5, 0.0]), 2.0, cfg=CFG)
+        tr = integrate(F, np.array([0.5, 0.0]), 2.0, cfg=CFG)
         mono = monotonicity_check(B, [tr], tol=10 * CFG.accuracy, stride=64)
         assert sign.verdict == "pass" and mono.verdict == "pass"
         rep = simulate_safety_check(SafetyProblem(F, origin, X_u, 5.0, CFG,
@@ -391,15 +391,13 @@ class TestSufficiencyChain:
 
     def test_linear_chain(self):
         from safereach.barrier import candidate_sign_check, monotonicity_check
-        from safereach.solver import Selector, integrate
-
         B = user_barrier("x1^2/10 + x2^2 - 1", 2)
         sign = candidate_sign_check(B, DISK, WALL, [0.0], n_init=32, n_unsafe=32,
                                     window=([-4, -4], [4, 4]))
         ok_mono = True
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             x0 = np.array([np.cos(ang), np.sin(ang)])
-            tr = integrate(LINEAR, Selector.constant(), x0, 5.0, cfg=CFG)
+            tr = integrate(LINEAR, x0, 5.0, cfg=CFG)
             rep = monotonicity_check(B, [tr], tol=1e-9, stride=32)
             ok_mono = ok_mono and rep.verdict == "pass"
         assert sign.verdict == "pass" and ok_mono
@@ -428,27 +426,28 @@ class TestReportSerialization:
 
 
 def _per_selector_reference(p):
-    """simulate_safety_check as a loop: every selector from every start by its
-    own integration, keeping the earliest hit in selector, then start order."""
+    """simulate_safety_check as a loop: every selection from every start by its
+    own integration, keeping the earliest hit in selection, then start order."""
     starts = p.initial_samples()
-    sels = p.bundle.selectors(p.F, p.horizon)
+    table = p.bundle.table(p.F, p.horizon)
+    S = solver.selections(table)
     escapes, margin, witness, first_hits = 0, np.inf, {}, []
-    for sel in sels:
+    for j in range(S):
         for i, x0 in enumerate(starts):
-            tr = integrate(p.F, sel, x0, p.horizon, "forward", p.cfg)
+            tr = selection_path(p.F, table, j, x0, p.horizon, "forward", p.cfg)
             escapes += tr.termination == "escape"
             margin = min(margin, float(p.unsafe_margins(tr.states).min()))
             hits = np.nonzero(p.unsafe_hits(tr.states))[0]
             if len(hits) > 0:
                 k = int(hits[0])
-                first_hits.append((float(tr.times[k]), sel.index, i))
+                first_hits.append((float(tr.times[k]), j, i))
                 if not witness or tr.times[k] < witness["hit_time"]:
-                    witness = {"x0": x0.tolist(), "selector": sel.index,
+                    witness = {"x0": x0.tolist(), "selector": j,
                                "hit_time": float(tr.times[k]),
                                "hit_state": tr.states[k].tolist()}
     verdict = "violation" if witness else "no_violation_found"
-    coverage = {"initial_samples": len(starts), "selectors": len(sels),
-                "trajectories": len(starts) * len(sels), "horizon": p.horizon}
+    coverage = {"initial_samples": len(starts), "selectors": S,
+                "trajectories": len(starts) * S, "horizon": p.horizon}
     return verdict, margin, escapes, coverage, witness, first_hits
 
 
