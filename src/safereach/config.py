@@ -466,6 +466,9 @@ def build_scenario(cfg: RawConfig) -> Scenario:
             a["tol"] = 10 * solver.accuracy
         if kind != "sign" and system is None:
             raise ConfigError(f"[{section}] kind '{kind}' needs a [system]")
+        if kind == "filippov" and system.dim > 4:
+            raise ConfigError(f"[{section}] kind 'filippov' estimates lambda over 81^n grid "
+                              f"pairs: it needs n <= 4, got n = {system.dim}")
         if kind == "infinitesimal" and samples.window is None:
             raise ConfigError(f"[{section}] kind 'infinitesimal' needs a [sampling] window")
         checks[section.split(" ", 1)[1]] = (kind, a)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sampling
 from .expr import compile_expression
-from .geometry import SetSpec
+from .geometry import PAIR_BUDGET, SetSpec
 
 
 # boundary points of a ball in the vertex cloud of inclusion_extreme_points
@@ -251,7 +251,8 @@ def rescale_field(f: FieldHandle, V: Callable) -> FieldHandle:
 
 
 def lipschitz_estimate(F: InclusionSpec, box: SetSpec, grid: int = 9) -> float:
-    """Max over grid pairs of d_H(F(x), F(y)) / |x - y| on the given box."""
+    """Max over grid pairs of d_H(F(x), F(y)) / |x - y| on the given box, from
+    chunks of rows x against every y of at most PAIR_BUDGET vertex pairs each."""
     if box.kind != "box":
         raise DynamicsError("lipschitz_estimate expects a box set")
     if grid < 2:
@@ -259,8 +260,11 @@ def lipschitz_estimate(F: InclusionSpec, box: SetSpec, grid: int = 9) -> float:
     pts = sampling.grid_points(box.lo, box.hi, grid)
     # F(x) as its vertex set (P, p, n); the ball radius cancels in d_H
     V = eval_inclusion(F, pts)
-    d = np.linalg.norm(V[:, None, :, None, :] - V[None, :, None, :, :], axis=-1)
-    d_H = np.maximum(d.min(axis=3).max(axis=2), d.min(axis=2).max(axis=2))
-    sep = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    mask = sep > 1e-12
-    return float((d_H[mask] / sep[mask]).max(initial=0.0))
+    step, best = max(1, PAIR_BUDGET // (len(V) * V.shape[1] ** 2)), 0.0
+    for i in range(0, len(V), step):
+        d = np.linalg.norm(V[i:i + step, None, :, None, :] - V[None, :, None, :, :], axis=-1)
+        d_H = np.maximum(d.min(axis=3).max(axis=2), d.min(axis=2).max(axis=2))
+        sep = np.linalg.norm(pts[i:i + step, None, :] - pts[None, :, :], axis=2)
+        mask = sep > 1e-12
+        best = max(best, float((d_H[mask] / sep[mask]).max(initial=0.0)))
+    return best

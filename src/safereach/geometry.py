@@ -207,7 +207,7 @@ class SetSpec(NamedTuple):
             pts = sampling.box_points(lo, hi, count, seed=seed)
             n = self.normal / np.linalg.norm(self.normal)
             b = self.offset / np.linalg.norm(self.normal)
-            return pts - ((pts @ n) - b)[:, None] * n
+            return pts - (row_dot(pts, n) - b)[:, None] * n
         if self.kind == "box":
             # point i sits on the lo or hi face of axis i % dim, alternating per sweep
             pts, i = sampling.box_points(self.lo, self.hi, count, seed=seed), np.arange(count)
@@ -351,6 +351,17 @@ def row_dot(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     return sum(X[..., j] * V[..., j] for j in range(X.shape[-1]))
 
 
+def central_gradients(f: Callable, P: np.ndarray, h) -> np.ndarray:
+    """The (k, d) quotients (f(P + h e_j) - f(P - h e_j)) / (2h) at the rows of
+    P (k, d), h one step or one per row, from one call of the batch handle f
+    on all 2kd probes (every + probe, then every - probe)."""
+    k, d = P.shape
+    h = np.broadcast_to(np.asarray(h, dtype=float), (k,))
+    E = h[:, None, None] * np.eye(d)
+    v = np.reshape(f(np.stack([P[:, None] + E, P[:, None] - E]).reshape(-1, d)), (2, k, d))
+    return (v[0] - v[1]) / (2.0 * h[:, None])
+
+
 def _row_sq(D: np.ndarray) -> np.ndarray:
     # squared norms over the last axis, column by column like row_dot
     return sum(D[..., j] * D[..., j] for j in range(D.shape[-1]))
@@ -480,13 +491,10 @@ def _polish_to_boundary(S: SetSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     for every row pair; a row stops at its first step that does not improve."""
     best = np.sqrt(_row_sq(X - Y))
     h = np.maximum(1e-7, 1e-7 * best)
-    Y, n, live = Y.copy(), X.shape[1], np.arange(len(X))
+    Y, live = Y.copy(), np.arange(len(X))
     for _ in range(_POLISH_STEPS):
-        # central-difference gradient of fn at every live y, one call
-        y, e = Y[live], h[live, None, None] * np.eye(n)
-        f = np.asarray(S.fn(np.stack([y[:, None] + e, y[:, None] - e]).reshape(-1, n)))
-        f = f.reshape(2, -1, n)
-        g = (f[0] - f[1]) / (2.0 * h[live, None])
+        y = Y[live]
+        g = central_gradients(S.fn, y, h[live])
         gn = np.sqrt(_row_sq(g))
         keep = gn >= 1e-14
         live, y, g, gn = live[keep], y[keep], g[keep], gn[keep]

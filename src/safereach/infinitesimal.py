@@ -25,7 +25,8 @@ from . import sampling
 from .barrier import BarrierFn, CheckReport
 from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .expr import RelaxFn
-from .geometry import GeometryError, SetSpec, bisect_boundary, distance_to_set_many, row_dot
+from .geometry import (GeometryError, SetSpec, bisect_boundary, central_gradients,
+                       distance_to_set_many, row_dot)
 
 DEFAULT_CONE_TOL = 1e-6
 CONE_STEPS = np.array([10.0 ** -i for i in range(1, 7)])  # the steps h of the quotients
@@ -91,14 +92,12 @@ def clarke_gradient_sample(B, X, radius: float, fd_step: float = 1e-7,
         raise GeometryError("radius and fd_step must be positive")
     # ball_points(x, ...) is x plus offsets that do not depend on x
     offsets = sampling.ball_points(np.zeros(n), radius, 2 * n, seed=seed)
-    pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
-    step = fd_step * np.eye(n)
-    probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])
-    hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(probes.shape[:-1])
-    bad = ~(np.isfinite(hi) & np.isfinite(lo)).all(axis=-1)
+    pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2).reshape(-1, n)
+    grads = central_gradients(B, pts, fd_step)
+    bad = ~np.isfinite(grads).all(axis=1)
     if bad.any():
-        raise GeometryError(f"non-finite value near sample {pts.reshape(-1, n)[np.argmax(bad)]}")
-    return (hi - lo) / (2.0 * fd_step)
+        raise GeometryError(f"non-finite value near sample {pts[np.argmax(bad)]}")
+    return grads.reshape(X.shape[:-1] + (2 * n + 1, n))
 
 
 def proximal_subgradient_test(X, zeta, B, radius: float, eps: float = 0.0, m: int = 64,
@@ -136,21 +135,6 @@ def proximal_subgradient_test(X, zeta, B, radius: float, eps: float = 0.0, m: in
 # ---------------------------------------------------------------------------
 # infinitesimal decrease checks
 # ---------------------------------------------------------------------------
-
-def _fd_extended_gradients(B: BarrierFn, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradients of B in (t, x) at every pair
-    (ts[i], X[i]), from one batch of 2(n+1) probes per pair."""
-    k, n = X.shape
-    fd = FD_STEP
-    tp = np.maximum(ts, fd)   # keep probes at t >= 0
-    step = fd * np.eye(n)
-    # per pair: (tp + fd, x), (tp - fd, x), (t, x + fd e_i) for each i, then (t, x - fd e_i)
-    pt = np.column_stack([tp + fd, tp - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
-    px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + step,
-                         X[:, None] - step], axis=1)
-    v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).value.reshape(k, 2 * n + 2)
-    return np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
-
 
 def _region_samples(B: BarrierFn, kind: str, width, t_grid, window, count, seed):
     """Sample (t, x) pairs in the region kind of the (t, x) space: everywhere,
@@ -247,11 +231,13 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
 def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, seed: int):
     """Candidate zetas (k, z, n + 1) of the k pairs, and a (k, z) mask of those to test."""
     prox_radius = 1e-3
+    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:]).value
     if mode == "smooth":
-        return _fd_extended_gradients(B, ts, X)[:, None, :], np.ones((len(ts), 1), dtype=bool)
+        # every quotient at one point (max(t, FD_STEP), x): no probe at t < 0
+        TX = np.column_stack([np.maximum(ts, FD_STEP), X])
+        return central_gradients(handle, TX, FD_STEP)[:, None], np.ones((len(ts), 1), dtype=bool)
     if mode not in ("clarke", "proximal"):
         raise ValueError(f"unknown mode '{mode}'")
-    handle = lambda U: B.evaluate_many(U[:, 0], U[:, 1:]).value
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
     floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
     TX = np.column_stack([np.maximum(ts, floor), X])

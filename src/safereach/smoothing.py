@@ -26,7 +26,7 @@ import numpy as np
 from . import sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, rescale_field
-from .geometry import PAIR_BUDGET, SetSpec, distance_to_set_many
+from .geometry import PAIR_BUDGET, SetSpec, central_gradients, distance_to_set_many
 from .solver import (BundlePlan, IntegratorConfig, SolverError, bundle_step, on_stepped,
                      rk4_sweep, start_states, tube_minimum)
 
@@ -313,13 +313,9 @@ def _continuity_certificate(fn: SmoothedFn, partition: TimePartition) -> dict:
     probe = grid[:: max(1, len(grid) // 5)][:5]
     t_probe = 0.5 * (partition.nodes[0] + partition.nodes[min(1, len(partition.nodes) - 1)])
     step = 1e-4
-    # rows (probe, axis, offset): x + step e, x - step e, x + step/2 e, x - step/2 e
-    E = np.eye(grid.shape[1])
-    offsets = np.stack([step * E, -step * E, 0.5 * step * E, -0.5 * step * E], axis=1)
-    X = (probe[:, None, None, :] + offsets[None]).reshape(-1, grid.shape[1])
-    v = fn.sample_pairs(np.full(len(X), t_probe), X).reshape(-1, 4)
-    g1 = (v[:, 0] - v[:, 1]) / (2 * step)
-    g2 = (v[:, 2] - v[:, 3]) / step
+    g = central_gradients(lambda X: fn.sample_pairs(np.full(len(X), t_probe), X),
+                          np.concatenate([probe, probe]), np.repeat([step, step / 2], len(probe)))
+    g1, g2 = g[:len(probe)], g[len(probe):]
     return {"fd_gradient_discrepancy": float(np.max(np.abs(g1 - g2), initial=0.0)),
             "sigma": fn.sigma}
 

@@ -678,9 +678,8 @@ def _scalar_decrease_reference(B, F, mode, t_grid, count, fd=1e-6, radius=1e-4, 
     worst, witness, checked = -np.inf, {}, 0
     for t, x in pairs:
         if mode == "smooth":
-            tp = max(t, fd)
-            zetas = [np.array([(H([tp + fd, *x]) - H([tp - fd, *x])) / (2 * fd)]
-                              + [fd_gradient(np.array([t, *x]), i) for i in (1, 2)])]
+            # every quotient at t' = max(t, fd), the x ones too
+            zetas = [np.array([fd_gradient(np.array([max(t, fd), *x]), i) for i in range(3)])]
         else:
             tx = np.concatenate([[max(t, (1e-3 if mode == "proximal" else radius) + fd)], x])
             pts = np.vstack([tx, sampling.ball_points(tx, radius, 6, seed=seed)])

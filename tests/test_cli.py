@@ -473,6 +473,56 @@ class TestCommands:
         assert rep["max_violation"] is None and rep["verdict"] == "inconclusive"
         assert "check filippov: inconclusive" in capsys.readouterr().out
 
+    FILIPPOV_N = """
+seed = 3
+[system]
+kind = expression
+rhs = {rhs}
+[solver]
+step = 0.0625
+[set BOX]
+kind = box
+lo = {lo}
+hi = {hi}
+[check filippov]
+kind = filippov
+lam_box = BOX
+pairs = 2
+T = 0.25
+"""
+
+    def _filippov_n(self, tmp_path, rhs):
+        n = len(rhs)
+        return self._write(tmp_path, self.FILIPPOV_N.format(
+            rhs="; ".join(rhs), lo=" ".join(["-1"] * n), hi=" ".join(["1"] * n)))
+
+    def test_filippov_at_n_4_runs_in_one_gigabyte(self, tmp_path):
+        # its Lipschitz estimate sweeps the 6561^2 grid pairs a chunk of rows
+        # at a time; one difference array of all of them took 1.3 GiB
+        config = self._filippov_n(tmp_path, ["-x1 + x2", "-x2 + x3", "-x3 + x4", "-x4 + x1*x2"])
+        script = ("import resource, runpy, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                  f"sys.argv = ['safereach', 'check', '--config', {str(config)!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}]\n"
+                  "runpy.run_module('safereach.cli', run_name='__main__', alter_sys=True)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "check filippov: pass\n", "")
+        rep = json.loads((tmp_path / "out" / "filippov.check.json").read_text())
+        assert rep["verdict"] == "pass" and rep["lambda"] > 0.0
+
+    def test_filippov_refuses_n_5_before_any_output(self, tmp_path, capsys):
+        # about 81 times the n = 4 sweep
+        config = self._filippov_n(tmp_path, [f"-x{i}" for i in range(1, 6)])
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: [check filippov] kind 'filippov' estimates lambda over 81^n "
+                       "grid pairs: it needs n <= 4, got n = 5\n")
+        assert not out.exists()
+
     def test_proximal_check_makes_four_barrier_batches(self, tmp_path, monkeypatch):
         # the sample region, the Clarke gradients, the proximal test of every
         # pair and the relaxation's B values: one batch each, whatever the count
@@ -731,19 +781,39 @@ class TestCommands:
         report = json.loads((out / "decrease.check.json").read_text())
         assert report["details"]["region"] == text
 
+    def _closed_form_checks(self, tmp_path, regions):
+        """counterexample.scenario with the closed-form barrier and, in place
+        of its checks, one smooth infinitesimal check [check NAME] per
+        NAME: region of regions."""
+        text = (SCENARIOS / "counterexample.scenario").read_text().replace(
+            "[barrier]\nkind = marginal\nX_o = X_o\n", "[barrier]\nkind = counterexample\n")
+        assert "kind = counterexample" in text
+        return self._write(tmp_path, text[:text.index("[check sign]")] + "".join(
+            f"[check {name}]\nkind = infinitesimal\nregion = {region}\n"
+            for name, region in regions.items()))
+
     def test_a_margin_band_without_a_width_keeps_a_sample(self, tmp_path):
         # the closed-form barrier's positive values at each t lie within a
         # factor of ten of each other: a band of a tenth of their median
         # kept none, and the check was inconclusive
-        text = (SCENARIOS / "counterexample.scenario").read_text().replace(
-            "[barrier]\nkind = marginal\nX_o = X_o\n", "[barrier]\nkind = counterexample\n")
-        text = (text[:text.index("[check sign]")]
-                + "[check mb]\nkind = infinitesimal\nregion = margin_band\n")
         out = tmp_path / "out"
-        main(["check", "--config", str(self._write(tmp_path, text)), "--out", str(out)])
+        config = self._closed_form_checks(tmp_path, {"mb": "margin_band"})
+        main(["check", "--config", str(config), "--out", str(out)])
         report = json.loads((out / "mb.check.json").read_text())
         assert report["details"]["region"] == "('margin_band', None)"
         assert report["samples"] > 0 and report["verdict"] != "inconclusive"
+
+    def test_the_closed_form_barrier_passes_the_smooth_decrease_check(self, tmp_path):
+        # its decrease margin dB/dt + <grad B, f> is 0; both quotients are
+        # taken at t' = max(t, FD_STEP), so the t = 0 pairs read rounding
+        # only (with grad B at t = 0 they read 1.3e-7 and 1.0e-7, above tol)
+        out = tmp_path / "out"
+        config = self._closed_form_checks(tmp_path, {"all": "everywhere", "mb": "margin_band"})
+        assert main(["check", "--config", str(config), "--out", str(out)]) == 0
+        for name in ("all", "mb"):
+            report = json.loads((out / f"{name}.check.json").read_text())
+            assert report["verdict"] == "pass" and report["samples"] > 0
+            assert abs(report["worst_margin"]) < 1e-9
 
     def test_check_builds_the_barrier_once(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import safereach.dynamics as dynamics
 from safereach.dynamics import (EXTREME_DIRECTIONS, DynamicsError, FieldHandle,
                                 InclusionSpec, LINEAR_SAFE_A, builtin_field, eval_inclusion,
                                 field_from_expressions, inclusion_extreme_points,
@@ -363,6 +364,16 @@ class TestLipschitzEstimate:
         ref = max(hausdorff_distance(V[i], V[j]) / float(np.linalg.norm(pts[i] - pts[j]))
                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
         assert lipschitz_estimate(F, box, grid=5) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("budget", [1, 7, 2 ** 9])
+    def test_every_chunk_of_rows_gives_the_same_max(self, monkeypatch, budget):
+        # the pair sweep of one chunk holding every row is the reference
+        F = InclusionSpec.hull([QUAD, field_from_expressions(["sin(x1)", "x1*x1 - x2"], "trig")])
+        box = SetSpec.box([-0.7, -1.3], [1.9, 0.4])
+        monkeypatch.setattr(dynamics, "PAIR_BUDGET", 2 ** 40)
+        whole = lipschitz_estimate(F, box, grid=6)
+        monkeypatch.setattr(dynamics, "PAIR_BUDGET", budget)
+        assert lipschitz_estimate(F, box, grid=6) == whole > 0.0
 
     def test_ball_radius_cancels(self):
         f = builtin_field("linear_safe")

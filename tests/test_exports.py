@@ -227,6 +227,53 @@ def test_src_loads_neither_numpy_random_nor_hashlib():
     assert found == [], f"numpy.random or hashlib in src/: {found}"
 
 
+# every matrix product of src/ (an @, np.dot, np.matmul or np.einsum) by
+# (module, enclosing function, source), with why it may stand: BLAS rounds
+# one row unlike the same row in a batch, and a value of a batch of rows
+# depends on its own row only
+MATRIX_PRODUCTS = {
+    ("solver.py", "bundle_step", "M @ M"): "the (n, n) matrices of the affine RK4 step",
+    ("solver.py", "bundle_step", "M2 @ M"): "the (n, n) matrices of the affine RK4 step",
+    ("solver.py", "bundle_step", "M @ T"): "the (n, n) matrices of the affine RK4 step",
+    ("geometry.py", "_project", "S.normal @ S.normal"): "one normal's squared norm",
+    ("smoothing.py", "smooth_on_compact", "W @ snaps[r]"):
+        "the bandwidth probe: one kernel on one snapshot, whose error picks sigma",
+    ("infinitesimal.py", "proximal_subgradient_test", "np.einsum('kij,kij->ki', d, d)"):
+        "each offset's own squared norm, summed by einsum's loop, not BLAS",
+}
+
+
+def _is_product(node) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dot", "matmul", "einsum")
+
+
+def _matrix_products() -> set:
+    """(module, innermost enclosing function, source) of every @, @= and
+    call of a dot, matmul or einsum in src/."""
+    found = set()
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if _is_product(child):
+                found.add((path.name, inner, ast.unparse(child)))
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    return found
+
+
+def test_every_matrix_product_is_listed_with_its_reason():
+    found = _matrix_products()
+    assert sorted(found - set(MATRIX_PRODUCTS)) == [], \
+        "a matrix product off the list: take a batch of rows with geometry.row_dot"
+    assert sorted(set(MATRIX_PRODUCTS) - found) == [], "a listed product is gone"
+
+
 # the @dataclass classes of src/, each with what makes it more than a plain
 # record: a __post_init__, a field left out of equality or a mutable default.
 # A plain record is a typing.NamedTuple, whose class costs a fraction of a

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from safereach import sampling
+from safereach.barrier import counterexample_barrier_fn, user_barrier
 from safereach.expr import compile_expression
-from safereach.geometry import (EmptySetError, GeometryError, SetSpec, distance_to_set,
-                                distance_to_set_many)
-from safereach.infinitesimal import (clarke_gradient_sample, cone_residual,
-                                     proximal_subgradient_test)
+from safereach.geometry import (EmptySetError, GeometryError, SetSpec, central_gradients,
+                                distance_to_set, distance_to_set_many)
+from safereach.infinitesimal import (FD_STEP, _zeta_candidates, clarke_gradient_sample,
+                                     cone_residual, proximal_subgradient_test)
+from safereach.smoothing import build_time_partition, smooth_on_compact
 
 from helpers import hausdorff_distance
 
@@ -242,6 +245,73 @@ class TestClarkeGradient:
             assert np.array_equal(clarke_gradient_sample(B, x, radius=1e-4, seed=2), g)
 
 
+class TestCentralGradients:
+    """central_gradients against each stencil it replaced, kept here as the
+    reference, bit for bit on random inputs."""
+
+    rng = np.random.default_rng(37)
+    bits = staticmethod(lambda a: np.ascontiguousarray(a, dtype=float).view(np.uint64))
+
+    def test_per_row_steps_of_the_boundary_polish(self):
+        fn = compile_expression("x1^2/10 + x2^2 - 1 + sin(x1*x2)", ("x1", "x2"))
+        y = self.rng.uniform(-3.0, 3.0, (40, 2))
+        h = np.maximum(1e-7, 1e-7 * self.rng.uniform(0.0, 5.0, 40))
+        e = h[:, None, None] * np.eye(2)
+        f = np.asarray(fn(np.stack([y[:, None] + e, y[:, None] - e]).reshape(-1, 2)))
+        f = f.reshape(2, -1, 2)
+        ref = (f[0] - f[1]) / (2.0 * h[:, None])
+        assert np.array_equal(self.bits(central_gradients(fn, y, h)), self.bits(ref))
+
+    @pytest.mark.parametrize("n,fd_step", [(2, 1e-7), (3, 1e-6)])
+    def test_clarke_gradient_samples(self, n, fd_step):
+        B = lambda P: np.sin(P[:, 0]) * P[:, -1] ** 2 + P[:, 0] * P[:, 1] / 3.0
+        X = self.rng.uniform(-2.0, 2.0, (6, n))
+        offsets = sampling.ball_points(np.zeros(n), 1e-4, 2 * n, seed=5)
+        pts = np.concatenate([X[..., None, :], X[..., None, :] + offsets], axis=-2)
+        step = fd_step * np.eye(n)
+        probes = np.stack([pts[..., None, :] + step, pts[..., None, :] - step])
+        hi, lo = np.asarray(B(probes.reshape(-1, n)), dtype=float).reshape(probes.shape[:-1])
+        ref = (hi - lo) / (2.0 * fd_step)
+        got = clarke_gradient_sample(B, X, radius=1e-4, fd_step=fd_step, seed=5)
+        assert np.array_equal(self.bits(got), self.bits(ref))
+
+    def test_smooth_decrease_zetas_from_t_fd_step_on(self):
+        # the (t, x) quotients about (t, x) for t >= FD_STEP, where t' = t
+        B = counterexample_barrier_fn()
+        ts = np.concatenate([[FD_STEP], self.rng.uniform(FD_STEP, 3.0, 29)])
+        X = self.rng.uniform(-1.0, 1.0, (30, 2))
+        k, n, fd = len(ts), 2, FD_STEP
+        pt = np.column_stack([ts + fd, ts - fd, np.repeat(ts[:, None], 2 * n, axis=1)])
+        px = np.concatenate([np.repeat(X[:, None], 2, axis=1), X[:, None] + fd * np.eye(n),
+                             X[:, None] - fd * np.eye(n)], axis=1)
+        v = B.evaluate_many(pt.ravel(), px.reshape(-1, n)).value.reshape(k, 2 * n + 2)
+        ref = np.column_stack([v[:, 0] - v[:, 1], v[:, 2:n + 2] - v[:, n + 2:]]) / (2 * fd)
+        Z, keep = _zeta_candidates(B, "smooth", ts, X, seed=0)
+        assert Z.shape == (k, 1, n + 1) and keep.all()
+        assert np.array_equal(self.bits(Z[:, 0]), self.bits(ref))
+
+    def test_continuity_certificate_of_a_smoothed_table(self):
+        grid = np.array([[x, y] for x in np.linspace(0.5, 1.0, 6) for y in (-0.3, 0.4)])
+        h = lambda t, X: np.exp(-np.asarray(t, dtype=float))[..., None] * (1.0 + X[:, 0] ** 2)
+        partition = build_time_partition(h, grid, k_max=1, table_res=32)
+        g = smooth_on_compact(partition)
+        probe = grid[:: max(1, len(grid) // 5)][:5]
+        t_probe = 0.5 * (partition.nodes[0] + partition.nodes[1])
+        step, E = 1e-4, np.eye(2)
+        offsets = np.stack([step * E, -step * E, 0.5 * step * E, -0.5 * step * E], axis=1)
+        P = (probe[:, None, None, :] + offsets[None]).reshape(-1, 2)
+        v = g.sample_pairs(np.full(len(P), t_probe), P).reshape(-1, 4)
+        ref = np.max(np.abs((v[:, 0] - v[:, 1]) / (2 * step) - (v[:, 2] - v[:, 3]) / step))
+        assert g.certificate["fd_gradient_discrepancy"] == float(ref) > 0.0
+
+    def test_one_call_on_all_probes(self):
+        calls = []
+        f = lambda P: calls.append(P.shape) or P[:, 0] - 2.0 * P[:, 2]
+        g = central_gradients(f, self.rng.uniform(-1.0, 1.0, (5, 3)), 1e-3)
+        assert calls == [(2 * 5 * 3, 3)] and g.shape == (5, 3)
+        assert np.allclose(g, [1.0, 0.0, -2.0], atol=1e-9)
+
+
 class TestProximalSubgradient:
     def test_squared_norm_at_origin(self):
         res = proximal_subgradient_test([[0.0, 0.0]], [[[0.0, 0.0]]],
@@ -307,6 +377,16 @@ class TestSamplers:
         S = SetSpec.ball([0, 0], 2.0)
         pts = S.sample_boundary(16)
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.0)
+
+    def test_halfspace_boundary_samples_do_not_depend_on_the_count(self):
+        # the projection onto the plane is taken row by row, not by a BLAS
+        # product, which rounds a row by its batch
+        H = SetSpec.halfspace([0.3, -1.7], 0.4)
+        window = ([-4.0, -4.0], [4.0, 4.0])
+        full = H.sample_boundary(64, seed=3, window=window).view(np.uint64)
+        for count in range(1, 65):
+            head = H.sample_boundary(count, seed=3, window=window).view(np.uint64)
+            assert np.array_equal(head, full[:count]), count
 
     def test_unbounded_needs_window(self):
         H = SetSpec.halfspace([0, 1], 2.0)
