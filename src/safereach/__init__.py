@@ -9,6 +9,12 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class Error(Exception):
+    """Base of every error the library raises for input outside the domain
+    where it works, the one class the command line catches."""
+
+
 _EXPORTS = {
     "dynamics": ("FieldHandle", "InclusionSpec", "builtin_field", "eval_inclusion",
                  "field_from_expressions", "linear_field", "lipschitz_estimate", "max_rate",
@@ -30,7 +36,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "Error"])
 
 
 def __getattr__(name):

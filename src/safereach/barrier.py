@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import Error
 from .dynamics import InclusionSpec
 from .expr import compile_expression
 # distance_to_set_many is unused here: bench/test_bench.py reads barrier.distance_to_set_many
@@ -37,7 +38,7 @@ POS_TOL = 1e-9          # B >= POS_TOL on X_u samples stands for B > 0
 # barrier functions
 # ---------------------------------------------------------------------------
 
-class BarrierError(ValueError):
+class BarrierError(Error, ValueError):
     pass
 
 
@@ -101,7 +102,7 @@ def marginal_barrier(F: InclusionSpec, X_o: SetSpec,
     each query reads the running minimum off the steps around its t, and
     its cut says whether its tube was cut short by escape at or before t."""
     if X_o.kind == "complement":
-        raise ValueError("X_o must be a closed set variant, not an open complement")
+        raise BarrierError("X_o must be a closed set variant, not an open complement")
     plan = BundlePlan(directions, switches, seed)
 
     def values(ts, Xs):
@@ -226,7 +227,7 @@ class Batch:
             try:
                 whole = self.B.evaluate_many(np.concatenate([a.ts for a in self.asked]),
                                              np.vstack([a.Xs for a in self.asked]))
-            except (ValueError, RuntimeError):     # the library's errors
+            except Error:
                 pass        # each check then evaluates its own queries, below
             else:
                 ends = np.cumsum([len(a.ts) for a in self.asked])[:-1]
@@ -248,9 +249,8 @@ def check_results(B: BarrierFn, runs: list):
         yield run
 
 
-def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64,
-                         n_unsafe: int = 64, window=None, seed: int = 0,
-                         drawn: Optional[Queries] = None) -> CheckReport:
+def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, samples: SamplePlan,
+                         n_unsafe: int = 64, drawn: Optional[Queries] = None) -> CheckReport:
     """B <= 0 (within POS_TOL) on X_o samples x t-grid and B >= POS_TOL on
     X_u samples, from the queries :func:`sign_queries` draws, or drawn,
     those drawn already; B may be a Batch answering them with other checks'.
@@ -260,24 +260,23 @@ def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, n_ini
     nonpositive side uses the same tolerance.
     """
     if drawn is None:
-        drawn = sign_queries(X_o, X_u, t_grid, n_init, n_unsafe, window, seed)
+        drawn = sign_queries(X_o, X_u, t_grid, samples, n_unsafe)
     return drawn.answer(B)
 
 
-def sign_queries(X_o: SetSpec, X_u: SetSpec, t_grid, n_init: int = 64, n_unsafe: int = 64,
-                 window=None, seed: int = 0) -> Queries:
-    """The queries of :func:`candidate_sign_check`: its X_o and X_u samples
-    at every t of the grid."""
+def sign_queries(X_o: SetSpec, X_u: SetSpec, t_grid, samples: SamplePlan,
+                 n_unsafe: int = 64) -> Queries:
+    """The queries of :func:`candidate_sign_check` at every t of the grid: the
+    X_o points samples draws and n_unsafe of X_u, drawn at samples.seed + 2."""
     t_grid = np.asarray(t_grid, dtype=float)
-    check = lambda source, drawn: candidate_sign_check(source, X_o, X_u, t_grid, n_init,
-                                                       n_unsafe, window, seed, drawn)
+    check = lambda source, drawn: candidate_sign_check(source, X_o, X_u, t_grid, samples,
+                                                       n_unsafe, drawn)
     if len(t_grid) == 0:
         return Queries(np.empty(0), np.empty((0, X_o.dim)), lambda got: CheckReport(
             "candidate_sign", 0, 0.0, {}, "inconclusive", details={"reason": "empty t-grid"}),
             check)
-    n_b = max(1, n_init // 2)
-    pts_o = SamplePlan(n_b, n_init - n_b, seed, window).draw(X_o)
-    pts_u = X_u.sample_interior(n_unsafe, seed=seed + 2, window=window)
+    pts_o = samples.draw(X_o)
+    pts_u = X_u.sample_interior(n_unsafe, seed=samples.seed + 2, window=samples.window)
     # one batch over t-grid x samples, t-major; argmax/argmin pick the first
     # extreme in that order
     pts = np.vstack([pts_o, pts_u])
@@ -323,9 +322,9 @@ def monotonicity_queries(trajs: list[Trajectory], tol: float = 1e-8,
                          stride: int = 1) -> Queries:
     """The queries of :func:`monotonicity_check`: the trajectories' nodes it reads."""
     if not trajs:
-        raise ValueError("monotonicity check needs at least one trajectory")
+        raise BarrierError("monotonicity check needs at least one trajectory")
     if any(tr.direction != "forward" for tr in trajs):
-        raise ValueError("monotonicity check expects forward trajectories")
+        raise BarrierError("monotonicity check expects forward trajectories")
     idxs = [np.append(np.arange(0, len(tr.times) - 1, stride), len(tr.times) - 1)
             for tr in trajs]
 

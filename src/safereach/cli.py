@@ -30,20 +30,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .config import ConfigError, RawConfig, Scenario, build_scenario, load_config
-from .dynamics import DynamicsError
-from .expr import ExpressionError, compile_expression
-from .geometry import GeometryError
+from . import Error, __version__
+from .config import RawConfig, Scenario, build_scenario, load_config
+from .expr import compile_expression
 from .sampling import grid_points
-from .solver import SolverError, solution_bundle, write_csv
+from .solver import solution_bundle, write_csv
 
 # each command imports the library modules it runs, so a run loads only its own
 if TYPE_CHECKING:
     from .barrier import BarrierFn
 
 
-class CliError(Exception):
+class CliError(Error):
     pass
 
 
@@ -92,7 +90,7 @@ def _build_barrier(scn: Scenario) -> BarrierFn:
 
         res = ConverseResolution(s_range=tuple(range(a["s_lo"], a["s_hi"] + 1)), k_max=a["k_max"])
         return converse_smooth_barrier(scn.system.base_field, a["X_o"], scn.solver, res)
-    except _input_errors() as exc:
+    except Error as exc:
         raise CliError(f"[barrier] {exc}") from None
 
 
@@ -154,7 +152,7 @@ def cmd_smooth(scn: Scenario, args, manifest: Manifest) -> int:
     if len(grid) == 0:
         raise CliError("[smooth] region grid is empty")
     part = build_time_partition(h, grid, a["k_max"], table_res=a["table_res"])
-    g = smooth_on_compact(part, w_tol=a["w_tol"])
+    g = smooth_on_compact(part)
     ts = np.linspace(0.0, part.nodes[-1], a["out_n"])
     data = np.column_stack([tx(ts, grid), g.sample_times(ts, grid).ravel()])
     write_csv(manifest.add(manifest.out / "smoothed_grid.csv"), "t", data, "g")
@@ -186,9 +184,7 @@ def _run_one_check(name: str, scn: Scenario, barrier):
         from .barrier import sign_queries
 
         barrier()   # built before the queries are drawn, as for the other kinds
-        return sign_queries(a["X_o"], a["X_u"], scn.t_grid,
-                            n_init=scn.samples.interior + scn.samples.boundary,
-                            n_unsafe=a["n_samples"], window=window, seed=seed)
+        return sign_queries(a["X_o"], a["X_u"], scn.t_grid, scn.samples, a["n_samples"])
     if kind == "monotonicity":
         from .barrier import bundle_monotonicity_queries
 
@@ -236,9 +232,8 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
     for name in names:
         try:
             runs.append(_run_one_check(name, scn, barrier))
-        except Exception as exc:
-            named = isinstance(exc, _input_errors()) and not isinstance(exc, CliError)
-            error = CliError(f"[check {name}] {exc}") if named else exc
+        except Error as exc:
+            error = exc if isinstance(exc, CliError) else CliError(f"[check {name}] {exc}")
             break
     if not all(isinstance(run, tuple) for run in runs):
         from .barrier import check_results
@@ -325,18 +320,6 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _input_errors() -> tuple:
-    """The error classes the library raises for bad input.  A module that is
-    not loaded raised none, so its class is read from ``sys.modules``."""
-    errors = [ConfigError, CliError, ExpressionError, GeometryError, DynamicsError,
-              SolverError]
-    for module, name in (("barrier", "BarrierError"), ("smoothing", "SmoothingError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
-
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     manifest = None
@@ -364,7 +347,7 @@ def main(argv=None) -> int:
         status = handler(scn, args, manifest)
         manifest.write()
         return status
-    except _input_errors() as exc:
+    except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         if manifest is not None and manifest.data["artifacts"]:
             # a partial run says what it wrote and why it stopped

@@ -13,7 +13,7 @@ main reproducibility killer.  Sections:
     [simulate]      X_o, T (COMMANDS, as are the next three)
     [reach]         x0, t, stride
     [barrier-eval]  window, nx, tgrid
-    [smooth]        h, region, k_max, table_res, grid_n, w_tol, out_n
+    [smooth]        h, region, k_max, table_res, grid_n, out_n
     [check NAME]    kind (CHECKS) plus the keys that kind reads
 
 build_scenario first holds every key typed point or window to n or 2n
@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import Error
 from .dynamics import InclusionSpec, builtin_field, field_from_expressions
 from .expr import ExpressionError, RelaxFn, compile_expression
 from .geometry import GeometryError, SamplePlan, SetSpec
@@ -45,7 +46,7 @@ except ImportError:
         from hashlib import sha256
 
 
-class ConfigError(ValueError):
+class ConfigError(Error, ValueError):
     pass
 
 
@@ -67,7 +68,7 @@ _SCHEMAS = {
     "reach": {"x0": "point", "t": "time", "stride": "count"},
     "barrier-eval": {"window": "window", "nx": "count", "tgrid": "tvec"},
     "smooth": {"h": "str", "region": "str", "k_max": "int", "table_res": "count",
-               "grid_n": "count", "w_tol": "float", "out_n": "count"},
+               "grid_n": "count", "out_n": "count"},
     "check": {"kind": "str", "X_o": "str", "X_u": "str", "X_s": "str",
               "K": "str", "T": "horizon", "tol": "float", "mode": "str",
               "region": "str", "width": "float", "g": "str", "count": "count",
@@ -105,7 +106,7 @@ COMMANDS = {"simulate": {"X_o": SET, "T": 1.0},
             "reach": {"x0": NEEDED, "t": NEEDED, "stride": 1},
             "barrier-eval": {"window": NEEDED, "nx": 21, "tgrid": [0.0, 1.0, 5]},
             "smooth": {"h": NEEDED, "region": SET, "k_max": 3, "table_res": 256,
-                       "grid_n": 41, "w_tol": None, "out_n": 9}}
+                       "grid_n": 41, "out_n": 9}}
 SYSTEMS = {"builtin": {"name": NEEDED}, "expression": {"rhs": NEEDED}}
 INCLUSIONS = {"singleton": {}, "ball": {"epsilon": 0.0}, "hull": {"member": []}}
 

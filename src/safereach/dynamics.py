@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import Error, sampling
 from .expr import compile_expression
 from .geometry import PAIR_BUDGET, SetSpec
 
@@ -25,7 +25,7 @@ EXTREME_DIRECTIONS = 16
 Selector = None     # former selection record, still imported by bench/test_bench.py
 
 
-class DynamicsError(ValueError):
+class DynamicsError(Error, ValueError):
     pass
 
 

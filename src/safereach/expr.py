@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import Error
+
 _FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -35,7 +37,7 @@ _ALLOWED_NODES = (
 )
 
 
-class ExpressionError(ValueError):
+class ExpressionError(Error, ValueError):
     pass
 
 
@@ -115,7 +117,7 @@ class RelaxFn(NamedTuple):
     @staticmethod
     def linear(L: float) -> "RelaxFn":
         if L <= 0:
-            raise ValueError("linear relaxation needs L > 0")
+            raise ExpressionError("linear relaxation needs L > 0")
         return RelaxFn("linear", lambda b: L * np.asarray(b, dtype=float))
 
     @staticmethod
@@ -124,9 +126,9 @@ class RelaxFn(NamedTuple):
         probe = np.linspace(-2.0, 2.0, 41)
         vals = g(probe)
         if abs(float(g(np.array(0.0)))) > 1e-9:
-            raise ValueError("extended class-K function must satisfy g(0) = 0")
+            raise ExpressionError("extended class-K function must satisfy g(0) = 0")
         if np.any(np.diff(vals) <= 0):
-            raise ValueError("extended class-K function must be strictly increasing")
+            raise ExpressionError("extended class-K function must be strictly increasing")
         return RelaxFn("extended_classK", g)
 
     @staticmethod

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import Error, sampling
 
 _MEMBER_TOL = 1e-12
 _POLISH_STEPS = 25      # tangential descent steps of _polish_to_boundary
@@ -25,7 +25,7 @@ _CONVEX = ("ball", "box", "halfspace")     # kinds with a closed-form projection
 PAIR_BUDGET = 2 ** 18   # elements of one (rows, points) distance matrix
 
 
-class GeometryError(ValueError):
+class GeometryError(Error, ValueError):
     pass
 
 

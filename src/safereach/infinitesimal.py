@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import sampling
-from .barrier import BarrierFn, CheckReport
+from .barrier import BarrierError, BarrierFn, CheckReport
 from .dynamics import InclusionSpec, inclusion_extreme_points, max_rate
 from .expr import RelaxFn
 from .geometry import (GeometryError, SetSpec, bisect_boundary, central_gradients,
@@ -165,7 +165,7 @@ def _region_samples(B: BarrierFn, kind: str, width, t_grid, window, count, seed)
                 picked.extend(_bisect_zero_level(B, float(t), pool_x, vals, per_t))
                 continue
         else:
-            raise ValueError(f"unknown region '{kind}'")
+            raise BarrierError(f"unknown region '{kind}'")
         pts = pool_x[keep][:per_t]
         picked.extend((float(t), p) for p in pts)
     return picked[:count] if count else picked
@@ -200,7 +200,7 @@ def infinitesimal_check(B: BarrierFn, F: InclusionSpec, mode: str = "smooth",
     if g is None:
         g = RelaxFn.zero()
     if window is None:
-        raise ValueError("infinitesimal_check needs a sampling window")
+        raise BarrierError("infinitesimal_check needs a sampling window")
     lo, hi = np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float)
     kind, width = (region, None) if isinstance(region, str) else region
     if kind == "boundary" and width is None:
@@ -237,7 +237,7 @@ def _zeta_candidates(B: BarrierFn, mode: str, ts: np.ndarray, X: np.ndarray, see
         TX = np.column_stack([np.maximum(ts, FD_STEP), X])
         return central_gradients(handle, TX, FD_STEP)[:, None], np.ones((len(ts), 1), dtype=bool)
     if mode not in ("clarke", "proximal"):
-        raise ValueError(f"unknown mode '{mode}'")
+        raise BarrierError(f"unknown mode '{mode}'")
     # base times keep every probe of the Clarke (and proximal) ball at t >= 0
     floor = (max(CLARKE_RADIUS, prox_radius) if mode == "proximal" else CLARKE_RADIUS) + FD_STEP
     TX = np.column_stack([np.maximum(ts, floor), X])
@@ -269,7 +269,7 @@ def nagumo_check(F: InclusionSpec, K: SetSpec, mode: str = "boundary",
     estimates).
     """
     if mode not in ("boundary", "exterior"):
-        raise ValueError(f"unknown mode {mode}")
+        raise BarrierError(f"unknown mode {mode}")
     if tol is None:
         tol = NAGUMO_DEFAULT_TOL if mode == "boundary" else 1e-3
     pts = (K.sample_boundary(n_samples, seed=seed, window=window) if mode == "boundary"
@@ -328,9 +328,9 @@ def prop1_check(F: InclusionSpec, X_o: SetSpec, X_s: SetSpec, B: BarrierFn,
     if g is None:
         g = RelaxFn.zero()
     if g.kind not in ("minimal", "zero", "linear"):
-        raise ValueError("prop1_check expects a minimal-type relaxation")
+        raise BarrierError("prop1_check expects a minimal-type relaxation")
     if mode not in ("conditional", "strict"):
-        raise ValueError(f"unknown mode {mode}")
+        raise BarrierError(f"unknown mode {mode}")
     handle = lambda P: B.evaluate_many(np.zeros(len(P)), P).value
     sign_margins = []
     if mode == "conditional":

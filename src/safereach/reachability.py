@@ -20,8 +20,8 @@ import numpy as np
 from .dynamics import InclusionSpec, lipschitz_estimate
 from .geometry import SetSpec, distance_to_set_many
 from .sampling import Stream
-from .solver import (BundlePlan, IntegratorConfig, bundle_sweep, selections, solution_bundle,
-                     start_states)
+from .solver import (BundlePlan, IntegratorConfig, SolverError, bundle_sweep, selections,
+                     solution_bundle, start_states)
 
 
 def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfig(),
@@ -31,7 +31,7 @@ def reach(F: InclusionSpec, x, t: float, cfg: IntegratorConfig = IntegratorConfi
     true when a path escaped.  At t = 0 the cloud is x alone."""
     x = start_states(F, x)[0]
     if not np.isfinite(t):
-        raise ValueError("horizon must be finite")
+        raise SolverError("horizon must be finite")
     if t == 0.0:
         return x[None, :], False
     trajs = solution_bundle(F, x[None], abs(t), "backward" if t < 0 else "forward", cfg, plan)[0]

@@ -19,7 +19,6 @@ import operator
 
 import numpy as np
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SKIP = 20      # leading Halton points dropped
 
 _MASK32 = (1 << 32) - 1
@@ -134,19 +133,26 @@ def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray) -> np.nda
     return x
 
 
+def halton_bases(dim: int) -> list:
+    """The first dim primes, the Halton bases of dimensions 1 to dim."""
+    bases, k = [], 2
+    while len(bases) < dim:
+        if all(k % p for p in bases):
+            bases.append(k)
+        k += 1
+    return bases
+
+
 def halton(count: int, dim: int, seed: int = 0) -> np.ndarray:
-    """Scrambled Halton points in the unit cube, shape (count, dim)."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    """Scrambled Halton points in the unit cube, shape (count, dim); each
+    column's scramble is drawn after those before it, so none depends on dim."""
     rng = Stream(seed)
     cols = []
     idx = np.arange(_SKIP, _SKIP + count, dtype=np.int64)
-    for d in range(dim):
-        base = _PRIMES[d]
+    for base in halton_bases(dim):
         perm = rng.permutation(base)
         # keep 0 fixed so the sequence stays a net
-        perm = perm[perm != 0]
-        perm = np.concatenate(([0], perm))
+        perm = np.concatenate(([0], perm[perm != 0]))
         cols.append(_radical_inverse(idx, base, perm))
     return np.column_stack(cols)
 

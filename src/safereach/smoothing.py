@@ -19,11 +19,11 @@ decomposition is a desk-scale realization.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import Error, sampling
 from .barrier import BarrierError, BarrierFn
 from .dynamics import FieldHandle, InclusionSpec, rescale_field
 from .geometry import PAIR_BUDGET, SetSpec, central_gradients, distance_to_set_many
@@ -31,7 +31,7 @@ from .solver import (BundlePlan, IntegratorConfig, SolverError, bundle_step, on_
                      rk4_sweep, start_states, tube_minimum)
 
 
-class SmoothingError(RuntimeError):
+class SmoothingError(Error, RuntimeError):
     pass
 
 
@@ -236,16 +236,15 @@ def _grid_spacing(grid: np.ndarray) -> float:
     return float(np.median(np.sqrt(d2.min(axis=1))))
 
 
-def smooth_on_compact(partition: TimePartition,
-                      w_tol: Optional[float] = None) -> SmoothedFn:
+def smooth_on_compact(partition: TimePartition) -> SmoothedFn:
     """Mollify the node snapshots of h (the partition's table) in x, glue them
     with the monotone cubic, and validate the h/2 <= g <= 2h sandwich plus
     t-monotonicity on the grid.
 
-    Bandwidth shrinks from four grid spacings toward half a spacing until the
-    snapshot error meets the slack-sequence tolerance (floored at w_tol or the
-    best the grid can express); monotonicity across snapshots is inherited
-    exactly because all snapshots share one kernel.
+    Bandwidth shrinks from four grid spacings through two to one until the
+    snapshot error meets the slack-sequence tolerance, and stays at one if
+    none does; monotonicity across snapshots is inherited exactly because
+    all snapshots share one kernel.
     """
     grid = partition.grid
     node_idx = partition.node_table_indices()
@@ -255,7 +254,6 @@ def smooth_on_compact(partition: TimePartition,
     tails = np.concatenate([np.cumsum(partition.zeta[::-1])[::-1], [0.0]])
     targets = 0.5 * partition.zeta + tails[:len(partition.zeta)]
     spacing = _grid_spacing(grid)
-    floor = w_tol if w_tol is not None else 0.0
     probe_rows = sorted({0, len(snaps) // 2, len(snaps) - 1})
     sigma = None
     chain = [4.0 * spacing, 2.0 * spacing, spacing]
@@ -264,7 +262,7 @@ def smooth_on_compact(partition: TimePartition,
         ok = True
         for r in probe_rows:
             err = float(np.abs(W @ snaps[r] - snaps[r]).max())
-            if err > max(targets[r], floor):
+            if err > targets[r]:
                 ok = False
                 break
         if ok:

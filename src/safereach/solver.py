@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import sampling
+from . import Error, sampling
 from .dynamics import InclusionSpec, rows_times
 from .geometry import SetSpec, distance_to_set_many
 
@@ -51,7 +51,7 @@ from .geometry import SetSpec, distance_to_set_many
 BLOCK_ROWS = 8192
 
 
-class SolverError(RuntimeError):
+class SolverError(Error, RuntimeError):
     pass
 
 

@@ -14,7 +14,7 @@ from safereach.barrier import (BarrierError, candidate_sign_check, counterexampl
                                monotonicity_check, user_barrier)
 from safereach.dynamics import (FieldHandle, InclusionSpec, builtin_field,
                                 field_from_expressions, lipschitz_estimate)
-from safereach.geometry import SetSpec, distance_to_set_many
+from safereach.geometry import SamplePlan, SetSpec, distance_to_set_many
 from safereach.infinitesimal import RelaxFn, infinitesimal_check
 from safereach.solver import BundlePlan, IntegratorConfig, SolverError, integrate
 
@@ -344,17 +344,17 @@ class TestSignCheck:
         B = marginal_barrier(COUNTER, ORIGIN, CFG, directions=1)
         X_u = SetSpec.complement(ORIGIN, name="off_origin")
         rep = candidate_sign_check(B, ORIGIN, X_u, [0.0, 1.0, 2.0],
-                                   n_init=8, n_unsafe=40, window=WINDOW)
+                                   SamplePlan(4, 4, 0, WINDOW), n_unsafe=40)
         assert rep.verdict == "pass"
         assert rep.details["max_on_X_o"] == 0.0
         assert rep.details["min_on_X_u"] > 0.0
 
     def test_distinct_samples_count_repeated_points_once(self):
-        # the one-point X_o is drawn n_init times; samples counts every copy
+        # the one-point X_o is drawn 4 + 4 times; samples counts every copy
         B = user_barrier("x1^2 + x2^2", 2)
         X_u = SetSpec.complement(ORIGIN, name="off_origin")
         rep = candidate_sign_check(B, ORIGIN, X_u, [0.0, 1.0, 1.0, 2.0],
-                                   n_init=8, n_unsafe=40, window=WINDOW)
+                                   SamplePlan(4, 4, 0, WINDOW), n_unsafe=40)
         assert rep.samples == 4 * (8 + 40)
         assert rep.details["distinct_samples"] == 3 * (1 + 40)
 
@@ -362,8 +362,8 @@ class TestSignCheck:
         B = counterexample_barrier_fn()
         X_u = SetSpec.complement(ORIGIN, name="off_origin")
         rep = candidate_sign_check(B, ORIGIN, X_u, np.linspace(0, 5, 6),
-                                   n_init=4, n_unsafe=64,
-                                   window=([-1.0, -1.0], [1.0, 1.0]))
+                                   SamplePlan(2, 2, 0, ([-1.0, -1.0], [1.0, 1.0])),
+                                   n_unsafe=64)
         assert rep.verdict == "pass"
         # the backward flow floors at a limit-cycle radius
         assert rep.details["min_on_X_u"] > 1e-3
@@ -377,8 +377,8 @@ class TestSignCheck:
         B = user_barrier("x1^2/10 + x2^2 - 1", 2)
         disk = SetSpec.ball([0, 0], 1.0)
         X_u = SetSpec.halfspace([0, 1], 2.0)
-        rep = candidate_sign_check(B, disk, X_u, [0.0], n_init=64, n_unsafe=32,
-                                   window=([-4, -4], [4, 4]))
+        rep = candidate_sign_check(B, disk, X_u, [0.0], SamplePlan(32, 32, 0, ([-4, -4], [4, 4])),
+                                   n_unsafe=32)
         assert rep.verdict == "pass"
         assert rep.details["max_on_X_o"] <= 1e-9
         assert rep.details["min_on_X_u"] >= 3.0
@@ -390,12 +390,12 @@ class TestSignCheck:
             B.evaluate_many([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(BarrierError, match="non-finite"):
             candidate_sign_check(B, SetSpec.ball([0, 0], 1.0), SetSpec.halfspace([0, 1], 2.0),
-                                 [0.0], n_init=8, n_unsafe=8, window=([-4, -4], [4, 4]))
+                                 [0.0], SamplePlan(4, 4, 0, ([-4, -4], [4, 4])), n_unsafe=8)
 
     def test_empty_t_grid_inconclusive(self):
         B = user_barrier("x1^2/10 + x2^2 - 1", 2)
         rep = candidate_sign_check(B, SetSpec.ball([0, 0], 1.0), SetSpec.halfspace([0, 1], 2.0),
-                                   [], window=([-4, -4], [4, 4]))
+                                   [], SamplePlan(32, 32, 0, ([-4, -4], [4, 4])))
         assert (rep.verdict, rep.samples) == ("inconclusive", 0)
 
     def test_witness_is_first_maximum_in_t_major_order(self):
@@ -404,7 +404,7 @@ class TestSignCheck:
         B = user_barrier("1 - t + 0 * x1", 2)
         disk = SetSpec.ball([0, 0], 1.0)
         rep = candidate_sign_check(B, disk, SetSpec.halfspace([0, 1], 2.0), [0.5, 0.0, 0.0],
-                                   n_init=8, n_unsafe=8, window=([-4, -4], [4, 4]), seed=3)
+                                   SamplePlan(4, 4, 3, ([-4, -4], [4, 4])), n_unsafe=8)
         first = disk.sample_interior(4, seed=3)[0]
         assert rep.witness == {"t": 0.0, "x": first.tolist()}
         assert rep.details["max_on_X_o"] == 1.0
@@ -486,7 +486,7 @@ class TestOneBatch:
         window = ([-0.5, -0.5], [0.5, 0.5])
         sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
                                          SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5, 1.0],
-                                         n_init=8, n_unsafe=8, window=window, seed=3)
+                                         SamplePlan(4, 4, 3, window), n_unsafe=8)
         tr = integrate(self.SADDLE, np.array([1.0, 0.2]), 1.5,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = lambda: barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
@@ -512,7 +512,7 @@ class TestOneBatch:
                              IntegratorConfig(step=1 / 64, escape_radius=3.0))
         sign = lambda: barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
                                          SetSpec.ball([0.3, 2.5], 0.1), [0.0, 0.5, 1.0],
-                                         n_init=8, n_unsafe=8, seed=3)
+                                         SamplePlan(4, 4, 3), n_unsafe=8)
         tr = integrate(self.SADDLE, np.array([0.05, 0.3]), 1.0,
                        cfg=IntegratorConfig(step=1 / 64))
         mono = barrier.monotonicity_queries([tr], tol=1e-9, stride=8)
@@ -535,8 +535,8 @@ class TestOneBatch:
         tr = integrate(InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp")),
                        np.array([0.1, 0.0]), 0.25, cfg=CFG)
         runs = [barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
-                                  SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5], n_init=4,
-                                  n_unsafe=4, seed=1),
+                                  SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5],
+                                  SamplePlan(2, 2, 1), n_unsafe=4),
                 barrier.monotonicity_queries([tr], tol=1e-9, stride=16)]
         assert len(list(barrier.check_results(B, runs))) == 2
         assert called == ["candidate_sign_check", "monotonicity_check"]

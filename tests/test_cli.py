@@ -19,7 +19,7 @@ from safereach import cli, config
 from safereach.cli import main
 from safereach.config import (BARRIERS, CHECKS, COMMANDS, SETS, ConfigError, RawConfig,
                               build_scenario, parse_config)
-from safereach.dynamics import InclusionSpec, builtin_field
+from safereach.dynamics import InclusionSpec, builtin_field, eval_inclusion
 from safereach.geometry import SamplePlan, SetSpec
 from safereach.infinitesimal import nagumo_check
 from safereach.solver import BundlePlan, IntegratorConfig
@@ -74,6 +74,20 @@ class TestConfigParsing:
         assert scn.system.dim == 2
         X_o = scn.commands["simulate"]["X_o"]
         assert (X_o.name, X_o.kind) == ("X_o", "ball")
+
+    def test_a_hull_system_reads_its_member_keys(self):
+        # F(x) is the hull of the rhs field and one field per member line,
+        # in file order; closed form at two points
+        text = MINIMAL.replace("kind = builtin\nname = linear_safe\ninclusion = singleton",
+                               "kind = expression\nrhs = x2; -x1\ninclusion = hull\n"
+                               "member = x2 + 1; -x1\nmember = 0 * x1; x1 * x2")
+        F = build_scenario(parse_config(text)).system
+        assert (F.kind, len(F.fields)) == ("hull", 3)
+        X = np.array([[0.5, -2.0], [1.5, 3.0]])
+        expected = np.stack([np.column_stack([X[:, 1], -X[:, 0]]),
+                             np.column_stack([X[:, 1] + 1, -X[:, 0]]),
+                             np.column_stack([0 * X[:, 0], X[:, 0] * X[:, 1]])], axis=1)
+        assert np.array_equal(eval_inclusion(F, X), expected)
 
     def test_unset_keys_take_the_dataclass_defaults(self):
         scn = build_scenario(parse_config("seed = 4\n[solver]\nstep = 0.125\n"))
@@ -521,6 +535,70 @@ T = 0.25
         err = capsys.readouterr().err
         assert err == ("error: [check filippov] kind 'filippov' estimates lambda over 81^n "
                        "grid pairs: it needs n <= 4, got n = 5\n")
+        assert not out.exists()
+
+    def _decay(self, tmp_path, n, sections):
+        """A scenario of x' = -x in n dimensions, X_o the unit ball."""
+        zeros, xs = " ".join(["0"] * n), [f"x{i}" for i in range(1, n + 1)]
+        return self._write(tmp_path, f"""
+seed = 3
+[system]
+kind = expression
+rhs = {"; ".join("-" + x for x in xs)}
+[solver]
+step = 0.0625
+[sampling]
+window = {" ".join(["-2"] * n)} {" ".join(["2"] * n)}
+boundary = 4
+interior = 4
+tgrid = 0 1 2
+[set X_o]
+kind = ball
+center = {zeros}
+radius = 1
+""" + sections.format(squares=" + ".join(x + "^2" for x in xs)))
+
+    def test_simulate_draws_a_ball_in_12_dimensions(self, tmp_path, capsys):
+        # a ball's interior samples take n + 1 Halton coordinates, 13 here
+        config = self._decay(tmp_path, 12, "[simulate]\nX_o = X_o\nT = 0.25\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        paths = sorted(out.glob("traj_*.csv"))
+        assert len(paths) == 8
+        starts = np.array([np.loadtxt(p, delimiter=",", skiprows=1)[0, 1:] for p in paths])
+        assert starts.shape == (8, 12) and (np.linalg.norm(starts, axis=1) <= 1.0 + 1e-12).all()
+
+    def test_a_clarke_check_samples_11_dimensions(self, tmp_path, capsys):
+        # Clarke samples are drawn in (t, x), 12 coordinates here
+        config = self._decay(tmp_path, 11, "[barrier]\nkind = user\nexpression = {squares} - 1\n"
+                             "[check decrease]\nkind = infinitesimal\nmode = clarke\n"
+                             "region = everywhere\ng = zero\ncount = 20\n")
+        assert main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr() == ("check decrease: pass\n", "")
+
+    def test_the_sign_check_draws_X_o_by_the_sampling_plan(self):
+        # boundary 6 and interior 2: the check's X_o points are the plan's own
+        # draw, the start points of simulate, not an even split of 8
+        text = MINIMAL.replace("boundary = 4\ninterior = 4", "boundary = 6\ninterior = 2") \
+            .replace("window = -2 -2 2 2", "window = -3 -3 3 3") + (
+            "[barrier]\nkind = user\nexpression = x1^2 + x2^2 - 1\n"
+            "[check sign]\nkind = sign\nX_o = X_o\nX_u = X_u\nn_samples = 5\n")
+        scn = build_scenario(parse_config(text))
+        _, a = scn.checks["sign"]
+        queries = cli._run_one_check("sign", scn, lambda: None)
+        window = scn.samples.window
+        pts = np.vstack([scn.samples.draw(a["X_o"]),
+                         a["X_u"].sample_interior(5, seed=scn.seed + 2, window=window)])
+        assert len(pts) == 6 + 2 + 5
+        assert np.array_equal(queries.Xs, np.tile(pts, (len(scn.t_grid), 1)))
+
+    def test_smooth_refuses_a_w_tol_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["smooth", "--config", str(SCENARIOS / "smooth.scenario"),
+                "--set", "smooth.w_tol=0.01", "--out", str(out)]
+        assert main(argv) == 1
+        assert "unknown key 'w_tol' in section [smooth]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_proximal_check_makes_four_barrier_batches(self, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ A plain class is held tighter: each self.X it stores is read as self.X in
 the class, unless READ_BY_CALLERS names it."""
 
 import ast
+import builtins
 import dataclasses
 import importlib
 from collections import Counter
@@ -403,3 +404,79 @@ def test_every_dataclass_is_more_than_a_plain_record():
         fields = dataclasses.fields(cls)
         assert "__post_init__" in vars(cls) or any(not f.compare for f in fields) or any(
             f.default_factory is not dataclasses.MISSING for f in fields), name
+
+
+# every raise of a builtin exception class in src/, by (module, enclosing
+# function, class), with why it is not a safereach.Error
+BUILTIN_RAISES = {
+    ("sampling.py", "_seed_words", "ValueError"):
+        "Stream(seed) refuses a negative seed as numpy's default_rng does; config refuses "
+        "one first, by name",
+    ("__init__.py", "__getattr__", "AttributeError"):
+        "a module __getattr__ reports an unknown name by AttributeError (PEP 562)",
+}
+
+
+def _builtin_raises() -> set:
+    """(module, innermost enclosing function, class) of every raise in src/
+    of a builtin exception class, called or not."""
+    found = set()
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = getattr(builtins, getattr(exc, "id", ""), None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    found.add((path.name, inner, cls.__name__))
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    return found
+
+
+def test_every_error_class_of_src_is_a_safereach_error():
+    # the command line catches safereach.Error alone: an error of any other
+    # class ends a run in a traceback
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "safereach" if path.stem == "__init__" else f"safereach.{path.stem}"
+        module = importlib.import_module(name)
+        stray += [f"{name}.{cls.__name__}" for cls in vars(module).values()
+                  if isinstance(cls, type) and issubclass(cls, BaseException)
+                  and cls.__module__ == name and not issubclass(cls, safereach.Error)]
+    assert stray == [], f"exception classes that do not derive from safereach.Error: {stray}"
+
+
+def test_src_raises_a_builtin_exception_only_where_listed():
+    found = _builtin_raises()
+    assert sorted(found - set(BUILTIN_RAISES)) == [], \
+        "a builtin exception raised in src/: raise the module's safereach.Error class"
+    assert sorted(set(BUILTIN_RAISES) - found) == [], "a listed raise is gone"
+
+
+# parameters that their function never reads, kept on purpose
+UNREAD_PARAMETERS = {
+    (f"cli.py:{command}", "args"): "bench/child.py's set-up run replaces each command with a "
+    "function of (scn, args, manifest), so main passes the parsed arguments"
+    for command in ("cmd_simulate", "cmd_reach", "cmd_barrier_eval", "cmd_check", "cmd_smooth")
+}
+
+
+def test_every_parameter_is_read_in_its_function():
+    # a parameter nothing reads is an argument every caller passes for nothing
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                a = f.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + \
+                    [p for p in (a.vararg, a.kwarg) if p is not None]
+                read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread |= {(f"{path.name}:{f.name}", p.arg) for p in params if p.arg not in read}
+    assert sorted(unread - set(UNREAD_PARAMETERS)) == [], \
+        "parameters that their function never reads"
+    assert set(UNREAD_PARAMETERS) <= unread

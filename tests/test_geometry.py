@@ -90,6 +90,56 @@ class TestDistance:
         with pytest.raises(GeometryError):
             distance_to_set([np.nan, 0.0], SetSpec.ball([0, 0], 1.0))
 
+    def test_complement_of_a_box_is_the_depth_inside_it(self):
+        # brute force: inside the box, the distance to the closed complement
+        # is the distance to the nearest of 4 x 4001 points on its edges
+        lo, hi = np.array([-1.0, 0.0]), np.array([2.0, 1.0])
+        C = SetSpec.complement(SetSpec.box(lo, hi))
+        X = np.array([[0.5, 0.3], [1.9, 0.5], [-0.4, 0.8], [0.0, 0.0], [3.0, 0.5], [0.5, -2.0]])
+        s = np.linspace(0.0, 1.0, 4001)[:, None]
+        edges = np.vstack([lo + s * [hi[0] - lo[0], 0.0], lo + s * [0.0, hi[1] - lo[1]],
+                           hi - s * [hi[0] - lo[0], 0.0], hi - s * [0.0, hi[1] - lo[1]]])
+        inside = np.all((X > lo) & (X < hi), axis=1)
+        brute = np.where(inside, np.sqrt(((X[:, None] - edges) ** 2).sum(-1)).min(axis=1), 0.0)
+        assert np.array_equal(distance_to_set_many(X, C), brute)
+
+    def test_complement_of_a_complement_is_the_distance_to_the_set(self):
+        ball = SetSpec.ball([0.5, -1.0], 0.75)
+        X = np.array([[0.5, -1.0], [2.0, 1.0], [-3.0, 0.5], [1.25, -1.0]])
+        closed_form = np.maximum(np.hypot(X[:, 0] - 0.5, X[:, 1] + 1.0) - 0.75, 0.0)
+        got = distance_to_set_many(X, SetSpec.complement(SetSpec.complement(ball)))
+        assert np.allclose(got, closed_form, rtol=0.0, atol=1e-15)
+
+    def test_intersection_with_a_box_projects_onto_the_box(self):
+        # only the box binds at these points: the projection onto the box is
+        # inside the ball, so the distance is the distance to the box
+        cap = SetSpec.intersection([SetSpec.box([-1, -1], [1, 1]), SetSpec.ball([0, 0], 1.3)])
+        X = np.array([[3.0, 0.0], [0.0, -2.5], [0.2, 1.75], [0.5, 0.5]])
+        assert np.allclose(distance_to_set_many(X, cap), [2.0, 1.5, 0.75, 0.0],
+                           rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("members, message", [
+        ([SetSpec.box([0, 0], [1, 1]), SetSpec.box([1.5, 0], [3, 1])], "disjoint boxes"),
+        ([SetSpec.box([0, 0], [1, 1]), SetSpec.box([0.5, 1.25], [3, 2])], "disjoint boxes"),
+        ([SetSpec.ball([3, 3], 1.0), SetSpec.box([0, 0], [1, 1])], "ball disjoint from box"),
+        ([SetSpec.box([0, 0], [1, 1]), SetSpec.ball([1.5, -0.5], 0.7)], "ball disjoint from box"),
+        ([SetSpec.box([0, 0], [1, 1]), SetSpec.box([0.9, 0.5], [3, 2])], None),
+        ([SetSpec.box([0, 0], [1, 1]), SetSpec.ball([1.5, 0.5], 0.6)], None),
+        ([SetSpec.ball([1.5, -0.5], 0.75), SetSpec.box([0, 0], [1, 1])], None),
+    ])
+    def test_emptiness_certificates_of_boxes_and_balls(self, members, message):
+        # brute force: a 401 x 401 grid over [-1, 4]^2 has a point in both
+        # members exactly when the certificate lets the intersection stand
+        g = np.linspace(-1.0, 4.0, 401)
+        grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+        both = (members[0].contains(grid) & members[1].contains(grid)).any()
+        assert both == (message is None)
+        if message is None:
+            SetSpec.intersection(members)
+        else:
+            with pytest.raises(EmptySetError, match=message):
+                SetSpec.intersection(members)
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
            st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=60, deadline=None)

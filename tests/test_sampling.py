@@ -5,7 +5,10 @@ the scramble that it drew from numpy before."""
 import numpy as np
 import pytest
 
-from safereach.sampling import _PRIMES, _SKIP, Stream, _radical_inverse, halton
+from safereach.sampling import _SKIP, Stream, _radical_inverse, halton, halton_bases
+
+# the Halton bases of dimensions 1 to 12, once a fixed tuple
+PRIMES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # past 2^32 a seed has several 32-bit words, and past 2^128 more words than
 # SeedSequence's pool of four
@@ -22,7 +25,7 @@ def test_raw_draws_match_pcg64(seed):
 def test_permutations_of_every_base_match_in_stream_order():
     for seed in SEEDS:
         ours, theirs = Stream(seed), np.random.default_rng(seed)
-        for base in _PRIMES:
+        for base in PRIMES_12:
             assert ours.permutation(base).tolist() == theirs.permutation(base).tolist(), \
                 (seed, base)
 
@@ -53,18 +56,35 @@ def _numpy_halton(count, dim, seed):
     rng = np.random.default_rng(seed)
     idx = np.arange(_SKIP, _SKIP + count, dtype=np.int64)
     cols = []
-    for base in _PRIMES[:dim]:
+    for base in PRIMES_12[:dim]:
         perm = rng.permutation(base)
         perm = np.concatenate(([0], perm[perm != 0]))
         cols.append(_radical_inverse(idx, base, perm))
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("dim", range(1, len(_PRIMES) + 1))
+@pytest.mark.parametrize("dim", range(1, len(PRIMES_12) + 1))
 def test_halton_matches_the_numpy_scramble(dim):
     for seed in (0, 1, 7, 11, 2**40 + 3):
         for count in (1, 17, 200):
             assert halton(count, dim, seed).tobytes() == _numpy_halton(count, dim, seed).tobytes()
+
+
+def test_the_bases_are_the_first_primes():
+    sieve = np.ones(600, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, 25):
+        sieve[k * k::k] = False
+    assert halton_bases(100) == np.flatnonzero(sieve)[:100].tolist()
+    assert halton_bases(12) == list(PRIMES_12)
+
+
+@pytest.mark.parametrize("dim", [13, 24])
+def test_a_draw_past_twelve_dimensions_keeps_the_first_twelve_columns(dim):
+    for seed in (0, 5):
+        u = halton(64, dim, seed)
+        assert u[:, :12].tobytes() == halton(64, 12, seed).tobytes()
+        assert ((u > 0.0) & (u < 1.0)).all()
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError)])

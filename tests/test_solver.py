@@ -142,6 +142,18 @@ class TestBundle:
             speed = np.linalg.norm(centers, axis=1).max()
             assert np.max(gap) <= 12.0 * speed * CFG.step
 
+    def test_a_hull_with_more_directions_than_fields_adds_interior_weights(self):
+        # closed form: under the constant fields e1 and e2 a selection of
+        # weights w moves x0 to x0 + T w; the first two are the vertices, the
+        # other three weight both fields and differ from one another
+        F = InclusionSpec.hull([field_from_expressions(["1 + 0 * x1", "0 * x2"]),
+                                field_from_expressions(["0 * x1", "1 + 0 * x2"])])
+        trs = solution_bundle(F, [[0.5, -1.0]], 2.0, cfg=CFG, plan=BundlePlan(5, seed=4))[0]
+        w = np.array([tr.states[-1] - [0.5, -1.0] for tr in trs]) / 2.0
+        assert np.allclose(w[:2], np.eye(2), rtol=0.0, atol=1e-12)
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert (w[2:] > 0.0).all() and len(np.unique(w[2:, 0].round(12))) == 3
+
     def test_deterministic_selector_order(self):
         F = InclusionSpec.ball_perturbed(builtin_field("linear_safe"), 0.1)
         a = solution_bundle(F, [[1.0, 0.0]], 0.25, cfg=CFG, plan=BundlePlan(4))[0]

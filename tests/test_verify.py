@@ -380,8 +380,8 @@ class TestSufficiencyChain:
         origin = SetSpec.points([[0.0, 0.0]], name="origin")
         X_u = SetSpec.complement(origin, name="off_origin")
         B = marginal_barrier(F, origin, CFG, directions=1)
-        sign = candidate_sign_check(B, origin, X_u, [0.0, 1.0], n_init=4,
-                                    n_unsafe=24, window=([-1, -1], [1, 1]))
+        sign = candidate_sign_check(B, origin, X_u, [0.0, 1.0],
+                                    SamplePlan(2, 2, 0, ([-1, -1], [1, 1])), n_unsafe=24)
         tr = integrate(F, np.array([0.5, 0.0]), 2.0, cfg=CFG)
         mono = monotonicity_check(B, [tr], tol=10 * CFG.accuracy, stride=64)
         assert sign.verdict == "pass" and mono.verdict == "pass"
@@ -392,8 +392,8 @@ class TestSufficiencyChain:
     def test_linear_chain(self):
         from safereach.barrier import candidate_sign_check, monotonicity_check
         B = user_barrier("x1^2/10 + x2^2 - 1", 2)
-        sign = candidate_sign_check(B, DISK, WALL, [0.0], n_init=32, n_unsafe=32,
-                                    window=([-4, -4], [4, 4]))
+        sign = candidate_sign_check(B, DISK, WALL, [0.0],
+                                    SamplePlan(16, 16, 0, ([-4, -4], [4, 4])), n_unsafe=32)
         ok_mono = True
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             x0 = np.array([np.cos(ang), np.sin(ang)])
