@@ -165,27 +165,11 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "check": self.check,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "witness": jsonable(self.witness),
-            "verdict": self.verdict,
-            "details": jsonable(self.details),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        # every field holds native values: json.dumps needs no conversion
+        return json.dumps({"check": self.check, "samples": self.samples,
+                           "worst_margin": self.worst_margin, "witness": self.witness,
+                           "verdict": self.verdict, "details": self.details},
+                          indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -195,65 +179,43 @@ def jsonable(obj):
 class Queries:
     """The (t, x) rows one check asks of B.  report(got) makes the check's
     report from their BarrierValues, each row's value and whether it read a
-    backward tube cut short by escape; check(source, drawn) runs the check's entry
-    (:func:`candidate_sign_check` or :func:`monotonicity_check`, the spans
-    bench/spans.py records) with these queries as drawn.  A plain class: a
-    dataclass would add about 1 ms to every import of this module."""
+    backward tube cut short by escape; check(source, drawn) runs the check's
+    entry (:func:`candidate_sign_check` or :func:`monotonicity_check`, the
+    spans bench/spans.py records) with these queries as drawn and source B
+    or their values.  A plain class: a dataclass would add about 1 ms to
+    every import of this module."""
 
     def __init__(self, ts: np.ndarray, Xs: np.ndarray, report: Callable, check: Callable):
         self.ts, self.Xs, self.report, self.check = ts, Xs, report, check
 
     def answer(self, source) -> CheckReport:
-        """The report from the values of source: B, or a Batch standing for it."""
-        return self.report(source.values(self) if isinstance(source, Batch)
+        """The report from source: B, or the BarrierValues of these queries."""
+        return self.report(source if isinstance(source, BarrierValues)
                            else source.evaluate_many(self.ts, self.Xs))
 
 
-class Batch:
-    """Stands for B in several checks: the first of them to ask for values
-    evaluates the queries of all of them in one evaluate_many of B, so a
-    marginal B sweeps each distinct x once, to its largest t.  A value
-    depends on its own (t, x) only, so a report is the one its queries
-    alone would give.  If that batch raises, each check's queries are
-    evaluated alone when it asks, so the first failing check raises its own
-    error."""
-
-    def __init__(self, B: BarrierFn, asked: list[Queries]):
-        self.B, self.asked, self.got = B, asked, None
-
-    def values(self, q: Queries) -> BarrierValues:
-        if self.got is None:
-            self.got = {}
-            try:
-                whole = self.B.evaluate_many(np.concatenate([a.ts for a in self.asked]),
-                                             np.vstack([a.Xs for a in self.asked]))
-            except Error:
-                pass        # each check then evaluates its own queries, below
-            else:
-                ends = np.cumsum([len(a.ts) for a in self.asked])[:-1]
-                self.got = {id(a): BarrierValues(*part) for a, part in
-                            zip(self.asked, zip(*(np.split(f, ends) for f in whole)))}
-        got = self.got.get(id(q))
-        return got if got is not None else self.B.evaluate_many(q.ts, q.Xs)
+def batch_values(B: BarrierFn, asked: list[Queries]) -> list:
+    """What answers each of asked, in order: the BarrierValues of its rows
+    from one evaluate_many of B on the rows of all of them, so a marginal B
+    sweeps each distinct x once, to its largest t; or, when that batch
+    raises, B itself, so each check evaluates its own rows and the first
+    failing check raises its own error.  A value depends on its own (t, x)
+    only, so a report is the one its queries alone would give."""
+    try:
+        whole = B.evaluate_many(np.concatenate([q.ts for q in asked]),
+                                np.vstack([q.Xs for q in asked]))
+    except Error:
+        return [B] * len(asked)
+    ends = np.cumsum([len(q.ts) for q in asked])[:-1]
+    return [BarrierValues(*part) for part in zip(*(np.split(f, ends) for f in whole))]
 
 
-def check_results(B: BarrierFn, runs: list):
-    """The (JSON report, verdict) of each run of a check command, in order:
-    a pair as it is, and each Queries from its check, all of them answered
-    by one Batch."""
-    batch = Batch(B, [run for run in runs if isinstance(run, Queries)])
-    for run in runs:
-        if isinstance(run, Queries):
-            rep = run.check(batch, run)
-            run = rep.to_json(), rep.verdict
-        yield run
-
-
-def candidate_sign_check(B: BarrierFn, X_o: SetSpec, X_u: SetSpec, t_grid, samples: SamplePlan,
-                         n_unsafe: int = 64, drawn: Optional[Queries] = None) -> CheckReport:
+def candidate_sign_check(B: BarrierFn | BarrierValues, X_o: SetSpec, X_u: SetSpec, t_grid,
+                         samples: SamplePlan, n_unsafe: int = 64,
+                         drawn: Optional[Queries] = None) -> CheckReport:
     """B <= 0 (within POS_TOL) on X_o samples x t-grid and B >= POS_TOL on
     X_u samples, from the queries :func:`sign_queries` draws, or drawn,
-    those drawn already; B may be a Batch answering them with other checks'.
+    those drawn already; B may be their BarrierValues.
 
     Strict positivity on X_u is tested against POS_TOL since "> 0" is not
     decidable from samples.  Marginal barriers are exactly zero on X_o so the
@@ -304,15 +266,15 @@ def sign_queries(X_o: SetSpec, X_u: SetSpec, t_grid, samples: SamplePlan,
     return Queries(np.repeat(t_grid, len(pts)), np.tile(pts, (len(t_grid), 1)), report, check)
 
 
-def monotonicity_check(B: BarrierFn, trajs: list[Trajectory], tol: float = 1e-8,
+def monotonicity_check(B: BarrierFn | BarrierValues, trajs: list[Trajectory], tol: float = 1e-8,
                        stride: int = 1, drawn: Optional[Queries] = None) -> CheckReport:
     """Worst positive increment of t -> B(t, phi(t)) across the stored nodes
     of forward trajectories, every stride-th node and the last, from the
     queries :func:`monotonicity_queries` makes, or drawn, those made
-    already; B may be a Batch answering them with other checks'.  Returns
-    the report of the first trajectory with the largest increment; one of a
-    single node has no increment and is skipped, and if every trajectory is
-    one of those the check is inconclusive."""
+    already; B may be their BarrierValues.  Returns the report of the first
+    trajectory with the largest increment; one of a single node has no
+    increment and is skipped, and if every trajectory is one of those the
+    check is inconclusive."""
     if drawn is None:
         drawn = monotonicity_queries(trajs, tol, stride)
     return drawn.answer(B)

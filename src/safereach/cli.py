@@ -225,22 +225,37 @@ def cmd_check(scn: Scenario, args, manifest: Manifest) -> int:
     if not names:
         raise CliError("no [check NAME] sections in config")
     barrier = functools.cache(lambda: _build_barrier(scn))
+
+    def named(name: str, exc: Error) -> CliError:
+        # an input error named by its check, the barrier's by [barrier]
+        return exc if isinstance(exc, CliError) else CliError(f"[check {name}] {exc}")
+
     # every check runs, or asks its queries of B, in config order up to the
-    # first that raises, an input error named by the check (the barrier's by
-    # [barrier]); the results before it are written first
+    # first that raises; one batch of B then answers the queries of all of
+    # them, and each such check makes its report from its answer, up to the
+    # first that raises.  The results before the first error are written
     runs, error = [], None
     for name in names:
         try:
             runs.append(_run_one_check(name, scn, barrier))
         except Error as exc:
-            error = exc if isinstance(exc, CliError) else CliError(f"[check {name}] {exc}")
+            error = named(name, exc)
             break
-    if not all(isinstance(run, tuple) for run in runs):
-        from .barrier import check_results
+    asked = [run for run in runs if not isinstance(run, tuple)]
+    if asked:
+        from .barrier import batch_values
 
-        runs = check_results(barrier(), runs)
+        answers = iter(batch_values(barrier(), asked))
     verdicts = []
-    for name, (payload, verdict) in zip(names, runs):
+    for name, run in zip(names, runs):
+        if not isinstance(run, tuple):
+            try:
+                rep = run.check(next(answers), run)
+            except Error as exc:
+                error = named(name, exc)
+                break
+            run = rep.to_json(), rep.verdict
+        payload, verdict = run
         manifest.add(manifest.out / f"{name}.check.json").write_text(payload)
         verdicts.append(verdict)
         print(f"check {name}: {verdict}")

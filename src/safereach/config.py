@@ -375,16 +375,22 @@ def _given(cfg: RawConfig, section: str, **fields) -> dict:
     return {f: cfg.get(section, k) for k, f in fields.items() if cfg.get(section, k) is not None}
 
 
-def _time_grid(section: str, tg: list) -> np.ndarray:
+def _time_grid(section: str, tg: list, barrier: Optional[tuple]) -> np.ndarray:
     """The times of [section] tgrid = 'min max count': count evenly spaced
-    times from min to max, count a whole number of at least 1."""
+    times from min to max, count a whole number of at least 1, and none
+    below 0 when barrier, the resolved [barrier], is a marginal or converse
+    one, defined for t >= 0 only."""
     if len(tg) != 3:
         raise ConfigError(f"[{section}] tgrid must be 'min max count'")
     if tg[2] < 1:
         raise ConfigError(f"[{section}] tgrid count must be at least 1, got {tg[2]:g}")
     if tg[2] != int(tg[2]):
         raise ConfigError(f"[{section}] tgrid count must be a whole number, got {tg[2]:g}")
-    return np.linspace(tg[0], tg[1], int(tg[2]))
+    times = np.linspace(tg[0], tg[1], int(tg[2]))
+    if barrier is not None and barrier[0] in ("marginal", "converse") and times.min() < 0:
+        raise ConfigError(f"[{section}] tgrid reaches t = {times.min():g}, but a {barrier[0]} "
+                          f"barrier is defined for t >= 0 only")
+    return times
 
 
 def _window(w: Optional[list]):
@@ -432,7 +438,6 @@ def build_scenario(cfg: RawConfig) -> Scenario:
     cache: dict = {}
     for section in cfg.section_names("set"):
         _build_set(section.split(" ", 1)[1], cfg, cache)
-    t_grid = _time_grid("sampling", cfg.get("sampling", "tgrid", [0.0, 1.0, 11]))
     samples = SamplePlan(seed=seed, window=_window(cfg.get("sampling", "window")),
                          **_given(cfg, "sampling", boundary="boundary", interior="interior"))
     barrier = None
@@ -450,11 +455,13 @@ def build_scenario(cfg: RawConfig) -> Scenario:
         if "X_o" in a and a["X_o"].kind == "complement":
             raise ConfigError(f"[barrier] X_o must be a closed set, not the complement "
                               f"'{a['X_o'].name}'")
+    t_grid = _time_grid("sampling", cfg.get("sampling", "tgrid", [0.0, 1.0, 11]), barrier)
     commands = {section: resolve(cfg, section, {}, cache, table)[0]
                 for section, table in COMMANDS.items() if section in cfg.sections}
     if "barrier-eval" in commands:
         a = commands["barrier-eval"]
-        a["window"], a["tgrid"] = _window(a["window"]), _time_grid("barrier-eval", a["tgrid"])
+        a["window"] = _window(a["window"])
+        a["tgrid"] = _time_grid("barrier-eval", a["tgrid"], barrier)
     checks = {}
     for section in cfg.section_names("check"):
         kind, a = resolve(cfg, section, {"kind": (CHECKS, None)}, cache)

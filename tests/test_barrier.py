@@ -1,5 +1,4 @@
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -471,10 +470,15 @@ class TestMonotonicity:
 
 
 class TestOneBatch:
-    """check_results answers the queries of several checks from one batch
-    of B; each report is the one its queries alone give."""
+    """batch_values answers the queries of several checks from one batch
+    of B, and each check's entry makes its report from its answer; each
+    report is the one its queries alone give."""
 
     SADDLE = InclusionSpec.singleton(field_from_expressions(["x1", "0 - x2"], "saddle"))
+
+    @staticmethod
+    def reports(B, asked):
+        return [q.check(got, q) for q, got in zip(asked, barrier.batch_values(B, asked))]
 
     def test_only_the_escaping_check_reads_a_truncated_tube(self):
         # backward, x1 shrinks and x2 grows: the sign check's tubes, from
@@ -494,15 +498,14 @@ class TestOneBatch:
         got = [B.evaluate_many(q.ts, q.Xs) for q in queries]
         assert not got[0].cut.any() and got[1].cut.any()
         alone = [q.answer(B) for q in queries]
-        runs = [("simulate report", "pass"), sign(), mono()]
-        batch = barrier.Batch(B, runs[1:])
-        both = [batch.values(q) for q in runs[1:]]
+        asked = [sign(), mono()]
+        both = barrier.batch_values(B, asked)
         assert not both[0].cut.any() and both[1].cut.any() and not both[1].cut.all()
         for one, many in zip(got, both):
             assert np.array_equal(one.value, many.value) and np.array_equal(one.cut, many.cut)
-        out = list(barrier.check_results(B, runs))
-        assert out == [runs[0]] + [(rep.to_json(), rep.verdict) for rep in alone]
-        assert "lower_bound_only" not in json.loads(out[1][0])["details"]
+        out = self.reports(B, asked)
+        assert [rep.to_json() for rep in out] == [rep.to_json() for rep in alone]
+        assert "lower_bound_only" not in out[0].details
 
     def test_a_sign_check_reading_an_escaped_tube_is_a_lower_bound(self):
         # backward, x2 grows from the X_u disk around (0.3, 2.5) past radius
@@ -519,9 +522,9 @@ class TestOneBatch:
         assert not B.evaluate_many(mono.ts, mono.Xs).cut.any()
         alone = sign().answer(B)
         assert alone.details["lower_bound_only"] == "backward tube cut short by escape"
-        out = list(barrier.check_results(B, [sign(), mono]))
-        assert out[0] == (alone.to_json(), alone.verdict)
-        assert out[1] == (mono.answer(B).to_json(), mono.answer(B).verdict)
+        out = self.reports(B, [sign(), mono])
+        assert out[0].to_json() == alone.to_json()
+        assert out[1].to_json() == mono.answer(B).to_json()
 
     def test_each_check_runs_through_its_entry(self, monkeypatch):
         # the module's candidate_sign_check and monotonicity_check, whose
@@ -534,11 +537,11 @@ class TestOneBatch:
                                 called.append(entry.__name__) or entry(*a, **k))
         tr = integrate(InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp")),
                        np.array([0.1, 0.0]), 0.25, cfg=CFG)
-        runs = [barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
-                                  SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5],
-                                  SamplePlan(2, 2, 1), n_unsafe=4),
-                barrier.monotonicity_queries([tr], tol=1e-9, stride=16)]
-        assert len(list(barrier.check_results(B, runs))) == 2
+        asked = [barrier.sign_queries(SetSpec.ball([0.0, 0.0], 0.1),
+                                      SetSpec.ball([0.3, 0.3], 0.1), [0.0, 0.5],
+                                      SamplePlan(2, 2, 1), n_unsafe=4),
+                 barrier.monotonicity_queries([tr], tol=1e-9, stride=16)]
+        assert len(self.reports(B, asked)) == 2
         assert called == ["candidate_sign_check", "monotonicity_check"]
 
     def test_a_failing_batch_answers_each_check_alone_in_turn(self, monkeypatch):
@@ -556,12 +559,11 @@ class TestOneBatch:
         F = InclusionSpec.singleton(field_from_expressions(["x1", "x2"], "exp"))
         trajs = [integrate(F, np.array([r, 0.0]), 0.25, cfg=CFG)
                  for r in (0.1, 0.4)]
-        runs = [barrier.monotonicity_queries([tr], tol=1e-9, stride=16) for tr in trajs]
-        results = barrier.check_results(B, runs)
-        assert calls == []      # nothing is evaluated before the first result is asked
-        first = next(results)
-        assert calls == [18, 9] and first[1] == "fail"
-        assert next(results)[1] == "fail" and calls == [18, 9, 9]
+        asked = [barrier.monotonicity_queries([tr], tol=1e-9, stride=16) for tr in trajs]
+        answers = barrier.batch_values(B, asked)
+        assert calls == [18] and answers == [B, B]
+        assert asked[0].check(answers[0], asked[0]).verdict == "fail" and calls == [18, 9]
+        assert asked[1].check(answers[1], asked[1]).verdict == "fail" and calls == [18, 9, 9]
 
 
 class TestInfinitesimal:

@@ -713,8 +713,34 @@ radius = 1
                          "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert caught == [] and len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: barrier returned non-finite value at t=")
+        assert captured.err.startswith("error: [check sign] barrier returned non-finite "
+                                       "value at t=")
         assert "check sign" not in captured.out
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("sign", "X_o = X_o\nX_u = X_u\n"),
+        ("monotonicity", "X_o = X_o\n"),
+        ("infinitesimal", ""),
+        ("prop1", "X_o = X_o\nX_s = X_s\nmode = strict\n"),
+    ])
+    def test_every_check_reading_the_barrier_names_itself_in_its_error(self, tmp_path, capsys,
+                                                                       kind, keys):
+        # log(x2) is NaN on the lower half of the window: after the simulate
+        # check's report, the check that reads it fails by its own name
+        text = MINIMAL.replace("window = -2 -2 2 2", "window = -4 -4 4 4") + (
+            "[set X_s]\nkind = ball\ncenter = 0 0\nradius = 1.5\n"
+            "[barrier]\nkind = user\nexpression = log(x2)\n"
+            f"[check nan]\nkind = {kind}\n{keys}")
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: [check nan] barrier returned non-finite value")
+        assert captured.out == "check quick: pass\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["quick.check.json"]
+        assert manifest["error"] == captured.err[len("error: "):].rstrip("\n")
 
     def test_library_errors_are_reported_without_traceback(self, tmp_path, capsys):
         counter = str(SCENARIOS / "counterexample.scenario")
@@ -960,7 +986,7 @@ radius = 1
                            "--set", "solver.max_steps=200", "--out", str(out)])
             runs[name] = status, capsys.readouterr(), out
         assert runs["a"][0] in (0, 2) and runs["b"][0] == 1 and runs["ac"][0] == 1
-        assert runs["b"][1].err.startswith("error: barrier returned non-finite value")
+        assert runs["b"][1].err.startswith("error: [check b] barrier returned non-finite value")
         assert runs["ab"][1].err == runs["b"][1].err
         assert "horizon 4 needs 256 steps" in runs["ac"][1].err
         for name in ("ab", "ac"):
@@ -994,6 +1020,33 @@ radius = 1
                          "--set", f"barrier-eval.{key}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["marginal", "converse"])
+    @pytest.mark.parametrize("command, section", [("check", "sampling"),
+                                                  ("barrier-eval", "barrier-eval")])
+    def test_a_negative_time_of_a_marginal_or_converse_barrier_is_refused(
+            self, tmp_path, capsys, kind, command, section):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(SCENARIOS / "counterexample.scenario"),
+                     "--set", f"barrier.kind={kind}", "--set", f"{section}.tgrid=-1 1 3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: [{section}] tgrid reaches t = -1, but a "
+                                           f"{kind} barrier is defined for t >= 0 only\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("barrier_text", ["kind = user\nexpression = x1 - t",
+                                              "kind = counterexample"])
+    def test_a_closed_form_barrier_takes_a_negative_time(self, tmp_path, barrier_text):
+        text = (SCENARIOS / "counterexample.scenario").read_text().replace(
+            "kind = marginal\nX_o = X_o", barrier_text)
+        overrides = {"sampling.tgrid": "-1 1 3", "barrier-eval.tgrid": "-1 1 3"}
+        scn = build_scenario(parse_config(text, overrides))
+        assert scn.t_grid.tolist() == scn.commands["barrier-eval"]["tgrid"].tolist() == [-1, 0, 1]
+        out = tmp_path / "out"
+        assert main(["barrier-eval", "--config", str(self._write(tmp_path, text)),
+                     "--set", "barrier-eval.tgrid=-1 1 3", "--out", str(out)]) == 0
+        grid = np.loadtxt(out / "barrier_grid.csv", delimiter=",", skiprows=1)
+        assert sorted(set(grid[:, 0])) == [-1, 0, 1]
 
     @pytest.mark.parametrize("command, scenario, dotted, value", [
         ("reach", "counterexample", "reach.stride", "0"),

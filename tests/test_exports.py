@@ -372,7 +372,7 @@ def test_every_defaulted_record_field_is_set_in_src():
 
 # self.X fields that a plain class stores for its callers and never reads itself
 READ_BY_CALLERS = {
-    ("Queries", "check"): "barrier.check_results calls each check's entry through it",
+    ("Queries", "check"): "cli.cmd_check calls each check's entry through it",
     ("SmoothedFn", "certificate"): "the smooth command writes it to smooth_info.json",
 }
 

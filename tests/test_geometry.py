@@ -7,12 +7,14 @@ from scipy.optimize import brentq
 
 from safereach import sampling
 from safereach.barrier import counterexample_barrier_fn, user_barrier
+from safereach.dynamics import InclusionSpec, field_from_expressions
 from safereach.expr import compile_expression
 from safereach.geometry import (EmptySetError, GeometryError, SetSpec, central_gradients,
                                 distance_to_set, distance_to_set_many)
 from safereach.infinitesimal import (FD_STEP, _zeta_candidates, clarke_gradient_sample,
                                      cone_residual, proximal_subgradient_test)
 from safereach.smoothing import build_time_partition, smooth_on_compact
+from safereach.solver import BundlePlan
 
 from helpers import hausdorff_distance
 
@@ -456,6 +458,24 @@ class TestSamplers:
         assert SetSpec.complement(union).exactness() == "estimated"
         assert SetSpec.complement(SetSpec.ball([0, 0], 1)).exactness() == "exact"
         assert SetSpec.complement(SetSpec.complement(union)).exactness() == "exact"
+        # a union is exact only when every member is
+        assert SetSpec.union([SetSpec.ball([0, 0], 1), _ellipse()]).exactness() == "estimated"
+
+    def test_a_halfspace_leaves_no_bounding_box(self):
+        # a union is bounded only by all its members' boxes, and an
+        # intersection by some member's: halfspaces alone give none
+        lower, upper = SetSpec.halfspace([0, 1], 2.0), SetSpec.halfspace([0, -1], 1.0)
+        assert SetSpec.union([SetSpec.ball([0, 0], 1), lower]).bounding_box() is None
+        assert SetSpec.intersection([lower, upper]).bounding_box() is None
+
+    def test_the_one_dimensional_sphere_is_plus_and_minus_one(self):
+        # the unit vectors of R^1 in turn: a 1-D ball's boundary samples and
+        # the directions of a 1-D ball inclusion's plan table
+        assert sampling.sphere_directions(1, 5).tolist() == [[1.0], [-1.0], [1.0], [-1.0], [1.0]]
+        assert SetSpec.ball([0.5], 2.0).sample_boundary(3).tolist() == [[2.5], [-1.5], [2.5]]
+        F = InclusionSpec.ball_perturbed(field_from_expressions(["0 - x1"], "decay"), 0.1)
+        switch_times, D = BundlePlan(directions=4).table(F)
+        assert switch_times == [] and D.tolist() == [[[1.0], [-1.0], [1.0], [-1.0]]]
 
     def test_vectorized_matches_scalar(self):
         S = SetSpec.ball([0.2, -0.1], 0.9)

@@ -333,6 +333,21 @@ class TestSmoothGlobal:
         assert np.all(d2 >= 2.0 ** -6 - 1e-12)
         assert np.all(d2 <= 2.0 ** 1 + 1e-12)
 
+    @pytest.mark.parametrize("K, center, R", [(SetSpec.ball([0.5], 0.25), 0.5, 0.25),
+                                              (SetSpec.points([[-1.0]]), -1.0, 0.0)])
+    def test_one_dimensional_annulus_points(self, K, center, R):
+        # on a line the annulus 2^(s-3) <= |x|_K^2 <= 2^(s+4) is two
+        # segments: max(4, count / 2) radii from R + 2^((s-3)/2) to
+        # R + 2^((s+4)/2) in geometric steps, right of the center, then left
+        pts = annulus_points(K, 0, 12)
+        assert pts.shape == (12, 1)
+        right, left = pts[:6, 0] - center, center - pts[6:, 0]
+        assert np.allclose(right, left, rtol=1e-15, atol=0.0)
+        assert right[0] == pytest.approx(R + 2.0 ** -1.5) and right[-1] == pytest.approx(R + 4.0)
+        assert np.allclose(right[1:] / right[:-1], ((R + 4.0) / (R + 2.0 ** -1.5)) ** (1 / 5))
+        d2 = distance_to_set_many(pts, K) ** 2
+        assert d2.min() == pytest.approx(2.0 ** -3) and d2.max() == pytest.approx(2.0 ** 4)
+
 
 class TestConversePipeline:
     def test_small_counterexample_pipeline(self):
